@@ -4,14 +4,16 @@
     python3 perfbench/run.py --all [--seed N] [--seconds S]
 
 One workload per process, one operation at a time, BLAS pinned to one
-thread.  Set-up (package import plus input generation) runs SETUP_REPS
+thread.  Set-up (package import plus input generation) runs several
 times in fresh interpreters and reports the median.  The timed operations
 are ``densecotrain.cli.main`` calls; each one's result is checked and its
 digest compared with ``reference.json`` (for recorded seeds) and with the
-run's first operation.  ``--trace 0`` prints the end-to-end metrics;
-``--trace 1`` runs one untraced and one traced operation and prints the
-per-layer metrics from the spans plus the tracing overhead.  The last
-stdout line is the JSON result; earlier lines are for people.
+run's first operation.  ``--trace 0`` prints the end-to-end metrics, with
+times in reference seconds: wall time scaled by the machine's pace,
+sampled during the timed work (``pace.py``).  ``--trace 1`` runs one
+untraced and one traced operation and prints the per-layer metrics from
+the spans, in raw wall time, plus the tracing overhead.  The last stdout
+line is the JSON result; earlier lines are for people.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from contextlib import redirect_stdout  # noqa: E402
 from dataclasses import dataclass, field  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+from pace import Pace, to_reference  # noqa: E402
 from spans import Tracer  # noqa: E402
 from workloads import ROOT, WORKLOADS, ProgramMissing, digest, import_program  # noqa: E402
 
@@ -47,10 +50,13 @@ HERE = Path(__file__).resolve().parent
 REFERENCE_FILE = HERE / "reference.json"
 WORK_ROOT = ROOT / ".bench_work"
 TRACE_DIR = WORK_ROOT / "traces"
-SETUP_REPS = 5
+# set-up is repeated at least SETUP_REPS times and, while it is cheap,
+# until SETUP_SECONDS have been spent on it (at most SETUP_MAX_REPS times)
+SETUP_REPS, SETUP_MAX_REPS, SETUP_SECONDS = 3, 15, 4.0
 SETUP_CHILD = (
-    "import sys; sys.path.insert(0, sys.argv[1]); "
-    "import workloads; workloads.setup_child(*sys.argv[2:])"
+    "import json, sys; sys.path.insert(0, sys.argv[1]); "
+    "import pace, workloads; "
+    "print(json.dumps(pace.paced(workloads.setup_child, *sys.argv[2:])))"
 )
 LAYERS = ("geom", "metrics", "detectors", "ensemble", "cotrain", "tuner",
           "data", "cli", "report")
@@ -65,11 +71,16 @@ END_TO_END_UNITS = {
 class Op:
     """One timed CLI call and what was checked about it."""
 
-    elapsed: float
+    start: float
+    end: float
     exit_code: object
     result: dict | None = None
     digest: str | None = None
     problems: list[str] = field(default_factory=list)
+
+    @property
+    def elapsed(self) -> float:
+        return self.end - self.start
 
     @property
     def failed(self) -> bool:
@@ -79,8 +90,9 @@ class Op:
 # ------------------------------------------------------------------- set-up
 
 def timed_setup(name: str, seed: int, work: Path, scale: str) -> float:
-    """Wall time of one fresh interpreter that imports the package and
-    writes the workload's inputs into ``work``."""
+    """Time of one fresh interpreter that imports the package and writes
+    the workload's inputs into ``work``: its wall time, less the probes it
+    ran, in reference seconds at the speed they showed (``pace.py``)."""
     cmd = [sys.executable, "-c", SETUP_CHILD, str(HERE), name, str(seed),
            str(work), scale]
     t0 = time.perf_counter()
@@ -88,7 +100,8 @@ def timed_setup(name: str, seed: int, work: Path, scale: str) -> float:
     elapsed = time.perf_counter() - t0
     if proc.returncode != 0:
         raise RuntimeError(f"set-up failed ({proc.returncode}): {proc.stderr.strip()}")
-    return elapsed
+    probes = json.loads(proc.stdout.strip().splitlines()[-1])
+    return to_reference(elapsed - sum(probes), probes)
 
 
 def load_reference() -> dict:
@@ -126,12 +139,15 @@ def machine() -> dict:
 # ---------------------------------------------------------------- operations
 
 def run_op(cli, wl, seed: int, work: Path, scale: str, expected: str | None,
-           argv=None) -> Op:
-    """Time one CLI call; a nonzero exit, an exception, a failed result
-    check or a digest other than ``expected`` marks the operation failed."""
+           argv=None, pace: Pace | None = None) -> Op:
+    """Time one CLI call, under ``pace`` if given; a nonzero exit, an
+    exception, a failed result check or a digest other than ``expected``
+    marks the operation failed."""
     run_dir = Path(tempfile.mkdtemp(prefix="op-", dir=work))
     argv = argv if argv is not None else wl.argv(seed, work, run_dir, scale)
     out = io.StringIO()
+    if pace is not None:
+        pace.start()
     t0 = time.perf_counter()
     try:
         with redirect_stdout(out):
@@ -140,7 +156,11 @@ def run_op(cli, wl, seed: int, work: Path, scale: str, expected: str | None,
         code = exc.code
     except Exception as exc:  # the op is counted as failed, the run goes on
         code = f"{type(exc).__name__}: {exc}"
-    op = Op(time.perf_counter() - t0, code)
+    finally:
+        t1 = time.perf_counter()
+        if pace is not None:
+            pace.stop()
+    op = Op(t0, t1, code)
     if code != 0:
         op.problems.append(f"exit {code}")
     else:
@@ -261,21 +281,32 @@ def measure(name: str, seed: int, seconds: float, trace: bool,
     WORK_ROOT.mkdir(exist_ok=True)
     work = Path(tempfile.mkdtemp(prefix=f"{name}-{seed}-", dir=WORK_ROOT))
     try:
-        setup_times = [timed_setup(name, seed, work, scale) for _ in range(SETUP_REPS)]
+        setup_times = []
+        t_setup = time.perf_counter()
+        while len(setup_times) < SETUP_REPS or (
+            len(setup_times) < SETUP_MAX_REPS
+            and time.perf_counter() - t_setup < SETUP_SECONDS
+        ):
+            setup_times.append(timed_setup(name, seed, work, scale))
         cli = import_program()
         log("machine: " + json.dumps(machine()))
         ops: list[Op] = []
 
+        # untraced runs pace their operations; traced ones compare raw
+        # wall times, traced against untraced
+        pace = None if trace else Pace()
+
         def op(tracer: Tracer) -> Op:
             tracer.install()
             try:
-                o = run_op(cli, wl, seed, work, scale, expected, argv)
+                o = run_op(cli, wl, seed, work, scale, expected, argv, pace)
             finally:
                 tracer.restore()
             if o.digest is not None and ops and ops[0].digest not in (None, o.digest):
                 o.problems.append("digest differs from the run's first operation")
             ops.append(o)
-            log(f"op {len(ops)}: {o.elapsed:.4f} s exit={o.exit_code} "
+            scaled = f" ({pace.scaled(o.start, o.end):.4f} reference s)" if pace else ""
+            log(f"op {len(ops)}: {o.elapsed:.4f} s{scaled} exit={o.exit_code} "
                 f"digest={o.digest} {'FAILED ' + '; '.join(o.problems) if o.failed else 'ok'}")
             return o
 
@@ -299,8 +330,9 @@ def measure(name: str, seed: int, seconds: float, trace: bool,
             quality = next((wl.quality(o.result) for o in ops if o.result), 0.0)
             metrics = {
                 "setup_s": _median(setup_times),
-                "run_s": _median([o.elapsed for o in ops]),
-                "eval_s": _median(unit_timer.durations(wl.unit)),
+                "run_s": _median([pace.scaled(o.start, o.end) for o in ops]),
+                "eval_s": _median([pace.scaled(s.start, s.end)
+                                   for s in unit_timer.spans if s.name == wl.unit]),
                 "peak_rss_mb": peak_rss_mb,
                 "quality_map": float(quality),
             }
@@ -353,7 +385,7 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--workload", choices=sorted(WORKLOADS))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seconds", type=int, default=36)
+    p.add_argument("--seconds", type=int, default=30)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--all", action="store_true",
                    help="run every workload, untraced and traced, and print a table")

@@ -223,9 +223,6 @@ class Tracer:
 
     # ------------------------------------------------------------ results
 
-    def durations(self, name: str) -> list[float]:
-        return [s.end - s.start for s in self.spans if s.name == name]
-
     def self_times(self) -> list[float]:
         own = [s.end - s.start for s in self.spans]
         for s in self.spans:

@@ -23,12 +23,11 @@ from typing import Mapping, Sequence
 from .config import (
     ConfigError,
     RunConfig,
-    config_to_dict,
     default_synthetic,
     load_config,
     save_config,
 )
-from .cotrain import records_index, run_cotraining
+from .cotrain import records_index, report_to_dict, run_cotraining
 from .data import (
     AnnotationError,
     SceneSpec,
@@ -247,11 +246,7 @@ def _load_run_config(args) -> RunConfig:
     else:
         cfg = default_synthetic()
     if getattr(args, "seed", None) is not None:
-        cfg = replace(
-            cfg, seed=args.seed,
-            cotrain=replace(cfg.cotrain, seed=args.seed),
-            tuner=replace(cfg.tuner, seed=args.seed),
-        )
+        cfg = replace(cfg, seed=args.seed)
     if getattr(args, "out", None):
         cfg = replace(cfg, output_dir=args.out)
     return cfg
@@ -342,13 +337,7 @@ def cmd_evaluate(args) -> int:
         )
     dets = {img: predictions.get(img, []) for img in gts}
     rep = mean_average_precision(dets, gts)
-    payload = {
-        "map_coco": rep.map_coco,
-        "ap75": rep.ap75,
-        "ar300": rep.ar300,
-        "ap_per_threshold": {f"{t:.2f}": v for t, v in rep.ap_per_threshold.items()},
-        "notes": list(rep.notes),
-    }
+    payload = report_to_dict(rep)
     for line in per_threshold_lines(payload):
         logger.info(line)
     if args.out:
@@ -398,9 +387,7 @@ def cmd_cotrain(args) -> int:
     save_config(cfg, run_dir / "config.json")
     t0 = time.perf_counter()
     try:
-        result = run_cotraining(
-            records, split, cfg.cotrain_config(), run_dir=run_dir
-        )
+        result = run_cotraining(records, split, cfg.cotrain, run_dir=run_dir)
     except Exception as exc:
         raise RuntimeFailure(
             f"co-training failed mid-run (checkpoints retained in {run_dir}): {exc}"
@@ -430,10 +417,10 @@ def cmd_tune(args) -> int:
             raise UsageError(str(exc)) from exc
     records, split = build_dataset(cfg)
     out_dir = _ensure_dir(Path(cfg.output_dir))
-    tcfg = cfg.tuner_config()
+    tcfg = cfg.tuner
     if tcfg.algorithm == "ga" and tcfg.population > tcfg.budget:
         tcfg = replace(tcfg, population=tcfg.budget)
-    base_objective = make_supervised_objective(records, split, cfg.cotrain_config())
+    base_objective = make_supervised_objective(records, split, cfg.cotrain)
     last: dict = {}
 
     def objective(v: HyperVector) -> float:
@@ -507,10 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker cap; outputs never depend on it")
-
     p = sub.add_parser("synth-gen", help="generate a synthetic dataset CSV")
     p.add_argument("--images", type=int, required=True)
     p.add_argument("--rows", type=int, required=True)
@@ -521,7 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jitter", type=float, default=2.0)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=".")
-    add_common(p)
     p.set_defaults(func=cmd_synth_gen)
 
     p = sub.add_parser("split", help="select labeled/unlabeled sets and split")
@@ -531,7 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fractions", default="0.7,0.1,0.2")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", default=".")
-    add_common(p)
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("evaluate", help="score a predictions file against GT")
@@ -540,7 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--pr-svg", default=None, metavar="DIR",
                    help="emit per-threshold PR-curve SVGs into DIR")
-    add_common(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("cotrain", help="run the co-training experiment")
@@ -553,7 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default=None, help="run an ablation arm instead of co-training")
     p.add_argument("--hyper", default=None,
                    help="hyper-vector JSON from the tune command")
-    add_common(p)
     p.set_defaults(func=cmd_cotrain)
 
     p = sub.add_parser("tune", help="search hyperparameters on the supervised phase")
@@ -563,12 +542,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algorithm", choices=("ga", "sa"), default=None)
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--population", type=int, default=None)
-    add_common(p)
     p.set_defaults(func=cmd_tune)
 
     p = sub.add_parser("report", help="render tables and plots for a run dir")
     p.add_argument("--run", required=True)
-    add_common(p)
     p.set_defaults(func=cmd_report)
 
     return parser

@@ -10,17 +10,13 @@ import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
-from .cotrain import MODES, CoTrainConfig
+from .codec import ConfigError, from_dict
+from .cotrain import CoTrainConfig
 from .data import SceneSpec
-from .detectors import DetectorParams
-from .ensemble import EnsembleParams, RfParams, SvmParams, XgbParams
 from .tuner import TunerConfig
 
 ARTIFACT_VERSION = 1
-
-
-class ConfigError(ValueError):
-    """Invalid run configuration content."""
+SEEDED_SECTIONS = ("cotrain", "tuner")
 
 
 @dataclass(frozen=True)
@@ -56,11 +52,22 @@ class DatasetConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run; the defaults are the stock experiment: 200 labeled plus
+    800 unlabeled dense scenes at overlap 0.4, two co-training rounds at
+    tau 0.8.  ``seed`` is the one seed of the run: the nested sections
+    carry copies of it."""
+
     seed: int
     dataset: DatasetConfig = DatasetConfig()
-    cotrain: CoTrainConfig = CoTrainConfig()
+    cotrain: CoTrainConfig = CoTrainConfig(max_rounds=2)
     tuner: TunerConfig = TunerConfig()
     output_dir: str = "runs/default"
+
+    def __post_init__(self) -> None:
+        for section in SEEDED_SECTIONS:
+            object.__setattr__(
+                self, section, replace(getattr(self, section), seed=self.seed)
+            )
 
     def scene_spec(self) -> SceneSpec:
         d = self.dataset
@@ -70,99 +77,26 @@ class RunConfig:
             seed=self.seed,
         )
 
-    def cotrain_config(self) -> CoTrainConfig:
-        return replace(self.cotrain, seed=self.seed)
-
-    def tuner_config(self) -> TunerConfig:
-        return replace(self.tuner, seed=self.seed)
-
 
 def default_synthetic(seed: int = 0) -> RunConfig:
-    """The stock experiment: 200 labeled plus 800 unlabeled dense scenes
-    at overlap 0.4, two co-training rounds at tau 0.8."""
-    return RunConfig(
-        seed=seed,
-        dataset=DatasetConfig(),
-        cotrain=CoTrainConfig(tau_conf=0.8, max_rounds=2, seed=seed),
-        tuner=TunerConfig(seed=seed),
-    )
-
-
-def _detector_params_to_dict(p: DetectorParams) -> dict:
-    return {
-        "epochs": p.epochs, "confidence_threshold": p.confidence_threshold,
-        "nms_iou": p.nms_iou, "batch_size": p.batch_size,
-        "learning_rate": p.learning_rate, "anchor_scales": p.anchor_scales,
-    }
-
-
-def _ensemble_params_to_dict(e: EnsembleParams) -> dict:
-    return {
-        "xgb": asdict(e.xgb), "rf": asdict(e.rf), "svm": asdict(e.svm),
-    }
+    """The stock experiment, seeded."""
+    return RunConfig(seed=seed)
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    c = cfg.cotrain
-    return {
-        "artifact_version": ARTIFACT_VERSION,
-        "seed": cfg.seed,
-        "output_dir": cfg.output_dir,
-        "dataset": {
-            "source": cfg.dataset.source,
-            "csv_path": cfg.dataset.csv_path,
-            "n_labeled": cfg.dataset.n_labeled,
-            "n_unlabeled": cfg.dataset.n_unlabeled,
-            "fractions": list(cfg.dataset.fractions),
-            "grid_rows": cfg.dataset.grid_rows,
-            "grid_cols": cfg.dataset.grid_cols,
-            "row_range": list(cfg.dataset.row_range) if cfg.dataset.row_range else None,
-            "col_range": list(cfg.dataset.col_range) if cfg.dataset.col_range else None,
-            "box_w": cfg.dataset.box_w,
-            "box_h": cfg.dataset.box_h,
-            "jitter": cfg.dataset.jitter,
-            "overlap_factor": cfg.dataset.overlap_factor,
-        },
-        "cotrain": {
-            "tau_conf": c.tau_conf,
-            "max_rounds": c.max_rounds,
-            "epsilon": c.epsilon,
-            "patience": c.patience,
-            "pseudo_nms_iou": c.pseudo_nms_iou,
-            "merge_nms_iou": c.merge_nms_iou,
-            "separation": c.separation,
-            "mode": c.mode,
-            "unlabeled_subsample": c.unlabeled_subsample,
-            "ensemble_train_cap": c.ensemble_train_cap,
-        },
-        "detectors": {
-            "loc": _detector_params_to_dict(c.loc_params),
-            "ctx": _detector_params_to_dict(c.ctx_params),
-            "ensemble": _ensemble_params_to_dict(c.ensemble_params),
-        },
-        "tuner": {
-            "algorithm": cfg.tuner.algorithm,
-            "budget": cfg.tuner.budget,
-            "population": cfg.tuner.population,
-            "mutation_rate": cfg.tuner.mutation_rate,
-            "crossover_rate": cfg.tuner.crossover_rate,
-            "initial_temperature": cfg.tuner.initial_temperature,
-            "cooling_rate": cfg.tuner.cooling_rate,
-        },
-    }
-
-
-def _build(section: str, ctor, payload: dict):
-    try:
-        return ctor(**payload)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid {section} section: {exc}") from exc
+    doc = {"artifact_version": ARTIFACT_VERSION, **asdict(cfg)}
+    for section in SEEDED_SECTIONS:
+        del doc[section]["seed"]  # the top-level seed is the one authority
+    return doc
 
 
 def config_from_dict(doc: dict) -> RunConfig:
+    """The run ``doc`` describes; every key it lacks keeps its value in
+    the stock experiment."""
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
-    version = doc.get("artifact_version", ARTIFACT_VERSION)
+    doc = dict(doc)
+    version = doc.pop("artifact_version", ARTIFACT_VERSION)
     if version != ARTIFACT_VERSION:
         raise ConfigError(f"unsupported artifact_version {version!r}")
     if "seed" not in doc:
@@ -170,45 +104,10 @@ def config_from_dict(doc: dict) -> RunConfig:
     seed = doc["seed"]
     if not isinstance(seed, int):
         raise ConfigError(f"seed must be an integer, got {seed!r}")
-
-    ds_doc = dict(doc.get("dataset", {}))
-    for key in ("fractions", "row_range", "col_range"):
-        if ds_doc.get(key) is not None:
-            ds_doc[key] = tuple(ds_doc[key])
-    dataset = _build("dataset", DatasetConfig, ds_doc)
-
-    det_doc = doc.get("detectors", {})
-    base = CoTrainConfig()
-    loc = _build("detectors.loc", DetectorParams, det_doc["loc"]) \
-        if "loc" in det_doc else base.loc_params
-    ctx = _build("detectors.ctx", DetectorParams, det_doc["ctx"]) \
-        if "ctx" in det_doc else base.ctx_params
-    if "ensemble" in det_doc:
-        e = det_doc["ensemble"]
-        ensemble = EnsembleParams(
-            xgb=_build("detectors.ensemble.xgb", XgbParams, e.get("xgb", {})),
-            rf=_build("detectors.ensemble.rf", RfParams, e.get("rf", {})),
-            svm=_build("detectors.ensemble.svm", SvmParams, e.get("svm", {})),
-        )
-    else:
-        ensemble = base.ensemble_params
-
-    ct_doc = dict(doc.get("cotrain", {}))
-    if ct_doc.get("mode", "cotrain") not in MODES:
-        raise ConfigError(f"cotrain.mode must be one of {MODES}")
-    cotrain = _build(
-        "cotrain", CoTrainConfig,
-        {**ct_doc, "loc_params": loc, "ctx_params": ctx,
-         "ensemble_params": ensemble, "seed": seed},
-    )
-    tuner = _build("tuner", TunerConfig, {**doc.get("tuner", {}), "seed": seed})
-    return RunConfig(
-        seed=seed,
-        dataset=dataset,
-        cotrain=cotrain,
-        tuner=tuner,
-        output_dir=doc.get("output_dir", "runs/default"),
-    )
+    for section in SEEDED_SECTIONS:
+        if isinstance(doc.get(section), dict) and "seed" in doc[section]:
+            raise ConfigError(f"{section}.seed is not a key; set the top-level seed")
+    return from_dict(RunConfig, doc, RunConfig(seed=seed), "config")
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -24,18 +24,20 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .codec import from_dict
 from .data import DatasetSplit, ImageRecord
 from .detectors import (
     CONTEXTUAL,
     DEFAULT_CONTEXTUAL_PARAMS,
     DEFAULT_LOCALIZER_PARAMS,
     LOCALIZER,
+    PROFILES,
     Detection,
     DetectorParams,
     DetectorProfile,
@@ -156,17 +158,6 @@ class RoundRecord:
     n_accepted_for_b: int = 0
     pseudo_precision_a: float | None = None  # oracle precision of A's output
     pseudo_precision_b: float | None = None
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "round", "val_map_a", "val_map_b", "val_map_combined",
-            "n_accepted_for_a", "n_accepted_for_b",
-            "pseudo_precision_a", "pseudo_precision_b",
-        )}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RoundRecord":
-        return cls(**d)
 
 
 @dataclass
@@ -528,42 +519,25 @@ def exchange_round(
 
 # ------------------------------------------------------------ checkpoints
 
-def _skill_to_dict(s: SkillModel) -> dict:
-    return {
-        "base_recall": s.base_recall, "occlusion_penalty": s.occlusion_penalty,
-        "jitter_sigma": s.jitter_sigma, "fp_rate": s.fp_rate,
-    }
-
-
-def _params_to_dict(p: DetectorParams) -> dict:
-    return {
-        "epochs": p.epochs, "confidence_threshold": p.confidence_threshold,
-        "nms_iou": p.nms_iou, "batch_size": p.batch_size,
-        "learning_rate": p.learning_rate, "anchor_scales": p.anchor_scales,
-    }
-
-
 def _view_to_dict(v: ViewState) -> dict:
     return {
         "name": v.name,
         "profile": v.profile.name,
-        "params": _params_to_dict(v.params),
-        "base_skill": _skill_to_dict(v.base_skill),
-        "skill": _skill_to_dict(v.skill),
-        "ensemble": json.loads(v.ensemble.to_json()) if v.ensemble else None,
+        "params": asdict(v.params),
+        "base_skill": asdict(v.base_skill),
+        "skill": asdict(v.skill),
+        "ensemble": v.ensemble.to_dict() if v.ensemble else None,
     }
 
 
 def _view_from_dict(d: dict) -> ViewState:
-    from .detectors import PROFILES
-
     return ViewState(
         name=d["name"],
         profile=PROFILES[d["profile"]],
-        params=DetectorParams(**d["params"]),
-        base_skill=SkillModel(**d["base_skill"]),
-        skill=SkillModel(**d["skill"]),
-        ensemble=EnsembleClassifier.from_json(json.dumps(d["ensemble"]))
+        params=from_dict(DetectorParams, d["params"]),
+        base_skill=from_dict(SkillModel, d["base_skill"]),
+        skill=from_dict(SkillModel, d["skill"]),
+        ensemble=EnsembleClassifier.from_dict(d["ensemble"])
         if d.get("ensemble") else None,
     )
 
@@ -586,7 +560,7 @@ def save_checkpoint(state: CoTrainState, path: str | Path) -> None:
             img: [p.to_dict() for p in group]
             for img, group in state.accepted_for_b.items()
         },
-        "history": [r.to_dict() for r in state.history],
+        "history": [asdict(r) for r in state.history],
     }
     Path(path).write_text(json.dumps(doc), encoding="utf-8")
 
@@ -609,7 +583,7 @@ def load_checkpoint(path: str | Path) -> CoTrainState:
             img: [PseudoLabel.from_dict(p) for p in group]
             for img, group in doc["accepted_for_b"].items()
         },
-        history=[RoundRecord.from_dict(r) for r in doc["history"]],
+        history=[from_dict(RoundRecord, r) for r in doc["history"]],
         n_base_annotations=int(doc["n_base_annotations"]),
         n_base_occluded=int(doc["n_base_occluded"]),
         scene_regime=doc["scene_regime"],
@@ -745,12 +719,7 @@ def run_cotraining(
     report_b = mean_average_precision(db, gts)
     dc = merge_views(da, db, config.merge_nms_iou)
     report_combined = mean_average_precision(dc, gts)
-    result = CoTrainResult(state, best_round, report_a, report_b, report_combined)
-    if rd is not None:
-        (rd / "result.json").write_text(
-            json.dumps(result_to_dict(result)), encoding="utf-8"
-        )
-    return result
+    return CoTrainResult(state, best_round, report_a, report_b, report_combined)
 
 
 def report_to_dict(rep: EvalReport) -> dict:
@@ -768,7 +737,7 @@ def result_to_dict(result: CoTrainResult) -> dict:
         "best_round": result.best_round,
         "rounds_completed": result.state.round,
         "mode": result.state.mode,
-        "history": [r.to_dict() for r in result.state.history],
+        "history": [asdict(r) for r in result.state.history],
         "report_a": report_to_dict(result.report_a),
         "report_b": report_to_dict(result.report_b),
         "report_combined": report_to_dict(result.report_combined),

@@ -9,12 +9,13 @@ Everything is deterministic given (data, params, seed).
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
+
+from .codec import from_dict
 
 MEMBER_NAMES = ("gbt", "rf", "svm")
 SVM_KERNELS = ("linear", "rbf", "poly")
@@ -232,7 +233,7 @@ class GradientBoostedTrees:
 
     def to_dict(self) -> dict:
         return {
-            "params": vars(self.params) | {},
+            "params": asdict(self.params),
             "base_score": self.base_score,
             "trees": [t.to_dict() for t in self.trees],
             "loss_curve": self.loss_curve,
@@ -241,7 +242,7 @@ class GradientBoostedTrees:
     @classmethod
     def from_dict(cls, d: dict) -> "GradientBoostedTrees":
         return cls(
-            XgbParams(**d["params"]), float(d["base_score"]),
+            from_dict(XgbParams, d["params"]), float(d["base_score"]),
             [_Tree.from_dict(t) for t in d["trees"]],
             [float(v) for v in d["loss_curve"]],
         )
@@ -364,13 +365,15 @@ class RandomForest:
 
     def to_dict(self) -> dict:
         return {
-            "params": vars(self.params) | {},
+            "params": asdict(self.params),
             "trees": [t.to_dict() for t in self.trees],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "RandomForest":
-        return cls(RfParams(**d["params"]), [_Tree.from_dict(t) for t in d["trees"]])
+        return cls(
+            from_dict(RfParams, d["params"]), [_Tree.from_dict(t) for t in d["trees"]]
+        )
 
 
 def train_rf(
@@ -482,7 +485,7 @@ class KernelSvm:
 
     def to_dict(self) -> dict:
         return {
-            "params": vars(self.params) | {},
+            "params": asdict(self.params),
             "sv": self.sv.tolist(),
             "sv_coef": self.sv_coef.tolist(),
             "platt_a": self.platt_a,
@@ -492,7 +495,7 @@ class KernelSvm:
     @classmethod
     def from_dict(cls, d: dict) -> "KernelSvm":
         return cls(
-            SvmParams(**d["params"]),
+            from_dict(SvmParams, d["params"]),
             np.asarray(d["sv"], dtype=float),
             np.asarray(d["sv_coef"], dtype=float),
             float(d["platt_a"]), float(d["platt_b"]),
@@ -619,19 +622,17 @@ class EnsembleClassifier:
             out.append(fuse(members))
         return out
 
-    def to_json(self) -> str:
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "format_version": FORMAT_VERSION,
             "kind": "densecotrain-ensemble",
             "gbt": self.gbt.to_dict(),
             "rf": self.rf.to_dict(),
             "svm": self.svm.to_dict(),
         }
-        return json.dumps(doc)
 
     @classmethod
-    def from_json(cls, text: str) -> "EnsembleClassifier":
-        doc = json.loads(text)
+    def from_dict(cls, doc: dict) -> "EnsembleClassifier":
         if doc.get("format_version") != FORMAT_VERSION:
             raise ValueError(
                 f"unsupported ensemble format_version {doc.get('format_version')!r}"

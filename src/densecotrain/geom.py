@@ -13,7 +13,7 @@ Conventions (fixed so every metric and filter above this layer is exact):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 
@@ -92,12 +92,6 @@ def iou(a: Box, b: Box) -> float:
     inter = iw * ih
     union = area(a) + area(b) - inter
     return inter / union
-
-
-@dataclass
-class _Kept:
-    det: ScoredBox
-    index: int = field(default=0)
 
 
 def nms(dets: Sequence[ScoredBox], iou_threshold: float) -> list[ScoredBox]:

@@ -5,21 +5,18 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import fields
 from pathlib import Path
 
 from .config import ARTIFACT_VERSION, RunConfig, config_to_dict
-from .cotrain import CoTrainResult, report_to_dict
+from .cotrain import CoTrainResult, RoundRecord, result_to_dict
 from .metrics import COCO_THRESHOLDS
 
 REPORT_FILENAME = "report.json"
 HISTORY_FILENAME = "history.csv"
 TRACE_FILENAME = "tune_trace.csv"
 
-_HISTORY_COLUMNS = (
-    "round", "val_map_a", "val_map_b", "val_map_combined",
-    "n_accepted_for_a", "n_accepted_for_b",
-    "pseudo_precision_a", "pseudo_precision_b",
-)
+_HISTORY_COLUMNS = tuple(f.name for f in fields(RoundRecord))
 
 
 def build_run_report(
@@ -31,13 +28,7 @@ def build_run_report(
     return {
         "artifact_version": ARTIFACT_VERSION,
         "config": config_to_dict(cfg),
-        "mode": result.state.mode,
-        "rounds_completed": result.state.round,
-        "best_round": result.best_round,
-        "history": [r.to_dict() for r in result.state.history],
-        "report_a": report_to_dict(result.report_a),
-        "report_b": report_to_dict(result.report_b),
-        "report_combined": report_to_dict(result.report_combined),
+        **result_to_dict(result),
         "tuning_trace": tuning_trace,
         "timings": dict(timings),
     }

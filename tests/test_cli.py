@@ -325,6 +325,22 @@ def test_cotrain_run_artifacts(tmp_path, capsys):
     assert len(hist_rows) == 3  # header + 2 rounds
 
 
+def test_cotrain_echoed_config_rebuilds_the_run(tmp_path):
+    cfg_path = tiny_config(tmp_path, retrain_coeff={"recall_transfer": 0.3})
+    assert run_cli(["cotrain", "--config", cfg_path]) == 0
+    run_dir = tmp_path / "run"
+    assert not (run_dir / "result.json").exists()
+    echo = run_dir / "config.json"
+    assert read_json(echo)["cotrain"]["retrain_coeff"]["recall_transfer"] == 0.3
+    assert run_cli(["cotrain", "--config", echo, "--out", tmp_path / "rerun"]) == 0
+    first = read_json(run_dir / "report.json")
+    second = read_json(tmp_path / "rerun" / "report.json")
+    for report in (first, second):
+        report.pop("timings")
+        report["config"].pop("output_dir")
+    assert first == second
+
+
 def test_cotrain_rerun_identical_reports(tmp_path):
     cfg_path = tiny_config(tmp_path)
     assert run_cli(["cotrain", "--config", cfg_path]) == 0
@@ -372,6 +388,23 @@ def test_cotrain_config_bad_fractions_exit_2(tmp_path):
         encoding="utf-8",
     )
     assert run_cli(["cotrain", "--config", path]) == 2
+
+
+@pytest.mark.parametrize(
+    "extra, key",
+    [
+        ({"detectors": {"loc": {"epochs": 20}}}, "detectors"),  # retired section
+        ({"datset": {"n_labeled": 40}}, "datset"),               # misspelled
+        ({"cotrain": {"max_rounds": 1, "loc_params": {"epoch": 3}}}, "epoch"),
+    ],
+)
+def test_cotrain_config_unknown_key_exit_2(tmp_path, capsys, extra, key):
+    doc = {**read_json(tiny_config(tmp_path)), **extra}
+    path = tmp_path / "unknown.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli(["cotrain", "--config", path]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_cotrain_config_invalid_json_exit_2(tmp_path):

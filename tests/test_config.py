@@ -1,0 +1,207 @@
+"""Run-config schema: the JSON echo rebuilds the run exactly, and bad
+documents fail loudly."""
+
+import json
+from dataclasses import fields
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from densecotrain.config import (
+    ConfigError,
+    DatasetConfig,
+    RunConfig,
+    config_from_dict,
+    config_to_dict,
+    default_synthetic,
+)
+from densecotrain.cotrain import MODES, CoTrainConfig
+from densecotrain.detectors import (
+    ANCHOR_MENU,
+    BATCH_MENU,
+    DetectorParams,
+    RetrainCoefficients,
+)
+from densecotrain.ensemble import (
+    SVM_KERNELS,
+    EnsembleParams,
+    RfParams,
+    SvmParams,
+    XgbParams,
+)
+from densecotrain.tuner import ALGORITHMS, TunerConfig
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=1e-6, max_value=1e6)
+unit_open = st.floats(min_value=1e-6, max_value=1 - 1e-6)
+unit_closed = st.floats(min_value=0.0, max_value=1.0)
+small_int = st.integers(min_value=0, max_value=10**6)
+seeds = st.integers(min_value=0, max_value=2**63 - 1)
+
+
+def every_field(cls, **strategies):
+    """``st.builds`` that must draw every field of ``cls``, so a field
+    added later cannot slip past the round trip untested."""
+    assert set(strategies) == {f.name for f in fields(cls)}, cls.__name__
+    return st.builds(cls, **strategies)
+
+
+detector_params = every_field(
+    DetectorParams,
+    epochs=st.integers(min_value=1, max_value=500),
+    confidence_threshold=st.floats(min_value=0.0, max_value=0.99),
+    nms_iou=unit_open,
+    batch_size=st.sampled_from(BATCH_MENU),
+    learning_rate=positive,
+    anchor_scales=st.none() | st.sampled_from(ANCHOR_MENU),
+)
+ensemble_params = every_field(
+    EnsembleParams,
+    xgb=every_field(
+        XgbParams, learning_rate=positive, max_depth=st.integers(1, 12),
+        l2_reg=st.floats(min_value=0.0, max_value=1e3), n_trees=small_int,
+    ),
+    rf=every_field(RfParams, max_depth=small_int, n_trees=st.integers(1, 500)),
+    svm=every_field(
+        SvmParams, c=positive, kernel=st.sampled_from(SVM_KERNELS), gamma=positive,
+    ),
+)
+retrain_coeff = every_field(
+    RetrainCoefficients,
+    **{f.name: finite for f in fields(RetrainCoefficients)},
+)
+cotrain_config = every_field(
+    CoTrainConfig,
+    loc_params=detector_params,
+    ctx_params=detector_params,
+    ensemble_params=ensemble_params,
+    tau_conf=st.floats(min_value=1e-6, max_value=1.0),
+    max_rounds=small_int,
+    epsilon=st.floats(min_value=0.0, max_value=1.0),
+    patience=st.integers(min_value=1, max_value=20),
+    pseudo_nms_iou=unit_open,
+    merge_nms_iou=unit_open,
+    separation=finite,
+    mode=st.sampled_from(MODES),
+    seed=seeds,
+    unlabeled_subsample=st.none() | small_int,
+    ensemble_train_cap=small_int,
+    retrain_coeff=retrain_coeff,
+)
+tuner_config = every_field(
+    TunerConfig,
+    algorithm=st.sampled_from(ALGORITHMS),
+    budget=st.integers(min_value=1, max_value=1000),
+    population=st.integers(min_value=1, max_value=100),
+    mutation_rate=unit_closed,
+    crossover_rate=unit_closed,
+    initial_temperature=st.floats(min_value=0.0, max_value=10.0),
+    cooling_rate=st.floats(min_value=1e-6, max_value=1.0),
+    seed=seeds,
+)
+
+
+@st.composite
+def fractions(draw):
+    a = draw(st.floats(min_value=0.0, max_value=0.5))
+    b = draw(st.floats(min_value=0.0, max_value=0.5))
+    return (a, b, 1.0 - a - b)
+
+
+ranges = st.none() | st.tuples(st.integers(1, 9), st.integers(1, 9))
+dataset_config = st.one_of(
+    every_field(
+        DatasetConfig,
+        source=st.just("synthetic"),
+        csv_path=st.none() | st.text(max_size=12),
+        n_labeled=st.integers(min_value=1, max_value=10**5),
+        n_unlabeled=small_int,
+        fractions=fractions(),
+        grid_rows=st.integers(1, 20),
+        grid_cols=st.integers(1, 20),
+        row_range=ranges,
+        col_range=ranges,
+        box_w=positive,
+        box_h=positive,
+        jitter=finite,
+        overlap_factor=unit_closed,
+    ),
+    st.builds(DatasetConfig, source=st.just("csv"),
+              csv_path=st.text(min_size=1, max_size=12)),
+)
+run_config = every_field(
+    RunConfig,
+    seed=seeds,
+    dataset=dataset_config,
+    cotrain=cotrain_config,
+    tuner=tuner_config,
+    output_dir=st.text(max_size=20),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(run_config)
+def test_config_json_roundtrip_is_exact(cfg):
+    doc = json.loads(json.dumps(config_to_dict(cfg)))
+    assert config_from_dict(doc) == cfg
+
+
+@settings(max_examples=50, deadline=None)
+@given(seeds)
+def test_seed_only_config_is_the_stock_experiment(seed):
+    cfg = config_from_dict({"seed": seed})
+    assert cfg == default_synthetic(seed)
+    assert cfg.cotrain.max_rounds == 2 and cfg.cotrain.tau_conf == 0.8
+    assert cfg.cotrain.seed == cfg.tuner.seed == seed
+
+
+def test_partial_section_keeps_stock_values():
+    cfg = config_from_dict({"seed": 3, "cotrain": {"tau_conf": 0.7}})
+    assert cfg == RunConfig(
+        seed=3, cotrain=CoTrainConfig(tau_conf=0.7, max_rounds=2)
+    )
+
+
+def test_retrain_coeff_section_builds_the_dataclass():
+    cfg = config_from_dict(
+        {"seed": 1, "cotrain": {"retrain_coeff": {"recall_transfer": 0.3}}}
+    )
+    assert cfg.cotrain.retrain_coeff == RetrainCoefficients(recall_transfer=0.3)
+
+
+def test_nested_params_merge_into_stock_values():
+    cfg = config_from_dict(
+        {"seed": 1, "cotrain": {"loc_params": {"epochs": 7},
+                                "ensemble_params": {"svm": {"kernel": "poly"}}}}
+    )
+    stock = default_synthetic(1).cotrain
+    assert cfg.cotrain.loc_params == DetectorParams(
+        **{**vars(stock.loc_params), "epochs": 7}
+    )
+    assert cfg.cotrain.ensemble_params.svm == SvmParams(kernel="poly")
+    assert cfg.cotrain.ensemble_params.xgb == stock.ensemble_params.xgb
+
+
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        ({"seed": 1, "detectors": {"loc": {"epochs": 3}}}, "detectors"),
+        ({"seed": 1, "cotrain": {"max_round": 1}}, "max_round"),
+        ({"seed": 1, "cotrain": {"loc_params": {"epoch": 3}}}, "epoch"),
+        ({"seed": 1, "cotrain": {"seed": 2}}, "cotrain.seed"),
+        ({"seed": 1, "tuner": {"seed": 2}}, "tuner.seed"),
+        ({"seed": 1, "cotrain": {"mode": "bogus"}}, "mode"),
+        ({"seed": 1, "cotrain": {"retrain_coeff": 0.5}}, "retrain_coeff"),
+        ({"seed": 1, "dataset": {"fractions": [0.5, 0.4, 0.2]}}, "fractions"),
+    ],
+)
+def test_bad_documents_raise_config_error(doc, where):
+    with pytest.raises(ConfigError, match=where):
+        config_from_dict(doc)
+
+
+def test_echo_has_one_seed():
+    doc = config_to_dict(default_synthetic(9))
+    assert doc["seed"] == 9
+    assert "seed" not in doc["cotrain"] and "seed" not in doc["tuner"]

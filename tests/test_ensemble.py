@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -292,8 +293,7 @@ def test_ensemble_serialization_roundtrip():
     Xtr, ytr = _blobs(rng, 120, 3.0)
     Xte = rng.standard_normal((60, 16))
     ens = EnsembleClassifier.train((Xtr, ytr), EnsembleParams(), seed=21)
-    text = ens.to_json()
-    back = EnsembleClassifier.from_json(text)
+    back = EnsembleClassifier.from_dict(json.loads(json.dumps(ens.to_dict())))
     assert np.array_equal(ens.positive_probability(Xte), back.positive_probability(Xte))
     assert back.gbt.loss_curve == ens.gbt.loss_curve
 
@@ -302,12 +302,10 @@ def test_ensemble_format_version_checked():
     rng = np.random.default_rng(14)
     Xtr, ytr = _blobs(rng, 50, 3.0)
     ens = EnsembleClassifier.train((Xtr, ytr), EnsembleParams(), seed=0)
-    import json as _json
-
-    doc = _json.loads(ens.to_json())
+    doc = ens.to_dict()
     doc["format_version"] = 999
     with pytest.raises(ValueError, match="format_version"):
-        EnsembleClassifier.from_json(_json.dumps(doc))
+        EnsembleClassifier.from_dict(doc)
 
 
 def test_empty_data_rejected():

@@ -55,9 +55,8 @@ from .svgplot import line_plot, pr_curve_plot, save_svg
 from .tuner import (
     GENE_NAMES,
     HyperVector,
-    TunerConfig,
-    make_supervised_objective,
-    optimize,
+    ObjectiveError,
+    tune_pipeline,
     validate_vector,
     vector_to_params,
     vector_values,
@@ -394,7 +393,7 @@ def cmd_cotrain(args) -> int:
         ) from exc
     timings = {"total_s": time.perf_counter() - t0}
     trace_ref = TRACE_FILENAME if (run_dir / TRACE_FILENAME).is_file() else None
-    report = build_run_report(cfg, result, timings, tuning_trace=trace_ref)
+    report = build_run_report(result, timings, tuning_trace=trace_ref)
     save_run_report(report, run_dir)
     write_history_csv(report, run_dir)
     _print_json(report)
@@ -417,24 +416,13 @@ def cmd_tune(args) -> int:
             raise UsageError(str(exc)) from exc
     records, split = build_dataset(cfg)
     out_dir = _ensure_dir(Path(cfg.output_dir))
-    tcfg = cfg.tuner
-    if tcfg.algorithm == "ga" and tcfg.population > tcfg.budget:
-        tcfg = replace(tcfg, population=tcfg.budget)
-    base_objective = make_supervised_objective(records, split, cfg.cotrain)
-    last: dict = {}
-
-    def objective(v: HyperVector) -> float:
-        last["vector"] = v
-        return base_objective(v)
-
     try:
-        rep = optimize(objective, tcfg)
+        rep = tune_pipeline(records, split, cfg.tuner, cfg.cotrain)
+    except ObjectiveError as exc:
+        save_vector(exc.vector, out_dir / "failed_vector.json")
+        raise RuntimeFailure(str(exc)) from exc
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    except Exception as exc:
-        if "vector" in last:
-            save_vector(last["vector"], out_dir / "failed_vector.json")
-        raise RuntimeFailure(f"tuning objective failed: {exc}") from exc
     save_vector(rep.best_vector, out_dir / VECTOR_FILENAME)
     write_trace_csv(rep, out_dir / TRACE_FILENAME)
     payload = {

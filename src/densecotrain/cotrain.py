@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -562,7 +563,12 @@ def save_checkpoint(state: CoTrainState, path: str | Path) -> None:
         },
         "history": [asdict(r) for r in state.history],
     }
-    Path(path).write_text(json.dumps(doc), encoding="utf-8")
+    # write beside the target, then rename: a write cut short leaves the
+    # previous checkpoint as the latest, never a truncated one
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps(doc), encoding="utf-8")
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path: str | Path) -> CoTrainState:

@@ -3,9 +3,11 @@ synthetic dense-scene generation.
 
 CSV schema (matches the public dense-retail distribution):
 ``image_name,x1,y1,x2,y2,class,image_width,image_height``; the header is
-optional and detected by a non-numeric test on the second column of the
-first row.  Boxes are clamped into image bounds with a warning; rows that
-are degenerate after clamping are rejected loudly, never silently.
+optional.  A first row whose second column is not numeric is a header and
+must name exactly these columns (spaces around names are ignored); any
+other header is an ``AnnotationError``.  Boxes are clamped into image
+bounds with a warning; rows that are degenerate after clamping are
+rejected loudly, never silently.
 
 Synthetic scenes place a jittered grid of boxes whose pitch is shrunk by
 ``overlap_factor``, which induces neighbor overlap (the stand-in for
@@ -25,9 +27,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geom import Box, GroundTruth, iou
+from .geom import Box, GroundTruth, iou_matrix
 
 LABEL_NAMES: dict[int, str] = {0: "object"}
+CSV_COLUMNS: tuple[str, ...] = (
+    "image_name", "x1", "y1", "x2", "y2", "class", "image_width", "image_height"
+)
 
 
 class AnnotationError(ValueError):
@@ -123,28 +128,13 @@ class SceneSpec:
             )
 
 
-def pairwise_iou(boxes: Sequence[Box]) -> np.ndarray:
-    """Dense IoU matrix; agrees with geom.iou elementwise."""
-    n = len(boxes)
-    if n == 0:
-        return np.zeros((0, 0))
-    arr = np.array([b.as_tuple() for b in boxes], dtype=float)
-    x1 = np.maximum(arr[:, None, 0], arr[None, :, 0])
-    y1 = np.maximum(arr[:, None, 1], arr[None, :, 1])
-    x2 = np.minimum(arr[:, None, 2], arr[None, :, 2])
-    y2 = np.minimum(arr[:, None, 3], arr[None, :, 3])
-    inter = np.clip(x2 - x1, 0, None) * np.clip(y2 - y1, 0, None)
-    areas = (arr[:, 2] - arr[:, 0]) * (arr[:, 3] - arr[:, 1])
-    union = areas[:, None] + areas[None, :] - inter
-    return inter / union
-
-
 def occlusion_levels(gts: Sequence[GroundTruth]) -> tuple[float, ...]:
     """Per-box max IoU with any other box (0.0 for a lone box)."""
     n = len(gts)
     if n <= 1:
         return (0.0,) * n
-    m = pairwise_iou([g.box for g in gts])
+    boxes = [g.box for g in gts]
+    m = iou_matrix(boxes, boxes)
     np.fill_diagonal(m, 0.0)
     return tuple(float(v) for v in m.max(axis=1))
 
@@ -152,19 +142,16 @@ def occlusion_levels(gts: Sequence[GroundTruth]) -> tuple[float, ...]:
 def _parse_row(
     row: list[str], line_no: int
 ) -> tuple[str, Box, str, int, int] | None:
-    fields = (
-        "image_name", "x1", "y1", "x2", "y2", "class", "image_width", "image_height"
-    )
     if len(row) != 8:
         raise AnnotationError(
             f"line {line_no}: expected 8 fields "
-            f"({','.join(fields)}), got {len(row)}"
+            f"({','.join(CSV_COLUMNS)}), got {len(row)}"
         )
     name = row[0].strip()
     if not name:
         raise AnnotationError(f"line {line_no}: field image_name is empty")
     vals = []
-    for idx, fname in zip((1, 2, 3, 4), fields[1:5]):
+    for idx, fname in zip((1, 2, 3, 4), CSV_COLUMNS[1:5]):
         try:
             vals.append(float(row[idx]))
         except ValueError:
@@ -173,7 +160,7 @@ def _parse_row(
             ) from None
     cls = row[5].strip()
     dims = []
-    for idx, fname in zip((6, 7), fields[6:8]):
+    for idx, fname in zip((6, 7), CSV_COLUMNS[6:8]):
         try:
             v = int(row[idx])
         except ValueError:
@@ -215,7 +202,12 @@ def load_annotations(path: str | Path) -> list[ImageRecord]:
                 try:
                     float(row[1])
                 except ValueError:
-                    continue  # header row
+                    if tuple(c.strip() for c in row) != CSV_COLUMNS:
+                        raise AnnotationError(
+                            f"line 1: header must be {','.join(CSV_COLUMNS)}, "
+                            f"got {','.join(row)}"
+                        ) from None
+                    continue
             parsed = _parse_row(row, line_no)
             if parsed is None:
                 continue
@@ -252,10 +244,7 @@ def save_annotations(
     names = dict(LABEL_NAMES if label_names is None else label_names)
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(
-            ["image_name", "x1", "y1", "x2", "y2", "class",
-             "image_width", "image_height"]
-        )
+        w.writerow(CSV_COLUMNS)
         for rec in records:
             for g in rec.gts:
                 w.writerow(

@@ -5,6 +5,10 @@ Conventions (fixed so every metric and filter above this layer is exact):
 * Boxes are continuous corner coordinates ``(x1, y1, x2, y2)`` with the
   origin at the top-left, ``x1 < x2`` and ``y1 < y2``.  Area is
   ``(x2 - x1) * (y2 - y1)`` with no pixel correction.
+* ``iou_matrix`` is the kernel every batch of boxes goes through (NMS,
+  matching, occlusion levels).  It runs the same float operations in the
+  same order as the scalar ``iou``, so each entry is bit-identical to it;
+  ``iou`` stays for single pairs and as the reference in tests.
 * NMS is greedy by descending score, stable on ties (input order), and a
   candidate whose IoU with a kept same-label box equals the threshold is
   suppressed (strict ``< threshold`` keeps).
@@ -15,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -94,22 +100,55 @@ def iou(a: Box, b: Box) -> float:
     return inter / union
 
 
+def _corners(boxes: Sequence[Box]) -> np.ndarray:
+    return np.array(
+        [(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=float
+    ).reshape(-1, 4)
+
+
+def iou_matrix(a: Sequence[Box], b: Sequence[Box]) -> np.ndarray:
+    """IoU of every box of ``a`` (rows) with every box of ``b`` (columns).
+
+    Entry ``[i, j]`` equals ``iou(a[i], b[j])`` bit for bit: the overlap is
+    min minus max clamped at 0, the union ``(area_a + area_b) - inter``.
+    The matrix is built in place, so at most three ``len(a) x len(b)``
+    arrays are alive at once.
+    """
+    ca, cb = _corners(a), _corners(b)
+    area_a = (ca[:, 2] - ca[:, 0]) * (ca[:, 3] - ca[:, 1])
+    area_b = (cb[:, 2] - cb[:, 0]) * (cb[:, 3] - cb[:, 1])
+    inter = np.minimum(ca[:, None, 2], cb[None, :, 2])
+    inter -= np.maximum(ca[:, None, 0], cb[None, :, 0])
+    np.maximum(inter, 0.0, out=inter)
+    ih = np.minimum(ca[:, None, 3], cb[None, :, 3])
+    ih -= np.maximum(ca[:, None, 1], cb[None, :, 1])
+    np.maximum(ih, 0.0, out=ih)
+    inter *= ih
+    union = np.add(area_a[:, None], area_b[None, :], out=ih)
+    union -= inter
+    inter /= union
+    return inter
+
+
 def nms(dets: Sequence[ScoredBox], iou_threshold: float) -> list[ScoredBox]:
     """Greedy non-maximum suppression.
 
     Detections are visited in descending score order (ties keep input
     order); a detection survives iff its IoU with every already-kept
     detection of the same label is strictly below ``iou_threshold``.
-    The result is a subset of the input, in kept order.
+    The result is a subset of the input (the same objects), in kept order.
     """
     if not (0.0 < iou_threshold < 1.0):
         raise ValueError(f"iou_threshold must be in (0, 1), got {iou_threshold!r}")
-    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
+    ranked = sorted(dets, key=lambda d: -d.score)
+    boxes = [d.box for d in ranked]
+    labels = np.array([d.label for d in ranked])
+    suppresses = iou_matrix(boxes, boxes) >= iou_threshold
+    suppresses &= labels[:, None] == labels[None, :]
+    removed = np.zeros(len(ranked), dtype=bool)
     kept: list[ScoredBox] = []
-    for i in order:
-        d = dets[i]
-        if all(
-            k.label != d.label or iou(k.box, d.box) < iou_threshold for k in kept
-        ):
+    for k, d in enumerate(ranked):
+        if not removed[k]:
             kept.append(d)
+            removed |= suppresses[k]
     return kept

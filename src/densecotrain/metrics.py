@@ -8,7 +8,16 @@ Conventions:
   would produce 0.6000000000000001 and silently drop it.
 * Matching is greedy in descending score order (stable on ties by input
   order): each detection takes the unmatched same-label ground truth
-  with the highest IoU and is a true positive iff that IoU >= t.
+  with the highest IoU (the lowest index on ties) and is a true positive
+  iff that IoU >= t.
+* Each image's detection-by-GT IoU matrix (``geom.iou_matrix``) is built
+  once and serves every threshold, as in pycocotools'
+  ``COCOeval.computeIoU``/``evaluateImg``; only one image's matrix is
+  alive at a time.
+* AR@k comes from the same greedy passes: matching is sequential in score
+  order, so the matching of an image's top-k detections is exactly the
+  first k steps of its full pass.  ``mean_average_precision`` takes
+  AR@300 from its AP passes.
 * Zero-ground-truth inputs never yield a silent 1.0: with detections
   present the metric is 0.0 plus a warning, with nothing present it is
   absent (None) plus a warning.
@@ -20,10 +29,14 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .geom import Box, GroundTruth, ScoredBox, iou
+import numpy as np
+
+from .geom import Box, GroundTruth, ScoredBox, iou_matrix
 
 COCO_THRESHOLDS: tuple[float, ...] = tuple(i / 100 for i in range(50, 100, 5))
 RECALL_LEVELS: tuple[float, ...] = tuple(i / 100 for i in range(101))
+_RECALL_LEVELS = np.array(RECALL_LEVELS)
+AR_MAX_DETS = 300
 
 
 @dataclass(frozen=True)
@@ -56,6 +69,54 @@ def _as_gt(g: GroundTruth | Box) -> GroundTruth:
     return g if isinstance(g, GroundTruth) else GroundTruth(g)
 
 
+def _greedy_passes(
+    dets: Sequence[ScoredBox],
+    gts: Sequence[GroundTruth],
+    thresholds: Sequence[float],
+) -> tuple[list[int], list[list[tuple[int, float] | None]]]:
+    """One image's greedy matching at every threshold from one IoU matrix.
+
+    Returns the detection indices in descending score order (stable on
+    ties) and, per threshold, what each step of the pass in that order
+    matched: ``(gt index, IoU)``, or None for a false positive.
+
+    Each detection's candidates are its same-label GTs sorted by
+    (-IoU, index), so the first candidate not yet taken is the one the
+    greedy rule picks.  A detection is a TP iff that candidate's IoU >= t,
+    and every candidate after it scores no higher, so a pass only looks
+    at the candidates with IoU >= t; the lists keep those reaching the
+    lowest threshold.
+    """
+    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
+    cands: list[list[tuple[float, int]]] = [[] for _ in order]
+    if order and gts:
+        m = iou_matrix([dets[i].box for i in order], [g.box for g in gts])
+        det_labels = np.array([dets[i].label for i in order])
+        gt_labels = np.array([g.label for g in gts])
+        m[det_labels[:, None] != gt_labels[None, :]] = 0.0
+        rows, cols = np.nonzero(m >= min(thresholds))
+        vals = m[rows, cols]
+        by = np.lexsort((cols, -vals, rows))
+        for r, v, j in zip(rows[by].tolist(), vals[by].tolist(), cols[by].tolist()):
+            cands[r].append((v, j))
+    passes = []
+    for t in thresholds:
+        taken: set[int] = set()
+        steps: list[tuple[int, float] | None] = []
+        for cand in cands:
+            hit = None
+            for v, j in cand:
+                if v < t:
+                    break
+                if j not in taken:
+                    taken.add(j)
+                    hit = (j, v)
+                    break
+            steps.append(hit)
+        passes.append(steps)
+    return order, passes
+
+
 def match_detections(
     dets: Sequence[ScoredBox],
     gts: Sequence[GroundTruth | Box],
@@ -71,87 +132,72 @@ def match_detections(
     if not (0.0 < t <= 1.0):
         raise ValueError(f"IoU threshold must be in (0, 1], got {t!r}")
     norm = [_as_gt(g) for g in gts]
-    n_det, n_gt = len(dets), len(norm)
-    det_is_tp = [False] * n_det
-    det_matched: list[int | None] = [None] * n_det
-    det_iou = [0.0] * n_det
-    gt_matched = [False] * n_gt
-    order = sorted(range(n_det), key=lambda i: -dets[i].score)
-    for i in order:
-        d = dets[i]
-        best_j = -1
-        best_v = 0.0
-        for j, g in enumerate(norm):
-            if gt_matched[j] or g.label != d.label:
-                continue
-            v = iou(d.box, g.box)
-            if v > best_v:
-                best_v, best_j = v, j
-        if best_j >= 0 and best_v >= t:
+    order, (steps,) = _greedy_passes(dets, norm, (t,))
+    det_is_tp = [False] * len(dets)
+    det_matched: list[int | None] = [None] * len(dets)
+    det_iou = [0.0] * len(dets)
+    gt_matched = [False] * len(norm)
+    for i, hit in zip(order, steps):
+        if hit is not None:
+            j, v = hit
             det_is_tp[i] = True
-            det_matched[i] = best_j
-            det_iou[i] = best_v
-            gt_matched[best_j] = True
+            det_matched[i] = j
+            det_iou[i] = v
+            gt_matched[j] = True
     return MatchResult(
         tuple(det_is_tp), tuple(det_matched), tuple(det_iou), tuple(gt_matched)
     )
 
 
-def _ranked_tp_flags(
+def _dataset_passes(
     dets_by_image: Mapping[str, Sequence[ScoredBox]],
     gts_by_image: Mapping[str, Sequence[GroundTruth | Box]],
-    t: float,
-) -> tuple[list[bool], list[float], int]:
-    """Dataset-wide ranked TP flags.
+    thresholds: Sequence[float],
+    k: int,
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Greedy passes over a dataset, one image (and one matrix) at a time.
 
-    Matching happens per image (greedy in local score order, which agrees
-    with the global order restricted to the image); the flags are then
-    merged into one list sorted by descending score, stable on ties by
-    image insertion order then detection input order.
+    Returns the detection scores in (image insertion, input) order, the
+    TP flags per threshold in that order (a thresholds x detections
+    array), and per threshold the number of GTs matched by each image's
+    top-k detections.  Images without detections match nothing.
     """
-    entries: list[tuple[float, int, bool]] = []
-    seq = 0
-    n_gt = 0
+    n_det = sum(len(v) for v in dets_by_image.values())
+    scores = np.empty(n_det)
+    tp = np.zeros((len(thresholds), n_det), dtype=bool)
+    matched_at_k = [0] * len(thresholds)
+    base = 0
     for img, dets in dets_by_image.items():
-        gts = gts_by_image.get(img, ())
-        mr = match_detections(dets, gts, t)
-        for d, tp in zip(dets, mr.det_is_tp):
-            entries.append((d.score, seq, tp))
-            seq += 1
-    for gts in gts_by_image.values():
-        n_gt += len(gts)
-    entries.sort(key=lambda e: (-e[0], e[1]))
-    return [e[2] for e in entries], [e[0] for e in entries], n_gt
+        gts = [_as_gt(g) for g in gts_by_image.get(img, ())]
+        order, passes = _greedy_passes(dets, gts, thresholds)
+        scores[base : base + len(dets)] = [d.score for d in dets]
+        for ti, steps in enumerate(passes):
+            hits = [s is not None for s in steps]
+            tp[ti, [base + i for i, h in zip(order, hits) if h]] = True
+            matched_at_k[ti] += sum(hits[:k])
+        base += len(dets)
+    return scores, tp, matched_at_k
 
 
-def _pr_points(flags: Sequence[bool], n_gt: int) -> list[tuple[float, float]]:
-    pts = []
-    tp = fp = 0
-    for f in flags:
-        if f:
-            tp += 1
-        else:
-            fp += 1
-        pts.append((tp / n_gt, tp / (tp + fp)))
-    return pts
+def _pr_curve(
+    ranked_flags: np.ndarray, n_gt: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Recall and precision after each detection of the ranked list."""
+    tp = np.cumsum(ranked_flags)
+    return tp / n_gt, tp / np.arange(1, len(tp) + 1)
 
 
-def _interpolated_ap(points: Sequence[tuple[float, float]]) -> float:
-    """101-point AP from raw (recall, precision) staircase points."""
-    if not points:
+def _interpolated_ap(recalls: np.ndarray, precisions: np.ndarray) -> float:
+    """101-point AP from the raw (recall, precision) staircase."""
+    if not len(recalls):
         return 0.0
     # monotone envelope: running max of precision from the right
-    recalls = [p[0] for p in points]
-    precs = [p[1] for p in points]
-    for i in range(len(precs) - 2, -1, -1):
-        precs[i] = max(precs[i], precs[i + 1])
+    envelope = np.maximum.accumulate(precisions[::-1])[::-1]
+    # first staircase point reaching each recall level (recalls ascend)
+    at = np.searchsorted(recalls, _RECALL_LEVELS, side="left")
     total = 0.0
-    j = 0
-    for r in RECALL_LEVELS:
-        while j < len(recalls) and recalls[j] < r:
-            j += 1
-        if j < len(recalls):
-            total += precs[j]
+    for p in envelope[at[at < len(recalls)]].tolist():
+        total += p
     return total / len(RECALL_LEVELS)
 
 
@@ -166,6 +212,21 @@ def _zero_gt_outcome(n_det: int, what: str) -> float | None:
     return None
 
 
+def _n_gt(gts_by_image: Mapping[str, Sequence[GroundTruth | Box]]) -> int:
+    return sum(len(v) for v in gts_by_image.values())
+
+
+def _mean_recall(matched: Sequence[int], n_gt: int) -> float:
+    recalls = [m / n_gt for m in matched]
+    return sum(recalls) / len(recalls)
+
+
+def _ranked(scores: np.ndarray, tp: np.ndarray) -> np.ndarray:
+    """TP flags in descending score order, stable on ties by image
+    insertion order then detection input order."""
+    return tp[:, np.argsort(-scores, kind="stable")]
+
+
 def average_precision(
     dets_by_image: Mapping[str, Sequence[ScoredBox]],
     gts_by_image: Mapping[str, Sequence[GroundTruth | Box]],
@@ -177,65 +238,65 @@ def average_precision(
     detections; 0.0 with a warning when detections exist without any
     ground truth.
     """
-    flags, _, n_gt = _ranked_tp_flags(dets_by_image, gts_by_image, t)
+    if not (0.0 < t <= 1.0):
+        raise ValueError(f"IoU threshold must be in (0, 1], got {t!r}")
+    n_gt = _n_gt(gts_by_image)
     if n_gt == 0:
-        return _zero_gt_outcome(len(flags), "average_precision")
-    return _interpolated_ap(_pr_points(flags, n_gt))
+        n_det = sum(len(v) for v in dets_by_image.values())
+        return _zero_gt_outcome(n_det, "average_precision")
+    scores, tp, _ = _dataset_passes(dets_by_image, gts_by_image, (t,), 0)
+    return _interpolated_ap(*_pr_curve(_ranked(scores, tp)[0], n_gt))
 
 
 def mean_average_precision(
     dets_by_image: Mapping[str, Sequence[ScoredBox]],
     gts_by_image: Mapping[str, Sequence[GroundTruth | Box]],
 ) -> EvalReport:
-    """Full COCO-style report: per-threshold AP, their mean, AP.75, AR@300."""
+    """Full COCO-style report: per-threshold AP, their mean, AP.75, AR@300.
+
+    One greedy pass per image and threshold serves both AP and AR@300.
+    """
     notes: list[str] = []
     ap_per_t: dict[float, float | None] = {}
     pr_curves: dict[float, tuple[tuple[float, float], ...]] = {}
-    n_gt = sum(len(v) for v in gts_by_image.values())
-    n_det = sum(len(v) for v in dets_by_image.values())
+    n_gt = _n_gt(gts_by_image)
     if n_gt == 0:
+        n_det = sum(len(v) for v in dets_by_image.values())
         val = _zero_gt_outcome(n_det, "mean_average_precision")
         notes.append("no ground truths")
         for t in COCO_THRESHOLDS:
             ap_per_t[t] = val
             pr_curves[t] = ()
         return EvalReport(ap_per_t, val, val, val, pr_curves, tuple(notes))
-    for t in COCO_THRESHOLDS:
-        flags, _, _ = _ranked_tp_flags(dets_by_image, gts_by_image, t)
-        pts = _pr_points(flags, n_gt)
-        ap_per_t[t] = _interpolated_ap(pts)
-        pr_curves[t] = tuple(pts)
+    scores, tp, matched = _dataset_passes(
+        dets_by_image, gts_by_image, COCO_THRESHOLDS, AR_MAX_DETS
+    )
+    for t, flags in zip(COCO_THRESHOLDS, _ranked(scores, tp)):
+        recalls, precisions = _pr_curve(flags, n_gt)
+        ap_per_t[t] = _interpolated_ap(recalls, precisions)
+        pr_curves[t] = tuple(zip(recalls.tolist(), precisions.tolist()))
     vals = [v for v in ap_per_t.values() if v is not None]
     map_coco = sum(vals) / len(vals)
-    ar = average_recall_at(dets_by_image, gts_by_image, 300)
+    ar = _mean_recall(matched, n_gt)
     return EvalReport(ap_per_t, map_coco, ap_per_t[0.75], ar, pr_curves, tuple(notes))
 
 
 def average_recall_at(
     dets_by_image: Mapping[str, Sequence[ScoredBox]],
     gts_by_image: Mapping[str, Sequence[GroundTruth | Box]],
-    k: int = 300,
+    k: int = AR_MAX_DETS,
 ) -> float | None:
-    """AR@k: truncate each image to its top-k detections by score, then
-    average recall over the COCO thresholds."""
+    """AR@k: match each image's top-k detections by score, then average
+    recall over the COCO thresholds (the first k steps of each image's
+    greedy pass)."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k!r}")
-    n_gt = sum(len(v) for v in gts_by_image.values())
+    n_gt = _n_gt(gts_by_image)
     if n_gt == 0:
         n_det = sum(len(v) for v in dets_by_image.values())
         return _zero_gt_outcome(n_det, "average_recall_at")
-    truncated: dict[str, list[ScoredBox]] = {}
-    for img, dets in dets_by_image.items():
-        order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
-        truncated[img] = [dets[i] for i in order[:k]]
-    recalls = []
-    for t in COCO_THRESHOLDS:
-        matched = 0
-        for img, gts in gts_by_image.items():
-            mr = match_detections(truncated.get(img, ()), gts, t)
-            matched += sum(mr.gt_matched)
-        recalls.append(matched / n_gt)
-    return sum(recalls) / len(recalls)
+    _, _, matched = _dataset_passes(dets_by_image, gts_by_image, COCO_THRESHOLDS, k)
+    return _mean_recall(matched, n_gt)
 
 
 def brute_force_ap_oracle(

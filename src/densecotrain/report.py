@@ -1,5 +1,8 @@
 """Run reports: the JSON artifact a run leaves behind, the history CSV,
-and the human-readable summary table."""
+and the human-readable summary table.
+
+``report.json`` holds the results, not the config: the run's one config
+echo is ``config.json`` beside it."""
 
 from __future__ import annotations
 
@@ -8,7 +11,7 @@ import json
 from dataclasses import fields
 from pathlib import Path
 
-from .config import ARTIFACT_VERSION, RunConfig, config_to_dict
+from .config import ARTIFACT_VERSION
 from .cotrain import CoTrainResult, RoundRecord, result_to_dict
 from .metrics import COCO_THRESHOLDS
 
@@ -20,14 +23,12 @@ _HISTORY_COLUMNS = tuple(f.name for f in fields(RoundRecord))
 
 
 def build_run_report(
-    cfg: RunConfig,
     result: CoTrainResult,
     timings: dict[str, float],
     tuning_trace: str | None = None,
 ) -> dict:
     return {
         "artifact_version": ARTIFACT_VERSION,
-        "config": config_to_dict(cfg),
         **result_to_dict(result),
         "tuning_trace": tuning_trace,
         "timings": dict(timings),

@@ -499,6 +499,14 @@ def make_supervised_objective(
     return objective
 
 
+class ObjectiveError(RuntimeError):
+    """The tuning objective raised while scoring ``vector``."""
+
+    def __init__(self, vector: HyperVector, cause: Exception):
+        super().__init__(f"tuning objective failed: {cause}")
+        self.vector = vector
+
+
 def tune_pipeline(
     records_by_id: Mapping[str, ImageRecord],
     split: DatasetSplit,
@@ -506,8 +514,18 @@ def tune_pipeline(
     base_config: CoTrainConfig | None = None,
 ) -> TuneReport:
     """Tune against the combined validation mAP of the initial supervised
-    phase; the best vector is what a full co-training run should use."""
-    objective = make_supervised_objective(records_by_id, split, base_config)
+    phase; the best vector is what a full co-training run should use.
+
+    An exception inside the objective surfaces as ``ObjectiveError``
+    carrying the vector that was being scored."""
+    supervised = make_supervised_objective(records_by_id, split, base_config)
+
+    def objective(v: HyperVector) -> float:
+        try:
+            return supervised(v)
+        except Exception as exc:
+            raise ObjectiveError(v, exc) from exc
+
     cfg = tuner_config
     if cfg.algorithm == "ga" and cfg.population > cfg.budget:
         cfg = replace(cfg, population=cfg.budget)

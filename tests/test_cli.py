@@ -171,6 +171,31 @@ def test_split_malformed_annotations_exit_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["evaluate", "cotrain"])
+def test_misspelled_annotation_header_exit_2(tmp_path, capsys, command):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(
+        "image_name,x1,y1,x2,y2,class,image_widht,image_height\n"
+        "img,0,0,5,5,object,100,100\n",
+        encoding="utf-8",
+    )
+    if command == "evaluate":
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text("", encoding="utf-8")
+        argv = ["evaluate", "--predictions", preds, "--annotations", bad]
+    else:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "seed": 1, "output_dir": str(tmp_path / "run"),
+            "dataset": {"source": "csv", "csv_path": str(bad),
+                        "n_labeled": 1, "n_unlabeled": 0},
+        }), encoding="utf-8")
+        argv = ["cotrain", "--config", cfg]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert "image_name,x1,y1,x2,y2,class,image_width,image_height" in err
+
+
 def test_split_too_few_records_exit_2(dataset_dir, tmp_path):
     code = run_cli(
         ["split", "--annotations", dataset_dir / "annotations.csv",
@@ -335,9 +360,9 @@ def test_cotrain_echoed_config_rebuilds_the_run(tmp_path):
     assert run_cli(["cotrain", "--config", echo, "--out", tmp_path / "rerun"]) == 0
     first = read_json(run_dir / "report.json")
     second = read_json(tmp_path / "rerun" / "report.json")
+    assert "config" not in first  # config.json is the one echo
     for report in (first, second):
         report.pop("timings")
-        report["config"].pop("output_dir")
     assert first == second
 
 
@@ -485,7 +510,7 @@ def test_tune_sa_monotone_best_so_far(tmp_path):
 
 
 def test_tune_objective_failure_exit_4_dumps_vector(tmp_path, monkeypatch):
-    import densecotrain.cli as cli_mod
+    import densecotrain.tuner as tuner_mod
 
     cfg_path = tiny_config(tmp_path)
 
@@ -494,7 +519,7 @@ def test_tune_objective_failure_exit_4_dumps_vector(tmp_path, monkeypatch):
             raise RuntimeError("objective blew up")
         return obj
 
-    monkeypatch.setattr(cli_mod, "make_supervised_objective", failing_factory)
+    monkeypatch.setattr(tuner_mod, "make_supervised_objective", failing_factory)
     out = tmp_path / "fail"
     code = run_cli(["tune", "--config", cfg_path, "--budget", 2,
                     "--population", 2, "--out", out])

@@ -2,6 +2,7 @@
 and the invariants that keep the experiment honest."""
 
 import json
+import os
 from collections import Counter
 
 import numpy as np
@@ -390,6 +391,29 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     path.write_text(json.dumps({"checkpoint_version": 999}), encoding="utf-8")
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+def test_checkpoint_write_cut_short_keeps_previous_latest(
+    cotrain_run, tmp_path, monkeypatch
+):
+    _, _, _, result, run_dir = cotrain_run
+    source = run_dir / "checkpoint_round_001.json"
+    state = load_checkpoint(source)
+    save_checkpoint(state, tmp_path / "checkpoint_round_001.json")
+    assert (tmp_path / "checkpoint_round_001.json").read_bytes() == source.read_bytes()
+
+    def cut_short(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", cut_short)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(result.state, tmp_path / "checkpoint_round_002.json")
+    monkeypatch.undo()
+    assert not (tmp_path / "checkpoint_round_002.json").exists()
+    assert (tmp_path / "checkpoint_round_002.json.tmp").is_file()
+    latest = latest_checkpoint(tmp_path)
+    assert latest == tmp_path / "checkpoint_round_001.json"
+    assert load_checkpoint(latest).round == 1
 
 
 def test_resume_matches_uninterrupted_run(small_data, tmp_path):

@@ -18,7 +18,6 @@ from densecotrain.data import (
     load_annotations,
     mean_neighbor_iou,
     occlusion_levels,
-    pairwise_iou,
     save_annotations,
     select_and_split,
     write_manifest,
@@ -65,6 +64,32 @@ def test_load_no_header_numeric_first_row(tmp_path):
     p = _write(tmp_path, "a.jpg,1,2,3,4,object,10,10\nb.jpg,0,0,5,5,object,10,10\n")
     recs = load_annotations(p)
     assert {r.image_id for r in recs} == {"a.jpg", "b.jpg"}
+
+
+def test_load_header_names_stripped(tmp_path):
+    p = _write(
+        tmp_path,
+        " image_name , x1,y1,x2,y2,class,image_width,image_height \n"
+        "a.jpg,1,2,3,4,object,10,10\n",
+    )
+    assert [r.image_id for r in load_annotations(p)] == ["a.jpg"]
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        "image_name,x1,y1,x2,y2,clas,image_width,image_height",
+        "image,x1,y1,x2,y2,class,image_width,image_height",
+        "image_name,xmin,ymin,xmax,ymax,class,image_width,image_height",
+        "image_name,x1,y1,x2,y2,class,image_width",
+        "a.jpg,one,2,3,4,object,10,10",
+    ],
+)
+def test_load_rejects_other_header(tmp_path, header):
+    p = _write(tmp_path, header + "\na.jpg,1,2,3,4,object,10,10\n")
+    with pytest.raises(AnnotationError, match="line 1: header must be "
+                       "image_name,x1,y1,x2,y2,class,image_width,image_height"):
+        load_annotations(p)
 
 
 def test_load_groups_rows_by_image(tmp_path):
@@ -298,18 +323,6 @@ def test_mean_neighbor_iou_monotone_in_overlap():
         means.append(np.mean(vals))
     for a, b in zip(means, means[1:]):
         assert b > a - 1e-9
-
-
-def test_pairwise_iou_matches_scalar():
-    rng = np.random.default_rng(4)
-    boxes = []
-    for _ in range(12):
-        x1, y1 = rng.uniform(0, 50, 2)
-        boxes.append(Box(x1, y1, x1 + rng.uniform(1, 20), y1 + rng.uniform(1, 20)))
-    m = pairwise_iou(boxes)
-    for i, a in enumerate(boxes):
-        for j, b in enumerate(boxes):
-            assert m[i, j] == pytest.approx(iou(a, b), abs=1e-12)
 
 
 def test_occlusion_levels_lone_box():

@@ -4,11 +4,20 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from densecotrain.geom import Box, GroundTruth, ScoredBox, area, iou, nms
+from densecotrain.geom import (
+    Box,
+    GroundTruth,
+    ScoredBox,
+    area,
+    iou,
+    iou_matrix,
+    nms,
+)
 
 
 def test_area_example():
@@ -165,6 +174,92 @@ def test_nms_properties(dets, thr):
                 assert iou(a.box, b.box) < thr
     # idempotent
     assert nms(kept, thr) == kept
+
+
+# ------------------------------------------------ vectorised kernel vs scalar
+
+
+@st.composite
+def grid_boxes(draw):
+    """Boxes on a coarse integer grid, so touching, identical and contained
+    pairs are common; (0, 0, 10, 10) against (0, 0, 6, 10) has IoU 0.60."""
+    x1 = draw(st.integers(0, 8))
+    y1 = draw(st.integers(0, 8))
+    w = draw(st.integers(1, 10))
+    h = draw(st.integers(1, 10))
+    return Box(x1, y1, x1 + w, y1 + h)
+
+
+_any_box = st.one_of(grid_boxes(), boxes())
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def test_iou_matrix_matches_scalar():
+    rng = np.random.default_rng(4)
+    boxes = []
+    for _ in range(12):
+        x1, y1 = rng.uniform(0, 50, 2)
+        boxes.append(Box(x1, y1, x1 + rng.uniform(1, 20), y1 + rng.uniform(1, 20)))
+    m = iou_matrix(boxes, boxes)
+    assert _bits(m) == _bits([[iou(a, b) for b in boxes] for a in boxes])
+
+
+@settings(max_examples=300)
+@given(st.lists(_any_box, max_size=8), st.lists(_any_box, max_size=8))
+@example([Box(0, 0, 10, 10), Box(0, 0, 6, 10)], [Box(0, 0, 10, 10), Box(10, 0, 12, 10)])
+def test_iou_matrix_matches_scalar_bitwise(a, b):
+    m = iou_matrix(a, b)
+    assert m.shape == (len(a), len(b))
+    assert _bits(m) == _bits([[iou(x, y) for y in b] for x in a])
+
+
+def test_iou_matrix_exact_060():
+    m = iou_matrix([Box(0, 0, 10, 10)], [Box(0, 0, 6, 10)])
+    assert m[0, 0] == 0.6 == iou(Box(0, 0, 10, 10), Box(0, 0, 6, 10))
+
+
+def _nms_reference(dets, iou_threshold):
+    """The scalar greedy loop the vectorised ``nms`` replaced."""
+    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
+    kept = []
+    for i in order:
+        d = dets[i]
+        if all(
+            k.label != d.label or iou(k.box, d.box) < iou_threshold for k in kept
+        ):
+            kept.append(d)
+    return kept
+
+
+@st.composite
+def tied_scored_boxes(draw):
+    """Grid boxes with few distinct scores (many ties) and two labels."""
+    return ScoredBox(
+        draw(_any_box),
+        draw(st.sampled_from((0.2, 0.5, 0.9, 1.0))),
+        draw(st.integers(0, 1)),
+    )
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(tied_scored_boxes(), max_size=14),
+    st.one_of(
+        st.sampled_from((0.6, 0.5, 1 / 3, 0.25)),
+        st.floats(min_value=0.01, max_value=0.99),
+    ),
+)
+@example(
+    [ScoredBox(Box(0, 0, 10, 10), 0.9), ScoredBox(Box(0, 0, 6, 10), 0.9),
+     ScoredBox(Box(0, 0, 6, 10), 0.5, 1)],
+    0.6,
+)
+def test_nms_matches_scalar_reference(dets, thr):
+    kept = nms(dets, thr)
+    assert [id(d) for d in kept] == [id(d) for d in _nms_reference(dets, thr)]
 
 
 def test_groundtruth_defaults():

@@ -16,15 +16,16 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from densecotrain.geom import Box, GroundTruth, ScoredBox
+from densecotrain.geom import Box, GroundTruth, ScoredBox, iou
 from densecotrain.metrics import (
     COCO_THRESHOLDS,
     average_precision,
     average_recall_at,
     brute_force_ap_oracle,
+    MatchResult,
     match_detections,
     mean_average_precision,
 )
@@ -387,3 +388,105 @@ def test_match_result_tp_iff_match_iou_above_threshold():
             # each GT matched by at most one detection
             matched = [j for j in mr.det_matched_gt if j is not None]
             assert len(matched) == len(set(matched))
+
+
+# ------------------------------------- matrix matcher vs the scalar reference
+
+
+def _match_reference(dets, gts, t):
+    """The scalar greedy matcher the per-image IoU matrix replaced."""
+    norm = [g if isinstance(g, GroundTruth) else GroundTruth(g) for g in gts]
+    det_is_tp = [False] * len(dets)
+    det_matched = [None] * len(dets)
+    det_iou = [0.0] * len(dets)
+    gt_matched = [False] * len(norm)
+    for i in sorted(range(len(dets)), key=lambda i: -dets[i].score):
+        d = dets[i]
+        best_j, best_v = -1, 0.0
+        for j, g in enumerate(norm):
+            if gt_matched[j] or g.label != d.label:
+                continue
+            v = iou(d.box, g.box)
+            if v > best_v:
+                best_v, best_j = v, j
+        if best_j >= 0 and best_v >= t:
+            det_is_tp[i] = True
+            det_matched[i] = best_j
+            det_iou[i] = best_v
+            gt_matched[best_j] = True
+    return MatchResult(
+        tuple(det_is_tp), tuple(det_matched), tuple(det_iou), tuple(gt_matched)
+    )
+
+
+def _ar_reference(dets_by_image, gts_by_image, k):
+    """Truncate each image to its top-k detections, then match."""
+    n_gt = sum(len(v) for v in gts_by_image.values())
+    recalls = []
+    for t in COCO_THRESHOLDS:
+        matched = 0
+        for img, gts in gts_by_image.items():
+            dets = dets_by_image.get(img, [])
+            top = sorted(dets, key=lambda d: -d.score)[:k]
+            matched += sum(_match_reference(top, gts, t).gt_matched)
+        recalls.append(matched / n_gt)
+    return sum(recalls) / len(recalls)
+
+
+@st.composite
+def _grid_box(draw):
+    # coarse integer grid: touching, identical and contained pairs are
+    # common, and (0, 0, 10, 10) against (0, 0, 6, 10) has IoU exactly 0.60
+    x1, y1 = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    return Box(x1, y1, x1 + draw(st.integers(1, 10)), y1 + draw(st.integers(1, 10)))
+
+
+_tied_dets = st.lists(
+    st.builds(
+        ScoredBox, _grid_box(),
+        st.sampled_from((0.2, 0.5, 0.9)), st.integers(0, 1),
+    ),
+    max_size=12,
+)
+_two_label_gts = st.lists(
+    st.one_of(st.builds(GroundTruth, _grid_box(), st.integers(0, 1)), _grid_box()),
+    max_size=10,
+)
+_EXACT_060 = (
+    [ScoredBox(Box(0, 0, 6, 10), 0.9), ScoredBox(Box(0, 0, 10, 10), 0.9),
+     ScoredBox(Box(0, 0, 6, 10), 0.5, 1)],
+    [GroundTruth(Box(0, 0, 10, 10)), GroundTruth(Box(0, 0, 10, 10), 1)],
+)
+
+
+def _same_result(fast, slow):
+    # every field, with the Python types of the scalar matcher
+    assert fast == slow
+    for a, b in zip(fast.det_match_iou, slow.det_match_iou):
+        assert type(a) is type(b) is float
+    for a, b in zip(fast.det_matched_gt, slow.det_matched_gt):
+        assert type(a) is type(b)
+
+
+@settings(max_examples=400)
+@given(
+    _tied_dets, _two_label_gts,
+    st.one_of(st.sampled_from(COCO_THRESHOLDS), st.floats(0.01, 1.0)),
+)
+@example(*_EXACT_060, 0.6)
+def test_match_detections_equals_scalar_reference(dets, gts, t):
+    _same_result(match_detections(dets, gts, t), _match_reference(dets, gts, t))
+
+
+@settings(max_examples=150)
+@given(
+    st.dictionaries(st.sampled_from("abc"), _tied_dets, max_size=3),
+    st.dictionaries(st.sampled_from("abcd"), _two_label_gts, min_size=1, max_size=4),
+    st.integers(1, 14),
+)
+@example({"a": _EXACT_060[0]}, {"a": _EXACT_060[1]}, 2)
+def test_average_recall_at_equals_truncate_then_match(dets, gts, k):
+    # k ranges below and above the per-image detection counts (<= 12)
+    assume(sum(len(v) for v in gts.values()) > 0)
+    assert average_recall_at(dets, gts, k) == _ar_reference(dets, gts, k)
+    assert mean_average_precision(dets, gts).ar300 == _ar_reference(dets, gts, 300)

@@ -346,10 +346,8 @@ def cmd_evaluate(args) -> int:
         )
     if args.pr_svg:
         svg_dir = _ensure_dir(Path(args.pr_svg))
-        for t, pts in rep.pr_curves.items():
-            recalls = [p[0] for p in pts]
-            precisions = [p[1] for p in pts]
-            if not pts:
+        for t, (recalls, precisions) in rep.pr_curves.items():
+            if not len(recalls):
                 continue
             svg = pr_curve_plot(
                 [(f"IoU {t:.2f}", recalls, precisions)],

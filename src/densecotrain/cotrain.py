@@ -2,6 +2,11 @@
 pseudo-labels on unlabeled images, retrain, and stop on a validation
 patience rule.
 
+Both views go through the same code: the supervised phase, pseudo-label
+generation, retraining and evaluation each loop over (A, B), and the mode
+only decides where each view's labels go.  Validation and the final test
+pass share one evaluation function.
+
 Rules this module enforces:
 
 * Strict cross-exchange: in cotrain mode the accepted set for view A
@@ -23,9 +28,8 @@ Rules this module enforces:
 from __future__ import annotations
 
 import json
-import math
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -42,7 +46,6 @@ from .detectors import (
     Detection,
     DetectorParams,
     DetectorProfile,
-    PseudoLabelAudit,
     RetrainCoefficients,
     SkillModel,
     audit_pseudo_labels,
@@ -113,7 +116,6 @@ class CoTrainConfig:
     patience: int = 2
     pseudo_nms_iou: float = 0.5
     merge_nms_iou: float = 0.5
-    separation: float = 4.0
     mode: str = "cotrain"
     seed: int = 0
     unlabeled_subsample: int | None = None
@@ -197,15 +199,21 @@ def _detect_view(
     view: ViewState,
     records: Sequence[ImageRecord],
     seed: int,
-    separation: float,
 ) -> dict[str, list[Detection]]:
     return {
-        rec.image_id: detect(
-            rec, view.skill, view.params, view.profile, seed,
-            separation=separation,
-        )
+        rec.image_id: detect(rec, view.skill, view.params, view.profile, seed)
         for rec in records
     }
+
+
+def _stacked_features(
+    dets_by_image: Mapping[str, list[Detection]]
+) -> tuple[list[str], np.ndarray]:
+    """Image ids in sorted order, and every detection's feature vector
+    stacked in that order (rows follow each image's detection order)."""
+    order = sorted(dets_by_image)
+    feats = [d.features for img in order for d in dets_by_image[img]]
+    return order, np.asarray(feats)
 
 
 def _verified_scores(
@@ -215,19 +223,14 @@ def _verified_scores(
     object probability (keeps both stages' information in the ranking)."""
     if not view.trained:
         raise ValueError(f"view {view.name} has no trained ensemble")
-    order = sorted(dets_by_image)
-    feats = []
-    for img in order:
-        feats.extend(d.features for d in dets_by_image[img])
-    if not feats:
-        return {img: [] for img in dets_by_image}
-    p_obj = view.ensemble.positive_probability(np.asarray(feats))
+    order, X = _stacked_features(dets_by_image)
+    p_obj = view.ensemble.positive_probability(X).tolist() if len(X) else []
     out: dict[str, list[ScoredBox]] = {}
     k = 0
     for img in order:
         row = []
         for d in dets_by_image[img]:
-            s = d.scored.score * float(p_obj[k])
+            s = d.scored.score * p_obj[k]
             row.append(ScoredBox(d.scored.box, min(max(s, 0.0), 1.0), d.scored.label))
             k += 1
         out[img] = row
@@ -238,10 +241,8 @@ def predict_verified(
     view: ViewState,
     records: Sequence[ImageRecord],
     seed: int,
-    separation: float,
 ) -> dict[str, list[ScoredBox]]:
-    dets = _detect_view(view, records, seed, separation)
-    return _verified_scores(view, dets)
+    return _verified_scores(view, _detect_view(view, records, seed))
 
 
 def merge_views(
@@ -257,25 +258,33 @@ def merge_views(
     return out
 
 
-def _val_maps(
+def _evaluate(
     state: CoTrainState,
-    val_records: Sequence[ImageRecord],
+    records: Sequence[ImageRecord],
+    config: CoTrainConfig,
+    namespace: str,
+) -> tuple[EvalReport, EvalReport, EvalReport]:
+    """Reports of view A, view B and their merge on ``records``; each
+    view's detections are seeded from (seed, namespace, view name)."""
+    gts = {r.image_id: list(r.gts) for r in records}
+    da, db = (
+        predict_verified(v, records, derive_seed(config.seed, namespace, v.name))
+        for v in (state.view_a, state.view_b)
+    )
+    dc = merge_views(da, db, config.merge_nms_iou)
+    return tuple(mean_average_precision(d, gts) for d in (da, db, dc))
+
+
+def _validation_maps(
+    state: CoTrainState,
+    records_by_id: Mapping[str, ImageRecord],
+    split: DatasetSplit,
     config: CoTrainConfig,
 ) -> tuple[float, float, float]:
-    gts = {r.image_id: list(r.gts) for r in val_records}
-    da = predict_verified(
-        state.view_a, val_records, derive_seed(config.seed, "val", "A"),
-        config.separation,
+    val_records = [records_by_id[i] for i in split.val]
+    return tuple(
+        float(rep.map_coco) for rep in _evaluate(state, val_records, config, "val")
     )
-    db = predict_verified(
-        state.view_b, val_records, derive_seed(config.seed, "val", "B"),
-        config.separation,
-    )
-    map_a = mean_average_precision(da, gts).map_coco
-    map_b = mean_average_precision(db, gts).map_coco
-    dc = merge_views(da, db, config.merge_nms_iou)
-    map_c = mean_average_precision(dc, gts).map_coco
-    return float(map_a), float(map_b), float(map_c)
 
 
 def _train_view_ensemble(
@@ -286,8 +295,7 @@ def _train_view_ensemble(
     """Fit the verification ensemble on the view's own detections over
     the labeled train set, labeled correct/incorrect by oracle match."""
     dets = _detect_view(
-        view, train_records,
-        derive_seed(config.seed, "ens-train", view.name), config.separation,
+        view, train_records, derive_seed(config.seed, "ens-train", view.name)
     )
     feats: list[tuple[float, ...]] = []
     targets: list[int] = []
@@ -332,31 +340,25 @@ def initial_supervised_phase(
     if not split.train:
         raise ValueError("initial supervised phase requires a nonempty train set")
     train_records = [records_by_id[i] for i in split.train]
-    val_records = [records_by_id[i] for i in split.val]
     regime = size_regime(train_records)
-    view_a = ViewState(
-        "A", LOCALIZER, config.loc_params,
-        base_skill=skill_from_params(config.loc_params, LOCALIZER, regime),
-        skill=skill_from_params(config.loc_params, LOCALIZER, regime),
-    )
-    view_b = ViewState(
-        "B", CONTEXTUAL, config.ctx_params,
-        base_skill=skill_from_params(config.ctx_params, CONTEXTUAL, regime),
-        skill=skill_from_params(config.ctx_params, CONTEXTUAL, regime),
-    )
-    view_a.ensemble = _train_view_ensemble(view_a, train_records, config)
-    view_b.ensemble = _train_view_ensemble(view_b, train_records, config)
+    views = []
+    for name, profile, params in (
+        ("A", LOCALIZER, config.loc_params), ("B", CONTEXTUAL, config.ctx_params)
+    ):
+        skill = skill_from_params(params, profile, regime)
+        view = ViewState(name, profile, params, base_skill=skill, skill=skill)
+        view.ensemble = _train_view_ensemble(view, train_records, config)
+        views.append(view)
     state = CoTrainState(
-        round=0,
-        view_a=view_a,
-        view_b=view_b,
+        0, *views,
         n_base_annotations=sum(len(r.gts) for r in train_records),
         n_base_occluded=count_occluded(train_records),
         scene_regime=regime,
         mode=config.mode,
     )
-    map_a, map_b, map_c = _val_maps(state, val_records, config)
-    state.history.append(RoundRecord(0, map_a, map_b, map_c))
+    state.history.append(
+        RoundRecord(0, *_validation_maps(state, records_by_id, split, config))
+    )
     return state
 
 
@@ -367,7 +369,6 @@ def generate_pseudo_labels(
     nms_iou: float,
     round_no: int,
     seed: int,
-    separation: float,
 ) -> list[PseudoLabel]:
     """Detector output vetted by the view's ensemble: keep detections the
     fuse calls object with confidence >= tau_conf, NMS-deduplicated."""
@@ -375,31 +376,20 @@ def generate_pseudo_labels(
         raise ValueError(f"view {view.name} is untrained; cannot generate pseudo-labels")
     if not (0.0 < tau_conf <= 1.0):
         raise ValueError(f"tau_conf must be in (0, 1], got {tau_conf!r}")
-    dets = _detect_view(view, unlabeled_records, seed, separation)
-    order = sorted(dets)
-    feats = []
-    for img in order:
-        feats.extend(d.features for d in dets[img])
-    if not feats:
+    dets = _detect_view(view, unlabeled_records, seed)
+    order, X = _stacked_features(dets)
+    if not len(X):
         return []
-    preds = view.ensemble.predict(np.asarray(feats))
+    preds = iter(view.ensemble.predict(X))
     out: list[PseudoLabel] = []
-    k = 0
     for img in order:
-        candidates: list[tuple[ScoredBox, float]] = []
-        for d in dets[img]:
-            fused = preds[k]
-            k += 1
-            if fused.label != 1:  # ensemble says background
-                continue
-            if fused.confidence < tau_conf:
-                continue
-            candidates.append(
-                (ScoredBox(d.scored.box, fused.confidence, d.scored.label),
-                 fused.confidence)
-            )
-        kept = nms([c[0] for c in candidates], nms_iou)
-        for sb in kept:
+        candidates = [
+            ScoredBox(d.scored.box, fused.confidence, d.scored.label)
+            for d, fused in zip(dets[img], preds)
+            # the ensemble calls it an object, confidently enough
+            if fused.label == 1 and fused.confidence >= tau_conf
+        ]
+        for sb in nms(candidates, nms_iou):
             out.append(
                 PseudoLabel(img, sb.box, sb.label, sb.score, view.name, round_no)
             )
@@ -474,45 +464,32 @@ def exchange_round(
     base skills, and record validation mAP."""
     round_no = state.round + 1
     pool = _pool_records(records_by_id, split, config, round_no)
-    labels_a = labels_b = []
+    views = (state.view_a, state.view_b)
+    accepted = (state.accepted_for_a, state.accepted_for_b)
+    produced: list[list[PseudoLabel]] = [[], []]
     if config.mode != "supervised":
-        labels_a = generate_pseudo_labels(
-            state.view_a, pool, config.tau_conf, config.pseudo_nms_iou,
-            round_no, derive_seed(config.seed, "pool", "A", round_no),
-            config.separation,
-        )
-        labels_b = generate_pseudo_labels(
-            state.view_b, pool, config.tau_conf, config.pseudo_nms_iou,
-            round_no, derive_seed(config.seed, "pool", "B", round_no),
-            config.separation,
-        )
-    if config.mode == "cotrain":
-        to_a, to_b = labels_b, labels_a
-    elif config.mode == "selftrain":
-        to_a, to_b = labels_a, labels_b
-    else:
-        to_a, to_b = [], []
-    # replace-per-image-per-source: only images with fresh labels change
-    for img, group in _group_by_image(to_a).items():
-        state.accepted_for_a[img] = group
-    for img, group in _group_by_image(to_b).items():
-        state.accepted_for_b[img] = group
-    state.view_a.skill = _retrain_view(
-        state.view_a, state.accepted_for_a, records_by_id, state, config
-    )
-    state.view_b.skill = _retrain_view(
-        state.view_b, state.accepted_for_b, records_by_id, state, config
-    )
+        produced = [
+            generate_pseudo_labels(
+                v, pool, config.tau_conf, config.pseudo_nms_iou, round_no,
+                derive_seed(config.seed, "pool", v.name, round_no),
+            )
+            for v in views
+        ]
+    received = {
+        "cotrain": produced[::-1],  # strict cross-exchange
+        "selftrain": produced,
+        "supervised": [[], []],
+    }[config.mode]
+    for view, acc, labels in zip(views, accepted, received):
+        # replace-per-image-per-source: only images with fresh labels change
+        acc.update(_group_by_image(labels))
+        view.skill = _retrain_view(view, acc, records_by_id, state, config)
     state.round = round_no
-    val_records = [records_by_id[i] for i in split.val]
-    map_a, map_b, map_c = _val_maps(state, val_records, config)
     state.history.append(
         RoundRecord(
-            round_no, map_a, map_b, map_c,
-            n_accepted_for_a=sum(len(v) for v in state.accepted_for_a.values()),
-            n_accepted_for_b=sum(len(v) for v in state.accepted_for_b.values()),
-            pseudo_precision_a=_oracle_precision(labels_a, records_by_id),
-            pseudo_precision_b=_oracle_precision(labels_b, records_by_id),
+            round_no, *_validation_maps(state, records_by_id, split, config),
+            *(sum(len(v) for v in acc.values()) for acc in accepted),
+            *(_oracle_precision(labels, records_by_id) for labels in produced),
         )
     )
     return state
@@ -610,13 +587,9 @@ def latest_checkpoint(run_dir: str | Path) -> Path | None:
     return found[-1] if found else None
 
 
-def _snapshot(state: CoTrainState) -> dict:
-    """Cheap copy of what the best-round restore needs."""
-    return {
-        "round": state.round,
-        "skill_a": state.view_a.skill,
-        "skill_b": state.view_b.skill,
-    }
+def _skills(state: CoTrainState) -> tuple[SkillModel, SkillModel]:
+    """What the best-round restore needs of a round: both views' skills."""
+    return state.view_a.skill, state.view_b.skill
 
 
 class PatienceTracker:
@@ -670,8 +643,7 @@ def run_cotraining(
             state = initial_supervised_phase(records_by_id, split, config)
             if rd is not None:
                 save_checkpoint(state, _checkpoint_path(rd, 0))
-        snapshots = {state.history[r].round: None for r in range(len(state.history))}
-        snapshots[state.round] = _snapshot(state)
+        skills = {state.round: _skills(state)}
         tracker = PatienceTracker(
             config.epsilon, config.patience,
             state.history[0].val_map_a, state.history[0].val_map_b,
@@ -688,7 +660,7 @@ def run_cotraining(
             state = exchange_round(state, records_by_id, split, config)
             rec = state.history[-1]
             tracker.update(rec.val_map_a, rec.val_map_b)
-            snapshots[state.round] = _snapshot(state)
+            skills[state.round] = _skills(state)
             if rd is not None:
                 save_checkpoint(state, _checkpoint_path(rd, state.round))
     except Exception:
@@ -701,31 +673,17 @@ def run_cotraining(
     best_round = max(
         state.history, key=lambda r: (r.val_map_combined, -r.round)
     ).round
-    snap = snapshots.get(best_round)
-    if snap is None:
+    if best_round not in skills:
         if rd is None:
             raise RuntimeError(
                 f"no snapshot or checkpoint for best round {best_round}"
             )
         ck_state = load_checkpoint(_checkpoint_path(rd, best_round))
-        snap = _snapshot(ck_state)
-    state.view_a.skill = snap["skill_a"]
-    state.view_b.skill = snap["skill_b"]
+        skills[best_round] = _skills(ck_state)
+    state.view_a.skill, state.view_b.skill = skills[best_round]
     test_records = [records_by_id[i] for i in split.test]
-    gts = {r.image_id: list(r.gts) for r in test_records}
-    da = predict_verified(
-        state.view_a, test_records, derive_seed(config.seed, "test", "A"),
-        config.separation,
-    )
-    db = predict_verified(
-        state.view_b, test_records, derive_seed(config.seed, "test", "B"),
-        config.separation,
-    )
-    report_a = mean_average_precision(da, gts)
-    report_b = mean_average_precision(db, gts)
-    dc = merge_views(da, db, config.merge_nms_iou)
-    report_combined = mean_average_precision(dc, gts)
-    return CoTrainResult(state, best_round, report_a, report_b, report_combined)
+    reports = _evaluate(state, test_records, config, "test")
+    return CoTrainResult(state, best_round, *reports)
 
 
 def report_to_dict(rep: EvalReport) -> dict:

@@ -43,8 +43,8 @@ class AnnotationError(ValueError):
 class ImageRecord:
     """One image's annotations.
 
-    ``occlusion`` is a per-GT tuple (max IoU with any other box) filled by
-    the synthetic generator and recomputed on CSV load; ``labeled=False``
+    ``occlusion`` is the per-GT tuple ``occlusion_levels(gts)`` (max IoU
+    with any other box), computed by the record itself; ``labeled=False``
     marks pool images whose GTs are hidden from training and retained only
     for audits.
     """
@@ -54,7 +54,7 @@ class ImageRecord:
     height: int
     gts: tuple[GroundTruth, ...]
     labeled: bool = True
-    occlusion: tuple[float, ...] = field(default=())
+    occlusion: tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.width <= 0 or self.height <= 0:
@@ -69,6 +69,7 @@ class ImageRecord:
                     f"{self.image_id}: GT box {b.as_tuple()} outside "
                     f"[0,{self.width}]x[0,{self.height}]"
                 )
+        object.__setattr__(self, "occlusion", occlusion_levels(self.gts))
 
     def as_unlabeled(self) -> "ImageRecord":
         return replace(self, labeled=False)
@@ -225,12 +226,8 @@ def load_annotations(path: str | Path) -> list[ImageRecord]:
             entry["gts"].append(GroundTruth(box, label_ids[cls]))
     records = []
     for name, entry in by_image.items():
-        gts = tuple(entry["gts"])
         records.append(
-            ImageRecord(
-                name, entry["width"], entry["height"], gts,
-                labeled=True, occlusion=occlusion_levels(gts),
-            )
+            ImageRecord(name, entry["width"], entry["height"], tuple(entry["gts"]))
         )
     return records
 
@@ -338,14 +335,11 @@ def generate_synthetic_scene(
             x = min(max(x, 0.0), width - spec.box_w)
             y = min(max(y, 0.0), height - spec.box_h)
             boxes.append(GroundTruth(Box(x, y, x + spec.box_w, y + spec.box_h)))
-    gts = tuple(boxes)
     return ImageRecord(
         image_id=image_id or f"synth-{spec.seed:08x}",
         width=width,
         height=height,
-        gts=gts,
-        labeled=True,
-        occlusion=occlusion_levels(gts),
+        gts=tuple(boxes),
     )
 
 
@@ -407,8 +401,4 @@ def write_manifest(
 
 def mean_neighbor_iou(record: ImageRecord) -> float:
     """Mean of per-box occlusion levels; 0 for scenes of one box."""
-    if not record.occlusion:
-        occ = occlusion_levels(record.gts)
-    else:
-        occ = record.occlusion
-    return float(np.mean(occ)) if occ else 0.0
+    return float(np.mean(record.occlusion)) if record.occlusion else 0.0

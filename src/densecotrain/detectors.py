@@ -18,6 +18,11 @@ Design notes that matter for correctness:
 * True-detection scores increase with the achieved IoU to the source
   box; false-positive scores follow a low-score Beta law, which makes
   the confidence threshold a real precision/recall dial.
+* Feature vectors separate objects from background by the fixed
+  ``DEFAULT_SEPARATION`` (scaled by localization quality);
+  ``emit_features`` takes it as a parameter so tests can vary the law.
+* Occlusion levels come from ``ImageRecord.occlusion``, which every
+  record computes from its own GTs.
 """
 
 from __future__ import annotations
@@ -29,8 +34,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .data import ImageRecord, occlusion_levels
-from .geom import Box, GroundTruth, ScoredBox, iou, nms
+from .data import ImageRecord
+from .geom import Box, ScoredBox, iou, nms
 from .metrics import match_detections
 
 BATCH_MENU: tuple[int, ...] = (4, 8, 16, 32)
@@ -301,8 +306,6 @@ def detect(
     params: DetectorParams,
     profile: DetectorProfile,
     seed: int,
-    *,
-    separation: float = DEFAULT_SEPARATION,
 ) -> list[Detection]:
     """Run one synthetic view over one image.
 
@@ -313,10 +316,9 @@ def detect(
     Deterministic given (record, skill, params, profile, seed).
     """
     rng = np.random.default_rng(derive_seed("detect", profile.name, seed, record.image_id))
-    occ = record.occlusion if record.occlusion else occlusion_levels(record.gts)
     raw: list[Detection] = []
     for i, g in enumerate(record.gts):
-        eff = skill.effective_recall(occ[i])
+        eff = skill.effective_recall(record.occlusion[i])
         if detection_hash(profile.name, record.image_id, i) >= eff:
             continue
         if skill.jitter_sigma > 0:
@@ -333,9 +335,7 @@ def detect(
         q = iou(box, g.box)
         score = SCORE_BASE + SCORE_SLOPE * q + rng.normal(0.0, SCORE_NOISE)
         score = min(max(score, 0.0), 1.0)
-        feats = emit_features(
-            box, "object", profile, rng=rng, quality=q, separation=separation
-        )
+        feats = emit_features(box, "object", profile, rng=rng, quality=q)
         raw.append(Detection(ScoredBox(box, score, g.label), feats))
     if skill.fp_rate > 0:
         if record.gts:
@@ -348,9 +348,7 @@ def detect(
             if fb is None:
                 continue
             score = float(rng.beta(FP_SCORE_ALPHA, FP_SCORE_BETA))
-            feats = emit_features(
-                fb, "background", profile, rng=rng, separation=separation
-            )
+            feats = emit_features(fb, "background", profile, rng=rng)
             raw.append(Detection(ScoredBox(fb, score, 0), feats))
     kept_scored = nms(
         [d.scored for d in raw if d.scored.score >= params.confidence_threshold],
@@ -410,7 +408,7 @@ def audit_pseudo_labels(
         if not labels:
             continue
         rec = records_by_id[image_id]
-        occ = rec.occlusion if rec.occlusion else occlusion_levels(rec.gts)
+        occ = rec.occlusion
         mr = match_detections(list(labels), list(rec.gts), match_iou)
         n_corr = n_wrong = n_novel = n_novel_occ = n_prec = 0
         for k, (is_tp, gt_idx, miou) in enumerate(
@@ -506,8 +504,4 @@ def count_occluded(
     records: Sequence[ImageRecord], occlusion_min: float = AUDIT_OCCLUSION_MIN
 ) -> int:
     """GT boxes whose recorded occlusion is at or above the threshold."""
-    n = 0
-    for r in records:
-        occ = r.occlusion if r.occlusion else occlusion_levels(r.gts)
-        n += sum(1 for v in occ if v >= occlusion_min)
-    return n
+    return sum(1 for r in records for v in r.occlusion if v >= occlusion_min)

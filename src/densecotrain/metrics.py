@@ -53,15 +53,17 @@ class MatchResult:
 class EvalReport:
     """Scalar detection metrics plus the per-threshold PR staircases.
 
-    Scalars are None (absent) only in the degenerate no-GT-no-detection
-    case; otherwise they lie in [0, 1].
+    ``pr_curves[t]`` is the ``(recalls, precisions)`` array pair after
+    each detection in descending score order (empty without detections
+    or ground truths).  Scalars are None (absent) only in the degenerate
+    no-GT-no-detection case; otherwise they lie in [0, 1].
     """
 
     ap_per_threshold: dict[float, float | None]
     map_coco: float | None
     ap75: float | None
     ar300: float | None
-    pr_curves: dict[float, tuple[tuple[float, float], ...]]
+    pr_curves: dict[float, tuple[np.ndarray, np.ndarray]]
     notes: tuple[str, ...] = field(default=())
 
 
@@ -258,7 +260,7 @@ def mean_average_precision(
     """
     notes: list[str] = []
     ap_per_t: dict[float, float | None] = {}
-    pr_curves: dict[float, tuple[tuple[float, float], ...]] = {}
+    pr_curves: dict[float, tuple[np.ndarray, np.ndarray]] = {}
     n_gt = _n_gt(gts_by_image)
     if n_gt == 0:
         n_det = sum(len(v) for v in dets_by_image.values())
@@ -266,15 +268,14 @@ def mean_average_precision(
         notes.append("no ground truths")
         for t in COCO_THRESHOLDS:
             ap_per_t[t] = val
-            pr_curves[t] = ()
+            pr_curves[t] = (np.empty(0), np.empty(0))
         return EvalReport(ap_per_t, val, val, val, pr_curves, tuple(notes))
     scores, tp, matched = _dataset_passes(
         dets_by_image, gts_by_image, COCO_THRESHOLDS, AR_MAX_DETS
     )
     for t, flags in zip(COCO_THRESHOLDS, _ranked(scores, tp)):
-        recalls, precisions = _pr_curve(flags, n_gt)
-        ap_per_t[t] = _interpolated_ap(recalls, precisions)
-        pr_curves[t] = tuple(zip(recalls.tolist(), precisions.tolist()))
+        pr_curves[t] = _pr_curve(flags, n_gt)
+        ap_per_t[t] = _interpolated_ap(*pr_curves[t])
     vals = [v for v in ap_per_t.values() if v is not None]
     map_coco = sum(vals) / len(vals)
     ar = _mean_recall(matched, n_gt)

@@ -49,13 +49,6 @@ def load_run_report(run_dir: str | Path) -> dict:
     return doc
 
 
-def strip_timings(report: dict) -> dict:
-    """Reports from identical (config, seed) runs differ only here."""
-    out = dict(report)
-    out.pop("timings", None)
-    return out
-
-
 def write_history_csv(report: dict, run_dir: str | Path) -> Path:
     path = Path(run_dir) / HISTORY_FILENAME
     with open(path, "w", newline="", encoding="utf-8") as fh:

@@ -102,6 +102,8 @@ GENE_SPECS: tuple[GeneSpec, ...] = (
     GeneSpec("as_rcnn", "categorical", menu=ANCHOR_MENU),
 )
 
+SPEC_BY_NAME: dict[str, GeneSpec] = {s.name: s for s in GENE_SPECS}
+
 # the shipped default configuration, expressed as a vector; injected into
 # every search so the tuned result can only match or beat it
 DEFAULT_VECTOR = HyperVector(
@@ -159,18 +161,9 @@ def vector_values(v: HyperVector) -> tuple:
     return tuple(getattr(v, name) for name in GENE_NAMES)
 
 
-def _check_specs(specs: Sequence[GeneSpec]) -> dict[str, GeneSpec]:
-    by_name = {s.name: s for s in specs}
-    missing = [n for n in GENE_NAMES if n not in by_name]
-    if missing:
-        raise ValueError(f"gene specs missing: {', '.join(missing)}")
-    return by_name
-
-
-def validate_vector(v: HyperVector, specs: Sequence[GeneSpec] = GENE_SPECS) -> None:
-    by_name = _check_specs(specs)
+def validate_vector(v: HyperVector) -> None:
     for name in GENE_NAMES:
-        spec = by_name[name]
+        spec = SPEC_BY_NAME[name]
         val = getattr(v, name)
         if spec.kind == "categorical":
             if val not in spec.menu:
@@ -197,11 +190,10 @@ def _sample_gene(spec: GeneSpec, rng: np.random.Generator):
     return float(rng.uniform(spec.low, spec.high))
 
 
-def random_vector(specs: Sequence[GeneSpec] = GENE_SPECS, seed: int = 0) -> HyperVector:
+def random_vector(seed: int = 0) -> HyperVector:
     """Uniform sample of every gene (log-space for log genes)."""
-    by_name = _check_specs(specs)
     rng = np.random.default_rng(seed)
-    return HyperVector(**{n: _sample_gene(by_name[n], rng) for n in GENE_NAMES})
+    return HyperVector(**{n: _sample_gene(SPEC_BY_NAME[n], rng) for n in GENE_NAMES})
 
 
 def _perturb_gene(spec: GeneSpec, val, rng: np.random.Generator,
@@ -222,7 +214,6 @@ def _perturb_gene(spec: GeneSpec, val, rng: np.random.Generator,
 
 def mutate(
     v: HyperVector,
-    specs: Sequence[GeneSpec] = GENE_SPECS,
     rate: float = 0.2,
     seed: int = 0,
     *,
@@ -233,13 +224,12 @@ def mutate(
     step (sigma = sigma_scale of the range, clamped) for continuous genes,
     a +-1..int_step_max step for integers, a menu resample for
     categoricals."""
-    by_name = _check_specs(specs)
     rng = np.random.default_rng(seed)
     out = {}
     for name in GENE_NAMES:
         val = getattr(v, name)
         if rng.random() < rate:
-            val = _perturb_gene(by_name[name], val, rng, sigma_scale, int_step_max)
+            val = _perturb_gene(SPEC_BY_NAME[name], val, rng, sigma_scale, int_step_max)
         out[name] = val
     return HyperVector(**out)
 
@@ -318,10 +308,10 @@ def _tournament(pop, scores, rng, k=3) -> HyperVector:
     return pop[best_i]
 
 
-def _optimize_ga(tracker, config, specs) -> TuneReport:
+def _optimize_ga(tracker, config) -> TuneReport:
     rng = np.random.default_rng(derive_seed(config.seed, "tuner", "ga"))
     pop = [DEFAULT_VECTOR] + [
-        random_vector(specs, seed=int(rng.integers(2**63)))
+        random_vector(seed=int(rng.integers(2**63)))
         for _ in range(config.population - 1)
     ]
     scores = []
@@ -340,8 +330,8 @@ def _optimize_ga(tracker, config, specs) -> TuneReport:
                 c1, c2 = crossover(p1, p2, seed=int(rng.integers(2**63)))
             else:
                 c1, c2 = p1, p2
-            c1 = mutate(c1, specs, config.mutation_rate, seed=int(rng.integers(2**63)))
-            c2 = mutate(c2, specs, config.mutation_rate, seed=int(rng.integers(2**63)))
+            c1 = mutate(c1, config.mutation_rate, seed=int(rng.integers(2**63)))
+            c2 = mutate(c2, config.mutation_rate, seed=int(rng.integers(2**63)))
             new_pop.append(c1)
             if len(new_pop) < config.population:
                 new_pop.append(c2)
@@ -356,7 +346,7 @@ def _optimize_ga(tracker, config, specs) -> TuneReport:
             # generation was fully memoized; inject a fresh random vector
             # so the search keeps consuming budget
             for _ in range(16):
-                rv = random_vector(specs, seed=int(rng.integers(2**63)))
+                rv = random_vector(seed=int(rng.integers(2**63)))
                 s = tracker.score(rv)
                 if s is None:
                     return tracker.report("ga")
@@ -372,9 +362,8 @@ def _optimize_ga(tracker, config, specs) -> TuneReport:
     return tracker.report("ga")
 
 
-def _optimize_sa(tracker, config, specs) -> TuneReport:
+def _optimize_sa(tracker, config) -> TuneReport:
     rng = np.random.default_rng(derive_seed(config.seed, "tuner", "sa"))
-    by_name = _check_specs(specs)
     current = DEFAULT_VECTOR
     current_score = tracker.score(current)
     if current_score is None:
@@ -383,7 +372,7 @@ def _optimize_sa(tracker, config, specs) -> TuneReport:
     while not tracker.exhausted:
         name = GENE_NAMES[int(rng.integers(len(GENE_NAMES)))]
         moved = _perturb_gene(
-            by_name[name], getattr(current, name), rng,
+            SPEC_BY_NAME[name], getattr(current, name), rng,
             sigma_scale=0.1, int_step_max=3,
         )
         neighbor = replace(current, **{name: moved})
@@ -403,30 +392,25 @@ def _optimize_sa(tracker, config, specs) -> TuneReport:
 def optimize(
     objective: Callable[[HyperVector], float],
     config: TunerConfig,
-    specs: Sequence[GeneSpec] = GENE_SPECS,
 ) -> TuneReport:
     """Maximize the objective over the gene space within config.budget
-    fresh evaluations; deterministic given (objective, config, specs)."""
-    _check_specs(specs)
+    fresh evaluations; deterministic given (objective, config)."""
     if config.algorithm == "ga" and config.budget < config.population:
         raise ValueError(
             f"ga needs budget >= population, got {config.budget} < {config.population}"
         )
     tracker = _ScoreTracker(objective, config.budget)
     if config.algorithm == "ga":
-        return _optimize_ga(tracker, config, specs)
-    return _optimize_sa(tracker, config, specs)
+        return _optimize_ga(tracker, config)
+    return _optimize_sa(tracker, config)
 
 
-def normalized_distance(
-    a: HyperVector, b: HyperVector, specs: Sequence[GeneSpec] = GENE_SPECS
-) -> float:
+def normalized_distance(a: HyperVector, b: HyperVector) -> float:
     """Mean per-gene distance in [0, 1]: range-scaled for numeric genes
     (log-space for log genes), 0/1 mismatch for categoricals."""
-    by_name = _check_specs(specs)
     total = 0.0
     for name in GENE_NAMES:
-        spec = by_name[name]
+        spec = SPEC_BY_NAME[name]
         av, bv = getattr(a, name), getattr(b, name)
         if spec.kind == "categorical":
             total += 0.0 if av == bv else 1.0
@@ -438,13 +422,11 @@ def normalized_distance(
     return total / len(GENE_NAMES)
 
 
-def planted_objective(
-    target: HyperVector, specs: Sequence[GeneSpec] = GENE_SPECS
-) -> Callable[[HyperVector], float]:
+def planted_objective(target: HyperVector) -> Callable[[HyperVector], float]:
     """Benchmark surrogate: 1 minus the normalized distance to a hidden
     target vector, so the planted optimum scores exactly 1."""
     def f(v: HyperVector) -> float:
-        return 1.0 - normalized_distance(v, target, specs)
+        return 1.0 - normalized_distance(v, target)
     return f
 
 
@@ -529,7 +511,7 @@ def tune_pipeline(
     cfg = tuner_config
     if cfg.algorithm == "ga" and cfg.population > cfg.budget:
         cfg = replace(cfg, population=cfg.budget)
-    return optimize(objective, cfg, GENE_SPECS)
+    return optimize(objective, cfg)
 
 
 def write_trace_csv(report: TuneReport, path: str | Path) -> None:

@@ -421,6 +421,7 @@ def test_cotrain_config_bad_fractions_exit_2(tmp_path):
         ({"detectors": {"loc": {"epochs": 20}}}, "detectors"),  # retired section
         ({"datset": {"n_labeled": 40}}, "datset"),               # misspelled
         ({"cotrain": {"max_rounds": 1, "loc_params": {"epoch": 3}}}, "epoch"),
+        ({"cotrain": {"max_rounds": 1, "separation": 4.0}}, "separation"),  # retired
     ],
 )
 def test_cotrain_config_unknown_key_exit_2(tmp_path, capsys, extra, key):

@@ -82,7 +82,6 @@ cotrain_config = every_field(
     patience=st.integers(min_value=1, max_value=20),
     pseudo_nms_iou=unit_open,
     merge_nms_iou=unit_open,
-    separation=finite,
     mode=st.sampled_from(MODES),
     seed=seeds,
     unlabeled_subsample=st.none() | small_int,

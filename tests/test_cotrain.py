@@ -93,7 +93,7 @@ def test_generate_untrained_view_errors(small_data):
     state.view_a.ensemble = None
     pool = [records[i] for i in split.unlabeled_pool[:5]]
     with pytest.raises(ValueError):
-        generate_pseudo_labels(state.view_a, pool, 0.8, 0.5, 1, 3, cfg.separation)
+        generate_pseudo_labels(state.view_a, pool, 0.8, 0.5, 1, 3)
 
 
 def test_generate_tags_and_confidence_floor(small_data):
@@ -102,7 +102,7 @@ def test_generate_tags_and_confidence_floor(small_data):
     state = initial_supervised_phase(records, split, cfg)
     pool = [records[i] for i in split.unlabeled_pool[:40]]
     labels = generate_pseudo_labels(
-        state.view_a, pool, 0.8, 0.5, 3, seed=99, separation=cfg.separation
+        state.view_a, pool, 0.8, 0.5, 3, seed=99
     )
     assert labels, "expected pseudo-labels from 40 pool images"
     pool_ids = {r.image_id for r in pool}
@@ -119,7 +119,7 @@ def test_generate_tau_one_yields_empty(small_data):
     state = initial_supervised_phase(records, split, cfg)
     pool = [records[i] for i in split.unlabeled_pool[:20]]
     labels = generate_pseudo_labels(
-        state.view_a, pool, 1.0, 0.5, 1, seed=99, separation=cfg.separation
+        state.view_a, pool, 1.0, 0.5, 1, seed=99
     )
     assert labels == []
 
@@ -132,7 +132,7 @@ def test_generate_invalid_tau_errors(small_data):
     for bad in (0.0, -0.1, 1.5):
         with pytest.raises(ValueError):
             generate_pseudo_labels(
-                state.view_a, pool, bad, 0.5, 1, seed=99, separation=cfg.separation
+                state.view_a, pool, bad, 0.5, 1, seed=99
             )
 
 
@@ -162,13 +162,12 @@ def test_ensemble_veto_raises_precision(small_data):
     raw = {
         r.image_id: [
             d.scored
-            for d in detect(r, state.view_a.skill, loc, state.view_a.profile,
-                            77, separation=cfg.separation)
+            for d in detect(r, state.view_a.skill, loc, state.view_a.profile, 77)
         ]
         for r in pool
     }
     labels = generate_pseudo_labels(
-        state.view_a, pool, 0.05, 0.5, 1, seed=77, separation=cfg.separation
+        state.view_a, pool, 0.05, 0.5, 1, seed=77
     )
     vetted = {}
     for p in labels:

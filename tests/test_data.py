@@ -329,6 +329,19 @@ def test_occlusion_levels_lone_box():
     assert occlusion_levels((GroundTruth(Box(0, 0, 1, 1)),)) == (0.0,)
 
 
+def test_record_built_without_occlusion_carries_its_levels():
+    gts = (
+        GroundTruth(Box(0, 0, 10, 10)),
+        GroundTruth(Box(5, 0, 15, 10)),
+        GroundTruth(Box(40, 40, 50, 50)),
+    )
+    rec = ImageRecord("x", 60, 60, gts)
+    assert rec.occlusion == occlusion_levels(gts)
+    assert rec.occlusion[0] == pytest.approx(1 / 3) and rec.occlusion[2] == 0.0
+    assert rec.as_unlabeled().occlusion == rec.occlusion
+    assert ImageRecord("empty", 10, 10, ()).occlusion == ()
+
+
 def test_image_record_validates_bounds():
     with pytest.raises(ValueError, match="outside"):
         ImageRecord("x", 10, 10, (GroundTruth(Box(5, 5, 15, 9)),))

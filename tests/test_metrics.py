@@ -376,6 +376,33 @@ def test_report_scalars_in_unit_interval():
         assert v is not None and 0.0 <= v <= 1.0
 
 
+def test_pr_curves_one_point_per_detection_ending_at_tp_over_n_gt():
+    rng = random.Random(31)
+    for _ in range(40):
+        dets, gts = _random_instance(rng)
+        n_det = sum(len(v) for v in dets.values())
+        n_gt = sum(len(v) for v in gts.values())
+        rep = mean_average_precision(dets, gts)
+        assert set(rep.pr_curves) == set(COCO_THRESHOLDS)
+        for t, (recalls, precisions) in rep.pr_curves.items():
+            assert len(recalls) == len(precisions) == n_det
+            if not n_det:
+                continue
+            n_tp = sum(
+                sum(match_detections(dets[img], gts.get(img, []), t).det_is_tp)
+                for img in dets
+            )
+            assert recalls[-1] == n_tp / n_gt
+            assert precisions[-1] == n_tp / n_det
+
+
+def test_pr_curves_empty_without_ground_truth():
+    with pytest.warns(UserWarning):
+        rep = mean_average_precision({"a": [_sb(0, 0, 1, 1, 0.5)]}, {"a": []})
+    for recalls, precisions in rep.pr_curves.values():
+        assert len(recalls) == len(precisions) == 0
+
+
 def test_match_result_tp_iff_match_iou_above_threshold():
     rng = random.Random(21)
     for _ in range(50):

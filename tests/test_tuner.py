@@ -95,12 +95,6 @@ def test_random_vector_log_gene_spans_decades():
     assert min(vals) < 0.1 and max(vals) > 10.0
 
 
-def test_random_vector_incomplete_specs_error():
-    partial = GENE_SPECS[:-2]
-    with pytest.raises(ValueError, match="as_rcnn"):
-        random_vector(partial, seed=0)
-
-
 # ---------------------------------------------------------------- mutate
 
 

@@ -16,7 +16,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -191,9 +191,13 @@ def load_vector(path: str | Path) -> HyperVector:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"vector file {path} is not valid JSON: {exc}")
-    genes = doc.get("genes")
-    if not isinstance(genes, dict):
+    if not isinstance(doc, dict) or not isinstance(doc.get("genes"), dict):
         raise UsageError(f"vector file {path}: missing genes object")
+    genes = doc["genes"]
+    unknown = [k for k in doc if k != "genes"]
+    unknown += [f"genes.{k}" for k in genes if k not in GENE_NAMES]
+    if unknown:
+        raise UsageError(f"vector file {path}: unknown keys {', '.join(unknown)}")
     missing = [n for n in GENE_NAMES if n not in genes]
     if missing:
         raise UsageError(f"vector file {path}: missing genes {', '.join(missing)}")
@@ -314,7 +318,7 @@ def cmd_split(args) -> int:
         "n_labeled": args.n_labeled,
         "n_unlabeled": args.n_unlabeled,
         "fractions": list(fractions),
-        "split": split.to_dict(),
+        "split": asdict(split),
     }
     _write_text(out_dir / "split.json", json.dumps(payload, indent=2) + "\n")
     _print_json({

@@ -44,9 +44,9 @@ class ImageRecord:
     """One image's annotations.
 
     ``occlusion`` is the per-GT tuple ``occlusion_levels(gts)`` (max IoU
-    with any other box), computed by the record itself; ``labeled=False``
-    marks pool images whose GTs are hidden from training and retained only
-    for audits.
+    with any other box), computed by the record itself.  Whether a record
+    is labeled or pool is decided by the ``DatasetSplit`` it falls in;
+    pool records keep their GTs only for audits.
     """
 
     image_id: str
@@ -71,9 +71,6 @@ class ImageRecord:
                 )
         object.__setattr__(self, "occlusion", occlusion_levels(self.gts))
 
-    def as_unlabeled(self) -> "ImageRecord":
-        return replace(self, labeled=False)
-
 
 @dataclass(frozen=True)
 class DatasetSplit:
@@ -83,23 +80,6 @@ class DatasetSplit:
     val: tuple[str, ...]
     test: tuple[str, ...]
     unlabeled_pool: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "train": list(self.train),
-            "val": list(self.val),
-            "test": list(self.test),
-            "unlabeled_pool": list(self.unlabeled_pool),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DatasetSplit":
-        return cls(
-            tuple(d["train"]),
-            tuple(d["val"]),
-            tuple(d["test"]),
-            tuple(d["unlabeled_pool"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -113,8 +93,6 @@ class SceneSpec:
     jitter: float = 2.0
     overlap_factor: float = 0.0
     seed: int = 0
-    width: int | None = None
-    height: int | None = None
 
     def __post_init__(self) -> None:
         if self.grid_rows < 1 or self.grid_cols < 1:
@@ -313,16 +291,8 @@ def generate_synthetic_scene(
     pitch_y = spec.box_h * (1.0 - spec.overlap_factor)
     margin_x = spec.box_w * 0.5 + 4.0 * spec.jitter
     margin_y = spec.box_h * 0.5 + 4.0 * spec.jitter
-    width = spec.width
-    height = spec.height
-    if width is None:
-        width = int(math.ceil(2 * margin_x + pitch_x * (spec.grid_cols - 1) + spec.box_w))
-    if height is None:
-        height = int(math.ceil(2 * margin_y + pitch_y * (spec.grid_rows - 1) + spec.box_h))
-    if spec.box_w > width or spec.box_h > height:
-        raise ValueError(
-            f"box {spec.box_w}x{spec.box_h} exceeds image {width}x{height}"
-        )
+    width = int(math.ceil(2 * margin_x + pitch_x * (spec.grid_cols - 1) + spec.box_w))
+    height = int(math.ceil(2 * margin_y + pitch_y * (spec.grid_rows - 1) + spec.box_h))
     rng = np.random.default_rng(spec.seed)
     boxes: list[GroundTruth] = []
     for r in range(spec.grid_rows):
@@ -378,15 +348,11 @@ def write_manifest(
     n_images: int,
     spec_template: SceneSpec,
     seed: int,
-    row_range: tuple[int, int] | None = None,
-    col_range: tuple[int, int] | None = None,
 ) -> None:
     """Sidecar JSON recording how a synthetic CSV was produced."""
     payload = {
         "n_images": n_images,
         "seed": seed,
-        "row_range": list(row_range) if row_range else None,
-        "col_range": list(col_range) if col_range else None,
         "scene_spec": {
             "grid_rows": spec_template.grid_rows,
             "grid_cols": spec_template.grid_cols,
@@ -397,8 +363,3 @@ def write_manifest(
         },
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
-def mean_neighbor_iou(record: ImageRecord) -> float:
-    """Mean of per-box occlusion levels; 0 for scenes of one box."""
-    return float(np.mean(record.occlusion)) if record.occlusion else 0.0

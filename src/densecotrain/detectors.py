@@ -253,16 +253,15 @@ def derive_seed(*parts: object) -> int:
 
 
 def emit_features(
-    box: Box,
     label: str,
     profile: DetectorProfile,
-    seed: int | None = None,
+    rng: np.random.Generator,
     *,
-    rng: np.random.Generator | None = None,
     quality: float = 1.0,
     separation: float = DEFAULT_SEPARATION,
 ) -> tuple[float, ...]:
-    """Class-conditional Gaussian feature vector, rotated per profile.
+    """Class-conditional Gaussian feature vector, rotated per profile,
+    drawn from ``rng``.
 
     Objects center on ``separation`` along axis 0 (scaled by the
     localization ``quality`` in [0, 1]); background centers at the
@@ -271,11 +270,6 @@ def emit_features(
     """
     if label not in ("object", "background"):
         raise ValueError(f"label must be 'object' or 'background', got {label!r}")
-    if rng is None:
-        rng = np.random.default_rng(
-            derive_seed("feat", profile.name, seed, *box.as_tuple()) if seed is not None
-            else None
-        )
     x = rng.standard_normal(FEATURE_DIM)
     if label == "object":
         x[0] += separation * min(max(quality, 0.0), 1.0)
@@ -322,7 +316,7 @@ def detect(
         if detection_hash(profile.name, record.image_id, i) >= eff:
             continue
         if skill.jitter_sigma > 0:
-            dx1, dy1, dx2, dy2 = rng.normal(0.0, skill.jitter_sigma, 4)
+            dx1, dy1, dx2, dy2 = rng.normal(0.0, skill.jitter_sigma, 4).tolist()
         else:
             dx1 = dy1 = dx2 = dy2 = 0.0
         x1 = min(max(g.box.x1 + dx1, 0.0), record.width)
@@ -335,7 +329,7 @@ def detect(
         q = iou(box, g.box)
         score = SCORE_BASE + SCORE_SLOPE * q + rng.normal(0.0, SCORE_NOISE)
         score = min(max(score, 0.0), 1.0)
-        feats = emit_features(box, "object", profile, rng=rng, quality=q)
+        feats = emit_features("object", profile, rng, quality=q)
         raw.append(Detection(ScoredBox(box, score, g.label), feats))
     if skill.fp_rate > 0:
         if record.gts:
@@ -348,7 +342,7 @@ def detect(
             if fb is None:
                 continue
             score = float(rng.beta(FP_SCORE_ALPHA, FP_SCORE_BETA))
-            feats = emit_features(fb, "background", profile, rng=rng)
+            feats = emit_features("background", profile, rng)
             raw.append(Detection(ScoredBox(fb, score, 0), feats))
     kept_scored = nms(
         [d.scored for d in raw if d.scored.score >= params.confidence_threshold],
@@ -391,17 +385,15 @@ def audit_pseudo_labels(
     records_by_id: Mapping[str, ImageRecord],
     receiver_profile: DetectorProfile,
     receiver_skill: SkillModel,
-    *,
-    match_iou: float = AUDIT_MATCH_IOU,
-    precise_iou: float = AUDIT_PRECISE_IOU,
-    occlusion_min: float = AUDIT_OCCLUSION_MIN,
 ) -> PseudoLabelAudit:
     """Grade accepted pseudo-labels against hidden GTs.
 
     A label is correct iff it greedily matches an unmatched GT at IoU >=
-    match_iou; a correct label is novel to the receiver iff the matched
-    GT's persistent difficulty draw exceeds the receiver's effective
-    recall there (the receiver would miss it on its own).
+    ``AUDIT_MATCH_IOU``, and precise if that IoU is >= ``AUDIT_PRECISE_IOU``;
+    a correct label is novel to the receiver iff the matched GT's
+    persistent difficulty draw exceeds the receiver's effective recall
+    there (the receiver would miss it on its own), and novel-occluded if
+    that GT's occlusion is >= ``AUDIT_OCCLUSION_MIN``.
     """
     total = PseudoLabelAudit()
     for image_id, labels in pseudo_by_image.items():
@@ -409,7 +401,7 @@ def audit_pseudo_labels(
             continue
         rec = records_by_id[image_id]
         occ = rec.occlusion
-        mr = match_detections(list(labels), list(rec.gts), match_iou)
+        mr = match_detections(list(labels), list(rec.gts), AUDIT_MATCH_IOU)
         n_corr = n_wrong = n_novel = n_novel_occ = n_prec = 0
         for k, (is_tp, gt_idx, miou) in enumerate(
             zip(mr.det_is_tp, mr.det_matched_gt, mr.det_match_iou)
@@ -418,12 +410,12 @@ def audit_pseudo_labels(
                 n_wrong += 1
                 continue
             n_corr += 1
-            if miou >= precise_iou:
+            if miou >= AUDIT_PRECISE_IOU:
                 n_prec += 1
             eff = receiver_skill.effective_recall(occ[gt_idx])
             if detection_hash(receiver_profile.name, image_id, gt_idx) >= eff:
                 n_novel += 1
-                if occ[gt_idx] >= occlusion_min:
+                if occ[gt_idx] >= AUDIT_OCCLUSION_MIN:
                     n_novel_occ += 1
         total = total + PseudoLabelAudit(
             len(labels), n_corr, n_wrong, n_novel, n_novel_occ, n_prec
@@ -500,8 +492,6 @@ def retrain(
     )
 
 
-def count_occluded(
-    records: Sequence[ImageRecord], occlusion_min: float = AUDIT_OCCLUSION_MIN
-) -> int:
-    """GT boxes whose recorded occlusion is at or above the threshold."""
-    return sum(1 for r in records for v in r.occlusion if v >= occlusion_min)
+def count_occluded(records: Sequence[ImageRecord]) -> int:
+    """GT boxes whose recorded occlusion is at least ``AUDIT_OCCLUSION_MIN``."""
+    return sum(1 for r in records for v in r.occlusion if v >= AUDIT_OCCLUSION_MIN)

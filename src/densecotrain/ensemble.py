@@ -76,14 +76,13 @@ class EnsemblePrediction:
 
 
 def _as_xy(data) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(data, tuple) and len(data) == 2:
-        X = np.asarray(data[0], dtype=float)
-        y = np.asarray(data[1], dtype=int)
-    else:
-        X = np.asarray([row[0] for row in data], dtype=float)
-        y = np.asarray([row[1] for row in data], dtype=int)
+    """Check an ``(X, y)`` pair: X a nonempty (n, d) matrix, y n labels."""
+    if not (isinstance(data, tuple) and len(data) == 2):
+        raise ValueError("data must be an (X, y) pair")
+    X = np.asarray(data[0], dtype=float)
+    y = np.asarray(data[1], dtype=int)
     if X.ndim != 2 or len(X) != len(y) or len(X) == 0:
-        raise ValueError("data must be a nonempty list of (features, label)")
+        raise ValueError("data must be a nonempty (X, y) pair of matching length")
     if not np.isfinite(X).all():
         raise ValueError("features must be finite")
     if not np.isin(y, (0, 1)).all():
@@ -271,11 +270,6 @@ def train_gbt(data, params: XgbParams, seed: int = 0) -> GradientBoostedTrees:
     return GradientBoostedTrees(params, base, trees, loss_curve)
 
 
-def gbt_leaf_weight(grad_sum: float, hess_sum: float, l2_reg: float) -> float:
-    """The documented leaf formula, exposed for direct checks."""
-    return -grad_sum / (hess_sum + l2_reg)
-
-
 def _grow_cart(
     X: np.ndarray, y: np.ndarray, max_depth: int,
     rng: np.random.Generator | None, n_sub_features: int | None,
@@ -399,21 +393,9 @@ def train_rf(
 
 # ----------------------------------------------------------------- svm
 
-def kernel_value(kind: str, x, z, gamma: float) -> float:
-    """Single kernel evaluation (linear / rbf / poly, degree 3)."""
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    if kind == "linear":
-        return float(x @ z)
-    if kind == "rbf":
-        d = x - z
-        return float(np.exp(-gamma * (d @ d)))
-    if kind == "poly":
-        return float((gamma * (x @ z) + 1.0) ** 3)
-    raise ValueError(f"unknown kernel {kind!r}")
-
-
 def _kernel_matrix(kind: str, A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
+    """Kernel values between the rows of A and B (linear / rbf / poly,
+    degree 3)."""
     if kind == "linear":
         return A @ B.T
     if kind == "poly":
@@ -502,10 +484,7 @@ class KernelSvm:
         )
 
 
-def train_svm(
-    data, params: SvmParams, seed: int = 0,
-    iteration_budget: int = SVM_ITERATION_BUDGET,
-) -> KernelSvm:
+def train_svm(data, params: SvmParams, seed: int = 0) -> KernelSvm:
     """Kernelized Pegasos on hinge loss with lambda = 1/(c*n)."""
     X, y01 = _as_xy(data)
     pos = int(y01.sum())
@@ -518,12 +497,12 @@ def train_svm(
     alpha = np.zeros(n)
     s = np.zeros(n)  # K @ (alpha * y), updated incrementally
     rng = np.random.default_rng(seed)
-    picks = rng.integers(0, n, iteration_budget)
+    picks = rng.integers(0, n, SVM_ITERATION_BUDGET)
     for t, i in enumerate(picks, start=1):
         if y[i] * s[i] / (lam * t) < 1.0:
             alpha[i] += 1.0
             s += y[i] * K[:, i]
-    scale = 1.0 / (lam * iteration_budget)
+    scale = 1.0 / (lam * SVM_ITERATION_BUDGET)
     decision_train = scale * s
     a, b = _fit_platt(decision_train, y01)
     keep = alpha > 0

@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geom import Box, GroundTruth, ScoredBox, iou_matrix
+from .geom import GroundTruth, ScoredBox, iou_matrix
 
 COCO_THRESHOLDS: tuple[float, ...] = tuple(i / 100 for i in range(50, 100, 5))
 RECALL_LEVELS: tuple[float, ...] = tuple(i / 100 for i in range(101))
@@ -65,10 +65,6 @@ class EvalReport:
     ar300: float | None
     pr_curves: dict[float, tuple[np.ndarray, np.ndarray]]
     notes: tuple[str, ...] = field(default=())
-
-
-def _as_gt(g: GroundTruth | Box) -> GroundTruth:
-    return g if isinstance(g, GroundTruth) else GroundTruth(g)
 
 
 def _greedy_passes(
@@ -121,7 +117,7 @@ def _greedy_passes(
 
 def match_detections(
     dets: Sequence[ScoredBox],
-    gts: Sequence[GroundTruth | Box],
+    gts: Sequence[GroundTruth],
     t: float,
 ) -> MatchResult:
     """Greedy per-image matching at IoU threshold ``t``.
@@ -133,12 +129,11 @@ def match_detections(
     """
     if not (0.0 < t <= 1.0):
         raise ValueError(f"IoU threshold must be in (0, 1], got {t!r}")
-    norm = [_as_gt(g) for g in gts]
-    order, (steps,) = _greedy_passes(dets, norm, (t,))
+    order, (steps,) = _greedy_passes(dets, gts, (t,))
     det_is_tp = [False] * len(dets)
     det_matched: list[int | None] = [None] * len(dets)
     det_iou = [0.0] * len(dets)
-    gt_matched = [False] * len(norm)
+    gt_matched = [False] * len(gts)
     for i, hit in zip(order, steps):
         if hit is not None:
             j, v = hit
@@ -153,7 +148,7 @@ def match_detections(
 
 def _dataset_passes(
     dets_by_image: Mapping[str, Sequence[ScoredBox]],
-    gts_by_image: Mapping[str, Sequence[GroundTruth | Box]],
+    gts_by_image: Mapping[str, Sequence[GroundTruth]],
     thresholds: Sequence[float],
     k: int,
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -170,8 +165,7 @@ def _dataset_passes(
     matched_at_k = [0] * len(thresholds)
     base = 0
     for img, dets in dets_by_image.items():
-        gts = [_as_gt(g) for g in gts_by_image.get(img, ())]
-        order, passes = _greedy_passes(dets, gts, thresholds)
+        order, passes = _greedy_passes(dets, gts_by_image.get(img, ()), thresholds)
         scores[base : base + len(dets)] = [d.score for d in dets]
         for ti, steps in enumerate(passes):
             hits = [s is not None for s in steps]
@@ -214,7 +208,7 @@ def _zero_gt_outcome(n_det: int, what: str) -> float | None:
     return None
 
 
-def _n_gt(gts_by_image: Mapping[str, Sequence[GroundTruth | Box]]) -> int:
+def _n_gt(gts_by_image: Mapping[str, Sequence[GroundTruth]]) -> int:
     return sum(len(v) for v in gts_by_image.values())
 
 
@@ -231,7 +225,7 @@ def _ranked(scores: np.ndarray, tp: np.ndarray) -> np.ndarray:
 
 def average_precision(
     dets_by_image: Mapping[str, Sequence[ScoredBox]],
-    gts_by_image: Mapping[str, Sequence[GroundTruth | Box]],
+    gts_by_image: Mapping[str, Sequence[GroundTruth]],
     t: float,
 ) -> float | None:
     """101-point interpolated AP at one IoU threshold over a dataset.
@@ -252,7 +246,7 @@ def average_precision(
 
 def mean_average_precision(
     dets_by_image: Mapping[str, Sequence[ScoredBox]],
-    gts_by_image: Mapping[str, Sequence[GroundTruth | Box]],
+    gts_by_image: Mapping[str, Sequence[GroundTruth]],
 ) -> EvalReport:
     """Full COCO-style report: per-threshold AP, their mean, AP.75, AR@300.
 
@@ -284,7 +278,7 @@ def mean_average_precision(
 
 def average_recall_at(
     dets_by_image: Mapping[str, Sequence[ScoredBox]],
-    gts_by_image: Mapping[str, Sequence[GroundTruth | Box]],
+    gts_by_image: Mapping[str, Sequence[GroundTruth]],
     k: int = AR_MAX_DETS,
 ) -> float | None:
     """AR@k: match each image's top-k detections by score, then average
@@ -302,7 +296,7 @@ def average_recall_at(
 
 def brute_force_ap_oracle(
     dets_by_image: Mapping[str, Sequence[ScoredBox]],
-    gts_by_image: Mapping[str, Sequence[GroundTruth | Box]],
+    gts_by_image: Mapping[str, Sequence[GroundTruth]],
     t: float,
 ) -> float | None:
     """Independent AP computation for tests: explicit loops, no shared code.
@@ -338,7 +332,7 @@ def brute_force_ap_oracle(
     ranked: list[tuple[float, int, bool]] = []
     arrival = 0
     for img, dets in dets_by_image.items():
-        gts = [_as_gt(g) for g in gts_by_image.get(img, ())]
+        gts = gts_by_image.get(img, ())
         taken = [False] * len(gts)
         local = sorted(range(len(dets)), key=lambda i: -dets[i].score)
         flags = [False] * len(dets)

@@ -9,6 +9,7 @@ import pytest
 from densecotrain.cli import load_predictions, load_vector, main, save_predictions
 from densecotrain.data import ImageRecord, load_annotations
 from densecotrain.geom import Box, GroundTruth, ScoredBox
+from densecotrain.tuner import DEFAULT_VECTOR, GENE_NAMES, vector_values
 
 
 def run_cli(argv):
@@ -467,6 +468,18 @@ def test_cotrain_invalid_hyper_vector_exit_2(tmp_path):
     bad = tmp_path / "vec.json"
     bad.write_text(json.dumps({"genes": {"lr_xgb": 99}}), encoding="utf-8")
     assert run_cli(["cotrain", "--config", cfg_path, "--hyper", bad]) == 2
+
+
+def test_cotrain_hyper_vector_unknown_keys_exit_2(tmp_path, capsys):
+    cfg_path = tiny_config(tmp_path)
+    genes = dict(zip(GENE_NAMES, vector_values(DEFAULT_VECTOR)))
+    bad = tmp_path / "vec.json"
+    bad.write_text(
+        json.dumps({"genes": {**genes, "lr_xgbb": 0.4}, "extra": 1}), encoding="utf-8"
+    )
+    assert run_cli(["cotrain", "--config", cfg_path, "--hyper", bad]) == 2
+    err = capsys.readouterr().err
+    assert "extra" in err and "genes.lr_xgbb" in err
 
 
 # --------------------------------------------------------------------- tune

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -16,12 +17,12 @@ from densecotrain.data import (
     generate_synthetic_dataset,
     generate_synthetic_scene,
     load_annotations,
-    mean_neighbor_iou,
     occlusion_levels,
     save_annotations,
     select_and_split,
     write_manifest,
 )
+from densecotrain.codec import from_dict
 from densecotrain.geom import Box, GroundTruth, iou
 
 
@@ -222,7 +223,7 @@ def test_split_seed_changes_selection():
 
 def test_split_serialization_roundtrip():
     s = select_and_split(_records(20), 10, 5, seed=3)
-    assert DatasetSplit.from_dict(json.loads(json.dumps(s.to_dict()))) == s
+    assert from_dict(DatasetSplit, json.loads(json.dumps(asdict(s)))) == s
 
 
 def test_scene_grid_count():
@@ -240,7 +241,7 @@ def test_scene_disjoint_when_no_overlap():
 
 def test_scene_overlap_factor_induces_overlap():
     rec = generate_synthetic_scene(SceneSpec(3, 3, jitter=0.0, overlap_factor=0.4, seed=1))
-    assert mean_neighbor_iou(rec) > 0.0
+    assert min(rec.occlusion) > 0.0
     # horizontal neighbors share 0.4*w, IoU = 0.4/(2-0.4)
     a, b = rec.gts[0].box, rec.gts[1].box
     assert iou(a, b) == pytest.approx(0.4 / 1.6, abs=1e-9)
@@ -258,11 +259,6 @@ def test_scene_boxes_inside_image():
     for g in rec.gts:
         assert 0 <= g.box.x1 and g.box.x2 <= rec.width
         assert 0 <= g.box.y1 and g.box.y2 <= rec.height
-
-
-def test_scene_box_exceeding_explicit_image_errors():
-    with pytest.raises(ValueError, match="exceeds image"):
-        generate_synthetic_scene(SceneSpec(1, 1, box_w=50, box_h=50, width=40, height=80))
 
 
 def test_scene_spec_validation():
@@ -310,13 +306,15 @@ def test_dataset_n_images_validation():
 
 
 def test_mean_neighbor_iou_monotone_in_overlap():
-    # statistical: average over seeds at each overlap level
+    # statistical: mean occlusion level, averaged over seeds at each overlap
     levels = [0.0, 0.2, 0.4, 0.6]
     means = []
     for ov in levels:
         vals = [
-            mean_neighbor_iou(
-                generate_synthetic_scene(SceneSpec(4, 4, jitter=1.0, overlap_factor=ov, seed=s))
+            np.mean(
+                generate_synthetic_scene(
+                    SceneSpec(4, 4, jitter=1.0, overlap_factor=ov, seed=s)
+                ).occlusion
             )
             for s in range(10)
         ]
@@ -338,7 +336,6 @@ def test_record_built_without_occlusion_carries_its_levels():
     rec = ImageRecord("x", 60, 60, gts)
     assert rec.occlusion == occlusion_levels(gts)
     assert rec.occlusion[0] == pytest.approx(1 / 3) and rec.occlusion[2] == 0.0
-    assert rec.as_unlabeled().occlusion == rec.occlusion
     assert ImageRecord("empty", 10, 10, ()).occlusion == ()
 
 
@@ -351,19 +348,11 @@ def test_image_record_validates_bounds():
 
 def test_manifest_written(tmp_path):
     p = tmp_path / "m.json"
-    write_manifest(p, 5, SceneSpec(3, 4, overlap_factor=0.4), seed=9, row_range=(2, 4))
+    write_manifest(p, 5, SceneSpec(3, 4, overlap_factor=0.4), seed=9)
     d = json.loads(p.read_text())
     assert d["n_images"] == 5
     assert d["seed"] == 9
     assert d["scene_spec"]["overlap_factor"] == 0.4
-    assert d["row_range"] == [2, 4]
-
-
-def test_as_unlabeled_flag():
-    rec = generate_synthetic_scene(SceneSpec(2, 2, seed=1))
-    u = rec.as_unlabeled()
-    assert not u.labeled and rec.labeled
-    assert u.gts == rec.gts
 
 
 def test_split_timing():

@@ -240,6 +240,18 @@ def test_detect_features_shape():
         assert all(math.isfinite(v) for v in d.features)
 
 
+def test_detect_output_holds_no_numpy_scalars():
+    rec = _scene(7, overlap=0.4)
+    for profile, params in (
+        (LOCALIZER, DEFAULT_LOCALIZER_PARAMS), (CONTEXTUAL, DEFAULT_CONTEXTUAL_PARAMS)
+    ):
+        dets = detect(rec, skill_from_params(params, profile), params, profile, 3)
+        assert dets
+        for d in dets:
+            for v in (*d.scored.box.as_tuple(), d.scored.score, *d.features):
+                assert not isinstance(v, np.generic), (profile.name, v)
+
+
 def test_detection_validates_feature_length():
     sb = ScoredBox(Box(0, 0, 1, 1), 0.5)
     with pytest.raises(ValueError):
@@ -249,24 +261,19 @@ def test_detection_validates_feature_length():
 
 
 def test_emit_features_deterministic_by_seed():
-    b = Box(0, 0, 10, 10)
-    a = emit_features(b, "object", LOCALIZER, seed=42)
-    c = emit_features(b, "object", LOCALIZER, seed=42)
-    assert a == c
-    d = emit_features(b, "object", LOCALIZER, seed=43)
-    assert a != d
+    def draw(seed):
+        return emit_features("object", LOCALIZER, np.random.default_rng(seed))
+
+    assert draw(42) == draw(42)
+    assert draw(42) != draw(43)
     with pytest.raises(ValueError):
-        emit_features(b, "thing", LOCALIZER, seed=1)
+        emit_features("thing", LOCALIZER, np.random.default_rng(1))
 
 
 def _feature_sample(profile, label, n, seed, separation):
     rng = np.random.default_rng(seed)
-    b = Box(0, 0, 10, 10)
     return np.array(
-        [
-            emit_features(b, label, profile, rng=rng, separation=separation)
-            for _ in range(n)
-        ]
+        [emit_features(label, profile, rng, separation=separation) for _ in range(n)]
     )
 
 

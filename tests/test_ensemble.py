@@ -14,9 +14,9 @@ from densecotrain.ensemble import (
     RfParams,
     SvmParams,
     XgbParams,
+    _grow_gbt_tree,
+    _kernel_matrix,
     fuse,
-    gbt_leaf_weight,
-    kernel_value,
     train_cart,
     train_gbt,
     train_rf,
@@ -56,7 +56,17 @@ def test_param_validation():
 
 
 def test_gbt_leaf_weight_example():
-    assert gbt_leaf_weight(2.0, 4.0, 1.0) == pytest.approx(-0.4)
+    # leaves grown by the booster hold -G / (H + l2_reg) of their rows
+    X = np.zeros((2, 1))
+    leaf = _grow_gbt_tree(X, np.array([1.0, 1.0]), np.array([2.0, 2.0]), 0, 1.0)
+    assert leaf.apply(X) == pytest.approx([-0.4, -0.4])
+    # the best stump splits at 1.5: -(-2) / (2 + 1) left, -2 / (2 + 1) right
+    X = np.array([[0.0], [1.0], [2.0], [3.0]])
+    g = np.array([-1.0, -1.0, 1.0, 1.0])
+    h = np.array([0.5, 1.5, 1.0, 1.0])
+    tree = _grow_gbt_tree(X, g, h, 1, 1.0)
+    assert (tree.feature[0], tree.threshold[0]) == (0, 1.5)
+    assert tree.apply(X) == pytest.approx([2 / 3, 2 / 3, -2 / 3, -2 / 3])
 
 
 def test_gbt_zero_trees_predicts_prior():
@@ -149,15 +159,19 @@ def test_rf_deterministic():
 
 
 def test_svm_kernel_values():
-    x = np.array([1.0, 2.0, 3.0])
-    assert kernel_value("rbf", x, x, gamma=0.7) == pytest.approx(1.0)
-    a = np.array([1.0, 0.0])
-    b = np.array([0.0, 5.0])
-    assert kernel_value("linear", a, b, gamma=1.0) == pytest.approx(0.0)
-    assert kernel_value("poly", a, b, gamma=2.0) == pytest.approx(1.0)  # (0+1)^3
-    assert kernel_value("poly", a, a, gamma=2.0) == pytest.approx(27.0)  # (2+1)^3
+    def k(kind, x, z, gamma):
+        return _kernel_matrix(kind, np.array([x]), np.array([z]), gamma)[0, 0]
+
+    x = [1.0, 2.0, 3.0]
+    assert k("rbf", x, x, gamma=0.7) == pytest.approx(1.0)
+    a = [1.0, 0.0]
+    b = [0.0, 5.0]
+    assert k("linear", a, b, gamma=1.0) == pytest.approx(0.0)
+    assert k("rbf", a, b, gamma=0.1) == pytest.approx(math.exp(-0.1 * 26.0))
+    assert k("poly", a, b, gamma=2.0) == pytest.approx(1.0)  # (0+1)^3
+    assert k("poly", a, a, gamma=2.0) == pytest.approx(27.0)  # (2+1)^3
     with pytest.raises(ValueError):
-        kernel_value("sigmoid", a, b, 1.0)
+        k("sigmoid", a, b, 1.0)
 
 
 def test_svm_two_point_problem():
@@ -313,6 +327,14 @@ def test_empty_data_rejected():
         train_rf((np.zeros((0, 4)), np.zeros(0, dtype=int)), RfParams(), 0)
     with pytest.raises(ValueError):
         train_gbt([], XgbParams(), 0)
+
+
+def test_data_must_be_an_xy_pair():
+    rows = [([0.0, 1.0], 0), ([1.0, 0.0], 1)]
+    with pytest.raises(ValueError, match="pair"):
+        train_gbt(rows, XgbParams(), 0)
+    with pytest.raises(ValueError, match="pair"):
+        train_svm((np.zeros((3, 2)), np.array([0, 1])), SvmParams(), 0)
 
 
 def test_gbt_handles_constant_features():

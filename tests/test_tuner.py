@@ -29,6 +29,8 @@ from densecotrain.tuner import (
 )
 from densecotrain.cotrain import records_index
 from densecotrain.data import SceneSpec, generate_synthetic_dataset, select_and_split
+from densecotrain.detectors import DEFAULT_CONTEXTUAL_PARAMS, DEFAULT_LOCALIZER_PARAMS
+from densecotrain.ensemble import EnsembleParams
 
 SPEC_BY_NAME = {s.name: s for s in GENE_SPECS}
 
@@ -302,6 +304,11 @@ def test_sa_improves_over_start():
 
 
 def test_vector_to_params_routing():
+    # the tuner's "match or beat the defaults" needs DEFAULT_VECTOR to
+    # restate exactly the parameters a run uses without --hyper
+    assert vector_to_params(DEFAULT_VECTOR) == (
+        EnsembleParams(), DEFAULT_LOCALIZER_PARAMS, DEFAULT_CONTEXTUAL_PARAMS
+    )
     ens, loc, ctx = vector_to_params(DEFAULT_VECTOR)
     assert ens.xgb.n_trees == 30 and ens.rf.n_trees == 25
     assert ens.svm.kernel == "rbf"

@@ -46,6 +46,7 @@ from .detectors import (
     Detection,
     DetectorParams,
     DetectorProfile,
+    PseudoLabelAudit,
     RetrainCoefficients,
     SkillModel,
     audit_pseudo_labels,
@@ -133,6 +134,10 @@ class CoTrainConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not (0.0 < self.pseudo_nms_iou < 1.0 and 0.0 < self.merge_nms_iou < 1.0):
             raise ValueError("nms thresholds must be in (0, 1)")
+        if self.unlabeled_subsample is not None and self.unlabeled_subsample < 0:
+            raise ValueError("unlabeled_subsample must be >= 0")
+        if self.ensemble_train_cap < 2:  # a smaller cap holds one class at most
+            raise ValueError("ensemble_train_cap must be >= 2")
 
 
 @dataclass
@@ -371,7 +376,8 @@ def generate_pseudo_labels(
     seed: int,
 ) -> list[PseudoLabel]:
     """Detector output vetted by the view's ensemble: keep detections the
-    fuse calls object with confidence >= tau_conf, NMS-deduplicated."""
+    soft vote calls object with confidence >= tau_conf (the label's score),
+    NMS-deduplicated; the whole pool is one ``predict`` batch."""
     if not view.trained:
         raise ValueError(f"view {view.name} is untrained; cannot generate pseudo-labels")
     if not (0.0 < tau_conf <= 1.0):
@@ -380,14 +386,15 @@ def generate_pseudo_labels(
     order, X = _stacked_features(dets)
     if not len(X):
         return []
-    preds = iter(view.ensemble.predict(X))
+    labels, conf = view.ensemble.predict(X)
+    # the ensemble calls it an object, confidently enough
+    kept = ((labels == 1) & (conf >= tau_conf)).tolist()
+    rows = iter(zip(kept, conf.tolist()))
     out: list[PseudoLabel] = []
     for img in order:
         candidates = [
-            ScoredBox(d.scored.box, fused.confidence, d.scored.label)
-            for d, fused in zip(dets[img], preds)
-            # the ensemble calls it an object, confidently enough
-            if fused.label == 1 and fused.confidence >= tau_conf
+            ScoredBox(d.scored.box, c, d.scored.label)
+            for d, (keep, c) in zip(dets[img], rows) if keep
         ]
         for sb in nms(candidates, nms_iou):
             out.append(
@@ -401,40 +408,6 @@ def _group_by_image(labels: Sequence[PseudoLabel]) -> dict[str, list[PseudoLabel
     for p in labels:
         grouped.setdefault(p.image_id, []).append(p)
     return grouped
-
-
-def _oracle_precision(
-    labels: Sequence[PseudoLabel], records_by_id: Mapping[str, ImageRecord]
-) -> float | None:
-    """Fraction of pseudo-labels matching a hidden GT at IoU >= 0.5."""
-    if not labels:
-        return None
-    correct = 0
-    for img, group in _group_by_image(labels).items():
-        rec = records_by_id[img]
-        mr = match_detections([p.to_scored() for p in group], list(rec.gts), 0.5)
-        correct += sum(mr.det_is_tp)
-    return correct / len(labels)
-
-
-def _retrain_view(
-    view: ViewState,
-    accepted: Mapping[str, Sequence[PseudoLabel]],
-    records_by_id: Mapping[str, ImageRecord],
-    state: CoTrainState,
-    config: CoTrainConfig,
-) -> SkillModel:
-    pseudo_scored = {
-        img: [p.to_scored() for p in group] for img, group in accepted.items()
-    }
-    audit = audit_pseudo_labels(
-        pseudo_scored, records_by_id, view.profile, view.base_skill
-    )
-    return retrain(
-        view.base_skill, view.profile,
-        state.n_base_annotations, state.n_base_occluded,
-        audit, config.retrain_coeff,
-    )
 
 
 def _pool_records(
@@ -460,8 +433,10 @@ def exchange_round(
     config: CoTrainConfig,
 ) -> CoTrainState:
     """One iteration: simultaneous pseudo-label generation from both
-    views on the state as-is, exchange per mode, retrain from the round-0
-    base skills, and record validation mAP."""
+    views on the state as-is, exchange per mode, one audit of each view's
+    accepted set (its retrain and the oracle precision of the labels it
+    took both read it), retrain from the round-0 base skills, and record
+    validation mAP."""
     round_no = state.round + 1
     pool = _pool_records(records_by_id, split, config, round_no)
     views = (state.view_a, state.view_b)
@@ -475,21 +450,36 @@ def exchange_round(
             )
             for v in views
         ]
-    received = {
-        "cotrain": produced[::-1],  # strict cross-exchange
-        "selftrain": produced,
-        "supervised": [[], []],
-    }[config.mode]
-    for view, acc, labels in zip(views, accepted, received):
+    # receiver[i] takes view i's labels and, a swap being its own inverse,
+    # gives view i its labels: the partner in cotrain mode, else i itself
+    receiver = (1, 0) if config.mode == "cotrain" else (0, 1)
+    audits = []  # per view, one audit per image of its accepted set
+    for view, acc, r in zip(views, accepted, receiver):
         # replace-per-image-per-source: only images with fresh labels change
-        acc.update(_group_by_image(labels))
-        view.skill = _retrain_view(view, acc, records_by_id, state, config)
+        acc.update(_group_by_image(produced[r]))
+        pseudo_scored = {
+            img: [p.to_scored() for p in group] for img, group in acc.items()
+        }
+        audits.append(audit_pseudo_labels(
+            pseudo_scored, records_by_id, view.profile, view.base_skill
+        ))
+        view.skill = retrain(
+            view.base_skill, view.profile,
+            state.n_base_annotations, state.n_base_occluded,
+            sum(audits[-1].values(), PseudoLabelAudit()), config.retrain_coeff,
+        )
+    # each view's oracle precision, from the audits of the view that took its
+    # labels: a label matches a hidden GT at IoU 0.5 or not, whoever takes it
+    precision = [
+        sum(audits[r][img].n_correct for img in _group_by_image(labels)) / len(labels)
+        if labels else None
+        for labels, r in zip(produced, receiver)
+    ]
     state.round = round_no
     state.history.append(
         RoundRecord(
             round_no, *_validation_maps(state, records_by_id, split, config),
-            *(sum(len(v) for v in acc.values()) for acc in accepted),
-            *(_oracle_precision(labels, records_by_id) for labels in produced),
+            *(sum(len(v) for v in acc.values()) for acc in accepted), *precision,
         )
     )
     return state

@@ -19,8 +19,7 @@ Design notes that matter for correctness:
   box; false-positive scores follow a low-score Beta law, which makes
   the confidence threshold a real precision/recall dial.
 * Feature vectors separate objects from background by the fixed
-  ``DEFAULT_SEPARATION`` (scaled by localization quality);
-  ``emit_features`` takes it as a parameter so tests can vary the law.
+  ``DEFAULT_SEPARATION``, scaled by localization quality.
 * Occlusion levels come from ``ImageRecord.occlusion``, which every
   record computes from its own GTs.
 """
@@ -258,12 +257,11 @@ def emit_features(
     rng: np.random.Generator,
     *,
     quality: float = 1.0,
-    separation: float = DEFAULT_SEPARATION,
 ) -> tuple[float, ...]:
     """Class-conditional Gaussian feature vector, rotated per profile,
     drawn from ``rng``.
 
-    Objects center on ``separation`` along axis 0 (scaled by the
+    Objects center on ``DEFAULT_SEPARATION`` along axis 0 (scaled by the
     localization ``quality`` in [0, 1]); background centers at the
     origin; the profile's rotation in the (0, 1) plane makes the two
     views' feature spaces distinct while unit covariance is preserved.
@@ -272,7 +270,7 @@ def emit_features(
         raise ValueError(f"label must be 'object' or 'background', got {label!r}")
     x = rng.standard_normal(FEATURE_DIM)
     if label == "object":
-        x[0] += separation * min(max(quality, 0.0), 1.0)
+        x[0] += DEFAULT_SEPARATION * min(max(quality, 0.0), 1.0)
     c, s = math.cos(profile.feature_rotation), math.sin(profile.feature_rotation)
     x0, x1 = x[0], x[1]
     x[0] = c * x0 - s * x1
@@ -385,8 +383,9 @@ def audit_pseudo_labels(
     records_by_id: Mapping[str, ImageRecord],
     receiver_profile: DetectorProfile,
     receiver_skill: SkillModel,
-) -> PseudoLabelAudit:
-    """Grade accepted pseudo-labels against hidden GTs.
+) -> dict[str, PseudoLabelAudit]:
+    """Grade accepted pseudo-labels against hidden GTs: one audit per
+    image that has labels.
 
     A label is correct iff it greedily matches an unmatched GT at IoU >=
     ``AUDIT_MATCH_IOU``, and precise if that IoU is >= ``AUDIT_PRECISE_IOU``;
@@ -395,7 +394,7 @@ def audit_pseudo_labels(
     there (the receiver would miss it on its own), and novel-occluded if
     that GT's occlusion is >= ``AUDIT_OCCLUSION_MIN``.
     """
-    total = PseudoLabelAudit()
+    out = {}
     for image_id, labels in pseudo_by_image.items():
         if not labels:
             continue
@@ -417,10 +416,10 @@ def audit_pseudo_labels(
                 n_novel += 1
                 if occ[gt_idx] >= AUDIT_OCCLUSION_MIN:
                     n_novel_occ += 1
-        total = total + PseudoLabelAudit(
+        out[image_id] = PseudoLabelAudit(
             len(labels), n_corr, n_wrong, n_novel, n_novel_occ, n_prec
         )
-    return total
+    return out
 
 
 @dataclass(frozen=True)

@@ -72,7 +72,6 @@ class SvmParams:
 class EnsemblePrediction:
     label: int
     confidence: float
-    per_member: tuple[tuple[int, float], ...]
 
 
 def _as_xy(data) -> tuple[np.ndarray, np.ndarray]:
@@ -539,7 +538,7 @@ def fuse(preds: Sequence[tuple[int, float]]) -> EnsemblePrediction:
     if len(labels) == 1:
         lab = labels[0]
         conf = sum(p for _, p in preds) / 3.0
-        return EnsemblePrediction(lab, conf, tuple(preds))
+        return EnsemblePrediction(lab, conf)
     score = {lab: 0.0 for lab in labels}
     for label, p in preds:
         other = labels[0] if label == labels[1] else labels[1]
@@ -552,7 +551,7 @@ def fuse(preds: Sequence[tuple[int, float]]) -> EnsemblePrediction:
         winner = b
     else:
         winner = preds[0][0]  # tie: gbt first, then rf, then svm
-    return EnsemblePrediction(winner, score[winner] / 3.0, tuple(preds))
+    return EnsemblePrediction(winner, score[winner] / 3.0)
 
 
 @dataclass(frozen=True)
@@ -592,14 +591,18 @@ class EnsembleClassifier:
         """Soft-vote mass for class 1, in [0, 1]."""
         return self.member_probs(X).mean(axis=1)
 
-    def predict(self, X) -> list[EnsemblePrediction]:
-        out = []
-        for row in self.member_probs(X):
-            members = [
-                (1, float(p)) if p >= 0.5 else (0, float(1.0 - p)) for p in row
-            ]
-            out.append(fuse(members))
-        return out
+    def predict(self, X) -> tuple[np.ndarray, np.ndarray]:
+        """Soft-vote labels and confidences of all rows: ``fuse``'s rule,
+        bit for bit, on columns (each member's terms as ``fuse`` forms them
+        from its vote, summed gbt, rf, svm from 0.0; ties go to gbt)."""
+        P = self.member_probs(X)
+        votes_1 = P >= 0.5
+        mass_1 = np.where(votes_1, P, 1.0 - (1.0 - P))
+        mass_0 = 1.0 - P
+        score_1 = 0.0 + mass_1[:, 0] + mass_1[:, 1] + mass_1[:, 2]
+        score_0 = 0.0 + mass_0[:, 0] + mass_0[:, 1] + mass_0[:, 2]
+        labels = np.where(score_1 == score_0, votes_1[:, 0], score_1 > score_0)
+        return labels.astype(int), np.where(labels, score_1, score_0) / 3.0
 
     def to_dict(self) -> dict:
         return {

@@ -434,6 +434,24 @@ def test_cotrain_config_unknown_key_exit_2(tmp_path, capsys, extra, key):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"ensemble_train_cap": 0}, "ensemble_train_cap"),
+        ({"ensemble_train_cap": -5}, "ensemble_train_cap"),
+        ({"ensemble_train_cap": 1}, "ensemble_train_cap"),  # one class at most
+        ({"unlabeled_subsample": -1}, "unlabeled_subsample"),
+    ],
+)
+def test_cotrain_config_bad_value_exit_2_before_running(
+    tmp_path, capsys, overrides, key
+):
+    cfg_path = tiny_config(tmp_path, **overrides)
+    assert run_cli(["cotrain", "--config", cfg_path]) == 2
+    assert key in capsys.readouterr().err
+    assert not list(tmp_path.glob("run/checkpoint_round_*.json"))
+
+
 def test_cotrain_config_invalid_json_exit_2(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")

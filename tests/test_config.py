@@ -85,7 +85,7 @@ cotrain_config = every_field(
     mode=st.sampled_from(MODES),
     seed=seeds,
     unlabeled_subsample=st.none() | small_int,
-    ensemble_train_cap=small_int,
+    ensemble_train_cap=st.integers(min_value=2, max_value=10**6),
     retrain_coeff=retrain_coeff,
 )
 tuner_config = every_field(

@@ -256,6 +256,53 @@ def test_history_records_pseudo_precision(cotrain_run):
     assert result.state.history[1].pseudo_precision_a is not None
 
 
+def _oracle_precision(labels, records_by_id):
+    """Reference: the fraction of one round's pseudo-labels matching a
+    hidden GT at IoU >= 0.5, each image's labels matched on their own."""
+    if not labels:
+        return None
+    groups = {}
+    for p in labels:
+        groups.setdefault(p.image_id, []).append(p)
+    correct = 0
+    for img, group in groups.items():
+        rec = records_by_id[img]
+        mr = match_detections([p.to_scored() for p in group], list(rec.gts), 0.5)
+        correct += sum(mr.det_is_tp)
+    return correct / len(labels)
+
+
+@pytest.mark.parametrize("mode", ["cotrain", "selftrain"])
+def test_history_precision_matches_oracle_reference(small_data, monkeypatch, mode):
+    """The precision read from the receiver's audit equals a separate
+    matching of each round's produced labels, also when subsampled pools
+    leave older per-image groups in the accepted sets."""
+    import densecotrain.cotrain as ct
+
+    records, split = small_data
+    produced = []
+
+    def recording(*args, **kwargs):
+        out = generate_pseudo_labels(*args, **kwargs)
+        produced.append(out)
+        return out
+
+    monkeypatch.setattr(ct, "generate_pseudo_labels", recording)
+    cfg = CoTrainConfig(mode=mode, max_rounds=3, patience=9, seed=11,
+                        unlabeled_subsample=60)
+    state = run_cotraining(records, split, cfg).state
+    history = state.history[1:]
+    assert len(history) == 3 and len(produced) == 6
+    # older rounds' groups survive on images the later pools skipped
+    assert {p.round for g in state.accepted_for_a.values() for p in g} != {3}
+    for k, rec in enumerate(history):
+        ref_a = _oracle_precision(produced[2 * k], records)
+        ref_b = _oracle_precision(produced[2 * k + 1], records)
+        assert ref_a is not None and ref_b is not None
+        assert rec.pseudo_precision_a == ref_a
+        assert rec.pseudo_precision_b == ref_b
+
+
 # ------------------------------------------------------- full runs
 
 

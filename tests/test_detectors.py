@@ -15,6 +15,7 @@ from densecotrain.detectors import (
     CONTEXTUAL,
     DEFAULT_CONTEXTUAL_PARAMS,
     DEFAULT_LOCALIZER_PARAMS,
+    DEFAULT_SEPARATION,
     FEATURE_DIM,
     LOCALIZER,
     Detection,
@@ -270,35 +271,39 @@ def test_emit_features_deterministic_by_seed():
         emit_features("thing", LOCALIZER, np.random.default_rng(1))
 
 
-def _feature_sample(profile, label, n, seed, separation):
+def _feature_sample(profile, label, n, seed, quality=1.0):
     rng = np.random.default_rng(seed)
     return np.array(
-        [emit_features(label, profile, rng, separation=separation) for _ in range(n)]
+        [emit_features(label, profile, rng, quality=quality) for _ in range(n)]
     )
 
 
 def test_emit_features_zero_separation_no_signal():
-    obj = _feature_sample(LOCALIZER, "object", 2000, 1, separation=0.0)
-    bg = _feature_sample(LOCALIZER, "background", 2000, 2, separation=0.0)
+    # an object localized with quality 0 sits on the background's center
+    obj = _feature_sample(LOCALIZER, "object", 2000, 1, quality=0.0)
+    bg = _feature_sample(LOCALIZER, "background", 2000, 2)
     # midpoint threshold on coordinate 0 is at 0; accuracy should be ~ chance
     acc = ((obj[:, 0] > 0).mean() + (bg[:, 0] <= 0).mean()) / 2
     assert 0.45 < acc < 0.55
 
 
-def test_emit_features_6sigma_midpoint_separation():
-    obj = _feature_sample(LOCALIZER, "object", 5000, 3, separation=6.0)
-    bg = _feature_sample(LOCALIZER, "background", 5000, 4, separation=6.0)
-    thr = 3.0
+def test_emit_features_midpoint_separation():
+    # unit-variance classes DEFAULT_SEPARATION apart: the midpoint rule on
+    # coordinate 0 is right with probability Phi(separation / 2); with
+    # 5000 draws per class its standard error is about 0.0015
+    obj = _feature_sample(LOCALIZER, "object", 5000, 3)
+    bg = _feature_sample(LOCALIZER, "background", 5000, 4)
+    thr = DEFAULT_SEPARATION / 2
     acc = ((obj[:, 0] > thr).mean() + (bg[:, 0] <= thr).mean()) / 2
-    assert acc >= 0.99
+    expected = 0.5 * (1.0 + math.erf(thr / math.sqrt(2.0)))
+    assert abs(acc - expected) < 0.01
 
 
 def test_emit_features_two_view_property():
     # a linear rule fit on view A transfers to view B worse than to A,
     # but still above chance
-    sep = 4.0
-    tr_obj = _feature_sample(LOCALIZER, "object", 3000, 5, sep)
-    tr_bg = _feature_sample(LOCALIZER, "background", 3000, 6, sep)
+    tr_obj = _feature_sample(LOCALIZER, "object", 3000, 5)
+    tr_bg = _feature_sample(LOCALIZER, "background", 3000, 6)
     w = tr_obj.mean(axis=0) - tr_bg.mean(axis=0)
     mid = (tr_obj.mean(axis=0) + tr_bg.mean(axis=0)) / 2
 
@@ -307,10 +312,10 @@ def test_emit_features_two_view_property():
             ((obj - mid) @ w > 0).mean() + ((bg - mid) @ w <= 0).mean()
         ) / 2
 
-    te_obj_a = _feature_sample(LOCALIZER, "object", 3000, 7, sep)
-    te_bg_a = _feature_sample(LOCALIZER, "background", 3000, 8, sep)
-    te_obj_b = _feature_sample(CONTEXTUAL, "object", 3000, 9, sep)
-    te_bg_b = _feature_sample(CONTEXTUAL, "background", 3000, 10, sep)
+    te_obj_a = _feature_sample(LOCALIZER, "object", 3000, 7)
+    te_bg_a = _feature_sample(LOCALIZER, "background", 3000, 8)
+    te_obj_b = _feature_sample(CONTEXTUAL, "object", 3000, 9)
+    te_bg_b = _feature_sample(CONTEXTUAL, "background", 3000, 10)
     within = acc(te_obj_a, te_bg_a)
     cross = acc(te_obj_b, te_bg_b)
     assert cross < within - 0.01
@@ -364,9 +369,11 @@ def _audit_fixture():
 
 def test_audit_counts():
     rec, skill, labels = _audit_fixture()
-    audit = audit_pseudo_labels(
-        {rec.image_id: labels}, {rec.image_id: rec}, LOCALIZER, skill
+    audits = audit_pseudo_labels(
+        {rec.image_id: labels, "empty": []}, {rec.image_id: rec}, LOCALIZER, skill
     )
+    assert list(audits) == [rec.image_id]  # one audit per image with labels
+    audit = sum(audits.values(), PseudoLabelAudit())
     assert audit.n_pseudo == 9
     assert audit.n_correct == 8
     assert audit.n_wrong == 1

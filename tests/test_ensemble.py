@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from densecotrain.ensemble import (
     EnsembleClassifier,
@@ -288,18 +290,45 @@ def test_ensemble_beats_best_member_statistically():
     assert np.mean(accs["ens"]) >= best_member
 
 
-def test_ensemble_predict_uses_fuse():
+class _FixedMember:
+    """A stand-in ensemble member with given P(class 1) per row."""
+
+    def __init__(self, p):
+        self.p = np.asarray(p, dtype=float)
+
+    def predict_proba(self, X):
+        return self.p
+
+
+# the vote boundary, both sides of it by one ulp, and the extremes
+EDGE_PROBS = (0.0, 1.0, 0.5, 0.5 - 2.0**-54, 0.5 + 2.0**-53)
+MEMBER_PROB = st.one_of(st.sampled_from(EDGE_PROBS), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(MEMBER_PROB, MEMBER_PROB, MEMBER_PROB),
+                min_size=1, max_size=20))
+def test_ensemble_predict_uses_fuse(rows):
+    """predict's column-wise vote equals the scalar fuse on every row, in
+    label and bit for bit in confidence."""
+    P = np.array(rows, dtype=float)
+    ens = EnsembleClassifier(*(_FixedMember(P[:, k]) for k in range(3)))
+    labels, conf = ens.predict(np.zeros((len(P), 1)))
+    assert labels.shape == conf.shape == (len(P),)
+    for row, label, c in zip(rows, labels.tolist(), conf.tolist()):
+        ref = fuse([(1, p) if p >= 0.5 else (0, 1.0 - p) for p in row])
+        assert label == ref.label
+        assert c == ref.confidence
+
+
+def test_ensemble_predict_on_trained_members():
     rng = np.random.default_rng(77)
     Xtr, ytr = _blobs(rng, 200, 6.0)
     ens = EnsembleClassifier.train((Xtr, ytr), EnsembleParams(), seed=0)
     Xte, yte = _blobs(rng, 50, 6.0)
-    preds = ens.predict(Xte)
-    assert len(preds) == len(yte)
-    acc = np.mean([p.label == t for p, t in zip(preds, yte)])
-    assert acc >= 0.95
-    for p in preds:
-        assert 0.0 <= p.confidence <= 1.0
-        assert len(p.per_member) == 3
+    labels, conf = ens.predict(Xte)
+    assert (labels == yte).mean() >= 0.95
+    assert ((conf >= 0.5) & (conf <= 1.0)).all()
 
 
 def test_ensemble_serialization_roundtrip():

@@ -12,9 +12,13 @@ MODULES = sorted(PACKAGE_DIR.glob("*.py"))
 # Top-level names nothing in the package calls, kept because code outside
 # it calls them by name.
 ENTRY_POINTS_OUTSIDE_SRC = {
-    "planted_objective",  # tuner: the planted surrogate of the tuner tests
-    "save_predictions",   # cli: writes the predictions file perfbench evaluates
-    "train_cart",         # ensemble: the reference tree of the forest test
+    "average_precision",      # metrics: imported by the acceptance gates
+    "average_recall_at",      # metrics: spanned by the benchmark's tracer
+    "brute_force_ap_oracle",  # metrics: the AP oracle of the acceptance gates
+    "fuse",                   # ensemble: the scalar vote of the acceptance gates
+    "planted_objective",      # tuner: the planted surrogate of the tuner tests
+    "save_predictions",       # cli: writes the predictions file perfbench evaluates
+    "train_cart",             # ensemble: the reference tree of the forest test
 }
 
 
@@ -30,18 +34,27 @@ def _imported_names(tree: ast.Module) -> dict[str, int]:
     return names
 
 
-def _referenced_names(tree: ast.Module) -> set[str]:
-    used = set()
+def _annotations(tree: ast.Module):
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            used.add(node.id)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            # string annotations such as -> "EnsembleClassifier"
-            try:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotation = node.returns
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotation = node.annotation
+        else:
+            continue
+        if annotation is not None:
+            yield annotation
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # string annotations such as -> "EnsembleClassifier"; other string
+    # literals (messages, labels) name nothing
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 expr = ast.parse(node.value, mode="eval")
-            except SyntaxError:
-                continue
-            used.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
+                used.update(n.id for n in ast.walk(expr) if isinstance(n, ast.Name))
     return used
 
 

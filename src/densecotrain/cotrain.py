@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -42,7 +42,6 @@ from .detectors import (
     DEFAULT_CONTEXTUAL_PARAMS,
     DEFAULT_LOCALIZER_PARAMS,
     LOCALIZER,
-    PROFILES,
     Detection,
     DetectorParams,
     DetectorProfile,
@@ -62,7 +61,7 @@ from .geom import Box, ScoredBox, nms
 from .metrics import EvalReport, match_detections, mean_average_precision
 
 MODES = ("cotrain", "selftrain", "supervised")
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class InfeasibleViewError(ValueError):
@@ -178,7 +177,6 @@ class CoTrainState:
     history: list[RoundRecord] = field(default_factory=list)
     n_base_annotations: int = 0
     n_base_occluded: int = 0
-    scene_regime: str = "medium"
     mode: str = "cotrain"
 
 
@@ -358,7 +356,6 @@ def initial_supervised_phase(
         0, *views,
         n_base_annotations=sum(len(r.gts) for r in train_records),
         n_base_occluded=count_occluded(train_records),
-        scene_regime=regime,
         mode=config.mode,
     )
     state.history.append(
@@ -487,39 +484,16 @@ def exchange_round(
 
 # ------------------------------------------------------------ checkpoints
 
-def _view_to_dict(v: ViewState) -> dict:
-    return {
-        "name": v.name,
-        "profile": v.profile.name,
-        "params": asdict(v.params),
-        "base_skill": asdict(v.base_skill),
-        "skill": asdict(v.skill),
-        "ensemble": v.ensemble.to_dict() if v.ensemble else None,
-    }
-
-
-def _view_from_dict(d: dict) -> ViewState:
-    return ViewState(
-        name=d["name"],
-        profile=PROFILES[d["profile"]],
-        params=from_dict(DetectorParams, d["params"]),
-        base_skill=from_dict(SkillModel, d["base_skill"]),
-        skill=from_dict(SkillModel, d["skill"]),
-        ensemble=EnsembleClassifier.from_dict(d["ensemble"])
-        if d.get("ensemble") else None,
-    )
-
-
 def save_checkpoint(state: CoTrainState, path: str | Path) -> None:
+    """Write what the exchange rounds change: both skills, both accepted
+    sets and the history.  Round 0's views and ensembles are not stored;
+    ``load_checkpoint`` takes them from a rebuilt round-0 state."""
     doc = {
         "checkpoint_version": CHECKPOINT_VERSION,
         "round": state.round,
         "mode": state.mode,
-        "scene_regime": state.scene_regime,
-        "n_base_annotations": state.n_base_annotations,
-        "n_base_occluded": state.n_base_occluded,
-        "view_a": _view_to_dict(state.view_a),
-        "view_b": _view_to_dict(state.view_b),
+        "skill_a": asdict(state.view_a.skill),
+        "skill_b": asdict(state.view_b.skill),
         "accepted_for_a": {
             img: [p.to_dict() for p in group]
             for img, group in state.accepted_for_a.items()
@@ -538,16 +512,32 @@ def save_checkpoint(state: CoTrainState, path: str | Path) -> None:
     os.replace(tmp, path)
 
 
-def load_checkpoint(path: str | Path) -> CoTrainState:
+def load_checkpoint(path: str | Path, base: CoTrainState) -> CoTrainState:
+    """``base``, the run's round-0 state rebuilt from its config, moved to
+    the checkpoint's round (``base`` itself is left as it was).
+
+    Round 0's validation record depends on the seed, records, split,
+    params and ensembles, so a checkpoint whose mode or first history
+    entry differs from ``base``'s was written by another run and is
+    refused."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("checkpoint_version") != CHECKPOINT_VERSION:
+    version = doc.get("checkpoint_version")
+    if version != CHECKPOINT_VERSION:
         raise ValueError(
-            f"unsupported checkpoint_version {doc.get('checkpoint_version')!r}"
+            f"{path}: unsupported checkpoint_version {version!r} "
+            f"(this version reads {CHECKPOINT_VERSION})"
         )
-    state = CoTrainState(
+    history = [from_dict(RoundRecord, r) for r in doc["history"]]
+    if doc["mode"] != base.mode or history[:1] != base.history[:1]:
+        raise ValueError(
+            f"{path}: written by a run with another round 0 "
+            "(mode, seed, records, split, params or ensemble); cannot resume"
+        )
+    return replace(
+        base,
         round=int(doc["round"]),
-        view_a=_view_from_dict(doc["view_a"]),
-        view_b=_view_from_dict(doc["view_b"]),
+        view_a=replace(base.view_a, skill=from_dict(SkillModel, doc["skill_a"])),
+        view_b=replace(base.view_b, skill=from_dict(SkillModel, doc["skill_b"])),
         accepted_for_a={
             img: [PseudoLabel.from_dict(p) for p in group]
             for img, group in doc["accepted_for_a"].items()
@@ -556,13 +546,8 @@ def load_checkpoint(path: str | Path) -> CoTrainState:
             img: [PseudoLabel.from_dict(p) for p in group]
             for img, group in doc["accepted_for_b"].items()
         },
-        history=[from_dict(RoundRecord, r) for r in doc["history"]],
-        n_base_annotations=int(doc["n_base_annotations"]),
-        n_base_occluded=int(doc["n_base_occluded"]),
-        scene_regime=doc["scene_regime"],
-        mode=doc["mode"],
+        history=history,
     )
-    return state
 
 
 def _checkpoint_path(run_dir: Path, round_no: int) -> Path:
@@ -619,20 +604,20 @@ def run_cotraining(
 ) -> CoTrainResult:
     """Initial phase, then exchange rounds until max_rounds or the
     patience rule fires; the test set is evaluated exactly once at the
-    end using the round whose combined validation mAP was best."""
+    end using the round whose combined validation mAP was best.
+
+    With ``resume``, round 0 is rebuilt and the latest checkpoint in
+    ``run_dir`` is loaded onto it; otherwise round 0 is checkpointed."""
     rd = Path(run_dir) if run_dir is not None else None
     if rd is not None:
         rd.mkdir(parents=True, exist_ok=True)
-    state = None
-    if resume and rd is not None:
-        ck = latest_checkpoint(rd)
-        if ck is not None:
-            state = load_checkpoint(ck)
+    state = initial_supervised_phase(records_by_id, split, config)
+    ck = latest_checkpoint(rd) if resume and rd is not None else None
+    if ck is not None:
+        state = load_checkpoint(ck, state)
+    elif rd is not None:
+        save_checkpoint(state, _checkpoint_path(rd, 0))
     try:
-        if state is None:
-            state = initial_supervised_phase(records_by_id, split, config)
-            if rd is not None:
-                save_checkpoint(state, _checkpoint_path(rd, 0))
         skills = {state.round: _skills(state)}
         tracker = PatienceTracker(
             config.epsilon, config.patience,
@@ -654,7 +639,7 @@ def run_cotraining(
             if rd is not None:
                 save_checkpoint(state, _checkpoint_path(rd, state.round))
     except Exception:
-        if rd is not None and state is not None:
+        if rd is not None:
             save_checkpoint(state, rd / "crash_state.json")
         raise
 
@@ -668,7 +653,7 @@ def run_cotraining(
             raise RuntimeError(
                 f"no snapshot or checkpoint for best round {best_round}"
             )
-        ck_state = load_checkpoint(_checkpoint_path(rd, best_round))
+        ck_state = load_checkpoint(_checkpoint_path(rd, best_round), state)
         skills[best_round] = _skills(ck_state)
     state.view_a.skill, state.view_b.skill = skills[best_round]
     test_records = [records_by_id[i] for i in split.test]

@@ -210,13 +210,8 @@ def load_annotations(path: str | Path) -> list[ImageRecord]:
     return records
 
 
-def save_annotations(
-    records: Iterable[ImageRecord],
-    path: str | Path,
-    label_names: dict[int, str] | None = None,
-) -> None:
+def save_annotations(records: Iterable[ImageRecord], path: str | Path) -> None:
     """Write records back to the CSV schema, header included."""
-    names = dict(LABEL_NAMES if label_names is None else label_names)
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(CSV_COLUMNS)
@@ -225,7 +220,7 @@ def save_annotations(
                 w.writerow(
                     [rec.image_id, repr(g.box.x1), repr(g.box.y1),
                      repr(g.box.x2), repr(g.box.y2),
-                     names.get(g.label, f"class_{g.label}"),
+                     LABEL_NAMES.get(g.label, f"class_{g.label}"),
                      rec.width, rec.height]
                 )
 

@@ -131,11 +131,6 @@ CONTEXTUAL = DetectorProfile(
     anchor_aware=False,
 )
 
-PROFILES: dict[str, DetectorProfile] = {
-    LOCALIZER.name: LOCALIZER,
-    CONTEXTUAL.name: CONTEXTUAL,
-}
-
 DEFAULT_LOCALIZER_PARAMS = DetectorParams(
     epochs=20, confidence_threshold=0.25, nms_iou=0.5,
     batch_size=16, learning_rate=1e-3, anchor_scales="medium",
@@ -252,25 +247,18 @@ def derive_seed(*parts: object) -> int:
 
 
 def emit_features(
-    label: str,
-    profile: DetectorProfile,
-    rng: np.random.Generator,
-    *,
-    quality: float = 1.0,
+    profile: DetectorProfile, rng: np.random.Generator, quality: float
 ) -> tuple[float, ...]:
-    """Class-conditional Gaussian feature vector, rotated per profile,
-    drawn from ``rng``.
+    """Gaussian feature vector, rotated per profile, drawn from ``rng``.
 
-    Objects center on ``DEFAULT_SEPARATION`` along axis 0 (scaled by the
-    localization ``quality`` in [0, 1]); background centers at the
+    The center sits ``DEFAULT_SEPARATION`` times the localization
+    ``quality`` (clamped to [0, 1]) along axis 0, so an object draws with
+    its IoU to the source box and background with quality 0, at the
     origin; the profile's rotation in the (0, 1) plane makes the two
     views' feature spaces distinct while unit covariance is preserved.
     """
-    if label not in ("object", "background"):
-        raise ValueError(f"label must be 'object' or 'background', got {label!r}")
     x = rng.standard_normal(FEATURE_DIM)
-    if label == "object":
-        x[0] += DEFAULT_SEPARATION * min(max(quality, 0.0), 1.0)
+    x[0] += DEFAULT_SEPARATION * min(max(quality, 0.0), 1.0)
     c, s = math.cos(profile.feature_rotation), math.sin(profile.feature_rotation)
     x0, x1 = x[0], x[1]
     x[0] = c * x0 - s * x1
@@ -327,7 +315,7 @@ def detect(
         q = iou(box, g.box)
         score = SCORE_BASE + SCORE_SLOPE * q + rng.normal(0.0, SCORE_NOISE)
         score = min(max(score, 0.0), 1.0)
-        feats = emit_features("object", profile, rng, quality=q)
+        feats = emit_features(profile, rng, q)
         raw.append(Detection(ScoredBox(box, score, g.label), feats))
     if skill.fp_rate > 0:
         if record.gts:
@@ -340,7 +328,7 @@ def detect(
             if fb is None:
                 continue
             score = float(rng.beta(FP_SCORE_ALPHA, FP_SCORE_BETA))
-            feats = emit_features("background", profile, rng)
+            feats = emit_features(profile, rng, 0.0)
             raw.append(Detection(ScoredBox(fb, score, 0), feats))
     kept_scored = nms(
         [d.scored for d in raw if d.scored.score >= params.confidence_threshold],

@@ -10,17 +10,14 @@ Everything is deterministic given (data, params, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .codec import from_dict
-
 MEMBER_NAMES = ("gbt", "rf", "svm")
 SVM_KERNELS = ("linear", "rbf", "poly")
 SVM_ITERATION_BUDGET = 2000
-FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -138,19 +135,6 @@ class _Tree:
             idx[rows] = np.where(go_left, left[cur], right[cur])
         return val[idx]
 
-    def to_dict(self) -> dict:
-        return {
-            "feature": self.feature, "threshold": self.threshold,
-            "left": self.left, "right": self.right, "value": self.value,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "_Tree":
-        return cls(
-            list(d["feature"]), [float(v) for v in d["threshold"]],
-            list(d["left"]), list(d["right"]), [float(v) for v in d["value"]],
-        )
-
 
 def _grow_gbt_tree(
     X: np.ndarray, g: np.ndarray, h: np.ndarray, max_depth: int, lam: float
@@ -229,22 +213,6 @@ class GradientBoostedTrees:
     def predict(self, X) -> np.ndarray:
         return (self.predict_proba(X) >= 0.5).astype(int)
 
-    def to_dict(self) -> dict:
-        return {
-            "params": asdict(self.params),
-            "base_score": self.base_score,
-            "trees": [t.to_dict() for t in self.trees],
-            "loss_curve": self.loss_curve,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GradientBoostedTrees":
-        return cls(
-            from_dict(XgbParams, d["params"]), float(d["base_score"]),
-            [_Tree.from_dict(t) for t in d["trees"]],
-            [float(v) for v in d["loss_curve"]],
-        )
-
 
 def train_gbt(data, params: XgbParams, seed: int = 0) -> GradientBoostedTrees:
     """Second-order boosting on logistic loss; loss_curve records the
@@ -271,7 +239,7 @@ def train_gbt(data, params: XgbParams, seed: int = 0) -> GradientBoostedTrees:
 
 def _grow_cart(
     X: np.ndarray, y: np.ndarray, max_depth: int,
-    rng: np.random.Generator | None, n_sub_features: int | None,
+    rng: np.random.Generator, n_sub_features: int,
 ) -> _Tree:
     tree = _Tree()
 
@@ -310,7 +278,7 @@ def _grow_cart(
         if depth >= max_depth or len(idx) < 2 or ones == 0 or ones == len(idx):
             return tree.add_leaf(majority(idx))
         n_feat = X.shape[1]
-        if n_sub_features is not None and n_sub_features < n_feat:
+        if n_sub_features < n_feat:
             feats = np.sort(rng.choice(n_feat, n_sub_features, replace=False))
         else:
             feats = np.arange(n_feat)
@@ -330,20 +298,12 @@ def _grow_cart(
     return tree
 
 
-def train_cart(data, max_depth: int) -> _Tree:
-    """Single deterministic Gini tree on all features (the reference the
-    forest's test hook is compared against)."""
-    X, y = _as_xy(data)
-    return _grow_cart(X, y, max_depth, None, None)
-
-
 class RandomForest:
     """Bagged Gini trees with sqrt-feature subsampling and hard majority
     vote; probability is the vote fraction, so it is always a multiple
     of 1/n_trees."""
 
-    def __init__(self, params: RfParams, trees: list[_Tree]):
-        self.params = params
+    def __init__(self, trees: list[_Tree]):
         self.trees = trees
 
     def predict_proba(self, X) -> np.ndarray:
@@ -356,38 +316,18 @@ class RandomForest:
     def predict(self, X) -> np.ndarray:
         return (self.predict_proba(X) >= 0.5).astype(int)
 
-    def to_dict(self) -> dict:
-        return {
-            "params": asdict(self.params),
-            "trees": [t.to_dict() for t in self.trees],
-        }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RandomForest":
-        return cls(
-            from_dict(RfParams, d["params"]), [_Tree.from_dict(t) for t in d["trees"]]
-        )
-
-
-def train_rf(
-    data, params: RfParams, seed: int = 0,
-    *, bootstrap: bool = True, feature_subsample: bool = True,
-) -> RandomForest:
-    """Standard bagging; the two keyword hooks exist so tests can collapse
-    the forest to one plain CART tree."""
+def train_rf(data, params: RfParams, seed: int = 0) -> RandomForest:
+    """Standard bagging: each tree grows on a bootstrap sample and picks
+    each split among sqrt(d) random features."""
     X, y = _as_xy(data)
     rng = np.random.default_rng(seed)
-    n_feat = X.shape[1]
-    n_sub = max(1, int(math.sqrt(n_feat))) if feature_subsample else None
+    n_sub = max(1, int(math.sqrt(X.shape[1])))
     trees = []
     for _ in range(params.n_trees):
-        if bootstrap:
-            idx = rng.integers(0, len(X), len(X))
-            Xb, yb = X[idx], y[idx]
-        else:
-            Xb, yb = X, y
-        trees.append(_grow_cart(Xb, yb, params.max_depth, rng, n_sub))
-    return RandomForest(params, trees)
+        idx = rng.integers(0, len(X), len(X))
+        trees.append(_grow_cart(X[idx], y[idx], params.max_depth, rng, n_sub))
+    return RandomForest(trees)
 
 
 # ----------------------------------------------------------------- svm
@@ -463,24 +403,6 @@ class KernelSvm:
 
     def predict(self, X) -> np.ndarray:
         return (self.predict_proba(X) >= 0.5).astype(int)
-
-    def to_dict(self) -> dict:
-        return {
-            "params": asdict(self.params),
-            "sv": self.sv.tolist(),
-            "sv_coef": self.sv_coef.tolist(),
-            "platt_a": self.platt_a,
-            "platt_b": self.platt_b,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "KernelSvm":
-        return cls(
-            from_dict(SvmParams, d["params"]),
-            np.asarray(d["sv"], dtype=float),
-            np.asarray(d["sv_coef"], dtype=float),
-            float(d["platt_a"]), float(d["platt_b"]),
-        )
 
 
 def train_svm(data, params: SvmParams, seed: int = 0) -> KernelSvm:
@@ -603,24 +525,3 @@ class EnsembleClassifier:
         score_0 = 0.0 + mass_0[:, 0] + mass_0[:, 1] + mass_0[:, 2]
         labels = np.where(score_1 == score_0, votes_1[:, 0], score_1 > score_0)
         return labels.astype(int), np.where(labels, score_1, score_0) / 3.0
-
-    def to_dict(self) -> dict:
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": "densecotrain-ensemble",
-            "gbt": self.gbt.to_dict(),
-            "rf": self.rf.to_dict(),
-            "svm": self.svm.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "EnsembleClassifier":
-        if doc.get("format_version") != FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported ensemble format_version {doc.get('format_version')!r}"
-            )
-        return cls(
-            GradientBoostedTrees.from_dict(doc["gbt"]),
-            RandomForest.from_dict(doc["rf"]),
-            KernelSvm.from_dict(doc["svm"]),
-        )

@@ -15,7 +15,7 @@ import csv
 import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -25,6 +25,10 @@ from .detectors import ANCHOR_MENU, BATCH_MENU, DetectorParams, derive_seed
 from .ensemble import SVM_KERNELS, EnsembleParams, RfParams, SvmParams, XgbParams
 
 ALGORITHMS = ("ga", "sa")
+# one gene move, for GA mutation and SA steps alike: a Gaussian step of this
+# share of a numeric gene's range, or an integer step of 1 up to this many
+MUTATION_SIGMA_SCALE = 0.1
+MUTATION_INT_STEP_MAX = 3
 
 
 @dataclass(frozen=True)
@@ -212,39 +216,30 @@ def _perturb_gene(spec: GeneSpec, val, rng: np.random.Generator,
     return float(min(max(x, spec.low), spec.high))
 
 
-def mutate(
-    v: HyperVector,
-    rate: float = 0.2,
-    seed: int = 0,
-    *,
-    sigma_scale: float = 0.1,
-    int_step_max: int = 3,
-) -> HyperVector:
+def mutate(v: HyperVector, rate: float = 0.2, seed: int = 0) -> HyperVector:
     """Independent per-gene perturbation with probability `rate`: Gaussian
-    step (sigma = sigma_scale of the range, clamped) for continuous genes,
-    a +-1..int_step_max step for integers, a menu resample for
-    categoricals."""
+    step (sigma = MUTATION_SIGMA_SCALE of the range, clamped) for
+    continuous genes, a +-1..MUTATION_INT_STEP_MAX step for integers, a
+    menu resample for categoricals."""
     rng = np.random.default_rng(seed)
     out = {}
     for name in GENE_NAMES:
         val = getattr(v, name)
         if rng.random() < rate:
-            val = _perturb_gene(SPEC_BY_NAME[name], val, rng, sigma_scale, int_step_max)
+            val = _perturb_gene(
+                SPEC_BY_NAME[name], val, rng,
+                MUTATION_SIGMA_SCALE, MUTATION_INT_STEP_MAX,
+            )
         out[name] = val
     return HyperVector(**out)
 
 
 def crossover(
-    a: HyperVector, b: HyperVector, seed: int = 0,
-    *, mask: Sequence[bool] | None = None,
+    a: HyperVector, b: HyperVector, seed: int = 0
 ) -> tuple[HyperVector, HyperVector]:
-    """Uniform crossover: per gene, child1 takes a's value where the mask
-    is true and b's elsewhere; child2 takes the complement."""
-    if mask is None:
-        rng = np.random.default_rng(seed)
-        mask = rng.random(len(GENE_NAMES)) < 0.5
-    if len(mask) != len(GENE_NAMES):
-        raise ValueError(f"mask must have {len(GENE_NAMES)} entries")
+    """Uniform crossover: per gene, child1 takes a's value where a seeded
+    fair coin says so and b's elsewhere; child2 takes the complement."""
+    mask = np.random.default_rng(seed).random(len(GENE_NAMES)) < 0.5
     c1, c2 = {}, {}
     for take_a, name in zip(mask, GENE_NAMES):
         av, bv = getattr(a, name), getattr(b, name)
@@ -373,7 +368,7 @@ def _optimize_sa(tracker, config) -> TuneReport:
         name = GENE_NAMES[int(rng.integers(len(GENE_NAMES)))]
         moved = _perturb_gene(
             SPEC_BY_NAME[name], getattr(current, name), rng,
-            sigma_scale=0.1, int_step_max=3,
+            MUTATION_SIGMA_SCALE, MUTATION_INT_STEP_MAX,
         )
         neighbor = replace(current, **{name: moved})
         s = tracker.score(neighbor)

@@ -3,7 +3,10 @@ and the invariants that keep the experiment honest."""
 
 import json
 import os
+import re
+import shutil
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from densecotrain.cotrain import (
     load_checkpoint,
     merge_views,
     records_index,
+    result_to_dict,
     run_cotraining,
     save_checkpoint,
 )
@@ -55,6 +59,13 @@ def cotrain_run(small_data, tmp_path_factory):
     run_dir = tmp_path_factory.mktemp("cotrain-run")
     result = run_cotraining(records, split, cfg, run_dir=run_dir)
     return records, split, cfg, result, run_dir
+
+
+@pytest.fixture(scope="module")
+def cotrain_base(cotrain_run):
+    """The cotrain run's round 0, rebuilt from its config."""
+    records, split, cfg, _, _ = cotrain_run
+    return initial_supervised_phase(records, split, cfg)
 
 
 # ------------------------------------------------- initial supervised phase
@@ -412,39 +423,67 @@ def test_unlabeled_subsample_limits_label_sources(small_data):
 def test_checkpoints_written_per_round(cotrain_run):
     _, _, _, result, run_dir = cotrain_run
     for r in range(result.state.round + 1):
-        assert (run_dir / f"checkpoint_round_{r:03d}.json").is_file()
+        doc = json.loads(
+            (run_dir / f"checkpoint_round_{r:03d}.json").read_text("utf-8")
+        )
+        # only what the rounds change: round 0 is rebuilt, never stored
+        assert set(doc) == {
+            "checkpoint_version", "round", "mode", "skill_a", "skill_b",
+            "accepted_for_a", "accepted_for_b", "history",
+        }
     assert not (run_dir / "result.json").exists()
 
 
-def test_checkpoint_roundtrip(cotrain_run):
+def _checkpoint_bytes(run_dir):
+    return {
+        p.name: p.read_bytes() for p in sorted(run_dir.glob("checkpoint_round_*.json"))
+    }
+
+
+def test_checkpoint_roundtrip(cotrain_run, cotrain_base):
     _, _, _, result, run_dir = cotrain_run
-    state = load_checkpoint(latest_checkpoint(run_dir))
+    state = load_checkpoint(latest_checkpoint(run_dir), cotrain_base)
     assert state.round == result.state.round
     assert state.view_a.skill == result.state.view_a.skill
     assert state.view_b.skill == result.state.view_b.skill
     assert state.history == result.state.history
-    assert {
-        img: [p.to_dict() for p in group]
-        for img, group in state.accepted_for_a.items()
-    } == {
-        img: [p.to_dict() for p in group]
-        for img, group in result.state.accepted_for_a.items()
-    }
+    for got, want in (
+        (state.accepted_for_a, result.state.accepted_for_a),
+        (state.accepted_for_b, result.state.accepted_for_b),
+    ):
+        assert {img: [p.to_dict() for p in group] for img, group in got.items()} == {
+            img: [p.to_dict() for p in group] for img, group in want.items()
+        }
+    # round 0 comes from the base, which the load leaves as it was
+    assert state.view_a.ensemble is cotrain_base.view_a.ensemble
+    assert state.view_a.base_skill == cotrain_base.view_a.skill
+    assert cotrain_base.round == 0 and len(cotrain_base.history) == 1
+    assert cotrain_base.accepted_for_a == {} and cotrain_base.accepted_for_b == {}
 
 
-def test_checkpoint_rejects_unknown_version(tmp_path):
-    path = tmp_path / "ck.json"
-    path.write_text(json.dumps({"checkpoint_version": 999}), encoding="utf-8")
-    with pytest.raises(ValueError):
-        load_checkpoint(path)
+def test_checkpoint_rejects_unknown_version(cotrain_run, cotrain_base, tmp_path):
+    # version 1 stored round 0's views and ensembles; any version but the
+    # current one is refused with a message naming the file and the version
+    _, _, _, _, run_dir = cotrain_run
+    doc = json.loads((run_dir / "checkpoint_round_001.json").read_text("utf-8"))
+    path = tmp_path / "checkpoint_round_001.json"
+    for version in (1, 999):
+        path.write_text(
+            json.dumps({**doc, "checkpoint_version": version}), encoding="utf-8"
+        )
+        with pytest.raises(
+            ValueError,
+            match=rf"checkpoint_round_001\.json.*checkpoint_version {version}\b",
+        ):
+            load_checkpoint(path, cotrain_base)
 
 
 def test_checkpoint_write_cut_short_keeps_previous_latest(
-    cotrain_run, tmp_path, monkeypatch
+    cotrain_run, cotrain_base, tmp_path, monkeypatch
 ):
     _, _, _, result, run_dir = cotrain_run
     source = run_dir / "checkpoint_round_001.json"
-    state = load_checkpoint(source)
+    state = load_checkpoint(source, cotrain_base)
     save_checkpoint(state, tmp_path / "checkpoint_round_001.json")
     assert (tmp_path / "checkpoint_round_001.json").read_bytes() == source.read_bytes()
 
@@ -459,31 +498,67 @@ def test_checkpoint_write_cut_short_keeps_previous_latest(
     assert (tmp_path / "checkpoint_round_002.json.tmp").is_file()
     latest = latest_checkpoint(tmp_path)
     assert latest == tmp_path / "checkpoint_round_001.json"
-    assert load_checkpoint(latest).round == 1
+    assert load_checkpoint(latest, cotrain_base).round == 1
 
 
 def test_resume_matches_uninterrupted_run(small_data, tmp_path):
     records, split = small_data
-    full = run_cotraining(
-        records, split, CoTrainConfig(mode="cotrain", max_rounds=2, seed=31)
+
+    def config(max_rounds):
+        return CoTrainConfig(
+            mode="cotrain", max_rounds=max_rounds, patience=9, seed=31,
+            unlabeled_subsample=60,
+        )
+
+    full_dir, cut_dir = tmp_path / "full", tmp_path / "resumable"
+    full = run_cotraining(records, split, config(3), run_dir=full_dir)
+    run_cotraining(records, split, config(1), run_dir=cut_dir)
+    resumed = run_cotraining(records, split, config(3), run_dir=cut_dir, resume=True)
+    # a subsampled pool leaves older per-image groups in the accepted sets
+    assert any(
+        group[0].round < full.state.round
+        for acc in (full.state.accepted_for_a, full.state.accepted_for_b)
+        for group in acc.values()
     )
-    run_dir = tmp_path / "resumable"
-    run_cotraining(
-        records, split, CoTrainConfig(mode="cotrain", max_rounds=1, seed=31),
-        run_dir=run_dir,
-    )
-    resumed = run_cotraining(
-        records, split, CoTrainConfig(mode="cotrain", max_rounds=2, seed=31),
-        run_dir=run_dir, resume=True,
-    )
-    assert resumed.state.round == full.state.round
-    assert resumed.state.history == full.state.history
-    assert resumed.report_combined.map_coco == full.report_combined.map_coco
+    assert resumed.state.round == full.state.round == 3
+    assert _checkpoint_bytes(cut_dir) == _checkpoint_bytes(full_dir)
+    assert len(_checkpoint_bytes(full_dir)) == 4
+    assert result_to_dict(resumed) == result_to_dict(full)
+
+
+def test_resume_restores_an_earlier_best_round_from_its_checkpoint(
+    small_data, tmp_path
+):
+    # tau 1.0 accepts nothing, so every round ties round 0, which stays the
+    # best; a resume that starts at the last round must read round 0's
+    # skills back from its checkpoint
+    records, split = small_data
+    cfg = CoTrainConfig(mode="cotrain", tau_conf=1.0, max_rounds=3, seed=11)
+    first = run_cotraining(records, split, cfg, run_dir=tmp_path)
+    assert first.best_round == 0 < first.state.round
+    again = run_cotraining(records, split, cfg, run_dir=tmp_path, resume=True)
+    assert result_to_dict(again) == result_to_dict(first)
+
+
+@pytest.mark.parametrize(
+    "change", [{"seed": 12}, {"mode": "selftrain"}], ids=["seed", "mode"]
+)
+def test_resume_refuses_another_round0(cotrain_run, tmp_path, change):
+    records, split, cfg, _, run_dir = cotrain_run
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
+    latest = latest_checkpoint(copy)
+    with pytest.raises(ValueError, match=re.escape(str(latest))):
+        run_cotraining(
+            records, split, replace(cfg, **change), run_dir=copy, resume=True
+        )
+    assert _checkpoint_bytes(copy) == _checkpoint_bytes(run_dir)
 
 
 def test_crash_persists_partial_state(small_data, tmp_path, monkeypatch):
     records, split = small_data
     run_dir = tmp_path / "crash"
+    cfg = CoTrainConfig(mode="cotrain", max_rounds=2, seed=11)
 
     import densecotrain.cotrain as ct
 
@@ -492,13 +567,11 @@ def test_crash_persists_partial_state(small_data, tmp_path, monkeypatch):
 
     monkeypatch.setattr(ct, "generate_pseudo_labels", boom)
     with pytest.raises(RuntimeError, match="injected failure"):
-        run_cotraining(
-            records, split, CoTrainConfig(mode="cotrain", max_rounds=2, seed=11),
-            run_dir=run_dir,
-        )
+        run_cotraining(records, split, cfg, run_dir=run_dir)
     crash = run_dir / "crash_state.json"
     assert crash.is_file()
-    state = load_checkpoint(crash)
+    base = initial_supervised_phase(records, split, cfg)
+    state = load_checkpoint(crash, base)
     assert state.round == 0
 
 

@@ -263,36 +263,36 @@ def test_detection_validates_feature_length():
 
 def test_emit_features_deterministic_by_seed():
     def draw(seed):
-        return emit_features("object", LOCALIZER, np.random.default_rng(seed))
+        return emit_features(LOCALIZER, np.random.default_rng(seed), 1.0)
 
     assert draw(42) == draw(42)
     assert draw(42) != draw(43)
-    with pytest.raises(ValueError):
-        emit_features("thing", LOCALIZER, np.random.default_rng(1))
 
 
-def _feature_sample(profile, label, n, seed, quality=1.0):
+def _feature_sample(profile, quality, n, seed):
     rng = np.random.default_rng(seed)
-    return np.array(
-        [emit_features(label, profile, rng, quality=quality) for _ in range(n)]
-    )
+    return np.array([emit_features(profile, rng, quality) for _ in range(n)])
 
 
 def test_emit_features_zero_separation_no_signal():
-    # an object localized with quality 0 sits on the background's center
-    obj = _feature_sample(LOCALIZER, "object", 2000, 1, quality=0.0)
-    bg = _feature_sample(LOCALIZER, "background", 2000, 2)
-    # midpoint threshold on coordinate 0 is at 0; accuracy should be ~ chance
-    acc = ((obj[:, 0] > 0).mean() + (bg[:, 0] <= 0).mean()) / 2
-    assert 0.45 < acc < 0.55
+    # a quality-0 draw (background) is the profile's rotation of a plain
+    # standard normal draw from the same generator, bit for bit
+    for profile in (LOCALIZER, CONTEXTUAL):
+        c = math.cos(profile.feature_rotation)
+        s = math.sin(profile.feature_rotation)
+        for seed in range(20):
+            x = np.random.default_rng(seed).standard_normal(FEATURE_DIM)
+            x[0], x[1] = c * x[0] - s * x[1], s * x[0] + c * x[1]
+            got = emit_features(profile, np.random.default_rng(seed), 0.0)
+            assert got == tuple(float(v) for v in x)
 
 
 def test_emit_features_midpoint_separation():
     # unit-variance classes DEFAULT_SEPARATION apart: the midpoint rule on
     # coordinate 0 is right with probability Phi(separation / 2); with
     # 5000 draws per class its standard error is about 0.0015
-    obj = _feature_sample(LOCALIZER, "object", 5000, 3)
-    bg = _feature_sample(LOCALIZER, "background", 5000, 4)
+    obj = _feature_sample(LOCALIZER, 1.0, 5000, 3)
+    bg = _feature_sample(LOCALIZER, 0.0, 5000, 4)
     thr = DEFAULT_SEPARATION / 2
     acc = ((obj[:, 0] > thr).mean() + (bg[:, 0] <= thr).mean()) / 2
     expected = 0.5 * (1.0 + math.erf(thr / math.sqrt(2.0)))
@@ -302,8 +302,8 @@ def test_emit_features_midpoint_separation():
 def test_emit_features_two_view_property():
     # a linear rule fit on view A transfers to view B worse than to A,
     # but still above chance
-    tr_obj = _feature_sample(LOCALIZER, "object", 3000, 5)
-    tr_bg = _feature_sample(LOCALIZER, "background", 3000, 6)
+    tr_obj = _feature_sample(LOCALIZER, 1.0, 3000, 5)
+    tr_bg = _feature_sample(LOCALIZER, 0.0, 3000, 6)
     w = tr_obj.mean(axis=0) - tr_bg.mean(axis=0)
     mid = (tr_obj.mean(axis=0) + tr_bg.mean(axis=0)) / 2
 
@@ -312,10 +312,10 @@ def test_emit_features_two_view_property():
             ((obj - mid) @ w > 0).mean() + ((bg - mid) @ w <= 0).mean()
         ) / 2
 
-    te_obj_a = _feature_sample(LOCALIZER, "object", 3000, 7)
-    te_bg_a = _feature_sample(LOCALIZER, "background", 3000, 8)
-    te_obj_b = _feature_sample(CONTEXTUAL, "object", 3000, 9)
-    te_bg_b = _feature_sample(CONTEXTUAL, "background", 3000, 10)
+    te_obj_a = _feature_sample(LOCALIZER, 1.0, 3000, 7)
+    te_bg_a = _feature_sample(LOCALIZER, 0.0, 3000, 8)
+    te_obj_b = _feature_sample(CONTEXTUAL, 1.0, 3000, 9)
+    te_bg_b = _feature_sample(CONTEXTUAL, 0.0, 3000, 10)
     within = acc(te_obj_a, te_bg_a)
     cross = acc(te_obj_b, te_bg_b)
     assert cross < within - 0.01

@@ -1,8 +1,7 @@
-"""Ensemble classifier tests: GBT, RF, SVM, fusion, serialization."""
+"""Ensemble classifier tests: GBT, RF, SVM and fusion."""
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -16,10 +15,10 @@ from densecotrain.ensemble import (
     RfParams,
     SvmParams,
     XgbParams,
+    _grow_cart,
     _grow_gbt_tree,
     _kernel_matrix,
     fuse,
-    train_cart,
     train_gbt,
     train_rf,
     train_svm,
@@ -126,16 +125,17 @@ def test_rf_depth_zero_is_majority_stub():
     assert len(set(probs.tolist())) == 1
 
 
-def test_rf_single_tree_equals_cart():
-    rng = np.random.default_rng(2)
-    X, y = _blobs(rng, 80, 2.0)
-    Xt = rng.standard_normal((100, 16)) + 1.0
-    forest = train_rf(
-        (X, y), RfParams(max_depth=6, n_trees=1), seed=0,
-        bootstrap=False, feature_subsample=False,
-    )
-    cart = train_cart((X, y), max_depth=6)
-    assert np.array_equal(forest.predict_proba(Xt), cart.apply(Xt))
+def test_grow_cart_hand_computed_gini_split():
+    # the cut between x = 1 and x = 2 leaves two pure halves (Gini 0), so
+    # the root splits feature 0 at the midpoint 1.5 into leaves 0 and 1
+    X = np.array([[0.0], [1.0], [2.0], [3.0]])
+    y = np.array([0, 0, 1, 1])
+    tree = _grow_cart(X, y, 3, np.random.default_rng(0), n_sub_features=1)
+    assert tree.feature == [0, -1, -1]
+    assert tree.threshold == [1.5, 0.0, 0.0]
+    assert (tree.left, tree.right) == ([1, -1, -1], [2, -1, -1])
+    assert tree.value == [0.0, 0.0, 1.0]
+    assert tree.apply(X).tolist() == [0.0, 0.0, 1.0, 1.0]
 
 
 def test_rf_probability_discreteness():
@@ -329,26 +329,6 @@ def test_ensemble_predict_on_trained_members():
     labels, conf = ens.predict(Xte)
     assert (labels == yte).mean() >= 0.95
     assert ((conf >= 0.5) & (conf <= 1.0)).all()
-
-
-def test_ensemble_serialization_roundtrip():
-    rng = np.random.default_rng(13)
-    Xtr, ytr = _blobs(rng, 120, 3.0)
-    Xte = rng.standard_normal((60, 16))
-    ens = EnsembleClassifier.train((Xtr, ytr), EnsembleParams(), seed=21)
-    back = EnsembleClassifier.from_dict(json.loads(json.dumps(ens.to_dict())))
-    assert np.array_equal(ens.positive_probability(Xte), back.positive_probability(Xte))
-    assert back.gbt.loss_curve == ens.gbt.loss_curve
-
-
-def test_ensemble_format_version_checked():
-    rng = np.random.default_rng(14)
-    Xtr, ytr = _blobs(rng, 50, 3.0)
-    ens = EnsembleClassifier.train((Xtr, ytr), EnsembleParams(), seed=0)
-    doc = ens.to_dict()
-    doc["format_version"] = 999
-    with pytest.raises(ValueError, match="format_version"):
-        EnsembleClassifier.from_dict(doc)
 
 
 def test_empty_data_rejected():

@@ -1,5 +1,6 @@
 """Source hygiene: every name a module imports is used in that module,
-and every top-level function or class is used somewhere in the package."""
+and every top-level function, class or constant is used somewhere in the
+package."""
 
 import ast
 from pathlib import Path
@@ -18,7 +19,6 @@ ENTRY_POINTS_OUTSIDE_SRC = {
     "fuse",                   # ensemble: the scalar vote of the acceptance gates
     "planted_objective",      # tuner: the planted surrogate of the tuner tests
     "save_predictions",       # cli: writes the predictions file perfbench evaluates
-    "train_cart",             # ensemble: the reference tree of the forest test
 }
 
 
@@ -47,7 +47,11 @@ def _annotations(tree: ast.Module):
 
 
 def _referenced_names(tree: ast.Module) -> set[str]:
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # a name counts when it is read; assigning it is not a use
+    used = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
     # string annotations such as -> "EnsembleClassifier"; other string
     # literals (messages, labels) name nothing
     for annotation in _annotations(tree):
@@ -73,14 +77,27 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name}: imported but never used: {unused}"
 
 
+def _top_level_names(tree: ast.Module):
+    """(line, name) of every module-level function, class and assigned
+    name, dunders such as ``__all__`` left out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not name.id.startswith("__"):
+                        yield node.lineno, name.id
+
+
 def test_every_top_level_definition_is_used():
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
     used = set().union(*(_referenced_names(tree) for tree in trees.values()))
     defined = {
-        (name, node.lineno, node.name)
+        (name, line, def_name)
         for name, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        for line, def_name in _top_level_names(tree)
     }
     unused = sorted(
         f"{name}:{line} {def_name}" for name, line, def_name in defined

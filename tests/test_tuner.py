@@ -15,6 +15,7 @@ from densecotrain.tuner import (
     GeneSpec,
     HyperVector,
     TunerConfig,
+    _perturb_gene,
     crossover,
     mutate,
     normalized_distance,
@@ -106,13 +107,12 @@ def test_mutate_rate_zero_identity():
 
 
 def test_mutate_huge_sigma_clamps_numeric_genes_to_bounds():
-    v = DEFAULT_VECTOR
-    out = mutate(v, rate=1.0, seed=3, sigma_scale=1e9, int_step_max=10**9)
+    rng = np.random.default_rng(3)
     for name in GENE_NAMES:
         spec = SPEC_BY_NAME[name]
         if spec.kind == "categorical":
             continue
-        val = getattr(out, name)
+        val = _perturb_gene(spec, getattr(DEFAULT_VECTOR, name), rng, 1e9, 10**9)
         assert val == spec.low or val == spec.high, f"{name}={val}"
 
 
@@ -138,9 +138,14 @@ def test_crossover_identical_parents():
 
 
 def test_crossover_all_mask_to_a():
+    # child 1 takes a's gene exactly where the seeded fair coin says so
     a, b = random_vector(seed=1), random_vector(seed=2)
-    c1, c2 = crossover(a, b, mask=[True] * len(GENE_NAMES))
-    assert c1 == a and c2 == b
+    for seed in range(50):
+        take_a = np.random.default_rng(seed).random(len(GENE_NAMES)) < 0.5
+        c1, c2 = crossover(a, b, seed=seed)
+        for name, from_a in zip(GENE_NAMES, take_a):
+            assert getattr(c1, name) == getattr(a if from_a else b, name)
+            assert getattr(c2, name) == getattr(b if from_a else a, name)
 
 
 def test_crossover_genes_come_from_parents():

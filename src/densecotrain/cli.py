@@ -230,13 +230,10 @@ def build_dataset(cfg: RunConfig):
         )
     else:
         records = _load_gt_csv(d.csv_path)
-    try:
-        split = select_and_split(
-            records, n_labeled=d.n_labeled, n_unlabeled=d.n_unlabeled,
-            fractions=d.fractions, seed=cfg.seed,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    split = select_and_split(
+        records, n_labeled=d.n_labeled, n_unlabeled=d.n_unlabeled,
+        fractions=d.fractions, seed=cfg.seed,
+    )
     return records_index(records), split
 
 
@@ -270,10 +267,7 @@ def cmd_synth_gen(args) -> int:
         box_h=args.box_h, jitter=args.jitter, overlap_factor=args.overlap,
         seed=args.seed,
     )
-    try:
-        records = generate_synthetic_dataset(args.images, spec, seed=args.seed)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    records = generate_synthetic_dataset(args.images, spec, seed=args.seed)
     csv_path = out_dir / "annotations.csv"
     manifest_path = out_dir / "manifest.json"
     try:
@@ -305,13 +299,10 @@ def _parse_fractions(text: str) -> tuple[float, float, float]:
 def cmd_split(args) -> int:
     records = _load_gt_csv(args.annotations)
     fractions = _parse_fractions(args.fractions)
-    try:
-        split = select_and_split(
-            records, n_labeled=args.n_labeled, n_unlabeled=args.n_unlabeled,
-            fractions=fractions, seed=args.seed,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    split = select_and_split(
+        records, n_labeled=args.n_labeled, n_unlabeled=args.n_unlabeled,
+        fractions=fractions, seed=args.seed,
+    )
     out_dir = _ensure_dir(Path(args.out))
     payload = {
         "seed": args.seed,
@@ -378,10 +369,7 @@ def cmd_cotrain(args) -> int:
         ens, loc, ctx = vector_to_params(v)
         overrides.update(loc_params=loc, ctx_params=ctx, ensemble_params=ens)
     if overrides:
-        try:
-            cfg = replace(cfg, cotrain=replace(cfg.cotrain, **overrides))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        cfg = replace(cfg, cotrain=replace(cfg.cotrain, **overrides))
 
     records, split = build_dataset(cfg)
     run_dir = _ensure_dir(Path(cfg.output_dir))
@@ -412,10 +400,7 @@ def cmd_tune(args) -> int:
     if args.population is not None:
         t_overrides["population"] = args.population
     if t_overrides:
-        try:
-            cfg = replace(cfg, tuner=replace(cfg.tuner, **t_overrides))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        cfg = replace(cfg, tuner=replace(cfg.tuner, **t_overrides))
     records, split = build_dataset(cfg)
     out_dir = _ensure_dir(Path(cfg.output_dir))
     try:
@@ -423,8 +408,6 @@ def cmd_tune(args) -> int:
     except ObjectiveError as exc:
         save_vector(exc.vector, out_dir / "failed_vector.json")
         raise RuntimeFailure(str(exc)) from exc
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     save_vector(rep.best_vector, out_dir / VECTOR_FILENAME)
     write_trace_csv(rep, out_dir / TRACE_FILENAME)
     payload = {
@@ -442,14 +425,8 @@ def cmd_tune(args) -> int:
 
 def cmd_report(args) -> int:
     run_dir = Path(args.run)
-    missing = [
-        name for name in (REPORT_FILENAME,)
-        if not (run_dir / name).is_file()
-    ]
-    if missing:
-        raise IOFailure(
-            f"run dir {run_dir} is missing artifacts: {', '.join(missing)}"
-        )
+    if not (run_dir / REPORT_FILENAME).is_file():
+        raise IOFailure(f"run dir {run_dir} is missing artifacts: {REPORT_FILENAME}")
     try:
         report = load_run_report(run_dir)
     except (ValueError, json.JSONDecodeError) as exc:
@@ -553,10 +530,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (UsageError, ConfigError, AnnotationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except IOFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (IOFailure, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except Exception as exc:  # unexpected failure is a runtime failure

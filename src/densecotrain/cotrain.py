@@ -19,14 +19,19 @@ Rules this module enforces:
 * Retraining is always recomputed from the round-0 supervised skill plus
   the current accepted set, never compounded round over round.
 * The labeled train/val/test sets are never mutated, and the test set is
-  read exactly once per run, after stopping, on the best-validation
-  round's checkpointed state.
+  read exactly once per run, after stopping, with the best-validation
+  round's skills.
+* ``CoTrainState`` is the run's one record: its config, every round's
+  skills, the accepted sets and the history.  Stopping and the
+  best-round restore read it alone, so a resumed run takes the same path
+  as a fresh one.
 * Bit-for-bit reproducible from (config, seed): every RNG consumed here
   is derived from the config seed and a string namespace.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, field, replace
@@ -61,7 +66,7 @@ from .geom import Box, ScoredBox, nms
 from .metrics import EvalReport, match_detections, mean_average_precision
 
 MODES = ("cotrain", "selftrain", "supervised")
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class InfeasibleViewError(ValueError):
@@ -83,23 +88,6 @@ class PseudoLabel:
 
     def to_scored(self) -> ScoredBox:
         return ScoredBox(self.box, self.confidence, self.label)
-
-    def to_dict(self) -> dict:
-        return {
-            "image_id": self.image_id,
-            "box": list(self.box.as_tuple()),
-            "label": self.label,
-            "confidence": self.confidence,
-            "source_view": self.source_view,
-            "round": self.round,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PseudoLabel":
-        return cls(
-            d["image_id"], Box(*d["box"]), int(d["label"]),
-            float(d["confidence"]), d["source_view"], int(d["round"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -146,7 +134,6 @@ class ViewState:
     name: str
     profile: DetectorProfile
     params: DetectorParams
-    base_skill: SkillModel
     skill: SkillModel
     ensemble: EnsembleClassifier | None = None
 
@@ -169,15 +156,20 @@ class RoundRecord:
 
 @dataclass
 class CoTrainState:
+    """The run's one record.  ``skills[r]`` holds both views' skills after
+    round r (entry 0 is the round-0 supervised skills); each view's
+    ``skill`` is the one its detector runs with now."""
+
     round: int
     view_a: ViewState
     view_b: ViewState
+    config: CoTrainConfig
+    skills: list[tuple[SkillModel, SkillModel]]
+    n_base_annotations: int
+    n_base_occluded: int
     accepted_for_a: dict[str, list[PseudoLabel]] = field(default_factory=dict)
     accepted_for_b: dict[str, list[PseudoLabel]] = field(default_factory=dict)
     history: list[RoundRecord] = field(default_factory=list)
-    n_base_annotations: int = 0
-    n_base_occluded: int = 0
-    mode: str = "cotrain"
 
 
 @dataclass
@@ -264,17 +256,16 @@ def merge_views(
 def _evaluate(
     state: CoTrainState,
     records: Sequence[ImageRecord],
-    config: CoTrainConfig,
     namespace: str,
 ) -> tuple[EvalReport, EvalReport, EvalReport]:
     """Reports of view A, view B and their merge on ``records``; each
     view's detections are seeded from (seed, namespace, view name)."""
     gts = {r.image_id: list(r.gts) for r in records}
     da, db = (
-        predict_verified(v, records, derive_seed(config.seed, namespace, v.name))
+        predict_verified(v, records, derive_seed(state.config.seed, namespace, v.name))
         for v in (state.view_a, state.view_b)
     )
-    dc = merge_views(da, db, config.merge_nms_iou)
+    dc = merge_views(da, db, state.config.merge_nms_iou)
     return tuple(mean_average_precision(d, gts) for d in (da, db, dc))
 
 
@@ -282,11 +273,10 @@ def _validation_maps(
     state: CoTrainState,
     records_by_id: Mapping[str, ImageRecord],
     split: DatasetSplit,
-    config: CoTrainConfig,
 ) -> tuple[float, float, float]:
     val_records = [records_by_id[i] for i in split.val]
     return tuple(
-        float(rep.map_coco) for rep in _evaluate(state, val_records, config, "val")
+        float(rep.map_coco) for rep in _evaluate(state, val_records, "val")
     )
 
 
@@ -349,18 +339,15 @@ def initial_supervised_phase(
         ("A", LOCALIZER, config.loc_params), ("B", CONTEXTUAL, config.ctx_params)
     ):
         skill = skill_from_params(params, profile, regime)
-        view = ViewState(name, profile, params, base_skill=skill, skill=skill)
+        view = ViewState(name, profile, params, skill)
         view.ensemble = _train_view_ensemble(view, train_records, config)
         views.append(view)
     state = CoTrainState(
-        0, *views,
+        0, *views, config, [tuple(v.skill for v in views)],
         n_base_annotations=sum(len(r.gts) for r in train_records),
         n_base_occluded=count_occluded(train_records),
-        mode=config.mode,
     )
-    state.history.append(
-        RoundRecord(0, *_validation_maps(state, records_by_id, split, config))
-    )
+    state.history.append(RoundRecord(0, *_validation_maps(state, records_by_id, split)))
     return state
 
 
@@ -423,17 +410,24 @@ def _pool_records(
     return [records_by_id[i] for i in ids]
 
 
+def _sources(mode: str) -> tuple[int, int]:
+    """Per view, the index of the view whose labels it takes: the partner
+    in cotrain mode, else itself.  A swap is its own inverse, so entry i
+    is also the view that takes view i's labels."""
+    return (1, 0) if mode == "cotrain" else (0, 1)
+
+
 def exchange_round(
     state: CoTrainState,
     records_by_id: Mapping[str, ImageRecord],
     split: DatasetSplit,
-    config: CoTrainConfig,
 ) -> CoTrainState:
-    """One iteration: simultaneous pseudo-label generation from both
-    views on the state as-is, exchange per mode, one audit of each view's
-    accepted set (its retrain and the oracle precision of the labels it
-    took both read it), retrain from the round-0 base skills, and record
-    validation mAP."""
+    """One iteration under ``state.config``: simultaneous pseudo-label
+    generation from both views on the state as-is, exchange per mode, one
+    audit of each view's accepted set (its retrain and the oracle precision
+    of the labels it took both read it), retrain from the round-0 skills,
+    and record the skills and validation mAP."""
+    config = state.config
     round_no = state.round + 1
     pool = _pool_records(records_by_id, split, config, round_no)
     views = (state.view_a, state.view_b)
@@ -447,21 +441,19 @@ def exchange_round(
             )
             for v in views
         ]
-    # receiver[i] takes view i's labels and, a swap being its own inverse,
-    # gives view i its labels: the partner in cotrain mode, else i itself
-    receiver = (1, 0) if config.mode == "cotrain" else (0, 1)
+    sources = _sources(config.mode)
     audits = []  # per view, one audit per image of its accepted set
-    for view, acc, r in zip(views, accepted, receiver):
+    for view, base_skill, acc, src in zip(views, state.skills[0], accepted, sources):
         # replace-per-image-per-source: only images with fresh labels change
-        acc.update(_group_by_image(produced[r]))
+        acc.update(_group_by_image(produced[src]))
         pseudo_scored = {
             img: [p.to_scored() for p in group] for img, group in acc.items()
         }
         audits.append(audit_pseudo_labels(
-            pseudo_scored, records_by_id, view.profile, view.base_skill
+            pseudo_scored, records_by_id, view.profile, base_skill
         ))
         view.skill = retrain(
-            view.base_skill, view.profile,
+            base_skill, view.profile,
             state.n_base_annotations, state.n_base_occluded,
             sum(audits[-1].values(), PseudoLabelAudit()), config.retrain_coeff,
         )
@@ -470,12 +462,13 @@ def exchange_round(
     precision = [
         sum(audits[r][img].n_correct for img in _group_by_image(labels)) / len(labels)
         if labels else None
-        for labels, r in zip(produced, receiver)
+        for labels, r in zip(produced, sources)
     ]
     state.round = round_no
+    state.skills.append((state.view_a.skill, state.view_b.skill))
     state.history.append(
         RoundRecord(
-            round_no, *_validation_maps(state, records_by_id, split, config),
+            round_no, *_validation_maps(state, records_by_id, split),
             *(sum(len(v) for v in acc.values()) for acc in accepted), *precision,
         )
     )
@@ -484,26 +477,46 @@ def exchange_round(
 
 # ------------------------------------------------------------ checkpoints
 
+def _fingerprint(config: CoTrainConfig) -> str:
+    """sha256 of the config's sorted-key JSON; ``max_rounds`` is left out
+    so that a resume may run more rounds."""
+    doc = asdict(config)
+    del doc["max_rounds"]
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
+
+
 def save_checkpoint(state: CoTrainState, path: str | Path) -> None:
-    """Write what the exchange rounds change: both skills, both accepted
-    sets and the history.  Round 0's views and ensembles are not stored;
-    ``load_checkpoint`` takes them from a rebuilt round-0 state."""
+    """Write what the exchange rounds change, behind the config's
+    fingerprint: every round's skills, the history and both accepted sets.
+    Round 0's views and ensembles are not stored; ``load_checkpoint``
+    takes them from a rebuilt round-0 state.
+
+    An accepted set names its source view once and holds, per image, the
+    round of its labels and one ``[x1, y1, x2, y2, label, confidence]``
+    row per label (an image's labels share a source and a round)."""
+    views = (state.view_a, state.view_b)
     doc = {
         "checkpoint_version": CHECKPOINT_VERSION,
         "round": state.round,
-        "mode": state.mode,
-        "skill_a": asdict(state.view_a.skill),
-        "skill_b": asdict(state.view_b.skill),
-        "accepted_for_a": {
-            img: [p.to_dict() for p in group]
-            for img, group in state.accepted_for_a.items()
-        },
-        "accepted_for_b": {
-            img: [p.to_dict() for p in group]
-            for img, group in state.accepted_for_b.items()
-        },
+        "config_sha256": _fingerprint(state.config),
+        "skills": [[asdict(a), asdict(b)] for a, b in state.skills],
         "history": [asdict(r) for r in state.history],
     }
+    for key, acc, src in zip(
+        ("accepted_for_a", "accepted_for_b"),
+        (state.accepted_for_a, state.accepted_for_b),
+        _sources(state.config.mode),
+    ):
+        doc[key] = {
+            "source_view": views[src].name,
+            "images": {
+                img: {
+                    "round": group[0].round,
+                    "rows": [[*p.box.as_tuple(), p.label, p.confidence] for p in group],
+                }
+                for img, group in acc.items()
+            },
+        }
     # write beside the target, then rename: a write cut short leaves the
     # previous checkpoint as the latest, never a truncated one
     path = Path(path)
@@ -512,14 +525,25 @@ def save_checkpoint(state: CoTrainState, path: str | Path) -> None:
     os.replace(tmp, path)
 
 
+def _accepted_from_doc(section: dict) -> dict[str, list[PseudoLabel]]:
+    source = section["source_view"]
+    return {
+        img: [
+            PseudoLabel(img, Box(*row[:4]), row[4], row[5], source, entry["round"])
+            for row in entry["rows"]
+        ]
+        for img, entry in section["images"].items()
+    }
+
+
 def load_checkpoint(path: str | Path, base: CoTrainState) -> CoTrainState:
     """``base``, the run's round-0 state rebuilt from its config, moved to
     the checkpoint's round (``base`` itself is left as it was).
 
-    Round 0's validation record depends on the seed, records, split,
-    params and ensembles, so a checkpoint whose mode or first history
-    entry differs from ``base``'s was written by another run and is
-    refused."""
+    A checkpoint whose config fingerprint differs from ``base``'s config
+    was written under other settings; one whose first history entry
+    differs (round 0's validation mAPs, which move with the records and
+    split) was written by another run.  Either is refused."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     version = doc.get("checkpoint_version")
     if version != CHECKPOINT_VERSION:
@@ -528,24 +552,25 @@ def load_checkpoint(path: str | Path, base: CoTrainState) -> CoTrainState:
             f"(this version reads {CHECKPOINT_VERSION})"
         )
     history = [from_dict(RoundRecord, r) for r in doc["history"]]
-    if doc["mode"] != base.mode or history[:1] != base.history[:1]:
+    if (
+        doc["config_sha256"] != _fingerprint(base.config)
+        or history[:1] != base.history[:1]
+    ):
         raise ValueError(
-            f"{path}: written by a run with another round 0 "
-            "(mode, seed, records, split, params or ensemble); cannot resume"
+            f"{path}: written by a run with another config or round 0 "
+            "(config_sha256 or history[0] differs); cannot resume"
         )
+    skills = [
+        (from_dict(SkillModel, a), from_dict(SkillModel, b)) for a, b in doc["skills"]
+    ]
     return replace(
         base,
-        round=int(doc["round"]),
-        view_a=replace(base.view_a, skill=from_dict(SkillModel, doc["skill_a"])),
-        view_b=replace(base.view_b, skill=from_dict(SkillModel, doc["skill_b"])),
-        accepted_for_a={
-            img: [PseudoLabel.from_dict(p) for p in group]
-            for img, group in doc["accepted_for_a"].items()
-        },
-        accepted_for_b={
-            img: [PseudoLabel.from_dict(p) for p in group]
-            for img, group in doc["accepted_for_b"].items()
-        },
+        round=doc["round"],
+        view_a=replace(base.view_a, skill=skills[-1][0]),
+        view_b=replace(base.view_b, skill=skills[-1][1]),
+        skills=skills,
+        accepted_for_a=_accepted_from_doc(doc["accepted_for_a"]),
+        accepted_for_b=_accepted_from_doc(doc["accepted_for_b"]),
         history=history,
     )
 
@@ -555,44 +580,32 @@ def _checkpoint_path(run_dir: Path, round_no: int) -> Path:
 
 
 def latest_checkpoint(run_dir: str | Path) -> Path | None:
+    """The checkpoint of the highest round number in ``run_dir``, if any."""
     run_dir = Path(run_dir)
     if not run_dir.is_dir():
         return None
-    found = sorted(run_dir.glob("checkpoint_round_*.json"))
-    return found[-1] if found else None
+    found = {}
+    for path in run_dir.glob("checkpoint_round_*.json"):
+        round_no = path.stem.removeprefix("checkpoint_round_")
+        if round_no.isdigit():  # a renamed copy such as ..._002_old.json is not one
+            found[int(round_no)] = path
+    return found[max(found)] if found else None
 
 
-def _skills(state: CoTrainState) -> tuple[SkillModel, SkillModel]:
-    """What the best-round restore needs of a round: both views' skills."""
-    return state.view_a.skill, state.view_b.skill
-
-
-class PatienceTracker:
-    """Stopping rule: a round is stagnant when neither view improved its
-    best validation mAP so far by at least epsilon; `patience` stagnant
-    rounds in a row stop the run."""
-
-    def __init__(self, epsilon: float, patience: int,
-                 first_a: float, first_b: float) -> None:
-        self.epsilon = epsilon
-        self.patience = patience
-        self.best_a = first_a
-        self.best_b = first_b
-        self.stagnant = 0
-
-    def update(self, val_a: float, val_b: float) -> None:
-        gain_a = val_a - self.best_a
-        gain_b = val_b - self.best_b
-        if gain_a < self.epsilon and gain_b < self.epsilon:
-            self.stagnant += 1
+def stagnant_rounds(history: Sequence[RoundRecord], epsilon: float) -> int:
+    """The patience count: how many rounds in a row, up to the last, left
+    both views' best validation mAP so far short of a gain of epsilon.
+    A run stops when it reaches ``patience``."""
+    best_a, best_b = history[0].val_map_a, history[0].val_map_b
+    stagnant = 0
+    for rec in history[1:]:
+        if rec.val_map_a - best_a < epsilon and rec.val_map_b - best_b < epsilon:
+            stagnant += 1
         else:
-            self.stagnant = 0
-        self.best_a = max(self.best_a, val_a)
-        self.best_b = max(self.best_b, val_b)
-
-    @property
-    def should_stop(self) -> bool:
-        return self.stagnant >= self.patience
+            stagnant = 0
+        best_a = max(best_a, rec.val_map_a)
+        best_b = max(best_b, rec.val_map_b)
+    return stagnant
 
 
 def run_cotraining(
@@ -607,7 +620,8 @@ def run_cotraining(
     end using the round whose combined validation mAP was best.
 
     With ``resume``, round 0 is rebuilt and the latest checkpoint in
-    ``run_dir`` is loaded onto it; otherwise round 0 is checkpointed."""
+    ``run_dir`` is loaded onto it; otherwise round 0 is checkpointed.
+    Either way the rest of the run reads only the state."""
     rd = Path(run_dir) if run_dir is not None else None
     if rd is not None:
         rd.mkdir(parents=True, exist_ok=True)
@@ -617,25 +631,13 @@ def run_cotraining(
         state = load_checkpoint(ck, state)
     elif rd is not None:
         save_checkpoint(state, _checkpoint_path(rd, 0))
+    last_round = 0 if config.mode == "supervised" else config.max_rounds
     try:
-        skills = {state.round: _skills(state)}
-        tracker = PatienceTracker(
-            config.epsilon, config.patience,
-            state.history[0].val_map_a, state.history[0].val_map_b,
-        )
-        # replay history so a resumed run keeps the same patience state
-        for rec in state.history[1:]:
-            tracker.update(rec.val_map_a, rec.val_map_b)
-        rounds_to_run = (
-            0 if config.mode == "supervised" else config.max_rounds - state.round
-        )
-        for _ in range(max(rounds_to_run, 0)):
-            if tracker.should_stop:
-                break
-            state = exchange_round(state, records_by_id, split, config)
-            rec = state.history[-1]
-            tracker.update(rec.val_map_a, rec.val_map_b)
-            skills[state.round] = _skills(state)
+        while (
+            state.round < last_round
+            and stagnant_rounds(state.history, config.epsilon) < config.patience
+        ):
+            state = exchange_round(state, records_by_id, split)
             if rd is not None:
                 save_checkpoint(state, _checkpoint_path(rd, state.round))
     except Exception:
@@ -648,16 +650,9 @@ def run_cotraining(
     best_round = max(
         state.history, key=lambda r: (r.val_map_combined, -r.round)
     ).round
-    if best_round not in skills:
-        if rd is None:
-            raise RuntimeError(
-                f"no snapshot or checkpoint for best round {best_round}"
-            )
-        ck_state = load_checkpoint(_checkpoint_path(rd, best_round), state)
-        skills[best_round] = _skills(ck_state)
-    state.view_a.skill, state.view_b.skill = skills[best_round]
+    state.view_a.skill, state.view_b.skill = state.skills[best_round]
     test_records = [records_by_id[i] for i in split.test]
-    reports = _evaluate(state, test_records, config, "test")
+    reports = _evaluate(state, test_records, "test")
     return CoTrainResult(state, best_round, *reports)
 
 
@@ -675,7 +670,7 @@ def result_to_dict(result: CoTrainResult) -> dict:
     return {
         "best_round": result.best_round,
         "rounds_completed": result.state.round,
-        "mode": result.state.mode,
+        "mode": result.state.config.mode,
         "history": [asdict(r) for r in result.state.history],
         "report_a": report_to_dict(result.report_a),
         "report_b": report_to_dict(result.report_b),

@@ -18,11 +18,12 @@ def _fmt(v: float) -> str:
     return f"{v:.4f}".rstrip("0").rstrip(".") or "0"
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
+    """Five evenly spaced ticks from lo to hi."""
     if hi <= lo:
         return [lo]
-    step = (hi - lo) / (n - 1)
-    return [lo + i * step for i in range(n)]
+    step = (hi - lo) / 4
+    return [lo + i * step for i in range(5)]
 
 
 def line_plot(

@@ -294,9 +294,10 @@ class _ScoreTracker:
         )
 
 
-def _tournament(pop, scores, rng, k=3) -> HyperVector:
+def _tournament(pop, scores, rng) -> HyperVector:
+    """The best of three draws with replacement."""
     best_i = None
-    for _ in range(k):
+    for _ in range(3):
         i = int(rng.integers(len(pop)))
         if best_i is None or scores[i] > scores[best_i]:
             best_i = i
@@ -455,15 +456,14 @@ def vector_to_params(
 def make_supervised_objective(
     records_by_id: Mapping[str, ImageRecord],
     split: DatasetSplit,
-    base_config: CoTrainConfig | None = None,
+    base_config: CoTrainConfig,
 ) -> Callable[[HyperVector], float]:
     """Objective for tuning: combined validation mAP of the initial
     supervised phase under the candidate's parameters."""
-    base = base_config if base_config is not None else CoTrainConfig()
 
     def objective(v: HyperVector) -> float:
         ens, loc, ctx = vector_to_params(v)
-        cfg = replace(base, loc_params=loc, ctx_params=ctx, ensemble_params=ens)
+        cfg = replace(base_config, loc_params=loc, ctx_params=ctx, ensemble_params=ens)
         try:
             state = initial_supervised_phase(records_by_id, split, cfg)
         except InfeasibleViewError:
@@ -488,7 +488,7 @@ def tune_pipeline(
     records_by_id: Mapping[str, ImageRecord],
     split: DatasetSplit,
     tuner_config: TunerConfig,
-    base_config: CoTrainConfig | None = None,
+    base_config: CoTrainConfig,
 ) -> TuneReport:
     """Tune against the combined validation mAP of the initial supervised
     phase; the best vector is what a full co-training run should use.

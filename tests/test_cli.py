@@ -467,6 +467,21 @@ def test_cotrain_bad_tau_override_exit_2(tmp_path):
     assert run_cli(["cotrain", "--config", cfg_path, "--tau", 7.5]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["cotrain", "--tau", 1.5], "tau_conf"),
+        (["cotrain", "--max-rounds", -1], "max_rounds"),
+        (["tune", "--budget", 0], "budget"),
+        (["tune", "--algorithm", "ga", "--population", 0], "population"),
+    ],
+)
+def test_bad_override_exit_2_names_field(tmp_path, capsys, argv, field):
+    assert run_cli([*argv, "--out", tmp_path / "run"]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_cotrain_midrun_failure_exit_4_with_checkpoint(tmp_path, monkeypatch):
     import densecotrain.cotrain as ct
 

@@ -13,8 +13,7 @@ import pytest
 
 from densecotrain.cotrain import (
     CoTrainConfig,
-    PatienceTracker,
-    PseudoLabel,
+    RoundRecord,
     exchange_round,
     generate_pseudo_labels,
     initial_supervised_phase,
@@ -25,6 +24,7 @@ from densecotrain.cotrain import (
     result_to_dict,
     run_cotraining,
     save_checkpoint,
+    stagnant_rounds,
 )
 from densecotrain.data import (
     DatasetSplit,
@@ -32,7 +32,7 @@ from densecotrain.data import (
     generate_synthetic_dataset,
     select_and_split,
 )
-from densecotrain.detectors import DetectorParams
+from densecotrain.detectors import DetectorParams, RetrainCoefficients
 from densecotrain.geom import ScoredBox, Box
 from densecotrain.metrics import match_detections
 
@@ -223,7 +223,7 @@ def test_exchange_zero_pass_round(small_data):
     cfg = CoTrainConfig(mode="cotrain", tau_conf=1.0, seed=11)
     state = initial_supervised_phase(records, split, cfg)
     skill_a, skill_b = state.view_a.skill, state.view_b.skill
-    state = exchange_round(state, records, split, cfg)
+    state = exchange_round(state, records, split)
     assert state.round == 1
     assert len(state.history) == 2
     assert state.accepted_for_a == {} and state.accepted_for_b == {}
@@ -235,7 +235,7 @@ def test_exchange_selftrain_keeps_own_labels(small_data):
     records, split = small_data
     cfg = CoTrainConfig(mode="selftrain", max_rounds=1, seed=11)
     state = initial_supervised_phase(records, split, cfg)
-    state = exchange_round(state, records, split, cfg)
+    state = exchange_round(state, records, split)
     assert state.accepted_for_a
     for group in state.accepted_for_a.values():
         assert all(p.source_view == "A" for p in group)
@@ -380,24 +380,24 @@ def test_test_set_read_exactly_once(small_data):
     assert all(counting.reads[i] >= 1 for i in split.train)
 
 
+def _history(*val_maps):
+    """Round records whose views score the given (A, B) validation mAPs."""
+    return [RoundRecord(r, a, b, max(a, b)) for r, (a, b) in enumerate(val_maps)]
+
+
 def test_patience_trace_example():
     """Validation mAPs 0.40, 0.41, 0.412, 0.413 with epsilon 0.005 and
     patience 2 stop the run right after the 0.413 round."""
-    tracker = PatienceTracker(0.005, 2, 0.40, 0.40)
-    tracker.update(0.41, 0.41)
-    assert not tracker.should_stop
-    tracker.update(0.412, 0.412)
-    assert not tracker.should_stop
-    tracker.update(0.413, 0.413)
-    assert tracker.should_stop
+    maps = [(m, m) for m in (0.40, 0.41, 0.412, 0.413)]
+    counts = [stagnant_rounds(_history(*maps[:n]), 0.005) for n in range(1, 5)]
+    # a run stops once the count reaches patience 2: only after 0.413
+    assert counts == [0, 0, 1, 2]
 
 
 def test_patience_counter_resets_on_improvement():
-    tracker = PatienceTracker(0.005, 2, 0.40, 0.40)
-    tracker.update(0.401, 0.401)
-    assert tracker.stagnant == 1
-    tracker.update(0.45, 0.40)
-    assert tracker.stagnant == 0
+    maps = [(0.40, 0.40), (0.401, 0.401)]
+    assert stagnant_rounds(_history(*maps), 0.005) == 1
+    assert stagnant_rounds(_history(*maps, (0.45, 0.40)), 0.005) == 0
 
 
 def test_patience_stops_loop(small_data):
@@ -428,9 +428,17 @@ def test_checkpoints_written_per_round(cotrain_run):
         )
         # only what the rounds change: round 0 is rebuilt, never stored
         assert set(doc) == {
-            "checkpoint_version", "round", "mode", "skill_a", "skill_b",
-            "accepted_for_a", "accepted_for_b", "history",
+            "checkpoint_version", "round", "config_sha256", "skills", "history",
+            "accepted_for_a", "accepted_for_b",
         }
+        assert len(doc["skills"]) == len(doc["history"]) == r + 1
+        # one source view per set, one round and label rows per image
+        for key, source in (("accepted_for_a", "B"), ("accepted_for_b", "A")):
+            assert set(doc[key]) == {"source_view", "images"}
+            assert doc[key]["source_view"] == source
+            for entry in doc[key]["images"].values():
+                assert set(entry) == {"round", "rows"}
+                assert all(len(row) == 6 for row in entry["rows"])
     assert not (run_dir / "result.json").exists()
 
 
@@ -444,30 +452,28 @@ def test_checkpoint_roundtrip(cotrain_run, cotrain_base):
     _, _, _, result, run_dir = cotrain_run
     state = load_checkpoint(latest_checkpoint(run_dir), cotrain_base)
     assert state.round == result.state.round
-    assert state.view_a.skill == result.state.view_a.skill
-    assert state.view_b.skill == result.state.view_b.skill
+    assert state.skills == result.state.skills
+    assert (state.view_a.skill, state.view_b.skill) == result.state.skills[-1]
     assert state.history == result.state.history
-    for got, want in (
-        (state.accepted_for_a, result.state.accepted_for_a),
-        (state.accepted_for_b, result.state.accepted_for_b),
-    ):
-        assert {img: [p.to_dict() for p in group] for img, group in got.items()} == {
-            img: [p.to_dict() for p in group] for img, group in want.items()
-        }
+    assert state.accepted_for_a == result.state.accepted_for_a
+    assert state.accepted_for_b == result.state.accepted_for_b
+    assert state.config == cotrain_base.config
     # round 0 comes from the base, which the load leaves as it was
     assert state.view_a.ensemble is cotrain_base.view_a.ensemble
-    assert state.view_a.base_skill == cotrain_base.view_a.skill
+    assert state.skills[0] == cotrain_base.skills[0]
     assert cotrain_base.round == 0 and len(cotrain_base.history) == 1
+    assert len(cotrain_base.skills) == 1
     assert cotrain_base.accepted_for_a == {} and cotrain_base.accepted_for_b == {}
 
 
 def test_checkpoint_rejects_unknown_version(cotrain_run, cotrain_base, tmp_path):
-    # version 1 stored round 0's views and ensembles; any version but the
-    # current one is refused with a message naming the file and the version
+    # version 1 stored round 0's views and ensembles, version 2 one dict per
+    # label; any version but the current one is refused with a message
+    # naming the file and the version
     _, _, _, _, run_dir = cotrain_run
     doc = json.loads((run_dir / "checkpoint_round_001.json").read_text("utf-8"))
     path = tmp_path / "checkpoint_round_001.json"
-    for version in (1, 999):
+    for version in (1, 2, 999):
         path.write_text(
             json.dumps({**doc, "checkpoint_version": version}), encoding="utf-8"
         )
@@ -526,16 +532,43 @@ def test_resume_matches_uninterrupted_run(small_data, tmp_path):
     assert result_to_dict(resumed) == result_to_dict(full)
 
 
-def test_resume_restores_an_earlier_best_round_from_its_checkpoint(
-    small_data, tmp_path
+def test_latest_checkpoint_orders_by_round_number(tmp_path):
+    names = (
+        "checkpoint_round_999.json", "checkpoint_round_1000.json",
+        "checkpoint_round_1000_copy.json",  # no round number: not a checkpoint
+    )
+    for name in names:
+        (tmp_path / name).write_text("{}", encoding="utf-8")
+    assert latest_checkpoint(tmp_path) == tmp_path / "checkpoint_round_1000.json"
+
+
+def test_resume_restores_an_earlier_best_round_from_the_latest_checkpoint(
+    small_data, tmp_path, monkeypatch
 ):
-    # tau 1.0 accepts nothing, so every round ties round 0, which stays the
-    # best; a resume that starts at the last round must read round 0's
-    # skills back from its checkpoint
+    # validation mAPs that fall each round keep round 0 the best while the
+    # exchanged labels move the skills; the test pass must use round 0's
+    # skills, and a resume that starts at the last round must read them
+    # from the latest checkpoint alone
+    import densecotrain.cotrain as ct
+
+    monkeypatch.setattr(
+        ct, "_validation_maps",
+        lambda state, records, split: (0.5 - 0.1 * state.round,) * 3,
+    )
     records, split = small_data
-    cfg = CoTrainConfig(mode="cotrain", tau_conf=1.0, max_rounds=3, seed=11)
+    cfg = CoTrainConfig(mode="cotrain", max_rounds=2, patience=9, seed=11)
     first = run_cotraining(records, split, cfg, run_dir=tmp_path)
     assert first.best_round == 0 < first.state.round
+    assert first.state.skills[0] != first.state.skills[-1]
+    supervised = result_to_dict(
+        run_cotraining(records, split, replace(cfg, max_rounds=0))
+    )
+    for key in ("report_a", "report_b", "report_combined"):
+        assert result_to_dict(first)[key] == supervised[key]
+    latest = latest_checkpoint(tmp_path)
+    for path in tmp_path.glob("checkpoint_round_*.json"):
+        if path != latest:
+            path.unlink()
     again = run_cotraining(records, split, cfg, run_dir=tmp_path, resume=True)
     assert result_to_dict(again) == result_to_dict(first)
 
@@ -553,6 +586,46 @@ def test_resume_refuses_another_round0(cotrain_run, tmp_path, change):
             records, split, replace(cfg, **change), run_dir=copy, resume=True
         )
     assert _checkpoint_bytes(copy) == _checkpoint_bytes(run_dir)
+
+
+def test_resume_refuses_another_record_set(cotrain_run, tmp_path):
+    # same config, other records: only round 0's validation record differs
+    _, _, cfg, _, run_dir = cotrain_run
+    records, split = build_dataset(seed=12)
+    copy = tmp_path / "run"
+    shutil.copytree(run_dir, copy)
+    with pytest.raises(ValueError, match=re.escape(str(latest_checkpoint(copy)))):
+        run_cotraining(records, split, cfg, run_dir=copy, resume=True)
+    assert _checkpoint_bytes(copy) == _checkpoint_bytes(run_dir)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"tau_conf": 0.3},
+        {"pseudo_nms_iou": 0.4},
+        {"unlabeled_subsample": 60},
+        {"retrain_coeff": RetrainCoefficients(recall_transfer=0.6)},
+        {"epsilon": 0.01},
+        {"patience": 3},
+    ],
+    ids=lambda change: next(iter(change)),
+)
+def test_resume_refuses_a_changed_later_round_key(cotrain_run, tmp_path, change):
+    # these keys leave round 0 as it was, so only the config fingerprint
+    # tells the cut run from another; a larger max_rounds is no change
+    records, split, cfg, _, run_dir = cotrain_run
+    cut = tmp_path / "cut"
+    shutil.copytree(run_dir, cut)
+    (cut / "checkpoint_round_002.json").unlink()
+    before = {p.name: p.read_bytes() for p in cut.iterdir()}
+    latest = cut / "checkpoint_round_001.json"
+    with pytest.raises(ValueError, match=re.escape(str(latest))):
+        run_cotraining(
+            records, split, replace(cfg, max_rounds=3, **change),
+            run_dir=cut, resume=True,
+        )
+    assert {p.name: p.read_bytes() for p in cut.iterdir()} == before
 
 
 def test_crash_persists_partial_state(small_data, tmp_path, monkeypatch):
@@ -593,8 +666,3 @@ def test_merge_views_handles_missing_images():
     b_dets = {"y": [ScoredBox(Box(0, 0, 1, 1), 0.6)]}
     merged = merge_views(a_dets, b_dets, 0.5)
     assert set(merged) == {"x", "y"}
-
-
-def test_pseudo_label_dict_roundtrip():
-    p = PseudoLabel("img-1", Box(1, 2, 3, 4), 0, 0.91, "B", 2)
-    assert PseudoLabel.from_dict(p.to_dict()) == p

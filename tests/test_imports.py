@@ -1,6 +1,6 @@
 """Source hygiene: every name a module imports is used in that module,
-and every top-level function, class or constant is used somewhere in the
-package."""
+every top-level function, class or constant is used somewhere in the
+package, and every defaulted parameter is passed by some call in it."""
 
 import ast
 from pathlib import Path
@@ -19,6 +19,16 @@ ENTRY_POINTS_OUTSIDE_SRC = {
     "fuse",                   # ensemble: the scalar vote of the acceptance gates
     "planted_objective",      # tuner: the planted surrogate of the tuner tests
     "save_predictions",       # cli: writes the predictions file perfbench evaluates
+}
+
+
+# Defaulted parameters no call in the package passes, kept because code
+# outside it calls these entry points with other values.
+PARAMETERS_SET_OUTSIDE_SRC = {
+    ("main", "argv"),                 # cli: the tests and the benchmark pass argv
+    ("default_synthetic", "seed"),    # config: the stock experiment of any seed
+    ("average_recall_at", "k"),       # metrics: the AR@k tests pick k
+    ("run_cotraining", "resume"),     # cotrain: the library's resume entry
 }
 
 
@@ -106,3 +116,63 @@ def test_every_top_level_definition_is_used():
     assert not unused, f"defined but never used in src/: {unused}"
     # an allowlisted name that is gone must leave the list too
     assert ENTRY_POINTS_OUTSIDE_SRC <= {def_name for _, _, def_name in defined}
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(line, function, parameter, positional index as callers count it or
+    None for keyword-only) of every parameter with a default; a method's
+    ``self``/``cls`` is not counted."""
+    methods = {
+        id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+        for item in node.body
+    }
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        bound = int(
+            id(node) in methods and bool(positional)
+            and positional[0].arg in ("self", "cls")
+        )
+        first = len(positional) - len(args.defaults)
+        for i, arg in enumerate(positional[first:], first):
+            yield node.lineno, node.name, arg.arg, i - bound
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield node.lineno, node.name, arg.arg, None
+
+
+def _passes(call: ast.Call, parameter: str, index: int | None) -> bool:
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg is None or k.arg == parameter for k in call.keywords):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def test_every_defaulted_parameter_is_passed():
+    """A default no call overrides is a constant in disguise: calls are
+    matched by the called name alone, so any same-named call counts."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in MODULES}
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    defaulted = [
+        (name, line, function, parameter, index)
+        for name, tree in trees.items()
+        for line, function, parameter, index in _defaulted_parameters(tree)
+    ]
+    never = sorted(
+        f"{name}:{line} {function}({parameter})"
+        for name, line, function, parameter, index in defaulted
+        if (function, parameter) not in PARAMETERS_SET_OUTSIDE_SRC
+        and not any(_passes(c, parameter, index) for c in calls.get(function, ()))
+    )
+    assert not never, f"defaulted but never passed in src/: {never}"
+    # an allowlisted parameter that is gone must leave the list too
+    assert PARAMETERS_SET_OUTSIDE_SRC <= {(f, p) for _, _, f, p, _ in defaulted}

@@ -334,7 +334,9 @@ def tiny_data():
 
 def test_tune_pipeline_budget_one(tiny_data):
     records, split = tiny_data
-    rep = tune_pipeline(records, split, TunerConfig(budget=1, population=4, seed=0))
+    rep = tune_pipeline(
+        records, split, TunerConfig(budget=1, population=4, seed=0), CoTrainConfig()
+    )
     assert rep.n_evaluations == 1
     assert len(rep.trace) == 1
     assert rep.best_vector == DEFAULT_VECTOR  # injected default goes first

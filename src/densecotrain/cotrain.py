@@ -36,7 +36,7 @@ import json
 import os
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -536,14 +536,17 @@ def _accepted_from_doc(section: dict) -> dict[str, list[PseudoLabel]]:
     }
 
 
-def load_checkpoint(path: str | Path, base: CoTrainState) -> CoTrainState:
-    """``base``, the run's round-0 state rebuilt from its config, moved to
-    the checkpoint's round (``base`` itself is left as it was).
+def load_checkpoint(
+    path: str | Path, config: CoTrainConfig, round_zero: Callable[[], CoTrainState]
+) -> CoTrainState:
+    """The run's round-0 state, rebuilt by ``round_zero``, moved to the
+    checkpoint's round.
 
-    A checkpoint whose config fingerprint differs from ``base``'s config
-    was written under other settings; one whose first history entry
-    differs (round 0's validation mAPs, which move with the records and
-    split) was written by another run.  Either is refused."""
+    A checkpoint of another version, or whose config fingerprint differs
+    from ``config``'s (written under other settings), is refused before
+    round 0 is rebuilt; one whose first history entry differs from the
+    rebuilt one (round 0's validation mAPs, which move with the records and
+    split) was written by another run and is refused after."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     version = doc.get("checkpoint_version")
     if version != CHECKPOINT_VERSION:
@@ -551,14 +554,17 @@ def load_checkpoint(path: str | Path, base: CoTrainState) -> CoTrainState:
             f"{path}: unsupported checkpoint_version {version!r} "
             f"(this version reads {CHECKPOINT_VERSION})"
         )
-    history = [from_dict(RoundRecord, r) for r in doc["history"]]
-    if (
-        doc["config_sha256"] != _fingerprint(base.config)
-        or history[:1] != base.history[:1]
-    ):
+    if doc["config_sha256"] != _fingerprint(config):
         raise ValueError(
-            f"{path}: written by a run with another config or round 0 "
-            "(config_sha256 or history[0] differs); cannot resume"
+            f"{path}: written by a run with another config "
+            "(config_sha256 differs); cannot resume"
+        )
+    base = round_zero()
+    history = [from_dict(RoundRecord, r) for r in doc["history"]]
+    if history[:1] != base.history[:1]:
+        raise ValueError(
+            f"{path}: written by a run with another round 0 "
+            "(history[0] differs); cannot resume"
         )
     skills = [
         (from_dict(SkillModel, a), from_dict(SkillModel, b)) for a, b in doc["skills"]
@@ -619,18 +625,22 @@ def run_cotraining(
     patience rule fires; the test set is evaluated exactly once at the
     end using the round whose combined validation mAP was best.
 
-    With ``resume``, round 0 is rebuilt and the latest checkpoint in
-    ``run_dir`` is loaded onto it; otherwise round 0 is checkpointed.
+    With ``resume``, the latest checkpoint in ``run_dir`` is checked
+    against the config, then round 0 is rebuilt and the checkpoint loaded
+    onto it; otherwise round 0 is checkpointed.
     Either way the rest of the run reads only the state."""
     rd = Path(run_dir) if run_dir is not None else None
     if rd is not None:
         rd.mkdir(parents=True, exist_ok=True)
-    state = initial_supervised_phase(records_by_id, split, config)
     ck = latest_checkpoint(rd) if resume and rd is not None else None
     if ck is not None:
-        state = load_checkpoint(ck, state)
-    elif rd is not None:
-        save_checkpoint(state, _checkpoint_path(rd, 0))
+        state = load_checkpoint(
+            ck, config, lambda: initial_supervised_phase(records_by_id, split, config)
+        )
+    else:
+        state = initial_supervised_phase(records_by_id, split, config)
+        if rd is not None:
+            save_checkpoint(state, _checkpoint_path(rd, 0))
     last_round = 0 if config.mode == "supervised" else config.max_rounds
     try:
         while (

@@ -10,7 +10,8 @@ Everything is deterministic given (data, params, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -18,6 +19,14 @@ import numpy as np
 MEMBER_NAMES = ("gbt", "rf", "svm")
 SVM_KERNELS = ("linear", "rbf", "poly")
 SVM_ITERATION_BUDGET = 2000
+
+
+def _require_ints(params, *names: str) -> None:
+    # bool is an Integral too, but True is no tree count or depth
+    for name in names:
+        value = getattr(params, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -28,6 +37,7 @@ class XgbParams:
     n_trees: int = 30
 
     def __post_init__(self) -> None:
+        _require_ints(self, "max_depth", "n_trees")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         if self.max_depth < 1:
@@ -44,6 +54,7 @@ class RfParams:
     n_trees: int = 25
 
     def __post_init__(self) -> None:
+        _require_ints(self, "max_depth", "n_trees")
         if self.max_depth < 0:
             raise ValueError("max_depth must be >= 0")
         if self.n_trees < 1:
@@ -76,14 +87,15 @@ def _as_xy(data) -> tuple[np.ndarray, np.ndarray]:
     if not (isinstance(data, tuple) and len(data) == 2):
         raise ValueError("data must be an (X, y) pair")
     X = np.asarray(data[0], dtype=float)
-    y = np.asarray(data[1], dtype=int)
+    y = np.asarray(data[1])
     if X.ndim != 2 or len(X) != len(y) or len(X) == 0:
         raise ValueError("data must be a nonempty (X, y) pair of matching length")
     if not np.isfinite(X).all():
         raise ValueError("features must be finite")
+    # on the values given: a cast first would turn 0.4 into a 0 label
     if not np.isin(y, (0, 1)).all():
         raise ValueError("labels must be 0 or 1")
-    return X, y
+    return X, y.astype(int)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -92,93 +104,157 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 # ---------------------------------------------------------------- trees
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class _Tree:
-    """Flat node arrays; feature == -1 marks a leaf with the given value."""
+    """Flat node arrays in depth-first preorder; feature == -1 marks a
+    leaf with the given value."""
 
-    feature: list[int] = field(default_factory=list)
-    threshold: list[float] = field(default_factory=list)
-    left: list[int] = field(default_factory=list)
-    right: list[int] = field(default_factory=list)
-    value: list[float] = field(default_factory=list)
-
-    def add_leaf(self, v: float) -> int:
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(float(v))
-        return len(self.feature) - 1
-
-    def add_split(self, f: int, thr: float) -> int:
-        self.feature.append(int(f))
-        self.threshold.append(float(thr))
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(0.0)
-        return len(self.feature) - 1
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        feat = np.asarray(self.feature)
-        thr = np.asarray(self.threshold)
-        left = np.asarray(self.left)
-        right = np.asarray(self.right)
-        val = np.asarray(self.value)
         idx = np.zeros(len(X), dtype=int)
         while True:
-            internal = feat[idx] >= 0
+            internal = self.feature[idx] >= 0
             if not internal.any():
                 break
             rows = np.nonzero(internal)[0]
             cur = idx[rows]
-            go_left = X[rows, feat[cur]] <= thr[cur]
-            idx[rows] = np.where(go_left, left[cur], right[cur])
-        return val[idx]
+            go_left = X[rows, self.feature[cur]] <= self.threshold[cur]
+            idx[rows] = np.where(go_left, self.left[cur], self.right[cur])
+        return self.value[idx]
+
+
+class _TreeBuilder:
+    """A tree's node columns, filled in depth-first preorder."""
+
+    def __init__(self) -> None:
+        self.feature: list[int] = []
+        self.threshold: list[float] = []
+        self.left: list[int] = []
+        self.right: list[int] = []
+        self.value: list[float] = []
+
+    def add(self, link, feature: int, threshold: float, value: float) -> int:
+        """Append a node (feature -1 for a leaf) and point its parent at it:
+        ``link`` is ``(self.left or self.right, parent)``, None for the root."""
+        node = len(self.feature)
+        self.feature.append(int(feature))
+        self.threshold.append(float(threshold))
+        self.left.append(-1)
+        self.right.append(-1)
+        self.value.append(float(value))
+        if link is not None:
+            side, parent = link
+            side[parent] = node
+        return node
+
+    def build(self) -> _Tree:
+        return _Tree(
+            np.array(self.feature), np.array(self.threshold), np.array(self.left),
+            np.array(self.right), np.array(self.value),
+        )
+
+
+def _sorted_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort every feature once: ``(XT, rows)``, both (d, n), ``XT`` the
+    features by row and ``rows[f]`` the row ids in the stable order of
+    feature f.
+
+    The trees grow on blocks of such rows. A node's block holds, for each
+    feature, the node's rows in that feature's order, and its children
+    filter it by the split mask, so no node sorts. Node row sets are
+    increasing subsets of ``arange(n)``, so ties stay ordered by row id,
+    exactly as a stable argsort of the node's own rows orders them (exact
+    greedy search on presorted column blocks: Chen & Guestrin, "XGBoost: A
+    Scalable Tree Boosting System", KDD 2016, section 4.1)."""
+    XT = np.ascontiguousarray(X.T)
+    return XT, np.argsort(XT, axis=1, kind="stable")
+
+
+# node-block cells a boosting node scores per pass: 64 KiB per float
+# temporary, so that the pass works in cache
+_CHUNK_CELLS = 8192
+
+
+def _filter_block(rows: np.ndarray, sel: np.ndarray, m: int) -> np.ndarray:
+    """The m entries per feature of a block that the flat mask ``sel``
+    keeps; each feature's order is kept."""
+    return np.compress(sel, rows).reshape(len(rows), m)
 
 
 def _grow_gbt_tree(
-    X: np.ndarray, g: np.ndarray, h: np.ndarray, max_depth: int, lam: float
-) -> _Tree:
-    tree = _Tree()
+    columns: tuple[np.ndarray, np.ndarray], g: np.ndarray, h: np.ndarray,
+    max_depth: int, lam: float,
+) -> tuple[_Tree, np.ndarray]:
+    """Grow one boosting tree on ``_sorted_columns`` output.
 
-    def leaf_weight(idx: np.ndarray) -> float:
-        return -g[idx].sum() / (h[idx].sum() + lam + 1e-12)
-
-    def grow(idx: np.ndarray, depth: int) -> int:
+    Returns the tree and, per row, the value of the leaf the row reached,
+    which equals ``tree.apply(X)``."""
+    XT, rows0 = columns
+    d, n = rows0.shape
+    tree = _TreeBuilder()
+    reached = np.zeros(n)
+    go_left = np.zeros(n, dtype=bool)
+    # pending nodes, left on top: (link, the node's rows in increasing
+    # order, its block or None where the depth makes it a leaf, depth). A
+    # stack, not a recursive nested function: that would hold itself, and
+    # the arrays it sees, in a reference cycle until a garbage collection.
+    stack = [(None, np.arange(n), rows0, 0)]
+    while stack:
+        link, idx, rows, depth = stack.pop()
         G, H = g[idx].sum(), h[idx].sum()
-        if depth >= max_depth or len(idx) < 2:
-            return tree.add_leaf(leaf_weight(idx))
-        parent = G * G / (H + lam + 1e-12)
-        best_gain = 0.0
         best = None
-        for f in range(X.shape[1]):
-            xs = X[idx, f]
-            order = np.argsort(xs, kind="stable")
-            xv = xs[order]
-            if xv[0] == xv[-1]:
-                continue
-            gv = np.cumsum(g[idx][order])[:-1]
-            hv = np.cumsum(h[idx][order])[:-1]
-            valid = xv[1:] != xv[:-1]
-            gl = gv * gv / (hv + lam + 1e-12)
-            gr = (G - gv) ** 2 / (H - hv + lam + 1e-12)
-            gain = 0.5 * (gl + gr - parent)
-            gain[~valid] = -np.inf
-            k = int(np.argmax(gain))
-            if gain[k] > best_gain + 1e-12:
-                best_gain = float(gain[k])
-                best = (f, (xv[k] + xv[k + 1]) / 2.0)
+        if depth < max_depth and len(idx) >= 2:
+            parent = G * G / (H + lam + 1e-12)
+            # the features a cache-sized chunk at a time, all of a chunk's
+            # columns at once: prefix sums along each sorted column, every
+            # cut's gain, each column's best cut
+            ks: list[int] = []
+            tops: list[float] = []
+            step = max(1, _CHUNK_CELLS // len(idx))
+            for lo in range(0, d, step):
+                block = rows[lo:lo + step]
+                vals = np.take_along_axis(XT[lo:lo + step], block, axis=1)
+                gv = np.cumsum(g[block[:, :-1]], axis=1)
+                hv = np.cumsum(h[block[:, :-1]], axis=1)
+                gl = gv * gv / (hv + lam + 1e-12)
+                gr = (G - gv) ** 2 / (H - hv + lam + 1e-12)
+                gain = 0.5 * (gl + gr - parent)
+                gain[vals[:, 1:] == vals[:, :-1]] = -np.inf
+                k = gain.argmax(axis=1)
+                ks += k.tolist()
+                tops += gain[np.arange(len(block)), k].tolist()
+            # in feature order, a later feature must beat the best by 1e-12;
+            # a constant column has no valid cut, so its best gain is -inf
+            best_gain = 0.0
+            for f, top in enumerate(tops):
+                if top > best_gain + 1e-12:
+                    best_gain = top
+                    best = f
         if best is None:
-            return tree.add_leaf(leaf_weight(idx))
-        f, thr = best
-        node = tree.add_split(f, thr)
-        mask = X[idx, f] <= thr
-        tree.left[node] = grow(idx[mask], depth + 1)
-        tree.right[node] = grow(idx[~mask], depth + 1)
-        return node
-
-    grow(np.arange(len(X)), 0)
-    return tree
+            w = -G / (H + lam + 1e-12)
+            reached[idx] = w
+            tree.add(link, -1, 0.0, w)
+            continue
+        k = ks[best]
+        vals = XT[best, rows[best]]
+        thr = (vals[k] + vals[k + 1]) / 2.0
+        node = tree.add(link, best, thr, 0.0)
+        go_left[rows[best]] = vals <= thr
+        mask = go_left[idx]
+        left, right = idx[mask], idx[~mask]
+        lrows = rrows = None
+        if depth + 1 < max_depth:
+            sel = go_left[rows].ravel()
+            lrows = _filter_block(rows, sel, len(left))
+            rrows = _filter_block(rows, ~sel, len(right))
+        stack.append(((tree.right, node), right, rrows, depth + 1))
+        stack.append(((tree.left, node), left, lrows, depth + 1))
+    return tree.build(), reached
 
 
 def _logistic_loss(margins: np.ndarray, y: np.ndarray) -> float:
@@ -225,77 +301,91 @@ def train_gbt(data, params: XgbParams, seed: int = 0) -> GradientBoostedTrees:
     base = math.log(p0 / (1.0 - p0))
     margins = np.full(len(y), base)
     loss_curve = [_logistic_loss(margins, y)]
+    columns = _sorted_columns(X)
     trees: list[_Tree] = []
     for _ in range(params.n_trees):
         p = _sigmoid(margins)
         g = p - y
         h = p * (1.0 - p)
-        tree = _grow_gbt_tree(X, g, h, params.max_depth, params.l2_reg)
+        tree, reached = _grow_gbt_tree(columns, g, h, params.max_depth, params.l2_reg)
         trees.append(tree)
-        margins = margins + params.learning_rate * tree.apply(X)
+        margins = margins + params.learning_rate * reached
         loss_curve.append(_logistic_loss(margins, y))
     return GradientBoostedTrees(params, base, trees, loss_curve)
 
 
 def _grow_cart(
-    X: np.ndarray, y: np.ndarray, max_depth: int,
+    columns: tuple[np.ndarray, np.ndarray], y: np.ndarray, max_depth: int,
     rng: np.random.Generator, n_sub_features: int,
 ) -> _Tree:
-    tree = _Tree()
+    """Grow one Gini tree on ``_sorted_columns`` output, drawing each
+    split's feature subset in depth-first preorder."""
+    XT, rows0 = columns
+    d, n = rows0.shape
+    tree = _TreeBuilder()
+    go_left = np.zeros(n, dtype=bool)
+    # counts as floats: the same values, without an int-to-float cast in
+    # every impurity operation
+    y_float = y.astype(float)
 
-    def majority(idx: np.ndarray) -> int:
-        ones = int(y[idx].sum())
-        zeros = len(idx) - ones
-        return 1 if ones > zeros else 0
+    def stops(m: int, ones: int, depth: int) -> bool:
+        return depth >= max_depth or m < 2 or ones == 0 or ones == m
 
-    def gini_split(idx: np.ndarray, feats: np.ndarray):
-        n = len(idx)
-        best = None  # (impurity, f, thr)
-        for f in feats:
-            xs = X[idx, f]
-            order = np.argsort(xs, kind="stable")
-            xv = xs[order]
-            if xv[0] == xv[-1]:
-                continue
-            ones = np.cumsum(y[idx][order])[:-1]
-            nl = np.arange(1, n)
-            nr = n - nl
-            or_ = int(y[idx].sum()) - ones
-            pl = ones / nl
-            pr = or_ / nr
-            imp = (nl * (2 * pl * (1 - pl)) + nr * (2 * pr * (1 - pr))) / n
-            valid = xv[1:] != xv[:-1]
-            imp = np.where(valid, imp, np.inf)
-            k = int(np.argmin(imp))
-            if math.isinf(imp[k]):
-                continue
-            if best is None or imp[k] < best[0] - 1e-12:
-                best = (float(imp[k]), int(f), (xv[k] + xv[k + 1]) / 2.0)
-        return best
-
-    def grow(idx: np.ndarray, depth: int) -> int:
-        ones = int(y[idx].sum())
-        if depth >= max_depth or len(idx) < 2 or ones == 0 or ones == len(idx):
-            return tree.add_leaf(majority(idx))
-        n_feat = X.shape[1]
-        if n_sub_features < n_feat:
-            feats = np.sort(rng.choice(n_feat, n_sub_features, replace=False))
-        else:
-            feats = np.arange(n_feat)
-        p1 = ones / len(idx)
-        parent_imp = 2 * p1 * (1 - p1)
-        best = gini_split(idx, feats)
-        if best is None or best[0] >= parent_imp - 1e-12:
-            return tree.add_leaf(majority(idx))
-        _, f, thr = best
-        node = tree.add_split(f, thr)
-        mask = X[idx, f] <= thr
-        tree.left[node] = grow(idx[mask], depth + 1)
-        tree.right[node] = grow(idx[~mask], depth + 1)
-        return node
-
-    grow(np.arange(len(X)), 0)
-    return tree
+    # pending nodes, left on top: (link, block, positives, depth); a node
+    # the stopping rule makes a leaf is only counted, so one column of its
+    # rows stands in for its block
+    stack = [(None, rows0, int(y.sum()), 0)]
+    while stack:
+        link, rows, ones, depth = stack.pop()
+        m = rows.shape[1]
+        best = None  # (impurity, position in feats)
+        if not stops(m, ones, depth):
+            if n_sub_features < d:
+                feats = np.sort(rng.choice(d, n_sub_features, replace=False))
+            else:
+                feats = np.arange(d)
+            p1 = ones / m
+            parent_imp = 2 * p1 * (1 - p1)
+            # the drawn features at once: prefix counts along each sorted
+            # column, every cut's impurity, each column's best cut
+            frows = rows[feats]
+            fvals = XT[feats[:, None], frows]
+            left_ones = np.cumsum(y_float[frows[:, :-1]], axis=1)
+            nl = np.arange(1.0, m)
+            nr = m - nl
+            pl = left_ones / nl
+            pr = (ones - left_ones) / nr
+            imp = (nl * (2 * pl * (1 - pl)) + nr * (2 * pr * (1 - pr))) / m
+            imp[fvals[:, 1:] == fvals[:, :-1]] = np.inf
+            ks = imp.argmin(axis=1)
+            # in feature order, a later feature must beat the best by 1e-12;
+            # a constant column has no valid cut, so its best impurity is inf
+            for j, top in enumerate(imp[np.arange(len(feats)), ks].tolist()):
+                if not math.isinf(top) and (best is None or top < best[0] - 1e-12):
+                    best = (top, j)
+            if best is not None and best[0] >= parent_imp - 1e-12:
+                best = None
+        if best is None:
+            tree.add(link, -1, 0.0, 1 if ones > m - ones else 0)
+            continue
+        j = best[1]
+        k = ks[j]
+        thr = (fvals[j, k] + fvals[j, k + 1]) / 2.0
+        node = tree.add(link, feats[j], thr, 0.0)
+        go = fvals[j] <= thr
+        go_left[frows[j]] = go
+        sel = go_left[rows].ravel()
+        children = []
+        for side, child, keep in ((tree.left, frows[j][go], sel),
+                                  (tree.right, frows[j][~go], ~sel)):
+            child_ones = int(y[child].sum())
+            if stops(len(child), child_ones, depth + 1):
+                block = child[None, :]
+            else:
+                block = _filter_block(rows, keep, len(child))
+            children.append(((side, node), block, child_ones, depth + 1))
+        stack += reversed(children)
+    return tree.build()
 
 
 class RandomForest:
@@ -322,11 +412,24 @@ def train_rf(data, params: RfParams, seed: int = 0) -> RandomForest:
     each split among sqrt(d) random features."""
     X, y = _as_xy(data)
     rng = np.random.default_rng(seed)
+    n = len(X)
     n_sub = max(1, int(math.sqrt(X.shape[1])))
+    XT, rows = _sorted_columns(X)
+    # each value's rank among the distinct values of its feature: a sample
+    # sorts by the unique integer key (rank, position in the sample), which
+    # is its stable sort, with no float sort per tree
+    sorted_vals = np.take_along_axis(XT, rows, axis=1)
+    sorted_rank = np.zeros_like(rows)
+    np.cumsum(sorted_vals[:, 1:] != sorted_vals[:, :-1], axis=1, out=sorted_rank[:, 1:])
+    rank = np.empty_like(rows)
+    np.put_along_axis(rank, rows, sorted_rank, axis=1)
     trees = []
     for _ in range(params.n_trees):
-        idx = rng.integers(0, len(X), len(X))
-        trees.append(_grow_cart(X[idx], y[idx], params.max_depth, rng, n_sub))
+        idx = rng.integers(0, n, n)
+        key = rank[:, idx] * n + np.arange(n)
+        key.sort(axis=1)
+        columns = (XT[:, idx], key % n)
+        trees.append(_grow_cart(columns, y[idx], params.max_depth, rng, n_sub))
     return RandomForest(trees)
 
 

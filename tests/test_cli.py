@@ -441,6 +441,12 @@ def test_cotrain_config_unknown_key_exit_2(tmp_path, capsys, extra, key):
         ({"ensemble_train_cap": -5}, "ensemble_train_cap"),
         ({"ensemble_train_cap": 1}, "ensemble_train_cap"),  # one class at most
         ({"unlabeled_subsample": -1}, "unlabeled_subsample"),
+        # tree counts and depths are integers, and a bool is none
+        ({"ensemble_params": {"xgb": {"n_trees": 2.5}}}, "n_trees"),
+        ({"ensemble_params": {"rf": {"n_trees": 2.5}}}, "n_trees"),
+        ({"ensemble_params": {"xgb": {"max_depth": 2.5}}}, "max_depth"),
+        ({"ensemble_params": {"rf": {"max_depth": 1.5}}}, "max_depth"),
+        ({"ensemble_params": {"rf": {"max_depth": True}}}, "max_depth"),
     ],
 )
 def test_cotrain_config_bad_value_exit_2_before_running(

@@ -442,6 +442,10 @@ def test_checkpoints_written_per_round(cotrain_run):
     assert not (run_dir / "result.json").exists()
 
 
+def _load_onto(path, base):
+    return load_checkpoint(path, base.config, lambda: base)
+
+
 def _checkpoint_bytes(run_dir):
     return {
         p.name: p.read_bytes() for p in sorted(run_dir.glob("checkpoint_round_*.json"))
@@ -450,7 +454,7 @@ def _checkpoint_bytes(run_dir):
 
 def test_checkpoint_roundtrip(cotrain_run, cotrain_base):
     _, _, _, result, run_dir = cotrain_run
-    state = load_checkpoint(latest_checkpoint(run_dir), cotrain_base)
+    state = _load_onto(latest_checkpoint(run_dir), cotrain_base)
     assert state.round == result.state.round
     assert state.skills == result.state.skills
     assert (state.view_a.skill, state.view_b.skill) == result.state.skills[-1]
@@ -481,7 +485,7 @@ def test_checkpoint_rejects_unknown_version(cotrain_run, cotrain_base, tmp_path)
             ValueError,
             match=rf"checkpoint_round_001\.json.*checkpoint_version {version}\b",
         ):
-            load_checkpoint(path, cotrain_base)
+            _load_onto(path, cotrain_base)
 
 
 def test_checkpoint_write_cut_short_keeps_previous_latest(
@@ -489,7 +493,7 @@ def test_checkpoint_write_cut_short_keeps_previous_latest(
 ):
     _, _, _, result, run_dir = cotrain_run
     source = run_dir / "checkpoint_round_001.json"
-    state = load_checkpoint(source, cotrain_base)
+    state = _load_onto(source, cotrain_base)
     save_checkpoint(state, tmp_path / "checkpoint_round_001.json")
     assert (tmp_path / "checkpoint_round_001.json").read_bytes() == source.read_bytes()
 
@@ -504,7 +508,7 @@ def test_checkpoint_write_cut_short_keeps_previous_latest(
     assert (tmp_path / "checkpoint_round_002.json.tmp").is_file()
     latest = latest_checkpoint(tmp_path)
     assert latest == tmp_path / "checkpoint_round_001.json"
-    assert load_checkpoint(latest, cotrain_base).round == 1
+    assert _load_onto(latest, cotrain_base).round == 1
 
 
 def test_resume_matches_uninterrupted_run(small_data, tmp_path):
@@ -611,9 +615,18 @@ def test_resume_refuses_another_record_set(cotrain_run, tmp_path):
     ],
     ids=lambda change: next(iter(change)),
 )
-def test_resume_refuses_a_changed_later_round_key(cotrain_run, tmp_path, change):
+def test_resume_refuses_a_changed_later_round_key(
+    cotrain_run, tmp_path, monkeypatch, change
+):
     # these keys leave round 0 as it was, so only the config fingerprint
-    # tells the cut run from another; a larger max_rounds is no change
+    # tells the cut run from another; a larger max_rounds is no change.
+    # The fingerprint is checked before round 0 is rebuilt.
+    import densecotrain.cotrain as ct
+
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("round 0 rebuilt for a refused checkpoint")
+
+    monkeypatch.setattr(ct, "initial_supervised_phase", rebuilt)
     records, split, cfg, _, run_dir = cotrain_run
     cut = tmp_path / "cut"
     shutil.copytree(run_dir, cut)
@@ -643,8 +656,9 @@ def test_crash_persists_partial_state(small_data, tmp_path, monkeypatch):
         run_cotraining(records, split, cfg, run_dir=run_dir)
     crash = run_dir / "crash_state.json"
     assert crash.is_file()
-    base = initial_supervised_phase(records, split, cfg)
-    state = load_checkpoint(crash, base)
+    state = load_checkpoint(
+        crash, cfg, lambda: initial_supervised_phase(records, split, cfg)
+    )
     assert state.round == 0
 
 

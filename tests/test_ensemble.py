@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from densecotrain.ensemble import (
@@ -18,6 +19,9 @@ from densecotrain.ensemble import (
     _grow_cart,
     _grow_gbt_tree,
     _kernel_matrix,
+    _logistic_loss,
+    _sigmoid,
+    _sorted_columns,
     fuse,
     train_gbt,
     train_rf,
@@ -48,6 +52,13 @@ def test_param_validation():
     with pytest.raises(ValueError):
         RfParams(n_trees=0)
     RfParams(max_depth=0)
+    # tree counts and depths are integers: not 2.5, not 3.0, not a bool
+    for cls in (XgbParams, RfParams):
+        for key in ("max_depth", "n_trees"):
+            for bad in (2.5, 3.0, True):
+                with pytest.raises(ValueError, match=f"{key} must be an integer"):
+                    cls(**{key: bad})
+            assert getattr(cls(**{key: np.int64(3)}), key) == 3
     with pytest.raises(ValueError):
         SvmParams(c=0)
     with pytest.raises(ValueError):
@@ -59,15 +70,18 @@ def test_param_validation():
 def test_gbt_leaf_weight_example():
     # leaves grown by the booster hold -G / (H + l2_reg) of their rows
     X = np.zeros((2, 1))
-    leaf = _grow_gbt_tree(X, np.array([1.0, 1.0]), np.array([2.0, 2.0]), 0, 1.0)
+    g, h = np.array([1.0, 1.0]), np.array([2.0, 2.0])
+    leaf, reached = _grow_gbt_tree(_sorted_columns(X), g, h, 0, 1.0)
     assert leaf.apply(X) == pytest.approx([-0.4, -0.4])
+    assert reached.tolist() == leaf.apply(X).tolist()
     # the best stump splits at 1.5: -(-2) / (2 + 1) left, -2 / (2 + 1) right
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     g = np.array([-1.0, -1.0, 1.0, 1.0])
     h = np.array([0.5, 1.5, 1.0, 1.0])
-    tree = _grow_gbt_tree(X, g, h, 1, 1.0)
+    tree, reached = _grow_gbt_tree(_sorted_columns(X), g, h, 1, 1.0)
     assert (tree.feature[0], tree.threshold[0]) == (0, 1.5)
     assert tree.apply(X) == pytest.approx([2 / 3, 2 / 3, -2 / 3, -2 / 3])
+    assert reached.tolist() == tree.apply(X).tolist()
 
 
 def test_gbt_zero_trees_predicts_prior():
@@ -130,11 +144,12 @@ def test_grow_cart_hand_computed_gini_split():
     # the root splits feature 0 at the midpoint 1.5 into leaves 0 and 1
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0, 0, 1, 1])
-    tree = _grow_cart(X, y, 3, np.random.default_rng(0), n_sub_features=1)
-    assert tree.feature == [0, -1, -1]
-    assert tree.threshold == [1.5, 0.0, 0.0]
-    assert (tree.left, tree.right) == ([1, -1, -1], [2, -1, -1])
-    assert tree.value == [0.0, 0.0, 1.0]
+    columns = _sorted_columns(X)
+    tree = _grow_cart(columns, y, 3, np.random.default_rng(0), n_sub_features=1)
+    assert tree.feature.tolist() == [0, -1, -1]
+    assert tree.threshold.tolist() == [1.5, 0.0, 0.0]
+    assert (tree.left.tolist(), tree.right.tolist()) == ([1, -1, -1], [2, -1, -1])
+    assert tree.value.tolist() == [0.0, 0.0, 1.0]
     assert tree.apply(X).tolist() == [0.0, 0.0, 1.0, 1.0]
 
 
@@ -346,6 +361,19 @@ def test_data_must_be_an_xy_pair():
         train_svm((np.zeros((3, 2)), np.array([0, 1])), SvmParams(), 0)
 
 
+def test_non_binary_labels_rejected_before_any_cast():
+    # cast first, 0.4 and 0.9 would become 0 labels and train silently
+    X = np.arange(8.0).reshape(4, 2)
+    y = [0.4, 1, 0.9, 0]
+    for train, params in ((train_gbt, XgbParams()), (train_rf, RfParams()),
+                          (train_svm, SvmParams())):
+        with pytest.raises(ValueError, match="0 or 1"):
+            train((X, y), params, 0)
+    # bools and integral floats are labels
+    for labels in ([False, True, True, False], [0.0, 1.0, 1.0, 0.0]):
+        assert len(train_rf((X, labels), RfParams(n_trees=1), 0).trees) == 1
+
+
 def test_gbt_handles_constant_features():
     X = np.zeros((20, 4))
     X[:10, 0] = 1.0
@@ -353,3 +381,284 @@ def test_gbt_handles_constant_features():
     m = train_gbt((X, y), XgbParams(n_trees=5, max_depth=2), 0)
     assert (m.predict(X) == y).all()
     assert math.isfinite(m.base_score)
+
+
+# ------------------------------------------------ reference tree growers
+# The growers as they were before growth ran on presorted column blocks:
+# every node argsorts its own rows, one feature at a time. The presorted
+# growers must build the same trees, bit for bit.
+
+@dataclass
+class _RefTree:
+    """The list-built tree the reference growers return."""
+
+    feature: list[int] = field(default_factory=list)
+    threshold: list[float] = field(default_factory=list)
+    left: list[int] = field(default_factory=list)
+    right: list[int] = field(default_factory=list)
+    value: list[float] = field(default_factory=list)
+
+    def add_leaf(self, v: float) -> int:
+        self.feature.append(-1)
+        self.threshold.append(0.0)
+        self.left.append(-1)
+        self.right.append(-1)
+        self.value.append(float(v))
+        return len(self.feature) - 1
+
+    def add_split(self, f: int, thr: float) -> int:
+        self.feature.append(int(f))
+        self.threshold.append(float(thr))
+        self.left.append(-1)
+        self.right.append(-1)
+        self.value.append(0.0)
+        return len(self.feature) - 1
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        feat = np.asarray(self.feature)
+        thr = np.asarray(self.threshold)
+        left = np.asarray(self.left)
+        right = np.asarray(self.right)
+        val = np.asarray(self.value)
+        idx = np.zeros(len(X), dtype=int)
+        while True:
+            internal = feat[idx] >= 0
+            if not internal.any():
+                break
+            rows = np.nonzero(internal)[0]
+            cur = idx[rows]
+            go_left = X[rows, feat[cur]] <= thr[cur]
+            idx[rows] = np.where(go_left, left[cur], right[cur])
+        return val[idx]
+
+
+
+def _ref_grow_gbt_tree(
+    X: np.ndarray, g: np.ndarray, h: np.ndarray, max_depth: int, lam: float
+) -> _RefTree:
+    tree = _RefTree()
+
+    def leaf_weight(idx: np.ndarray) -> float:
+        return -g[idx].sum() / (h[idx].sum() + lam + 1e-12)
+
+    def grow(idx: np.ndarray, depth: int) -> int:
+        G, H = g[idx].sum(), h[idx].sum()
+        if depth >= max_depth or len(idx) < 2:
+            return tree.add_leaf(leaf_weight(idx))
+        parent = G * G / (H + lam + 1e-12)
+        best_gain = 0.0
+        best = None
+        for f in range(X.shape[1]):
+            xs = X[idx, f]
+            order = np.argsort(xs, kind="stable")
+            xv = xs[order]
+            if xv[0] == xv[-1]:
+                continue
+            gv = np.cumsum(g[idx][order])[:-1]
+            hv = np.cumsum(h[idx][order])[:-1]
+            valid = xv[1:] != xv[:-1]
+            gl = gv * gv / (hv + lam + 1e-12)
+            gr = (G - gv) ** 2 / (H - hv + lam + 1e-12)
+            gain = 0.5 * (gl + gr - parent)
+            gain[~valid] = -np.inf
+            k = int(np.argmax(gain))
+            if gain[k] > best_gain + 1e-12:
+                best_gain = float(gain[k])
+                best = (f, (xv[k] + xv[k + 1]) / 2.0)
+        if best is None:
+            return tree.add_leaf(leaf_weight(idx))
+        f, thr = best
+        node = tree.add_split(f, thr)
+        mask = X[idx, f] <= thr
+        tree.left[node] = grow(idx[mask], depth + 1)
+        tree.right[node] = grow(idx[~mask], depth + 1)
+        return node
+
+    grow(np.arange(len(X)), 0)
+    return tree
+
+
+
+def _ref_grow_cart(
+    X: np.ndarray, y: np.ndarray, max_depth: int,
+    rng: np.random.Generator, n_sub_features: int,
+) -> _RefTree:
+    tree = _RefTree()
+
+    def majority(idx: np.ndarray) -> int:
+        ones = int(y[idx].sum())
+        zeros = len(idx) - ones
+        return 1 if ones > zeros else 0
+
+    def gini_split(idx: np.ndarray, feats: np.ndarray):
+        n = len(idx)
+        best = None  # (impurity, f, thr)
+        for f in feats:
+            xs = X[idx, f]
+            order = np.argsort(xs, kind="stable")
+            xv = xs[order]
+            if xv[0] == xv[-1]:
+                continue
+            ones = np.cumsum(y[idx][order])[:-1]
+            nl = np.arange(1, n)
+            nr = n - nl
+            or_ = int(y[idx].sum()) - ones
+            pl = ones / nl
+            pr = or_ / nr
+            imp = (nl * (2 * pl * (1 - pl)) + nr * (2 * pr * (1 - pr))) / n
+            valid = xv[1:] != xv[:-1]
+            imp = np.where(valid, imp, np.inf)
+            k = int(np.argmin(imp))
+            if math.isinf(imp[k]):
+                continue
+            if best is None or imp[k] < best[0] - 1e-12:
+                best = (float(imp[k]), int(f), (xv[k] + xv[k + 1]) / 2.0)
+        return best
+
+    def grow(idx: np.ndarray, depth: int) -> int:
+        ones = int(y[idx].sum())
+        if depth >= max_depth or len(idx) < 2 or ones == 0 or ones == len(idx):
+            return tree.add_leaf(majority(idx))
+        n_feat = X.shape[1]
+        if n_sub_features < n_feat:
+            feats = np.sort(rng.choice(n_feat, n_sub_features, replace=False))
+        else:
+            feats = np.arange(n_feat)
+        p1 = ones / len(idx)
+        parent_imp = 2 * p1 * (1 - p1)
+        best = gini_split(idx, feats)
+        if best is None or best[0] >= parent_imp - 1e-12:
+            return tree.add_leaf(majority(idx))
+        _, f, thr = best
+        node = tree.add_split(f, thr)
+        mask = X[idx, f] <= thr
+        tree.left[node] = grow(idx[mask], depth + 1)
+        tree.right[node] = grow(idx[~mask], depth + 1)
+        return node
+
+    grow(np.arange(len(X)), 0)
+    return tree
+
+
+
+def _ref_train_gbt(X, y, params):
+    """train_gbt's boosting loop on the reference grower."""
+    p0 = int(y.sum()) / len(y)
+    margins = np.full(len(y), math.log(p0 / (1.0 - p0)))
+    loss_curve = [_logistic_loss(margins, y)]
+    trees = []
+    for _ in range(params.n_trees):
+        p = _sigmoid(margins)
+        g = p - y
+        h = p * (1.0 - p)
+        tree = _ref_grow_gbt_tree(X, g, h, params.max_depth, params.l2_reg)
+        trees.append(tree)
+        margins = margins + params.learning_rate * tree.apply(X)
+        loss_curve.append(_logistic_loss(margins, y))
+    return trees, loss_curve
+
+
+def _ref_train_rf(X, y, params, seed):
+    """train_rf's bagging loop on the reference grower."""
+    rng = np.random.default_rng(seed)
+    n_sub = max(1, int(math.sqrt(X.shape[1])))
+    trees = []
+    for _ in range(params.n_trees):
+        idx = rng.integers(0, len(X), len(X))
+        trees.append(_ref_grow_cart(X[idx], y[idx], params.max_depth, rng, n_sub))
+    return trees
+
+
+def _same_tree(ref, tree):
+    for name in ("feature", "threshold", "left", "right", "value"):
+        assert getattr(ref, name) == getattr(tree, name).tolist(), name
+
+
+# ties, adjacent floats (the midpoint of 1 + 2**-52 and 1 + 2**-51 rounds
+# up to the larger, so a cut there sends every row left) and wide values
+TREE_VALUES = st.one_of(
+    st.sampled_from((0.0, -0.0, 1.0, 1.0 + 2.0**-52, 1.0 + 2.0**-51, 2.0, -3.5)),
+    st.floats(-1e6, 1e6, allow_nan=False),
+)
+
+
+@st.composite
+def tree_data(draw):
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 5))
+    cols = []
+    for _ in range(d):
+        kind = draw(st.sampled_from(("any", "constant", "few", "grid")))
+        if kind == "constant":
+            cols.append([draw(TREE_VALUES)] * n)
+        elif kind == "grid":
+            # small integers: cuts of equal impurity on different features
+            grid = st.integers(0, 5).map(float)
+            cols.append(draw(st.lists(grid, min_size=n, max_size=n)))
+        elif kind == "few":
+            pool = draw(st.lists(TREE_VALUES, min_size=1, max_size=3))
+            cols.append(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+        else:
+            cols.append(draw(st.lists(TREE_VALUES, min_size=n, max_size=n)))
+    X = np.array(cols, dtype=float).T.reshape(n, d)
+    # duplicated rows, as a bootstrap sample has them
+    dup = draw(st.lists(st.integers(0, n - 1), max_size=n))
+    X = np.vstack([X, X[dup]]) if dup else X
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=len(X), max_size=len(X))))
+    return X, y
+
+
+@settings(max_examples=200, deadline=None)
+@example((np.array([[1.0, 2.0]]), np.array([1])), 3, 1.0, 0)
+@example((np.array([[1.0], [1.0 + 2.0**-52]]), np.array([0, 1])), 0, 1.0, 0)
+@example((np.array([[1.0, 5.0], [0.0, 5.0]]), np.array([0, 1])), 3, 0.0, 0)
+@given(
+    tree_data(), st.sampled_from((0, 1, 2, 3, 8)), st.sampled_from((0.0, 1.0)),
+    st.integers(0, 2**32 - 1),
+)
+def test_presorted_growers_match_reference(data, max_depth, lam, seed):
+    X, y = data
+    columns = _sorted_columns(X)
+    for f in range(X.shape[1]):
+        assert columns[1][f].tolist() == np.argsort(X[:, f], kind="stable").tolist()
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal(len(X))
+    h = rng.uniform(0.01, 0.25, len(X))
+    tree, reached = _grow_gbt_tree(columns, g, h, max_depth, lam)
+    ref = _ref_grow_gbt_tree(X, g, h, max_depth, lam)
+    _same_tree(ref, tree)
+    assert reached.tolist() == ref.apply(X).tolist() == tree.apply(X).tolist()
+    for n_sub in {1, X.shape[1]}:
+        tree = _grow_cart(columns, y, max_depth, np.random.default_rng(seed), n_sub)
+        ref = _ref_grow_cart(X, y, max_depth, np.random.default_rng(seed), n_sub)
+        _same_tree(ref, tree)
+
+
+def test_grow_cart_keeps_the_earlier_feature_on_a_rounding_tie():
+    # cutting either feature at 0.5 leaves 3 rows left and 7 right, with
+    # class shares p and 1 - p swapped, so the two Gini impurities agree in
+    # exact arithmetic; rounding puts feature 1's below feature 0's by less
+    # than 1e-12, and the earlier feature keeps the root
+    X = np.array([[0, 2], [3, 3], [0, 0], [1, 3], [0, 1],
+                  [3, 1], [2, 0], [2, 3], [3, 0], [2, 3]], dtype=float)
+    y = np.array([1, 0, 0, 1, 0, 0, 1, 1, 1, 0])
+    tree = _grow_cart(_sorted_columns(X), y, 8, np.random.default_rng(1), 2)
+    assert (tree.feature[0], tree.threshold[0]) == (0, 0.5)
+    _same_tree(_ref_grow_cart(X, y, 8, np.random.default_rng(1), 2), tree)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree_data(), st.sampled_from((1, 2, 3)), st.integers(0, 2**32 - 1))
+def test_presorted_training_matches_reference(data, max_depth, seed):
+    X, y = data
+    rf = RfParams(max_depth=max_depth + 5, n_trees=3)
+    ref_trees = _ref_train_rf(X, y, rf, seed)
+    for ref, tree in zip(ref_trees, train_rf((X, y), rf, seed).trees):
+        _same_tree(ref, tree)
+    if 0 < y.sum() < len(y):
+        xgb = XgbParams(max_depth=max_depth, n_trees=4, learning_rate=0.3)
+        model = train_gbt((X, y), xgb, seed)
+        ref_trees, ref_curve = _ref_train_gbt(X, y, xgb)
+        assert model.loss_curve == ref_curve
+        for ref, tree in zip(ref_trees, model.trees):
+            _same_tree(ref, tree)

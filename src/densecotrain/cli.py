@@ -151,9 +151,11 @@ def load_predictions(path: str | Path) -> dict[str, list[ScoredBox]]:
             try:
                 box = Box(float(d["x1"]), float(d["y1"]),
                           float(d["x2"]), float(d["y2"]))
-                dets.append(
-                    ScoredBox(box, float(d["score"]), int(d.get("label", 0)))
-                )
+                label = d.get("label", 0)
+                # a JSON integer only: int() would take 1.7 as 1 and true as 1
+                if isinstance(label, bool) or not isinstance(label, int):
+                    raise ValueError(f"label must be an integer, got {label!r}")
+                dets.append(ScoredBox(box, float(d["score"]), label))
             except (KeyError, TypeError, ValueError) as exc:
                 raise UsageError(
                     f"predictions line {line_no}, detection {j}: {exc}"

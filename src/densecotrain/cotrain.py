@@ -46,8 +46,9 @@ from .detectors import (
     CONTEXTUAL,
     DEFAULT_CONTEXTUAL_PARAMS,
     DEFAULT_LOCALIZER_PARAMS,
+    FEATURE_DIM,
     LOCALIZER,
-    Detection,
+    Detections,
     DetectorParams,
     DetectorProfile,
     PseudoLabelAudit,
@@ -62,7 +63,7 @@ from .detectors import (
     skill_from_params,
 )
 from .ensemble import EnsembleClassifier, EnsembleParams
-from .geom import Box, ScoredBox, nms
+from .geom import Box, ScoredBox, nms, nms_keep
 from .metrics import EvalReport, match_detections, mean_average_precision
 
 MODES = ("cotrain", "selftrain", "supervised")
@@ -194,7 +195,7 @@ def _detect_view(
     view: ViewState,
     records: Sequence[ImageRecord],
     seed: int,
-) -> dict[str, list[Detection]]:
+) -> dict[str, Detections]:
     return {
         rec.image_id: detect(rec, view.skill, view.params, view.profile, seed)
         for rec in records
@@ -202,33 +203,31 @@ def _detect_view(
 
 
 def _stacked_features(
-    dets_by_image: Mapping[str, list[Detection]]
+    dets_by_image: Mapping[str, Detections]
 ) -> tuple[list[str], np.ndarray]:
     """Image ids in sorted order, and every detection's feature vector
     stacked in that order (rows follow each image's detection order)."""
     order = sorted(dets_by_image)
-    feats = [d.features for img in order for d in dets_by_image[img]]
-    return order, np.asarray(feats)
+    feats = [dets_by_image[img].features for img in order]
+    return order, np.concatenate(feats) if feats else np.empty((0, FEATURE_DIM))
 
 
 def _verified_scores(
-    view: ViewState, dets_by_image: Mapping[str, list[Detection]]
+    view: ViewState, dets_by_image: Mapping[str, Detections]
 ) -> dict[str, list[ScoredBox]]:
     """Final prediction rule: detector score times the ensemble's fused
     object probability (keeps both stages' information in the ranking)."""
     if not view.trained:
         raise ValueError(f"view {view.name} has no trained ensemble")
     order, X = _stacked_features(dets_by_image)
-    p_obj = view.ensemble.positive_probability(X).tolist() if len(X) else []
+    p_obj = view.ensemble.positive_probability(X) if len(X) else np.empty(0)
     out: dict[str, list[ScoredBox]] = {}
-    k = 0
+    end = 0
     for img in order:
-        row = []
-        for d in dets_by_image[img]:
-            s = d.scored.score * p_obj[k]
-            row.append(ScoredBox(d.scored.box, min(max(s, 0.0), 1.0), d.scored.label))
-            k += 1
-        out[img] = row
+        dets = dets_by_image[img]
+        start, end = end, end + len(dets)
+        s = np.minimum(np.maximum(dets.scores * p_obj[start:end], 0.0), 1.0)
+        out[img] = replace(dets, scores=s).scored()
     return out
 
 
@@ -290,15 +289,13 @@ def _train_view_ensemble(
     dets = _detect_view(
         view, train_records, derive_seed(config.seed, "ens-train", view.name)
     )
-    feats: list[tuple[float, ...]] = []
-    targets: list[int] = []
+    feats: list[np.ndarray] = []
+    targets: list[bool] = []
     for rec in train_records:
         row = dets[rec.image_id]
-        mr = match_detections([d.scored for d in row], list(rec.gts), 0.5)
-        for d, tp in zip(row, mr.det_is_tp):
-            feats.append(d.features)
-            targets.append(1 if tp else 0)
-    if not feats:
+        feats.append(row.features)
+        targets += match_detections(row.scored(), list(rec.gts), 0.5).det_is_tp
+    if not targets:
         raise InfeasibleViewError(
             f"view {view.name}: no detections on the labeled train set; "
             "cannot fit the verification ensemble"
@@ -310,8 +307,8 @@ def _train_view_ensemble(
                 "correct" if targets[0] else "incorrect"
             )
         )
-    X = np.asarray(feats)
-    y = np.asarray(targets)
+    X = np.concatenate(feats)
+    y = np.asarray(targets, dtype=int)
     if len(X) > config.ensemble_train_cap:
         rng = np.random.default_rng(derive_seed(config.seed, "cap", view.name))
         keep = rng.choice(len(X), config.ensemble_train_cap, replace=False)
@@ -372,18 +369,21 @@ def generate_pseudo_labels(
         return []
     labels, conf = view.ensemble.predict(X)
     # the ensemble calls it an object, confidently enough
-    kept = ((labels == 1) & (conf >= tau_conf)).tolist()
-    rows = iter(zip(kept, conf.tolist()))
+    kept = (labels == 1) & (conf >= tau_conf)
     out: list[PseudoLabel] = []
+    end = 0
     for img in order:
-        candidates = [
-            ScoredBox(d.scored.box, c, d.scored.label)
-            for d, (keep, c) in zip(dets[img], rows) if keep
-        ]
-        for sb in nms(candidates, nms_iou):
-            out.append(
-                PseudoLabel(img, sb.box, sb.label, sb.score, view.name, round_no)
+        d = dets[img]
+        start, end = end, end + len(d)
+        c = conf[start:end]
+        rows = np.flatnonzero(kept[start:end])
+        keep = rows[nms_keep(d.boxes[rows], c[rows], d.labels[rows], nms_iou)]
+        out += [
+            PseudoLabel(img, Box(*box), label, score, view.name, round_no)
+            for box, label, score in zip(
+                d.boxes[keep].tolist(), d.labels[keep].tolist(), c[keep].tolist()
             )
+        ]
     return out
 
 

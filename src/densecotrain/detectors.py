@@ -11,7 +11,8 @@ Design notes that matter for correctness:
   is what makes a view's own pseudo-labels uninformative to itself while
   the partner view's labels genuinely cover new boxes.  Aggregated over
   many boxes the hash values are uniform, so detection counts still
-  follow the Binomial(n, recall) law.
+  follow the Binomial(n, recall) law.  The hashes of an image are
+  computed once per process and kept as a read-only array.
 * Training effort follows a saturating curve in EP and LR with a
   log-Gaussian bump around a profile-specific optimum, scaled mildly by
   batch size, so every hyperparameter moves detection quality.
@@ -28,13 +29,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from hashlib import blake2s
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .data import ImageRecord
-from .geom import Box, ScoredBox, iou, nms
+from .geom import Box, ScoredBox, iou_pairs, nms_keep
 from .metrics import match_detections
 
 BATCH_MENU: tuple[int, ...] = (4, 8, 16, 32)
@@ -156,8 +158,12 @@ class SkillModel:
         if self.occlusion_penalty < 0 or self.jitter_sigma < 0 or self.fp_rate < 0:
             raise ValueError("occlusion_penalty, jitter_sigma, fp_rate must be >= 0")
 
-    def effective_recall(self, occlusion: float) -> float:
-        return min(max(self.base_recall - self.occlusion_penalty * occlusion, 0.0), 1.0)
+    def effective_recall(self, occlusion: float | np.ndarray) -> float | np.ndarray:
+        """Recall on a box of the given occlusion level (or on each of an
+        array of them), clamped to [0, 1]."""
+        return np.minimum(
+            np.maximum(self.base_recall - self.occlusion_penalty * occlusion, 0.0), 1.0
+        )
 
 
 @dataclass(frozen=True)
@@ -175,6 +181,35 @@ class Detection:
             )
         if not all(math.isfinite(v) for v in self.features):
             raise ValueError("feature vector must be finite")
+
+
+@dataclass(frozen=True, eq=False)
+class Detections:
+    """One image's detections as columns, row i being one detection:
+    ``boxes[n, 4]`` corners (x1, y1, x2, y2), ``scores[n]``, integer
+    ``labels[n]`` and ``features[n, FEATURE_DIM]``."""
+
+    boxes: np.ndarray
+    scores: np.ndarray
+    labels: np.ndarray
+    features: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    def scored(self) -> list[ScoredBox]:
+        """The rows as scored boxes of Python floats and ints, in row order."""
+        return [
+            ScoredBox(Box(*box), score, label)
+            for box, score, label in zip(
+                self.boxes.tolist(), self.scores.tolist(), self.labels.tolist()
+            )
+        ]
+
+    def __iter__(self) -> Iterator[Detection]:
+        """The rows as ``Detection`` objects, built on demand."""
+        for sb, feats in zip(self.scored(), self.features.tolist()):
+            yield Detection(sb, tuple(feats))
 
 
 def training_effort(params: DetectorParams, profile: DetectorProfile) -> float:
@@ -240,6 +275,18 @@ def detection_hash(profile_name: str, image_id: str, gt_index: int) -> float:
     return int.from_bytes(h, "big") / 2.0**64
 
 
+@lru_cache(maxsize=1 << 14)
+def _difficulty(profile_name: str, image_id: str, n_gts: int) -> np.ndarray:
+    """``detection_hash`` of each of an image's GTs, as a read-only array.
+    The hashes depend on nothing else, so every detection and audit of the
+    image shares one array."""
+    out = np.array(
+        [detection_hash(profile_name, image_id, i) for i in range(n_gts)], dtype=float
+    )
+    out.flags.writeable = False
+    return out
+
+
 def derive_seed(*parts: object) -> int:
     """Stable 64-bit seed from string-able parts (for per-call RNG)."""
     key = "|".join(str(p) for p in parts).encode()
@@ -257,13 +304,21 @@ def emit_features(
     origin; the profile's rotation in the (0, 1) plane makes the two
     views' feature spaces distinct while unit covariance is preserved.
     """
-    x = rng.standard_normal(FEATURE_DIM)
-    x[0] += DEFAULT_SEPARATION * min(max(quality, 0.0), 1.0)
+    x = _place_features(profile, rng.standard_normal((1, FEATURE_DIM)), quality)
+    return tuple(x[0].tolist())
+
+
+def _place_features(
+    profile: DetectorProfile, x: np.ndarray, quality: float | np.ndarray
+) -> np.ndarray:
+    """``emit_features``'s placement of standard normal rows
+    ``x[n, FEATURE_DIM]`` (changed in place) for each row's quality."""
+    x[:, 0] += DEFAULT_SEPARATION * np.minimum(np.maximum(quality, 0.0), 1.0)
     c, s = math.cos(profile.feature_rotation), math.sin(profile.feature_rotation)
-    x0, x1 = x[0], x[1]
-    x[0] = c * x0 - s * x1
-    x[1] = s * x0 + c * x1
-    return tuple(float(v) for v in x)
+    x0, x1 = x[:, 0].copy(), x[:, 1].copy()
+    x[:, 0] = c * x0 - s * x1
+    x[:, 1] = s * x0 + c * x1
+    return x
 
 
 def _fp_box(
@@ -280,62 +335,101 @@ def _fp_box(
     return Box(x1, y1, x1 + w, y1 + h)
 
 
+def _emitted_rows(
+    record: ImageRecord,
+    gt_boxes: np.ndarray,
+    found: np.ndarray,
+    sigma: float,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Jittered boxes of the emitted GTs ``found``, in order, and their
+    draws, taken from ``rng`` as one call per emitted GT would take them.
+
+    Each emitted GT uses 4 jitter normals (none when ``sigma`` is 0), then
+    1 score-noise and ``FEATURE_DIM`` feature normals, unless jitter made
+    its box degenerate: then it is dropped and used only its jitter
+    normals.  So all GTs' normals come from one draw, read in blocks that
+    restart after each dropped GT; the generator is then rewound to just
+    past the normals used.  Returns the kept GT indices, their boxes and
+    their ``(m, 1 + FEATURE_DIM)`` score-noise and feature normals.
+    """
+    jit = 4 if sigma > 0 else 0
+    width = jit + 1 + FEATURE_DIM
+    if not len(found):
+        return found, np.empty((0, 4)), np.empty((0, width - jit))
+    limit = np.array([record.width, record.height] * 2, dtype=float)
+    state = rng.bit_generator.state
+    z = rng.standard_normal(width * len(found))
+    idx, boxes, draws = [], [], []
+    pos = start = 0
+    while start < len(found):
+        block = z[pos:pos + width * (len(found) - start)].reshape(-1, width)
+        jitter = 0.0 + sigma * block[:, :4] if jit else 0.0
+        b = np.minimum(np.maximum(gt_boxes[found[start:]] + jitter, 0.0), limit)
+        bad = np.flatnonzero((b[:, 2] <= b[:, 0]) | (b[:, 3] <= b[:, 1]))
+        n_ok = int(bad[0]) if len(bad) else len(b)
+        idx.append(found[start:start + n_ok])
+        boxes.append(b[:n_ok])
+        draws.append(block[:n_ok, jit:])
+        pos += width * n_ok + (jit if len(bad) else 0)
+        start += n_ok + (1 if len(bad) else 0)
+    if pos < len(z):
+        rng.bit_generator.state = state
+        rng.standard_normal(pos)
+    return np.concatenate(idx), np.concatenate(boxes), np.concatenate(draws)
+
+
 def detect(
     record: ImageRecord,
     skill: SkillModel,
     params: DetectorParams,
     profile: DetectorProfile,
     seed: int,
-) -> list[Detection]:
-    """Run one synthetic view over one image.
+) -> Detections:
+    """Run one synthetic view over one image; one row per detection.
 
     Each GT is emitted iff its persistent difficulty draw falls below the
     box's effective recall; emitted boxes are corner-jittered, scored by
     achieved IoU plus bounded noise, joined by Poisson false positives,
     then filtered at CT and passed through NMS at the view's IoU setting.
-    Deterministic given (record, skill, params, profile, seed).
+    Rows come in NMS kept order (descending score).
+    Deterministic given (record, skill, params, profile, seed): the
+    emitted GTs' normals come from one draw, false positives draw one at a
+    time after them.
     """
     rng = np.random.default_rng(derive_seed("detect", profile.name, seed, record.image_id))
-    raw: list[Detection] = []
-    for i, g in enumerate(record.gts):
-        eff = skill.effective_recall(record.occlusion[i])
-        if detection_hash(profile.name, record.image_id, i) >= eff:
-            continue
-        if skill.jitter_sigma > 0:
-            dx1, dy1, dx2, dy2 = rng.normal(0.0, skill.jitter_sigma, 4).tolist()
-        else:
-            dx1 = dy1 = dx2 = dy2 = 0.0
-        x1 = min(max(g.box.x1 + dx1, 0.0), record.width)
-        y1 = min(max(g.box.y1 + dy1, 0.0), record.height)
-        x2 = min(max(g.box.x2 + dx2, 0.0), record.width)
-        y2 = min(max(g.box.y2 + dy2, 0.0), record.height)
-        if x2 <= x1 or y2 <= y1:
-            continue
-        box = Box(x1, y1, x2, y2)
-        q = iou(box, g.box)
-        score = SCORE_BASE + SCORE_SLOPE * q + rng.normal(0.0, SCORE_NOISE)
-        score = min(max(score, 0.0), 1.0)
-        feats = emit_features(profile, rng, q)
-        raw.append(Detection(ScoredBox(box, score, g.label), feats))
+    gts = record.gts
+    gt_boxes = np.array([g.box.as_tuple() for g in gts], dtype=float).reshape(-1, 4)
+    eff = skill.effective_recall(np.asarray(record.occlusion, dtype=float))
+    found = np.flatnonzero(_difficulty(profile.name, record.image_id, len(gts)) < eff)
+    idx, boxes, draws = _emitted_rows(record, gt_boxes, found, skill.jitter_sigma, rng)
+    q = iou_pairs(boxes, gt_boxes[idx])
+    raw = (SCORE_BASE + SCORE_SLOPE * q) + (0.0 + SCORE_NOISE * draws[:, 0])
+    scores = np.minimum(np.maximum(raw, 0.0), 1.0)
+    feats = _place_features(profile, draws[:, 1:], q)
+    labels = np.array([g.label for g in gts], dtype=np.int64)[idx]
     if skill.fp_rate > 0:
-        if record.gts:
-            mean_w = float(np.mean([g.box.width for g in record.gts]))
-            mean_h = float(np.mean([g.box.height for g in record.gts]))
+        if gts:
+            mean_w = float(np.mean(gt_boxes[:, 2] - gt_boxes[:, 0]))
+            mean_h = float(np.mean(gt_boxes[:, 3] - gt_boxes[:, 1]))
         else:
             mean_w, mean_h = record.width / 8.0, record.height / 8.0
+        fps = []
         for _ in range(rng.poisson(skill.fp_rate)):
             fb = _fp_box(rng, record, mean_w, mean_h)
             if fb is None:
                 continue
             score = float(rng.beta(FP_SCORE_ALPHA, FP_SCORE_BETA))
-            feats = emit_features(profile, rng, 0.0)
-            raw.append(Detection(ScoredBox(fb, score, 0), feats))
-    kept_scored = nms(
-        [d.scored for d in raw if d.scored.score >= params.confidence_threshold],
-        params.nms_iou,
-    )
-    by_id = {id(d.scored): d for d in raw}
-    return [by_id[id(sb)] for sb in kept_scored]
+            fps.append((fb.as_tuple(), score, emit_features(profile, rng, 0.0)))
+        if fps:
+            fp_boxes, fp_scores, fp_feats = zip(*fps)
+            boxes = np.concatenate([boxes, fp_boxes])
+            scores = np.concatenate([scores, fp_scores])
+            feats = np.concatenate([feats, fp_feats])
+            labels = np.concatenate([labels, np.zeros(len(fps), dtype=np.int64)])
+    cand = np.flatnonzero(scores >= params.confidence_threshold)
+    keep = cand[nms_keep(boxes[cand], scores[cand], labels[cand], params.nms_iou)]
+    return Detections(boxes[keep], scores[keep], labels[keep], feats[keep])
 
 
 @dataclass(frozen=True)
@@ -388,19 +482,20 @@ def audit_pseudo_labels(
             continue
         rec = records_by_id[image_id]
         occ = rec.occlusion
+        missed = (  # the GTs the receiver's own detector misses
+            _difficulty(receiver_profile.name, image_id, len(occ))
+            >= receiver_skill.effective_recall(np.asarray(occ, dtype=float))
+        ).tolist()
         mr = match_detections(list(labels), list(rec.gts), AUDIT_MATCH_IOU)
         n_corr = n_wrong = n_novel = n_novel_occ = n_prec = 0
-        for k, (is_tp, gt_idx, miou) in enumerate(
-            zip(mr.det_is_tp, mr.det_matched_gt, mr.det_match_iou)
-        ):
+        for is_tp, gt_idx, miou in zip(mr.det_is_tp, mr.det_matched_gt, mr.det_match_iou):
             if not is_tp:
                 n_wrong += 1
                 continue
             n_corr += 1
             if miou >= AUDIT_PRECISE_IOU:
                 n_prec += 1
-            eff = receiver_skill.effective_recall(occ[gt_idx])
-            if detection_hash(receiver_profile.name, image_id, gt_idx) >= eff:
+            if missed[gt_idx]:
                 n_novel += 1
                 if occ[gt_idx] >= AUDIT_OCCLUSION_MIN:
                     n_novel_occ += 1

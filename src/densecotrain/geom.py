@@ -5,13 +5,16 @@ Conventions (fixed so every metric and filter above this layer is exact):
 * Boxes are continuous corner coordinates ``(x1, y1, x2, y2)`` with the
   origin at the top-left, ``x1 < x2`` and ``y1 < y2``.  Area is
   ``(x2 - x1) * (y2 - y1)`` with no pixel correction.
-* ``iou_matrix`` is the kernel every batch of boxes goes through (NMS,
-  matching, occlusion levels).  It runs the same float operations in the
-  same order as the scalar ``iou``, so each entry is bit-identical to it;
-  ``iou`` stays for single pairs and as the reference in tests.
+* ``iou_pairs`` is the kernel every batch of boxes goes through (NMS,
+  matching, occlusion levels, a detector's jittered boxes against their
+  sources): pairs of corner rows, broadcast, so ``iou_matrix`` is one
+  call of it.  It runs the same float operations in the same order as
+  the scalar ``iou``, so each entry is bit-identical to it; ``iou`` stays
+  as the reference in tests.
 * NMS is greedy by descending score, stable on ties (input order), and a
   candidate whose IoU with a kept same-label box equals the threshold is
-  suppressed (strict ``< threshold`` keeps).
+  suppressed (strict ``< threshold`` keeps).  ``nms_keep`` runs it on
+  column arrays; ``nms`` on scored boxes goes through it.
 """
 
 from __future__ import annotations
@@ -106,49 +109,73 @@ def _corners(boxes: Sequence[Box]) -> np.ndarray:
     ).reshape(-1, 4)
 
 
-def iou_matrix(a: Sequence[Box], b: Sequence[Box]) -> np.ndarray:
-    """IoU of every box of ``a`` (rows) with every box of ``b`` (columns).
+def _areas(c: np.ndarray) -> np.ndarray:
+    return (c[..., 2] - c[..., 0]) * (c[..., 3] - c[..., 1])
 
-    Entry ``[i, j]`` equals ``iou(a[i], b[j])`` bit for bit: the overlap is
-    min minus max clamped at 0, the union ``(area_a + area_b) - inter``.
-    The matrix is built in place, so at most three ``len(a) x len(b)``
-    arrays are alive at once.
-    """
-    ca, cb = _corners(a), _corners(b)
-    area_a = (ca[:, 2] - ca[:, 0]) * (ca[:, 3] - ca[:, 1])
-    area_b = (cb[:, 2] - cb[:, 0]) * (cb[:, 3] - cb[:, 1])
-    inter = np.minimum(ca[:, None, 2], cb[None, :, 2])
-    inter -= np.maximum(ca[:, None, 0], cb[None, :, 0])
+
+def iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of corner arrays ``(..., 4)`` row by row, broadcasting: two
+    ``(n, 4)`` arrays give the n pairs' IoUs, ``(n, 1, 4)`` against
+    ``(1, m, 4)`` the matrix.  Each entry equals the scalar ``iou`` of its
+    pair bit for bit: the overlap is min minus max clamped at 0, the union
+    ``(area_a + area_b) - inter``.  Computed in place, so at most three
+    arrays of the broadcast shape are alive at once."""
+    inter = np.minimum(a[..., 2], b[..., 2])
+    inter -= np.maximum(a[..., 0], b[..., 0])
     np.maximum(inter, 0.0, out=inter)
-    ih = np.minimum(ca[:, None, 3], cb[None, :, 3])
-    ih -= np.maximum(ca[:, None, 1], cb[None, :, 1])
+    ih = np.minimum(a[..., 3], b[..., 3])
+    ih -= np.maximum(a[..., 1], b[..., 1])
     np.maximum(ih, 0.0, out=ih)
     inter *= ih
-    union = np.add(area_a[:, None], area_b[None, :], out=ih)
+    union = np.add(_areas(a), _areas(b), out=ih)
     union -= inter
     inter /= union
     return inter
 
 
-def nms(dets: Sequence[ScoredBox], iou_threshold: float) -> list[ScoredBox]:
-    """Greedy non-maximum suppression.
+def iou_matrix(a: Sequence[Box], b: Sequence[Box]) -> np.ndarray:
+    """IoU of every box of ``a`` (rows) with every box of ``b`` (columns).
 
-    Detections are visited in descending score order (ties keep input
-    order); a detection survives iff its IoU with every already-kept
-    detection of the same label is strictly below ``iou_threshold``.
-    The result is a subset of the input (the same objects), in kept order.
+    Entry ``[i, j]`` equals ``iou(a[i], b[j])`` bit for bit.
+    """
+    return iou_pairs(_corners(a)[:, None, :], _corners(b)[None, :, :])
+
+
+def nms_keep(
+    boxes: np.ndarray, scores: np.ndarray, labels: np.ndarray, iou_threshold: float
+) -> np.ndarray:
+    """Greedy non-maximum suppression on columns: ``boxes[n, 4]`` corners,
+    ``scores[n]`` and ``labels[n]``.
+
+    Rows are visited in descending score order (ties keep row order); a
+    row survives iff its IoU with every already-kept row of the same label
+    is strictly below ``iou_threshold``.  Returns the kept row indices in
+    kept order.
     """
     if not (0.0 < iou_threshold < 1.0):
         raise ValueError(f"iou_threshold must be in (0, 1), got {iou_threshold!r}")
-    ranked = sorted(dets, key=lambda d: -d.score)
-    boxes = [d.box for d in ranked]
-    labels = np.array([d.label for d in ranked])
-    suppresses = iou_matrix(boxes, boxes) >= iou_threshold
-    suppresses &= labels[:, None] == labels[None, :]
-    removed = np.zeros(len(ranked), dtype=bool)
-    kept: list[ScoredBox] = []
-    for k, d in enumerate(ranked):
-        if not removed[k]:
-            kept.append(d)
-            removed |= suppresses[k]
-    return kept
+    order = np.argsort(-scores, kind="stable")
+    ranked = boxes[order]
+    suppresses = iou_pairs(ranked[:, None, :], ranked[None, :, :]) >= iou_threshold
+    ranked_labels = labels[order]
+    suppresses &= ranked_labels[:, None] == ranked_labels[None, :]
+    # a row is removed iff a kept row ranked above it suppresses it, so only
+    # rows that some higher row overlaps need the sequential check
+    removed = np.zeros(len(order), dtype=bool)
+    for j in np.flatnonzero(np.triu(suppresses, 1).any(axis=0)).tolist():
+        removed[j] = (suppresses[:j, j] & ~removed[:j]).any()
+    return order[~removed]
+
+
+def nms(dets: Sequence[ScoredBox], iou_threshold: float) -> list[ScoredBox]:
+    """Greedy non-maximum suppression of scored boxes (``nms_keep``'s rule).
+
+    The result is a subset of the input (the same objects), in kept order.
+    """
+    keep = nms_keep(
+        _corners([d.box for d in dets]),
+        np.array([d.score for d in dets], dtype=float),
+        np.array([d.label for d in dets]),
+        iou_threshold,
+    )
+    return [dets[i] for i in keep.tolist()]

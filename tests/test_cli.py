@@ -301,6 +301,41 @@ def test_evaluate_malformed_line_names_line_number(dataset_dir, tmp_path, capsys
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("label", ["1.7", "1.0", "true", '"0"', "null", "[0]"])
+def test_evaluate_non_integer_label_exit_2(dataset_dir, tmp_path, capsys, label):
+    """A label must be a JSON integer: int() would read 1.7 as 1 and true
+    as 1."""
+    records = load_annotations(dataset_dir / "annotations.csv")
+    good = '{"x1": 1, "y1": 1, "x2": 5, "y2": 5, "score": 0.5, "label": 0}'
+    bad = good.replace('"label": 0', f'"label": {label}')
+    pred_path = tmp_path / "p.jsonl"
+    pred_path.write_text(
+        f'{{"image_id": "{records[0].image_id}", "detections": [{good}]}}\n'
+        f'{{"image_id": "{records[1].image_id}", "detections": [{good}, {bad}]}}\n',
+        encoding="utf-8",
+    )
+    code = run_cli(
+        ["evaluate", "--predictions", pred_path,
+         "--annotations", dataset_dir / "annotations.csv"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "line 2, detection 1" in err and "label" in err
+
+
+def test_load_predictions_keeps_integer_labels(tmp_path):
+    path = tmp_path / "p.jsonl"
+    path.write_text(
+        '{"image_id": "a", "detections": ['
+        '{"x1": 1, "y1": 1, "x2": 5, "y2": 5, "score": 0.5, "label": 2}, '
+        '{"x1": 1, "y1": 1, "x2": 5, "y2": 5, "score": 0.5}]}\n',
+        encoding="utf-8",
+    )
+    labels = [d.label for d in load_predictions(path)["a"]]
+    assert labels == [2, 0]
+    assert all(type(v) is int for v in labels)
+
+
 def test_evaluate_unknown_image_id_exit_2(dataset_dir, tmp_path):
     pred_path = tmp_path / "p.jsonl"
     pred_path.write_text(

@@ -124,6 +124,20 @@ def test_generate_tags_and_confidence_floor(small_data):
         assert p.image_id in pool_ids
 
 
+def test_pseudo_labels_hold_no_numpy_scalars(small_data):
+    # a numpy label or score would make json.dumps raise in save_checkpoint
+    records, split = small_data
+    state = initial_supervised_phase(records, split, CoTrainConfig(seed=11))
+    pool = [records[i] for i in split.unlabeled_pool[:40]]
+    labels = generate_pseudo_labels(state.view_b, pool, 0.8, 0.5, 1, seed=5)
+    assert labels
+    for p in labels:
+        for v in (*p.box.as_tuple(), p.label, p.confidence, p.round):
+            assert not isinstance(v, np.generic), v
+        assert type(p.label) is int and type(p.confidence) is float
+    json.dumps([[*p.box.as_tuple(), p.label, p.confidence] for p in labels])
+
+
 def test_generate_tau_one_yields_empty(small_data):
     records, split = small_data
     cfg = CoTrainConfig(seed=11)

@@ -7,8 +7,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from densecotrain.data import SceneSpec, generate_synthetic_scene
+from densecotrain.data import ImageRecord, SceneSpec, generate_synthetic_scene
 from densecotrain.detectors import (
     ANCHOR_MENU,
     BATCH_MENU,
@@ -17,14 +19,22 @@ from densecotrain.detectors import (
     DEFAULT_LOCALIZER_PARAMS,
     DEFAULT_SEPARATION,
     FEATURE_DIM,
+    FP_SCORE_ALPHA,
+    FP_SCORE_BETA,
     LOCALIZER,
+    SCORE_BASE,
+    SCORE_NOISE,
+    SCORE_SLOPE,
     Detection,
     DetectorParams,
     PseudoLabelAudit,
     RetrainCoefficients,
     SkillModel,
+    _difficulty,
+    _fp_box,
     audit_pseudo_labels,
     count_occluded,
+    derive_seed,
     detect,
     detection_hash,
     emit_features,
@@ -144,6 +154,14 @@ def _scene(seed, overlap=0.4, rows=4, cols=5, jitter=2.0):
     )
 
 
+def _columns(dets):
+    """A batch's columns as bytes, dtypes included: equal iff bit-identical."""
+    return [
+        (a.dtype.str, a.shape, a.tobytes())
+        for a in (dets.boxes, dets.scores, dets.labels, dets.features)
+    ]
+
+
 def test_detect_noiseless_limit():
     rec = _scene(3, overlap=0.4)
     skill = SkillModel(1.0, 0.0, 0.0, 0.0)
@@ -160,7 +178,7 @@ def test_detect_ct_dominates():
     skill = SkillModel(0.0, 0.0, 0.0, 3.0)  # only false positives
     params = DetectorParams(confidence_threshold=0.99)
     dets = detect(rec, skill, params, CONTEXTUAL, seed=7)
-    assert dets == []
+    assert len(dets) == 0
 
 
 def test_detect_scores_respect_ct():
@@ -184,8 +202,9 @@ def test_detect_respects_nms_threshold():
             rec, skill, DetectorParams(confidence_threshold=0.05, nms_iou=thr),
             CONTEXTUAL, seed=2,
         )
-        for i, a in enumerate(dets):
-            for b in dets[i + 1:]:
+        rows = list(dets)
+        for i, a in enumerate(rows):
+            for b in rows[i + 1:]:
                 if a.scored.label == b.scored.label:
                     assert iou(a.scored.box, b.scored.box) < thr
 
@@ -209,9 +228,10 @@ def test_detect_deterministic():
     skill = skill_from_params(DEFAULT_LOCALIZER_PARAMS, LOCALIZER)
     a = detect(rec, skill, DEFAULT_LOCALIZER_PARAMS, LOCALIZER, seed=11)
     b = detect(rec, skill, DEFAULT_LOCALIZER_PARAMS, LOCALIZER, seed=11)
-    assert a == b
+    assert len(a) > 0
+    assert _columns(a) == _columns(b)
     c = detect(rec, skill, DEFAULT_LOCALIZER_PARAMS, LOCALIZER, seed=12)
-    assert a != c  # jitter/noise differ even though found boxes persist
+    assert _columns(a) != _columns(c)  # jitter/noise differ even though found boxes persist
 
 
 def test_detect_found_set_persists_across_seeds():
@@ -249,8 +269,181 @@ def test_detect_output_holds_no_numpy_scalars():
         dets = detect(rec, skill_from_params(params, profile), params, profile, 3)
         assert dets
         for d in dets:
-            for v in (*d.scored.box.as_tuple(), d.scored.score, *d.features):
+            sb = d.scored
+            for v in (*sb.box.as_tuple(), sb.score, sb.label, *d.features):
                 assert not isinstance(v, np.generic), (profile.name, v)
+            assert type(sb.label) is int
+        for sb in dets.scored():
+            for v in (*sb.box.as_tuple(), sb.score, sb.label):
+                assert not isinstance(v, np.generic), (profile.name, v)
+
+
+# ------------------------------------------ column batch vs scalar reference
+
+
+def _emit_features_reference(profile, rng, quality):
+    """The scalar feature draw: 16 normals, placed and rotated one by one."""
+    x = rng.standard_normal(FEATURE_DIM)
+    x[0] += DEFAULT_SEPARATION * min(max(quality, 0.0), 1.0)
+    c, s = math.cos(profile.feature_rotation), math.sin(profile.feature_rotation)
+    x0, x1 = x[0], x[1]
+    x[0] = c * x0 - s * x1
+    x[1] = s * x0 + c * x1
+    return tuple(float(v) for v in x)
+
+
+def _nms_reference(dets, iou_threshold):
+    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
+    kept = []
+    for i in order:
+        d = dets[i]
+        if all(k.label != d.label or iou(k.box, d.box) < iou_threshold for k in kept):
+            kept.append(d)
+    return kept
+
+
+def _detect_reference(record, skill, params, profile, seed, dropped=None):
+    """The scalar ``detect`` the column batch replaced: one object per
+    detection, one generator call per draw and one hash per GT.
+    ``dropped`` collects, for each emitted GT in order, whether jitter made
+    its box degenerate."""
+    rng = np.random.default_rng(derive_seed("detect", profile.name, seed, record.image_id))
+    raw = []
+    for i, g in enumerate(record.gts):
+        occ = record.occlusion[i]
+        eff = min(max(skill.base_recall - skill.occlusion_penalty * occ, 0.0), 1.0)
+        if detection_hash(profile.name, record.image_id, i) >= eff:
+            continue
+        if skill.jitter_sigma > 0:
+            dx1, dy1, dx2, dy2 = rng.normal(0.0, skill.jitter_sigma, 4).tolist()
+        else:
+            dx1 = dy1 = dx2 = dy2 = 0.0
+        x1 = min(max(g.box.x1 + dx1, 0.0), record.width)
+        y1 = min(max(g.box.y1 + dy1, 0.0), record.height)
+        x2 = min(max(g.box.x2 + dx2, 0.0), record.width)
+        y2 = min(max(g.box.y2 + dy2, 0.0), record.height)
+        if dropped is not None:
+            dropped.append(x2 <= x1 or y2 <= y1)
+        if x2 <= x1 or y2 <= y1:
+            continue
+        box = Box(x1, y1, x2, y2)
+        q = iou(box, g.box)
+        score = SCORE_BASE + SCORE_SLOPE * q + rng.normal(0.0, SCORE_NOISE)
+        score = min(max(score, 0.0), 1.0)
+        feats = _emit_features_reference(profile, rng, q)
+        raw.append(Detection(ScoredBox(box, score, g.label), feats))
+    if skill.fp_rate > 0:
+        if record.gts:
+            mean_w = float(np.mean([g.box.width for g in record.gts]))
+            mean_h = float(np.mean([g.box.height for g in record.gts]))
+        else:
+            mean_w, mean_h = record.width / 8.0, record.height / 8.0
+        for _ in range(rng.poisson(skill.fp_rate)):
+            fb = _fp_box(rng, record, mean_w, mean_h)
+            if fb is None:
+                continue
+            score = float(rng.beta(FP_SCORE_ALPHA, FP_SCORE_BETA))
+            feats = _emit_features_reference(profile, rng, 0.0)
+            raw.append(Detection(ScoredBox(fb, score, 0), feats))
+    kept_scored = _nms_reference(
+        [d.scored for d in raw if d.scored.score >= params.confidence_threshold],
+        params.nms_iou,
+    )
+    by_id = {id(d.scored): d for d in raw}
+    return [by_id[id(sb)] for sb in kept_scored]
+
+
+def _assert_batch_equals_reference(batch, ref):
+    """Same rows in the same order, every value bit for bit."""
+    assert len(batch) == len(ref)
+    assert batch.boxes.shape == (len(ref), 4)
+    assert batch.features.shape == (len(ref), FEATURE_DIM)
+    assert batch.labels.dtype.kind == "i"
+    want = [
+        np.array([d.scored.box.as_tuple() for d in ref], dtype=float).reshape(-1, 4),
+        np.array([d.scored.score for d in ref], dtype=float),
+        np.array([d.scored.label for d in ref], dtype=np.int64),
+        np.array([d.features for d in ref], dtype=float).reshape(-1, FEATURE_DIM),
+    ]
+    got = [batch.boxes, batch.scores, batch.labels, batch.features]
+    for name, g, w in zip(("boxes", "scores", "labels", "features"), got, want):
+        assert g.tobytes() == w.tobytes(), name
+
+
+@st.composite
+def _detect_cases(draw):
+    """An image (possibly without GTs) and a view: recall, jitter from none
+    through large enough to make boxes degenerate, FP rate and CT both
+    possibly 0, either profile."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rows = draw(st.integers(0, 4))
+    if rows == 0:
+        record = ImageRecord(f"hyp-empty-{seed}", draw(st.integers(8, 300)), 150, ())
+    else:
+        spec = SceneSpec(
+            rows, draw(st.integers(1, 5)),
+            jitter=draw(st.sampled_from((0.0, 2.0))),
+            overlap_factor=draw(st.sampled_from((0.0, 0.4, 0.6))), seed=seed,
+        )
+        record = generate_synthetic_scene(spec, image_id=f"hyp-{seed}")
+    sigma = draw(st.one_of(
+        st.just(0.0), st.floats(0.05, 8.0), st.floats(20.0, 90.0),
+    ))
+    skill = SkillModel(
+        draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0)), sigma,
+        draw(st.one_of(st.just(0.0), st.floats(0.05, 4.0))),
+    )
+    params = DetectorParams(
+        confidence_threshold=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.9))),
+        nms_iou=draw(st.floats(0.05, 0.95)),
+    )
+    profile = draw(st.sampled_from((LOCALIZER, CONTEXTUAL)))
+    return record, skill, params, profile, draw(st.integers(0, 2**31))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_detect_cases())
+def test_detect_batch_equals_scalar_reference(case):
+    _assert_batch_equals_reference(detect(*case), _detect_reference(*case))
+
+
+def test_detect_batch_handles_degenerate_boxes_like_reference():
+    """Seeds where large jitter drops several emitted GTs of one image, one
+    of them the last: its unused draws must not shift the false positives
+    drawn after it."""
+    rec = _scene(21, overlap=0.4, rows=3, cols=3)
+    skill = SkillModel(0.9, 0.0, 45.0, 3.0)
+    params = DetectorParams(confidence_threshold=0.0, nms_iou=0.95)
+    hits = 0
+    for seed in range(200):
+        for profile in (LOCALIZER, CONTEXTUAL):
+            dropped = []
+            ref = _detect_reference(rec, skill, params, profile, seed, dropped)
+            _assert_batch_equals_reference(detect(rec, skill, params, profile, seed), ref)
+            hits += sum(dropped) >= 2 and dropped[-1]
+    assert hits >= 5
+
+
+def test_detect_sigma_zero_and_ct_zero_match_reference():
+    rec = _scene(8, overlap=0.4)
+    for profile in (LOCALIZER, CONTEXTUAL):
+        for fp_rate in (0.0, 2.0):
+            skill = SkillModel(0.8, 0.5, 0.0, fp_rate)
+            params = DetectorParams(confidence_threshold=0.0, nms_iou=0.5)
+            for seed in range(5):
+                args = (rec, skill, params, profile, seed)
+                _assert_batch_equals_reference(detect(*args), _detect_reference(*args))
+
+
+def test_difficulty_is_memoised_and_read_only():
+    rec = _scene(6)
+    a = _difficulty(LOCALIZER.name, rec.image_id, len(rec.gts))
+    assert a.tolist() == [
+        detection_hash(LOCALIZER.name, rec.image_id, i) for i in range(len(rec.gts))
+    ]
+    assert _difficulty(LOCALIZER.name, rec.image_id, len(rec.gts)) is a
+    with pytest.raises(ValueError):
+        a[0] = 0.0
 
 
 def test_detection_validates_feature_length():
@@ -385,6 +578,48 @@ def test_audit_counts():
         if detection_hash(LOCALIZER.name, rec.image_id, j) >= eff:
             expect_novel += 1
     assert audit.n_novel == expect_novel
+
+
+def _audit_reference(pseudo_by_image, records_by_id, profile, skill):
+    """The scalar audit: one hash and one effective recall per correct label."""
+    out = {}
+    for image_id, labels in pseudo_by_image.items():
+        if not labels:
+            continue
+        rec = records_by_id[image_id]
+        mr = match_detections(list(labels), list(rec.gts), 0.5)
+        counts = [len(labels), 0, 0, 0, 0, 0]
+        for is_tp, j, miou in zip(mr.det_is_tp, mr.det_matched_gt, mr.det_match_iou):
+            if not is_tp:
+                counts[2] += 1
+                continue
+            counts[1] += 1
+            counts[5] += miou >= 0.75
+            occ = rec.occlusion[j]
+            eff = min(max(skill.base_recall - skill.occlusion_penalty * occ, 0.0), 1.0)
+            if detection_hash(profile.name, image_id, j) >= eff:
+                counts[3] += 1
+                counts[4] += occ >= 0.15
+        out[image_id] = PseudoLabelAudit(*counts)
+    return out
+
+
+def test_audit_matches_scalar_reference():
+    # a detector's own output on its images, graded by either profile
+    records = {}
+    labels = {}
+    for seed in range(12):
+        rec = _scene(seed, overlap=0.4)
+        records[rec.image_id] = rec
+        skill = SkillModel(0.9, 0.3, 3.0, 1.0)
+        labels[rec.image_id] = detect(
+            rec, skill, DetectorParams(confidence_threshold=0.0), CONTEXTUAL, seed
+        ).scored()
+    for profile in (LOCALIZER, CONTEXTUAL):
+        for skill in (SkillModel(0.6, 0.5, 1.0, 0.0), SkillModel(0.95, 1.5, 1.0, 0.0)):
+            got = audit_pseudo_labels(labels, records, profile, skill)
+            assert got == _audit_reference(labels, records, profile, skill)
+            assert sum(a.n_novel for a in got.values()) > 0
 
 
 def test_audit_addition():

@@ -16,7 +16,9 @@ from densecotrain.geom import (
     area,
     iou,
     iou_matrix,
+    iou_pairs,
     nms,
+    nms_keep,
 )
 
 
@@ -260,6 +262,71 @@ def tied_scored_boxes(draw):
 def test_nms_matches_scalar_reference(dets, thr):
     kept = nms(dets, thr)
     assert [id(d) for d in kept] == [id(d) for d in _nms_reference(dets, thr)]
+
+
+def _corner_array(boxes):
+    return np.array([b.as_tuple() for b in boxes], dtype=float).reshape(-1, 4)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(_any_box, _any_box), max_size=10))
+@example([
+    # touching along an edge, at a corner, disjoint, identical, IoU 0.60
+    (Box(0, 0, 1, 1), Box(1, 0, 2, 1)), (Box(0, 0, 1, 1), Box(1, 1, 2, 2)),
+    (Box(0, 0, 1, 1), Box(2, 2, 3, 3)), (Box(3, 3, 5, 5), Box(3, 3, 5, 5)),
+    (Box(0, 0, 10, 10), Box(0, 0, 6, 10)),
+])
+def test_iou_pairs_matches_scalar_bitwise(pairs):
+    a, b = [p[0] for p in pairs], [p[1] for p in pairs]
+    got = iou_pairs(_corner_array(a), _corner_array(b))
+    assert got.shape == (len(pairs),)
+    assert _bits(got) == _bits([iou(x, y) for x, y in pairs])
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(tied_scored_boxes(), max_size=14),
+    st.one_of(
+        st.sampled_from((0.6, 0.5, 1 / 3, 0.25)),
+        st.floats(min_value=0.01, max_value=0.99),
+    ),
+)
+@example(
+    # tied scores, IoU equal to the threshold, an edge-touching and a
+    # disjoint box, another label
+    [ScoredBox(Box(0, 0, 10, 10), 0.9), ScoredBox(Box(0, 0, 6, 10), 0.9),
+     ScoredBox(Box(10, 0, 12, 10), 0.9), ScoredBox(Box(20, 20, 22, 22), 0.5),
+     ScoredBox(Box(0, 0, 6, 10), 0.9, 1)],
+    0.6,
+)
+def test_nms_keep_matches_nms_and_scalar_reference(dets, thr):
+    keep = nms_keep(
+        _corner_array([d.box for d in dets]),
+        np.array([d.score for d in dets], dtype=float),
+        np.array([d.label for d in dets], dtype=np.int64),
+        thr,
+    )
+    assert keep.dtype.kind == "i"
+    kept = [dets[i] for i in keep.tolist()]
+    assert [id(d) for d in kept] == [id(d) for d in nms(dets, thr)]
+    assert [id(d) for d in kept] == [id(d) for d in _nms_reference(dets, thr)]
+
+
+def test_nms_suppressed_box_suppresses_nothing():
+    # a chain: a suppresses b, b would suppress c, a does not reach c
+    a = ScoredBox(Box(0, 0, 10, 10), 0.9)
+    b = ScoredBox(Box(4, 0, 14, 10), 0.8)
+    c = ScoredBox(Box(8, 0, 18, 10), 0.7)
+    assert iou(a.box, b.box) >= 0.4 and iou(b.box, c.box) >= 0.4 > iou(a.box, c.box)
+    assert nms([c, b, a], 0.4) == [a, c]
+    assert _nms_reference([c, b, a], 0.4) == [a, c]
+
+
+def test_nms_keep_threshold_validation():
+    empty = np.empty((0, 4))
+    for thr in (0.0, 1.0):
+        with pytest.raises(ValueError):
+            nms_keep(empty, empty[:, 0], empty[:, 0], thr)
 
 
 def test_groundtruth_defaults():

@@ -124,6 +124,22 @@ def _print_json(payload: dict) -> None:
 
 # ---------------------------------------------------------- predictions I/O
 
+# exact types: JSON numbers load as int or float, and a bool is an int
+_JSON_NUMBER_TYPES = frozenset((int, float))
+
+
+def _box_and_score(d: dict) -> tuple[Box, float]:
+    """One detection's box and score, each field a JSON number: float()
+    would take "1" and true as 1.0."""
+    vals = (d["x1"], d["y1"], d["x2"], d["y2"], d["score"])
+    if not _JSON_NUMBER_TYPES.issuperset(map(type, vals)):
+        for key, v in zip(("x1", "y1", "x2", "y2", "score"), vals):
+            if type(v) not in _JSON_NUMBER_TYPES:
+                raise ValueError(f"{key} must be a number, got {v!r}")
+    x1, y1, x2, y2, score = map(float, vals)
+    return Box(x1, y1, x2, y2), score
+
+
 def load_predictions(path: str | Path) -> dict[str, list[ScoredBox]]:
     """JSON lines, one object per image:
     {"image_id": ..., "detections": [{x1, y1, x2, y2, score, label}]}."""
@@ -149,13 +165,12 @@ def load_predictions(path: str | Path) -> dict[str, list[ScoredBox]]:
         dets = []
         for j, d in enumerate(dets_field):
             try:
-                box = Box(float(d["x1"]), float(d["y1"]),
-                          float(d["x2"]), float(d["y2"]))
+                box, score = _box_and_score(d)
                 label = d.get("label", 0)
                 # a JSON integer only: int() would take 1.7 as 1 and true as 1
                 if isinstance(label, bool) or not isinstance(label, int):
                     raise ValueError(f"label must be an integer, got {label!r}")
-                dets.append(ScoredBox(box, float(d["score"]), label))
+                dets.append(ScoredBox(box, score, label))
             except (KeyError, TypeError, ValueError) as exc:
                 raise UsageError(
                     f"predictions line {line_no}, detection {j}: {exc}"

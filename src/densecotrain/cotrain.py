@@ -21,10 +21,11 @@ Rules this module enforces:
 * The labeled train/val/test sets are never mutated, and the test set is
   read exactly once per run, after stopping, with the best-validation
   round's skills.
-* ``CoTrainState`` is the run's one record: its config, every round's
-  skills, the accepted sets and the history.  Stopping and the
-  best-round restore read it alone, so a resumed run takes the same path
-  as a fresh one.
+* ``CoTrainState`` is the run's one record, and a value: its config, the
+  trained views, every round's skills, the accepted sets and the history.
+  Each round returns a new state and leaves its input as it was.
+  Stopping and the best-round restore read the state alone, so a resumed
+  run takes the same path as a fresh one.
 * Bit-for-bit reproducible from (config, seed): every RNG consumed here
   is derived from the config seed and a string namespace.
 """
@@ -128,19 +129,14 @@ class CoTrainConfig:
             raise ValueError("ensemble_train_cap must be >= 2")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ViewState:
-    """One detector view plus its verification ensemble."""
+    """One trained detector view plus its verification ensemble."""
 
     name: str
     profile: DetectorProfile
     params: DetectorParams
-    skill: SkillModel
-    ensemble: EnsembleClassifier | None = None
-
-    @property
-    def trained(self) -> bool:
-        return self.ensemble is not None
+    ensemble: EnsembleClassifier
 
 
 @dataclass
@@ -155,13 +151,12 @@ class RoundRecord:
     pseudo_precision_b: float | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoTrainState:
     """The run's one record.  ``skills[r]`` holds both views' skills after
-    round r (entry 0 is the round-0 supervised skills); each view's
-    ``skill`` is the one its detector runs with now."""
+    round r: entry 0 is the round-0 supervised skills, and the last entry
+    is the pair the detectors run with now."""
 
-    round: int
     view_a: ViewState
     view_b: ViewState
     config: CoTrainConfig
@@ -171,6 +166,10 @@ class CoTrainState:
     accepted_for_a: dict[str, list[PseudoLabel]] = field(default_factory=dict)
     accepted_for_b: dict[str, list[PseudoLabel]] = field(default_factory=dict)
     history: list[RoundRecord] = field(default_factory=list)
+
+    @property
+    def round(self) -> int:
+        return len(self.history) - 1
 
 
 @dataclass
@@ -193,11 +192,12 @@ def records_index(records: Iterable[ImageRecord]) -> dict[str, ImageRecord]:
 
 def _detect_view(
     view: ViewState,
+    skill: SkillModel,
     records: Sequence[ImageRecord],
     seed: int,
 ) -> dict[str, Detections]:
     return {
-        rec.image_id: detect(rec, view.skill, view.params, view.profile, seed)
+        rec.image_id: detect(rec, skill, view.params, view.profile, seed)
         for rec in records
     }
 
@@ -217,8 +217,6 @@ def _verified_scores(
 ) -> dict[str, list[ScoredBox]]:
     """Final prediction rule: detector score times the ensemble's fused
     object probability (keeps both stages' information in the ranking)."""
-    if not view.trained:
-        raise ValueError(f"view {view.name} has no trained ensemble")
     order, X = _stacked_features(dets_by_image)
     p_obj = view.ensemble.positive_probability(X) if len(X) else np.empty(0)
     out: dict[str, list[ScoredBox]] = {}
@@ -233,10 +231,11 @@ def _verified_scores(
 
 def predict_verified(
     view: ViewState,
+    skill: SkillModel,
     records: Sequence[ImageRecord],
     seed: int,
 ) -> dict[str, list[ScoredBox]]:
-    return _verified_scores(view, _detect_view(view, records, seed))
+    return _verified_scores(view, _detect_view(view, skill, records, seed))
 
 
 def merge_views(
@@ -254,15 +253,18 @@ def merge_views(
 
 def _evaluate(
     state: CoTrainState,
+    skills: tuple[SkillModel, SkillModel],
     records: Sequence[ImageRecord],
     namespace: str,
 ) -> tuple[EvalReport, EvalReport, EvalReport]:
-    """Reports of view A, view B and their merge on ``records``; each
-    view's detections are seeded from (seed, namespace, view name)."""
+    """Reports of the views, run with ``skills``, and their merge on
+    ``records``; detections are seeded from (seed, namespace, view name)."""
     gts = {r.image_id: list(r.gts) for r in records}
     da, db = (
-        predict_verified(v, records, derive_seed(state.config.seed, namespace, v.name))
-        for v in (state.view_a, state.view_b)
+        predict_verified(
+            v, skill, records, derive_seed(state.config.seed, namespace, v.name)
+        )
+        for v, skill in zip((state.view_a, state.view_b), skills)
     )
     dc = merge_views(da, db, state.config.merge_nms_iou)
     return tuple(mean_average_precision(d, gts) for d in (da, db, dc))
@@ -275,34 +277,36 @@ def _validation_maps(
 ) -> tuple[float, float, float]:
     val_records = [records_by_id[i] for i in split.val]
     return tuple(
-        float(rep.map_coco) for rep in _evaluate(state, val_records, "val")
+        float(rep.map_coco)
+        for rep in _evaluate(state, state.skills[-1], val_records, "val")
     )
 
 
 def _train_view_ensemble(
-    view: ViewState,
+    name: str,
+    profile: DetectorProfile,
+    params: DetectorParams,
+    skill: SkillModel,
     train_records: Sequence[ImageRecord],
     config: CoTrainConfig,
 ) -> EnsembleClassifier:
     """Fit the verification ensemble on the view's own detections over
     the labeled train set, labeled correct/incorrect by oracle match."""
-    dets = _detect_view(
-        view, train_records, derive_seed(config.seed, "ens-train", view.name)
-    )
+    seed = derive_seed(config.seed, "ens-train", name)
     feats: list[np.ndarray] = []
     targets: list[bool] = []
     for rec in train_records:
-        row = dets[rec.image_id]
+        row = detect(rec, skill, params, profile, seed)
         feats.append(row.features)
         targets += match_detections(row.scored(), list(rec.gts), 0.5).det_is_tp
     if not targets:
         raise InfeasibleViewError(
-            f"view {view.name}: no detections on the labeled train set; "
+            f"view {name}: no detections on the labeled train set; "
             "cannot fit the verification ensemble"
         )
     if len(set(targets)) < 2:
         raise InfeasibleViewError(
-            f"view {view.name}: verification training data is single-class "
+            f"view {name}: verification training data is single-class "
             "(every detection was {}); cannot fit the ensemble".format(
                 "correct" if targets[0] else "incorrect"
             )
@@ -310,13 +314,13 @@ def _train_view_ensemble(
     X = np.concatenate(feats)
     y = np.asarray(targets, dtype=int)
     if len(X) > config.ensemble_train_cap:
-        rng = np.random.default_rng(derive_seed(config.seed, "cap", view.name))
+        rng = np.random.default_rng(derive_seed(config.seed, "cap", name))
         keep = rng.choice(len(X), config.ensemble_train_cap, replace=False)
         keep.sort()
         X, y = X[keep], y[keep]
     return EnsembleClassifier.train(
         (X, y), config.ensemble_params,
-        seed=derive_seed(config.seed, "ensemble", view.name) & 0xFFFFFFFF,
+        seed=derive_seed(config.seed, "ensemble", name) & 0xFFFFFFFF,
     )
 
 
@@ -331,25 +335,28 @@ def initial_supervised_phase(
         raise ValueError("initial supervised phase requires a nonempty train set")
     train_records = [records_by_id[i] for i in split.train]
     regime = size_regime(train_records)
-    views = []
+    views, skills = [], []
     for name, profile, params in (
         ("A", LOCALIZER, config.loc_params), ("B", CONTEXTUAL, config.ctx_params)
     ):
         skill = skill_from_params(params, profile, regime)
-        view = ViewState(name, profile, params, skill)
-        view.ensemble = _train_view_ensemble(view, train_records, config)
-        views.append(view)
+        ensemble = _train_view_ensemble(
+            name, profile, params, skill, train_records, config
+        )
+        views.append(ViewState(name, profile, params, ensemble))
+        skills.append(skill)
     state = CoTrainState(
-        0, *views, config, [tuple(v.skill for v in views)],
+        *views, config, [tuple(skills)],
         n_base_annotations=sum(len(r.gts) for r in train_records),
         n_base_occluded=count_occluded(train_records),
     )
-    state.history.append(RoundRecord(0, *_validation_maps(state, records_by_id, split)))
-    return state
+    maps = _validation_maps(state, records_by_id, split)
+    return replace(state, history=[RoundRecord(0, *maps)])
 
 
 def generate_pseudo_labels(
     view: ViewState,
+    skill: SkillModel,
     unlabeled_records: Sequence[ImageRecord],
     tau_conf: float,
     nms_iou: float,
@@ -359,11 +366,9 @@ def generate_pseudo_labels(
     """Detector output vetted by the view's ensemble: keep detections the
     soft vote calls object with confidence >= tau_conf (the label's score),
     NMS-deduplicated; the whole pool is one ``predict`` batch."""
-    if not view.trained:
-        raise ValueError(f"view {view.name} is untrained; cannot generate pseudo-labels")
     if not (0.0 < tau_conf <= 1.0):
         raise ValueError(f"tau_conf must be in (0, 1], got {tau_conf!r}")
-    dets = _detect_view(view, unlabeled_records, seed)
+    dets = _detect_view(view, skill, unlabeled_records, seed)
     order, X = _stacked_features(dets)
     if not len(X):
         return []
@@ -426,37 +431,40 @@ def exchange_round(
     generation from both views on the state as-is, exchange per mode, one
     audit of each view's accepted set (its retrain and the oracle precision
     of the labels it took both read it), retrain from the round-0 skills,
-    and record the skills and validation mAP."""
+    and record the skills and validation mAP.  Returns the next state;
+    ``state`` is left as it was."""
     config = state.config
     round_no = state.round + 1
     pool = _pool_records(records_by_id, split, config, round_no)
     views = (state.view_a, state.view_b)
-    accepted = (state.accepted_for_a, state.accepted_for_b)
     produced: list[list[PseudoLabel]] = [[], []]
     if config.mode != "supervised":
         produced = [
             generate_pseudo_labels(
-                v, pool, config.tau_conf, config.pseudo_nms_iou, round_no,
+                v, skill, pool, config.tau_conf, config.pseudo_nms_iou, round_no,
                 derive_seed(config.seed, "pool", v.name, round_no),
             )
-            for v in views
+            for v, skill in zip(views, state.skills[-1])
         ]
     sources = _sources(config.mode)
+    accepted, skills = [], []
     audits = []  # per view, one audit per image of its accepted set
-    for view, base_skill, acc, src in zip(views, state.skills[0], accepted, sources):
+    for view, base_skill, acc, src in zip(
+        views, state.skills[0], (state.accepted_for_a, state.accepted_for_b), sources
+    ):
         # replace-per-image-per-source: only images with fresh labels change
-        acc.update(_group_by_image(produced[src]))
+        accepted.append({**acc, **_group_by_image(produced[src])})
         pseudo_scored = {
-            img: [p.to_scored() for p in group] for img, group in acc.items()
+            img: [p.to_scored() for p in group] for img, group in accepted[-1].items()
         }
         audits.append(audit_pseudo_labels(
             pseudo_scored, records_by_id, view.profile, base_skill
         ))
-        view.skill = retrain(
+        skills.append(retrain(
             base_skill, view.profile,
             state.n_base_annotations, state.n_base_occluded,
             sum(audits[-1].values(), PseudoLabelAudit()), config.retrain_coeff,
-        )
+        ))
     # each view's oracle precision, from the audits of the view that took its
     # labels: a label matches a hidden GT at IoU 0.5 or not, whoever takes it
     precision = [
@@ -464,15 +472,15 @@ def exchange_round(
         if labels else None
         for labels, r in zip(produced, sources)
     ]
-    state.round = round_no
-    state.skills.append((state.view_a.skill, state.view_b.skill))
-    state.history.append(
-        RoundRecord(
-            round_no, *_validation_maps(state, records_by_id, split),
-            *(sum(len(v) for v in acc.values()) for acc in accepted), *precision,
-        )
+    retrained = replace(
+        state, skills=[*state.skills, tuple(skills)],
+        accepted_for_a=accepted[0], accepted_for_b=accepted[1],
     )
-    return state
+    record = RoundRecord(
+        round_no, *_validation_maps(retrained, records_by_id, split),
+        *(sum(len(v) for v in acc.values()) for acc in accepted), *precision,
+    )
+    return replace(retrained, history=[*state.history, record])
 
 
 # ------------------------------------------------------------ checkpoints
@@ -542,8 +550,9 @@ def load_checkpoint(
     """The run's round-0 state, rebuilt by ``round_zero``, moved to the
     checkpoint's round.
 
-    A checkpoint of another version, or whose config fingerprint differs
-    from ``config``'s (written under other settings), is refused before
+    A checkpoint of another version, whose config fingerprint differs
+    from ``config``'s (written under other settings), or whose ``skills``
+    or ``history`` does not hold ``round + 1`` entries, is refused before
     round 0 is rebuilt; one whose first history entry differs from the
     rebuilt one (round 0's validation mAPs, which move with the records and
     split) was written by another run and is refused after."""
@@ -559,6 +568,12 @@ def load_checkpoint(
             f"{path}: written by a run with another config "
             "(config_sha256 differs); cannot resume"
         )
+    n_skills, n_history = len(doc["skills"]), len(doc["history"])
+    if not n_skills == n_history == doc["round"] + 1:
+        raise ValueError(
+            f"{path}: round {doc['round']} with {n_skills} skills and "
+            f"{n_history} history entries (each must be round + 1); cannot resume"
+        )
     base = round_zero()
     history = [from_dict(RoundRecord, r) for r in doc["history"]]
     if history[:1] != base.history[:1]:
@@ -571,9 +586,6 @@ def load_checkpoint(
     ]
     return replace(
         base,
-        round=doc["round"],
-        view_a=replace(base.view_a, skill=skills[-1][0]),
-        view_b=replace(base.view_b, skill=skills[-1][1]),
         skills=skills,
         accepted_for_a=_accepted_from_doc(doc["accepted_for_a"]),
         accepted_for_b=_accepted_from_doc(doc["accepted_for_b"]),
@@ -642,27 +654,21 @@ def run_cotraining(
         if rd is not None:
             save_checkpoint(state, _checkpoint_path(rd, 0))
     last_round = 0 if config.mode == "supervised" else config.max_rounds
-    try:
-        while (
-            state.round < last_round
-            and stagnant_rounds(state.history, config.epsilon) < config.patience
-        ):
-            state = exchange_round(state, records_by_id, split)
-            if rd is not None:
-                save_checkpoint(state, _checkpoint_path(rd, state.round))
-    except Exception:
+    while (
+        state.round < last_round
+        and stagnant_rounds(state.history, config.epsilon) < config.patience
+    ):
+        state = exchange_round(state, records_by_id, split)
         if rd is not None:
-            save_checkpoint(state, rd / "crash_state.json")
-        raise
+            save_checkpoint(state, _checkpoint_path(rd, state.round))
 
     # single test pass on the round whose combined validation mAP was best
     # (first max wins ties)
     best_round = max(
         state.history, key=lambda r: (r.val_map_combined, -r.round)
     ).round
-    state.view_a.skill, state.view_b.skill = state.skills[best_round]
     test_records = [records_by_id[i] for i in split.test]
-    reports = _evaluate(state, test_records, "test")
+    reports = _evaluate(state, state.skills[best_round], test_records, "test")
     return CoTrainResult(state, best_round, *reports)
 
 

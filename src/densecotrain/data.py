@@ -151,9 +151,17 @@ def _parse_row(
         dims.append(v)
     x1, y1, x2, y2 = vals
     w, h = dims
-    cx1, cy1 = max(0.0, min(x1, w)), max(0.0, min(y1, h))
-    cx2, cy2 = max(0.0, min(x2, w)), max(0.0, min(y2, h))
+    # float bounds: min(x, w) would return the int w for a clamped x
+    fw, fh = float(w), float(h)
+    cx1, cy1 = max(0.0, min(x1, fw)), max(0.0, min(y1, fh))
+    cx2, cy2 = max(0.0, min(x2, fw)), max(0.0, min(y2, fh))
     if (cx1, cy1, cx2, cy2) != (x1, y1, x2, y2):
+        # a nan or an inf never equals its clamp, so only this branch checks
+        for fname, v in zip(CSV_COLUMNS[1:5], vals):
+            if not math.isfinite(v):
+                raise AnnotationError(
+                    f"line {line_no}: field {fname} is not finite: {v}"
+                )
         warnings.warn(
             f"line {line_no}: box ({x1},{y1},{x2},{y2}) clamped to "
             f"image bounds {w}x{h}"

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from densecotrain.cli import load_predictions, load_vector, main, save_predictions
+from densecotrain.cotrain import latest_checkpoint
 from densecotrain.data import ImageRecord, load_annotations
 from densecotrain.geom import Box, GroundTruth, ScoredBox
 from densecotrain.tuner import DEFAULT_VECTOR, GENE_NAMES, vector_values
@@ -323,6 +324,37 @@ def test_evaluate_non_integer_label_exit_2(dataset_dir, tmp_path, capsys, label)
     assert "line 2, detection 1" in err and "label" in err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("x1", '"1"'), ("y1", "true"), ("x2", "null"), ("y2", "[5]"),
+     ("score", "true"), ("score", '"0.5"'), ("score", "false")],
+)
+def test_evaluate_non_numeric_box_or_score_exit_2(
+    dataset_dir, tmp_path, capsys, field, value
+):
+    """Coordinates and score must be JSON numbers: float() would read "1"
+    and true as 1.0."""
+    records = load_annotations(dataset_dir / "annotations.csv")
+    good = {"x1": 1, "y1": 1, "x2": 5, "y2": 5, "score": 0.5, "label": 0}
+    bad = json.dumps(good).replace(f'"{field}": {json.dumps(good[field])}',
+                                   f'"{field}": {value}')
+    assert bad != json.dumps(good)
+    pred_path = tmp_path / "p.jsonl"
+    pred_path.write_text(
+        f'{{"image_id": "{records[0].image_id}", "detections": [{json.dumps(good)}]}}\n'
+        f'{{"image_id": "{records[1].image_id}", "detections": '
+        f'[{json.dumps(good)}, {bad}]}}\n',
+        encoding="utf-8",
+    )
+    code = run_cli(
+        ["evaluate", "--predictions", pred_path,
+         "--annotations", dataset_dir / "annotations.csv"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "line 2, detection 1" in err and field in err
+
+
 def test_load_predictions_keeps_integer_labels(tmp_path):
     path = tmp_path / "p.jsonl"
     path.write_text(
@@ -534,7 +566,11 @@ def test_cotrain_midrun_failure_exit_4_with_checkpoint(tmp_path, monkeypatch):
     monkeypatch.setattr(ct, "generate_pseudo_labels", boom)
     code = run_cli(["cotrain", "--config", cfg_path, "--out", tmp_path / "crash"])
     assert code == 4
-    assert (tmp_path / "crash" / "crash_state.json").is_file()
+    # every completed round's checkpoint is kept, and nothing else is dumped
+    assert latest_checkpoint(tmp_path / "crash") == (
+        tmp_path / "crash" / "checkpoint_round_000.json"
+    )
+    assert not (tmp_path / "crash" / "crash_state.json").exists()
 
 
 def test_cotrain_invalid_hyper_vector_exit_2(tmp_path):

@@ -6,7 +6,7 @@ import os
 import re
 import shutil
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -76,8 +76,11 @@ def test_initial_phase_round0_structure(small_data):
     state = initial_supervised_phase(records, split, CoTrainConfig(seed=11))
     assert state.round == 0
     assert state.accepted_for_a == {} and state.accepted_for_b == {}
-    assert len(state.history) == 1
-    assert state.view_a.trained and state.view_b.trained
+    assert len(state.history) == 1 and len(state.skills) == 1
+    # a view is built once, trained, and cannot lose its ensemble
+    assert state.view_a.ensemble is not None and state.view_b.ensemble is not None
+    with pytest.raises(FrozenInstanceError):
+        state.view_a.ensemble = None
 
 
 def test_initial_phase_val_map_above_floor(small_data):
@@ -97,23 +100,13 @@ def test_initial_phase_empty_train_errors(small_data):
 # ------------------------------------------------- pseudo-label generation
 
 
-def test_generate_untrained_view_errors(small_data):
-    records, split = small_data
-    cfg = CoTrainConfig(seed=11)
-    state = initial_supervised_phase(records, split, cfg)
-    state.view_a.ensemble = None
-    pool = [records[i] for i in split.unlabeled_pool[:5]]
-    with pytest.raises(ValueError):
-        generate_pseudo_labels(state.view_a, pool, 0.8, 0.5, 1, 3)
-
-
 def test_generate_tags_and_confidence_floor(small_data):
     records, split = small_data
     cfg = CoTrainConfig(seed=11)
     state = initial_supervised_phase(records, split, cfg)
     pool = [records[i] for i in split.unlabeled_pool[:40]]
     labels = generate_pseudo_labels(
-        state.view_a, pool, 0.8, 0.5, 3, seed=99
+        state.view_a, state.skills[-1][0], pool, 0.8, 0.5, 3, seed=99
     )
     assert labels, "expected pseudo-labels from 40 pool images"
     pool_ids = {r.image_id for r in pool}
@@ -129,7 +122,9 @@ def test_pseudo_labels_hold_no_numpy_scalars(small_data):
     records, split = small_data
     state = initial_supervised_phase(records, split, CoTrainConfig(seed=11))
     pool = [records[i] for i in split.unlabeled_pool[:40]]
-    labels = generate_pseudo_labels(state.view_b, pool, 0.8, 0.5, 1, seed=5)
+    labels = generate_pseudo_labels(
+        state.view_b, state.skills[-1][1], pool, 0.8, 0.5, 1, seed=5
+    )
     assert labels
     for p in labels:
         for v in (*p.box.as_tuple(), p.label, p.confidence, p.round):
@@ -144,7 +139,7 @@ def test_generate_tau_one_yields_empty(small_data):
     state = initial_supervised_phase(records, split, cfg)
     pool = [records[i] for i in split.unlabeled_pool[:20]]
     labels = generate_pseudo_labels(
-        state.view_a, pool, 1.0, 0.5, 1, seed=99
+        state.view_a, state.skills[-1][0], pool, 1.0, 0.5, 1, seed=99
     )
     assert labels == []
 
@@ -157,7 +152,7 @@ def test_generate_invalid_tau_errors(small_data):
     for bad in (0.0, -0.1, 1.5):
         with pytest.raises(ValueError):
             generate_pseudo_labels(
-                state.view_a, pool, bad, 0.5, 1, seed=99
+                state.view_a, state.skills[-1][0], pool, bad, 0.5, 1, seed=99
             )
 
 
@@ -187,12 +182,12 @@ def test_ensemble_veto_raises_precision(small_data):
     raw = {
         r.image_id: [
             d.scored
-            for d in detect(r, state.view_a.skill, loc, state.view_a.profile, 77)
+            for d in detect(r, state.skills[-1][0], loc, state.view_a.profile, 77)
         ]
         for r in pool
     }
     labels = generate_pseudo_labels(
-        state.view_a, pool, 0.05, 0.5, 1, seed=77
+        state.view_a, state.skills[-1][0], pool, 0.05, 0.5, 1, seed=77
     )
     vetted = {}
     for p in labels:
@@ -236,13 +231,28 @@ def test_exchange_zero_pass_round(small_data):
     records, split = small_data
     cfg = CoTrainConfig(mode="cotrain", tau_conf=1.0, seed=11)
     state = initial_supervised_phase(records, split, cfg)
-    skill_a, skill_b = state.view_a.skill, state.view_b.skill
+    skills = state.skills[-1]
     state = exchange_round(state, records, split)
     assert state.round == 1
     assert len(state.history) == 2
     assert state.accepted_for_a == {} and state.accepted_for_b == {}
-    assert state.view_a.skill == skill_a
-    assert state.view_b.skill == skill_b
+    assert state.skills[-1] == skills
+
+
+def test_exchange_round_leaves_its_input_unchanged(cotrain_base, cotrain_run):
+    records, split, _, _, _ = cotrain_run
+    before = (
+        cotrain_base.round, list(cotrain_base.skills), list(cotrain_base.history),
+        dict(cotrain_base.accepted_for_a), dict(cotrain_base.accepted_for_b),
+    )
+    after = exchange_round(cotrain_base, records, split)
+    assert after.round == 1 and after.accepted_for_a and after.accepted_for_b
+    assert (
+        cotrain_base.round, cotrain_base.skills, cotrain_base.history,
+        cotrain_base.accepted_for_a, cotrain_base.accepted_for_b,
+    ) == before
+    # the trained views are shared, not copied
+    assert after.view_a is cotrain_base.view_a and after.view_b is cotrain_base.view_b
 
 
 def test_exchange_selftrain_keeps_own_labels(small_data):
@@ -471,7 +481,7 @@ def test_checkpoint_roundtrip(cotrain_run, cotrain_base):
     state = _load_onto(latest_checkpoint(run_dir), cotrain_base)
     assert state.round == result.state.round
     assert state.skills == result.state.skills
-    assert (state.view_a.skill, state.view_b.skill) == result.state.skills[-1]
+    assert state.view_a is cotrain_base.view_a and state.view_b is cotrain_base.view_b
     assert state.history == result.state.history
     assert state.accepted_for_a == result.state.accepted_for_a
     assert state.accepted_for_b == result.state.accepted_for_b
@@ -548,6 +558,24 @@ def test_resume_matches_uninterrupted_run(small_data, tmp_path):
     assert _checkpoint_bytes(cut_dir) == _checkpoint_bytes(full_dir)
     assert len(_checkpoint_bytes(full_dir)) == 4
     assert result_to_dict(resumed) == result_to_dict(full)
+
+
+@pytest.mark.parametrize("key", ["history", "skills"])
+def test_checkpoint_rejects_inconsistent_lengths(cotrain_run, tmp_path, key):
+    # a round-1 checkpoint missing round 1's history entry is the shape a
+    # state dumped halfway through a round had; refused before round 0 is
+    # rebuilt, with a message naming the file
+    _, _, cfg, _, run_dir = cotrain_run
+    doc = json.loads((run_dir / "checkpoint_round_001.json").read_text("utf-8"))
+    assert doc["round"] == 1
+    path = tmp_path / "checkpoint_round_001.json"
+    path.write_text(json.dumps({**doc, key: doc[key][:-1]}), "utf-8")
+
+    def rebuilt():
+        raise AssertionError("round 0 rebuilt for a refused checkpoint")
+
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        load_checkpoint(path, cfg, rebuilt)
 
 
 def test_latest_checkpoint_orders_by_round_number(tmp_path):
@@ -656,6 +684,7 @@ def test_resume_refuses_a_changed_later_round_key(
 
 
 def test_crash_persists_partial_state(small_data, tmp_path, monkeypatch):
+    # a failed round leaves the run dir as the last checkpoint left it
     records, split = small_data
     run_dir = tmp_path / "crash"
     cfg = CoTrainConfig(mode="cotrain", max_rounds=2, seed=11)
@@ -668,12 +697,38 @@ def test_crash_persists_partial_state(small_data, tmp_path, monkeypatch):
     monkeypatch.setattr(ct, "generate_pseudo_labels", boom)
     with pytest.raises(RuntimeError, match="injected failure"):
         run_cotraining(records, split, cfg, run_dir=run_dir)
-    crash = run_dir / "crash_state.json"
-    assert crash.is_file()
+    assert sorted(p.name for p in run_dir.iterdir()) == ["checkpoint_round_000.json"]
     state = load_checkpoint(
-        crash, cfg, lambda: initial_supervised_phase(records, split, cfg)
+        latest_checkpoint(run_dir), cfg,
+        lambda: initial_supervised_phase(records, split, cfg),
     )
     assert state.round == 0
+
+
+def test_failed_round1_validation_keeps_round0_checkpoint(
+    small_data, tmp_path, monkeypatch
+):
+    # round 1 fails after its labels were exchanged and its skills retrained,
+    # in its validation pass; nothing of that half-done round is written
+    import densecotrain.cotrain as ct
+
+    calls = []
+    validation_maps = ct._validation_maps
+
+    def fail_second(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:  # round 0's validation, then round 1's
+            raise RuntimeError("injected validation failure")
+        return validation_maps(*args, **kwargs)
+
+    monkeypatch.setattr(ct, "_validation_maps", fail_second)
+    records, split = small_data
+    cfg = CoTrainConfig(mode="cotrain", max_rounds=2, seed=11)
+    with pytest.raises(RuntimeError, match="injected validation failure"):
+        run_cotraining(records, split, cfg, run_dir=tmp_path)
+    assert latest_checkpoint(tmp_path) == tmp_path / "checkpoint_round_000.json"
+    assert not (tmp_path / "crash_state.json").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint_round_000.json"]
 
 
 # --------------------------------------------------------------- merging

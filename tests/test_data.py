@@ -111,6 +111,32 @@ def test_load_clamps_with_warning(tmp_path):
     assert recs[0].gts[0].box.as_tuple() == (0.0, 0.0, 7.0, 10.0)
 
 
+def test_load_clamped_coordinates_stay_floats(tmp_path):
+    # min(x, w) with the int image width would make the clamped x2 an int
+    p = _write(tmp_path, "b,10,10,200,30,object,100,100\n")
+    with pytest.warns(UserWarning, match="clamped"):
+        recs = load_annotations(p)
+    box = recs[0].gts[0].box
+    assert box.as_tuple() == (10.0, 10.0, 100.0, 30.0)
+    assert all(type(v) is float for v in box.as_tuple())
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("x1", "nan"), ("y1", "NaN"), ("x2", "inf"), ("y2", "-inf"), ("x2", "Infinity")],
+)
+def test_load_rejects_non_finite_coordinate(tmp_path, field, value):
+    # a nan would otherwise be clamped to 0 and an inf to the image size
+    row = dict(zip(("x1", "y1", "x2", "y2"), ("10", "10", "20", "30")), **{field: value})
+    p = _write(
+        tmp_path,
+        "a,1,1,5,5,object,100,100\n"
+        f"b,{row['x1']},{row['y1']},{row['x2']},{row['y2']},object,100,100\n",
+    )
+    with pytest.raises(AnnotationError, match=rf"line 2: field {field} is not finite"):
+        load_annotations(p)
+
+
 def test_load_rejects_degenerate_after_clamp(tmp_path):
     p = _write(
         tmp_path,

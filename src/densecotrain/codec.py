@@ -4,6 +4,12 @@ Run configs, detector and ensemble params, skills and round records are
 written with ``dataclasses.asdict`` and read back with ``from_dict``, both
 driven by ``dataclasses.fields``, so a field added to a dataclass is
 written and read back with no further code.
+
+``from_dict`` checks each value against its field's annotation: an
+``int`` field takes only a JSON integer, a ``float`` field any JSON number
+but a bool, and a ``str`` field a string; ``X | None`` also takes null,
+and tuple entries are checked one by one.  Every other check is the
+class's own ``__post_init__``.
 """
 
 from __future__ import annotations
@@ -20,6 +26,18 @@ def _tuples(value):
     return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
 
 
+def _fits(tp, value) -> bool:
+    """Whether the JSON ``value`` may fill a field annotated ``tp``."""
+    args, none = typing.get_args(tp), type(None)
+    if none in args:  # X | None
+        return value is None or any(_fits(a, value) for a in args if a is not none)
+    if typing.get_origin(tp) is tuple:
+        return not isinstance(value, list) or all(map(_fits, args, value))
+    if tp in (int, float, str):  # bool is no JSON number
+        return type(value) is tp or (tp is float and type(value) is int)
+    return True
+
+
 def from_dict(cls, doc, base=None, where: str | None = None):
     """The ``cls`` that ``doc`` describes.  Keys ``doc`` lacks keep their
     value in ``base`` (the class defaults when ``base`` is None), nested
@@ -32,6 +50,10 @@ def from_dict(cls, doc, base=None, where: str | None = None):
     if unknown:
         raise ConfigError(f"unknown {where} keys: {', '.join(unknown)}")
     types = typing.get_type_hints(cls)
+    for name, value in doc.items():
+        if not _fits(tp := types[name], value):
+            tp = tp.__name__ if isinstance(tp, type) else tp
+            raise ConfigError(f"{where}.{name} must be {tp}, got {value!r}")
     values = {
         name: from_dict(types[name], value, getattr(base, name, None),
                         f"{where}.{name}")

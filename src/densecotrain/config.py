@@ -101,13 +101,10 @@ def config_from_dict(doc: dict) -> RunConfig:
         raise ConfigError(f"unsupported artifact_version {version!r}")
     if "seed" not in doc:
         raise ConfigError("config requires an explicit seed (no implicit entropy)")
-    seed = doc["seed"]
-    if not isinstance(seed, int):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
     for section in SEEDED_SECTIONS:
         if isinstance(doc.get(section), dict) and "seed" in doc[section]:
             raise ConfigError(f"{section}.seed is not a key; set the top-level seed")
-    return from_dict(RunConfig, doc, RunConfig(seed=seed), "config")
+    return from_dict(RunConfig, doc, RunConfig(seed=doc["seed"]), "config")
 
 
 def load_config(path: str | Path) -> RunConfig:

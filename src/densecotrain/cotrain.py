@@ -5,7 +5,10 @@ patience rule.
 Both views go through the same code: the supervised phase, pseudo-label
 generation, retraining and evaluation each loop over (A, B), and the mode
 only decides where each view's labels go.  Validation and the final test
-pass share one evaluation function.
+pass share one evaluation function.  One detection pass per view and
+record set feeds both the verified predictions and pseudo-labelling, and
+a pseudo-label is a scored box (its score is the ensemble's confidence),
+so the audit grades an accepted set as it is.
 
 Rules this module enforces:
 
@@ -35,7 +38,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import KW_ONLY, asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -78,18 +81,15 @@ class InfeasibleViewError(ValueError):
 
 
 @dataclass(frozen=True)
-class PseudoLabel:
-    """One accepted pseudo-annotation on an unlabeled image."""
+class PseudoLabel(ScoredBox):
+    """One accepted pseudo-annotation on an unlabeled image: a scored box
+    whose ``score`` is the ensemble's confidence, tagged with its image,
+    the view that produced it and the round."""
 
+    _: KW_ONLY
     image_id: str
-    box: Box
-    label: int
-    confidence: float
     source_view: str
     round: int
-
-    def to_scored(self) -> ScoredBox:
-        return ScoredBox(self.box, self.confidence, self.label)
 
 
 @dataclass(frozen=True)
@@ -139,7 +139,7 @@ class ViewState:
     ensemble: EnsembleClassifier
 
 
-@dataclass
+@dataclass(frozen=True)
 class RoundRecord:
     round: int
     val_map_a: float
@@ -195,38 +195,20 @@ def _detect_view(
     skill: SkillModel,
     records: Sequence[ImageRecord],
     seed: int,
-) -> dict[str, Detections]:
-    return {
+) -> tuple[list[tuple[str, Detections, slice]], np.ndarray]:
+    """The view's detections on ``records``: per image, in sorted image-id
+    order, its id, its detections and their rows in the returned matrix,
+    which stacks every detection's feature vector in that order."""
+    dets = {
         rec.image_id: detect(rec, skill, view.params, view.profile, seed)
         for rec in records
     }
-
-
-def _stacked_features(
-    dets_by_image: Mapping[str, Detections]
-) -> tuple[list[str], np.ndarray]:
-    """Image ids in sorted order, and every detection's feature vector
-    stacked in that order (rows follow each image's detection order)."""
-    order = sorted(dets_by_image)
-    feats = [dets_by_image[img].features for img in order]
-    return order, np.concatenate(feats) if feats else np.empty((0, FEATURE_DIM))
-
-
-def _verified_scores(
-    view: ViewState, dets_by_image: Mapping[str, Detections]
-) -> dict[str, list[ScoredBox]]:
-    """Final prediction rule: detector score times the ensemble's fused
-    object probability (keeps both stages' information in the ranking)."""
-    order, X = _stacked_features(dets_by_image)
-    p_obj = view.ensemble.positive_probability(X) if len(X) else np.empty(0)
-    out: dict[str, list[ScoredBox]] = {}
-    end = 0
-    for img in order:
-        dets = dets_by_image[img]
-        start, end = end, end + len(dets)
-        s = np.minimum(np.maximum(dets.scores * p_obj[start:end], 0.0), 1.0)
-        out[img] = replace(dets, scores=s).scored()
-    return out
+    rows, end = [], 0
+    for img in sorted(dets):
+        start, end = end, end + len(dets[img])
+        rows.append((img, dets[img], slice(start, end)))
+    feats = [d.features for _, d, _ in rows]
+    return rows, np.concatenate(feats) if feats else np.empty((0, FEATURE_DIM))
 
 
 def predict_verified(
@@ -235,7 +217,14 @@ def predict_verified(
     records: Sequence[ImageRecord],
     seed: int,
 ) -> dict[str, list[ScoredBox]]:
-    return _verified_scores(view, _detect_view(view, skill, records, seed))
+    """Final prediction rule: detector score times the ensemble's fused
+    object probability (keeps both stages' information in the ranking)."""
+    rows, X = _detect_view(view, skill, records, seed)
+    p_obj = view.ensemble.positive_probability(X) if len(X) else np.empty(0)
+    return {
+        img: replace(d, scores=np.clip(d.scores * p_obj[r], 0.0, 1.0)).scored()
+        for img, d, r in rows
+    }
 
 
 def merge_views(
@@ -368,25 +357,22 @@ def generate_pseudo_labels(
     NMS-deduplicated; the whole pool is one ``predict`` batch."""
     if not (0.0 < tau_conf <= 1.0):
         raise ValueError(f"tau_conf must be in (0, 1], got {tau_conf!r}")
-    dets = _detect_view(view, skill, unlabeled_records, seed)
-    order, X = _stacked_features(dets)
+    rows, X = _detect_view(view, skill, unlabeled_records, seed)
     if not len(X):
         return []
     labels, conf = view.ensemble.predict(X)
     # the ensemble calls it an object, confidently enough
     kept = (labels == 1) & (conf >= tau_conf)
     out: list[PseudoLabel] = []
-    end = 0
-    for img in order:
-        d = dets[img]
-        start, end = end, end + len(d)
-        c = conf[start:end]
-        rows = np.flatnonzero(kept[start:end])
-        keep = rows[nms_keep(d.boxes[rows], c[rows], d.labels[rows], nms_iou)]
+    for img, d, r in rows:
+        c = conf[r]
+        cand = np.flatnonzero(kept[r])
+        keep = cand[nms_keep(d.boxes[cand], c[cand], d.labels[cand], nms_iou)]
+        tags = {"image_id": img, "source_view": view.name, "round": round_no}
         out += [
-            PseudoLabel(img, Box(*box), label, score, view.name, round_no)
-            for box, label, score in zip(
-                d.boxes[keep].tolist(), d.labels[keep].tolist(), c[keep].tolist()
+            PseudoLabel(Box(*box), score, label, **tags)
+            for box, score, label in zip(
+                d.boxes[keep].tolist(), c[keep].tolist(), d.labels[keep].tolist()
             )
         ]
     return out
@@ -446,6 +432,7 @@ def exchange_round(
             )
             for v, skill in zip(views, state.skills[-1])
         ]
+    fresh = [_group_by_image(labels) for labels in produced]
     sources = _sources(config.mode)
     accepted, skills = [], []
     audits = []  # per view, one audit per image of its accepted set
@@ -453,12 +440,9 @@ def exchange_round(
         views, state.skills[0], (state.accepted_for_a, state.accepted_for_b), sources
     ):
         # replace-per-image-per-source: only images with fresh labels change
-        accepted.append({**acc, **_group_by_image(produced[src])})
-        pseudo_scored = {
-            img: [p.to_scored() for p in group] for img, group in accepted[-1].items()
-        }
+        accepted.append({**acc, **fresh[src]})
         audits.append(audit_pseudo_labels(
-            pseudo_scored, records_by_id, view.profile, base_skill
+            accepted[-1], records_by_id, view.profile, base_skill
         ))
         skills.append(retrain(
             base_skill, view.profile,
@@ -468,9 +452,9 @@ def exchange_round(
     # each view's oracle precision, from the audits of the view that took its
     # labels: a label matches a hidden GT at IoU 0.5 or not, whoever takes it
     precision = [
-        sum(audits[r][img].n_correct for img in _group_by_image(labels)) / len(labels)
+        sum(audits[r][img].n_correct for img in groups) / len(labels)
         if labels else None
-        for labels, r in zip(produced, sources)
+        for labels, groups, r in zip(produced, fresh, sources)
     ]
     retrained = replace(
         state, skills=[*state.skills, tuple(skills)],
@@ -500,7 +484,7 @@ def save_checkpoint(state: CoTrainState, path: str | Path) -> None:
     takes them from a rebuilt round-0 state.
 
     An accepted set names its source view once and holds, per image, the
-    round of its labels and one ``[x1, y1, x2, y2, label, confidence]``
+    round of its labels and one ``[x1, y1, x2, y2, label, score]``
     row per label (an image's labels share a source and a round)."""
     views = (state.view_a, state.view_b)
     doc = {
@@ -520,7 +504,7 @@ def save_checkpoint(state: CoTrainState, path: str | Path) -> None:
             "images": {
                 img: {
                     "round": group[0].round,
-                    "rows": [[*p.box.as_tuple(), p.label, p.confidence] for p in group],
+                    "rows": [[*p.box.as_tuple(), p.label, p.score] for p in group],
                 }
                 for img, group in acc.items()
             },
@@ -537,7 +521,10 @@ def _accepted_from_doc(section: dict) -> dict[str, list[PseudoLabel]]:
     source = section["source_view"]
     return {
         img: [
-            PseudoLabel(img, Box(*row[:4]), row[4], row[5], source, entry["round"])
+            PseudoLabel(
+                Box(*row[:4]), row[5], row[4],
+                image_id=img, source_view=source, round=entry["round"],
+            )
             for row in entry["rows"]
         ]
         for img, entry in section["images"].items()

@@ -21,7 +21,7 @@ import csv
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -352,17 +352,9 @@ def write_manifest(
     spec_template: SceneSpec,
     seed: int,
 ) -> None:
-    """Sidecar JSON recording how a synthetic CSV was produced."""
-    payload = {
-        "n_images": n_images,
-        "seed": seed,
-        "scene_spec": {
-            "grid_rows": spec_template.grid_rows,
-            "grid_cols": spec_template.grid_cols,
-            "box_w": spec_template.box_w,
-            "box_h": spec_template.box_h,
-            "jitter": spec_template.jitter,
-            "overlap_factor": spec_template.overlap_factor,
-        },
-    }
+    """Sidecar JSON recording how a synthetic CSV was produced: the scene
+    spec without its ``seed``, which the top-level ``seed`` gives."""
+    scene_spec = asdict(spec_template)
+    del scene_spec["seed"]
+    payload = {"n_images": n_images, "seed": seed, "scene_spec": scene_spec}
     Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

@@ -172,16 +172,12 @@ def validate_vector(v: HyperVector) -> None:
         if spec.kind == "categorical":
             if val not in spec.menu:
                 raise ValueError(f"gene {name}: {val!r} not in menu {spec.menu}")
-        elif spec.kind == "integer":
-            if val != int(val) or not (spec.low <= val <= spec.high):
-                raise ValueError(
-                    f"gene {name}: {val!r} not an integer in [{spec.low}, {spec.high}]"
-                )
-        else:
-            if not (spec.low <= val <= spec.high):
-                raise ValueError(
-                    f"gene {name}: {val!r} outside [{spec.low}, {spec.high}]"
-                )
+        elif type(val) not in ((int,) if spec.kind == "integer" else (int, float)):
+            # type(), not isinstance(): a bool is an int to isinstance
+            kind = "an integer" if spec.kind == "integer" else "a number"
+            raise ValueError(f"gene {name}: {val!r} is not {kind}")
+        elif not (spec.low <= val <= spec.high):
+            raise ValueError(f"gene {name}: {val!r} outside [{spec.low}, {spec.high}]")
 
 
 def _sample_gene(spec: GeneSpec, rng: np.random.Generator):

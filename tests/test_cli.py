@@ -514,6 +514,9 @@ def test_cotrain_config_unknown_key_exit_2(tmp_path, capsys, extra, key):
         ({"ensemble_params": {"xgb": {"max_depth": 2.5}}}, "max_depth"),
         ({"ensemble_params": {"rf": {"max_depth": 1.5}}}, "max_depth"),
         ({"ensemble_params": {"rf": {"max_depth": True}}}, "max_depth"),
+        # as is every integer key: 2.5 rounds ran 3, and true ran one
+        ({"max_rounds": 2.5}, "config.cotrain.max_rounds must be int"),
+        ({"max_rounds": True}, "config.cotrain.max_rounds must be int"),
     ],
 )
 def test_cotrain_config_bad_value_exit_2_before_running(
@@ -523,6 +526,25 @@ def test_cotrain_config_bad_value_exit_2_before_running(
     assert run_cli(["cotrain", "--config", cfg_path]) == 2
     assert key in capsys.readouterr().err
     assert not list(tmp_path.glob("run/checkpoint_round_*.json"))
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("dataset", "n_labeled", 40.5), (None, "seed", True)],
+)
+def test_cotrain_config_number_of_wrong_type_exit_2(
+    tmp_path, capsys, section, key, value
+):
+    """An integer key takes only a JSON integer: 40.5 labeled images failed
+    with a TypeError mid-build, and a true seed was taken for 1."""
+    doc = read_json(tiny_config(tmp_path))
+    (doc[section] if section else doc)[key] = value
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli(["cotrain", "--config", path]) == 2
+    where = f"{section}.{key}" if section else key
+    assert f"config.{where} must be int" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_cotrain_config_invalid_json_exit_2(tmp_path):
@@ -590,6 +612,23 @@ def test_cotrain_hyper_vector_unknown_keys_exit_2(tmp_path, capsys):
     assert run_cli(["cotrain", "--config", cfg_path, "--hyper", bad]) == 2
     err = capsys.readouterr().err
     assert "extra" in err and "genes.lr_xgbb" in err
+
+
+@pytest.mark.parametrize(
+    "gene, value",
+    [(g, True) for g in ("d_xgb", "rc_xgb", "c_svm", "ep_yolo", "ep_rcnn", "d_rf")]
+    + [("d_xgb", 3.0), ("nt_rf", 25.0), ("ep_yolo", "20"), ("lr_yolo", None)],
+)
+def test_cotrain_hyper_vector_wrong_type_exit_2(tmp_path, capsys, gene, value):
+    """A bool is no number and an integer gene takes only a JSON integer:
+    true would train depth-1 boosters, and 3.0 would pass for 3."""
+    cfg_path = tiny_config(tmp_path)
+    genes = dict(zip(GENE_NAMES, vector_values(DEFAULT_VECTOR)))
+    bad = tmp_path / "vec.json"
+    bad.write_text(json.dumps({"genes": {**genes, gene: value}}), encoding="utf-8")
+    assert run_cli(["cotrain", "--config", cfg_path, "--hyper", bad]) == 2
+    assert f"gene {gene}:" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 # --------------------------------------------------------------------- tune

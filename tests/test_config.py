@@ -2,6 +2,7 @@
 documents fail loudly."""
 
 import json
+import re
 from dataclasses import fields
 
 import pytest
@@ -193,11 +194,39 @@ def test_nested_params_merge_into_stock_values():
         ({"seed": 1, "cotrain": {"mode": "bogus"}}, "mode"),
         ({"seed": 1, "cotrain": {"retrain_coeff": 0.5}}, "retrain_coeff"),
         ({"seed": 1, "dataset": {"fractions": [0.5, 0.4, 0.2]}}, "fractions"),
+        # an int key takes only a JSON integer, a float key any JSON number
+        # but a bool, and a str key a string
+        ({"seed": True}, "config.seed must be int"),
+        ({"seed": 1.0}, "config.seed must be int"),
+        ({"seed": 1, "cotrain": {"max_rounds": 2.5}}, "config.cotrain.max_rounds"),
+        ({"seed": 1, "cotrain": {"max_rounds": True}}, "config.cotrain.max_rounds"),
+        ({"seed": 1, "cotrain": {"unlabeled_subsample": 10.0}},
+         "config.cotrain.unlabeled_subsample must be int | None"),
+        ({"seed": 1, "cotrain": {"tau_conf": True}},
+         "config.cotrain.tau_conf must be float"),
+        ({"seed": 1, "cotrain": {"loc_params": {"epochs": 3.0}}},
+         "config.cotrain.loc_params.epochs"),
+        ({"seed": 1, "dataset": {"n_labeled": 40.5}}, "config.dataset.n_labeled"),
+        ({"seed": 1, "dataset": {"row_range": [3, 4.5]}}, "config.dataset.row_range"),
+        ({"seed": 1, "dataset": {"fractions": [0.5, 0.5, False]}},
+         "config.dataset.fractions"),
+        ({"seed": 1, "tuner": {"budget": 4.0}}, "config.tuner.budget"),
+        ({"seed": 1, "output_dir": None}, "config.output_dir must be str"),
+        ({"seed": 1, "cotrain": {"mode": 3}}, "config.cotrain.mode must be str"),
     ],
 )
 def test_bad_documents_raise_config_error(doc, where):
-    with pytest.raises(ConfigError, match=where):
+    with pytest.raises(ConfigError, match=re.escape(where)):
         config_from_dict(doc)
+
+
+def test_float_keys_take_json_integers():
+    cfg = config_from_dict(
+        {"seed": 1, "cotrain": {"tau_conf": 1, "epsilon": 0},
+         "dataset": {"box_w": 40, "fractions": [1, 0, 0]}}
+    )
+    assert cfg.cotrain.tau_conf == 1.0 and cfg.cotrain.epsilon == 0.0
+    assert cfg.dataset.box_w == 40.0 and cfg.dataset.fractions == (1, 0, 0)
 
 
 def test_echo_has_one_seed():

@@ -81,6 +81,8 @@ def test_initial_phase_round0_structure(small_data):
     assert state.view_a.ensemble is not None and state.view_b.ensemble is not None
     with pytest.raises(FrozenInstanceError):
         state.view_a.ensemble = None
+    with pytest.raises(FrozenInstanceError):  # and a history entry is a value
+        state.history[0].val_map_a = 0.0
 
 
 def test_initial_phase_val_map_above_floor(small_data):
@@ -111,7 +113,7 @@ def test_generate_tags_and_confidence_floor(small_data):
     assert labels, "expected pseudo-labels from 40 pool images"
     pool_ids = {r.image_id for r in pool}
     for p in labels:
-        assert p.confidence >= 0.8
+        assert p.score >= 0.8
         assert p.source_view == "A"
         assert p.round == 3
         assert p.image_id in pool_ids
@@ -127,10 +129,10 @@ def test_pseudo_labels_hold_no_numpy_scalars(small_data):
     )
     assert labels
     for p in labels:
-        for v in (*p.box.as_tuple(), p.label, p.confidence, p.round):
+        for v in (*p.box.as_tuple(), p.label, p.score, p.round):
             assert not isinstance(v, np.generic), v
-        assert type(p.label) is int and type(p.confidence) is float
-    json.dumps([[*p.box.as_tuple(), p.label, p.confidence] for p in labels])
+        assert type(p.label) is int and type(p.score) is float
+    json.dumps([[*p.box.as_tuple(), p.label, p.score] for p in labels])
 
 
 def test_generate_tau_one_yields_empty(small_data):
@@ -191,7 +193,7 @@ def test_ensemble_veto_raises_precision(small_data):
     )
     vetted = {}
     for p in labels:
-        vetted.setdefault(p.image_id, []).append(p.to_scored())
+        vetted.setdefault(p.image_id, []).append(p)
     assert precision(vetted) > precision(raw)
     assert precision(vetted) >= 0.95
 
@@ -302,7 +304,7 @@ def _oracle_precision(labels, records_by_id):
     correct = 0
     for img, group in groups.items():
         rec = records_by_id[img]
-        mr = match_detections([p.to_scored() for p in group], list(rec.gts), 0.5)
+        mr = match_detections(group, list(rec.gts), 0.5)
         correct += sum(mr.det_is_tp)
     return correct / len(labels)
 

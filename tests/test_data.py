@@ -378,7 +378,11 @@ def test_manifest_written(tmp_path):
     d = json.loads(p.read_text())
     assert d["n_images"] == 5
     assert d["seed"] == 9
-    assert d["scene_spec"]["overlap_factor"] == 0.4
+    # the spec's own seed is not written: the top-level seed is the one seed
+    assert d["scene_spec"] == {
+        "grid_rows": 3, "grid_cols": 4, "box_w": 48.0, "box_h": 64.0,
+        "jitter": 2.0, "overlap_factor": 0.4,
+    }
 
 
 def test_split_timing():

@@ -191,17 +191,17 @@ def records_index(records: Iterable[ImageRecord]) -> dict[str, ImageRecord]:
 
 
 def _detect_view(
-    view: ViewState,
+    profile: DetectorProfile,
+    params: DetectorParams,
     skill: SkillModel,
     records: Sequence[ImageRecord],
     seed: int,
 ) -> tuple[list[tuple[str, Detections, slice]], np.ndarray]:
-    """The view's detections on ``records``: per image, in sorted image-id
+    """A view's detections on ``records``: per image, in sorted image-id
     order, its id, its detections and their rows in the returned matrix,
     which stacks every detection's feature vector in that order."""
     dets = {
-        rec.image_id: detect(rec, skill, view.params, view.profile, seed)
-        for rec in records
+        rec.image_id: detect(rec, skill, params, profile, seed) for rec in records
     }
     rows, end = [], 0
     for img in sorted(dets):
@@ -209,6 +209,20 @@ def _detect_view(
         rows.append((img, dets[img], slice(start, end)))
     feats = [d.features for _, d, _ in rows]
     return rows, np.concatenate(feats) if feats else np.empty((0, FEATURE_DIM))
+
+
+def _verified(
+    ensemble: EnsembleClassifier,
+    rows: Sequence[tuple[str, Detections, slice]],
+    X: np.ndarray,
+) -> dict[str, list[ScoredBox]]:
+    """The scoring half of ``predict_verified``: each detection of ``rows``
+    rescored by the rule, reading its features from ``X``."""
+    p_obj = ensemble.positive_probability(X) if len(X) else np.empty(0)
+    return {
+        img: replace(d, scores=np.clip(d.scores * p_obj[r], 0.0, 1.0)).scored()
+        for img, d, r in rows
+    }
 
 
 def predict_verified(
@@ -219,12 +233,9 @@ def predict_verified(
 ) -> dict[str, list[ScoredBox]]:
     """Final prediction rule: detector score times the ensemble's fused
     object probability (keeps both stages' information in the ranking)."""
-    rows, X = _detect_view(view, skill, records, seed)
-    p_obj = view.ensemble.positive_probability(X) if len(X) else np.empty(0)
-    return {
-        img: replace(d, scores=np.clip(d.scores * p_obj[r], 0.0, 1.0)).scored()
-        for img, d, r in rows
-    }
+    return _verified(
+        view.ensemble, *_detect_view(view.profile, view.params, skill, records, seed)
+    )
 
 
 def merge_views(
@@ -240,6 +251,18 @@ def merge_views(
     return out
 
 
+def _reports(
+    dets_a: Mapping[str, Sequence[ScoredBox]],
+    dets_b: Mapping[str, Sequence[ScoredBox]],
+    records: Sequence[ImageRecord],
+    merge_nms_iou: float,
+) -> tuple[EvalReport, EvalReport, EvalReport]:
+    """Reports of both views' verified detections and of their merge."""
+    gts = {r.image_id: list(r.gts) for r in records}
+    dc = merge_views(dets_a, dets_b, merge_nms_iou)
+    return tuple(mean_average_precision(d, gts) for d in (dets_a, dets_b, dc))
+
+
 def _evaluate(
     state: CoTrainState,
     skills: tuple[SkillModel, SkillModel],
@@ -248,15 +271,17 @@ def _evaluate(
 ) -> tuple[EvalReport, EvalReport, EvalReport]:
     """Reports of the views, run with ``skills``, and their merge on
     ``records``; detections are seeded from (seed, namespace, view name)."""
-    gts = {r.image_id: list(r.gts) for r in records}
     da, db = (
         predict_verified(
             v, skill, records, derive_seed(state.config.seed, namespace, v.name)
         )
         for v, skill in zip((state.view_a, state.view_b), skills)
     )
-    dc = merge_views(da, db, state.config.merge_nms_iou)
-    return tuple(mean_average_precision(d, gts) for d in (da, db, dc))
+    return _reports(da, db, records, state.config.merge_nms_iou)
+
+
+def _maps(reports: Iterable[EvalReport]) -> tuple[float, ...]:
+    return tuple(float(rep.map_coco) for rep in reports)
 
 
 def _validation_maps(
@@ -264,23 +289,48 @@ def _validation_maps(
     records_by_id: Mapping[str, ImageRecord],
     split: DatasetSplit,
 ) -> tuple[float, float, float]:
+    """Validation mAPs of an exchange round's state (round 0 scores the
+    validation detections it made while fitting its ensembles)."""
     val_records = [records_by_id[i] for i in split.val]
-    return tuple(
-        float(rep.map_coco)
-        for rep in _evaluate(state, state.skills[-1], val_records, "val")
-    )
+    return _maps(_evaluate(state, state.skills[-1], val_records, "val"))
 
 
-def _train_view_ensemble(
+def view_specs(
+    config: CoTrainConfig,
+) -> tuple[tuple[str, DetectorProfile, DetectorParams], ...]:
+    """Each view's name, detector profile and detector params under
+    ``config``, view A first."""
+    return ("A", LOCALIZER, config.loc_params), ("B", CONTEXTUAL, config.ctx_params)
+
+
+@dataclass(frozen=True)
+class RoundZeroData:
+    """A view's detector-side work of round 0: its supervised skill, the
+    training set of its verification ensemble and its raw validation
+    detections (``_detect_view``'s rows and feature matrix)."""
+
+    skill: SkillModel
+    train_set: tuple[np.ndarray, np.ndarray]
+    val_rows: list[tuple[str, Detections, slice]]
+    val_X: np.ndarray
+
+
+def round_zero_data(
     name: str,
     profile: DetectorProfile,
     params: DetectorParams,
-    skill: SkillModel,
-    train_records: Sequence[ImageRecord],
+    records_by_id: Mapping[str, ImageRecord],
+    split: DatasetSplit,
     config: CoTrainConfig,
-) -> EnsembleClassifier:
-    """Fit the verification ensemble on the view's own detections over
-    the labeled train set, labeled correct/incorrect by oracle match."""
+) -> RoundZeroData:
+    """Step 1 of a view's round 0: detect on the labeled train set and
+    label each detection correct/incorrect by oracle match (at most
+    ``ensemble_train_cap`` rows, a seeded subsample), then detect on the
+    validation set.  Reads of ``config`` only the seed and the cap."""
+    if not split.train:
+        raise ValueError("initial supervised phase requires a nonempty train set")
+    train_records = [records_by_id[i] for i in split.train]
+    skill = skill_from_params(params, profile, size_regime(train_records))
     seed = derive_seed(config.seed, "ens-train", name)
     feats: list[np.ndarray] = []
     targets: list[bool] = []
@@ -307,10 +357,29 @@ def _train_view_ensemble(
         keep = rng.choice(len(X), config.ensemble_train_cap, replace=False)
         keep.sort()
         X, y = X[keep], y[keep]
-    return EnsembleClassifier.train(
-        (X, y), config.ensemble_params,
+    val_rows, val_X = _detect_view(
+        profile, params, skill, [records_by_id[i] for i in split.val],
+        derive_seed(config.seed, "val", name),
+    )
+    return RoundZeroData(skill, (X, y), val_rows, val_X)
+
+
+def fit_round_zero(
+    name: str,
+    profile: DetectorProfile,
+    params: DetectorParams,
+    data: RoundZeroData,
+    config: CoTrainConfig,
+) -> tuple[ViewState, dict[str, list[ScoredBox]]]:
+    """Step 2 of a view's round 0: fit the verification ensemble on
+    ``data``'s training set and score its validation detections.  Reads
+    of ``config`` only the seed and the ensemble params."""
+    ensemble = EnsembleClassifier.train(
+        data.train_set, config.ensemble_params,
         seed=derive_seed(config.seed, "ensemble", name) & 0xFFFFFFFF,
     )
+    view = ViewState(name, profile, params, ensemble)
+    return view, _verified(ensemble, data.val_rows, data.val_X)
 
 
 def initial_supervised_phase(
@@ -320,27 +389,22 @@ def initial_supervised_phase(
 ) -> CoTrainState:
     """Round 0: both views trained on labeled train data only; the first
     validation entry is recorded and both accepted sets are empty."""
-    if not split.train:
-        raise ValueError("initial supervised phase requires a nonempty train set")
+    views, skills, verified = [], [], []
+    for name, profile, params in view_specs(config):
+        data = round_zero_data(name, profile, params, records_by_id, split, config)
+        view, dets = fit_round_zero(name, profile, params, data, config)
+        views.append(view)
+        skills.append(data.skill)
+        verified.append(dets)
     train_records = [records_by_id[i] for i in split.train]
-    regime = size_regime(train_records)
-    views, skills = [], []
-    for name, profile, params in (
-        ("A", LOCALIZER, config.loc_params), ("B", CONTEXTUAL, config.ctx_params)
-    ):
-        skill = skill_from_params(params, profile, regime)
-        ensemble = _train_view_ensemble(
-            name, profile, params, skill, train_records, config
-        )
-        views.append(ViewState(name, profile, params, ensemble))
-        skills.append(skill)
-    state = CoTrainState(
+    val_records = [records_by_id[i] for i in split.val]
+    maps = _maps(_reports(*verified, val_records, config.merge_nms_iou))
+    return CoTrainState(
         *views, config, [tuple(skills)],
         n_base_annotations=sum(len(r.gts) for r in train_records),
         n_base_occluded=count_occluded(train_records),
+        history=[RoundRecord(0, *maps)],
     )
-    maps = _validation_maps(state, records_by_id, split)
-    return replace(state, history=[RoundRecord(0, *maps)])
 
 
 def generate_pseudo_labels(
@@ -357,7 +421,7 @@ def generate_pseudo_labels(
     NMS-deduplicated; the whole pool is one ``predict`` batch."""
     if not (0.0 < tau_conf <= 1.0):
         raise ValueError(f"tau_conf must be in (0, 1], got {tau_conf!r}")
-    rows, X = _detect_view(view, skill, unlabeled_records, seed)
+    rows, X = _detect_view(view.profile, view.params, skill, unlabeled_records, seed)
     if not len(X):
         return []
     labels, conf = view.ensemble.predict(X)

@@ -7,28 +7,53 @@ annealing (single-gene moves, Metropolis acceptance, geometric cooling).
 The default configuration vector is always injected, so tuning can only
 match or beat the defaults.  Objective scores are memoized by vector, and
 only fresh evaluations consume budget.
+
+The pipeline objective (``make_supervised_objective``) scores a vector by
+round 0 of co-training under it, and reuses each view's share of that work
+when the view's inputs repeat.  View A reads only the ``*_rcnn`` genes and
+view B only the ``*_yolo`` genes, and the nine ensemble genes touch no
+detector, so an SA move, which changes one gene, leaves most of the
+previous evaluation valid.  Two small least-recently-used memos per view
+hold it: the detector-side data by ``DetectorParams`` and the verified
+validation detections by ``DetectorParams`` and ``EnsembleParams``.  The
+reuse is exact, because the seed, the ensemble training cap and the
+records come from the fixed base config and split, so the memo keys are
+the only inputs that vary.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .cotrain import CoTrainConfig, InfeasibleViewError, initial_supervised_phase
+from .cotrain import (
+    CoTrainConfig,
+    InfeasibleViewError,
+    RoundZeroData,
+    fit_round_zero,
+    merge_views,
+    round_zero_data,
+    view_specs,
+)
 from .data import DatasetSplit, ImageRecord
 from .detectors import ANCHOR_MENU, BATCH_MENU, DetectorParams, derive_seed
 from .ensemble import SVM_KERNELS, EnsembleParams, RfParams, SvmParams, XgbParams
+from .metrics import mean_average_precision
 
 ALGORITHMS = ("ga", "sa")
 # one gene move, for GA mutation and SA steps alike: a Gaussian step of this
 # share of a numeric gene's range, or an integer step of 1 up to this many
 MUTATION_SIGMA_SCALE = 0.1
 MUTATION_INT_STEP_MAX = 3
+# entries per view in each memo of the supervised objective; SA moves only
+# from its current vector, so a few recent ones cover its revisits
+VIEW_MEMO_SIZE = 4
 
 
 @dataclass(frozen=True)
@@ -170,7 +195,8 @@ def validate_vector(v: HyperVector) -> None:
         spec = SPEC_BY_NAME[name]
         val = getattr(v, name)
         if spec.kind == "categorical":
-            if val not in spec.menu:
+            # an entry of the entry's own type: 16.0 == 16, but it is no batch size
+            if not any(type(val) is type(m) and val == m for m in spec.menu):
                 raise ValueError(f"gene {name}: {val!r} not in menu {spec.menu}")
         elif type(val) not in ((int,) if spec.kind == "integer" else (int, float)):
             # type(), not isinstance(): a bool is an int to isinstance
@@ -449,25 +475,78 @@ def vector_to_params(
     return ens, loc, ctx
 
 
+class _Lru:
+    """A map that keeps its ``VIEW_MEMO_SIZE`` most recently used entries."""
+
+    def __init__(self) -> None:
+        self.entries: OrderedDict = OrderedDict()
+
+    def get(self, key, compute: Callable[[], object]):
+        """The value at ``key``, computed and stored on a miss."""
+        if key in self.entries:
+            self.entries.move_to_end(key)
+        else:
+            self.entries[key] = compute()
+            if len(self.entries) > VIEW_MEMO_SIZE:
+                self.entries.popitem(last=False)
+        return self.entries[key]
+
+
+def _feasible_data(*args) -> RoundZeroData | None:
+    """``round_zero_data(*args)``, or None for a view that cannot fit its
+    verification ensemble."""
+    try:
+        return round_zero_data(*args)
+    except InfeasibleViewError:
+        return None
+
+
 def make_supervised_objective(
     records_by_id: Mapping[str, ImageRecord],
     split: DatasetSplit,
     base_config: CoTrainConfig,
 ) -> Callable[[HyperVector], float]:
     """Objective for tuning: combined validation mAP of the initial
-    supervised phase under the candidate's parameters."""
+    supervised phase under the candidate's parameters, or 0.0 when a view
+    cannot fit its verification ensemble.
+
+    Each view's round 0 is the two steps of ``initial_supervised_phase``,
+    reused through two bounded memos: the detector-side data keyed by (view,
+    ``DetectorParams``) and the verified validation detections keyed by
+    (view, ``DetectorParams``, ``EnsembleParams``).  A move on one view's
+    detector genes reuses the other view whole, and a move on an ensemble
+    gene only refits and rescores the two ensembles.  The reuse is exact:
+    the seed, the cap and the records come from ``base_config`` and
+    ``split``, which are fixed, so the memo keys are the only inputs that
+    vary, and a memoized value is never changed."""
+    detector_memo = {name: _Lru() for name, _, _ in view_specs(base_config)}
+    verified_memo = {name: _Lru() for name in detector_memo}
+    val_gts = {i: list(records_by_id[i].gts) for i in split.val}
 
     def objective(v: HyperVector) -> float:
         ens, loc, ctx = vector_to_params(v)
         cfg = replace(base_config, loc_params=loc, ctx_params=ctx, ensemble_params=ens)
-        try:
-            state = initial_supervised_phase(records_by_id, split, cfg)
-        except InfeasibleViewError:
-            # candidate starves its own verification stage (e.g. a
-            # confidence threshold that removes every false positive);
-            # score it worst instead of killing the whole search
-            return 0.0
-        return state.history[0].val_map_combined
+        views = view_specs(cfg)
+        data = []
+        for name, profile, params in views:
+            d = detector_memo[name].get(params, lambda: _feasible_data(
+                name, profile, params, records_by_id, split, cfg
+            ))
+            if d is None:
+                # candidate starves its own verification stage (e.g. a
+                # confidence threshold that removes every false positive);
+                # score it worst instead of killing the whole search
+                return 0.0
+            data.append(d)
+        verified = [
+            verified_memo[name].get(
+                (params, ens),
+                lambda: fit_round_zero(name, profile, params, d, cfg)[1],
+            )
+            for (name, profile, params), d in zip(views, data)
+        ]
+        merged = merge_views(*verified, cfg.merge_nms_iou)
+        return float(mean_average_precision(merged, val_gts).map_coco)
 
     return objective
 

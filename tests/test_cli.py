@@ -617,11 +617,13 @@ def test_cotrain_hyper_vector_unknown_keys_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "gene, value",
     [(g, True) for g in ("d_xgb", "rc_xgb", "c_svm", "ep_yolo", "ep_rcnn", "d_rf")]
-    + [("d_xgb", 3.0), ("nt_rf", 25.0), ("ep_yolo", "20"), ("lr_yolo", None)],
+    + [("d_xgb", 3.0), ("nt_rf", 25.0), ("ep_yolo", "20"), ("lr_yolo", None)]
+    + [("bs_rcnn", 8.0)],
 )
 def test_cotrain_hyper_vector_wrong_type_exit_2(tmp_path, capsys, gene, value):
     """A bool is no number and an integer gene takes only a JSON integer:
-    true would train depth-1 boosters, and 3.0 would pass for 3."""
+    true would train depth-1 boosters, and 3.0 would pass for 3.  A menu
+    gene takes only a menu entry of its type: 8.0 is no batch size."""
     cfg_path = tiny_config(tmp_path)
     genes = dict(zip(GENE_NAMES, vector_values(DEFAULT_VECTOR)))
     bad = tmp_path / "vec.json"

@@ -719,7 +719,7 @@ def test_failed_round1_validation_keeps_round0_checkpoint(
 
     def fail_second(*args, **kwargs):
         calls.append(1)
-        if len(calls) == 2:  # round 0's validation, then round 1's
+        if len(calls) == 1:  # round 1's; round 0 scores its own validation pass
             raise RuntimeError("injected validation failure")
         return validation_maps(*args, **kwargs)
 

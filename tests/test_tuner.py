@@ -7,7 +7,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from densecotrain.cotrain import CoTrainConfig, initial_supervised_phase
+import densecotrain.cotrain as cotrain
+import densecotrain.tuner as tuner
+from densecotrain.cotrain import (
+    CoTrainConfig,
+    InfeasibleViewError,
+    initial_supervised_phase,
+)
 from densecotrain.tuner import (
     DEFAULT_VECTOR,
     GENE_NAMES,
@@ -17,6 +23,7 @@ from densecotrain.tuner import (
     TunerConfig,
     _perturb_gene,
     crossover,
+    make_supervised_objective,
     mutate,
     normalized_distance,
     optimize,
@@ -30,8 +37,12 @@ from densecotrain.tuner import (
 )
 from densecotrain.cotrain import records_index
 from densecotrain.data import SceneSpec, generate_synthetic_dataset, select_and_split
-from densecotrain.detectors import DEFAULT_CONTEXTUAL_PARAMS, DEFAULT_LOCALIZER_PARAMS
-from densecotrain.ensemble import EnsembleParams
+from densecotrain.detectors import (
+    DEFAULT_CONTEXTUAL_PARAMS,
+    DEFAULT_LOCALIZER_PARAMS,
+    LOCALIZER,
+)
+from densecotrain.ensemble import EnsembleClassifier, EnsembleParams
 
 SPEC_BY_NAME = {s.name: s for s in GENE_SPECS}
 
@@ -53,6 +64,15 @@ def build_dataset(seed, n_labeled, n_unlabeled):
 
 def test_default_vector_is_valid():
     validate_vector(DEFAULT_VECTOR)
+
+
+@pytest.mark.parametrize(
+    "gene, value",
+    [("bs_yolo", 16.0), ("bs_rcnn", 8.0), ("bs_yolo", True), ("k_svm", 1)],
+)
+def test_validate_vector_categorical_takes_only_a_menu_entry_of_its_type(gene, value):
+    with pytest.raises(ValueError, match=f"gene {gene}:"):
+        validate_vector(replace(DEFAULT_VECTOR, **{gene: value}))
 
 
 def test_gene_specs_cover_all_fields():
@@ -354,6 +374,100 @@ def test_tune_pipeline_beats_or_matches_default(tiny_data):
     )
     assert rep.best_score >= default_map
     assert all(0.0 <= e.score <= 1.0 for e in rep.trace)
+
+
+# -------------------------------------------------- the supervised objective
+
+
+def reference_objective(records, split, base):
+    """The objective as it was before its memos: a whole round 0 per vector."""
+
+    def objective(v):
+        ens, loc, ctx = vector_to_params(v)
+        cfg = replace(base, loc_params=loc, ctx_params=ctx, ensemble_params=ens)
+        try:
+            state = initial_supervised_phase(records, split, cfg)
+        except InfeasibleViewError:
+            return 0.0
+        return state.history[0].val_map_combined
+
+    return objective
+
+
+def scripted_vectors():
+    d = DEFAULT_VECTOR
+    rcnn = replace(d, lr_rcnn=3e-3)
+    yolo = replace(rcnn, ct_yolo=0.4)
+    ens = replace(yolo, lr_xgb=0.3)
+    a_infeasible = replace(d, ct_rcnn=0.95)  # no false positive left to learn from
+    return [d, rcnn, yolo, ens, rcnn, a_infeasible, replace(ens, k_svm="linear"), d]
+
+
+def test_supervised_objective_matches_reference_in_both_orders(tiny_data):
+    records, split = tiny_data
+    base = CoTrainConfig(seed=19)
+    ref = reference_objective(records, split, base)
+    vectors = scripted_vectors()
+    expected = [ref(v) for v in vectors]
+    assert expected[5] == 0.0 and len(set(expected)) >= 4
+    for order in (vectors, vectors[::-1]):
+        objective = make_supervised_objective(records, split, base)
+        got = {vector_values(v): objective(v) for v in order}
+        assert [got[vector_values(v)] for v in vectors] == expected
+
+
+def test_supervised_objective_redoes_only_the_moved_view(tiny_data, monkeypatch):
+    records, split = tiny_data
+    trained, detected = [], []
+    train = EnsembleClassifier.train
+    detect = cotrain.detect
+
+    def counting_train(cls, *args, **kwargs):
+        trained.append(1)
+        return train(*args, **kwargs)
+
+    def counting_detect(record, skill, params, profile, seed):
+        detected.append(profile)
+        return detect(record, skill, params, profile, seed)
+
+    monkeypatch.setattr(EnsembleClassifier, "train", classmethod(counting_train))
+    monkeypatch.setattr(cotrain, "detect", counting_detect)  # the name round 0 calls
+    objective = make_supervised_objective(records, split, CoTrainConfig(seed=19))
+    objective(DEFAULT_VECTOR)
+    assert len(trained) == 2
+    assert len(detected) == 2 * (len(split.train) + len(split.val))
+
+    trained.clear()
+    detected.clear()
+    objective(replace(DEFAULT_VECTOR, lr_rcnn=3e-3))
+    assert len(trained) == 1
+    assert detected == [LOCALIZER] * (len(split.train) + len(split.val))
+
+    trained.clear()
+    detected.clear()
+    objective(replace(DEFAULT_VECTOR, lr_rcnn=3e-3, lr_xgb=0.3))
+    assert len(trained) == 2
+    assert detected == []
+
+
+def test_supervised_objective_memo_bound(tiny_data, monkeypatch):
+    records, split = tiny_data
+    base = CoTrainConfig(seed=19)
+    cfg = TunerConfig(algorithm="ga", budget=6, population=3, seed=1)
+    expected = optimize(reference_objective(records, split, base), cfg)
+    sizes = []
+    get = tuner._Lru.get
+
+    def recording_get(memo, key, compute):
+        out = get(memo, key, compute)
+        sizes.append(len(memo.entries))
+        return out
+
+    monkeypatch.setattr(tuner, "VIEW_MEMO_SIZE", 1)
+    monkeypatch.setattr(tuner._Lru, "get", recording_get)
+    got = optimize(make_supervised_objective(records, split, base), cfg)
+    assert got.trace == expected.trace
+    assert sizes and max(sizes) == 1
 
 
 def test_write_trace_csv(tmp_path):

@@ -399,8 +399,7 @@ def cmd_cotrain(args) -> int:
             f"co-training failed mid-run (checkpoints retained in {run_dir}): {exc}"
         ) from exc
     timings = {"total_s": time.perf_counter() - t0}
-    trace_ref = TRACE_FILENAME if (run_dir / TRACE_FILENAME).is_file() else None
-    report = build_run_report(result, timings, tuning_trace=trace_ref)
+    report = build_run_report(result, timings)
     save_run_report(report, run_dir)
     write_history_csv(report, run_dir)
     _print_json(report)

@@ -40,7 +40,7 @@ import json
 import os
 from dataclasses import KW_ONLY, asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -71,7 +71,7 @@ from .geom import Box, ScoredBox, nms, nms_keep
 from .metrics import EvalReport, match_detections, mean_average_precision
 
 MODES = ("cotrain", "selftrain", "supervised")
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 class InfeasibleViewError(ValueError):
@@ -472,6 +472,39 @@ def _sources(mode: str) -> tuple[int, int]:
     return (1, 0) if mode == "cotrain" else (0, 1)
 
 
+def _sizes(groups: Iterable[Mapping[str, list[PseudoLabel]]]) -> tuple[int, ...]:
+    """The number of labels in each of ``groups`` (per image id)."""
+    return tuple(sum(len(g) for g in by_image.values()) for by_image in groups)
+
+
+def _next_labels(
+    state: CoTrainState,
+    records_by_id: Mapping[str, ImageRecord],
+    split: DatasetSplit,
+) -> tuple[list[dict[str, list[PseudoLabel]]], ...]:
+    """The pseudo-label half of the round after ``state``'s, run by both
+    ``exchange_round`` and a checkpoint's replay: both views generate from
+    the state's last skills on that round's pool, and each view's accepted
+    set takes the fresh labels of its source.  Returns, per view, the
+    labels it produced grouped by image, and the accepted set it takes."""
+    config = state.config
+    round_no = state.round + 1
+    fresh: list[dict[str, list[PseudoLabel]]] = [{}, {}]
+    if config.mode != "supervised":
+        pool = _pool_records(records_by_id, split, config, round_no)
+        fresh = [
+            _group_by_image(generate_pseudo_labels(
+                v, skill, pool, config.tau_conf, config.pseudo_nms_iou, round_no,
+                derive_seed(config.seed, "pool", v.name, round_no),
+            ))
+            for v, skill in zip((state.view_a, state.view_b), state.skills[-1])
+        ]
+    # replace-per-image-per-source: only images with fresh labels change
+    sets, sources = (state.accepted_for_a, state.accepted_for_b), _sources(config.mode)
+    accepted = [{**acc, **fresh[src]} for acc, src in zip(sets, sources)]
+    return fresh, accepted
+
+
 def exchange_round(
     state: CoTrainState,
     records_by_id: Mapping[str, ImageRecord],
@@ -483,50 +516,30 @@ def exchange_round(
     of the labels it took both read it), retrain from the round-0 skills,
     and record the skills and validation mAP.  Returns the next state;
     ``state`` is left as it was."""
-    config = state.config
-    round_no = state.round + 1
-    pool = _pool_records(records_by_id, split, config, round_no)
-    views = (state.view_a, state.view_b)
-    produced: list[list[PseudoLabel]] = [[], []]
-    if config.mode != "supervised":
-        produced = [
-            generate_pseudo_labels(
-                v, skill, pool, config.tau_conf, config.pseudo_nms_iou, round_no,
-                derive_seed(config.seed, "pool", v.name, round_no),
-            )
-            for v, skill in zip(views, state.skills[-1])
-        ]
-    fresh = [_group_by_image(labels) for labels in produced]
-    sources = _sources(config.mode)
-    accepted, skills = [], []
-    audits = []  # per view, one audit per image of its accepted set
-    for view, base_skill, acc, src in zip(
-        views, state.skills[0], (state.accepted_for_a, state.accepted_for_b), sources
+    fresh, accepted = _next_labels(state, records_by_id, split)
+    skills, audits = [], []  # per view; an audit per image of its accepted set
+    for view, base_skill, acc in zip(
+        (state.view_a, state.view_b), state.skills[0], accepted
     ):
-        # replace-per-image-per-source: only images with fresh labels change
-        accepted.append({**acc, **fresh[src]})
-        audits.append(audit_pseudo_labels(
-            accepted[-1], records_by_id, view.profile, base_skill
-        ))
+        audits.append(audit_pseudo_labels(acc, records_by_id, view.profile, base_skill))
         skills.append(retrain(
             base_skill, view.profile,
             state.n_base_annotations, state.n_base_occluded,
-            sum(audits[-1].values(), PseudoLabelAudit()), config.retrain_coeff,
+            sum(audits[-1].values(), PseudoLabelAudit()), state.config.retrain_coeff,
         ))
     # each view's oracle precision, from the audits of the view that took its
     # labels: a label matches a hidden GT at IoU 0.5 or not, whoever takes it
     precision = [
-        sum(audits[r][img].n_correct for img in groups) / len(labels)
-        if labels else None
-        for labels, groups, r in zip(produced, fresh, sources)
+        sum(audits[r][img].n_correct for img in groups) / n if n else None
+        for groups, n, r in zip(fresh, _sizes(fresh), _sources(state.config.mode))
     ]
     retrained = replace(
         state, skills=[*state.skills, tuple(skills)],
         accepted_for_a=accepted[0], accepted_for_b=accepted[1],
     )
     record = RoundRecord(
-        round_no, *_validation_maps(retrained, records_by_id, split),
-        *(sum(len(v) for v in acc.values()) for acc in accepted), *precision,
+        state.round + 1, *_validation_maps(retrained, records_by_id, split),
+        *_sizes(accepted), *precision,
     )
     return replace(retrained, history=[*state.history, record])
 
@@ -542,15 +555,11 @@ def _fingerprint(config: CoTrainConfig) -> str:
 
 
 def save_checkpoint(state: CoTrainState, path: str | Path) -> None:
-    """Write what the exchange rounds change, behind the config's
-    fingerprint: every round's skills, the history and both accepted sets.
-    Round 0's views and ensembles are not stored; ``load_checkpoint``
-    takes them from a rebuilt round-0 state.
-
-    An accepted set names its source view once and holds, per image, the
-    round of its labels and one ``[x1, y1, x2, y2, label, score]``
-    row per label (an image's labels share a source and a round)."""
-    views = (state.view_a, state.view_b)
+    """Write what the exchange rounds change and cannot be rebuilt, behind
+    the config's fingerprint: every round's skills and the history.
+    Round 0's views and ensembles are a function of the config, records
+    and split, and so is each round's pseudo-labelling given the skills
+    before it, so ``load_checkpoint`` rebuilds both."""
     doc = {
         "checkpoint_version": CHECKPOINT_VERSION,
         "round": state.round,
@@ -558,21 +567,6 @@ def save_checkpoint(state: CoTrainState, path: str | Path) -> None:
         "skills": [[asdict(a), asdict(b)] for a, b in state.skills],
         "history": [asdict(r) for r in state.history],
     }
-    for key, acc, src in zip(
-        ("accepted_for_a", "accepted_for_b"),
-        (state.accepted_for_a, state.accepted_for_b),
-        _sources(state.config.mode),
-    ):
-        doc[key] = {
-            "source_view": views[src].name,
-            "images": {
-                img: {
-                    "round": group[0].round,
-                    "rows": [[*p.box.as_tuple(), p.label, p.score] for p in group],
-                }
-                for img, group in acc.items()
-            },
-        }
     # write beside the target, then rename: a write cut short leaves the
     # previous checkpoint as the latest, never a truncated one
     path = Path(path)
@@ -581,32 +575,23 @@ def save_checkpoint(state: CoTrainState, path: str | Path) -> None:
     os.replace(tmp, path)
 
 
-def _accepted_from_doc(section: dict) -> dict[str, list[PseudoLabel]]:
-    source = section["source_view"]
-    return {
-        img: [
-            PseudoLabel(
-                Box(*row[:4]), row[5], row[4],
-                image_id=img, source_view=source, round=entry["round"],
-            )
-            for row in entry["rows"]
-        ]
-        for img, entry in section["images"].items()
-    }
-
-
 def load_checkpoint(
-    path: str | Path, config: CoTrainConfig, round_zero: Callable[[], CoTrainState]
+    path: str | Path,
+    records_by_id: Mapping[str, ImageRecord],
+    split: DatasetSplit,
+    config: CoTrainConfig,
 ) -> CoTrainState:
-    """The run's round-0 state, rebuilt by ``round_zero``, moved to the
-    checkpoint's round.
+    """The run's state at the checkpoint's round: round 0 rebuilt by the
+    supervised phase, the stored skills and history, and both accepted
+    sets rebuilt by replaying each stored round's pseudo-labelling.
 
     A checkpoint of another version, whose config fingerprint differs
     from ``config``'s (written under other settings), or whose ``skills``
     or ``history`` does not hold ``round + 1`` entries, is refused before
-    round 0 is rebuilt; one whose first history entry differs from the
+    round 0 is rebuilt.  One whose first history entry differs from the
     rebuilt one (round 0's validation mAPs, which move with the records and
-    split) was written by another run and is refused after."""
+    split), or a round whose replayed accepted sets differ in size from its
+    history entry, was written by another run and is refused after."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     version = doc.get("checkpoint_version")
     if version != CHECKPOINT_VERSION:
@@ -625,9 +610,9 @@ def load_checkpoint(
             f"{path}: round {doc['round']} with {n_skills} skills and "
             f"{n_history} history entries (each must be round + 1); cannot resume"
         )
-    base = round_zero()
+    state = initial_supervised_phase(records_by_id, split, config)
     history = [from_dict(RoundRecord, r) for r in doc["history"]]
-    if history[:1] != base.history[:1]:
+    if history[:1] != state.history:
         raise ValueError(
             f"{path}: written by a run with another round 0 "
             "(history[0] differs); cannot resume"
@@ -635,13 +620,17 @@ def load_checkpoint(
     skills = [
         (from_dict(SkillModel, a), from_dict(SkillModel, b)) for a, b in doc["skills"]
     ]
-    return replace(
-        base,
-        skills=skills,
-        accepted_for_a=_accepted_from_doc(doc["accepted_for_a"]),
-        accepted_for_b=_accepted_from_doc(doc["accepted_for_b"]),
-        history=history,
-    )
+    for k, rec in enumerate(history[1:], start=1):
+        state = replace(state, skills=skills[:k], history=history[:k])
+        accepted = _next_labels(state, records_by_id, split)[1]
+        replayed, stored = _sizes(accepted), (rec.n_accepted_for_a, rec.n_accepted_for_b)
+        if replayed != stored:
+            raise ValueError(
+                f"{path}: round {k} replays to {replayed} accepted "
+                f"pseudo-labels for (A, B), not the stored {stored}; cannot resume"
+            )
+        state = replace(state, accepted_for_a=accepted[0], accepted_for_b=accepted[1])
+    return replace(state, skills=skills, history=history)
 
 
 def _checkpoint_path(run_dir: Path, round_no: int) -> Path:
@@ -689,17 +678,16 @@ def run_cotraining(
     end using the round whose combined validation mAP was best.
 
     With ``resume``, the latest checkpoint in ``run_dir`` is checked
-    against the config, then round 0 is rebuilt and the checkpoint loaded
-    onto it; otherwise round 0 is checkpointed.
+    against the config, then round 0 is rebuilt and each checkpointed
+    round's pseudo-labelling replayed onto it; otherwise round 0 is
+    checkpointed.
     Either way the rest of the run reads only the state."""
     rd = Path(run_dir) if run_dir is not None else None
     if rd is not None:
         rd.mkdir(parents=True, exist_ok=True)
     ck = latest_checkpoint(rd) if resume and rd is not None else None
     if ck is not None:
-        state = load_checkpoint(
-            ck, config, lambda: initial_supervised_phase(records_by_id, split, config)
-        )
+        state = load_checkpoint(ck, records_by_id, split, config)
     else:
         state = initial_supervised_phase(records_by_id, split, config)
         if rd is not None:

@@ -175,10 +175,33 @@ def _parse_row(
     return name, Box(cx1, cy1, cx2, cy2), cls, w, h
 
 
+def _label_id(name: str, label_ids: dict[str, int], line_no: int) -> int:
+    """The label of class ``name``, kept in ``label_ids`` (the names seen so
+    far): ``object`` is 0 and ``class_<k>`` is k, as ``save_annotations``
+    writes them, and any other name takes the lowest label above 0 that no
+    name holds yet.  A name whose label another name holds fails."""
+    if name not in label_ids:
+        k = name.removeprefix("class_")
+        if name == LABEL_NAMES[0]:
+            new = 0
+        elif k != name and k.isascii() and k.isdigit():
+            new = int(k)
+        else:
+            new = min(set(range(1, len(label_ids) + 2)) - set(label_ids.values()))
+        for other, label in label_ids.items():
+            if label == new:
+                raise AnnotationError(
+                    f"line {line_no}: class {name!r} would share label {new} "
+                    f"with class {other!r}"
+                )
+        label_ids[name] = new
+    return label_ids[name]
+
+
 def load_annotations(path: str | Path) -> list[ImageRecord]:
     """Read the annotation CSV into per-image records (row order kept)."""
     path = Path(path)
-    label_ids: dict[str, int] = {"object": 0}
+    label_ids: dict[str, int] = {}
     by_image: dict[str, dict] = {}
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -199,8 +222,7 @@ def load_annotations(path: str | Path) -> list[ImageRecord]:
             if parsed is None:
                 continue
             name, box, cls, w, h = parsed
-            if cls not in label_ids:
-                label_ids[cls] = len(label_ids)
+            label = _label_id(cls, label_ids, line_no)
             entry = by_image.setdefault(
                 name, {"width": w, "height": h, "gts": []}
             )
@@ -209,7 +231,7 @@ def load_annotations(path: str | Path) -> list[ImageRecord]:
                     f"line {line_no}: image {name} has conflicting dims "
                     f"{w}x{h} vs {entry['width']}x{entry['height']}"
                 )
-            entry["gts"].append(GroundTruth(box, label_ids[cls]))
+            entry["gts"].append(GroundTruth(box, label))
     records = []
     for name, entry in by_image.items():
         records.append(

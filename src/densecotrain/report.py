@@ -22,15 +22,10 @@ TRACE_FILENAME = "tune_trace.csv"
 _HISTORY_COLUMNS = tuple(f.name for f in fields(RoundRecord))
 
 
-def build_run_report(
-    result: CoTrainResult,
-    timings: dict[str, float],
-    tuning_trace: str | None = None,
-) -> dict:
+def build_run_report(result: CoTrainResult, timings: dict[str, float]) -> dict:
     return {
         "artifact_version": ARTIFACT_VERSION,
         **result_to_dict(result),
-        "tuning_trace": tuning_trace,
         "timings": dict(timings),
     }
 

@@ -222,19 +222,18 @@ def random_vector(seed: int = 0) -> HyperVector:
     return HyperVector(**{n: _sample_gene(SPEC_BY_NAME[n], rng) for n in GENE_NAMES})
 
 
-def _perturb_gene(spec: GeneSpec, val, rng: np.random.Generator,
-                  sigma_scale: float, int_step_max: int):
+def _perturb_gene(spec: GeneSpec, val, rng: np.random.Generator):
     if spec.kind == "categorical":
         return spec.menu[int(rng.integers(len(spec.menu)))]
     if spec.kind == "integer":
-        step = int(rng.integers(1, int_step_max + 1))
+        step = int(rng.integers(1, MUTATION_INT_STEP_MAX + 1))
         sign = 1 if rng.random() < 0.5 else -1
         return int(min(max(val + sign * step, spec.low), spec.high))
     if spec.kind == "log":
         lo, hi = math.log10(spec.low), math.log10(spec.high)
-        x = math.log10(val) + rng.normal(0.0, sigma_scale * (hi - lo))
+        x = math.log10(val) + rng.normal(0.0, MUTATION_SIGMA_SCALE * (hi - lo))
         return float(10.0 ** min(max(x, lo), hi))
-    x = val + rng.normal(0.0, sigma_scale * (spec.high - spec.low))
+    x = val + rng.normal(0.0, MUTATION_SIGMA_SCALE * (spec.high - spec.low))
     return float(min(max(x, spec.low), spec.high))
 
 
@@ -248,10 +247,7 @@ def mutate(v: HyperVector, rate: float = 0.2, seed: int = 0) -> HyperVector:
     for name in GENE_NAMES:
         val = getattr(v, name)
         if rng.random() < rate:
-            val = _perturb_gene(
-                SPEC_BY_NAME[name], val, rng,
-                MUTATION_SIGMA_SCALE, MUTATION_INT_STEP_MAX,
-            )
+            val = _perturb_gene(SPEC_BY_NAME[name], val, rng)
         out[name] = val
     return HyperVector(**out)
 
@@ -389,10 +385,7 @@ def _optimize_sa(tracker, config) -> TuneReport:
     temperature = config.initial_temperature
     while not tracker.exhausted:
         name = GENE_NAMES[int(rng.integers(len(GENE_NAMES)))]
-        moved = _perturb_gene(
-            SPEC_BY_NAME[name], getattr(current, name), rng,
-            MUTATION_SIGMA_SCALE, MUTATION_INT_STEP_MAX,
-        )
+        moved = _perturb_gene(SPEC_BY_NAME[name], getattr(current, name), rng)
         neighbor = replace(current, **{name: moved})
         s = tracker.score(neighbor)
         if s is None:

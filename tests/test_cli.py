@@ -173,6 +173,19 @@ def test_split_malformed_annotations_exit_2(tmp_path):
     assert code == 2
 
 
+def test_annotations_with_two_class_names_of_one_id_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(
+        "img,0,0,5,5,cat,100,100\nimg,1,1,6,6,class_1,100,100\n", encoding="utf-8"
+    )
+    code = run_cli(
+        ["split", "--annotations", bad, "--n-labeled", 1, "--n-unlabeled", 0,
+         "--seed", 1, "--out", tmp_path / "x"]
+    )
+    assert code == 2
+    assert "line 2" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["evaluate", "cotrain"])
 def test_misspelled_annotation_header_exit_2(tmp_path, capsys, command):
     bad = tmp_path / "bad.csv"

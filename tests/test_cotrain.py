@@ -32,7 +32,7 @@ from densecotrain.data import (
     generate_synthetic_dataset,
     select_and_split,
 )
-from densecotrain.detectors import DetectorParams, RetrainCoefficients
+from densecotrain.detectors import FEATURE_DIM, DetectorParams, RetrainCoefficients
 from densecotrain.geom import ScoredBox, Box
 from densecotrain.metrics import match_detections
 
@@ -120,7 +120,7 @@ def test_generate_tags_and_confidence_floor(small_data):
 
 
 def test_pseudo_labels_hold_no_numpy_scalars(small_data):
-    # a numpy label or score would make json.dumps raise in save_checkpoint
+    # labels hold plain Python numbers, so they serialize as JSON as they are
     records, split = small_data
     state = initial_supervised_phase(records, split, CoTrainConfig(seed=11))
     pool = [records[i] for i in split.unlabeled_pool[:40]]
@@ -452,24 +452,18 @@ def test_checkpoints_written_per_round(cotrain_run):
         doc = json.loads(
             (run_dir / f"checkpoint_round_{r:03d}.json").read_text("utf-8")
         )
-        # only what the rounds change: round 0 is rebuilt, never stored
+        # only what the rounds change and cannot rebuild: round 0 and the
+        # accepted sets are rebuilt, never stored
         assert set(doc) == {
             "checkpoint_version", "round", "config_sha256", "skills", "history",
-            "accepted_for_a", "accepted_for_b",
         }
         assert len(doc["skills"]) == len(doc["history"]) == r + 1
-        # one source view per set, one round and label rows per image
-        for key, source in (("accepted_for_a", "B"), ("accepted_for_b", "A")):
-            assert set(doc[key]) == {"source_view", "images"}
-            assert doc[key]["source_view"] == source
-            for entry in doc[key]["images"].values():
-                assert set(entry) == {"round", "rows"}
-                assert all(len(row) == 6 for row in entry["rows"])
     assert not (run_dir / "result.json").exists()
 
 
-def _load_onto(path, base):
-    return load_checkpoint(path, base.config, lambda: base)
+def _load(path, cotrain_run):
+    records, split, cfg, _, _ = cotrain_run
+    return load_checkpoint(path, records, split, cfg)
 
 
 def _checkpoint_bytes(run_dir):
@@ -480,30 +474,39 @@ def _checkpoint_bytes(run_dir):
 
 def test_checkpoint_roundtrip(cotrain_run, cotrain_base):
     _, _, _, result, run_dir = cotrain_run
-    state = _load_onto(latest_checkpoint(run_dir), cotrain_base)
+    state = _load(latest_checkpoint(run_dir), cotrain_run)
     assert state.round == result.state.round
     assert state.skills == result.state.skills
-    assert state.view_a is cotrain_base.view_a and state.view_b is cotrain_base.view_b
     assert state.history == result.state.history
     assert state.accepted_for_a == result.state.accepted_for_a
     assert state.accepted_for_b == result.state.accepted_for_b
     assert state.config == cotrain_base.config
-    # round 0 comes from the base, which the load leaves as it was
-    assert state.view_a.ensemble is cotrain_base.view_a.ensemble
+    # round 0 is rebuilt as the supervised phase builds it
+    X = np.random.default_rng(0).random((64, FEATURE_DIM))
+    for view, base in (
+        (state.view_a, cotrain_base.view_a), (state.view_b, cotrain_base.view_b)
+    ):
+        assert (view.name, view.profile, view.params) == (
+            base.name, base.profile, base.params
+        )
+        assert np.array_equal(
+            view.ensemble.positive_probability(X),
+            base.ensemble.positive_probability(X),
+        )
+    assert state.n_base_annotations == cotrain_base.n_base_annotations
+    assert state.n_base_occluded == cotrain_base.n_base_occluded
     assert state.skills[0] == cotrain_base.skills[0]
-    assert cotrain_base.round == 0 and len(cotrain_base.history) == 1
-    assert len(cotrain_base.skills) == 1
-    assert cotrain_base.accepted_for_a == {} and cotrain_base.accepted_for_b == {}
+    assert state.history[0] == cotrain_base.history[0]
 
 
-def test_checkpoint_rejects_unknown_version(cotrain_run, cotrain_base, tmp_path):
+def test_checkpoint_rejects_unknown_version(cotrain_run, tmp_path):
     # version 1 stored round 0's views and ensembles, version 2 one dict per
-    # label; any version but the current one is refused with a message
-    # naming the file and the version
+    # label, version 3 one row per label; any version but the current one
+    # is refused with a message naming the file and the version
     _, _, _, _, run_dir = cotrain_run
     doc = json.loads((run_dir / "checkpoint_round_001.json").read_text("utf-8"))
     path = tmp_path / "checkpoint_round_001.json"
-    for version in (1, 2, 999):
+    for version in (1, 2, 3, 999):
         path.write_text(
             json.dumps({**doc, "checkpoint_version": version}), encoding="utf-8"
         )
@@ -511,15 +514,15 @@ def test_checkpoint_rejects_unknown_version(cotrain_run, cotrain_base, tmp_path)
             ValueError,
             match=rf"checkpoint_round_001\.json.*checkpoint_version {version}\b",
         ):
-            _load_onto(path, cotrain_base)
+            _load(path, cotrain_run)
 
 
 def test_checkpoint_write_cut_short_keeps_previous_latest(
-    cotrain_run, cotrain_base, tmp_path, monkeypatch
+    cotrain_run, tmp_path, monkeypatch
 ):
     _, _, _, result, run_dir = cotrain_run
     source = run_dir / "checkpoint_round_001.json"
-    state = _load_onto(source, cotrain_base)
+    state = _load(source, cotrain_run)
     save_checkpoint(state, tmp_path / "checkpoint_round_001.json")
     assert (tmp_path / "checkpoint_round_001.json").read_bytes() == source.read_bytes()
 
@@ -534,15 +537,16 @@ def test_checkpoint_write_cut_short_keeps_previous_latest(
     assert (tmp_path / "checkpoint_round_002.json.tmp").is_file()
     latest = latest_checkpoint(tmp_path)
     assert latest == tmp_path / "checkpoint_round_001.json"
-    assert _load_onto(latest, cotrain_base).round == 1
+    assert _load(latest, cotrain_run).round == 1
 
 
-def test_resume_matches_uninterrupted_run(small_data, tmp_path):
+@pytest.mark.parametrize("mode", ["cotrain", "selftrain"])
+def test_resume_matches_uninterrupted_run(small_data, tmp_path, mode):
     records, split = small_data
 
     def config(max_rounds):
         return CoTrainConfig(
-            mode="cotrain", max_rounds=max_rounds, patience=9, seed=31,
+            mode=mode, max_rounds=max_rounds, patience=9, seed=31,
             unlabeled_subsample=60,
         )
 
@@ -563,21 +567,50 @@ def test_resume_matches_uninterrupted_run(small_data, tmp_path):
 
 
 @pytest.mark.parametrize("key", ["history", "skills"])
-def test_checkpoint_rejects_inconsistent_lengths(cotrain_run, tmp_path, key):
+def test_checkpoint_rejects_inconsistent_lengths(
+    cotrain_run, tmp_path, monkeypatch, key
+):
     # a round-1 checkpoint missing round 1's history entry is the shape a
     # state dumped halfway through a round had; refused before round 0 is
     # rebuilt, with a message naming the file
-    _, _, cfg, _, run_dir = cotrain_run
+    import densecotrain.cotrain as ct
+
+    _, _, _, _, run_dir = cotrain_run
     doc = json.loads((run_dir / "checkpoint_round_001.json").read_text("utf-8"))
     assert doc["round"] == 1
     path = tmp_path / "checkpoint_round_001.json"
     path.write_text(json.dumps({**doc, key: doc[key][:-1]}), "utf-8")
 
-    def rebuilt():
+    def rebuilt(*args, **kwargs):
         raise AssertionError("round 0 rebuilt for a refused checkpoint")
 
+    monkeypatch.setattr(ct, "initial_supervised_phase", rebuilt)
     with pytest.raises(ValueError, match=re.escape(str(path))):
-        load_checkpoint(path, cfg, rebuilt)
+        _load(path, cotrain_run)
+
+
+def test_checkpoint_refuses_a_replay_of_another_size(
+    cotrain_run, tmp_path, monkeypatch
+):
+    # a round whose replayed accepted sets differ in size from its history
+    # entry was written by another run: refused after round 0 is rebuilt,
+    # with a message naming the file and the round
+    import densecotrain.cotrain as ct
+
+    _, _, _, _, run_dir = cotrain_run
+    doc = json.loads((run_dir / "checkpoint_round_001.json").read_text("utf-8"))
+    doc["history"][1]["n_accepted_for_a"] += 1
+    path = tmp_path / "checkpoint_round_001.json"
+    path.write_text(json.dumps(doc), "utf-8")
+    rebuilt = []
+    phase = ct.initial_supervised_phase
+    monkeypatch.setattr(
+        ct, "initial_supervised_phase",
+        lambda *args: rebuilt.append(1) or phase(*args),
+    )
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: round 1\b"):
+        _load(path, cotrain_run)
+    assert rebuilt == [1]
 
 
 def test_latest_checkpoint_orders_by_round_number(tmp_path):
@@ -700,10 +733,7 @@ def test_crash_persists_partial_state(small_data, tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="injected failure"):
         run_cotraining(records, split, cfg, run_dir=run_dir)
     assert sorted(p.name for p in run_dir.iterdir()) == ["checkpoint_round_000.json"]
-    state = load_checkpoint(
-        latest_checkpoint(run_dir), cfg,
-        lambda: initial_supervised_phase(records, split, cfg),
-    )
+    state = load_checkpoint(latest_checkpoint(run_dir), records, split, cfg)
     assert state.round == 0
 
 

@@ -192,6 +192,31 @@ def test_save_load_roundtrip(tmp_path):
         assert a.occlusion == pytest.approx(b.occlusion)
 
 
+def test_save_load_roundtrip_keeps_labels(tmp_path):
+    # label k is written as class_<k> (0 as object) and read back as k,
+    # whatever order the labels first appear in
+    gts = tuple(GroundTruth(Box(1, 1 + 3 * k, 5, 3 + 3 * k), k) for k in (2, 1, 0))
+    recs = [ImageRecord("a", 20, 20, gts[:2]), ImageRecord("b", 20, 20, gts[2:])]
+    p = tmp_path / "out.csv"
+    save_annotations(recs, p)
+    assert [[g.label for g in r.gts] for r in load_annotations(p)] == [[2, 1], [0]]
+
+
+def test_load_numbers_other_class_names_by_first_appearance(tmp_path):
+    p = _write(
+        tmp_path,
+        "a,1,1,3,3,dog,10,10\na,1,1,3,3,class_4,10,10\n"
+        "a,1,1,3,3,object,10,10\na,1,1,3,3,cat,10,10\na,1,1,3,3,dog,10,10\n",
+    )
+    assert [g.label for g in load_annotations(p)[0].gts] == [1, 4, 0, 2, 1]
+
+
+def test_load_rejects_two_class_names_of_one_id(tmp_path):
+    p = _write(tmp_path, "a,1,1,3,3,cat,10,10\na,1,1,3,3,class_1,10,10\n")
+    with pytest.raises(AnnotationError, match="line 2: class 'class_1'.*'cat'"):
+        load_annotations(p)
+
+
 def _records(n):
     return [
         ImageRecord(f"im{i:04d}", 100, 100, (GroundTruth(Box(1, 1, 9, 9)),))

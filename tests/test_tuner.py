@@ -126,13 +126,15 @@ def test_mutate_rate_zero_identity():
     assert mutate(v, rate=0.0, seed=9) == v
 
 
-def test_mutate_huge_sigma_clamps_numeric_genes_to_bounds():
+def test_mutate_huge_sigma_clamps_numeric_genes_to_bounds(monkeypatch):
+    monkeypatch.setattr(tuner, "MUTATION_SIGMA_SCALE", 1e9)
+    monkeypatch.setattr(tuner, "MUTATION_INT_STEP_MAX", 10**9)
     rng = np.random.default_rng(3)
     for name in GENE_NAMES:
         spec = SPEC_BY_NAME[name]
         if spec.kind == "categorical":
             continue
-        val = _perturb_gene(spec, getattr(DEFAULT_VECTOR, name), rng, 1e9, 10**9)
+        val = _perturb_gene(spec, getattr(DEFAULT_VECTOR, name), rng)
         assert val == spec.low or val == spec.high, f"{name}={val}"
 
 

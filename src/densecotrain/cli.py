@@ -27,7 +27,7 @@ from .config import (
     load_config,
     save_config,
 )
-from .cotrain import records_index, report_to_dict, run_cotraining
+from .cotrain import CHECKPOINT_FILENAME, records_index, report_to_dict, run_cotraining
 from .data import (
     AnnotationError,
     SceneSpec,
@@ -396,7 +396,8 @@ def cmd_cotrain(args) -> int:
         result = run_cotraining(records, split, cfg.cotrain, run_dir=run_dir)
     except Exception as exc:
         raise RuntimeFailure(
-            f"co-training failed mid-run (checkpoints retained in {run_dir}): {exc}"
+            "co-training failed mid-run (the last completed round's checkpoint, "
+            f"if any, is {run_dir / CHECKPOINT_FILENAME}): {exc}"
         ) from exc
     timings = {"total_s": time.perf_counter() - t0}
     report = build_run_report(result, timings)

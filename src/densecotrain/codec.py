@@ -6,14 +6,16 @@ driven by ``dataclasses.fields``, so a field added to a dataclass is
 written and read back with no further code.
 
 ``from_dict`` checks each value against its field's annotation: an
-``int`` field takes only a JSON integer, a ``float`` field any JSON number
-but a bool, and a ``str`` field a string; ``X | None`` also takes null,
+``int`` field takes only a JSON integer, a ``float`` field any finite JSON
+number but a bool (not the ``NaN`` and ``Infinity`` that Python's ``json``
+reads), and a ``str`` field a string; ``X | None`` also takes null,
 and tuple entries are checked one by one.  Every other check is the
 class's own ``__post_init__``.
 """
 
 from __future__ import annotations
 
+import math
 import typing
 from dataclasses import fields, is_dataclass, replace
 
@@ -33,8 +35,10 @@ def _fits(tp, value) -> bool:
         return value is None or any(_fits(a, value) for a in args if a is not none)
     if typing.get_origin(tp) is tuple:
         return not isinstance(value, list) or all(map(_fits, args, value))
-    if tp in (int, float, str):  # bool is no JSON number
-        return type(value) is tp or (tp is float and type(value) is int)
+    if tp is float:  # bool is no JSON number, nor are NaN and Infinity
+        return type(value) is int or type(value) is float and math.isfinite(value)
+    if tp in (int, str):
+        return type(value) is tp
     return True
 
 

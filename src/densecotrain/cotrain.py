@@ -29,6 +29,8 @@ Rules this module enforces:
   Each round returns a new state and leaves its input as it was.
   Stopping and the best-round restore read the state alone, so a resumed
   run takes the same path as a fresh one.
+* A run directory holds one checkpoint, ``checkpoint.json``, replaced
+  after each round: the skills and history a resume cannot rebuild.
 * Bit-for-bit reproducible from (config, seed): every RNG consumed here
   is derived from the config seed and a string namespace.
 """
@@ -71,7 +73,8 @@ from .geom import Box, ScoredBox, nms, nms_keep
 from .metrics import EvalReport, match_detections, mean_average_precision
 
 MODES = ("cotrain", "selftrain", "supervised")
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
+CHECKPOINT_FILENAME = "checkpoint.json"
 
 
 class InfeasibleViewError(ValueError):
@@ -555,20 +558,19 @@ def _fingerprint(config: CoTrainConfig) -> str:
 
 
 def save_checkpoint(state: CoTrainState, path: str | Path) -> None:
-    """Write what the exchange rounds change and cannot be rebuilt, behind
-    the config's fingerprint: every round's skills and the history.
-    Round 0's views and ensembles are a function of the config, records
-    and split, and so is each round's pseudo-labelling given the skills
-    before it, so ``load_checkpoint`` rebuilds both."""
+    """Write every round's skills and the history (whose length gives the
+    round) behind the config's fingerprint: what the exchange rounds change
+    and cannot be rebuilt.  Round 0's views and ensembles are a function of
+    the config, records and split, and so is each round's pseudo-labelling
+    given the skills before it, so ``load_checkpoint`` rebuilds both."""
     doc = {
         "checkpoint_version": CHECKPOINT_VERSION,
-        "round": state.round,
         "config_sha256": _fingerprint(state.config),
         "skills": [[asdict(a), asdict(b)] for a, b in state.skills],
         "history": [asdict(r) for r in state.history],
     }
     # write beside the target, then rename: a write cut short leaves the
-    # previous checkpoint as the latest, never a truncated one
+    # previous round's checkpoint in place, never a truncated one
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(json.dumps(doc), encoding="utf-8")
@@ -585,30 +587,38 @@ def load_checkpoint(
     supervised phase, the stored skills and history, and both accepted
     sets rebuilt by replaying each stored round's pseudo-labelling.
 
-    A checkpoint of another version, whose config fingerprint differs
-    from ``config``'s (written under other settings), or whose ``skills``
-    or ``history`` does not hold ``round + 1`` entries, is refused before
-    round 0 is rebuilt.  One whose first history entry differs from the
-    rebuilt one (round 0's validation mAPs, which move with the records and
-    split), or a round whose replayed accepted sets differ in size from its
-    history entry, was written by another run and is refused after."""
+    A document that is not a checkpoint object of this version, whose
+    config fingerprint differs from ``config``'s (written under other
+    settings), or whose ``skills`` and ``history`` are not lists of equal
+    length, at least one, is refused before round 0 is rebuilt.  One whose
+    first history entry differs from the rebuilt one (round 0's validation
+    mAPs, which move with the records and split), or a round whose replayed
+    accepted sets differ in size from its history entry, was written by
+    another run and is refused after."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: a checkpoint is a JSON object; cannot resume")
     version = doc.get("checkpoint_version")
     if version != CHECKPOINT_VERSION:
         raise ValueError(
             f"{path}: unsupported checkpoint_version {version!r} "
             f"(this version reads {CHECKPOINT_VERSION})"
         )
+    missing = sorted({"config_sha256", "skills", "history"} - set(doc))
+    if missing:
+        raise ValueError(f"{path}: no {', '.join(missing)}; cannot resume")
     if doc["config_sha256"] != _fingerprint(config):
         raise ValueError(
             f"{path}: written by a run with another config "
             "(config_sha256 differs); cannot resume"
         )
-    n_skills, n_history = len(doc["skills"]), len(doc["history"])
-    if not n_skills == n_history == doc["round"] + 1:
+    n_skills, n_history = (
+        len(v) if isinstance(v, list) else None for v in (doc["skills"], doc["history"])
+    )
+    if n_skills is None or not n_skills == n_history >= 1:
         raise ValueError(
-            f"{path}: round {doc['round']} with {n_skills} skills and "
-            f"{n_history} history entries (each must be round + 1); cannot resume"
+            f"{path}: {n_skills} skills and {n_history} history entries "
+            "(each must be a list of one entry per round from 0); cannot resume"
         )
     state = initial_supervised_phase(records_by_id, split, config)
     history = [from_dict(RoundRecord, r) for r in doc["history"]]
@@ -631,23 +641,6 @@ def load_checkpoint(
             )
         state = replace(state, accepted_for_a=accepted[0], accepted_for_b=accepted[1])
     return replace(state, skills=skills, history=history)
-
-
-def _checkpoint_path(run_dir: Path, round_no: int) -> Path:
-    return run_dir / f"checkpoint_round_{round_no:03d}.json"
-
-
-def latest_checkpoint(run_dir: str | Path) -> Path | None:
-    """The checkpoint of the highest round number in ``run_dir``, if any."""
-    run_dir = Path(run_dir)
-    if not run_dir.is_dir():
-        return None
-    found = {}
-    for path in run_dir.glob("checkpoint_round_*.json"):
-        round_no = path.stem.removeprefix("checkpoint_round_")
-        if round_no.isdigit():  # a renamed copy such as ..._002_old.json is not one
-            found[int(round_no)] = path
-    return found[max(found)] if found else None
 
 
 def stagnant_rounds(history: Sequence[RoundRecord], epsilon: float) -> int:
@@ -677,29 +670,27 @@ def run_cotraining(
     patience rule fires; the test set is evaluated exactly once at the
     end using the round whose combined validation mAP was best.
 
-    With ``resume``, the latest checkpoint in ``run_dir`` is checked
-    against the config, then round 0 is rebuilt and each checkpointed
-    round's pseudo-labelling replayed onto it; otherwise round 0 is
-    checkpointed.
-    Either way the rest of the run reads only the state."""
-    rd = Path(run_dir) if run_dir is not None else None
-    if rd is not None:
-        rd.mkdir(parents=True, exist_ok=True)
-    ck = latest_checkpoint(rd) if resume and rd is not None else None
-    if ck is not None:
+    With ``run_dir``, the state after round 0 and after each exchange
+    round replaces ``run_dir / CHECKPOINT_FILENAME``.  With ``resume`` and
+    that file present, it is checked against the config, then round 0 is
+    rebuilt and each checkpointed round's pseudo-labelling replayed onto
+    it.  Either way the rest of the run reads only the state."""
+    ck = None if run_dir is None else Path(run_dir) / CHECKPOINT_FILENAME
+    if resume and ck is not None and ck.is_file():
         state = load_checkpoint(ck, records_by_id, split, config)
     else:
         state = initial_supervised_phase(records_by_id, split, config)
-        if rd is not None:
-            save_checkpoint(state, _checkpoint_path(rd, 0))
+        if ck is not None:
+            ck.parent.mkdir(parents=True, exist_ok=True)
+            save_checkpoint(state, ck)
     last_round = 0 if config.mode == "supervised" else config.max_rounds
     while (
         state.round < last_round
         and stagnant_rounds(state.history, config.epsilon) < config.patience
     ):
         state = exchange_round(state, records_by_id, split)
-        if rd is not None:
-            save_checkpoint(state, _checkpoint_path(rd, state.round))
+        if ck is not None:
+            save_checkpoint(state, ck)
 
     # single test pass on the round whose combined validation mAP was best
     # (first max wins ties)

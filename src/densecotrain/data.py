@@ -275,8 +275,9 @@ def select_and_split(
         raise ValueError(f"n_labeled must be positive, got {n_labeled}")
     if n_unlabeled < 0:
         raise ValueError(f"n_unlabeled must be >= 0, got {n_unlabeled}")
-    if len(fractions) != 3 or any(f < 0 for f in fractions):
-        raise ValueError(f"need three nonnegative fractions, got {fractions!r}")
+    # NaN fails every comparison, so it must fail this one to be refused
+    if len(fractions) != 3 or not all(0 <= f < math.inf for f in fractions):
+        raise ValueError(f"need three finite nonnegative fractions, got {fractions!r}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError(f"fractions must sum to 1, got {fractions!r}")
     need = n_labeled + n_unlabeled

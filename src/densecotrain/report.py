@@ -20,6 +20,11 @@ HISTORY_FILENAME = "history.csv"
 TRACE_FILENAME = "tune_trace.csv"
 
 _HISTORY_COLUMNS = tuple(f.name for f in fields(RoundRecord))
+# what ``render_summary_table`` and ``history_series`` read
+_READ_KEYS = (
+    "mode", "rounds_completed", "best_round", "history",
+    "report_a", "report_b", "report_combined",
+)
 
 
 def build_run_report(result: CoTrainResult, timings: dict[str, float]) -> dict:
@@ -37,10 +42,20 @@ def save_run_report(report: dict, run_dir: str | Path) -> Path:
 
 
 def load_run_report(run_dir: str | Path) -> dict:
+    """The run's report document, refused (``ValueError``, naming the file)
+    unless it is an object of this artifact version holding every key the
+    summary table and the history plot read."""
     path = Path(run_dir) / REPORT_FILENAME
     doc = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: a report is a JSON object, got {type(doc).__name__}")
     if doc.get("artifact_version") != ARTIFACT_VERSION:
-        raise ValueError(f"unsupported artifact_version {doc.get('artifact_version')!r}")
+        raise ValueError(
+            f"{path}: unsupported artifact_version {doc.get('artifact_version')!r}"
+        )
+    missing = [key for key in _READ_KEYS if key not in doc]
+    if missing:
+        raise ValueError(f"{path}: no {', '.join(missing)}")
     return doc
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from densecotrain.cli import load_predictions, load_vector, main, save_predictions
-from densecotrain.cotrain import latest_checkpoint
+from densecotrain.cotrain import CHECKPOINT_FILENAME
 from densecotrain.data import ImageRecord, load_annotations
 from densecotrain.geom import Box, GroundTruth, ScoredBox
 from densecotrain.tuner import DEFAULT_VECTOR, GENE_NAMES, vector_values
@@ -149,6 +149,18 @@ def test_split_bad_fractions_exit_2(dataset_dir, tmp_path):
          "--seed", 1, "--out", tmp_path / "x"]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("fractions", ["0.7,0.3,nan", "nan,0.3,0.7"])
+def test_split_non_finite_fractions_exit_2(dataset_dir, tmp_path, capsys, fractions):
+    code = run_cli(
+        ["split", "--annotations", dataset_dir / "annotations.csv",
+         "--fractions", fractions, "--n-labeled", 10, "--n-unlabeled", 2,
+         "--seed", 1, "--out", tmp_path / "x"]
+    )
+    assert code == 2
+    assert "finite nonnegative fractions" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_split_missing_annotations_exit_3(tmp_path):
@@ -421,10 +433,12 @@ def test_cotrain_run_artifacts(tmp_path, capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     run_dir = tmp_path / "run"
-    assert (run_dir / "report.json").is_file()
-    assert (run_dir / "history.csv").is_file()
-    assert (run_dir / "checkpoint_round_000.json").is_file()
-    assert (run_dir / "checkpoint_round_001.json").is_file()
+    # one checkpoint, replaced after each round, beside the three artifacts
+    assert sorted(p.name for p in run_dir.iterdir()) == sorted(
+        ["config.json", CHECKPOINT_FILENAME, "report.json", "history.csv"]
+    )
+    checkpoint = read_json(run_dir / CHECKPOINT_FILENAME)
+    assert checkpoint["history"] == report["history"]
     assert report["rounds_completed"] == 1
     assert len(report["history"]) == 2
     hist_rows = (run_dir / "history.csv").read_text().splitlines()
@@ -530,6 +544,8 @@ def test_cotrain_config_unknown_key_exit_2(tmp_path, capsys, extra, key):
         # as is every integer key: 2.5 rounds ran 3, and true ran one
         ({"max_rounds": 2.5}, "config.cotrain.max_rounds must be int"),
         ({"max_rounds": True}, "config.cotrain.max_rounds must be int"),
+        # a float key takes only a finite number; json writes and reads NaN
+        ({"epsilon": float("nan")}, "config.cotrain.epsilon must be float"),
     ],
 )
 def test_cotrain_config_bad_value_exit_2_before_running(
@@ -538,7 +554,7 @@ def test_cotrain_config_bad_value_exit_2_before_running(
     cfg_path = tiny_config(tmp_path, **overrides)
     assert run_cli(["cotrain", "--config", cfg_path]) == 2
     assert key in capsys.readouterr().err
-    assert not list(tmp_path.glob("run/checkpoint_round_*.json"))
+    assert not (tmp_path / "run" / CHECKPOINT_FILENAME).exists()
 
 
 @pytest.mark.parametrize(
@@ -590,7 +606,7 @@ def test_bad_override_exit_2_names_field(tmp_path, capsys, argv, field):
     assert not (tmp_path / "run").exists()
 
 
-def test_cotrain_midrun_failure_exit_4_with_checkpoint(tmp_path, monkeypatch):
+def test_cotrain_midrun_failure_exit_4_with_checkpoint(tmp_path, monkeypatch, capsys):
     import densecotrain.cotrain as ct
 
     cfg_path = tiny_config(tmp_path)
@@ -601,11 +617,14 @@ def test_cotrain_midrun_failure_exit_4_with_checkpoint(tmp_path, monkeypatch):
     monkeypatch.setattr(ct, "generate_pseudo_labels", boom)
     code = run_cli(["cotrain", "--config", cfg_path, "--out", tmp_path / "crash"])
     assert code == 4
-    # every completed round's checkpoint is kept, and nothing else is dumped
-    assert latest_checkpoint(tmp_path / "crash") == (
-        tmp_path / "crash" / "checkpoint_round_000.json"
-    )
-    assert not (tmp_path / "crash" / "crash_state.json").exists()
+    # the last completed round's checkpoint is kept and named, and nothing
+    # else is dumped
+    checkpoint = tmp_path / "crash" / CHECKPOINT_FILENAME
+    assert str(checkpoint) in capsys.readouterr().err
+    assert sorted(p.name for p in checkpoint.parent.iterdir()) == [
+        CHECKPOINT_FILENAME, "config.json",
+    ]
+    assert len(read_json(checkpoint)["history"]) == 1
 
 
 def test_cotrain_invalid_hyper_vector_exit_2(tmp_path):
@@ -745,3 +764,25 @@ def test_report_missing_artifacts_exit_3(tmp_path, capsys):
     code = run_cli(["report", "--run", tmp_path / "empty-dir"])
     assert code == 3
     assert "report.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        ([1], "a report is a JSON object"),
+        ({"artifact_version": 1}, "no mode, rounds_completed, best_round, history"),
+        ({"artifact_version": 1, "mode": "cotrain", "rounds_completed": 0,
+          "best_round": 0, "history": [], "report_a": {}, "report_b": {}},
+         "no report_combined"),
+    ],
+    ids=["list", "version-only", "no-combined"],
+)
+def test_report_malformed_exit_2(tmp_path, capsys, doc, named):
+    # an AttributeError and a KeyError once made these exit 4
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "report.json").write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli(["report", "--run", run_dir]) == 2
+    err = capsys.readouterr().err
+    assert "unreadable report" in err and named in err
+    assert str(run_dir / "report.json") in err

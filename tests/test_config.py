@@ -213,6 +213,18 @@ def test_nested_params_merge_into_stock_values():
         ({"seed": 1, "tuner": {"budget": 4.0}}, "config.tuner.budget"),
         ({"seed": 1, "output_dir": None}, "config.output_dir must be str"),
         ({"seed": 1, "cotrain": {"mode": 3}}, "config.cotrain.mode must be str"),
+        # and a finite one: Python's json reads NaN and Infinity, and a NaN
+        # epsilon left the patience rule unable to stop a run
+        ({"seed": 1, "cotrain": {"epsilon": float("nan")}},
+         "config.cotrain.epsilon must be float"),
+        ({"seed": 1, "cotrain": {"ensemble_params": {"svm": {"c": float("nan")}}}},
+         "config.cotrain.ensemble_params.svm.c must be float"),
+        ({"seed": 1, "dataset": {"fractions": [0.7, 0.3, float("nan")]}},
+         "config.dataset.fractions"),
+        ({"seed": 1, "tuner": {"initial_temperature": float("inf")}},
+         "config.tuner.initial_temperature must be float"),
+        ({"seed": 1, "cotrain": {"tau_conf": float("-inf")}},
+         "config.cotrain.tau_conf must be float"),
     ],
 )
 def test_bad_documents_raise_config_error(doc, where):

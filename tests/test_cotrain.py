@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from densecotrain.cotrain import (
+    CHECKPOINT_FILENAME,
     CoTrainConfig,
     RoundRecord,
     exchange_round,
     generate_pseudo_labels,
     initial_supervised_phase,
-    latest_checkpoint,
     load_checkpoint,
     merge_views,
     records_index,
@@ -446,19 +446,28 @@ def test_unlabeled_subsample_limits_label_sources(small_data):
 # --------------------------------------------------- checkpoints and resume
 
 
-def test_checkpoints_written_per_round(cotrain_run):
-    _, _, _, result, run_dir = cotrain_run
-    for r in range(result.state.round + 1):
-        doc = json.loads(
-            (run_dir / f"checkpoint_round_{r:03d}.json").read_text("utf-8")
-        )
-        # only what the rounds change and cannot rebuild: round 0 and the
-        # accepted sets are rebuilt, never stored
-        assert set(doc) == {
-            "checkpoint_version", "round", "config_sha256", "skills", "history",
-        }
-        assert len(doc["skills"]) == len(doc["history"]) == r + 1
-    assert not (run_dir / "result.json").exists()
+def test_checkpoints_written_per_round(cotrain_run, monkeypatch, tmp_path):
+    records, split, cfg, result, run_dir = cotrain_run
+    # one file, replaced after each round, and nothing else in the run dir
+    assert sorted(p.name for p in run_dir.iterdir()) == [CHECKPOINT_FILENAME]
+    doc = _checkpoint(run_dir)
+    # only what the rounds change and cannot rebuild: round 0 and the
+    # accepted sets are rebuilt, never stored, and the round is the history's
+    assert set(doc) == {"checkpoint_version", "config_sha256", "skills", "history"}
+    assert len(doc["skills"]) == len(doc["history"]) == result.state.round + 1
+    # each round's write holds that round's state and goes to the one file
+    import densecotrain.cotrain as ct
+
+    written = []
+    save = ct.save_checkpoint
+    monkeypatch.setattr(
+        ct, "save_checkpoint",
+        lambda state, path: written.append((path, state.round)) or save(state, path),
+    )
+    run_cotraining(records, split, cfg, run_dir=tmp_path)
+    ck = tmp_path / CHECKPOINT_FILENAME
+    assert written == [(ck, r) for r in range(result.state.round + 1)]
+    assert ck.read_bytes() == (run_dir / CHECKPOINT_FILENAME).read_bytes()
 
 
 def _load(path, cotrain_run):
@@ -466,15 +475,23 @@ def _load(path, cotrain_run):
     return load_checkpoint(path, records, split, cfg)
 
 
+def _checkpoint(run_dir, round_no=None):
+    """The run dir's checkpoint document, cut to rounds 0 to ``round_no``
+    when given: a valid checkpoint of that round."""
+    doc = json.loads((run_dir / CHECKPOINT_FILENAME).read_text("utf-8"))
+    if round_no is None:
+        return doc
+    cut = slice(round_no + 1)
+    return {**doc, "skills": doc["skills"][cut], "history": doc["history"][cut]}
+
+
 def _checkpoint_bytes(run_dir):
-    return {
-        p.name: p.read_bytes() for p in sorted(run_dir.glob("checkpoint_round_*.json"))
-    }
+    return {p.name: p.read_bytes() for p in sorted(run_dir.iterdir())}
 
 
 def test_checkpoint_roundtrip(cotrain_run, cotrain_base):
     _, _, _, result, run_dir = cotrain_run
-    state = _load(latest_checkpoint(run_dir), cotrain_run)
+    state = _load(run_dir / CHECKPOINT_FILENAME, cotrain_run)
     assert state.round == result.state.round
     assert state.skills == result.state.skills
     assert state.history == result.state.history
@@ -501,18 +518,19 @@ def test_checkpoint_roundtrip(cotrain_run, cotrain_base):
 
 def test_checkpoint_rejects_unknown_version(cotrain_run, tmp_path):
     # version 1 stored round 0's views and ensembles, version 2 one dict per
-    # label, version 3 one row per label; any version but the current one
-    # is refused with a message naming the file and the version
+    # label, version 3 one row per label, version 4 the round; any version
+    # but the current one is refused with a message naming the file and
+    # the version
     _, _, _, _, run_dir = cotrain_run
-    doc = json.loads((run_dir / "checkpoint_round_001.json").read_text("utf-8"))
-    path = tmp_path / "checkpoint_round_001.json"
-    for version in (1, 2, 3, 999):
+    doc = _checkpoint(run_dir)
+    path = tmp_path / CHECKPOINT_FILENAME
+    for version in (1, 2, 3, 4, 999):
         path.write_text(
             json.dumps({**doc, "checkpoint_version": version}), encoding="utf-8"
         )
         with pytest.raises(
             ValueError,
-            match=rf"checkpoint_round_001\.json.*checkpoint_version {version}\b",
+            match=rf"{re.escape(str(path))}.*checkpoint_version {version}\b",
         ):
             _load(path, cotrain_run)
 
@@ -521,23 +539,23 @@ def test_checkpoint_write_cut_short_keeps_previous_latest(
     cotrain_run, tmp_path, monkeypatch
 ):
     _, _, _, result, run_dir = cotrain_run
-    source = run_dir / "checkpoint_round_001.json"
-    state = _load(source, cotrain_run)
-    save_checkpoint(state, tmp_path / "checkpoint_round_001.json")
-    assert (tmp_path / "checkpoint_round_001.json").read_bytes() == source.read_bytes()
+    path = tmp_path / CHECKPOINT_FILENAME
+    path.write_text(json.dumps(_checkpoint(run_dir, 1)), "utf-8")
+    round_1 = path.read_bytes()
+    state = _load(path, cotrain_run)
+    save_checkpoint(state, path)
+    assert path.read_bytes() == round_1
 
     def cut_short(src, dst):
         raise OSError("disk full")
 
     monkeypatch.setattr(os, "replace", cut_short)
     with pytest.raises(OSError, match="disk full"):
-        save_checkpoint(result.state, tmp_path / "checkpoint_round_002.json")
+        save_checkpoint(result.state, path)
     monkeypatch.undo()
-    assert not (tmp_path / "checkpoint_round_002.json").exists()
-    assert (tmp_path / "checkpoint_round_002.json.tmp").is_file()
-    latest = latest_checkpoint(tmp_path)
-    assert latest == tmp_path / "checkpoint_round_001.json"
-    assert _load(latest, cotrain_run).round == 1
+    assert path.read_bytes() == round_1
+    assert (tmp_path / f"{CHECKPOINT_FILENAME}.tmp").is_file()
+    assert _load(path, cotrain_run).round == 1
 
 
 @pytest.mark.parametrize("mode", ["cotrain", "selftrain"])
@@ -562,24 +580,57 @@ def test_resume_matches_uninterrupted_run(small_data, tmp_path, mode):
     )
     assert resumed.state.round == full.state.round == 3
     assert _checkpoint_bytes(cut_dir) == _checkpoint_bytes(full_dir)
-    assert len(_checkpoint_bytes(full_dir)) == 4
+    assert list(_checkpoint_bytes(full_dir)) == [CHECKPOINT_FILENAME]
+    assert len(_checkpoint(full_dir)["history"]) == 4
     assert result_to_dict(resumed) == result_to_dict(full)
 
 
-@pytest.mark.parametrize("key", ["history", "skills"])
+def test_resume_continues_the_last_run_into_a_reused_run_dir(small_data, tmp_path):
+    # a run dir reused by a second run holds the second run's checkpoint
+    # alone, so a resume of the second run continues it rather than
+    # reading (and refusing) a later round of the first
+    records, split = small_data
+
+    def config(max_rounds, tau_conf):
+        return CoTrainConfig(
+            max_rounds=max_rounds, tau_conf=tau_conf, patience=9, seed=31,
+            unlabeled_subsample=60,
+        )
+
+    shared, full_dir = tmp_path / "shared", tmp_path / "full"
+    run_cotraining(records, split, config(3, 0.8), run_dir=shared)
+    run_cotraining(records, split, config(1, 0.9), run_dir=shared)
+    resumed = run_cotraining(records, split, config(3, 0.9), run_dir=shared, resume=True)
+    full = run_cotraining(records, split, config(3, 0.9), run_dir=full_dir)
+    assert resumed.state.round == 3
+    assert result_to_dict(resumed) == result_to_dict(full)
+    assert _checkpoint_bytes(shared) == _checkpoint_bytes(full_dir)
+
+
+@pytest.mark.parametrize(
+    "malformed",
+    [
+        lambda doc: {**doc, "history": doc["history"][:-1]},
+        lambda doc: {**doc, "skills": doc["skills"][:-1]},
+        lambda doc: {**doc, "skills": [], "history": []},
+        lambda doc: {**doc, "skills": {}},
+        lambda doc: {"checkpoint_version": doc["checkpoint_version"]},
+        lambda doc: [doc["checkpoint_version"]],
+    ],
+    ids=["history", "skills", "no-round", "skills-not-a-list", "version-only", "list"],
+)
 def test_checkpoint_rejects_inconsistent_lengths(
-    cotrain_run, tmp_path, monkeypatch, key
+    cotrain_run, tmp_path, monkeypatch, malformed
 ):
-    # a round-1 checkpoint missing round 1's history entry is the shape a
-    # state dumped halfway through a round had; refused before round 0 is
-    # rebuilt, with a message naming the file
+    # a checkpoint missing its last round's history entry is the shape a
+    # state dumped halfway through a round had; it and other documents of
+    # the wrong shape are refused before round 0 is rebuilt, with a message
+    # naming the file
     import densecotrain.cotrain as ct
 
     _, _, _, _, run_dir = cotrain_run
-    doc = json.loads((run_dir / "checkpoint_round_001.json").read_text("utf-8"))
-    assert doc["round"] == 1
-    path = tmp_path / "checkpoint_round_001.json"
-    path.write_text(json.dumps({**doc, key: doc[key][:-1]}), "utf-8")
+    path = tmp_path / CHECKPOINT_FILENAME
+    path.write_text(json.dumps(malformed(_checkpoint(run_dir))), "utf-8")
 
     def rebuilt(*args, **kwargs):
         raise AssertionError("round 0 rebuilt for a refused checkpoint")
@@ -598,9 +649,9 @@ def test_checkpoint_refuses_a_replay_of_another_size(
     import densecotrain.cotrain as ct
 
     _, _, _, _, run_dir = cotrain_run
-    doc = json.loads((run_dir / "checkpoint_round_001.json").read_text("utf-8"))
+    doc = _checkpoint(run_dir)
     doc["history"][1]["n_accepted_for_a"] += 1
-    path = tmp_path / "checkpoint_round_001.json"
+    path = tmp_path / CHECKPOINT_FILENAME
     path.write_text(json.dumps(doc), "utf-8")
     rebuilt = []
     phase = ct.initial_supervised_phase
@@ -613,23 +664,13 @@ def test_checkpoint_refuses_a_replay_of_another_size(
     assert rebuilt == [1]
 
 
-def test_latest_checkpoint_orders_by_round_number(tmp_path):
-    names = (
-        "checkpoint_round_999.json", "checkpoint_round_1000.json",
-        "checkpoint_round_1000_copy.json",  # no round number: not a checkpoint
-    )
-    for name in names:
-        (tmp_path / name).write_text("{}", encoding="utf-8")
-    assert latest_checkpoint(tmp_path) == tmp_path / "checkpoint_round_1000.json"
-
-
 def test_resume_restores_an_earlier_best_round_from_the_latest_checkpoint(
     small_data, tmp_path, monkeypatch
 ):
     # validation mAPs that fall each round keep round 0 the best while the
     # exchanged labels move the skills; the test pass must use round 0's
     # skills, and a resume that starts at the last round must read them
-    # from the latest checkpoint alone
+    # from the checkpoint
     import densecotrain.cotrain as ct
 
     monkeypatch.setattr(
@@ -646,10 +687,7 @@ def test_resume_restores_an_earlier_best_round_from_the_latest_checkpoint(
     )
     for key in ("report_a", "report_b", "report_combined"):
         assert result_to_dict(first)[key] == supervised[key]
-    latest = latest_checkpoint(tmp_path)
-    for path in tmp_path.glob("checkpoint_round_*.json"):
-        if path != latest:
-            path.unlink()
+    assert list(_checkpoint_bytes(tmp_path)) == [CHECKPOINT_FILENAME]
     again = run_cotraining(records, split, cfg, run_dir=tmp_path, resume=True)
     assert result_to_dict(again) == result_to_dict(first)
 
@@ -661,8 +699,7 @@ def test_resume_refuses_another_round0(cotrain_run, tmp_path, change):
     records, split, cfg, _, run_dir = cotrain_run
     copy = tmp_path / "run"
     shutil.copytree(run_dir, copy)
-    latest = latest_checkpoint(copy)
-    with pytest.raises(ValueError, match=re.escape(str(latest))):
+    with pytest.raises(ValueError, match=re.escape(str(copy / CHECKPOINT_FILENAME))):
         run_cotraining(
             records, split, replace(cfg, **change), run_dir=copy, resume=True
         )
@@ -675,7 +712,7 @@ def test_resume_refuses_another_record_set(cotrain_run, tmp_path):
     records, split = build_dataset(seed=12)
     copy = tmp_path / "run"
     shutil.copytree(run_dir, copy)
-    with pytest.raises(ValueError, match=re.escape(str(latest_checkpoint(copy)))):
+    with pytest.raises(ValueError, match=re.escape(str(copy / CHECKPOINT_FILENAME))):
         run_cotraining(records, split, cfg, run_dir=copy, resume=True)
     assert _checkpoint_bytes(copy) == _checkpoint_bytes(run_dir)
 
@@ -706,16 +743,16 @@ def test_resume_refuses_a_changed_later_round_key(
     monkeypatch.setattr(ct, "initial_supervised_phase", rebuilt)
     records, split, cfg, _, run_dir = cotrain_run
     cut = tmp_path / "cut"
-    shutil.copytree(run_dir, cut)
-    (cut / "checkpoint_round_002.json").unlink()
-    before = {p.name: p.read_bytes() for p in cut.iterdir()}
-    latest = cut / "checkpoint_round_001.json"
+    cut.mkdir()
+    latest = cut / CHECKPOINT_FILENAME
+    latest.write_text(json.dumps(_checkpoint(run_dir, 1)), "utf-8")
+    before = _checkpoint_bytes(cut)
     with pytest.raises(ValueError, match=re.escape(str(latest))):
         run_cotraining(
             records, split, replace(cfg, max_rounds=3, **change),
             run_dir=cut, resume=True,
         )
-    assert {p.name: p.read_bytes() for p in cut.iterdir()} == before
+    assert _checkpoint_bytes(cut) == before
 
 
 def test_crash_persists_partial_state(small_data, tmp_path, monkeypatch):
@@ -732,8 +769,8 @@ def test_crash_persists_partial_state(small_data, tmp_path, monkeypatch):
     monkeypatch.setattr(ct, "generate_pseudo_labels", boom)
     with pytest.raises(RuntimeError, match="injected failure"):
         run_cotraining(records, split, cfg, run_dir=run_dir)
-    assert sorted(p.name for p in run_dir.iterdir()) == ["checkpoint_round_000.json"]
-    state = load_checkpoint(latest_checkpoint(run_dir), records, split, cfg)
+    assert sorted(p.name for p in run_dir.iterdir()) == [CHECKPOINT_FILENAME]
+    state = load_checkpoint(run_dir / CHECKPOINT_FILENAME, records, split, cfg)
     assert state.round == 0
 
 
@@ -758,9 +795,9 @@ def test_failed_round1_validation_keeps_round0_checkpoint(
     cfg = CoTrainConfig(mode="cotrain", max_rounds=2, seed=11)
     with pytest.raises(RuntimeError, match="injected validation failure"):
         run_cotraining(records, split, cfg, run_dir=tmp_path)
-    assert latest_checkpoint(tmp_path) == tmp_path / "checkpoint_round_000.json"
     assert not (tmp_path / "crash_state.json").exists()
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint_round_000.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [CHECKPOINT_FILENAME]
+    assert len(_checkpoint(tmp_path)["history"]) == 1
 
 
 # --------------------------------------------------------------- merging

@@ -252,6 +252,17 @@ def test_split_bad_fractions():
         select_and_split(_records(10), 5, 0, fractions=(0.5, 0.2, 0.2))
 
 
+@pytest.mark.parametrize(
+    "fractions",
+    [(0.7, 0.3, math.nan), (math.nan, 0.3, 0.7), (math.inf, 0.3, -math.inf)],
+)
+def test_split_refuses_non_finite_fractions(fractions):
+    # NaN fails every comparison, so it passed the sum check and left a
+    # 0-image test set (or, first, failed on converting NaN to an integer)
+    with pytest.raises(ValueError, match="finite nonnegative fractions"):
+        select_and_split(_records(10), 5, 0, fractions=fractions)
+
+
 def test_split_partition_and_determinism_many_seeds():
     recs = _records(60)
     for seed in range(100):

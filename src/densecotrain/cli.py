@@ -16,10 +16,11 @@ import logging
 import os
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .codec import from_dict
 from .config import (
     ConfigError,
     RunConfig,
@@ -53,13 +54,11 @@ from .report import (
 )
 from .svgplot import line_plot, pr_curve_plot, save_svg
 from .tuner import (
-    GENE_NAMES,
     HyperVector,
     ObjectiveError,
     tune_pipeline,
     validate_vector,
     vector_to_params,
-    vector_values,
     write_trace_csv,
 )
 
@@ -197,31 +196,23 @@ def save_predictions(
 
 # -------------------------------------------------------------- vector I/O
 
+@dataclass(frozen=True)
+class VectorFile:
+    """The hyper-vector file: ``{"genes": {...}}``."""
+
+    genes: HyperVector
+
+
 def save_vector(v: HyperVector, path: Path) -> None:
-    payload = {"genes": dict(zip(GENE_NAMES, vector_values(v)))}
-    _write_text(path, json.dumps(payload, indent=2) + "\n")
+    _write_text(path, json.dumps(asdict(VectorFile(v)), indent=2) + "\n")
 
 
 def load_vector(path: str | Path) -> HyperVector:
     text = _read_text(Path(path), "hyper-vector file")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"vector file {path} is not valid JSON: {exc}")
-    if not isinstance(doc, dict) or not isinstance(doc.get("genes"), dict):
-        raise UsageError(f"vector file {path}: missing genes object")
-    genes = doc["genes"]
-    unknown = [k for k in doc if k != "genes"]
-    unknown += [f"genes.{k}" for k in genes if k not in GENE_NAMES]
-    if unknown:
-        raise UsageError(f"vector file {path}: unknown keys {', '.join(unknown)}")
-    missing = [n for n in GENE_NAMES if n not in genes]
-    if missing:
-        raise UsageError(f"vector file {path}: missing genes {', '.join(missing)}")
-    try:
-        v = HyperVector(**{n: genes[n] for n in GENE_NAMES})
+    try:  # JSON, codec and gene-range errors alike name the file
+        v = from_dict(VectorFile, json.loads(text), where="vector").genes
         validate_vector(v)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(f"vector file {path}: {exc}") from exc
     return v
 
@@ -278,12 +269,12 @@ def cmd_synth_gen(args) -> int:
         raise UsageError("--rows and --cols must be >= 1")
     if not (0.0 <= args.overlap < 1.0):
         raise UsageError("--overlap must be in [0, 1)")
-    out_dir = _ensure_dir(Path(args.out))
     spec = SceneSpec(
         grid_rows=args.rows, grid_cols=args.cols, box_w=args.box_w,
         box_h=args.box_h, jitter=args.jitter, overlap_factor=args.overlap,
         seed=args.seed,
     )
+    out_dir = _ensure_dir(Path(args.out))
     records = generate_synthetic_dataset(args.images, spec, seed=args.seed)
     csv_path = out_dir / "annotations.csv"
     manifest_path = out_dir / "manifest.json"
@@ -431,7 +422,7 @@ def cmd_tune(args) -> int:
         "algorithm": rep.algorithm,
         "best_score": rep.best_score,
         "n_evaluations": rep.n_evaluations,
-        "best_vector": dict(zip(GENE_NAMES, vector_values(rep.best_vector))),
+        "best_vector": asdict(rep.best_vector),
         "vector_file": str(out_dir / VECTOR_FILENAME),
         "trace_file": str(out_dir / TRACE_FILENAME),
     }
@@ -446,7 +437,7 @@ def cmd_report(args) -> int:
         raise IOFailure(f"run dir {run_dir} is missing artifacts: {REPORT_FILENAME}")
     try:
         report = load_run_report(run_dir)
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         raise UsageError(f"unreadable report: {exc}") from exc
     print(render_summary_table(report))
     save_svg(

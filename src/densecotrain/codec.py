@@ -1,16 +1,23 @@
-"""One dict codec for the package's dataclasses.
+"""One dict codec for every document the package reads back.
 
-Run configs, detector and ensemble params, skills and round records are
-written with ``dataclasses.asdict`` and read back with ``from_dict``, both
-driven by ``dataclasses.fields``, so a field added to a dataclass is
-written and read back with no further code.
+Run configs, detector and ensemble params, skills, round records, the
+hyper-vector file (``cli.load_vector``) and the checkpoint
+(``cotrain.Checkpoint``) are written with ``dataclasses.asdict`` and read
+back with ``from_dict``, both driven by ``dataclasses.fields``, so a field
+added to a dataclass is written and read back with no further code.
 
-``from_dict`` checks each value against its field's annotation: an
-``int`` field takes only a JSON integer, a ``float`` field any finite JSON
-number but a bool (not the ``NaN`` and ``Infinity`` that Python's ``json``
-reads), and a ``str`` field a string; ``X | None`` also takes null,
-and tuple entries are checked one by one.  Every other check is the
-class's own ``__post_init__``.
+``from_dict`` checks each value against its field's annotation, and each
+error names the path to the failing value (``config.dataset.row_range[1]``):
+
+* an ``int`` field takes only a JSON integer, a ``float`` field any finite
+  JSON number but a bool (not the ``NaN`` and ``Infinity`` that Python's
+  ``json`` reads), and a ``str`` field a string;
+* ``X | None`` takes null or an ``X``, and a dataclass field an object;
+* a fixed ``tuple[A, B]`` takes a list of exactly that many entries, each
+  read as its own type, and a variadic ``tuple[X, ...]`` a list of any
+  length, every entry read as an ``X``; both become tuples.
+
+Every other check is the class's own ``__post_init__``.
 """
 
 from __future__ import annotations
@@ -24,22 +31,31 @@ class ConfigError(ValueError):
     """Invalid configuration or saved-state content."""
 
 
-def _tuples(value):
-    return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
-
-
-def _fits(tp, value) -> bool:
-    """Whether the JSON ``value`` may fill a field annotated ``tp``."""
-    args, none = typing.get_args(tp), type(None)
-    if none in args:  # X | None
-        return value is None or any(_fits(a, value) for a in args if a is not none)
+def _decode(tp, value, base, where: str, shown=None):
+    """The JSON ``value`` read as a ``tp`` (a dataclass merges into
+    ``base``), or a ConfigError naming ``where`` and ``shown`` (``tp``
+    when None) if it does not fit."""
+    shown, args = shown or tp, typing.get_args(tp)
+    if type(None) in args:  # X | None
+        (tp,) = set(args) - {type(None)}
+        return None if value is None else _decode(tp, value, base, where, shown)
+    if is_dataclass(tp):
+        return from_dict(tp, value, base, where)
     if typing.get_origin(tp) is tuple:
-        return not isinstance(value, list) or all(map(_fits, args, value))
-    if tp is float:  # bool is no JSON number, nor are NaN and Infinity
-        return type(value) is int or type(value) is float and math.isfinite(value)
-    if tp in (int, str):
-        return type(value) is tp
-    return True
+        if args[-1] is Ellipsis and isinstance(value, list):
+            args = args[:1] * len(value)
+        if isinstance(value, list) and len(value) == len(args):
+            return tuple(
+                _decode(a, v, None, f"{where}[{i}]")
+                for i, (a, v) in enumerate(zip(args, value))
+            )
+    elif tp is float:  # bool is no JSON number, nor are NaN and Infinity
+        if type(value) is int or type(value) is float and math.isfinite(value):
+            return value
+    elif type(value) is tp:  # an int or str field takes only its own type
+        return value
+    shown = shown.__name__ if isinstance(shown, type) else shown
+    raise ConfigError(f"{where} must be {shown}, got {value!r}")
 
 
 def from_dict(cls, doc, base=None, where: str | None = None):
@@ -52,16 +68,10 @@ def from_dict(cls, doc, base=None, where: str | None = None):
         raise ConfigError(f"{where} must be a JSON object, got {doc!r}")
     unknown = sorted(set(doc) - {f.name for f in fields(cls)})
     if unknown:
-        raise ConfigError(f"unknown {where} keys: {', '.join(unknown)}")
+        raise ConfigError(f"unknown keys: {', '.join(f'{where}.{k}' for k in unknown)}")
     types = typing.get_type_hints(cls)
-    for name, value in doc.items():
-        if not _fits(tp := types[name], value):
-            tp = tp.__name__ if isinstance(tp, type) else tp
-            raise ConfigError(f"{where}.{name} must be {tp}, got {value!r}")
     values = {
-        name: from_dict(types[name], value, getattr(base, name, None),
-                        f"{where}.{name}")
-        if is_dataclass(types[name]) else _tuples(value)
+        name: _decode(types[name], value, getattr(base, name, None), f"{where}.{name}")
         for name, value in doc.items()
     }
     try:

@@ -557,23 +557,30 @@ def _fingerprint(config: CoTrainConfig) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode("utf-8")).hexdigest()
 
 
+@dataclass(frozen=True)
+class Checkpoint:
+    """What ``checkpoint.json`` holds: every round's skills and the history
+    (whose length gives the round) behind the config's fingerprint."""
+
+    checkpoint_version: int
+    config_sha256: str
+    skills: tuple[tuple[SkillModel, SkillModel], ...]
+    history: tuple[RoundRecord, ...]
+
+
 def save_checkpoint(state: CoTrainState, path: str | Path) -> None:
-    """Write every round's skills and the history (whose length gives the
-    round) behind the config's fingerprint: what the exchange rounds change
-    and cannot be rebuilt.  Round 0's views and ensembles are a function of
-    the config, records and split, and so is each round's pseudo-labelling
-    given the skills before it, so ``load_checkpoint`` rebuilds both."""
-    doc = {
-        "checkpoint_version": CHECKPOINT_VERSION,
-        "config_sha256": _fingerprint(state.config),
-        "skills": [[asdict(a), asdict(b)] for a, b in state.skills],
-        "history": [asdict(r) for r in state.history],
-    }
+    """Write what the exchange rounds change and cannot be rebuilt: round
+    0's views and each round's pseudo-labelling are functions of the config,
+    records, split and earlier skills, so ``load_checkpoint`` rebuilds both."""
+    ck = Checkpoint(
+        CHECKPOINT_VERSION, _fingerprint(state.config),
+        tuple(state.skills), tuple(state.history),
+    )
     # write beside the target, then rename: a write cut short leaves the
     # previous round's checkpoint in place, never a truncated one
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(doc), encoding="utf-8")
+    tmp.write_text(json.dumps(asdict(ck)), encoding="utf-8")
     os.replace(tmp, path)
 
 
@@ -587,49 +594,41 @@ def load_checkpoint(
     supervised phase, the stored skills and history, and both accepted
     sets rebuilt by replaying each stored round's pseudo-labelling.
 
-    A document that is not a checkpoint object of this version, whose
-    config fingerprint differs from ``config``'s (written under other
-    settings), or whose ``skills`` and ``history`` are not lists of equal
-    length, at least one, is refused before round 0 is rebuilt.  One whose
-    first history entry differs from the rebuilt one (round 0's validation
-    mAPs, which move with the records and split), or a round whose replayed
-    accepted sets differ in size from its history entry, was written by
-    another run and is refused after."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: a checkpoint is a JSON object; cannot resume")
-    version = doc.get("checkpoint_version")
+    A file that is not a JSON ``Checkpoint`` of this version, was written
+    under another config (fingerprint) or holds no round or unequal numbers
+    of skills and history entries is refused, naming the file, before round
+    0 is rebuilt.  One whose first history entry differs from the rebuilt
+    one (round 0's validation mAPs, which move with the records and split),
+    or a round whose replayed accepted sets differ in size from its history
+    entry, was written by another run and is refused after."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not JSON ({exc}); cannot resume") from exc
+    version = doc.get("checkpoint_version") if isinstance(doc, dict) else None
     if version != CHECKPOINT_VERSION:
         raise ValueError(
             f"{path}: unsupported checkpoint_version {version!r} "
             f"(this version reads {CHECKPOINT_VERSION})"
         )
-    missing = sorted({"config_sha256", "skills", "history"} - set(doc))
-    if missing:
-        raise ValueError(f"{path}: no {', '.join(missing)}; cannot resume")
-    if doc["config_sha256"] != _fingerprint(config):
+    ck = from_dict(Checkpoint, doc, where=str(path))
+    if ck.config_sha256 != _fingerprint(config):
         raise ValueError(
             f"{path}: written by a run with another config "
             "(config_sha256 differs); cannot resume"
         )
-    n_skills, n_history = (
-        len(v) if isinstance(v, list) else None for v in (doc["skills"], doc["history"])
-    )
-    if n_skills is None or not n_skills == n_history >= 1:
+    skills, history = list(ck.skills), list(ck.history)
+    if not len(skills) == len(history) >= 1:
         raise ValueError(
-            f"{path}: {n_skills} skills and {n_history} history entries "
-            "(each must be a list of one entry per round from 0); cannot resume"
+            f"{path}: {len(skills)} skills and {len(history)} history entries "
+            "(each must hold one entry per round from 0); cannot resume"
         )
     state = initial_supervised_phase(records_by_id, split, config)
-    history = [from_dict(RoundRecord, r) for r in doc["history"]]
     if history[:1] != state.history:
         raise ValueError(
             f"{path}: written by a run with another round 0 "
             "(history[0] differs); cannot resume"
         )
-    skills = [
-        (from_dict(SkillModel, a), from_dict(SkillModel, b)) for a, b in doc["skills"]
-    ]
     for k, rec in enumerate(history[1:], start=1):
         state = replace(state, skills=skills[:k], history=history[:k])
         accepted = _next_labels(state, records_by_id, split)[1]

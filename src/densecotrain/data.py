@@ -97,6 +97,9 @@ class SceneSpec:
     def __post_init__(self) -> None:
         if self.grid_rows < 1 or self.grid_cols < 1:
             raise ValueError("grid dims must be positive")
+        for name in ("box_w", "box_h", "jitter"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.box_w <= 0 or self.box_h <= 0:
             raise ValueError("box dims must be positive")
         if self.jitter < 0:

@@ -11,6 +11,7 @@ import json
 from dataclasses import fields
 from pathlib import Path
 
+from .codec import from_dict
 from .config import ARTIFACT_VERSION
 from .cotrain import CoTrainResult, RoundRecord, result_to_dict
 from .metrics import COCO_THRESHOLDS
@@ -21,10 +22,9 @@ TRACE_FILENAME = "tune_trace.csv"
 
 _HISTORY_COLUMNS = tuple(f.name for f in fields(RoundRecord))
 # what ``render_summary_table`` and ``history_series`` read
-_READ_KEYS = (
-    "mode", "rounds_completed", "best_round", "history",
-    "report_a", "report_b", "report_combined",
-)
+_SECTIONS = ("report_a", "report_b", "report_combined")
+_METRICS = ("map_coco", "ap75", "ar300")  # each section's numbers in the table
+_READ_KEYS = ("mode", "rounds_completed", "best_round", "history", *_SECTIONS)
 
 
 def build_run_report(result: CoTrainResult, timings: dict[str, float]) -> dict:
@@ -43,10 +43,15 @@ def save_run_report(report: dict, run_dir: str | Path) -> Path:
 
 def load_run_report(run_dir: str | Path) -> dict:
     """The run's report document, refused (``ValueError``, naming the file)
-    unless it is an object of this artifact version holding every key the
-    summary table and the history plot read."""
+    unless it is a JSON object of this artifact version holding every key the
+    summary table and the history plot read, its ``history`` a list of
+    round records and each section an object whose headline metrics are
+    numbers or null."""
     path = Path(run_dir) / REPORT_FILENAME
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: a report is a JSON object, got {type(doc).__name__}")
     if doc.get("artifact_version") != ARTIFACT_VERSION:
@@ -56,6 +61,20 @@ def load_run_report(run_dir: str | Path) -> dict:
     missing = [key for key in _READ_KEYS if key not in doc]
     if missing:
         raise ValueError(f"{path}: no {', '.join(missing)}")
+    if not isinstance(doc["history"], list):
+        raise ValueError(f"{path}: history must be a list, got {doc['history']!r}")
+    for i, row in enumerate(doc["history"]):
+        from_dict(RoundRecord, row, where=f"{path}.history[{i}]")
+    for key in _SECTIONS:
+        section = doc[key]
+        if not isinstance(section, dict) or not all(
+            m in section and (section[m] is None or type(section[m]) in (int, float))
+            for m in _METRICS
+        ):
+            raise ValueError(
+                f"{path}: {key} must be an object whose {', '.join(_METRICS)} "
+                f"are numbers or null, got {section!r}"
+            )
     return doc
 
 

@@ -94,11 +94,20 @@ def test_synth_gen_missing_seed_exits_2(tmp_path, capsys):
     assert "--seed" in capsys.readouterr().err
 
 
-def test_synth_gen_invalid_flags_exit_2(tmp_path):
+def test_synth_gen_invalid_flags_exit_2(tmp_path, capsys):
     base = ["synth-gen", "--seed", 1, "--out", tmp_path / "x"]
     assert run_cli(base + ["--images", 0, "--rows", 2, "--cols", 2]) == 2
     assert run_cli(base + ["--images", 2, "--rows", 2, "--cols", 2,
                            "--overlap", 1.5]) == 2
+    # a non-finite size once exited 4 (inf: OverflowError) or failed on an
+    # int cast (nan); it is refused by name before the output dir is made
+    for flag, value in (("--jitter", "inf"), ("--box-h", "inf"),
+                        ("--box-w", "nan"), ("--jitter", "nan")):
+        capsys.readouterr()
+        assert run_cli(base + ["--images", 2, "--rows", 2, "--cols", 2,
+                               flag, value]) == 2
+        assert f"{flag[2:].replace('-', '_')} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_synth_gen_unwritable_out_exits_3(tmp_path):
@@ -638,12 +647,16 @@ def test_cotrain_hyper_vector_unknown_keys_exit_2(tmp_path, capsys):
     cfg_path = tiny_config(tmp_path)
     genes = dict(zip(GENE_NAMES, vector_values(DEFAULT_VECTOR)))
     bad = tmp_path / "vec.json"
-    bad.write_text(
-        json.dumps({"genes": {**genes, "lr_xgbb": 0.4}, "extra": 1}), encoding="utf-8"
-    )
-    assert run_cli(["cotrain", "--config", cfg_path, "--hyper", bad]) == 2
-    err = capsys.readouterr().err
-    assert "extra" in err and "genes.lr_xgbb" in err
+    # one document each: the codec names the unknown keys of the first
+    # object that holds any
+    for doc, key in (
+        ({"genes": genes, "extra": 1}, "extra"),
+        ({"genes": {**genes, "lr_xgbb": 0.4}}, "genes.lr_xgbb"),
+    ):
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli(["cotrain", "--config", cfg_path, "--hyper", bad]) == 2
+        err = capsys.readouterr().err
+        assert key in err and str(bad) in err
 
 
 @pytest.mark.parametrize(
@@ -661,7 +674,7 @@ def test_cotrain_hyper_vector_wrong_type_exit_2(tmp_path, capsys, gene, value):
     bad = tmp_path / "vec.json"
     bad.write_text(json.dumps({"genes": {**genes, gene: value}}), encoding="utf-8")
     assert run_cli(["cotrain", "--config", cfg_path, "--hyper", bad]) == 2
-    assert f"gene {gene}:" in capsys.readouterr().err
+    assert f"genes.{gene} must be" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
@@ -766,6 +779,14 @@ def test_report_missing_artifacts_exit_3(tmp_path, capsys):
     assert "report.json" in capsys.readouterr().err
 
 
+_SECTION = {"map_coco": 0.5, "ap75": 0.4, "ar300": 0.6}
+_REPORT = {
+    "artifact_version": 1, "mode": "cotrain", "rounds_completed": 0,
+    "best_round": 0, "history": [],
+    "report_a": _SECTION, "report_b": _SECTION, "report_combined": _SECTION,
+}
+
+
 @pytest.mark.parametrize(
     "doc, named",
     [
@@ -774,14 +795,22 @@ def test_report_missing_artifacts_exit_3(tmp_path, capsys):
         ({"artifact_version": 1, "mode": "cotrain", "rounds_completed": 0,
           "best_round": 0, "history": [], "report_a": {}, "report_b": {}},
          "no report_combined"),
+        ({**_REPORT, "report_a": 1}, "report_a must be an object"),
+        ({**_REPORT, "history": [1, 2]}, "history[0] must be a JSON object"),
+        ({**_REPORT, "report_b": {**_SECTION, "map_coco": "x"}},
+         "report_b must be an object whose map_coco"),
+        (json.dumps(_REPORT)[:40], "not JSON"),
     ],
-    ids=["list", "version-only", "no-combined"],
+    ids=["list", "version-only", "no-combined", "section-not-an-object",
+         "history-entry-not-an-object", "metric-not-a-number", "truncated"],
 )
 def test_report_malformed_exit_2(tmp_path, capsys, doc, named):
-    # an AttributeError and a KeyError once made these exit 4
+    # an AttributeError, a KeyError and a TypeError once made these exit 4;
+    # a string is the file's text
     run_dir = tmp_path / "run"
     run_dir.mkdir()
-    (run_dir / "report.json").write_text(json.dumps(doc), encoding="utf-8")
+    text = doc if isinstance(doc, str) else json.dumps(doc)
+    (run_dir / "report.json").write_text(text, encoding="utf-8")
     assert run_cli(["report", "--run", run_dir]) == 2
     err = capsys.readouterr().err
     assert "unreadable report" in err and named in err

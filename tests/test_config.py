@@ -225,6 +225,12 @@ def test_nested_params_merge_into_stock_values():
          "config.tuner.initial_temperature must be float"),
         ({"seed": 1, "cotrain": {"tau_conf": float("-inf")}},
          "config.cotrain.tau_conf must be float"),
+        # a tuple key takes a list of exactly its length: a string, an object
+        # or a short list once failed mid-run, and a third entry was ignored
+        ({"seed": 1, "dataset": {"row_range": "35"}}, "config.dataset.row_range"),
+        ({"seed": 1, "dataset": {"row_range": {"a": 1}}}, "config.dataset.row_range"),
+        ({"seed": 1, "dataset": {"row_range": [3]}}, "config.dataset.row_range"),
+        ({"seed": 1, "dataset": {"row_range": [3, 4, 5]}}, "config.dataset.row_range"),
     ],
 )
 def test_bad_documents_raise_config_error(doc, where):

@@ -6,13 +6,16 @@ import os
 import re
 import shutil
 from collections import Counter
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, asdict, replace
 
 import numpy as np
 import pytest
 
+from densecotrain.codec import from_dict
 from densecotrain.cotrain import (
     CHECKPOINT_FILENAME,
+    CHECKPOINT_VERSION,
+    Checkpoint,
     CoTrainConfig,
     RoundRecord,
     exchange_round,
@@ -616,8 +619,18 @@ def test_resume_continues_the_last_run_into_a_reused_run_dir(small_data, tmp_pat
         lambda doc: {**doc, "skills": {}},
         lambda doc: {"checkpoint_version": doc["checkpoint_version"]},
         lambda doc: [doc["checkpoint_version"]],
+        # a file cut short, a skill that is no object, a round with one
+        # skill and a history entry that is no object once raised errors
+        # naming no file, the last three after round 0 was rebuilt
+        lambda doc: json.dumps(doc)[:100],
+        lambda doc: {**doc, "skills": [[1, 2], *doc["skills"][1:]]},
+        lambda doc: {**doc, "skills": [doc["skills"][0][:1], *doc["skills"][1:]]},
+        lambda doc: {**doc, "history": [1, *doc["history"][1:]]},
     ],
-    ids=["history", "skills", "no-round", "skills-not-a-list", "version-only", "list"],
+    ids=[
+        "history", "skills", "no-round", "skills-not-a-list", "version-only", "list",
+        "truncated", "skill-not-an-object", "one-skill", "history-entry-not-an-object",
+    ],
 )
 def test_checkpoint_rejects_inconsistent_lengths(
     cotrain_run, tmp_path, monkeypatch, malformed
@@ -625,12 +638,13 @@ def test_checkpoint_rejects_inconsistent_lengths(
     # a checkpoint missing its last round's history entry is the shape a
     # state dumped halfway through a round had; it and other documents of
     # the wrong shape are refused before round 0 is rebuilt, with a message
-    # naming the file
+    # naming the file (a string is the file's text)
     import densecotrain.cotrain as ct
 
     _, _, _, _, run_dir = cotrain_run
     path = tmp_path / CHECKPOINT_FILENAME
-    path.write_text(json.dumps(malformed(_checkpoint(run_dir))), "utf-8")
+    bad = malformed(_checkpoint(run_dir))
+    path.write_text(bad if isinstance(bad, str) else json.dumps(bad), "utf-8")
 
     def rebuilt(*args, **kwargs):
         raise AssertionError("round 0 rebuilt for a refused checkpoint")
@@ -638,6 +652,19 @@ def test_checkpoint_rejects_inconsistent_lengths(
     monkeypatch.setattr(ct, "initial_supervised_phase", rebuilt)
     with pytest.raises(ValueError, match=re.escape(str(path))):
         _load(path, cotrain_run)
+
+
+def test_checkpoint_document_round_trips(cotrain_run):
+    # a checkpoint is one dataclass: written with asdict, read back whole by
+    # the codec, and the run's file is that document
+    _, _, _, result, run_dir = cotrain_run
+    doc = _checkpoint(run_dir)
+    ck = Checkpoint(
+        CHECKPOINT_VERSION, doc["config_sha256"],
+        tuple(result.state.skills), tuple(result.state.history),
+    )
+    assert from_dict(Checkpoint, json.loads(json.dumps(asdict(ck)))) == ck
+    assert from_dict(Checkpoint, doc) == ck
 
 
 def test_checkpoint_refuses_a_replay_of_another_size(

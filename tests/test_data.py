@@ -330,6 +330,11 @@ def test_scene_spec_validation():
         SceneSpec(3, 3, jitter=-1)
     with pytest.raises(ValueError):
         SceneSpec(3, 3, overlap_factor=1.0)
+    # inf once overflowed mid-generation, and nan failed on an int cast
+    for field in ("box_w", "box_h", "jitter"):
+        for value in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                SceneSpec(3, 3, **{field: value})
 
 
 def test_dataset_count_and_ids():

@@ -242,6 +242,12 @@ def build_dataset(cfg: RunConfig):
         records, n_labeled=d.n_labeled, n_unlabeled=d.n_unlabeled,
         fractions=d.fractions, seed=cfg.seed,
     )
+    if not (split.train and split.val):
+        raise UsageError(
+            f"dataset.fractions {list(d.fractions)} of dataset.n_labeled "
+            f"{d.n_labeled} give {len(split.train)} train and {len(split.val)} "
+            "validation images; a run needs at least one of each"
+        )
     return records_index(records), split
 
 
@@ -439,6 +445,14 @@ def cmd_report(args) -> int:
         report = load_run_report(run_dir)
     except ValueError as exc:
         raise UsageError(f"unreadable report: {exc}") from exc
+    # both files are read before anything is printed or written
+    trace_path = run_dir / TRACE_FILENAME
+    trace = None
+    if trace_path.is_file():
+        try:
+            trace = trace_series(trace_path)
+        except ValueError as exc:
+            raise UsageError(f"unreadable tuning trace: {exc}") from exc
     print(render_summary_table(report))
     save_svg(
         line_plot(
@@ -446,13 +460,9 @@ def cmd_report(args) -> int:
         ),
         run_dir / "val_map.svg",
     )
-    trace_path = run_dir / TRACE_FILENAME
-    if trace_path.is_file():
+    if trace is not None:
         save_svg(
-            line_plot(
-                trace_series(trace_path), "tuning progress",
-                "evaluation", "objective",
-            ),
+            line_plot(trace, "tuning progress", "evaluation", "objective"),
             run_dir / "tune_trace.svg",
         )
     else:

@@ -40,7 +40,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import KW_ONLY, asdict, dataclass, field, replace
+from dataclasses import KW_ONLY, asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -69,7 +69,7 @@ from .detectors import (
     skill_from_params,
 )
 from .ensemble import EnsembleClassifier, EnsembleParams
-from .geom import Box, ScoredBox, nms, nms_keep
+from .geom import Box, ScoredBox, nms_keep
 from .metrics import EvalReport, match_detections, mean_average_precision
 
 MODES = ("cotrain", "selftrain", "supervised")
@@ -218,12 +218,12 @@ def _verified(
     ensemble: EnsembleClassifier,
     rows: Sequence[tuple[str, Detections, slice]],
     X: np.ndarray,
-) -> dict[str, list[ScoredBox]]:
+) -> dict[str, Detections]:
     """The scoring half of ``predict_verified``: each detection of ``rows``
     rescored by the rule, reading its features from ``X``."""
     p_obj = ensemble.positive_probability(X) if len(X) else np.empty(0)
     return {
-        img: replace(d, scores=np.clip(d.scores * p_obj[r], 0.0, 1.0)).scored()
+        img: replace(d, scores=np.clip(d.scores * p_obj[r], 0.0, 1.0))
         for img, d, r in rows
     }
 
@@ -233,7 +233,7 @@ def predict_verified(
     skill: SkillModel,
     records: Sequence[ImageRecord],
     seed: int,
-) -> dict[str, list[ScoredBox]]:
+) -> dict[str, Detections]:
     """Final prediction rule: detector score times the ensemble's fused
     object probability (keeps both stages' information in the ranking)."""
     return _verified(
@@ -242,21 +242,23 @@ def predict_verified(
 
 
 def merge_views(
-    dets_a: Mapping[str, Sequence[ScoredBox]],
-    dets_b: Mapping[str, Sequence[ScoredBox]],
+    dets_a: Mapping[str, Detections],
+    dets_b: Mapping[str, Detections],
     merge_nms_iou: float,
-) -> dict[str, list[ScoredBox]]:
-    """The combined detector: both views' outputs, NMS-deduplicated."""
+) -> dict[str, Detections]:
+    """The combined detector: per image, the rows of A then B that NMS keeps."""
     out = {}
     for img in sorted(set(dets_a) | set(dets_b)):
-        merged = list(dets_a.get(img, ())) + list(dets_b.get(img, ()))
-        out[img] = nms(merged, merge_nms_iou)
+        ds = [d[img] for d in (dets_a, dets_b) if img in d]
+        cols = [np.concatenate([getattr(x, f.name) for x in ds]) for f in fields(ds[0])]
+        keep = nms_keep(*cols[:3], merge_nms_iou)
+        out[img] = Detections(*(c[keep] for c in cols))
     return out
 
 
 def _reports(
-    dets_a: Mapping[str, Sequence[ScoredBox]],
-    dets_b: Mapping[str, Sequence[ScoredBox]],
+    dets_a: Mapping[str, Detections],
+    dets_b: Mapping[str, Detections],
     records: Sequence[ImageRecord],
     merge_nms_iou: float,
 ) -> tuple[EvalReport, EvalReport, EvalReport]:
@@ -332,6 +334,8 @@ def round_zero_data(
     validation set.  Reads of ``config`` only the seed and the cap."""
     if not split.train:
         raise ValueError("initial supervised phase requires a nonempty train set")
+    if not split.val:
+        raise ValueError("initial supervised phase requires a nonempty validation set")
     train_records = [records_by_id[i] for i in split.train]
     skill = skill_from_params(params, profile, size_regime(train_records))
     seed = derive_seed(config.seed, "ens-train", name)
@@ -340,7 +344,7 @@ def round_zero_data(
     for rec in train_records:
         row = detect(rec, skill, params, profile, seed)
         feats.append(row.features)
-        targets += match_detections(row.scored(), list(rec.gts), 0.5).det_is_tp
+        targets += match_detections(row, list(rec.gts), 0.5).det_is_tp
     if not targets:
         raise InfeasibleViewError(
             f"view {name}: no detections on the labeled train set; "
@@ -373,7 +377,7 @@ def fit_round_zero(
     params: DetectorParams,
     data: RoundZeroData,
     config: CoTrainConfig,
-) -> tuple[ViewState, dict[str, list[ScoredBox]]]:
+) -> tuple[ViewState, dict[str, Detections]]:
     """Step 2 of a view's round 0: fit the verification ensemble on
     ``data``'s training set and score its validation detections.  Reads
     of ``config`` only the seed and the ensemble params."""

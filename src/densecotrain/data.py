@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geom import Box, GroundTruth, iou_matrix
+from .geom import Box, GroundTruth, corners, iou_pairs
 
 LABEL_NAMES: dict[int, str] = {0: "object"}
 CSV_COLUMNS: tuple[str, ...] = (
@@ -115,8 +115,8 @@ def occlusion_levels(gts: Sequence[GroundTruth]) -> tuple[float, ...]:
     n = len(gts)
     if n <= 1:
         return (0.0,) * n
-    boxes = [g.box for g in gts]
-    m = iou_matrix(boxes, boxes)
+    c = corners([g.box for g in gts])
+    m = iou_pairs(c[:, None, :], c[None, :, :])
     np.fill_diagonal(m, 0.0)
     return tuple(float(v) for v in m.max(axis=1))
 

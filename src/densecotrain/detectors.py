@@ -36,7 +36,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .data import ImageRecord
-from .geom import Box, ScoredBox, iou_pairs, nms_keep
+from .geom import Box, ScoredBox, corners, iou_pairs, nms_keep
 from .metrics import match_detections
 
 BATCH_MENU: tuple[int, ...] = (4, 8, 16, 32)
@@ -197,19 +197,11 @@ class Detections:
     def __len__(self) -> int:
         return len(self.scores)
 
-    def scored(self) -> list[ScoredBox]:
-        """The rows as scored boxes of Python floats and ints, in row order."""
-        return [
-            ScoredBox(Box(*box), score, label)
-            for box, score, label in zip(
-                self.boxes.tolist(), self.scores.tolist(), self.labels.tolist()
-            )
-        ]
-
     def __iter__(self) -> Iterator[Detection]:
         """The rows as ``Detection`` objects, built on demand."""
-        for sb, feats in zip(self.scored(), self.features.tolist()):
-            yield Detection(sb, tuple(feats))
+        rows = zip(self.boxes.tolist(), self.scores.tolist(), self.labels.tolist())
+        for (box, score, label), feats in zip(rows, self.features.tolist()):
+            yield Detection(ScoredBox(Box(*box), score, label), tuple(feats))
 
 
 def training_effort(params: DetectorParams, profile: DetectorProfile) -> float:
@@ -399,7 +391,7 @@ def detect(
     """
     rng = np.random.default_rng(derive_seed("detect", profile.name, seed, record.image_id))
     gts = record.gts
-    gt_boxes = np.array([g.box.as_tuple() for g in gts], dtype=float).reshape(-1, 4)
+    gt_boxes = corners([g.box for g in gts])
     eff = skill.effective_recall(np.asarray(record.occlusion, dtype=float))
     found = np.flatnonzero(_difficulty(profile.name, record.image_id, len(gts)) < eff)
     idx, boxes, draws = _emitted_rows(record, gt_boxes, found, skill.jitter_sigma, rng)

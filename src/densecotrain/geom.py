@@ -7,10 +7,9 @@ Conventions (fixed so every metric and filter above this layer is exact):
   ``(x2 - x1) * (y2 - y1)`` with no pixel correction.
 * ``iou_pairs`` is the kernel every batch of boxes goes through (NMS,
   matching, occlusion levels, a detector's jittered boxes against their
-  sources): pairs of corner rows, broadcast, so ``iou_matrix`` is one
-  call of it.  It runs the same float operations in the same order as
-  the scalar ``iou``, so each entry is bit-identical to it; ``iou`` stays
-  as the reference in tests.
+  sources): pairs of corner rows, broadcast.  It runs the same float
+  operations in the same order as the scalar ``iou``, so each entry is
+  bit-identical to it; ``iou`` stays as the reference in tests.
 * NMS is greedy by descending score, stable on ties (input order), and a
   candidate whose IoU with a kept same-label box equals the threshold is
   suppressed (strict ``< threshold`` keeps).  ``nms_keep`` runs it on
@@ -21,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -103,10 +102,32 @@ def iou(a: Box, b: Box) -> float:
     return inter / union
 
 
-def _corners(boxes: Sequence[Box]) -> np.ndarray:
+def corners(boxes: Sequence[Box]) -> np.ndarray:
+    """The boxes' ``(x1, y1, x2, y2)`` rows as an ``(n, 4)`` float array."""
     return np.array(
         [(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=float
     ).reshape(-1, 4)
+
+
+class ColumnBatch(Protocol):
+    """One image's detections as columns, such as ``detectors.Detections``."""
+
+    boxes: np.ndarray
+    scores: np.ndarray
+    labels: np.ndarray
+
+
+def columns(
+    dets: ColumnBatch | Sequence[ScoredBox],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A column batch's corner, score and label columns, or scored boxes'."""
+    if not isinstance(dets, Sequence):
+        return dets.boxes, dets.scores, dets.labels
+    return (
+        corners([d.box for d in dets]),
+        np.array([d.score for d in dets], dtype=float),
+        np.array([d.label for d in dets], dtype=np.int64),
+    )
 
 
 def _areas(c: np.ndarray) -> np.ndarray:
@@ -131,14 +152,6 @@ def iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     union -= inter
     inter /= union
     return inter
-
-
-def iou_matrix(a: Sequence[Box], b: Sequence[Box]) -> np.ndarray:
-    """IoU of every box of ``a`` (rows) with every box of ``b`` (columns).
-
-    Entry ``[i, j]`` equals ``iou(a[i], b[j])`` bit for bit.
-    """
-    return iou_pairs(_corners(a)[:, None, :], _corners(b)[None, :, :])
 
 
 def nms_keep(
@@ -172,10 +185,4 @@ def nms(dets: Sequence[ScoredBox], iou_threshold: float) -> list[ScoredBox]:
 
     The result is a subset of the input (the same objects), in kept order.
     """
-    keep = nms_keep(
-        _corners([d.box for d in dets]),
-        np.array([d.score for d in dets], dtype=float),
-        np.array([d.label for d in dets]),
-        iou_threshold,
-    )
-    return [dets[i] for i in keep.tolist()]
+    return [dets[i] for i in nms_keep(*columns(dets), iou_threshold).tolist()]

@@ -10,7 +10,7 @@ Conventions:
   order): each detection takes the unmatched same-label ground truth
   with the highest IoU (the lowest index on ties) and is a true positive
   iff that IoU >= t.
-* Each image's detection-by-GT IoU matrix (``geom.iou_matrix``) is built
+* Each image's detection-by-GT IoU matrix (``geom.iou_pairs``) is built
   once and serves every threshold, as in pycocotools'
   ``COCOeval.computeIoU``/``evaluateImg``; only one image's matrix is
   alive at a time.
@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geom import GroundTruth, ScoredBox, iou_matrix
+from .geom import ColumnBatch, GroundTruth, ScoredBox, columns, corners, iou_pairs
 
 COCO_THRESHOLDS: tuple[float, ...] = tuple(i / 100 for i in range(50, 100, 5))
 RECALL_LEVELS: tuple[float, ...] = tuple(i / 100 for i in range(101))
@@ -68,13 +68,13 @@ class EvalReport:
 
 
 def _greedy_passes(
-    dets: Sequence[ScoredBox],
+    boxes: np.ndarray, scores: np.ndarray, labels: np.ndarray,
     gts: Sequence[GroundTruth],
     thresholds: Sequence[float],
 ) -> tuple[list[int], list[list[tuple[int, float] | None]]]:
     """One image's greedy matching at every threshold from one IoU matrix.
 
-    Returns the detection indices in descending score order (stable on
+    Returns the detection rows in descending score order (stable on
     ties) and, per threshold, what each step of the pass in that order
     matched: ``(gt index, IoU)``, or None for a false positive.
 
@@ -85,13 +85,11 @@ def _greedy_passes(
     at the candidates with IoU >= t; the lists keep those reaching the
     lowest threshold.
     """
-    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)
+    order = np.argsort(-scores, kind="stable")
     cands: list[list[tuple[float, int]]] = [[] for _ in order]
-    if order and gts:
-        m = iou_matrix([dets[i].box for i in order], [g.box for g in gts])
-        det_labels = np.array([dets[i].label for i in order])
-        gt_labels = np.array([g.label for g in gts])
-        m[det_labels[:, None] != gt_labels[None, :]] = 0.0
+    if len(order) and gts:
+        m = iou_pairs(boxes[order][:, None, :], corners([g.box for g in gts])[None])
+        m[labels[order][:, None] != np.array([g.label for g in gts])] = 0.0
         rows, cols = np.nonzero(m >= min(thresholds))
         vals = m[rows, cols]
         by = np.lexsort((cols, -vals, rows))
@@ -112,11 +110,11 @@ def _greedy_passes(
                     break
             steps.append(hit)
         passes.append(steps)
-    return order, passes
+    return order.tolist(), passes
 
 
 def match_detections(
-    dets: Sequence[ScoredBox],
+    dets: ColumnBatch | Sequence[ScoredBox],
     gts: Sequence[GroundTruth],
     t: float,
 ) -> MatchResult:
@@ -129,7 +127,7 @@ def match_detections(
     """
     if not (0.0 < t <= 1.0):
         raise ValueError(f"IoU threshold must be in (0, 1], got {t!r}")
-    order, (steps,) = _greedy_passes(dets, gts, (t,))
+    order, (steps,) = _greedy_passes(*columns(dets), gts, (t,))
     det_is_tp = [False] * len(dets)
     det_matched: list[int | None] = [None] * len(dets)
     det_iou = [0.0] * len(dets)
@@ -147,7 +145,7 @@ def match_detections(
 
 
 def _dataset_passes(
-    dets_by_image: Mapping[str, Sequence[ScoredBox]],
+    dets_by_image: Mapping[str, ColumnBatch | Sequence[ScoredBox]],
     gts_by_image: Mapping[str, Sequence[GroundTruth]],
     thresholds: Sequence[float],
     k: int,
@@ -165,8 +163,9 @@ def _dataset_passes(
     matched_at_k = [0] * len(thresholds)
     base = 0
     for img, dets in dets_by_image.items():
-        order, passes = _greedy_passes(dets, gts_by_image.get(img, ()), thresholds)
-        scores[base : base + len(dets)] = [d.score for d in dets]
+        cols = columns(dets)
+        order, passes = _greedy_passes(*cols, gts_by_image.get(img, ()), thresholds)
+        scores[base : base + len(dets)] = cols[1]
         for ti, steps in enumerate(passes):
             hits = [s is not None for s in steps]
             tp[ti, [base + i for i, h in zip(order, hits) if h]] = True
@@ -224,7 +223,7 @@ def _ranked(scores: np.ndarray, tp: np.ndarray) -> np.ndarray:
 
 
 def average_precision(
-    dets_by_image: Mapping[str, Sequence[ScoredBox]],
+    dets_by_image: Mapping[str, ColumnBatch | Sequence[ScoredBox]],
     gts_by_image: Mapping[str, Sequence[GroundTruth]],
     t: float,
 ) -> float | None:
@@ -245,7 +244,7 @@ def average_precision(
 
 
 def mean_average_precision(
-    dets_by_image: Mapping[str, Sequence[ScoredBox]],
+    dets_by_image: Mapping[str, ColumnBatch | Sequence[ScoredBox]],
     gts_by_image: Mapping[str, Sequence[GroundTruth]],
 ) -> EvalReport:
     """Full COCO-style report: per-threshold AP, their mean, AP.75, AR@300.
@@ -277,7 +276,7 @@ def mean_average_precision(
 
 
 def average_recall_at(
-    dets_by_image: Mapping[str, Sequence[ScoredBox]],
+    dets_by_image: Mapping[str, ColumnBatch | Sequence[ScoredBox]],
     gts_by_image: Mapping[str, Sequence[GroundTruth]],
     k: int = AR_MAX_DETS,
 ) -> float | None:

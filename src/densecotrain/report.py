@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import fields
 from pathlib import Path
 
@@ -25,6 +26,7 @@ _HISTORY_COLUMNS = tuple(f.name for f in fields(RoundRecord))
 _SECTIONS = ("report_a", "report_b", "report_combined")
 _METRICS = ("map_coco", "ap75", "ar300")  # each section's numbers in the table
 _READ_KEYS = ("mode", "rounds_completed", "best_round", "history", *_SECTIONS)
+_TRACE_COLUMNS = ("evaluation", "score", "best_so_far")  # what ``trace_series`` reads
 
 
 def build_run_report(result: CoTrainResult, timings: dict[str, float]) -> dict:
@@ -44,9 +46,9 @@ def save_run_report(report: dict, run_dir: str | Path) -> Path:
 def load_run_report(run_dir: str | Path) -> dict:
     """The run's report document, refused (``ValueError``, naming the file)
     unless it is a JSON object of this artifact version holding every key the
-    summary table and the history plot read, its ``history`` a list of
-    round records and each section an object whose headline metrics are
-    numbers or null."""
+    summary table and the history plot read, its ``history`` a nonempty
+    list of round records (a run always holds round 0) and each section an
+    object whose headline metrics are numbers or null."""
     path = Path(run_dir) / REPORT_FILENAME
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -63,6 +65,8 @@ def load_run_report(run_dir: str | Path) -> dict:
         raise ValueError(f"{path}: no {', '.join(missing)}")
     if not isinstance(doc["history"], list):
         raise ValueError(f"{path}: history must be a list, got {doc['history']!r}")
+    if not doc["history"]:
+        raise ValueError(f"{path}: history is empty (a run always holds round 0)")
     for i, row in enumerate(doc["history"]):
         from_dict(RoundRecord, row, where=f"{path}.history[{i}]")
     for key in _SECTIONS:
@@ -127,13 +131,32 @@ def history_series(report: dict) -> list[tuple[str, list[tuple[float, float]]]]:
 
 
 def trace_series(trace_path: str | Path) -> list[tuple[str, list[tuple[float, float]]]]:
+    """The tuning trace's best-so-far and score series, refused
+    (``ValueError``, naming the file) unless it has the evaluation, score
+    and best_so_far columns and at least one row, each of those values a
+    finite number."""
     best: list[tuple[float, float]] = []
     score: list[tuple[float, float]] = []
     with open(trace_path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            idx = float(row["evaluation"])
-            score.append((idx, float(row["score"])))
-            best.append((idx, float(row["best_so_far"])))
+        reader = csv.DictReader(fh)
+        missing = [c for c in _TRACE_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{trace_path}: no {', '.join(missing)} column")
+        for row in reader:
+            values = [row[c] for c in _TRACE_COLUMNS]
+            try:
+                idx, s, b = map(float, values)
+            except (TypeError, ValueError):  # a short row reads None
+                idx = s = b = math.nan
+            if not all(map(math.isfinite, (idx, s, b))):
+                raise ValueError(
+                    f"{trace_path}, line {reader.line_num}: "
+                    f"{', '.join(_TRACE_COLUMNS)} must be finite numbers, got {values}"
+                )
+            score.append((idx, s))
+            best.append((idx, b))
+    if not score:
+        raise ValueError(f"{trace_path}: no evaluations, only a header")
     return [("best so far", best), ("evaluation", score)]
 
 

@@ -519,6 +519,29 @@ def test_cotrain_config_bad_fractions_exit_2(tmp_path):
     assert run_cli(["cotrain", "--config", path]) == 2
 
 
+@pytest.mark.parametrize("command", ["cotrain", "tune"])
+@pytest.mark.parametrize(
+    "fractions, counts",
+    [([0.9, 0.0, 0.1], "27 train and 0 validation"),
+     ([0.0, 0.5, 0.5], "0 train and 15 validation")],
+    ids=["no-val", "no-train"],
+)
+def test_split_without_train_or_val_exit_2_before_running(
+    tmp_path, capsys, command, fractions, counts
+):
+    # both once failed deep in the run, with exit 4
+    doc = read_json(tiny_config(tmp_path))
+    doc["dataset"].update(n_labeled=30, fractions=fractions)
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli([command, "--config", path, "--budget" if command == "tune"
+                    else "--max-rounds", 1]) == 2
+    err = capsys.readouterr().err
+    for token in ("dataset.fractions", "dataset.n_labeled 30", counts):
+        assert token in err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize(
     "extra, key",
     [
@@ -780,9 +803,14 @@ def test_report_missing_artifacts_exit_3(tmp_path, capsys):
 
 
 _SECTION = {"map_coco": 0.5, "ap75": 0.4, "ar300": 0.6}
+_ROUND_0 = {
+    "round": 0, "val_map_a": 0.5, "val_map_b": 0.4, "val_map_combined": 0.6,
+    "n_accepted_for_a": 0, "n_accepted_for_b": 0,
+    "pseudo_precision_a": None, "pseudo_precision_b": None,
+}
 _REPORT = {
     "artifact_version": 1, "mode": "cotrain", "rounds_completed": 0,
-    "best_round": 0, "history": [],
+    "best_round": 0, "history": [_ROUND_0],
     "report_a": _SECTION, "report_b": _SECTION, "report_combined": _SECTION,
 }
 
@@ -800,9 +828,11 @@ _REPORT = {
         ({**_REPORT, "report_b": {**_SECTION, "map_coco": "x"}},
          "report_b must be an object whose map_coco"),
         (json.dumps(_REPORT)[:40], "not JSON"),
+        ({**_REPORT, "history": []}, "history is empty"),
     ],
     ids=["list", "version-only", "no-combined", "section-not-an-object",
-         "history-entry-not-an-object", "metric-not-a-number", "truncated"],
+         "history-entry-not-an-object", "metric-not-a-number", "truncated",
+         "empty-history"],
 )
 def test_report_malformed_exit_2(tmp_path, capsys, doc, named):
     # an AttributeError, a KeyError and a TypeError once made these exit 4;
@@ -812,6 +842,35 @@ def test_report_malformed_exit_2(tmp_path, capsys, doc, named):
     text = doc if isinstance(doc, str) else json.dumps(doc)
     (run_dir / "report.json").write_text(text, encoding="utf-8")
     assert run_cli(["report", "--run", run_dir]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert "unreadable report" in err and named in err
     assert str(run_dir / "report.json") in err
+    assert out == "" and not (run_dir / "val_map.svg").exists()
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("evaluation,score\n0,0.5\n", "no best_so_far column"),
+        ("", "no evaluation, score, best_so_far column"),
+        ("evaluation,score,best_so_far\n", "no evaluations, only a header"),
+        ("evaluation,score,best_so_far\n0,0.5,0.5\n1,x,0.5\n", "line 3"),
+        ("evaluation,score,best_so_far\n0,0.5\n", "line 2"),
+        ("evaluation,score,best_so_far\n0,nan,0.5\n", "line 2"),
+    ],
+    ids=["no-best-so-far", "empty", "header-only", "score-not-a-number",
+         "short-row", "score-nan"],
+)
+def test_report_malformed_trace_exit_2(tmp_path, capsys, text, named):
+    # a KeyError once made the first exit 4, and the others exited 2
+    # without naming the file, some after printing the table
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "report.json").write_text(json.dumps(_REPORT), encoding="utf-8")
+    (run_dir / "tune_trace.csv").write_text(text, encoding="utf-8")
+    assert run_cli(["report", "--run", run_dir]) == 2
+    out, err = capsys.readouterr()
+    assert "unreadable tuning trace" in err and named in err
+    assert str(run_dir / "tune_trace.csv") in err
+    assert out == "" and not (run_dir / "val_map.svg").exists()
+

@@ -35,8 +35,13 @@ from densecotrain.data import (
     generate_synthetic_dataset,
     select_and_split,
 )
-from densecotrain.detectors import FEATURE_DIM, DetectorParams, RetrainCoefficients
-from densecotrain.geom import ScoredBox, Box
+from densecotrain.detectors import (
+    FEATURE_DIM,
+    DetectorParams,
+    Detections,
+    RetrainCoefficients,
+)
+from densecotrain.geom import ScoredBox, nms
 from densecotrain.metrics import match_detections
 
 
@@ -99,6 +104,13 @@ def test_initial_phase_empty_train_errors(small_data):
     records, split = small_data
     empty = DatasetSplit((), split.val, split.test, split.unlabeled_pool)
     with pytest.raises(ValueError):
+        initial_supervised_phase(records, empty, CoTrainConfig(seed=11))
+
+
+def test_initial_phase_empty_val_errors(small_data):
+    records, split = small_data
+    empty = DatasetSplit(split.train, (), split.test, split.unlabeled_pool)
+    with pytest.raises(ValueError, match="nonempty validation set"):
         initial_supervised_phase(records, empty, CoTrainConfig(seed=11))
 
 
@@ -378,6 +390,24 @@ def test_max_rounds_zero_matches_supervised(small_data):
     assert r0.report_a.map_coco == rs.report_a.map_coco
     assert r0.report_b.map_coco == rs.report_b.map_coco
     assert r0.report_combined.map_coco == rs.report_combined.map_coco
+
+
+def test_supervised_run_builds_no_plain_scored_box(small_data, monkeypatch):
+    # round 0 and the test pass keep each view's detections as columns from
+    # detect to the metrics; a pseudo-label (a ScoredBox subclass) is not one
+    built = []
+    post_init = ScoredBox.__post_init__
+
+    def counting(self):
+        if type(self) is ScoredBox:
+            built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ScoredBox, "__post_init__", counting)
+    records, split = small_data
+    result = run_cotraining(records, split, CoTrainConfig(mode="supervised", seed=11))
+    assert result.report_combined.map_coco > 0.1
+    assert built == []
 
 
 def test_run_determinism(small_data):
@@ -830,18 +860,87 @@ def test_failed_round1_validation_keeps_round0_checkpoint(
 # --------------------------------------------------------------- merging
 
 
+def _detections(rows, first_tag=0):
+    """One image's column batch from ``(x1, y1, x2, y2, score, label)``
+    rows; feature 0 of each row is a tag, ``first_tag`` plus its index."""
+    rows = list(rows)
+    feats = np.zeros((len(rows), FEATURE_DIM))
+    feats[:, 0] = first_tag + np.arange(len(rows))
+    return Detections(
+        np.array([r[:4] for r in rows], dtype=float).reshape(-1, 4),
+        np.array([r[4] for r in rows], dtype=float),
+        np.array([r[5] for r in rows], dtype=np.int64),
+        feats,
+    )
+
+
+def _rows(dets):
+    return [(d.scored.box.as_tuple(), d.scored.score, d.scored.label) for d in dets]
+
+
 def test_merge_views_dedupes():
-    b = Box(0, 0, 10, 10)
-    a_dets = {"img": [ScoredBox(b, 0.9)]}
-    b_dets = {"img": [ScoredBox(Box(0.5, 0, 10.5, 10), 0.8), ScoredBox(Box(50, 50, 60, 60), 0.7)]}
+    a_dets = {"img": _detections([(0, 0, 10, 10, 0.9, 0)])}
+    b_dets = {"img": _detections([(0.5, 0, 10.5, 10, 0.8, 0), (50, 50, 60, 60, 0.7, 0)])}
     merged = merge_views(a_dets, b_dets, 0.5)
     assert len(merged["img"]) == 2
-    scores = {d.score for d in merged["img"]}
-    assert scores == {0.9, 0.7}
+    assert set(merged["img"].scores.tolist()) == {0.9, 0.7}
 
 
 def test_merge_views_handles_missing_images():
-    a_dets = {"x": [ScoredBox(Box(0, 0, 1, 1), 0.5)]}
-    b_dets = {"y": [ScoredBox(Box(0, 0, 1, 1), 0.6)]}
+    a_dets = {"x": _detections([(0, 0, 1, 1, 0.5, 0)])}
+    b_dets = {"y": _detections([(0, 0, 1, 1, 0.6, 0)])}
     merged = merge_views(a_dets, b_dets, 0.5)
     assert set(merged) == {"x", "y"}
+    assert _rows(merged["x"]) == _rows(a_dets["x"])
+    assert _rows(merged["y"]) == _rows(b_dets["y"])
+
+
+def _merge_reference(a, b, merge_nms_iou):
+    """The object merge ``merge_views`` replaced: per image, NMS over view
+    A's scored boxes followed by view B's."""
+    return {
+        img: nms(list(a.get(img, ())) + list(b.get(img, ())), merge_nms_iou)
+        for img in sorted(set(a) | set(b))
+    }
+
+
+def _random_view(rng, images, first_tag):
+    # integer grid boxes with tied scores and three labels, so touching,
+    # identical and IoU-0.60 pairs are common; every image's rows also
+    # hold (0, 0, 10, 10) and (0, 0, 6, 10), whose IoU is exactly 0.60
+    out = {}
+    for k, img in enumerate(images):
+        rows = [(0, 0, 10, 10, 0.9, 1), (0, 0, 6, 10, 0.8, 1)]
+        for _ in range(int(rng.integers(0, 9))):
+            x1, y1 = rng.integers(0, 12, 2).tolist()
+            w, h = rng.integers(1, 11, 2).tolist()
+            score = float(rng.choice([0.3, 0.5, 0.9, rng.uniform()]))
+            rows.append((x1, y1, x1 + w, y1 + h, score, int(rng.integers(0, 3))))
+        rng.shuffle(rows)
+        out[img] = _detections(rows, first_tag + 100 * k)
+    return out
+
+
+@pytest.mark.parametrize("merge_nms_iou", [0.6, 0.5, 1 / 3])
+def test_merge_views_equals_object_merge(merge_nms_iou):
+    for seed in range(25):
+        rng = np.random.default_rng(seed)
+        # "a" and "b" are in one view only, "c" and "d" in both
+        views = _random_view(rng, "acd", 0), _random_view(rng, "bcd", 1000)
+        merged = merge_views(*views, merge_nms_iou)
+        scored = [
+            {img: [d.scored for d in dets] for img, dets in view.items()}
+            for view in views
+        ]
+        reference = _merge_reference(*scored, merge_nms_iou)
+        assert list(merged) == list(reference) == ["a", "b", "c", "d"]
+        for img, kept in reference.items():
+            got = merged[img]
+            assert got.boxes.tolist() == [list(d.box.as_tuple()) for d in kept]
+            assert got.scores.tolist() == [d.score for d in kept]
+            assert got.labels.tolist() == [d.label for d in kept]
+            # each kept row brings its own features along
+            objs = [sb for view in scored for sb in view.get(img, ())]
+            tags = [t for view in views if img in view for t in view[img].features[:, 0]]
+            at = {id(sb): k for k, sb in enumerate(objs)}
+            assert got.features[:, 0].tolist() == [tags[at[id(sb)]] for sb in kept]

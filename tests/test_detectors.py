@@ -273,9 +273,6 @@ def test_detect_output_holds_no_numpy_scalars():
             for v in (*sb.box.as_tuple(), sb.score, sb.label, *d.features):
                 assert not isinstance(v, np.generic), (profile.name, v)
             assert type(sb.label) is int
-        for sb in dets.scored():
-            for v in (*sb.box.as_tuple(), sb.score, sb.label):
-                assert not isinstance(v, np.generic), (profile.name, v)
 
 
 # ------------------------------------------ column batch vs scalar reference
@@ -612,9 +609,9 @@ def test_audit_matches_scalar_reference():
         rec = _scene(seed, overlap=0.4)
         records[rec.image_id] = rec
         skill = SkillModel(0.9, 0.3, 3.0, 1.0)
-        labels[rec.image_id] = detect(
+        labels[rec.image_id] = [d.scored for d in detect(
             rec, skill, DetectorParams(confidence_threshold=0.0), CONTEXTUAL, seed
-        ).scored()
+        )]
     for profile in (LOCALIZER, CONTEXTUAL):
         for skill in (SkillModel(0.6, 0.5, 1.0, 0.0), SkillModel(0.95, 1.5, 1.0, 0.0)):
             got = audit_pseudo_labels(labels, records, profile, skill)

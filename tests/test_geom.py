@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,8 +15,9 @@ from densecotrain.geom import (
     GroundTruth,
     ScoredBox,
     area,
+    columns,
+    corners,
     iou,
-    iou_matrix,
     iou_pairs,
     nms,
     nms_keep,
@@ -199,13 +201,19 @@ def _bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
 
 
+def _iou_matrix(a, b):
+    """The IoU matrix as the package builds it: ``iou_pairs`` broadcast
+    over ``(n, 1, 4)`` and ``(1, m, 4)`` corner arrays."""
+    return iou_pairs(corners(a)[:, None, :], corners(b)[None, :, :])
+
+
 def test_iou_matrix_matches_scalar():
     rng = np.random.default_rng(4)
     boxes = []
     for _ in range(12):
         x1, y1 = rng.uniform(0, 50, 2)
         boxes.append(Box(x1, y1, x1 + rng.uniform(1, 20), y1 + rng.uniform(1, 20)))
-    m = iou_matrix(boxes, boxes)
+    m = _iou_matrix(boxes, boxes)
     assert _bits(m) == _bits([[iou(a, b) for b in boxes] for a in boxes])
 
 
@@ -213,13 +221,13 @@ def test_iou_matrix_matches_scalar():
 @given(st.lists(_any_box, max_size=8), st.lists(_any_box, max_size=8))
 @example([Box(0, 0, 10, 10), Box(0, 0, 6, 10)], [Box(0, 0, 10, 10), Box(10, 0, 12, 10)])
 def test_iou_matrix_matches_scalar_bitwise(a, b):
-    m = iou_matrix(a, b)
+    m = _iou_matrix(a, b)
     assert m.shape == (len(a), len(b))
     assert _bits(m) == _bits([[iou(x, y) for y in b] for x in a])
 
 
 def test_iou_matrix_exact_060():
-    m = iou_matrix([Box(0, 0, 10, 10)], [Box(0, 0, 6, 10)])
+    m = _iou_matrix([Box(0, 0, 10, 10)], [Box(0, 0, 6, 10)])
     assert m[0, 0] == 0.6 == iou(Box(0, 0, 10, 10), Box(0, 0, 6, 10))
 
 
@@ -310,6 +318,19 @@ def test_nms_keep_matches_nms_and_scalar_reference(dets, thr):
     kept = [dets[i] for i in keep.tolist()]
     assert [id(d) for d in kept] == [id(d) for d in nms(dets, thr)]
     assert [id(d) for d in kept] == [id(d) for d in _nms_reference(dets, thr)]
+
+
+def test_columns_rows_in_input_order():
+    dets = [ScoredBox(Box(1, 2, 3, 4), 0.25, 2), ScoredBox(Box(0.5, 0, 8, 9.5), 1.0)]
+    boxes, scores, labels = columns(dets)
+    assert boxes.tolist() == [[1.0, 2.0, 3.0, 4.0], [0.5, 0.0, 8.0, 9.5]]
+    assert scores.tolist() == [0.25, 1.0] and scores.dtype == float
+    assert labels.tolist() == [2, 0] and labels.dtype == np.int64
+    empty = columns([])
+    assert [c.shape for c in empty] == [(0, 4), (0,), (0,)]
+    # a column batch is read as it is
+    batch = SimpleNamespace(boxes=boxes, scores=scores, labels=labels)
+    assert all(a is b for a, b in zip(columns(batch), (boxes, scores, labels)))
 
 
 def test_nms_suppressed_box_suppresses_nothing():

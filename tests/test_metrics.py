@@ -15,10 +15,20 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from densecotrain.data import SceneSpec, generate_synthetic_dataset
+from densecotrain.detectors import (
+    CONTEXTUAL,
+    DEFAULT_CONTEXTUAL_PARAMS,
+    FEATURE_DIM,
+    Detections,
+    detect,
+    skill_from_params,
+)
 from densecotrain.geom import Box, GroundTruth, ScoredBox, iou
 from densecotrain.metrics import (
     COCO_THRESHOLDS,
@@ -515,3 +525,71 @@ def test_average_recall_at_equals_truncate_then_match(dets, gts, k):
     assume(sum(len(v) for v in gts.values()) > 0)
     assert average_recall_at(dets, gts, k) == _ar_reference(dets, gts, k)
     assert mean_average_precision(dets, gts).ar300 == _ar_reference(dets, gts, 300)
+
+
+# --------------------------------------- column batches vs their scored rows
+
+
+def _as_detections(dets):
+    """Scored boxes as one image's column batch, row i being ``dets[i]``."""
+    return Detections(
+        np.array([d.box.as_tuple() for d in dets], dtype=float).reshape(-1, 4),
+        np.array([d.score for d in dets], dtype=float),
+        np.array([d.label for d in dets], dtype=np.int64),
+        np.zeros((len(dets), FEATURE_DIM)),
+    )
+
+
+def _same_report(a, b):
+    # EvalReport holds arrays, so its fields are compared one by one
+    assert (a.ap_per_threshold, a.map_coco, a.ap75, a.ar300, a.notes) == (
+        b.ap_per_threshold, b.map_coco, b.ap75, b.ar300, b.notes
+    )
+    assert a.pr_curves.keys() == b.pr_curves.keys()
+    for t in a.pr_curves:
+        for x, y in zip(a.pr_curves[t], b.pr_curves[t]):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+@settings(max_examples=300)
+@given(
+    _tied_dets, _two_label_gts,
+    st.one_of(st.sampled_from(COCO_THRESHOLDS), st.floats(0.01, 1.0)),
+)
+@example(*_EXACT_060, 0.6)
+def test_match_detections_reads_columns_as_their_rows(dets, gts, t):
+    _same_result(match_detections(_as_detections(dets), gts, t),
+                 match_detections(dets, gts, t))
+
+
+@settings(max_examples=100)
+@given(
+    st.dictionaries(st.sampled_from("abc"), _tied_dets, max_size=3),
+    st.dictionaries(st.sampled_from("abcd"), _two_label_gts, min_size=1, max_size=4),
+)
+@example({"a": _EXACT_060[0]}, {"a": _EXACT_060[1]})
+def test_mean_average_precision_reads_columns_as_their_rows(dets, gts):
+    assume(sum(len(v) for v in gts.values()) > 0)
+    columns = {img: _as_detections(d) for img, d in dets.items()}
+    _same_report(mean_average_precision(columns, gts), mean_average_precision(dets, gts))
+    assert average_recall_at(columns, gts, 2) == average_recall_at(dets, gts, 2)
+    assert average_precision(columns, gts, 0.6) == average_precision(dets, gts, 0.6)
+
+
+def test_detector_output_scores_as_its_rows():
+    # dense synthetic scenes and a detector's own column output on them
+    spec = SceneSpec(grid_rows=4, grid_cols=5, overlap_factor=0.4, seed=3)
+    records = generate_synthetic_dataset(6, spec, seed=3)
+    skill = skill_from_params(DEFAULT_CONTEXTUAL_PARAMS, CONTEXTUAL)
+    columns = {
+        r.image_id: detect(r, skill, DEFAULT_CONTEXTUAL_PARAMS, CONTEXTUAL, 5)
+        for r in records
+    }
+    rows = {img: [d.scored for d in dets] for img, dets in columns.items()}
+    gts = {r.image_id: list(r.gts) for r in records}
+    assert sum(map(len, rows.values())) > 50
+    _same_report(mean_average_precision(columns, gts), mean_average_precision(rows, gts))
+    for r in records:
+        for t in (0.5, 0.75):
+            _same_result(match_detections(columns[r.image_id], gts[r.image_id], t),
+                         match_detections(rows[r.image_id], gts[r.image_id], t))

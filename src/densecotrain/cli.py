@@ -386,6 +386,14 @@ def cmd_cotrain(args) -> int:
         cfg = replace(cfg, cotrain=replace(cfg.cotrain, **overrides))
 
     records, split = build_dataset(cfg)
+    if not split.test:  # tune needs no test set; a co-training run reports on it
+        d = cfg.dataset
+        raise UsageError(
+            f"dataset.fractions {list(d.fractions)} of dataset.n_labeled "
+            f"{d.n_labeled} give {len(split.train)} train, {len(split.val)} "
+            "validation and 0 test images; a co-training run needs at least "
+            "one test image"
+        )
     run_dir = _ensure_dir(Path(cfg.output_dir))
     save_config(cfg, run_dir / "config.json")
     t0 = time.perf_counter()

@@ -6,8 +6,11 @@ Both views go through the same code: the supervised phase, pseudo-label
 generation, retraining and evaluation each loop over (A, B), and the mode
 only decides where each view's labels go.  Validation and the final test
 pass share one evaluation function.  One detection pass per view and
-record set feeds both the verified predictions and pseudo-labelling, and
-a pseudo-label is a scored box (its score is the ensemble's confidence),
+record set, one batched ``detect_batch`` call, feeds both the verified
+predictions and pseudo-labelling: the pool, validation and test passes
+are batched, and generation runs one NMS for the whole pool, or none
+where the detector's own NMS left nothing for it to remove.  A
+pseudo-label is a scored box (its score is the ensemble's confidence),
 so the audit grades an accepted set as it is.
 
 Rules this module enforces:
@@ -52,7 +55,6 @@ from .detectors import (
     CONTEXTUAL,
     DEFAULT_CONTEXTUAL_PARAMS,
     DEFAULT_LOCALIZER_PARAMS,
-    FEATURE_DIM,
     LOCALIZER,
     Detections,
     DetectorParams,
@@ -64,12 +66,13 @@ from .detectors import (
     count_occluded,
     derive_seed,
     detect,
+    detect_batch,
     retrain,
     size_regime,
     skill_from_params,
 )
 from .ensemble import EnsembleClassifier, EnsembleParams
-from .geom import Box, ScoredBox, nms_keep
+from .geom import Box, ScoredBox, nms_keep, nms_keep_groups
 from .metrics import EvalReport, match_detections, mean_average_precision
 
 MODES = ("cotrain", "selftrain", "supervised")
@@ -200,18 +203,19 @@ def _detect_view(
     records: Sequence[ImageRecord],
     seed: int,
 ) -> tuple[list[tuple[str, Detections, slice]], np.ndarray]:
-    """A view's detections on ``records``: per image, in sorted image-id
-    order, its id, its detections and their rows in the returned matrix,
-    which stacks every detection's feature vector in that order."""
-    dets = {
-        rec.image_id: detect(rec, skill, params, profile, seed) for rec in records
-    }
-    rows, end = [], 0
-    for img in sorted(dets):
-        start, end = end, end + len(dets[img])
-        rows.append((img, dets[img], slice(start, end)))
-    feats = [d.features for _, d, _ in rows]
-    return rows, np.concatenate(feats) if feats else np.empty((0, FEATURE_DIM))
+    """A view's detections on ``records``, all through one
+    ``detect_batch``: per image, in sorted image-id order, its id, its
+    detections and their rows in the returned matrix, which stacks every
+    detection's feature vector in that order."""
+    by_id = {rec.image_id: rec for rec in records}
+    ids = sorted(by_id)
+    batch, offsets = detect_batch([by_id[i] for i in ids], skill, params, profile, seed)
+    rows = []
+    for img, start, end in zip(ids, offsets.tolist(), offsets[1:].tolist()):
+        r = slice(start, end)
+        cols = (batch.boxes[r], batch.scores[r], batch.labels[r], batch.features[r])
+        rows.append((img, Detections(*cols), r))
+    return rows, batch.features
 
 
 def _verified(
@@ -425,28 +429,36 @@ def generate_pseudo_labels(
 ) -> list[PseudoLabel]:
     """Detector output vetted by the view's ensemble: keep detections the
     soft vote calls object with confidence >= tau_conf (the label's score),
-    NMS-deduplicated; the whole pool is one ``predict`` batch."""
+    NMS-deduplicated per image; the whole pool is one ``predict`` batch and
+    one NMS.  Labels come image by image in sorted id order."""
     if not (0.0 < tau_conf <= 1.0):
         raise ValueError(f"tau_conf must be in (0, 1], got {tau_conf!r}")
     rows, X = _detect_view(view.profile, view.params, skill, unlabeled_records, seed)
     if not len(X):
         return []
-    labels, conf = view.ensemble.predict(X)
+    is_object, conf = view.ensemble.predict(X)
     # the ensemble calls it an object, confidently enough
-    kept = (labels == 1) & (conf >= tau_conf)
-    out: list[PseudoLabel] = []
-    for img, d, r in rows:
-        c = conf[r]
-        cand = np.flatnonzero(kept[r])
-        keep = cand[nms_keep(d.boxes[cand], c[cand], d.labels[cand], nms_iou)]
-        tags = {"image_id": img, "source_view": view.name, "round": round_no}
-        out += [
-            PseudoLabel(Box(*box), score, label, **tags)
-            for box, score, label in zip(
-                d.boxes[keep].tolist(), c[keep].tolist(), d.labels[keep].tolist()
-            )
-        ]
-    return out
+    cand = np.flatnonzero((is_object == 1) & (conf >= tau_conf))
+    image = np.repeat(np.arange(len(rows)), [len(d) for _, d, _ in rows])[cand]
+    boxes = np.concatenate([d.boxes for _, d, _ in rows])[cand]
+    labels = np.concatenate([d.labels for _, d, _ in rows])[cand]
+    if nms_iou >= view.params.nms_iou:
+        # detect's NMS at the view's IoU left no same-label pair at or above
+        # nms_iou, so NMS here would only sort each image by confidence
+        keep = np.lexsort((-conf[cand], image))
+    else:
+        keep = nms_keep_groups(boxes, conf[cand], labels, image, nms_iou)
+    ids = [img for img, _, _ in rows]
+    return [
+        PseudoLabel(
+            Box(*box), score, label,
+            image_id=ids[k], source_view=view.name, round=round_no,
+        )
+        for box, score, label, k in zip(
+            boxes[keep].tolist(), conf[cand[keep]].tolist(),
+            labels[keep].tolist(), image[keep].tolist(),
+        )
+    ]
 
 
 def _group_by_image(labels: Sequence[PseudoLabel]) -> dict[str, list[PseudoLabel]]:

@@ -23,6 +23,12 @@ Design notes that matter for correctness:
   ``DEFAULT_SEPARATION``, scaled by localization quality.
 * Occlusion levels come from ``ImageRecord.occlusion``, which every
   record computes from its own GTs.
+* A view runs over a record set in one ``detect_batch`` call.  Per image
+  it does only what that image's own generator forces (the emitted GTs'
+  normals and the false-positive loop); the IoUs, scores, feature
+  placement, CT filter and greedy NMS run once over the whole batch, and
+  each image's rows equal those of a one-image call bit for bit.
+  ``detect`` is that one-image call.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .data import ImageRecord
-from .geom import Box, ScoredBox, corners, iou_pairs, nms_keep
+from .geom import Box, ScoredBox, corners, iou_pairs, nms_keep_groups
 from .metrics import match_detections
 
 BATCH_MENU: tuple[int, ...] = (4, 8, 16, 32)
@@ -285,26 +291,19 @@ def derive_seed(*parts: object) -> int:
     return int.from_bytes(blake2s(key, digest_size=8).digest(), "big")
 
 
-def emit_features(
-    profile: DetectorProfile, rng: np.random.Generator, quality: float
-) -> tuple[float, ...]:
-    """Gaussian feature vector, rotated per profile, drawn from ``rng``.
-
-    The center sits ``DEFAULT_SEPARATION`` times the localization
-    ``quality`` (clamped to [0, 1]) along axis 0, so an object draws with
-    its IoU to the source box and background with quality 0, at the
-    origin; the profile's rotation in the (0, 1) plane makes the two
-    views' feature spaces distinct while unit covariance is preserved.
-    """
-    x = _place_features(profile, rng.standard_normal((1, FEATURE_DIM)), quality)
-    return tuple(x[0].tolist())
-
-
 def _place_features(
     profile: DetectorProfile, x: np.ndarray, quality: float | np.ndarray
 ) -> np.ndarray:
-    """``emit_features``'s placement of standard normal rows
-    ``x[n, FEATURE_DIM]`` (changed in place) for each row's quality."""
+    """Feature vectors from standard normal rows ``x[n, FEATURE_DIM]``
+    (changed in place), one per detection of the given localization
+    ``quality`` (clamped to [0, 1]; each row's, or one for all).
+
+    The center sits ``DEFAULT_SEPARATION`` times the quality along axis
+    0, so an object draws with its IoU to the source box and background
+    with quality 0, at the origin; the profile's rotation in the (0, 1)
+    plane makes the two views' feature spaces distinct while unit
+    covariance is preserved.
+    """
     x[:, 0] += DEFAULT_SEPARATION * np.minimum(np.maximum(quality, 0.0), 1.0)
     c, s = math.cos(profile.feature_rotation), math.sin(profile.feature_rotation)
     x0, x1 = x[:, 0].copy(), x[:, 1].copy()
@@ -365,10 +364,98 @@ def _emitted_rows(
         draws.append(block[:n_ok, jit:])
         pos += width * n_ok + (jit if len(bad) else 0)
         start += n_ok + (1 if len(bad) else 0)
-    if pos < len(z):
-        rng.bit_generator.state = state
-        rng.standard_normal(pos)
+    if pos == len(z):  # nothing dropped: one block
+        return idx[0], boxes[0], draws[0]
+    rng.bit_generator.state = state
+    rng.standard_normal(pos)
     return np.concatenate(idx), np.concatenate(boxes), np.concatenate(draws)
+
+
+def detect_batch(
+    records: Sequence[ImageRecord],
+    skill: SkillModel,
+    params: DetectorParams,
+    profile: DetectorProfile,
+    seed: int,
+) -> tuple[Detections, np.ndarray]:
+    """Run one synthetic view over each of ``records``: every image's
+    detections as one column batch, image by image in the order given,
+    and the row offsets (image k's rows are ``offsets[k]:offsets[k + 1]``).
+
+    Each GT is emitted iff its persistent difficulty draw falls below the
+    box's effective recall; emitted boxes are corner-jittered, scored by
+    achieved IoU plus bounded noise, joined by Poisson false positives,
+    then filtered at CT and passed through NMS at the view's IoU setting.
+    An image's rows come in NMS kept order (descending score).
+    Deterministic given (record, skill, params, profile, seed), image by
+    image: each image has its own generator, from which its emitted GTs'
+    normals come in one draw and its false positives one at a time after
+    them.  Only those draws run per image; the IoUs, scores, feature
+    placement, CT filter and NMS run once over the batch.
+    """
+    # per image: emitted GTs' boxes, their source GTs' and their draws
+    boxes, sources = [np.empty((0, 4))], [np.empty((0, 4))]
+    draws = [np.empty((0, 1 + FEATURE_DIM))]
+    labels: list[int] = []
+    groups: list[int] = []  # each row's image
+    fp_boxes: list[tuple[float, ...]] = []
+    fp_scores: list[float] = []
+    fp_groups: list[int] = []
+    fp_normals = [np.empty((0, FEATURE_DIM))]
+    for k, record in enumerate(records):
+        rng = np.random.default_rng(
+            derive_seed("detect", profile.name, seed, record.image_id)
+        )
+        gts = record.gts
+        gt_boxes = corners([g.box for g in gts])
+        eff = skill.effective_recall(np.asarray(record.occlusion, dtype=float))
+        hashes = _difficulty(profile.name, record.image_id, len(gts))
+        idx, b, d = _emitted_rows(
+            record, gt_boxes, np.flatnonzero(hashes < eff), skill.jitter_sigma, rng
+        )
+        boxes.append(b)
+        sources.append(gt_boxes[idx])
+        draws.append(d)
+        emitted = idx.tolist()
+        labels += [gts[i].label for i in emitted]
+        groups += [k] * len(emitted)
+        if skill.fp_rate > 0:
+            if gts:  # np.mean's sum over the count, bit for bit, at less cost
+                n = len(gts)
+                mean_w = float(np.add.reduce(gt_boxes[:, 2] - gt_boxes[:, 0])) / n
+                mean_h = float(np.add.reduce(gt_boxes[:, 3] - gt_boxes[:, 1])) / n
+            else:
+                mean_w, mean_h = record.width / 8.0, record.height / 8.0
+            for _ in range(rng.poisson(skill.fp_rate)):
+                fb = _fp_box(rng, record, mean_w, mean_h)
+                if fb is None:
+                    continue
+                fp_boxes.append(fb.as_tuple())
+                fp_scores.append(float(rng.beta(FP_SCORE_ALPHA, FP_SCORE_BETA)))
+                fp_normals.append(rng.standard_normal((1, FEATURE_DIM)))
+                fp_groups.append(k)
+    # every emitted GT's rows, then every false positive's: within an image
+    # that is the order a one-image call makes, which NMS keeps on ties
+    n_gt = len(labels)
+    boxes = np.concatenate([*boxes, np.array(fp_boxes, dtype=float).reshape(-1, 4)])
+    draws = np.concatenate(draws)
+    q = iou_pairs(boxes[:n_gt], np.concatenate(sources))
+    raw = (SCORE_BASE + SCORE_SLOPE * q) + (0.0 + SCORE_NOISE * draws[:, 0])
+    scores = np.concatenate([np.minimum(np.maximum(raw, 0.0), 1.0), fp_scores])
+    labels = np.array(labels + [0] * len(fp_scores), dtype=np.int64)
+    groups = np.array(groups + fp_groups, dtype=np.int64)
+    cand = np.flatnonzero(scores >= params.confidence_threshold)
+    keep = cand[nms_keep_groups(
+        boxes[cand], scores[cand], labels[cand], groups[cand], params.nms_iou
+    )]
+    feats = _place_features(  # false positives sit at quality 0
+        profile, np.concatenate([draws[:, 1:], *fp_normals])[keep],
+        np.concatenate([q, np.zeros(len(fp_scores))])[keep],
+    )
+    # ``keep`` runs image by image, so image k's rows start at the first
+    # kept row of an image k or later
+    offsets = np.searchsorted(groups[keep], np.arange(len(records) + 1))
+    return Detections(boxes[keep], scores[keep], labels[keep], feats), offsets
 
 
 def detect(
@@ -378,50 +465,9 @@ def detect(
     profile: DetectorProfile,
     seed: int,
 ) -> Detections:
-    """Run one synthetic view over one image; one row per detection.
-
-    Each GT is emitted iff its persistent difficulty draw falls below the
-    box's effective recall; emitted boxes are corner-jittered, scored by
-    achieved IoU plus bounded noise, joined by Poisson false positives,
-    then filtered at CT and passed through NMS at the view's IoU setting.
-    Rows come in NMS kept order (descending score).
-    Deterministic given (record, skill, params, profile, seed): the
-    emitted GTs' normals come from one draw, false positives draw one at a
-    time after them.
-    """
-    rng = np.random.default_rng(derive_seed("detect", profile.name, seed, record.image_id))
-    gts = record.gts
-    gt_boxes = corners([g.box for g in gts])
-    eff = skill.effective_recall(np.asarray(record.occlusion, dtype=float))
-    found = np.flatnonzero(_difficulty(profile.name, record.image_id, len(gts)) < eff)
-    idx, boxes, draws = _emitted_rows(record, gt_boxes, found, skill.jitter_sigma, rng)
-    q = iou_pairs(boxes, gt_boxes[idx])
-    raw = (SCORE_BASE + SCORE_SLOPE * q) + (0.0 + SCORE_NOISE * draws[:, 0])
-    scores = np.minimum(np.maximum(raw, 0.0), 1.0)
-    feats = _place_features(profile, draws[:, 1:], q)
-    labels = np.array([g.label for g in gts], dtype=np.int64)[idx]
-    if skill.fp_rate > 0:
-        if gts:
-            mean_w = float(np.mean(gt_boxes[:, 2] - gt_boxes[:, 0]))
-            mean_h = float(np.mean(gt_boxes[:, 3] - gt_boxes[:, 1]))
-        else:
-            mean_w, mean_h = record.width / 8.0, record.height / 8.0
-        fps = []
-        for _ in range(rng.poisson(skill.fp_rate)):
-            fb = _fp_box(rng, record, mean_w, mean_h)
-            if fb is None:
-                continue
-            score = float(rng.beta(FP_SCORE_ALPHA, FP_SCORE_BETA))
-            fps.append((fb.as_tuple(), score, emit_features(profile, rng, 0.0)))
-        if fps:
-            fp_boxes, fp_scores, fp_feats = zip(*fps)
-            boxes = np.concatenate([boxes, fp_boxes])
-            scores = np.concatenate([scores, fp_scores])
-            feats = np.concatenate([feats, fp_feats])
-            labels = np.concatenate([labels, np.zeros(len(fps), dtype=np.int64)])
-    cand = np.flatnonzero(scores >= params.confidence_threshold)
-    keep = cand[nms_keep(boxes[cand], scores[cand], labels[cand], params.nms_iou)]
-    return Detections(boxes[keep], scores[keep], labels[keep], feats[keep])
+    """``detect_batch`` on one image: one row per detection, in NMS kept
+    order (descending score)."""
+    return detect_batch([record], skill, params, profile, seed)[0]
 
 
 @dataclass(frozen=True)

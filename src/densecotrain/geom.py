@@ -12,14 +12,18 @@ Conventions (fixed so every metric and filter above this layer is exact):
   bit-identical to it; ``iou`` stays as the reference in tests.
 * NMS is greedy by descending score, stable on ties (input order), and a
   candidate whose IoU with a kept same-label box equals the threshold is
-  suppressed (strict ``< threshold`` keeps).  ``nms_keep`` runs it on
-  column arrays; ``nms`` on scored boxes goes through it.
+  suppressed (strict ``< threshold`` keeps).  One kernel applies the rule
+  by rank position to many groups of rows at once, each padded to the
+  block's largest group; ``nms_keep_groups`` runs it on every image of a
+  batch, ``nms_keep`` is its one-group call on column arrays, and ``nms``
+  on scored boxes goes through that.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -154,6 +158,53 @@ def iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return inter
 
 
+NMS_BLOCK = 1 << 16
+"""Most entries of one padded ``(groups, n, n)`` block of
+``nms_keep_groups``: groups go in by ascending size, so one large group
+cannot widen the padding of many small ones."""
+
+_PAD_BOX = (0.0, 0.0, 1.0, 1.0)  # a padding row has area, so no IoU is 0/0
+
+
+def _check_threshold(iou_threshold: float) -> None:
+    if not (0.0 < iou_threshold < 1.0):
+        raise ValueError(f"iou_threshold must be in (0, 1), got {iou_threshold!r}")
+
+
+@lru_cache(maxsize=256)
+def _above(n: int) -> np.ndarray:
+    """``(n, n)`` mask of the pairs (i, j) with i ranked above j."""
+    out = np.triu(np.ones((n, n), dtype=bool), 1)
+    out.flags.writeable = False
+    return out
+
+
+def _greedy_removed(
+    ranked: np.ndarray,
+    labels: np.ndarray,
+    iou_threshold: float,
+    valid: np.ndarray | None = None,
+) -> np.ndarray:
+    """The greedy rule on ``c`` groups at once: ``ranked[c, n, 4]`` corners
+    and ``labels[c, n]``, each group's rows in rank order.  Row j of a
+    group is removed iff a row ranked above it that is not removed has its
+    label and IoU at least ``iou_threshold`` with it.  ``valid[c, n]``
+    marks the real rows when groups are padded at their ends; a padding row
+    ranks below every real one, so masking it as a candidate is enough.
+    Returns the ``(c, n)`` removed mask."""
+    suppresses = iou_pairs(ranked[:, :, None, :], ranked[:, None, :, :]) >= iou_threshold
+    suppresses &= labels[:, :, None] == labels[:, None, :]
+    if valid is not None:
+        suppresses &= valid[:, None, :]
+    # a row is removed iff a kept row ranked above it suppresses it, so only
+    # ranks that some higher row overlaps need the sequential check
+    removed = np.zeros(labels.shape, dtype=bool)
+    overlapped = (suppresses & _above(labels.shape[1])).any(axis=(0, 1))
+    for j in np.flatnonzero(overlapped).tolist():
+        removed[:, j] = (suppresses[:, :j, j] & ~removed[:, :j]).any(axis=1)
+    return removed
+
+
 def nms_keep(
     boxes: np.ndarray, scores: np.ndarray, labels: np.ndarray, iou_threshold: float
 ) -> np.ndarray:
@@ -165,18 +216,59 @@ def nms_keep(
     is strictly below ``iou_threshold``.  Returns the kept row indices in
     kept order.
     """
-    if not (0.0 < iou_threshold < 1.0):
-        raise ValueError(f"iou_threshold must be in (0, 1), got {iou_threshold!r}")
+    _check_threshold(iou_threshold)
     order = np.argsort(-scores, kind="stable")
-    ranked = boxes[order]
-    suppresses = iou_pairs(ranked[:, None, :], ranked[None, :, :]) >= iou_threshold
-    ranked_labels = labels[order]
-    suppresses &= ranked_labels[:, None] == ranked_labels[None, :]
-    # a row is removed iff a kept row ranked above it suppresses it, so only
-    # rows that some higher row overlaps need the sequential check
+    removed = _greedy_removed(boxes[order][None], labels[order][None], iou_threshold)
+    return order[~removed[0]]
+
+
+def nms_keep_groups(
+    boxes: np.ndarray,
+    scores: np.ndarray,
+    labels: np.ndarray,
+    groups: np.ndarray,
+    iou_threshold: float,
+) -> np.ndarray:
+    """``nms_keep`` on each group of rows on its own, all groups at once:
+    ``groups[n]`` holds each row's group id (an integer >= 0), and rows of
+    a group need not be adjacent; ties keep row order.  Returns the kept
+    row indices by ascending group id, each group's in kept order.
+
+    Each group's rows are ranked, then blocks of groups of similar size are
+    padded to ``(groups, n, n)`` of at most ``NMS_BLOCK`` entries (or one
+    group) and go through the greedy rule together; one group is
+    ``nms_keep``'s call."""
+    _check_threshold(iou_threshold)
+    if not len(groups) or groups.min() == groups.max():
+        return nms_keep(boxes, scores, labels, iou_threshold)
+    order = np.lexsort((-scores, groups))
+    sizes = np.bincount(groups)
+    starts = np.cumsum(sizes) - sizes
     removed = np.zeros(len(order), dtype=bool)
-    for j in np.flatnonzero(np.triu(suppresses, 1).any(axis=0)).tolist():
-        removed[j] = (suppresses[:j, j] & ~removed[:j]).any()
+    # a group of one row keeps it; the others go by ascending size
+    multi = np.flatnonzero(sizes > 1)
+    multi = multi[np.argsort(sizes[multi], kind="stable")]
+    lo = 0
+    while lo < len(multi):
+        # take groups while their count times n * n stays within the bound:
+        # sizes ascend, so it holds for a prefix; a group too large goes alone
+        n_after = sizes[multi[lo:]]
+        fits = np.arange(1, len(n_after) + 1) * n_after * n_after <= NMS_BLOCK
+        hi = lo + max(int(np.count_nonzero(fits)), 1)
+        ids, n = multi[lo:hi], int(sizes[multi[hi - 1]])
+        lens = sizes[ids]
+        slot = np.repeat(np.arange(len(ids)), lens)
+        rank = np.arange(len(slot)) - np.repeat(np.cumsum(lens) - lens, lens)
+        rows = np.repeat(starts[ids], lens) + rank  # positions in ``order``
+        ranked = np.full((len(ids), n, 4), _PAD_BOX)
+        ranked[slot, rank] = boxes[order[rows]]
+        ranked_labels = np.zeros((len(ids), n), dtype=labels.dtype)
+        ranked_labels[slot, rank] = labels[order[rows]]
+        valid = np.zeros((len(ids), n), dtype=bool)
+        valid[slot, rank] = True
+        block = _greedy_removed(ranked, ranked_labels, iou_threshold, valid)
+        removed[rows] = block[slot, rank]
+        lo = hi
     return order[~removed]
 
 

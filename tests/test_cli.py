@@ -542,6 +542,24 @@ def test_split_without_train_or_val_exit_2_before_running(
     assert not (tmp_path / "run").exists()
 
 
+def test_cotrain_split_without_test_exit_2_and_tune_accepts_it(tmp_path, capsys):
+    # co-training once ran to exit 0 with every test metric null
+    doc = read_json(tiny_config(tmp_path))
+    doc["dataset"].update(n_labeled=30, fractions=[0.8, 0.2, 0.0])
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli(["cotrain", "--config", path, "--max-rounds", 1]) == 2
+    err = capsys.readouterr().err
+    for token in (
+        "dataset.fractions [0.8, 0.2, 0.0]", "dataset.n_labeled 30",
+        "24 train, 6 validation and 0 test",
+    ):
+        assert token in err
+    assert not (tmp_path / "run").exists()
+    # tuning reads no test image
+    assert run_cli(["tune", "--config", path, "--budget", 1]) == 0
+
+
 @pytest.mark.parametrize(
     "extra, key",
     [

@@ -10,6 +10,8 @@ from dataclasses import FrozenInstanceError, asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from densecotrain.codec import from_dict
 from densecotrain.cotrain import (
@@ -17,6 +19,7 @@ from densecotrain.cotrain import (
     CHECKPOINT_VERSION,
     Checkpoint,
     CoTrainConfig,
+    PseudoLabel,
     RoundRecord,
     exchange_round,
     generate_pseudo_labels,
@@ -40,8 +43,9 @@ from densecotrain.detectors import (
     DetectorParams,
     Detections,
     RetrainCoefficients,
+    detect,
 )
-from densecotrain.geom import ScoredBox, nms
+from densecotrain.geom import Box, ScoredBox, nms, nms_keep
 from densecotrain.metrics import match_detections
 
 
@@ -173,6 +177,76 @@ def test_generate_invalid_tau_errors(small_data):
             )
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from((0.3, 0.4, 0.5, 0.7, 0.9)),
+    st.sampled_from((0.0, 0.05, 0.2, 0.4)),
+)
+def test_second_nms_at_or_above_detect_iou_only_sorts(seed, detect_iou, step):
+    """Rows a detector's NMS kept at ``detect_iou``, any subset of them and
+    any confidences: NMS at ``detect_iou`` or above removes nothing and
+    keeps the stable descending-confidence order, which is what
+    generation's branch uses in its place."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 30))
+    xy = rng.uniform(0, 40, (n, 2))
+    boxes = np.concatenate([xy, xy + rng.uniform(4, 20, (n, 2))], axis=1)
+    labels = rng.integers(0, 2, n)
+    kept = nms_keep(boxes, rng.uniform(0, 1, n), labels, detect_iou)
+    sub = kept[rng.random(len(kept)) < 0.7]
+    conf = rng.choice([0.8, 0.9, 0.95, 1.0], len(sub))  # many ties
+    second = min(detect_iou + step, 0.95)
+    order = nms_keep(boxes[sub], conf, labels[sub], second)
+    assert order.tolist() == np.argsort(-conf, kind="stable").tolist()
+
+
+def _generate_reference(view, skill, records, tau_conf, nms_iou, round_no, seed):
+    """Generation before the pool pass was batched: one ``detect`` per
+    image in sorted id order, one ``predict`` over all their rows, then
+    NMS at ``nms_iou`` on each image's accepted rows, always."""
+    dets = {r.image_id: detect(r, skill, view.params, view.profile, seed) for r in records}
+    ids = sorted(dets)
+    X = np.concatenate([dets[i].features for i in ids])
+    is_object, conf = view.ensemble.predict(X)
+    out, end = [], 0
+    for img in ids:
+        d = dets[img]
+        start, end = end, end + len(d)
+        c = conf[start:end]
+        cand = np.flatnonzero((is_object[start:end] == 1) & (c >= tau_conf))
+        keep = cand[nms_keep(d.boxes[cand], c[cand], d.labels[cand], nms_iou)]
+        out += [
+            PseudoLabel(
+                Box(*box), score, label, image_id=img, source_view=view.name,
+                round=round_no,
+            )
+            for box, score, label in zip(
+                d.boxes[keep].tolist(), c[keep].tolist(), d.labels[keep].tolist()
+            )
+        ]
+    return out
+
+
+@pytest.mark.parametrize(
+    "detect_iou, pseudo_iou",
+    [(0.7, 0.4), (0.4, 0.7), (0.5, 0.5), (0.3, 0.9)],
+    ids=["nms", "sort-only", "default", "sort-only-far"],
+)
+def test_generate_equals_reference_on_both_sides_of_the_nms_skip(
+    small_data, cotrain_base, detect_iou, pseudo_iou
+):
+    records, split = small_data
+    pool = [records[i] for i in split.unlabeled_pool[:80]]
+    for view, skill in zip((cotrain_base.view_a, cotrain_base.view_b), cotrain_base.skills[-1]):
+        view = replace(view, params=replace(view.params, nms_iou=detect_iou))
+        args = (view, skill, pool, 0.6, pseudo_iou, 2, 31)
+        got = generate_pseudo_labels(*args)
+        assert got and got == _generate_reference(*args)
+        if pseudo_iou < detect_iou:  # the second NMS does remove rows here
+            assert len(got) < len(generate_pseudo_labels(*args[:4], detect_iou, 2, 31))
+
+
 def test_ensemble_veto_raises_precision(small_data):
     """Ensemble vetting must beat the raw detector's precision even with
     the confidence gate effectively open (tau near zero)."""
@@ -185,8 +259,6 @@ def test_ensemble_veto_raises_precision(small_data):
     cfg = CoTrainConfig(loc_params=loc, seed=11)
     state = initial_supervised_phase(records, split, cfg)
     pool = [records[i] for i in split.unlabeled_pool[:60]]
-
-    from densecotrain.detectors import detect
 
     def precision(dets_by_image):
         tp = n = 0

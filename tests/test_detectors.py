@@ -3,13 +3,17 @@ retrain rule, and the two-profile complementarity contract."""
 
 from __future__ import annotations
 
+import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from densecotrain import geom
+from densecotrain.cotrain import _detect_view
 from densecotrain.data import ImageRecord, SceneSpec, generate_synthetic_scene
 from densecotrain.detectors import (
     ANCHOR_MENU,
@@ -32,12 +36,13 @@ from densecotrain.detectors import (
     SkillModel,
     _difficulty,
     _fp_box,
+    _place_features,
     audit_pseudo_labels,
     count_occluded,
     derive_seed,
     detect,
+    detect_batch,
     detection_hash,
-    emit_features,
     retrain,
     size_regime,
     skill_from_params,
@@ -367,22 +372,23 @@ def _assert_batch_equals_reference(batch, ref):
         assert g.tobytes() == w.tobytes(), name
 
 
-@st.composite
-def _detect_cases(draw):
-    """An image (possibly without GTs) and a view: recall, jitter from none
-    through large enough to make boxes degenerate, FP rate and CT both
-    possibly 0, either profile."""
+def _small_record(draw, tag):
+    """An image without GTs or a small synthetic scene of up to 20 GTs."""
     seed = draw(st.integers(0, 2**32 - 1))
     rows = draw(st.integers(0, 4))
     if rows == 0:
-        record = ImageRecord(f"hyp-empty-{seed}", draw(st.integers(8, 300)), 150, ())
-    else:
-        spec = SceneSpec(
-            rows, draw(st.integers(1, 5)),
-            jitter=draw(st.sampled_from((0.0, 2.0))),
-            overlap_factor=draw(st.sampled_from((0.0, 0.4, 0.6))), seed=seed,
-        )
-        record = generate_synthetic_scene(spec, image_id=f"hyp-{seed}")
+        return ImageRecord(f"{tag}-empty-{seed}", draw(st.integers(8, 300)), 150, ())
+    spec = SceneSpec(
+        rows, draw(st.integers(1, 5)),
+        jitter=draw(st.sampled_from((0.0, 2.0))),
+        overlap_factor=draw(st.sampled_from((0.0, 0.4, 0.6))), seed=seed,
+    )
+    return generate_synthetic_scene(spec, image_id=f"{tag}-{seed}")
+
+
+def _view(draw):
+    """A view: recall, jitter from none through large enough to make boxes
+    degenerate, FP rate and CT both possibly 0, either profile, a seed."""
     sigma = draw(st.one_of(
         st.just(0.0), st.floats(0.05, 8.0), st.floats(20.0, 90.0),
     ))
@@ -395,13 +401,104 @@ def _detect_cases(draw):
         nms_iou=draw(st.floats(0.05, 0.95)),
     )
     profile = draw(st.sampled_from((LOCALIZER, CONTEXTUAL)))
-    return record, skill, params, profile, draw(st.integers(0, 2**31))
+    return skill, params, profile, draw(st.integers(0, 2**31))
+
+
+@st.composite
+def _detect_cases(draw):
+    """An image (possibly without GTs) and a view."""
+    return (_small_record(draw, "hyp"), *_view(draw))
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_scene(seed):
+    """A 10 x 15 grid at overlap 0.4: 150 GTs."""
+    return generate_synthetic_scene(
+        SceneSpec(10, 15, overlap_factor=0.4, seed=seed), image_id=f"dense-{seed}"
+    )
+
+
+@st.composite
+def _record_sets(draw):
+    """One to six images with distinct ids, in any order (images without
+    GTs and small scenes, at most one dense 150-GT scene among them), and
+    a view."""
+    records = [_small_record(draw, f"set{k}") for k in range(draw(st.integers(1, 5)))]
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(records)))
+        records.insert(at, _dense_scene(draw(st.integers(0, 3))))
+    return records, *_view(draw)
+
+
+def _rows_of(batch, offsets, k):
+    r = slice(int(offsets[k]), int(offsets[k + 1]))
+    return type(batch)(batch.boxes[r], batch.scores[r], batch.labels[r], batch.features[r])
 
 
 @settings(max_examples=300, deadline=None)
 @given(_detect_cases())
 def test_detect_batch_equals_scalar_reference(case):
     _assert_batch_equals_reference(detect(*case), _detect_reference(*case))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_record_sets())
+def test_detect_batch_rows_equal_scalar_reference_per_image(case):
+    records, *view = case
+    batch, offsets = detect_batch(records, *view)
+    assert offsets.tolist()[0] == 0 and offsets.tolist()[-1] == len(batch)
+    assert np.all(np.diff(offsets) >= 0) and len(offsets) == len(records) + 1
+    for k, rec in enumerate(records):
+        _assert_batch_equals_reference(
+            _rows_of(batch, offsets, k), _detect_reference(rec, *view)
+        )
+
+
+def test_detect_batch_dense_image_among_small_ones():
+    """A 150-GT image among small ones and an image without GTs, with and
+    without false positives, at CT 0, jitter 0 and jitter that drops
+    boxes: every image's rows equal the scalar reference, and a padded
+    NMS block exceeds ``NMS_BLOCK`` entries only when it holds one image."""
+    small = [_scene(s, overlap=0.6, rows=3, cols=4) for s in range(6)]
+    records = [*small[:3], _dense_scene(0), ImageRecord("no-gts", 90, 60, ()), *small[3:]]
+    shapes = []
+    greedy = geom._greedy_removed
+
+    def recording(ranked, *args):
+        shapes.append(ranked.shape)
+        return greedy(ranked, *args)
+
+    for skill in (SkillModel(0.9, 0.3, 0.0, 2.0), SkillModel(0.95, 0.1, 45.0, 0.0)):
+        for profile in (LOCALIZER, CONTEXTUAL):
+            params = DetectorParams(confidence_threshold=0.0, nms_iou=0.5)
+            with mock.patch.object(geom, "_greedy_removed", recording):
+                batch, offsets = detect_batch(records, skill, params, profile, 4)
+            for k, rec in enumerate(records):
+                _assert_batch_equals_reference(
+                    _rows_of(batch, offsets, k),
+                    _detect_reference(rec, skill, params, profile, 4),
+                )
+    assert shapes and max(n for _, n, _ in shapes) >= 100  # the dense image's block
+    assert all(c == 1 or c * n * n <= geom.NMS_BLOCK for c, n, _ in shapes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_record_sets())
+def test_detect_view_equals_per_record_detect(case):
+    """``_detect_view``: images in sorted id order, each one's rows, slice
+    and feature rows as a one-image ``detect`` gives them."""
+    records, skill, params, profile, seed = case
+    rows, X = _detect_view(profile, params, skill, records[::-1], seed)
+    by_id = {r.image_id: r for r in records}
+    assert [img for img, _, _ in rows] == sorted(by_id)
+    end = 0
+    for img, dets, r in rows:
+        want = detect(by_id[img], skill, params, profile, seed)
+        assert _columns(dets) == _columns(want)
+        assert r == slice(end, end + len(want))
+        assert X[r].tobytes() == want.features.tobytes()
+        end = r.stop
+    assert X.shape == (end, FEATURE_DIM)
 
 
 def test_detect_batch_handles_degenerate_boxes_like_reference():
@@ -449,6 +546,13 @@ def test_detection_validates_feature_length():
         Detection(sb, (0.0,) * 5)
     with pytest.raises(ValueError):
         Detection(sb, (math.nan,) * FEATURE_DIM)
+
+
+def emit_features(profile, rng, quality):
+    """One detection's feature vector as a detection draws it: 16 normals
+    from ``rng``, placed by the view's rule."""
+    x = _place_features(profile, rng.standard_normal((1, FEATURE_DIM)), quality)
+    return tuple(x[0].tolist())
 
 
 def test_emit_features_deterministic_by_seed():

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from densecotrain import geom
 from densecotrain.geom import (
     Box,
     GroundTruth,
@@ -21,6 +23,7 @@ from densecotrain.geom import (
     iou_pairs,
     nms,
     nms_keep,
+    nms_keep_groups,
 )
 
 
@@ -318,6 +321,56 @@ def test_nms_keep_matches_nms_and_scalar_reference(dets, thr):
     kept = [dets[i] for i in keep.tolist()]
     assert [id(d) for d in kept] == [id(d) for d in nms(dets, thr)]
     assert [id(d) for d in kept] == [id(d) for d in _nms_reference(dets, thr)]
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.tuples(tied_scored_boxes(), st.integers(0, 4)), max_size=30),
+    st.one_of(
+        st.sampled_from((0.6, 0.5, 1 / 3, 0.25)),
+        st.floats(min_value=0.01, max_value=0.99),
+    ),
+    st.sampled_from((1, 20, 100, geom.NMS_BLOCK)),
+)
+def test_nms_keep_groups_matches_scalar_reference_per_group(rows, thr, block):
+    """Each group, wherever its rows sit, keeps what the scalar loop keeps
+    on that group alone, in its order; small blocks force padding of
+    groups of unequal size and one block per group."""
+    dets = [d for d, _ in rows]
+    groups = np.array([g for _, g in rows], dtype=np.int64)
+    shapes = []
+    greedy = geom._greedy_removed
+
+    def recording(ranked, *args):
+        shapes.append(ranked.shape)
+        return greedy(ranked, *args)
+
+    with mock.patch.object(geom, "NMS_BLOCK", block), \
+            mock.patch.object(geom, "_greedy_removed", recording):
+        keep = nms_keep_groups(*columns(dets), groups, thr)
+    assert keep.dtype.kind == "i"
+    want = []
+    for g in sorted(set(groups.tolist())):
+        members = [d for d, k in rows if k == g]
+        want += [id(d) for d in _nms_reference(members, thr)]
+    assert [id(dets[i]) for i in keep.tolist()] == want
+    # a padded block stays within the bound unless it holds one group
+    assert all(c == 1 or c * n * n <= block for c, n, _ in shapes)
+
+
+def test_nms_keep_groups_pads_without_invalid_values():
+    """Padding rows have area, so padded IoUs never divide 0 by 0 (the
+    suite turns such a RuntimeWarning into an error)."""
+    boxes = np.array([[0, 0, 4, 4], [1, 0, 5, 4], [9, 9, 12, 12],
+                      [0, 0, 4, 4], [10, 10, 11, 11]], dtype=float)
+    scores = np.array([0.9, 0.8, 0.7, 0.6, 0.5])
+    labels = np.zeros(5, dtype=np.int64)
+    groups = np.array([0, 0, 0, 1, 1])  # group 1 is padded to 3 rows
+    with np.errstate(all="raise"):
+        keep = nms_keep_groups(boxes, scores, labels, groups, 0.5)
+    assert keep.tolist() == [0, 2, 3, 4]
+    empty = np.empty((0, 4))
+    assert nms_keep_groups(empty, empty[:, 0], labels[:0], groups[:0], 0.5).size == 0
 
 
 def test_columns_rows_in_input_order():

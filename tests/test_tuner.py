@@ -420,9 +420,9 @@ def test_supervised_objective_matches_reference_in_both_orders(tiny_data):
 
 def test_supervised_objective_redoes_only_the_moved_view(tiny_data, monkeypatch):
     records, split = tiny_data
-    trained, detected = [], []
+    trained, detected = [], []  # one profile per image a view detects on
     train = EnsembleClassifier.train
-    detect = cotrain.detect
+    detect, detect_batch = cotrain.detect, cotrain.detect_batch
 
     def counting_train(cls, *args, **kwargs):
         trained.append(1)
@@ -432,8 +432,14 @@ def test_supervised_objective_redoes_only_the_moved_view(tiny_data, monkeypatch)
         detected.append(profile)
         return detect(record, skill, params, profile, seed)
 
+    def counting_batch(records, skill, params, profile, seed):
+        detected.extend([profile] * len(records))
+        return detect_batch(records, skill, params, profile, seed)
+
     monkeypatch.setattr(EnsembleClassifier, "train", classmethod(counting_train))
-    monkeypatch.setattr(cotrain, "detect", counting_detect)  # the name round 0 calls
+    # the names round 0 calls: detect on the train set, the batch on validation
+    monkeypatch.setattr(cotrain, "detect", counting_detect)
+    monkeypatch.setattr(cotrain, "detect_batch", counting_batch)
     objective = make_supervised_objective(records, split, CoTrainConfig(seed=19))
     objective(DEFAULT_VECTOR)
     assert len(trained) == 2

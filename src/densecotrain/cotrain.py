@@ -9,9 +9,11 @@ pass share one evaluation function.  One detection pass per view and
 record set, one batched ``detect_batch`` call, feeds both the verified
 predictions and pseudo-labelling: the pool, validation and test passes
 are batched, and generation runs one NMS for the whole pool, or none
-where the detector's own NMS left nothing for it to remove.  A
-pseudo-label is a scored box (its score is the ensemble's confidence),
-so the audit grades an accepted set as it is.
+where the detector's own NMS left nothing for it to remove.  Accepted
+pseudo-labels stay columns (``PseudoLabels``: the masked rows of the
+pool's detection columns, scored by the ensemble's confidence), one
+group per image in the accepted sets, and the audit grades a whole
+accepted set in one matching call.
 
 Rules this module enforces:
 
@@ -45,7 +47,8 @@ import json
 import os
 from dataclasses import KW_ONLY, asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -73,7 +76,7 @@ from .detectors import (
 )
 from .ensemble import EnsembleClassifier, EnsembleParams
 from .geom import Box, ScoredBox, nms_keep, nms_keep_groups
-from .metrics import EvalReport, match_detections, mean_average_precision
+from .metrics import EvalReport, greedy_match_groups, mean_average_precision
 
 MODES = ("cotrain", "selftrain", "supervised")
 CHECKPOINT_VERSION = 5
@@ -96,6 +99,58 @@ class PseudoLabel(ScoredBox):
     image_id: str
     source_view: str
     round: int
+
+
+@dataclass(frozen=True, eq=False)
+class PseudoLabels:
+    """Accepted pseudo-labels as columns, shaped as ``Detections`` is: row
+    i is one label, ``boxes[n, 4]`` corners, ``scores[n]`` the ensemble's
+    confidences and integer ``labels[n]``.  Image k's rows are
+    ``offsets[k]:offsets[k + 1]`` of ``image_ids[k]``, and every row was made
+    by view ``source_view`` in round ``round``.  ``len()`` is the number of
+    labels; iterating gives them as ``PseudoLabel`` objects, built on demand."""
+
+    boxes: np.ndarray
+    scores: np.ndarray
+    labels: np.ndarray
+    image_ids: tuple[str, ...]
+    offsets: np.ndarray
+    source_view: str
+    round: int
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    def __iter__(self) -> Iterator[PseudoLabel]:
+        rows = zip(self.boxes.tolist(), self.scores.tolist(), self.labels.tolist())
+        for img, n in zip(self.image_ids, np.diff(self.offsets).tolist()):
+            for box, score, label in islice(rows, n):
+                yield PseudoLabel(
+                    Box(*box), score, label,
+                    image_id=img, source_view=self.source_view, round=self.round,
+                )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PseudoLabels):
+            return NotImplemented
+        return (self.image_ids, self.source_view, self.round) == (
+            other.image_ids, other.source_view, other.round
+        ) and all(
+            np.array_equal(getattr(self, f), getattr(other, f))
+            for f in ("boxes", "scores", "labels", "offsets")
+        )
+
+    def by_image(self) -> dict[str, "PseudoLabels"]:
+        """Each image's rows as a one-image group of their own (views of
+        these columns)."""
+        bounds = self.offsets.tolist()
+        return {
+            img: PseudoLabels(
+                self.boxes[a:b], self.scores[a:b], self.labels[a:b], (img,),
+                np.array([0, b - a]), self.source_view, self.round,
+            )
+            for img, a, b in zip(self.image_ids, bounds, bounds[1:])
+        }
 
 
 @dataclass(frozen=True)
@@ -169,8 +224,8 @@ class CoTrainState:
     skills: list[tuple[SkillModel, SkillModel]]
     n_base_annotations: int
     n_base_occluded: int
-    accepted_for_a: dict[str, list[PseudoLabel]] = field(default_factory=dict)
-    accepted_for_b: dict[str, list[PseudoLabel]] = field(default_factory=dict)
+    accepted_for_a: dict[str, PseudoLabels] = field(default_factory=dict)
+    accepted_for_b: dict[str, PseudoLabels] = field(default_factory=dict)
     history: list[RoundRecord] = field(default_factory=list)
 
     @property
@@ -343,26 +398,26 @@ def round_zero_data(
     train_records = [records_by_id[i] for i in split.train]
     skill = skill_from_params(params, profile, size_regime(train_records))
     seed = derive_seed(config.seed, "ens-train", name)
-    feats: list[np.ndarray] = []
-    targets: list[bool] = []
-    for rec in train_records:
-        row = detect(rec, skill, params, profile, seed)
-        feats.append(row.features)
-        targets += match_detections(row, list(rec.gts), 0.5).det_is_tp
-    if not targets:
+    dets = [detect(rec, skill, params, profile, seed) for rec in train_records]
+    _, (matched,) = greedy_match_groups(
+        [(d.boxes, d.scores, d.labels) for d in dets],
+        [(r.gt_boxes, r.gt_labels) for r in train_records],
+        (0.5,),
+    )
+    if not len(matched):
         raise InfeasibleViewError(
             f"view {name}: no detections on the labeled train set; "
             "cannot fit the verification ensemble"
         )
-    if len(set(targets)) < 2:
+    y = (matched >= 0).astype(int)
+    if y.min() == y.max():
         raise InfeasibleViewError(
             f"view {name}: verification training data is single-class "
             "(every detection was {}); cannot fit the ensemble".format(
-                "correct" if targets[0] else "incorrect"
+                "correct" if y[0] else "incorrect"
             )
         )
-    X = np.concatenate(feats)
-    y = np.asarray(targets, dtype=int)
+    X = np.concatenate([d.features for d in dets])
     if len(X) > config.ensemble_train_cap:
         rng = np.random.default_rng(derive_seed(config.seed, "cap", name))
         keep = rng.choice(len(X), config.ensemble_train_cap, replace=False)
@@ -426,46 +481,35 @@ def generate_pseudo_labels(
     nms_iou: float,
     round_no: int,
     seed: int,
-) -> list[PseudoLabel]:
+) -> PseudoLabels:
     """Detector output vetted by the view's ensemble: keep detections the
     soft vote calls object with confidence >= tau_conf (the label's score),
     NMS-deduplicated per image; the whole pool is one ``predict`` batch and
-    one NMS.  Labels come image by image in sorted id order."""
+    one NMS.  The accepted rows of the pool's detection columns, image by
+    image in sorted id order (images without labels left out)."""
     if not (0.0 < tau_conf <= 1.0):
         raise ValueError(f"tau_conf must be in (0, 1], got {tau_conf!r}")
+    if not (0.0 < nms_iou < 1.0):
+        raise ValueError(f"nms_iou must be in (0, 1), got {nms_iou!r}")
     rows, X = _detect_view(view.profile, view.params, skill, unlabeled_records, seed)
-    if not len(X):
-        return []
-    is_object, conf = view.ensemble.predict(X)
+    is_object, conf = view.ensemble.predict(X) if len(X) else (np.empty(0), np.empty(0))
     # the ensemble calls it an object, confidently enough
     cand = np.flatnonzero((is_object == 1) & (conf >= tau_conf))
     image = np.repeat(np.arange(len(rows)), [len(d) for _, d, _ in rows])[cand]
-    boxes = np.concatenate([d.boxes for _, d, _ in rows])[cand]
-    labels = np.concatenate([d.labels for _, d, _ in rows])[cand]
+    boxes = np.concatenate([np.empty((0, 4)), *(d.boxes for _, d, _ in rows)])[cand]
+    labels = np.concatenate([np.empty(0, np.int64), *(d.labels for _, d, _ in rows)])[cand]
     if nms_iou >= view.params.nms_iou:
         # detect's NMS at the view's IoU left no same-label pair at or above
         # nms_iou, so NMS here would only sort each image by confidence
         keep = np.lexsort((-conf[cand], image))
     else:
         keep = nms_keep_groups(boxes, conf[cand], labels, image, nms_iou)
-    ids = [img for img, _, _ in rows]
-    return [
-        PseudoLabel(
-            Box(*box), score, label,
-            image_id=ids[k], source_view=view.name, round=round_no,
-        )
-        for box, score, label, k in zip(
-            boxes[keep].tolist(), conf[cand[keep]].tolist(),
-            labels[keep].tolist(), image[keep].tolist(),
-        )
-    ]
-
-
-def _group_by_image(labels: Sequence[PseudoLabel]) -> dict[str, list[PseudoLabel]]:
-    grouped: dict[str, list[PseudoLabel]] = {}
-    for p in labels:
-        grouped.setdefault(p.image_id, []).append(p)
-    return grouped
+    kept, counts = np.unique(image[keep], return_counts=True)
+    return PseudoLabels(
+        boxes[keep], conf[cand[keep]], labels[keep],
+        tuple(rows[k][0] for k in kept.tolist()),
+        np.concatenate([[0], np.cumsum(counts)]), view.name, round_no,
+    )
 
 
 def _pool_records(
@@ -491,7 +535,7 @@ def _sources(mode: str) -> tuple[int, int]:
     return (1, 0) if mode == "cotrain" else (0, 1)
 
 
-def _sizes(groups: Iterable[Mapping[str, list[PseudoLabel]]]) -> tuple[int, ...]:
+def _sizes(groups: Iterable[Mapping[str, PseudoLabels]]) -> tuple[int, ...]:
     """The number of labels in each of ``groups`` (per image id)."""
     return tuple(sum(len(g) for g in by_image.values()) for by_image in groups)
 
@@ -500,7 +544,7 @@ def _next_labels(
     state: CoTrainState,
     records_by_id: Mapping[str, ImageRecord],
     split: DatasetSplit,
-) -> tuple[list[dict[str, list[PseudoLabel]]], ...]:
+) -> tuple[list[dict[str, PseudoLabels]], ...]:
     """The pseudo-label half of the round after ``state``'s, run by both
     ``exchange_round`` and a checkpoint's replay: both views generate from
     the state's last skills on that round's pool, and each view's accepted
@@ -508,14 +552,14 @@ def _next_labels(
     labels it produced grouped by image, and the accepted set it takes."""
     config = state.config
     round_no = state.round + 1
-    fresh: list[dict[str, list[PseudoLabel]]] = [{}, {}]
+    fresh: list[dict[str, PseudoLabels]] = [{}, {}]
     if config.mode != "supervised":
         pool = _pool_records(records_by_id, split, config, round_no)
         fresh = [
-            _group_by_image(generate_pseudo_labels(
+            generate_pseudo_labels(
                 v, skill, pool, config.tau_conf, config.pseudo_nms_iou, round_no,
                 derive_seed(config.seed, "pool", v.name, round_no),
-            ))
+            ).by_image()
             for v, skill in zip((state.view_a, state.view_b), state.skills[-1])
         ]
     # replace-per-image-per-source: only images with fresh labels change

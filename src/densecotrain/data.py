@@ -43,8 +43,10 @@ class AnnotationError(ValueError):
 class ImageRecord:
     """One image's annotations.
 
-    ``occlusion`` is the per-GT tuple ``occlusion_levels(gts)`` (max IoU
-    with any other box), computed by the record itself.  Whether a record
+    The record computes its GTs' corners ``gt_boxes[n, 4]`` and integer
+    ``gt_labels[n]`` once, as read-only arrays left out of equality and
+    hashing, and from the corners the per-GT tuple ``occlusion``
+    (``occlusion_levels``: max IoU with any other box).  Whether a record
     is labeled or pool is decided by the ``DatasetSplit`` it falls in;
     pool records keep their GTs only for audits.
     """
@@ -55,6 +57,8 @@ class ImageRecord:
     gts: tuple[GroundTruth, ...]
     labeled: bool = True
     occlusion: tuple[float, ...] = field(init=False)
+    gt_boxes: np.ndarray = field(init=False, compare=False, repr=False)
+    gt_labels: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.width <= 0 or self.height <= 0:
@@ -69,7 +73,12 @@ class ImageRecord:
                     f"{self.image_id}: GT box {b.as_tuple()} outside "
                     f"[0,{self.width}]x[0,{self.height}]"
                 )
-        object.__setattr__(self, "occlusion", occlusion_levels(self.gts))
+        boxes = corners([g.box for g in self.gts])
+        labels = np.array([g.label for g in self.gts], dtype=np.int64)
+        boxes.flags.writeable = labels.flags.writeable = False
+        object.__setattr__(self, "gt_boxes", boxes)
+        object.__setattr__(self, "gt_labels", labels)
+        object.__setattr__(self, "occlusion", occlusion_levels(boxes))
 
 
 @dataclass(frozen=True)
@@ -110,12 +119,12 @@ class SceneSpec:
             )
 
 
-def occlusion_levels(gts: Sequence[GroundTruth]) -> tuple[float, ...]:
-    """Per-box max IoU with any other box (0.0 for a lone box)."""
-    n = len(gts)
+def occlusion_levels(c: np.ndarray) -> tuple[float, ...]:
+    """Per-box max IoU with any other box (0.0 for a lone box), of the
+    boxes with corners ``c[n, 4]``."""
+    n = len(c)
     if n <= 1:
         return (0.0,) * n
-    c = corners([g.box for g in gts])
     m = iou_pairs(c[:, None, :], c[None, :, :])
     np.fill_diagonal(m, 0.0)
     return tuple(float(v) for v in m.max(axis=1))

@@ -42,8 +42,8 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .data import ImageRecord
-from .geom import Box, ScoredBox, corners, iou_pairs, nms_keep_groups
-from .metrics import match_detections
+from .geom import Box, ColumnBatch, ScoredBox, columns, iou_pairs, nms_keep_groups
+from .metrics import greedy_match_groups
 
 BATCH_MENU: tuple[int, ...] = (4, 8, 16, 32)
 ANCHOR_MENU: tuple[str, ...] = ("small", "medium", "large", "mixed")
@@ -396,7 +396,7 @@ def detect_batch(
     # per image: emitted GTs' boxes, their source GTs' and their draws
     boxes, sources = [np.empty((0, 4))], [np.empty((0, 4))]
     draws = [np.empty((0, 1 + FEATURE_DIM))]
-    labels: list[int] = []
+    labels = [np.empty(0, dtype=np.int64)]
     groups: list[int] = []  # each row's image
     fp_boxes: list[tuple[float, ...]] = []
     fp_scores: list[float] = []
@@ -406,22 +406,20 @@ def detect_batch(
         rng = np.random.default_rng(
             derive_seed("detect", profile.name, seed, record.image_id)
         )
-        gts = record.gts
-        gt_boxes = corners([g.box for g in gts])
+        gt_boxes = record.gt_boxes
         eff = skill.effective_recall(np.asarray(record.occlusion, dtype=float))
-        hashes = _difficulty(profile.name, record.image_id, len(gts))
+        hashes = _difficulty(profile.name, record.image_id, len(gt_boxes))
         idx, b, d = _emitted_rows(
             record, gt_boxes, np.flatnonzero(hashes < eff), skill.jitter_sigma, rng
         )
         boxes.append(b)
         sources.append(gt_boxes[idx])
         draws.append(d)
-        emitted = idx.tolist()
-        labels += [gts[i].label for i in emitted]
-        groups += [k] * len(emitted)
+        labels.append(record.gt_labels[idx])
+        groups += [k] * len(idx)
         if skill.fp_rate > 0:
-            if gts:  # np.mean's sum over the count, bit for bit, at less cost
-                n = len(gts)
+            if len(gt_boxes):  # np.mean's sum over the count, bit for bit, at less cost
+                n = len(gt_boxes)
                 mean_w = float(np.add.reduce(gt_boxes[:, 2] - gt_boxes[:, 0])) / n
                 mean_h = float(np.add.reduce(gt_boxes[:, 3] - gt_boxes[:, 1])) / n
             else:
@@ -436,13 +434,13 @@ def detect_batch(
                 fp_groups.append(k)
     # every emitted GT's rows, then every false positive's: within an image
     # that is the order a one-image call makes, which NMS keeps on ties
-    n_gt = len(labels)
+    n_gt = len(groups)
     boxes = np.concatenate([*boxes, np.array(fp_boxes, dtype=float).reshape(-1, 4)])
     draws = np.concatenate(draws)
     q = iou_pairs(boxes[:n_gt], np.concatenate(sources))
     raw = (SCORE_BASE + SCORE_SLOPE * q) + (0.0 + SCORE_NOISE * draws[:, 0])
     scores = np.concatenate([np.minimum(np.maximum(raw, 0.0), 1.0), fp_scores])
-    labels = np.array(labels + [0] * len(fp_scores), dtype=np.int64)
+    labels = np.concatenate([*labels, np.zeros(len(fp_scores), dtype=np.int64)])
     groups = np.array(groups + fp_groups, dtype=np.int64)
     cand = np.flatnonzero(scores >= params.confidence_threshold)
     keep = cand[nms_keep_groups(
@@ -499,13 +497,14 @@ AUDIT_OCCLUSION_MIN = 0.15
 
 
 def audit_pseudo_labels(
-    pseudo_by_image: Mapping[str, Sequence[ScoredBox]],
+    pseudo_by_image: Mapping[str, ColumnBatch | Sequence[ScoredBox]],
     records_by_id: Mapping[str, ImageRecord],
     receiver_profile: DetectorProfile,
     receiver_skill: SkillModel,
 ) -> dict[str, PseudoLabelAudit]:
     """Grade accepted pseudo-labels against hidden GTs: one audit per
-    image that has labels.
+    image that has labels, all images matched in one
+    ``greedy_match_groups`` call against the records' GT arrays.
 
     A label is correct iff it greedily matches an unmatched GT at IoU >=
     ``AUDIT_MATCH_IOU``, and precise if that IoU is >= ``AUDIT_PRECISE_IOU``;
@@ -514,33 +513,36 @@ def audit_pseudo_labels(
     there (the receiver would miss it on its own), and novel-occluded if
     that GT's occlusion is >= ``AUDIT_OCCLUSION_MIN``.
     """
-    out = {}
-    for image_id, labels in pseudo_by_image.items():
-        if not labels:
-            continue
-        rec = records_by_id[image_id]
-        occ = rec.occlusion
-        missed = (  # the GTs the receiver's own detector misses
-            _difficulty(receiver_profile.name, image_id, len(occ))
-            >= receiver_skill.effective_recall(np.asarray(occ, dtype=float))
-        ).tolist()
-        mr = match_detections(list(labels), list(rec.gts), AUDIT_MATCH_IOU)
-        n_corr = n_wrong = n_novel = n_novel_occ = n_prec = 0
-        for is_tp, gt_idx, miou in zip(mr.det_is_tp, mr.det_matched_gt, mr.det_match_iou):
-            if not is_tp:
-                n_wrong += 1
-                continue
-            n_corr += 1
-            if miou >= AUDIT_PRECISE_IOU:
-                n_prec += 1
-            if missed[gt_idx]:
-                n_novel += 1
-                if occ[gt_idx] >= AUDIT_OCCLUSION_MIN:
-                    n_novel_occ += 1
-        out[image_id] = PseudoLabelAudit(
-            len(labels), n_corr, n_wrong, n_novel, n_novel_occ, n_prec
-        )
-    return out
+    ids = [img for img, labels in pseudo_by_image.items() if len(labels)]
+    if not ids:
+        return {}
+    recs = [records_by_id[img] for img in ids]
+    cols = [columns(pseudo_by_image[img]) for img in ids]
+    _, (matched,) = greedy_match_groups(
+        cols, [(r.gt_boxes, r.gt_labels) for r in recs], (AUDIT_MATCH_IOU,)
+    )
+    # per GT row, plus one padding entry that unmatched labels (-1) read
+    occ = np.concatenate([*(np.asarray(r.occlusion, dtype=float) for r in recs), [0.0]])
+    missed = np.concatenate([  # the GTs the receiver's own detector misses
+        *(_difficulty(receiver_profile.name, r.image_id, len(r.occlusion)) for r in recs),
+        [0.0],
+    ]) >= receiver_skill.effective_recall(occ)
+    correct = matched >= 0
+    novel = correct & missed[matched]
+    precise = correct.copy()
+    precise[correct] = iou_pairs(
+        np.concatenate([c[0] for c in cols])[correct],
+        np.concatenate([r.gt_boxes for r in recs])[matched[correct]],
+    ) >= AUDIT_PRECISE_IOU
+    flags = np.stack([
+        correct, novel, novel & (occ[matched] >= AUDIT_OCCLUSION_MIN), precise
+    ], axis=1).astype(np.int64)
+    n = np.array([len(c[1]) for c in cols])
+    sums = np.add.reduceat(flags, np.cumsum(n) - n).tolist()
+    return {
+        img: PseudoLabelAudit(k, n_corr, k - n_corr, n_novel, n_novel_occ, n_prec)
+        for img, k, (n_corr, n_novel, n_novel_occ, n_prec) in zip(ids, n.tolist(), sums)
+    }
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ Conventions (fixed so every metric and filter above this layer is exact):
   by rank position to many groups of rows at once, each padded to the
   block's largest group; ``nms_keep_groups`` runs it on every image of a
   batch, ``nms_keep`` is its one-group call on column arrays, and ``nms``
-  on scored boxes goes through that.
+  on scored boxes goes through that.  ``size_blocks`` and ``padded``
+  partition and pad the groups, for NMS and for batched matching alike.
 """
 
 from __future__ import annotations
@@ -159,11 +160,58 @@ def iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 NMS_BLOCK = 1 << 16
-"""Most entries of one padded ``(groups, n, n)`` block of
-``nms_keep_groups``: groups go in by ascending size, so one large group
-cannot widen the padding of many small ones."""
+"""Most entries of one padded block of groups: ``(groups, n, n)`` in
+``nms_keep_groups``, ``(groups, k, m)`` in ``metrics.greedy_match_groups``.
+Groups go in by ascending size, so one large group cannot widen the
+padding of many small ones."""
 
 _PAD_BOX = (0.0, 0.0, 1.0, 1.0)  # a padding row has area, so no IoU is 0/0
+
+
+def size_blocks(rows: np.ndarray, cols: np.ndarray) -> list[np.ndarray]:
+    """Blocks of the groups with ``rows[g]`` by ``cols[g]`` entries each,
+    for padding to ``(groups, max rows, max cols)``: each block is an
+    array of group ids, taken by ascending ``rows * cols`` (stable), that
+    stays within ``NMS_BLOCK`` padded entries or holds one group."""
+    ids = np.argsort(rows * cols, kind="stable")
+    blocks = []
+    lo = 0
+    while lo < len(ids):
+        # the padded size of a prefix grows with its length, so the groups
+        # that fit are a prefix; a group too large goes alone
+        n_rows = np.maximum.accumulate(rows[ids[lo:]])
+        n_cols = np.maximum.accumulate(cols[ids[lo:]])
+        fits = np.arange(1, len(n_rows) + 1) * n_rows * n_cols <= NMS_BLOCK
+        hi = lo + max(int(np.count_nonzero(fits)), 1)
+        blocks.append(ids[lo:hi])
+        lo = hi
+    return blocks
+
+
+def padded(
+    boxes: np.ndarray,
+    labels: np.ndarray,
+    order: np.ndarray,
+    starts: np.ndarray,
+    lens: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """Rows ``order[starts[i]:starts[i] + lens[i]]`` of ``boxes[n, 4]`` and
+    ``labels[n]`` as slot i of ``(c, max lens, 4)`` corners, ``(c, max lens)``
+    labels and a ``(c, max lens)`` mask of the real rows.  A padding row is
+    the box (0, 0, 1, 1) with label 0, so no IoU with it is 0/0.  Also
+    returns each real row's slot, its place in the slot and its position
+    in ``order``."""
+    slot = np.repeat(np.arange(len(lens)), lens)
+    rank = np.arange(len(slot)) - np.repeat(np.cumsum(lens) - lens, lens)
+    at = np.repeat(starts, lens) + rank
+    shape = (len(lens), int(lens.max(initial=0)))
+    out = np.full((*shape, 4), _PAD_BOX)
+    out[slot, rank] = boxes[order[at]]
+    out_labels = np.zeros(shape, dtype=labels.dtype)
+    out_labels[slot, rank] = labels[order[at]]
+    valid = np.zeros(shape, dtype=bool)
+    valid[slot, rank] = True
+    return out, out_labels, valid, (slot, rank, at)
 
 
 def _check_threshold(iou_threshold: float) -> None:
@@ -247,28 +295,13 @@ def nms_keep_groups(
     removed = np.zeros(len(order), dtype=bool)
     # a group of one row keeps it; the others go by ascending size
     multi = np.flatnonzero(sizes > 1)
-    multi = multi[np.argsort(sizes[multi], kind="stable")]
-    lo = 0
-    while lo < len(multi):
-        # take groups while their count times n * n stays within the bound:
-        # sizes ascend, so it holds for a prefix; a group too large goes alone
-        n_after = sizes[multi[lo:]]
-        fits = np.arange(1, len(n_after) + 1) * n_after * n_after <= NMS_BLOCK
-        hi = lo + max(int(np.count_nonzero(fits)), 1)
-        ids, n = multi[lo:hi], int(sizes[multi[hi - 1]])
-        lens = sizes[ids]
-        slot = np.repeat(np.arange(len(ids)), lens)
-        rank = np.arange(len(slot)) - np.repeat(np.cumsum(lens) - lens, lens)
-        rows = np.repeat(starts[ids], lens) + rank  # positions in ``order``
-        ranked = np.full((len(ids), n, 4), _PAD_BOX)
-        ranked[slot, rank] = boxes[order[rows]]
-        ranked_labels = np.zeros((len(ids), n), dtype=labels.dtype)
-        ranked_labels[slot, rank] = labels[order[rows]]
-        valid = np.zeros((len(ids), n), dtype=bool)
-        valid[slot, rank] = True
+    for ids in size_blocks(sizes[multi], sizes[multi]):
+        ids = multi[ids]
+        ranked, ranked_labels, valid, (slot, rank, at) = padded(
+            boxes, labels, order, starts[ids], sizes[ids]
+        )
         block = _greedy_removed(ranked, ranked_labels, iou_threshold, valid)
-        removed[rows] = block[slot, rank]
-        lo = hi
+        removed[at] = block[slot, rank]
     return order[~removed]
 
 

@@ -9,11 +9,13 @@ Conventions:
 * Matching is greedy in descending score order (stable on ties by input
   order): each detection takes the unmatched same-label ground truth
   with the highest IoU (the lowest index on ties) and is a true positive
-  iff that IoU >= t.
-* Each image's detection-by-GT IoU matrix (``geom.iou_pairs``) is built
-  once and serves every threshold, as in pycocotools'
-  ``COCOeval.computeIoU``/``evaluateImg``; only one image's matrix is
-  alive at a time.
+  iff that IoU >= t, as in pycocotools' ``COCOeval.evaluateImg``.
+* One kernel, ``greedy_match_groups``, matches many images at every
+  threshold at once: each image's detection-by-GT IoUs
+  (``geom.iou_pairs``) are computed once and serve every threshold, in
+  padded blocks of images of at most ``geom.NMS_BLOCK`` entries (or one
+  image); ``match_detections`` is its one-image call, and a dataset's
+  AP, mAP and AR passes are one call.
 * AR@k comes from the same greedy passes: matching is sequential in score
   order, so the matching of an image's top-k detections is exactly the
   first k steps of its full pass.  ``mean_average_precision`` takes
@@ -31,7 +33,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .geom import ColumnBatch, GroundTruth, ScoredBox, columns, corners, iou_pairs
+from .geom import (
+    ColumnBatch, GroundTruth, ScoredBox, columns, corners, iou_pairs, padded, size_blocks,
+)
 
 COCO_THRESHOLDS: tuple[float, ...] = tuple(i / 100 for i in range(50, 100, 5))
 RECALL_LEVELS: tuple[float, ...] = tuple(i / 100 for i in range(101))
@@ -67,50 +71,122 @@ class EvalReport:
     notes: tuple[str, ...] = field(default=())
 
 
-def _greedy_passes(
-    boxes: np.ndarray, scores: np.ndarray, labels: np.ndarray,
-    gts: Sequence[GroundTruth],
+def greedy_match_groups(
+    dets: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    gts: Sequence[tuple[np.ndarray, np.ndarray]],
     thresholds: Sequence[float],
-) -> tuple[list[int], list[list[tuple[int, float] | None]]]:
-    """One image's greedy matching at every threshold from one IoU matrix.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy matching of many images (groups) at every threshold at once:
+    group i's detections are ``dets[i]``'s corner, score and label columns
+    and its ground truths ``gts[i]``'s corner and label columns.
 
-    Returns the detection rows in descending score order (stable on
-    ties) and, per threshold, what each step of the pass in that order
-    matched: ``(gt index, IoU)``, or None for a false positive.
-
-    Each detection's candidates are its same-label GTs sorted by
-    (-IoU, index), so the first candidate not yet taken is the one the
-    greedy rule picks.  A detection is a TP iff that candidate's IoU >= t,
-    and every candidate after it scores no higher, so a pass only looks
-    at the candidates with IoU >= t; the lists keep those reaching the
-    lowest threshold.
+    Returns, over the groups' detection rows in order (group 0's first),
+    each row's rank in its group (descending score, ties in row order)
+    and, as a ``(thresholds, rows)`` array, the ground truth it matched at
+    each threshold: its row among the groups' ground truths in order, or
+    -1 for a false positive.
     """
-    order = np.argsort(-scores, kind="stable")
-    cands: list[list[tuple[float, int]]] = [[] for _ in order]
-    if len(order) and gts:
-        m = iou_pairs(boxes[order][:, None, :], corners([g.box for g in gts])[None])
-        m[labels[order][:, None] != np.array([g.label for g in gts])] = 0.0
-        rows, cols = np.nonzero(m >= min(thresholds))
-        vals = m[rows, cols]
-        by = np.lexsort((cols, -vals, rows))
-        for r, v, j in zip(rows[by].tolist(), vals[by].tolist(), cols[by].tolist()):
-            cands[r].append((v, j))
-    passes = []
-    for t in thresholds:
-        taken: set[int] = set()
-        steps: list[tuple[int, float] | None] = []
-        for cand in cands:
-            hit = None
-            for v, j in cand:
-                if v < t:
-                    break
-                if j not in taken:
-                    taken.add(j)
-                    hit = (j, v)
-                    break
-            steps.append(hit)
-        passes.append(steps)
-    return order.tolist(), passes
+    n = np.array([len(d[1]) for d in dets], dtype=np.int64)
+    m = np.array([len(g[1]) for g in gts], dtype=np.int64)
+    starts = np.cumsum(n) - n
+    group = np.repeat(np.arange(len(n)), n)
+    order = np.lexsort((-np.concatenate([np.empty(0), *(d[1] for d in dets)]), group))
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order)) - np.repeat(starts, n)
+    gt_labels = np.concatenate([np.empty(0, np.int64), *(g[1] for g in gts)])
+    pos, gt, val = _candidates(
+        (np.concatenate([np.empty((0, 4)), *(d[0] for d in dets)]),
+         np.concatenate([np.empty(0, np.int64), *(d[2] for d in dets)]),
+         order, starts, n),
+        (np.concatenate([np.empty((0, 4)), *(g[0] for g in gts)]), gt_labels,
+         np.arange(len(gt_labels)), np.cumsum(m) - m, m),
+        min(thresholds),
+    )
+    return rank, _greedy_walk(pos, gt, val, order, group[order], len(gt_labels), thresholds)
+
+
+def _candidates(
+    dets: tuple[np.ndarray, ...], truths: tuple[np.ndarray, ...], t_min: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every same-label (detection, GT) pair of a group with IoU >= t_min:
+    the detection's and the GT's positions in their sides' orders and the
+    IoU, sorted by (detection, -IoU, GT).  ``dets`` and ``truths`` are
+    each side's corners, labels, row order (rank order for detections)
+    and groups' first positions in it and sizes; IoUs come from padded
+    ``(groups, k, m)`` blocks of at most ``NMS_BLOCK`` entries (or one
+    group) of the groups that have both."""
+    boxes, labels, order, starts, n = dets
+    gt_boxes, gt_labels, gt_order, gt_starts, m = truths
+    pos, gt, val = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
+    both = np.flatnonzero((n > 0) & (m > 0))
+    for ids in size_blocks(n[both], m[both]):
+        ids = both[ids]
+        d, d_labels, d_valid, _ = padded(boxes, labels, order, starts[ids], n[ids])
+        g, g_labels, g_valid, _ = padded(gt_boxes, gt_labels, gt_order, gt_starts[ids], m[ids])
+        iou = iou_pairs(d[:, :, None, :], g[:, None, :, :])
+        cand = iou >= t_min
+        cand &= d_labels[:, :, None] == g_labels[:, None, :]
+        cand &= d_valid[:, :, None] & g_valid[:, None, :]
+        s, r, c = np.nonzero(cand)
+        pos.append(starts[ids][s] + r)
+        gt.append(gt_starts[ids][s] + c)
+        val.append(iou[s, r, c])
+    pos, gt, val = (np.concatenate(x) for x in (pos, gt, val))
+    by = np.lexsort((gt, -val, pos))
+    return pos[by], gt[by], val[by]
+
+
+def _greedy_walk(
+    pos: np.ndarray,
+    gt: np.ndarray,
+    val: np.ndarray,
+    order: np.ndarray,
+    pos_group: np.ndarray,
+    n_gt: int,
+    thresholds: Sequence[float],
+) -> np.ndarray:
+    """The greedy rule on ``_candidates``' pairs: a detection takes its
+    first candidate not yet taken, and is a TP iff that IoU >= t.  Rank
+    position p is detection row ``order[p]`` of group ``pos_group[p]``
+    (ascending), among ``n_gt`` GTs.
+
+    Each group's detections with candidates are walked in rank order, all
+    groups and thresholds in step: step s takes each group's s-th such
+    detection against a ``(thresholds, detections, candidates)`` state.
+    Returns the ``(thresholds, rows)`` matched GT rows (-1 for none)."""
+    rows, first, count = np.unique(pos, return_index=True, return_counts=True)
+    row_group = pos_group[rows]
+    step = np.arange(len(rows)) - np.searchsorted(row_group, row_group)
+    # one padded candidate row per detection, in step order; the padding
+    # candidate is GT row n_gt, taken from the start
+    by = np.lexsort((row_group, step))
+    slot = np.empty(len(rows), dtype=np.int64)
+    slot[by] = np.arange(len(rows))
+    at = (np.repeat(slot, count), np.arange(len(pos)) - np.repeat(first, count))
+    cand_gt = np.full((len(rows), count.max(initial=0)), n_gt)
+    cand_gt[at] = gt
+    cand_val = np.zeros(cand_gt.shape)
+    cand_val[at] = val
+    det = order[rows[by]]
+    thr = np.asarray(thresholds, dtype=float)[:, None]
+    taken = np.zeros((len(thr), n_gt + 1), dtype=bool)
+    taken[:, n_gt] = True
+    matched = np.full((len(thr), len(order)), -1)
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(step))]).tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        free = ~taken[:, cand_gt[lo:hi]]
+        pick = free.argmax(axis=2)
+        within = np.arange(hi - lo)
+        j = cand_gt[lo:hi][within, pick]
+        tp = free.any(axis=2) & (cand_val[lo:hi][within, pick] >= thr)
+        ti, di = np.nonzero(tp)
+        taken[ti, j[ti, di]] = True
+        matched[:, det[lo:hi]] = np.where(tp, j, -1)
+    return matched
+
+
+def _gt_columns(gts: Sequence[GroundTruth]) -> tuple[np.ndarray, np.ndarray]:
+    return corners([g.box for g in gts]), np.array([g.label for g in gts], dtype=np.int64)
 
 
 def match_detections(
@@ -118,7 +194,8 @@ def match_detections(
     gts: Sequence[GroundTruth],
     t: float,
 ) -> MatchResult:
-    """Greedy per-image matching at IoU threshold ``t``.
+    """Greedy per-image matching at IoU threshold ``t``: one group of
+    ``greedy_match_groups``.
 
     Detections are processed in descending score order; each takes the
     unmatched ground truth of its own label with the highest IoU, and is
@@ -127,20 +204,18 @@ def match_detections(
     """
     if not (0.0 < t <= 1.0):
         raise ValueError(f"IoU threshold must be in (0, 1], got {t!r}")
-    order, (steps,) = _greedy_passes(*columns(dets), gts, (t,))
-    det_is_tp = [False] * len(dets)
-    det_matched: list[int | None] = [None] * len(dets)
-    det_iou = [0.0] * len(dets)
-    gt_matched = [False] * len(gts)
-    for i, hit in zip(order, steps):
-        if hit is not None:
-            j, v = hit
-            det_is_tp[i] = True
-            det_matched[i] = j
-            det_iou[i] = v
-            gt_matched[j] = True
+    cols, gt_cols = columns(dets), _gt_columns(gts)
+    _, (matched,) = greedy_match_groups([cols], [gt_cols], (t,))
+    hit = matched >= 0
+    ious = np.zeros(len(matched))
+    ious[hit] = iou_pairs(cols[0][hit], gt_cols[0][matched[hit]])
+    gt_matched = np.zeros(len(gts), dtype=bool)
+    gt_matched[matched[hit]] = True
     return MatchResult(
-        tuple(det_is_tp), tuple(det_matched), tuple(det_iou), tuple(gt_matched)
+        tuple(hit.tolist()),
+        tuple(j if j >= 0 else None for j in matched.tolist()),
+        tuple(ious.tolist()),
+        tuple(gt_matched.tolist()),
     )
 
 
@@ -150,28 +225,20 @@ def _dataset_passes(
     thresholds: Sequence[float],
     k: int,
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Greedy passes over a dataset, one image (and one matrix) at a time.
+    """Greedy passes over a dataset, all images in one
+    ``greedy_match_groups`` call.
 
     Returns the detection scores in (image insertion, input) order, the
     TP flags per threshold in that order (a thresholds x detections
     array), and per threshold the number of GTs matched by each image's
     top-k detections.  Images without detections match nothing.
     """
-    n_det = sum(len(v) for v in dets_by_image.values())
-    scores = np.empty(n_det)
-    tp = np.zeros((len(thresholds), n_det), dtype=bool)
-    matched_at_k = [0] * len(thresholds)
-    base = 0
-    for img, dets in dets_by_image.items():
-        cols = columns(dets)
-        order, passes = _greedy_passes(*cols, gts_by_image.get(img, ()), thresholds)
-        scores[base : base + len(dets)] = cols[1]
-        for ti, steps in enumerate(passes):
-            hits = [s is not None for s in steps]
-            tp[ti, [base + i for i, h in zip(order, hits) if h]] = True
-            matched_at_k[ti] += sum(hits[:k])
-        base += len(dets)
-    return scores, tp, matched_at_k
+    cols = [columns(d) for d in dets_by_image.values()]
+    gts = [_gt_columns(gts_by_image.get(img, ())) for img in dets_by_image]
+    rank, matched = greedy_match_groups(cols, gts, thresholds)
+    tp = matched >= 0
+    scores = np.concatenate([np.empty(0), *(c[1] for c in cols)])
+    return scores, tp, np.count_nonzero(tp & (rank < k), axis=1).tolist()
 
 
 def _pr_curve(

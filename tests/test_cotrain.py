@@ -162,7 +162,7 @@ def test_generate_tau_one_yields_empty(small_data):
     labels = generate_pseudo_labels(
         state.view_a, state.skills[-1][0], pool, 1.0, 0.5, 1, seed=99
     )
-    assert labels == []
+    assert len(labels) == 0
 
 
 def test_generate_invalid_tau_errors(small_data):
@@ -175,6 +175,63 @@ def test_generate_invalid_tau_errors(small_data):
             generate_pseudo_labels(
                 state.view_a, state.skills[-1][0], pool, bad, 0.5, 1, seed=99
             )
+
+
+def test_generate_invalid_nms_iou_errors(small_data):
+    # 1.0 and 1.5 are at or above the view's own nms_iou, where generation
+    # skips its NMS: they are refused all the same
+    records, split = small_data
+    state = initial_supervised_phase(records, split, CoTrainConfig(seed=11))
+    pool = [records[i] for i in split.unlabeled_pool[:20]]
+    assert state.view_a.params.nms_iou == 0.5
+    for bad in (0.0, -0.1, 1.0, 1.5):
+        with pytest.raises(ValueError, match="nms_iou"):
+            generate_pseudo_labels(
+                state.view_a, state.skills[-1][0], pool, 0.8, bad, 1, seed=99
+            )
+
+
+def test_generated_labels_are_columns_grouped_by_image(small_data):
+    records, split = small_data
+    state = initial_supervised_phase(records, split, CoTrainConfig(seed=11))
+    pool = [records[i] for i in split.unlabeled_pool[:40]]
+    args = (state.view_b, state.skills[-1][1], pool, 0.8, 0.5, 2, 5)
+    labels = generate_pseudo_labels(*args)
+    rows = list(labels)
+    # len() is the label count, one iterated PseudoLabel per row
+    assert len(labels) == len(rows) == labels.offsets[-1] > 0
+    assert all(isinstance(p, PseudoLabel) for p in rows)
+    groups = labels.by_image()
+    assert list(groups) == list(labels.image_ids) == sorted(groups)
+    assert all(len(g) for g in groups.values())
+    # each image's group iterates to that image's labels, in the same order
+    assert [p for g in groups.values() for p in g] == rows
+    for img, g in groups.items():
+        assert g.image_ids == (img,) and (g.source_view, g.round) == ("B", 2)
+        assert {p.image_id for p in g} == {img}
+    # groups compare by value: a rerun's are equal, another round's are not
+    assert generate_pseudo_labels(*args).by_image() == groups
+    other = generate_pseudo_labels(*args[:5], 3, 5).by_image()
+    assert other.keys() == groups.keys() and other != groups
+
+
+def test_cotraining_run_builds_no_pseudo_label_objects(small_data, monkeypatch):
+    records, split = small_data
+    built = []
+    init = PseudoLabel.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PseudoLabel, "__init__", counting)
+    cfg = CoTrainConfig(mode="cotrain", max_rounds=2, patience=9, seed=11)
+    state = run_cotraining(records, split, cfg).state
+    assert state.round == 2 and state.accepted_for_a and state.accepted_for_b
+    assert built == []
+    # iterating a group is what builds them
+    group = next(iter(state.accepted_for_a.values()))
+    assert len(list(group)) == len(built) == len(group)
 
 
 @settings(max_examples=300, deadline=None)
@@ -242,7 +299,7 @@ def test_generate_equals_reference_on_both_sides_of_the_nms_skip(
         view = replace(view, params=replace(view.params, nms_iou=detect_iou))
         args = (view, skill, pool, 0.6, pseudo_iou, 2, 31)
         got = generate_pseudo_labels(*args)
-        assert got and got == _generate_reference(*args)
+        assert got and list(got) == _generate_reference(*args)
         if pseudo_iou < detect_iou:  # the second NMS does remove rows here
             assert len(got) < len(generate_pseudo_labels(*args[:4], detect_iou, 2, 31))
 
@@ -679,7 +736,7 @@ def test_resume_matches_uninterrupted_run(small_data, tmp_path, mode):
     resumed = run_cotraining(records, split, config(3), run_dir=cut_dir, resume=True)
     # a subsampled pool leaves older per-image groups in the accepted sets
     assert any(
-        group[0].round < full.state.round
+        group.round < full.state.round
         for acc in (full.state.accepted_for_a, full.state.accepted_for_b)
         for group in acc.values()
     )

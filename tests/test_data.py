@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -23,7 +23,7 @@ from densecotrain.data import (
     write_manifest,
 )
 from densecotrain.codec import from_dict
-from densecotrain.geom import Box, GroundTruth, iou
+from densecotrain.geom import Box, GroundTruth, corners, iou
 
 
 def _write(tmp_path, text, name="ann.csv"):
@@ -391,7 +391,7 @@ def test_mean_neighbor_iou_monotone_in_overlap():
 
 
 def test_occlusion_levels_lone_box():
-    assert occlusion_levels((GroundTruth(Box(0, 0, 1, 1)),)) == (0.0,)
+    assert occlusion_levels(corners([Box(0, 0, 1, 1)])) == (0.0,)
 
 
 def test_record_built_without_occlusion_carries_its_levels():
@@ -401,9 +401,31 @@ def test_record_built_without_occlusion_carries_its_levels():
         GroundTruth(Box(40, 40, 50, 50)),
     )
     rec = ImageRecord("x", 60, 60, gts)
-    assert rec.occlusion == occlusion_levels(gts)
+    assert rec.occlusion == occlusion_levels(corners([g.box for g in gts]))
     assert rec.occlusion[0] == pytest.approx(1 / 3) and rec.occlusion[2] == 0.0
     assert ImageRecord("empty", 10, 10, ()).occlusion == ()
+
+
+def test_record_gt_arrays_are_read_only_and_outside_equality():
+    gts = (GroundTruth(Box(0, 0, 10, 10)), GroundTruth(Box(5, 0, 15, 10.5), 2))
+    rec = ImageRecord("x", 60, 60, gts)
+    assert rec.gt_boxes.tolist() == [[0, 0, 10, 10], [5, 0, 15, 10.5]]
+    assert rec.gt_boxes.dtype == float and rec.gt_labels.dtype == np.int64
+    assert rec.gt_labels.tolist() == [0, 2]
+    for a in (rec.gt_boxes, rec.gt_labels):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
+    empty = ImageRecord("e", 10, 10, ())
+    assert empty.gt_boxes.shape == (0, 4) and empty.gt_labels.shape == (0,)
+    # equality and hashing read the same fields as before the arrays
+    key = (rec.image_id, rec.width, rec.height, rec.gts, rec.labeled, rec.occlusion)
+    assert hash(rec) == hash(key)
+    assert [f.name for f in fields(rec) if f.compare] == [
+        "image_id", "width", "height", "gts", "labeled", "occlusion"
+    ]
+    twin = ImageRecord("x", 60, 60, tuple(gts))
+    assert twin == rec and hash(twin) == hash(rec) and twin.gt_boxes is not rec.gt_boxes
+    assert ImageRecord("x", 60, 60, gts[:1]) != rec
 
 
 def test_image_record_validates_bounds():

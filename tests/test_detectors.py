@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densecotrain import geom
-from densecotrain.cotrain import _detect_view
+from densecotrain.cotrain import PseudoLabels, _detect_view
 from densecotrain.data import ImageRecord, SceneSpec, generate_synthetic_scene
 from densecotrain.detectors import (
     ANCHOR_MENU,
@@ -721,6 +721,48 @@ def test_audit_matches_scalar_reference():
             got = audit_pseudo_labels(labels, records, profile, skill)
             assert got == _audit_reference(labels, records, profile, skill)
             assert sum(a.n_novel for a in got.values()) > 0
+
+
+def _random_labels(rng, rec):
+    """Accepted labels on ``rec``: jittered copies of some of its GTs (some
+    with the other label) and boxes anywhere, with tied scores."""
+    boxes = [g.box.as_tuple() for g in rec.gts if rng.random() < 0.7]
+    boxes = np.array(boxes, dtype=float).reshape(-1, 4) + rng.normal(0, 2.0, (len(boxes), 4))
+    xy = rng.uniform(0, 60, (int(rng.integers(0, 4)), 2))
+    boxes = np.concatenate([boxes, np.concatenate([xy, xy + 12.0], axis=1)])
+    boxes[:, 2:] = np.maximum(boxes[:, 2:], boxes[:, :2] + 1.0)
+    return [
+        ScoredBox(Box(*b), float(rng.choice([0.8, 0.9, 1.0])), int(rng.random() < 0.1))
+        for b in boxes.tolist()
+    ]
+
+
+def _as_group(img, rows):
+    """Scored boxes as one image's accepted column group."""
+    return PseudoLabels(*geom.columns(rows), (img,), np.array([0, len(rows)]), "B", 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_batched_audit_equals_per_image_reference(seed):
+    """Random accepted sets over scenes and an image without GTs, given as
+    scored boxes or as column groups: the one batched audit equals the
+    per-image scalar reference and auditing each image on its own."""
+    rng = np.random.default_rng(seed)
+    recs = [_scene(int(s), overlap=0.4) for s in rng.choice(500, int(rng.integers(1, 6)), replace=False)]
+    recs.append(ImageRecord("no-gts", 80, 80, ()))
+    records = {r.image_id: r for r in recs}
+    labels = {r.image_id: _random_labels(rng, r) for r in recs}
+    groups = {img: _as_group(img, rows) for img, rows in labels.items()}
+    skill = SkillModel(float(rng.uniform(0.3, 1.0)), float(rng.uniform(0, 1.5)), 1.0, 0.0)
+    for profile in (LOCALIZER, CONTEXTUAL):
+        want = _audit_reference(labels, records, profile, skill)
+        assert audit_pseudo_labels(labels, records, profile, skill) == want
+        assert audit_pseudo_labels(groups, records, profile, skill) == want
+        alone = {}
+        for img, rows in labels.items():
+            alone.update(audit_pseudo_labels({img: rows}, records, profile, skill))
+        assert alone == want
 
 
 def test_audit_addition():

@@ -18,6 +18,7 @@ ENTRY_POINTS_OUTSIDE_SRC = {
     "brute_force_ap_oracle",  # metrics: the AP oracle of the acceptance gates
     "fuse",                   # ensemble: the scalar vote of the acceptance gates
     "iou",                    # geom: the scalar reference the kernels match; counted by the benchmark's tracer
+    "match_detections",       # metrics: the matching kernel's one-image call; spanned by the benchmark's tracer
     "nms",                    # geom: NMS of scored boxes for the acceptance gates; spanned by the benchmark's tracer
     "planted_objective",      # tuner: the planted surrogate of the tuner tests
     "save_predictions",       # cli: writes the predictions file perfbench evaluates

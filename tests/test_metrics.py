@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,13 +30,15 @@ from densecotrain.detectors import (
     detect,
     skill_from_params,
 )
-from densecotrain.geom import Box, GroundTruth, ScoredBox, iou
+from densecotrain import geom, metrics
+from densecotrain.geom import Box, GroundTruth, ScoredBox, columns, corners, iou, iou_pairs
 from densecotrain.metrics import (
     COCO_THRESHOLDS,
     average_precision,
     average_recall_at,
     brute_force_ap_oracle,
     MatchResult,
+    greedy_match_groups,
     match_detections,
     mean_average_precision,
 )
@@ -525,6 +528,106 @@ def test_average_recall_at_equals_truncate_then_match(dets, gts, k):
     assume(sum(len(v) for v in gts.values()) > 0)
     assert average_recall_at(dets, gts, k) == _ar_reference(dets, gts, k)
     assert mean_average_precision(dets, gts).ar300 == _ar_reference(dets, gts, 300)
+
+
+# ------------------------------- batched kernel vs the per-image candidate walk
+
+
+def _greedy_passes_reference(boxes, scores, labels, gts, thresholds):
+    """One image's greedy matching at every threshold from one IoU matrix,
+    walking Python lists of candidates: the per-image matcher the batched
+    kernel replaced.
+
+    Returns the detection rows in descending score order (stable on
+    ties) and, per threshold, what each step of the pass in that order
+    matched: ``(gt index, IoU)``, or None for a false positive.
+    """
+    order = np.argsort(-scores, kind="stable")
+    cands = [[] for _ in order]
+    if len(order) and gts:
+        m = iou_pairs(boxes[order][:, None, :], corners([g.box for g in gts])[None])
+        m[labels[order][:, None] != np.array([g.label for g in gts])] = 0.0
+        rows, cols = np.nonzero(m >= min(thresholds))
+        vals = m[rows, cols]
+        by = np.lexsort((cols, -vals, rows))
+        for r, v, j in zip(rows[by].tolist(), vals[by].tolist(), cols[by].tolist()):
+            cands[r].append((v, j))
+    passes = []
+    for t in thresholds:
+        taken = set()
+        steps = []
+        for cand in cands:
+            hit = None
+            for v, j in cand:
+                if v < t:
+                    break
+                if j not in taken:
+                    taken.add(j)
+                    hit = (j, v)
+                    break
+            steps.append(hit)
+        passes.append(steps)
+    return order.tolist(), passes
+
+
+def _gt_columns(gts):
+    return corners([g.box for g in gts]), np.array([g.label for g in gts], dtype=np.int64)
+
+
+_thresholds = st.one_of(
+    st.lists(st.sampled_from(COCO_THRESHOLDS), min_size=1, max_size=10),
+    st.lists(st.floats(0.01, 1.0), min_size=1, max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(_tied_dets, _two_label_gts), max_size=6),
+    _thresholds,
+    st.sampled_from((1, 6, 40, 200, geom.NMS_BLOCK)),
+)
+@example([(*_EXACT_060,), ([], _EXACT_060[1]), (_EXACT_060[0], [])], [0.6, 0.65], 1)
+def test_greedy_match_groups_equals_per_image_reference(images, thresholds, block):
+    """Every group's ranks, matches and IoUs at every threshold equal the
+    per-image candidate walk; groups hold tied scores and IoUs, two
+    labels, no detections or no GTs, and small block bounds force padding
+    of unequal groups and blocks of one group, which stay within the bound."""
+    shapes = []
+
+    def recording(a, b):
+        shapes.append(np.broadcast_shapes(a.shape, b.shape))
+        return iou_pairs(a, b)
+
+    dets = [columns(d) for d, _ in images]
+    gts = [_gt_columns(gt) for _, gt in images]
+    with mock.patch.object(geom, "NMS_BLOCK", block), \
+            mock.patch.object(metrics, "iou_pairs", recording):
+        rank, matched = greedy_match_groups(dets, gts, thresholds)
+    n = sum(len(d) for d, _ in images)
+    assert rank.shape == (n,) and matched.shape == (len(thresholds), n)
+    base = gt_base = 0
+    for (d, gt), cols in zip(images, dets):
+        order, passes = _greedy_passes_reference(*cols, gt, thresholds)
+        assert [rank[base + i] for i in order] == list(range(len(d)))
+        for ti, steps in enumerate(passes):
+            for i, hit in zip(order, steps):
+                assert matched[ti, base + i] == (-1 if hit is None else gt_base + hit[0])
+        base, gt_base = base + len(d), gt_base + len(gt)
+    assert all(c == 1 or c * k * m <= block for c, k, m, _ in shapes)
+
+
+def test_greedy_match_groups_without_groups_or_candidates():
+    rank, matched = greedy_match_groups([], [], (0.5,))
+    assert rank.shape == (0,) and matched.shape == (1, 0)
+    box = Box(0.0, 0.0, 4.0, 4.0)
+    one = columns([ScoredBox(box, 0.5, 1)])
+    rank, matched = greedy_match_groups(
+        [columns([]), one, one],
+        [_gt_columns([GroundTruth(box, 1)]), _gt_columns([GroundTruth(box)]), _gt_columns([])],
+        (0.5, 0.95),
+    )
+    # a label mismatch and a group without GTs leave no candidate
+    assert rank.tolist() == [0, 0] and matched.tolist() == [[-1, -1]] * 2
 
 
 # --------------------------------------- column batches vs their scored rows

@@ -169,6 +169,8 @@ def load_predictions(path: str | Path) -> dict[str, list[ScoredBox]]:
                 # a JSON integer only: int() would take 1.7 as 1 and true as 1
                 if isinstance(label, bool) or not isinstance(label, int):
                     raise ValueError(f"label must be an integer, got {label!r}")
+                if not -(2**63) <= label < 2**63:  # the metrics' int64 labels
+                    raise ValueError(f"label {label} is beyond int64")
                 dets.append(ScoredBox(box, score, label))
             except (KeyError, TypeError, ValueError) as exc:
                 raise UsageError(

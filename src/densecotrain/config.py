@@ -64,6 +64,8 @@ class RunConfig:
     output_dir: str = "runs/default"
 
     def __post_init__(self) -> None:
+        if self.seed < 0:  # numpy's generators refuse it without naming it
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for section in SEEDED_SECTIONS:
             object.__setattr__(
                 self, section, replace(getattr(self, section), seed=self.seed)
@@ -104,7 +106,8 @@ def config_from_dict(doc: dict) -> RunConfig:
     for section in SEEDED_SECTIONS:
         if isinstance(doc.get(section), dict) and "seed" in doc[section]:
             raise ConfigError(f"{section}.seed is not a key; set the top-level seed")
-    return from_dict(RunConfig, doc, RunConfig(seed=doc["seed"]), "config")
+    # the seed is read, and checked, with the rest of the document
+    return from_dict(RunConfig, doc, default_synthetic(), "config")
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -6,14 +6,14 @@ Both views go through the same code: the supervised phase, pseudo-label
 generation, retraining and evaluation each loop over (A, B), and the mode
 only decides where each view's labels go.  Validation and the final test
 pass share one evaluation function.  One detection pass per view and
-record set, one batched ``detect_batch`` call, feeds both the verified
-predictions and pseudo-labelling: the pool, validation and test passes
-are batched, and generation runs one NMS for the whole pool, or none
-where the detector's own NMS left nothing for it to remove.  Accepted
-pseudo-labels stay columns (``PseudoLabels``: the masked rows of the
-pool's detection columns, scored by the ensemble's confidence), one
-group per image in the accepted sets, and the audit grades a whole
-accepted set in one matching call.
+record set, one ``detect_batch`` call giving one ``Detections`` batch,
+feeds both the verified predictions and pseudo-labelling: generation
+runs one NMS for the whole pool, or none where the detector's own NMS
+left nothing for it to remove, and the merge of the two views runs one
+NMS for all images.  Accepted pseudo-labels are a ``Detections`` batch
+too (``PseudoLabels``: the masked rows of the pool batch, scored by the
+ensemble's confidence), one group per image in the accepted sets, and
+the audit grades a whole accepted set in one matching call.
 
 Rules this module enforces:
 
@@ -45,9 +45,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import KW_ONLY, asdict, dataclass, field, fields, replace
+from dataclasses import KW_ONLY, asdict, dataclass, field, replace
 from pathlib import Path
-from itertools import islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -75,7 +74,7 @@ from .detectors import (
     skill_from_params,
 )
 from .ensemble import EnsembleClassifier, EnsembleParams
-from .geom import Box, ScoredBox, nms_keep, nms_keep_groups
+from .geom import Box, ScoredBox, nms_keep_groups
 from .metrics import EvalReport, greedy_match_groups, mean_average_precision
 
 MODES = ("cotrain", "selftrain", "supervised")
@@ -102,55 +101,22 @@ class PseudoLabel(ScoredBox):
 
 
 @dataclass(frozen=True, eq=False)
-class PseudoLabels:
-    """Accepted pseudo-labels as columns, shaped as ``Detections`` is: row
-    i is one label, ``boxes[n, 4]`` corners, ``scores[n]`` the ensemble's
-    confidences and integer ``labels[n]``.  Image k's rows are
-    ``offsets[k]:offsets[k + 1]`` of ``image_ids[k]``, and every row was made
-    by view ``source_view`` in round ``round``.  ``len()`` is the number of
-    labels; iterating gives them as ``PseudoLabel`` objects, built on demand."""
+class PseudoLabels(Detections):
+    """Accepted pseudo-labels: rows of a pool batch, ``scores`` being the
+    ensemble's confidences, every row made by view ``source_view`` in
+    round ``round``.  Iterating gives them as ``PseudoLabel`` objects,
+    built on demand."""
 
-    boxes: np.ndarray
-    scores: np.ndarray
-    labels: np.ndarray
-    image_ids: tuple[str, ...]
-    offsets: np.ndarray
     source_view: str
     round: int
 
-    def __len__(self) -> int:
-        return len(self.scores)
-
     def __iter__(self) -> Iterator[PseudoLabel]:
-        rows = zip(self.boxes.tolist(), self.scores.tolist(), self.labels.tolist())
-        for img, n in zip(self.image_ids, np.diff(self.offsets).tolist()):
-            for box, score, label in islice(rows, n):
-                yield PseudoLabel(
-                    Box(*box), score, label,
-                    image_id=img, source_view=self.source_view, round=self.round,
-                )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PseudoLabels):
-            return NotImplemented
-        return (self.image_ids, self.source_view, self.round) == (
-            other.image_ids, other.source_view, other.round
-        ) and all(
-            np.array_equal(getattr(self, f), getattr(other, f))
-            for f in ("boxes", "scores", "labels", "offsets")
-        )
-
-    def by_image(self) -> dict[str, "PseudoLabels"]:
-        """Each image's rows as a one-image group of their own (views of
-        these columns)."""
-        bounds = self.offsets.tolist()
-        return {
-            img: PseudoLabels(
-                self.boxes[a:b], self.scores[a:b], self.labels[a:b], (img,),
-                np.array([0, b - a]), self.source_view, self.round,
+        cols = (self.image_index(), self.boxes, self.scores, self.labels)
+        for k, box, score, label in zip(*(c.tolist() for c in cols)):
+            yield PseudoLabel(
+                Box(*box), score, label, image_id=self.image_ids[k],
+                source_view=self.source_view, round=self.round,
             )
-            for img, a, b in zip(self.image_ids, bounds, bounds[1:])
-        }
 
 
 @dataclass(frozen=True)
@@ -257,34 +223,18 @@ def _detect_view(
     skill: SkillModel,
     records: Sequence[ImageRecord],
     seed: int,
-) -> tuple[list[tuple[str, Detections, slice]], np.ndarray]:
-    """A view's detections on ``records``, all through one
-    ``detect_batch``: per image, in sorted image-id order, its id, its
-    detections and their rows in the returned matrix, which stacks every
-    detection's feature vector in that order."""
-    by_id = {rec.image_id: rec for rec in records}
-    ids = sorted(by_id)
-    batch, offsets = detect_batch([by_id[i] for i in ids], skill, params, profile, seed)
-    rows = []
-    for img, start, end in zip(ids, offsets.tolist(), offsets[1:].tolist()):
-        r = slice(start, end)
-        cols = (batch.boxes[r], batch.scores[r], batch.labels[r], batch.features[r])
-        rows.append((img, Detections(*cols), r))
-    return rows, batch.features
+) -> Detections:
+    """A view's detections on ``records`` as one ``detect_batch``, images in
+    sorted id order."""
+    ordered = sorted(records, key=lambda rec: rec.image_id)
+    return detect_batch(ordered, skill, params, profile, seed)
 
 
-def _verified(
-    ensemble: EnsembleClassifier,
-    rows: Sequence[tuple[str, Detections, slice]],
-    X: np.ndarray,
-) -> dict[str, Detections]:
-    """The scoring half of ``predict_verified``: each detection of ``rows``
-    rescored by the rule, reading its features from ``X``."""
-    p_obj = ensemble.positive_probability(X) if len(X) else np.empty(0)
-    return {
-        img: replace(d, scores=np.clip(d.scores * p_obj[r], 0.0, 1.0))
-        for img, d, r in rows
-    }
+def _verified(ensemble: EnsembleClassifier, batch: Detections) -> Detections:
+    """The scoring half of ``predict_verified``: each detection of ``batch``
+    rescored by the rule."""
+    p_obj = ensemble.positive_probability(batch.features) if len(batch) else np.empty(0)
+    return replace(batch, scores=np.clip(batch.scores * p_obj, 0.0, 1.0))
 
 
 def predict_verified(
@@ -292,39 +242,39 @@ def predict_verified(
     skill: SkillModel,
     records: Sequence[ImageRecord],
     seed: int,
-) -> dict[str, Detections]:
+) -> Detections:
     """Final prediction rule: detector score times the ensemble's fused
     object probability (keeps both stages' information in the ranking)."""
     return _verified(
-        view.ensemble, *_detect_view(view.profile, view.params, skill, records, seed)
+        view.ensemble, _detect_view(view.profile, view.params, skill, records, seed)
     )
 
 
 def merge_views(
-    dets_a: Mapping[str, Detections],
-    dets_b: Mapping[str, Detections],
-    merge_nms_iou: float,
-) -> dict[str, Detections]:
-    """The combined detector: per image, the rows of A then B that NMS keeps."""
-    out = {}
-    for img in sorted(set(dets_a) | set(dets_b)):
-        ds = [d[img] for d in (dets_a, dets_b) if img in d]
-        cols = [np.concatenate([getattr(x, f.name) for x in ds]) for f in fields(ds[0])]
-        keep = nms_keep(*cols[:3], merge_nms_iou)
-        out[img] = Detections(*(c[keep] for c in cols))
-    return out
+    batch_a: Detections, batch_b: Detections, merge_nms_iou: float
+) -> Detections:
+    """The combined detector: per image, the rows of A then B that NMS keeps
+    (so ties favour A), all images in one ``nms_keep_groups``.  Both
+    batches must hold the same images in the same order."""
+    if batch_a.image_ids != batch_b.image_ids:
+        raise ValueError("merge_views needs two batches over the same images")
+    image = np.concatenate([batch_a.image_index(), batch_b.image_index()])
+    pair = (batch_a, batch_b)
+    cols = [np.concatenate([getattr(b, c) for b in pair]) for c in Detections.COLUMNS]
+    keep = nms_keep_groups(*cols[:3], image, merge_nms_iou)
+    offsets = np.searchsorted(image[keep], np.arange(len(batch_a.image_ids) + 1))
+    return Detections(*(c[keep] for c in cols), batch_a.image_ids, offsets)
 
 
 def _reports(
-    dets_a: Mapping[str, Detections],
-    dets_b: Mapping[str, Detections],
+    dets_a: Detections, dets_b: Detections,
     records: Sequence[ImageRecord],
     merge_nms_iou: float,
 ) -> tuple[EvalReport, EvalReport, EvalReport]:
     """Reports of both views' verified detections and of their merge."""
     gts = {r.image_id: list(r.gts) for r in records}
     dc = merge_views(dets_a, dets_b, merge_nms_iou)
-    return tuple(mean_average_precision(d, gts) for d in (dets_a, dets_b, dc))
+    return tuple(mean_average_precision(d.by_image(), gts) for d in (dets_a, dets_b, dc))
 
 
 def _evaluate(
@@ -371,12 +321,11 @@ def view_specs(
 class RoundZeroData:
     """A view's detector-side work of round 0: its supervised skill, the
     training set of its verification ensemble and its raw validation
-    detections (``_detect_view``'s rows and feature matrix)."""
+    detections."""
 
     skill: SkillModel
     train_set: tuple[np.ndarray, np.ndarray]
-    val_rows: list[tuple[str, Detections, slice]]
-    val_X: np.ndarray
+    val: Detections
 
 
 def round_zero_data(
@@ -423,11 +372,11 @@ def round_zero_data(
         keep = rng.choice(len(X), config.ensemble_train_cap, replace=False)
         keep.sort()
         X, y = X[keep], y[keep]
-    val_rows, val_X = _detect_view(
+    val = _detect_view(
         profile, params, skill, [records_by_id[i] for i in split.val],
         derive_seed(config.seed, "val", name),
     )
-    return RoundZeroData(skill, (X, y), val_rows, val_X)
+    return RoundZeroData(skill, (X, y), val)
 
 
 def fit_round_zero(
@@ -436,7 +385,7 @@ def fit_round_zero(
     params: DetectorParams,
     data: RoundZeroData,
     config: CoTrainConfig,
-) -> tuple[ViewState, dict[str, Detections]]:
+) -> tuple[ViewState, Detections]:
     """Step 2 of a view's round 0: fit the verification ensemble on
     ``data``'s training set and score its validation detections.  Reads
     of ``config`` only the seed and the ensemble params."""
@@ -445,7 +394,7 @@ def fit_round_zero(
         seed=derive_seed(config.seed, "ensemble", name) & 0xFFFFFFFF,
     )
     view = ViewState(name, profile, params, ensemble)
-    return view, _verified(ensemble, data.val_rows, data.val_X)
+    return view, _verified(ensemble, data.val)
 
 
 def initial_supervised_phase(
@@ -491,23 +440,25 @@ def generate_pseudo_labels(
         raise ValueError(f"tau_conf must be in (0, 1], got {tau_conf!r}")
     if not (0.0 < nms_iou < 1.0):
         raise ValueError(f"nms_iou must be in (0, 1), got {nms_iou!r}")
-    rows, X = _detect_view(view.profile, view.params, skill, unlabeled_records, seed)
+    pool = _detect_view(view.profile, view.params, skill, unlabeled_records, seed)
+    X = pool.features
     is_object, conf = view.ensemble.predict(X) if len(X) else (np.empty(0), np.empty(0))
     # the ensemble calls it an object, confidently enough
     cand = np.flatnonzero((is_object == 1) & (conf >= tau_conf))
-    image = np.repeat(np.arange(len(rows)), [len(d) for _, d, _ in rows])[cand]
-    boxes = np.concatenate([np.empty((0, 4)), *(d.boxes for _, d, _ in rows)])[cand]
-    labels = np.concatenate([np.empty(0, np.int64), *(d.labels for _, d, _ in rows)])[cand]
+    image = pool.image_index()[cand]
     if nms_iou >= view.params.nms_iou:
         # detect's NMS at the view's IoU left no same-label pair at or above
         # nms_iou, so NMS here would only sort each image by confidence
         keep = np.lexsort((-conf[cand], image))
     else:
-        keep = nms_keep_groups(boxes, conf[cand], labels, image, nms_iou)
+        keep = nms_keep_groups(
+            pool.boxes[cand], conf[cand], pool.labels[cand], image, nms_iou
+        )
+    rows = cand[keep]
     kept, counts = np.unique(image[keep], return_counts=True)
     return PseudoLabels(
-        boxes[keep], conf[cand[keep]], labels[keep],
-        tuple(rows[k][0] for k in kept.tolist()),
+        pool.boxes[rows], conf[rows], pool.labels[rows], pool.features[rows],
+        tuple(pool.image_ids[k] for k in kept.tolist()),
         np.concatenate([[0], np.cumsum(counts)]), view.name, round_no,
     )
 

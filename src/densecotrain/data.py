@@ -106,6 +106,8 @@ class SceneSpec:
     def __post_init__(self) -> None:
         if self.grid_rows < 1 or self.grid_cols < 1:
             raise ValueError("grid dims must be positive")
+        if self.seed < 0:  # numpy's generators refuse it without naming it
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("box_w", "box_h", "jitter"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -191,13 +193,18 @@ def _label_id(name: str, label_ids: dict[str, int], line_no: int) -> int:
     """The label of class ``name``, kept in ``label_ids`` (the names seen so
     far): ``object`` is 0 and ``class_<k>`` is k, as ``save_annotations``
     writes them, and any other name takes the lowest label above 0 that no
-    name holds yet.  A name whose label another name holds fails."""
+    name holds yet.  A name whose label another name holds, or whose k
+    does not fit the records' int64 label arrays, fails."""
     if name not in label_ids:
         k = name.removeprefix("class_")
         if name == LABEL_NAMES[0]:
             new = 0
         elif k != name and k.isascii() and k.isdigit():
             new = int(k)
+            if new >= 2**63:
+                raise AnnotationError(
+                    f"line {line_no}: class {name!r} has a label beyond int64"
+                )
         else:
             new = min(set(range(1, len(label_ids) + 2)) - set(label_ids.values()))
         for other, label in label_ids.items():
@@ -287,6 +294,8 @@ def select_and_split(
         raise ValueError(f"n_labeled must be positive, got {n_labeled}")
     if n_unlabeled < 0:
         raise ValueError(f"n_unlabeled must be >= 0, got {n_unlabeled}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     # NaN fails every comparison, so it must fail this one to be refused
     if len(fractions) != 3 or not all(0 <= f < math.inf for f in fractions):
         raise ValueError(f"need three finite nonnegative fractions, got {fractions!r}")
@@ -366,6 +375,8 @@ def generate_synthetic_dataset(
     variation draws grid dims uniformly from the given inclusive ranges."""
     if n_images < 1:
         raise ValueError(f"n_images must be >= 1, got {n_images}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     records = []
     for i in range(n_images):
         s = _child_seed(seed, i)

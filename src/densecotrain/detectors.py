@@ -23,18 +23,19 @@ Design notes that matter for correctness:
   ``DEFAULT_SEPARATION``, scaled by localization quality.
 * Occlusion levels come from ``ImageRecord.occlusion``, which every
   record computes from its own GTs.
-* A view runs over a record set in one ``detect_batch`` call.  Per image
-  it does only what that image's own generator forces (the emitted GTs'
-  normals and the false-positive loop); the IoUs, scores, feature
-  placement, CT filter and greedy NMS run once over the whole batch, and
-  each image's rows equal those of a one-image call bit for bit.
-  ``detect`` is that one-image call.
+* A view runs over a record set in one ``detect_batch`` call, which
+  returns one ``Detections`` batch holding the images' ids and row
+  offsets.  Per image it does only what that image's own generator
+  forces (the emitted GTs' normals and the false-positive loop); the
+  IoUs, scores, feature placement, CT filter and greedy NMS run once over
+  the whole batch, and each image's rows equal those of a one-image call
+  bit for bit.  ``detect`` is that one-image call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from hashlib import blake2s
 from typing import Iterator, Mapping, Sequence
@@ -191,14 +192,20 @@ class Detection:
 
 @dataclass(frozen=True, eq=False)
 class Detections:
-    """One image's detections as columns, row i being one detection:
+    """Detections on a set of images as columns, row i being one detection:
     ``boxes[n, 4]`` corners (x1, y1, x2, y2), ``scores[n]``, integer
-    ``labels[n]`` and ``features[n, FEATURE_DIM]``."""
+    ``labels[n]`` and ``features[n, FEATURE_DIM]``.  Image k's rows are
+    ``offsets[k]:offsets[k + 1]`` of ``image_ids[k]``.  Batches compare by
+    value, field by field."""
 
     boxes: np.ndarray
     scores: np.ndarray
     labels: np.ndarray
     features: np.ndarray
+    image_ids: tuple[str, ...]
+    offsets: np.ndarray
+
+    COLUMNS = ("boxes", "scores", "labels", "features")  # the per-row fields
 
     def __len__(self) -> int:
         return len(self.scores)
@@ -208,6 +215,31 @@ class Detections:
         rows = zip(self.boxes.tolist(), self.scores.tolist(), self.labels.tolist())
         for (box, score, label), feats in zip(rows, self.features.tolist()):
             yield Detection(ScoredBox(Box(*box), score, label), tuple(feats))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in pairs
+        )
+
+    def image_index(self) -> np.ndarray:
+        """Each row's image, as its position in ``image_ids``."""
+        return np.repeat(np.arange(len(self.image_ids)), np.diff(self.offsets))
+
+    def by_image(self) -> dict[str, Detections]:
+        """Each image's rows as a one-image batch of their own (views of
+        these columns)."""
+        bounds = self.offsets.tolist()
+        return {
+            img: replace(
+                self, **{c: getattr(self, c)[a:b] for c in self.COLUMNS},
+                image_ids=(img,), offsets=np.array([0, b - a]),
+            )
+            for img, a, b in zip(self.image_ids, bounds, bounds[1:])
+        }
 
 
 def training_effort(params: DetectorParams, profile: DetectorProfile) -> float:
@@ -377,10 +409,9 @@ def detect_batch(
     params: DetectorParams,
     profile: DetectorProfile,
     seed: int,
-) -> tuple[Detections, np.ndarray]:
+) -> Detections:
     """Run one synthetic view over each of ``records``: every image's
-    detections as one column batch, image by image in the order given,
-    and the row offsets (image k's rows are ``offsets[k]:offsets[k + 1]``).
+    detections as one column batch, image by image in the order given.
 
     Each GT is emitted iff its persistent difficulty draw falls below the
     box's effective recall; emitted boxes are corner-jittered, scored by
@@ -453,7 +484,8 @@ def detect_batch(
     # ``keep`` runs image by image, so image k's rows start at the first
     # kept row of an image k or later
     offsets = np.searchsorted(groups[keep], np.arange(len(records) + 1))
-    return Detections(boxes[keep], scores[keep], labels[keep], feats), offsets
+    ids = tuple(r.image_id for r in records)
+    return Detections(boxes[keep], scores[keep], labels[keep], feats, ids, offsets)
 
 
 def detect(
@@ -465,7 +497,7 @@ def detect(
 ) -> Detections:
     """``detect_batch`` on one image: one row per detection, in NMS kept
     order (descending score)."""
-    return detect_batch([record], skill, params, profile, seed)[0]
+    return detect_batch([record], skill, params, profile, seed)
 
 
 @dataclass(frozen=True)

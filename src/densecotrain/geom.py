@@ -115,7 +115,7 @@ def corners(boxes: Sequence[Box]) -> np.ndarray:
 
 
 class ColumnBatch(Protocol):
-    """One image's detections as columns, such as ``detectors.Detections``."""
+    """One image's detections as columns, e.g. a one-image ``detectors.Detections``."""
 
     boxes: np.ndarray
     scores: np.ndarray

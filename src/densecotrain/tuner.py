@@ -539,7 +539,7 @@ def make_supervised_objective(
             for (name, profile, params), d in zip(views, data)
         ]
         merged = merge_views(*verified, cfg.merge_nms_iou)
-        return float(mean_average_precision(merged, val_gts).map_coco)
+        return float(mean_average_precision(merged.by_image(), val_gts).map_coco)
 
     return objective
 

@@ -107,6 +107,11 @@ def test_synth_gen_invalid_flags_exit_2(tmp_path, capsys):
         assert run_cli(base + ["--images", 2, "--rows", 2, "--cols", 2,
                                flag, value]) == 2
         assert f"{flag[2:].replace('-', '_')} must be finite" in capsys.readouterr().err
+    # numpy refuses a negative seed without naming it, after the dir was made
+    capsys.readouterr()
+    assert run_cli(["synth-gen", "--seed", -3, "--out", tmp_path / "x",
+                    "--images", 2, "--rows", 2, "--cols", 2]) == 2
+    assert "seed must be >= 0, got -3" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 
@@ -205,6 +210,18 @@ def test_annotations_with_two_class_names_of_one_id_exit_2(tmp_path, capsys):
     )
     assert code == 2
     assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["split", "cotrain", "tune"])
+def test_negative_seed_exit_2_naming_seed(dataset_dir, tmp_path, capsys, command):
+    if command == "split":
+        argv = ["split", "--annotations", dataset_dir / "annotations.csv",
+                "--n-labeled", 10, "--n-unlabeled", 2]
+    else:
+        argv = [command]
+    assert run_cli([*argv, "--seed", -3, "--out", tmp_path / "x"]) == 2
+    assert "seed must be >= 0, got -3" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 @pytest.mark.parametrize("command", ["evaluate", "cotrain"])
@@ -336,10 +353,15 @@ def test_evaluate_malformed_line_names_line_number(dataset_dir, tmp_path, capsys
     assert "line 2" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("label", ["1.7", "1.0", "true", '"0"', "null", "[0]"])
+@pytest.mark.parametrize(
+    "label",
+    ["1.7", "1.0", "true", '"0"', "null", "[0]",
+     "100000000000000000000000", "-100000000000000000000000"],
+)
 def test_evaluate_non_integer_label_exit_2(dataset_dir, tmp_path, capsys, label):
     """A label must be a JSON integer: int() would read 1.7 as 1 and true
-    as 1."""
+    as 1.  It must also fit the int64 label column, or matching failed
+    with exit 4."""
     records = load_annotations(dataset_dir / "annotations.csv")
     good = '{"x1": 1, "y1": 1, "x2": 5, "y2": 5, "score": 0.5, "label": 0}'
     bad = good.replace('"label": 0', f'"label": {label}')

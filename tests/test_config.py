@@ -231,6 +231,8 @@ def test_nested_params_merge_into_stock_values():
         ({"seed": 1, "dataset": {"row_range": {"a": 1}}}, "config.dataset.row_range"),
         ({"seed": 1, "dataset": {"row_range": [3]}}, "config.dataset.row_range"),
         ({"seed": 1, "dataset": {"row_range": [3, 4, 5]}}, "config.dataset.row_range"),
+        # numpy's generators refuse a negative seed without naming it
+        ({"seed": -1}, "seed must be >= 0, got -1"),
     ],
 )
 def test_bad_documents_raise_config_error(doc, where):

@@ -213,6 +213,13 @@ def test_generated_labels_are_columns_grouped_by_image(small_data):
     assert generate_pseudo_labels(*args).by_image() == groups
     other = generate_pseudo_labels(*args[:5], 3, 5).by_image()
     assert other.keys() == groups.keys() and other != groups
+    # nor are groups that differ only in their source view or round, or a
+    # plain batch of the same columns
+    g = groups[labels.image_ids[0]]
+    assert replace(g) == g
+    assert replace(g, source_view="A") != g and replace(g, round=3) != g
+    plain = Detections(*(getattr(g, f) for f in Detections.COLUMNS), g.image_ids, g.offsets)
+    assert plain != g and g != plain
 
 
 def test_cotraining_run_builds_no_pseudo_label_objects(small_data, monkeypatch):
@@ -989,17 +996,19 @@ def test_failed_round1_validation_keeps_round0_checkpoint(
 # --------------------------------------------------------------- merging
 
 
-def _detections(rows, first_tag=0):
-    """One image's column batch from ``(x1, y1, x2, y2, score, label)``
-    rows; feature 0 of each row is a tag, ``first_tag`` plus its index."""
-    rows = list(rows)
+def _detections(rows_by_image, first_tag=0):
+    """A column batch over the images of ``rows_by_image``, in its order,
+    from each one's ``(x1, y1, x2, y2, score, label)`` rows; feature 0 of
+    each row is a tag, ``first_tag`` plus its index in the batch."""
+    rows = [r for image_rows in rows_by_image.values() for r in image_rows]
     feats = np.zeros((len(rows), FEATURE_DIM))
     feats[:, 0] = first_tag + np.arange(len(rows))
+    sizes = [len(image_rows) for image_rows in rows_by_image.values()]
     return Detections(
         np.array([r[:4] for r in rows], dtype=float).reshape(-1, 4),
         np.array([r[4] for r in rows], dtype=float),
         np.array([r[5] for r in rows], dtype=np.int64),
-        feats,
+        feats, tuple(rows_by_image), np.cumsum([0, *sizes]),
     )
 
 
@@ -1008,20 +1017,31 @@ def _rows(dets):
 
 
 def test_merge_views_dedupes():
-    a_dets = {"img": _detections([(0, 0, 10, 10, 0.9, 0)])}
-    b_dets = {"img": _detections([(0.5, 0, 10.5, 10, 0.8, 0), (50, 50, 60, 60, 0.7, 0)])}
+    a_dets = _detections({"img": [(0, 0, 10, 10, 0.9, 0)]})
+    b_dets = _detections({"img": [(0.5, 0, 10.5, 10, 0.8, 0), (50, 50, 60, 60, 0.7, 0)]})
     merged = merge_views(a_dets, b_dets, 0.5)
-    assert len(merged["img"]) == 2
-    assert set(merged["img"].scores.tolist()) == {0.9, 0.7}
+    assert merged.image_ids == ("img",) and merged.offsets.tolist() == [0, 2]
+    assert set(merged.scores.tolist()) == {0.9, 0.7}
 
 
 def test_merge_views_handles_missing_images():
-    a_dets = {"x": _detections([(0, 0, 1, 1, 0.5, 0)])}
-    b_dets = {"y": _detections([(0, 0, 1, 1, 0.6, 0)])}
-    merged = merge_views(a_dets, b_dets, 0.5)
-    assert set(merged) == {"x", "y"}
-    assert _rows(merged["x"]) == _rows(a_dets["x"])
-    assert _rows(merged["y"]) == _rows(b_dets["y"])
+    # "x" has no rows in view B and "y" none in view A
+    a_dets = _detections({"x": [(0, 0, 1, 1, 0.5, 0)], "y": []})
+    b_dets = _detections({"x": [], "y": [(0, 0, 1, 1, 0.6, 0)]})
+    merged = merge_views(a_dets, b_dets, 0.5).by_image()
+    assert list(merged) == ["x", "y"]
+    assert _rows(merged["x"]) == _rows(a_dets.by_image()["x"])
+    assert _rows(merged["y"]) == _rows(b_dets.by_image()["y"])
+
+
+@pytest.mark.parametrize(
+    "ids_b", [("y", "x"), ("x",), ("x", "y", "z"), ("x", "z")],
+)
+def test_merge_views_refuses_batches_over_other_images(ids_b):
+    a_dets = _detections({"x": [(0, 0, 1, 1, 0.5, 0)], "y": []})
+    b_dets = _detections({img: [(0, 0, 1, 1, 0.6, 0)] for img in ids_b})
+    with pytest.raises(ValueError, match="same images"):
+        merge_views(a_dets, b_dets, 0.5)
 
 
 def _merge_reference(a, b, merge_nms_iou):
@@ -1033,12 +1053,16 @@ def _merge_reference(a, b, merge_nms_iou):
     }
 
 
-def _random_view(rng, images, first_tag):
+def _random_view(rng, images, empty, first_tag):
     # integer grid boxes with tied scores and three labels, so touching,
-    # identical and IoU-0.60 pairs are common; every image's rows also
-    # hold (0, 0, 10, 10) and (0, 0, 6, 10), whose IoU is exactly 0.60
+    # identical and IoU-0.60 pairs are common; every image's rows but those
+    # of ``empty`` also hold (0, 0, 10, 10) and (0, 0, 6, 10), whose IoU is
+    # exactly 0.60
     out = {}
-    for k, img in enumerate(images):
+    for img in images:
+        if img in empty:
+            out[img] = []
+            continue
         rows = [(0, 0, 10, 10, 0.9, 1), (0, 0, 6, 10, 0.8, 1)]
         for _ in range(int(rng.integers(0, 9))):
             x1, y1 = rng.integers(0, 12, 2).tolist()
@@ -1046,21 +1070,23 @@ def _random_view(rng, images, first_tag):
             score = float(rng.choice([0.3, 0.5, 0.9, rng.uniform()]))
             rows.append((x1, y1, x1 + w, y1 + h, score, int(rng.integers(0, 3))))
         rng.shuffle(rows)
-        out[img] = _detections(rows, first_tag + 100 * k)
-    return out
+        out[img] = rows
+    return _detections(out, first_tag)
 
 
 @pytest.mark.parametrize("merge_nms_iou", [0.6, 0.5, 1 / 3])
 def test_merge_views_equals_object_merge(merge_nms_iou):
     for seed in range(25):
         rng = np.random.default_rng(seed)
-        # "a" and "b" are in one view only, "c" and "d" in both
-        views = _random_view(rng, "acd", 0), _random_view(rng, "bcd", 1000)
+        # "a" has rows in view A only, "b" in view B only, "c" and "d" in both
+        views = (
+            _random_view(rng, "abcd", "b", 0), _random_view(rng, "abcd", "a", 1000)
+        )
         merged = merge_views(*views, merge_nms_iou)
-        scored = [
-            {img: [d.scored for d in dets] for img, dets in view.items()}
-            for view in views
-        ]
+        assert merged.image_ids == tuple("abcd")
+        merged = merged.by_image()
+        groups = [view.by_image() for view in views]
+        scored = [{img: [d.scored for d in dets] for img, dets in g.items()} for g in groups]
         reference = _merge_reference(*scored, merge_nms_iou)
         assert list(merged) == list(reference) == ["a", "b", "c", "d"]
         for img, kept in reference.items():
@@ -1069,7 +1095,7 @@ def test_merge_views_equals_object_merge(merge_nms_iou):
             assert got.scores.tolist() == [d.score for d in kept]
             assert got.labels.tolist() == [d.label for d in kept]
             # each kept row brings its own features along
-            objs = [sb for view in scored for sb in view.get(img, ())]
-            tags = [t for view in views if img in view for t in view[img].features[:, 0]]
+            objs = [sb for view in scored for sb in view[img]]
+            tags = [t for g in groups for t in g[img].features[:, 0]]
             at = {id(sb): k for k, sb in enumerate(objs)}
             assert got.features[:, 0].tolist() == [tags[at[id(sb)]] for sb in kept]

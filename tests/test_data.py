@@ -158,6 +158,15 @@ def test_load_malformed_row_names_line_and_field(tmp_path):
     p = _write(tmp_path, "a.jpg,1,1,5,5,object,10,zero\n", name="dim.csv")
     with pytest.raises(AnnotationError, match="image_height"):
         load_annotations(p)
+    # a class_<k> label beyond the int64 GT label array
+    p = _write(
+        tmp_path,
+        "a.jpg,1,1,5,5,class_9223372036854775807,10,10\n"
+        "b.jpg,1,1,5,5,class_100000000000000000000000,10,10\n",
+        name="label.csv",
+    )
+    with pytest.raises(AnnotationError, match="line 2: class 'class_1000.*int64"):
+        load_annotations(p)
 
 
 def test_load_conflicting_dims_error(tmp_path):
@@ -330,6 +339,8 @@ def test_scene_spec_validation():
         SceneSpec(3, 3, jitter=-1)
     with pytest.raises(ValueError):
         SceneSpec(3, 3, overlap_factor=1.0)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        SceneSpec(3, 3, seed=-1)
     # inf once overflowed mid-generation, and nan failed on an int cast
     for field in ("box_w", "box_h", "jitter"):
         for value in (float("inf"), float("-inf"), float("nan")):
@@ -370,6 +381,9 @@ def test_dataset_density_variation():
 def test_dataset_n_images_validation():
     with pytest.raises(ValueError):
         generate_synthetic_dataset(0, SceneSpec(2, 2))
+    # numpy's generators refuse a negative seed without naming it
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        generate_synthetic_dataset(2, SceneSpec(2, 2), seed=-1)
 
 
 def test_mean_neighbor_iou_monotone_in_overlap():

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -430,9 +431,13 @@ def _record_sets(draw):
     return records, *_view(draw)
 
 
-def _rows_of(batch, offsets, k):
-    r = slice(int(offsets[k]), int(offsets[k + 1]))
-    return type(batch)(batch.boxes[r], batch.scores[r], batch.labels[r], batch.features[r])
+def _rows_of(batch, k):
+    """Image k's rows of ``batch``, sliced at its offsets."""
+    r = slice(int(batch.offsets[k]), int(batch.offsets[k + 1]))
+    return type(batch)(
+        batch.boxes[r], batch.scores[r], batch.labels[r], batch.features[r],
+        batch.image_ids[k:k + 1], np.array([0, r.stop - r.start]),
+    )
 
 
 @settings(max_examples=300, deadline=None)
@@ -445,12 +450,18 @@ def test_detect_batch_equals_scalar_reference(case):
 @given(_record_sets())
 def test_detect_batch_rows_equal_scalar_reference_per_image(case):
     records, *view = case
-    batch, offsets = detect_batch(records, *view)
+    batch = detect_batch(records, *view)
+    offsets = batch.offsets
+    assert batch.image_ids == tuple(r.image_id for r in records)
     assert offsets.tolist()[0] == 0 and offsets.tolist()[-1] == len(batch)
     assert np.all(np.diff(offsets) >= 0) and len(offsets) == len(records) + 1
+    # by_image gives each image's rows, as one-image batches equal to a slice
+    groups = batch.by_image()
+    assert list(groups) == list(batch.image_ids)
     for k, rec in enumerate(records):
+        assert groups[rec.image_id] == _rows_of(batch, k)
         _assert_batch_equals_reference(
-            _rows_of(batch, offsets, k), _detect_reference(rec, *view)
+            groups[rec.image_id], _detect_reference(rec, *view)
         )
 
 
@@ -472,10 +483,10 @@ def test_detect_batch_dense_image_among_small_ones():
         for profile in (LOCALIZER, CONTEXTUAL):
             params = DetectorParams(confidence_threshold=0.0, nms_iou=0.5)
             with mock.patch.object(geom, "_greedy_removed", recording):
-                batch, offsets = detect_batch(records, skill, params, profile, 4)
+                batch = detect_batch(records, skill, params, profile, 4)
             for k, rec in enumerate(records):
                 _assert_batch_equals_reference(
-                    _rows_of(batch, offsets, k),
+                    _rows_of(batch, k),
                     _detect_reference(rec, skill, params, profile, 4),
                 )
     assert shapes and max(n for _, n, _ in shapes) >= 100  # the dense image's block
@@ -485,20 +496,35 @@ def test_detect_batch_dense_image_among_small_ones():
 @settings(max_examples=40, deadline=None)
 @given(_record_sets())
 def test_detect_view_equals_per_record_detect(case):
-    """``_detect_view``: images in sorted id order, each one's rows, slice
-    and feature rows as a one-image ``detect`` gives them."""
+    """``_detect_view``: one batch, images in sorted id order, each one's
+    rows, offsets and feature rows as a one-image ``detect`` gives them."""
     records, skill, params, profile, seed = case
-    rows, X = _detect_view(profile, params, skill, records[::-1], seed)
+    batch = _detect_view(profile, params, skill, records[::-1], seed)
     by_id = {r.image_id: r for r in records}
-    assert [img for img, _, _ in rows] == sorted(by_id)
+    assert batch.image_ids == tuple(sorted(by_id))
     end = 0
-    for img, dets, r in rows:
-        want = detect(by_id[img], skill, params, profile, seed)
-        assert _columns(dets) == _columns(want)
-        assert r == slice(end, end + len(want))
-        assert X[r].tobytes() == want.features.tobytes()
-        end = r.stop
-    assert X.shape == (end, FEATURE_DIM)
+    for k, img in enumerate(batch.image_ids):
+        got, want = _rows_of(batch, k), detect(by_id[img], skill, params, profile, seed)
+        assert _columns(got) == _columns(want) and got == want
+        assert batch.offsets[k:k + 2].tolist() == [end, end + len(want)]
+        end += len(want)
+    assert batch.features.shape == (end, FEATURE_DIM)
+
+
+def test_detections_compare_by_value():
+    records = [_scene(s, overlap=0.4) for s in (3, 4)]
+    view = (skill_from_params(DEFAULT_LOCALIZER_PARAMS, LOCALIZER),
+            DEFAULT_LOCALIZER_PARAMS, LOCALIZER, 7)
+    batch = detect_batch(records, *view)
+    assert 0 < batch.offsets[1] < len(batch)  # both images have rows
+    assert batch == detect_batch(records, *view)
+    assert replace(batch, scores=batch.scores.copy()) == batch
+    changed = batch.scores.copy()
+    changed[-1] = np.nextafter(changed[-1], 2.0)
+    assert replace(batch, scores=changed) != batch
+    assert replace(batch, image_ids=batch.image_ids[::-1]) != batch
+    assert replace(batch, offsets=np.array([0, 0, len(batch)])) != batch
+    assert batch.by_image() == {r.image_id: detect(r, *view) for r in records}
 
 
 def test_detect_batch_handles_degenerate_boxes_like_reference():
@@ -739,7 +765,10 @@ def _random_labels(rng, rec):
 
 def _as_group(img, rows):
     """Scored boxes as one image's accepted column group."""
-    return PseudoLabels(*geom.columns(rows), (img,), np.array([0, len(rows)]), "B", 1)
+    return PseudoLabels(
+        *geom.columns(rows), np.zeros((len(rows), FEATURE_DIM)),
+        (img,), np.array([0, len(rows)]), "B", 1,
+    )
 
 
 @settings(max_examples=40, deadline=None)

@@ -633,13 +633,14 @@ def test_greedy_match_groups_without_groups_or_candidates():
 # --------------------------------------- column batches vs their scored rows
 
 
-def _as_detections(dets):
-    """Scored boxes as one image's column batch, row i being ``dets[i]``."""
+def _as_detections(dets, img="img"):
+    """Scored boxes as image ``img``'s column batch, row i being ``dets[i]``."""
     return Detections(
         np.array([d.box.as_tuple() for d in dets], dtype=float).reshape(-1, 4),
         np.array([d.score for d in dets], dtype=float),
         np.array([d.label for d in dets], dtype=np.int64),
         np.zeros((len(dets), FEATURE_DIM)),
+        (img,), np.array([0, len(dets)]),
     )
 
 
@@ -673,7 +674,7 @@ def test_match_detections_reads_columns_as_their_rows(dets, gts, t):
 @example({"a": _EXACT_060[0]}, {"a": _EXACT_060[1]})
 def test_mean_average_precision_reads_columns_as_their_rows(dets, gts):
     assume(sum(len(v) for v in gts.values()) > 0)
-    columns = {img: _as_detections(d) for img, d in dets.items()}
+    columns = {img: _as_detections(d, img) for img, d in dets.items()}
     _same_report(mean_average_precision(columns, gts), mean_average_precision(dets, gts))
     assert average_recall_at(columns, gts, 2) == average_recall_at(dets, gts, 2)
     assert average_precision(columns, gts, 0.6) == average_precision(dets, gts, 0.6)

@@ -156,7 +156,12 @@ def load_predictions(path: str | Path) -> dict[str, list[ScoredBox]]:
         dets_field = obj.get("detections")
         if not isinstance(dets_field, list):
             raise UsageError(f"predictions line {line_no}: missing detections list")
-        image_id = str(obj["image_id"])
+        image_id = obj["image_id"]
+        if not isinstance(image_id, str):  # str() would make 1 the image "1"
+            raise UsageError(
+                f"predictions line {line_no}: image_id must be a string, "
+                f"got {image_id!r}"
+            )
         if image_id in out:
             raise UsageError(
                 f"predictions line {line_no}: duplicate image_id {image_id!r}"

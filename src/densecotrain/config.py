@@ -48,6 +48,15 @@ class DatasetConfig:
             )
         if self.n_labeled <= 0 or self.n_unlabeled < 0:
             raise ConfigError("n_labeled must be positive and n_unlabeled >= 0")
+        for key in ("row_range", "col_range"):
+            r = getattr(self, key)
+            # each scene draws its grid dims from [lo, hi]; checked here, so a
+            # bad range fails before any work whatever the seed draws
+            if r is not None and not 1 <= r[0] <= r[1]:
+                raise ConfigError(
+                    f"dataset.{key} must be [lo, hi] with 1 <= lo <= hi, "
+                    f"got {list(r)}"
+                )
 
 
 @dataclass(frozen=True)

@@ -6,27 +6,29 @@ Two optimizers ship behind one interface: a genetic algorithm
 annealing (single-gene moves, Metropolis acceptance, geometric cooling).
 The default configuration vector is always injected, so tuning can only
 match or beat the defaults.  Objective scores are memoized by vector, and
-only fresh evaluations consume budget.
+only fresh evaluations consume budget.  Asking for an unseen vector once
+the budget is spent ends the search wherever it stands, and the report
+holds every evaluation made.
 
 The pipeline objective (``make_supervised_objective``) scores a vector by
 round 0 of co-training under it, and reuses each view's share of that work
 when the view's inputs repeat.  View A reads only the ``*_rcnn`` genes and
 view B only the ``*_yolo`` genes, and the nine ensemble genes touch no
 detector, so an SA move, which changes one gene, leaves most of the
-previous evaluation valid.  Two small least-recently-used memos per view
-hold it: the detector-side data by ``DetectorParams`` and the verified
-validation detections by ``DetectorParams`` and ``EnsembleParams``.  The
-reuse is exact, because the seed, the ensemble training cap and the
-records come from the fixed base config and split, so the memo keys are
-the only inputs that vary.
+previous evaluation valid.  Two ``functools.lru_cache`` memos per view,
+each of ``VIEW_MEMO_SIZE`` entries, hold it: the detector-side data by
+``DetectorParams`` and the verified validation detections by
+``DetectorParams`` and ``EnsembleParams``.  The reuse is exact, because
+the seed, the ensemble training cap and the records come from the fixed
+base config and split, so the memo keys are the only inputs that vary.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -266,6 +268,10 @@ def crossover(
     return HyperVector(**c1), HyperVector(**c2)
 
 
+class _BudgetSpent(Exception):
+    """An unseen vector arrived after the last fresh evaluation."""
+
+
 class _ScoreTracker:
     """Memoizing objective wrapper; only fresh evaluations consume budget
     and append to the trace."""
@@ -282,14 +288,14 @@ class _ScoreTracker:
     def exhausted(self) -> bool:
         return len(self.memo) >= self.budget
 
-    def score(self, v: HyperVector) -> float | None:
-        """Score the vector, or None when the budget is exhausted and the
-        vector has not been seen."""
+    def score(self, v: HyperVector) -> float:
+        """Score the vector; raises ``_BudgetSpent`` when the budget is
+        exhausted and the vector has not been seen."""
         key = vector_values(v)
         if key in self.memo:
             return self.memo[key]
         if self.exhausted:
-            return None
+            raise _BudgetSpent
         s = self.objective(v)
         if not (isinstance(s, (int, float)) and math.isfinite(s) and 0.0 <= s <= 1.0):
             raise ValueError(
@@ -322,18 +328,13 @@ def _tournament(pop, scores, rng) -> HyperVector:
     return pop[best_i]
 
 
-def _optimize_ga(tracker, config) -> TuneReport:
+def _optimize_ga(tracker, config) -> None:
     rng = np.random.default_rng(derive_seed(config.seed, "tuner", "ga"))
     pop = [DEFAULT_VECTOR] + [
         random_vector(seed=int(rng.integers(2**63)))
         for _ in range(config.population - 1)
     ]
-    scores = []
-    for v in pop:
-        s = tracker.score(v)
-        if s is None:
-            return tracker.report("ga")
-        scores.append(s)
+    scores = [tracker.score(v) for v in pop]
     while not tracker.exhausted:
         elite_i = max(range(len(pop)), key=lambda i: scores[i])
         new_pop = [pop[elite_i]]
@@ -350,46 +351,35 @@ def _optimize_ga(tracker, config) -> TuneReport:
             if len(new_pop) < config.population:
                 new_pop.append(c2)
         fresh_before = len(tracker.memo)
-        new_scores = []
-        for v in new_pop:
-            s = tracker.score(v)
-            if s is None:
-                return tracker.report("ga")
-            new_scores.append(s)
+        new_scores = [tracker.score(v) for v in new_pop]
         if len(tracker.memo) == fresh_before and not tracker.exhausted:
             # generation was fully memoized; inject a fresh random vector
             # so the search keeps consuming budget
             for _ in range(16):
                 rv = random_vector(seed=int(rng.integers(2**63)))
                 s = tracker.score(rv)
-                if s is None:
-                    return tracker.report("ga")
                 if len(tracker.memo) > fresh_before:
+                    # the worst non-elite slot, or the elite's in a
+                    # population of one, which has no other
                     worst_i = min(
-                        (i for i in range(len(new_pop)) if i != 0),
-                        key=lambda i: new_scores[i],
+                        range(1, len(new_pop)), key=lambda i: new_scores[i], default=0
                     )
                     new_pop[worst_i] = rv
                     new_scores[worst_i] = s
                     break
         pop, scores = new_pop, new_scores
-    return tracker.report("ga")
 
 
-def _optimize_sa(tracker, config) -> TuneReport:
+def _optimize_sa(tracker, config) -> None:
     rng = np.random.default_rng(derive_seed(config.seed, "tuner", "sa"))
     current = DEFAULT_VECTOR
     current_score = tracker.score(current)
-    if current_score is None:
-        return tracker.report("sa")
     temperature = config.initial_temperature
     while not tracker.exhausted:
         name = GENE_NAMES[int(rng.integers(len(GENE_NAMES)))]
         moved = _perturb_gene(SPEC_BY_NAME[name], getattr(current, name), rng)
         neighbor = replace(current, **{name: moved})
         s = tracker.score(neighbor)
-        if s is None:
-            break
         delta = s - current_score
         accept = delta >= 0 or (
             temperature > 0 and rng.random() < math.exp(delta / temperature)
@@ -397,7 +387,6 @@ def _optimize_sa(tracker, config) -> TuneReport:
         if accept:
             current, current_score = neighbor, s
         temperature *= config.cooling_rate
-    return tracker.report("sa")
 
 
 def optimize(
@@ -405,15 +394,20 @@ def optimize(
     config: TunerConfig,
 ) -> TuneReport:
     """Maximize the objective over the gene space within config.budget
-    fresh evaluations; deterministic given (objective, config)."""
+    fresh evaluations; deterministic given (objective, config).  The
+    search ends when its budget is spent, whether or not it asks for
+    another vector."""
     if config.algorithm == "ga" and config.budget < config.population:
         raise ValueError(
             f"ga needs budget >= population, got {config.budget} < {config.population}"
         )
     tracker = _ScoreTracker(objective, config.budget)
-    if config.algorithm == "ga":
-        return _optimize_ga(tracker, config)
-    return _optimize_sa(tracker, config)
+    search = _optimize_ga if config.algorithm == "ga" else _optimize_sa
+    try:
+        search(tracker, config)
+    except _BudgetSpent:
+        pass
+    return tracker.report(config.algorithm)
 
 
 def normalized_distance(a: HyperVector, b: HyperVector) -> float:
@@ -468,32 +462,6 @@ def vector_to_params(
     return ens, loc, ctx
 
 
-class _Lru:
-    """A map that keeps its ``VIEW_MEMO_SIZE`` most recently used entries."""
-
-    def __init__(self) -> None:
-        self.entries: OrderedDict = OrderedDict()
-
-    def get(self, key, compute: Callable[[], object]):
-        """The value at ``key``, computed and stored on a miss."""
-        if key in self.entries:
-            self.entries.move_to_end(key)
-        else:
-            self.entries[key] = compute()
-            if len(self.entries) > VIEW_MEMO_SIZE:
-                self.entries.popitem(last=False)
-        return self.entries[key]
-
-
-def _feasible_data(*args) -> RoundZeroData | None:
-    """``round_zero_data(*args)``, or None for a view that cannot fit its
-    verification ensemble."""
-    try:
-        return round_zero_data(*args)
-    except InfeasibleViewError:
-        return None
-
-
 def make_supervised_objective(
     records_by_id: Mapping[str, ImageRecord],
     split: DatasetSplit,
@@ -504,41 +472,48 @@ def make_supervised_objective(
     cannot fit its verification ensemble.
 
     Each view's round 0 is the two steps of ``initial_supervised_phase``,
-    reused through two bounded memos: the detector-side data keyed by (view,
-    ``DetectorParams``) and the verified validation detections keyed by
-    (view, ``DetectorParams``, ``EnsembleParams``).  A move on one view's
-    detector genes reuses the other view whole, and a move on an ensemble
-    gene only refits and rescores the two ensembles.  The reuse is exact:
-    the seed, the cap and the records come from ``base_config`` and
-    ``split``, which are fixed, so the memo keys are the only inputs that
-    vary, and a memoized value is never changed."""
-    detector_memo = {name: _Lru() for name, _, _ in view_specs(base_config)}
-    verified_memo = {name: _Lru() for name in detector_memo}
+    each behind its own ``lru_cache(VIEW_MEMO_SIZE)``: the detector-side
+    data keyed by ``DetectorParams`` (None for an infeasible view) and the
+    verified validation detections keyed by ``DetectorParams`` and
+    ``EnsembleParams``.  A move on one view's detector genes reuses the
+    other view whole, and a move on an ensemble gene only refits and
+    rescores the two ensembles.  The reuse is exact: the seed, the cap and
+    the records come from ``base_config`` and ``split``, which are fixed,
+    so the memo keys are the only inputs that vary, and a memoized value
+    is never changed."""
+
+    def view_memos(name: str, profile):
+        @lru_cache(VIEW_MEMO_SIZE)
+        def data(params: DetectorParams) -> RoundZeroData | None:
+            try:
+                return round_zero_data(
+                    name, profile, params, records_by_id, split, base_config
+                )
+            except InfeasibleViewError:
+                return None
+
+        @lru_cache(VIEW_MEMO_SIZE)
+        def verified(params: DetectorParams, ens: EnsembleParams):
+            cfg = replace(base_config, ensemble_params=ens)
+            return fit_round_zero(name, profile, params, data(params), cfg)[1]
+
+        return data, verified
+
+    data_memo, verified_memo = {}, {}
+    for name, profile, _ in view_specs(base_config):
+        data_memo[name], verified_memo[name] = view_memos(name, profile)
     val_gts = {i: list(records_by_id[i].gts) for i in split.val}
 
     def objective(v: HyperVector) -> float:
         ens, loc, ctx = vector_to_params(v)
-        cfg = replace(base_config, loc_params=loc, ctx_params=ctx, ensemble_params=ens)
-        views = view_specs(cfg)
-        data = []
-        for name, profile, params in views:
-            d = detector_memo[name].get(params, lambda: _feasible_data(
-                name, profile, params, records_by_id, split, cfg
-            ))
-            if d is None:
-                # candidate starves its own verification stage (e.g. a
-                # confidence threshold that removes every false positive);
-                # score it worst instead of killing the whole search
-                return 0.0
-            data.append(d)
-        verified = [
-            verified_memo[name].get(
-                (params, ens),
-                lambda: fit_round_zero(name, profile, params, d, cfg)[1],
-            )
-            for (name, profile, params), d in zip(views, data)
-        ]
-        merged = merge_views(*verified, cfg.merge_nms_iou)
+        views = view_specs(replace(base_config, loc_params=loc, ctx_params=ctx))
+        # a candidate that starves its own verification stage (e.g. a
+        # confidence threshold that removes every false positive) scores
+        # worst instead of killing the whole search
+        if any(data_memo[name](params) is None for name, _, params in views):
+            return 0.0
+        verified = [verified_memo[name](params, ens) for name, _, params in views]
+        merged = merge_views(*verified, base_config.merge_nms_iou)
         return float(mean_average_precision(merged.by_image(), val_gts).map_coco)
 
     return objective

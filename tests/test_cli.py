@@ -224,6 +224,24 @@ def test_negative_seed_exit_2_naming_seed(dataset_dir, tmp_path, capsys, command
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("command", ["cotrain", "tune"])
+@pytest.mark.parametrize(
+    "key, value", [("row_range", [5, 3]), ("col_range", [0, 2])]
+)
+def test_bad_grid_range_exit_2_naming_key(tmp_path, capsys, command, key, value):
+    """A reversed range failed with numpy's bare "low >= high", and a 0 only
+    when some scene drew it, so acceptance hung on the seed."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "seed": 1, "output_dir": str(tmp_path / "run"), "dataset": {key: value},
+    }), encoding="utf-8")
+    assert run_cli([command, "--config", cfg]) == 2
+    assert f"dataset.{key} must be [lo, hi] with 1 <= lo <= hi" in (
+        capsys.readouterr().err
+    )
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("command", ["evaluate", "cotrain"])
 def test_misspelled_annotation_header_exit_2(tmp_path, capsys, command):
     bad = tmp_path / "bad.csv"
@@ -409,6 +427,30 @@ def test_evaluate_non_numeric_box_or_score_exit_2(
     assert code == 2
     err = capsys.readouterr().err
     assert "line 2, detection 1" in err and field in err
+
+
+@pytest.mark.parametrize(
+    "image_id, shown", [("1", "1"), ("null", "None"), ("true", "True"), ("[1]", "[1]")]
+)
+def test_evaluate_non_string_image_id_exit_2(
+    dataset_dir, tmp_path, capsys, image_id, shown
+):
+    """An image id must be a JSON string: str() would score 1 against the
+    image named "1" and make null the image "None"."""
+    records = load_annotations(dataset_dir / "annotations.csv")
+    pred_path = tmp_path / "p.jsonl"
+    pred_path.write_text(
+        f'{{"image_id": "{records[0].image_id}", "detections": []}}\n'
+        f'{{"image_id": {image_id}, "detections": []}}\n',
+        encoding="utf-8",
+    )
+    code = run_cli(
+        ["evaluate", "--predictions", pred_path,
+         "--annotations", dataset_dir / "annotations.csv"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"predictions line 2: image_id must be a string, got {shown}" in err
 
 
 def test_load_predictions_keeps_integer_labels(tmp_path):

@@ -109,7 +109,10 @@ def fractions(draw):
     return (a, b, 1.0 - a - b)
 
 
-ranges = st.none() | st.tuples(st.integers(1, 9), st.integers(1, 9))
+# ordered pairs only: DatasetConfig refuses a reversed range
+ranges = st.none() | st.tuples(st.integers(1, 9), st.integers(1, 9)).map(
+    lambda pair: tuple(sorted(pair))
+)
 dataset_config = st.one_of(
     every_field(
         DatasetConfig,
@@ -233,6 +236,13 @@ def test_nested_params_merge_into_stock_values():
         ({"seed": 1, "dataset": {"row_range": [3, 4, 5]}}, "config.dataset.row_range"),
         # numpy's generators refuse a negative seed without naming it
         ({"seed": -1}, "seed must be >= 0, got -1"),
+        # a scene draws its grid dims from [lo, hi]: a reversed range failed
+        # with numpy's "low >= high", and a 0 only when a scene drew it
+        ({"seed": 1, "dataset": {"row_range": [5, 3]}},
+         "dataset.row_range must be [lo, hi] with 1 <= lo <= hi, got [5, 3]"),
+        ({"seed": 1, "dataset": {"row_range": [0, 2]}}, "dataset.row_range"),
+        ({"seed": 1, "dataset": {"col_range": [2, 1]}}, "dataset.col_range"),
+        ({"seed": 1, "dataset": {"col_range": [-1, 4]}}, "dataset.col_range"),
     ],
 )
 def test_bad_documents_raise_config_error(doc, where):

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import densecotrain.cotrain as cotrain
 import densecotrain.tuner as tuner
@@ -15,6 +17,7 @@ from densecotrain.cotrain import (
     initial_supervised_phase,
 )
 from densecotrain.tuner import (
+    ALGORITHMS,
     DEFAULT_VECTOR,
     GENE_NAMES,
     GENE_SPECS,
@@ -204,6 +207,39 @@ def test_optimize_budget_one():
     assert rep.n_evaluations == 1
     assert rep.best_vector == seen[0]
     assert rep.best_score == 0.5
+
+
+def test_optimize_ga_population_one_injects_into_the_elite_slot():
+    """A GA of one makes no children, so every generation after the first
+    is fully memoized and the stall-breaking injection is its only move."""
+    target = random_vector(1)
+    rep = optimize(
+        planted_objective(target), TunerConfig(algorithm="ga", budget=3, population=1)
+    )
+    assert rep.n_evaluations == 3
+    assert rep.trace[0].vector == DEFAULT_VECTOR
+    assert rep.best_score == max(e.score for e in rep.trace)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    algorithm=st.sampled_from(ALGORITHMS),
+    budget_and_population=st.integers(1, 12).flatmap(
+        lambda b: st.tuples(st.just(b), st.integers(1, b))
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_optimize_spends_exactly_its_budget(algorithm, budget_and_population, seed):
+    budget, population = budget_and_population
+    target = random_vector(seed)
+    cfg = TunerConfig(
+        algorithm=algorithm, budget=budget, population=population, seed=seed
+    )
+    rep = optimize(planted_objective(target), cfg)
+    assert rep.n_evaluations == budget
+    assert [e.index for e in rep.trace] == list(range(1, budget + 1))
+    assert rep.best_score == max(e.score for e in rep.trace)
+    assert optimize(planted_objective(target), cfg) == rep
 
 
 def test_optimize_ga_budget_below_population_errors():
@@ -463,18 +499,29 @@ def test_supervised_objective_memo_bound(tiny_data, monkeypatch):
     base = CoTrainConfig(seed=19)
     cfg = TunerConfig(algorithm="ga", budget=6, population=3, seed=1)
     expected = optimize(reference_objective(records, split, base), cfg)
-    sizes = []
-    get = tuner._Lru.get
+    sizes, memos = [], []
+    lru_cache = tuner.lru_cache
 
-    def recording_get(memo, key, compute):
-        out = get(memo, key, compute)
-        sizes.append(len(memo.entries))
-        return out
+    def recording_lru_cache(maxsize):
+        def wrap(fn):
+            memo = lru_cache(maxsize)(fn)
+            memos.append(memo)
+
+            def recorded(*args):
+                out = memo(*args)
+                sizes.append(memo.cache_info().currsize)
+                return out
+
+            return recorded
+
+        return wrap
 
     monkeypatch.setattr(tuner, "VIEW_MEMO_SIZE", 1)
-    monkeypatch.setattr(tuner._Lru, "get", recording_get)
+    monkeypatch.setattr(tuner, "lru_cache", recording_lru_cache)
     got = optimize(make_supervised_objective(records, split, base), cfg)
     assert got.trace == expected.trace
+    assert len(memos) == 4  # two per view
+    assert all(m.cache_info().maxsize == 1 for m in memos)
     assert sizes and max(sizes) == 1
 
 

@@ -13,12 +13,15 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .codec import from_dict
 from .config import (
@@ -38,7 +41,7 @@ from .data import (
     select_and_split,
     write_manifest,
 )
-from .geom import Box, ScoredBox
+from .geom import Box, ColumnBatch, ScoredBox, columns
 from .metrics import mean_average_precision
 from .report import (
     REPORT_FILENAME,
@@ -127,23 +130,34 @@ def _print_json(payload: dict) -> None:
 _JSON_NUMBER_TYPES = frozenset((int, float))
 
 
-def _box_and_score(d: dict) -> tuple[Box, float]:
-    """One detection's box and score, each field a JSON number: float()
-    would take "1" and true as 1.0."""
+def _detection(d: dict) -> tuple[tuple[float, ...], float, int]:
+    """One detection's corners, score and label, checked by plain
+    comparisons in ``ScoredBox(Box(...), score, label)``'s order; only a
+    failing detection builds the object whose check gives the message."""
     vals = (d["x1"], d["y1"], d["x2"], d["y2"], d["score"])
-    if not _JSON_NUMBER_TYPES.issuperset(map(type, vals)):
+    if not _JSON_NUMBER_TYPES.issuperset(map(type, vals)):  # float() takes "1"
         for key, v in zip(("x1", "y1", "x2", "y2", "score"), vals):
             if type(v) not in _JSON_NUMBER_TYPES:
                 raise ValueError(f"{key} must be a number, got {v!r}")
-    x1, y1, x2, y2, score = map(float, vals)
-    return Box(x1, y1, x2, y2), score
+    x1, y1, x2, y2, score = map(float, vals)  # OverflowError beyond float range
+    if not (-math.inf < x1 < x2 < math.inf and -math.inf < y1 < y2 < math.inf):
+        Box(x1, y1, x2, y2)  # raises: not finite, or degenerate
+    label = d.get("label", 0)
+    # a JSON integer only: int() would take 1.7 as 1 and true as 1
+    if isinstance(label, bool) or not isinstance(label, int):
+        raise ValueError(f"label must be an integer, got {label!r}")
+    if not -(2**63) <= label < 2**63:  # the metrics' int64 labels
+        raise ValueError(f"label {label} is beyond int64")
+    if not 0.0 <= score <= 1.0:
+        ScoredBox(Box(x1, y1, x2, y2), score)  # raises
+    return (x1, y1, x2, y2), score, label
 
 
-def load_predictions(path: str | Path) -> dict[str, list[ScoredBox]]:
-    """JSON lines, one object per image:
+def load_predictions(path: str | Path) -> dict[str, ColumnBatch]:
+    """JSON lines, one object per image, each read into one column batch:
     {"image_id": ..., "detections": [{x1, y1, x2, y2, score, label}]}."""
     text = _read_text(Path(path), "predictions file")
-    out: dict[str, list[ScoredBox]] = {}
+    out: dict[str, ColumnBatch] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -169,33 +183,31 @@ def load_predictions(path: str | Path) -> dict[str, list[ScoredBox]]:
         dets = []
         for j, d in enumerate(dets_field):
             try:
-                box, score = _box_and_score(d)
-                label = d.get("label", 0)
-                # a JSON integer only: int() would take 1.7 as 1 and true as 1
-                if isinstance(label, bool) or not isinstance(label, int):
-                    raise ValueError(f"label must be an integer, got {label!r}")
-                if not -(2**63) <= label < 2**63:  # the metrics' int64 labels
-                    raise ValueError(f"label {label} is beyond int64")
-                dets.append(ScoredBox(box, score, label))
-            except (KeyError, TypeError, ValueError) as exc:
+                dets.append(_detection(d))
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise UsageError(
                     f"predictions line {line_no}, detection {j}: {exc}"
                 ) from exc
-        out[image_id] = dets
+        boxes, scores, labels = zip(*dets) if dets else ((), (), ())
+        out[image_id] = ColumnBatch(
+            np.array(boxes, dtype=float).reshape(-1, 4),
+            np.array(scores, dtype=float),
+            np.array(labels, dtype=np.int64),
+        )
     return out
 
 
 def save_predictions(
-    dets_by_image: Mapping[str, Sequence[ScoredBox]], path: str | Path
+    dets_by_image: Mapping[str, ColumnBatch | Sequence[ScoredBox]], path: str | Path
 ) -> None:
     lines = []
     for image_id in sorted(dets_by_image):
+        boxes, scores, labels = (c.tolist() for c in columns(dets_by_image[image_id]))
         lines.append(json.dumps({
             "image_id": image_id,
             "detections": [
-                {"x1": d.box.x1, "y1": d.box.y1, "x2": d.box.x2, "y2": d.box.y2,
-                 "score": d.score, "label": d.label}
-                for d in dets_by_image[image_id]
+                {"x1": x1, "y1": y1, "x2": x2, "y2": y2, "score": score, "label": label}
+                for (x1, y1, x2, y2), score, label in zip(boxes, scores, labels)
             ],
         }))
     _write_text(Path(path), "\n".join(lines) + ("\n" if lines else ""))

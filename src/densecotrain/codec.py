@@ -11,7 +11,8 @@ error names the path to the failing value (``config.dataset.row_range[1]``):
 
 * an ``int`` field takes only a JSON integer, a ``float`` field any finite
   JSON number but a bool (not the ``NaN`` and ``Infinity`` that Python's
-  ``json`` reads), and a ``str`` field a string;
+  ``json`` reads, nor an integer beyond float range), and a ``str`` field
+  a string;
 * ``X | None`` takes null or an ``X``, and a dataclass field an object;
 * a fixed ``tuple[A, B]`` takes a list of exactly that many entries, each
   read as its own type, and a variadic ``tuple[X, ...]`` a list of any
@@ -50,8 +51,11 @@ def _decode(tp, value, base, where: str, shown=None):
                 for i, (a, v) in enumerate(zip(args, value))
             )
     elif tp is float:  # bool is no JSON number, nor are NaN and Infinity
-        if type(value) is int or type(value) is float and math.isfinite(value):
-            return value
+        try:  # math.isfinite raises OverflowError on an int beyond float range
+            if type(value) in (int, float) and math.isfinite(value):
+                return value
+        except OverflowError:
+            pass
     elif type(value) is tp:  # an int or str field takes only its own type
         return value
     shown = shown.__name__ if isinstance(shown, type) else shown

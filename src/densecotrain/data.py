@@ -377,6 +377,9 @@ def generate_synthetic_dataset(
         raise ValueError(f"n_images must be >= 1, got {n_images}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    for name, r in (("row_range", row_range), ("col_range", col_range)):
+        if r and not 1 <= r[0] <= r[1]:
+            raise ValueError(f"{name} must be (lo, hi) with 1 <= lo <= hi, got {r}")
     records = []
     for i in range(n_images):
         s = _child_seed(seed, i)

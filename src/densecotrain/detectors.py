@@ -24,18 +24,19 @@ Design notes that matter for correctness:
 * Occlusion levels come from ``ImageRecord.occlusion``, which every
   record computes from its own GTs.
 * A view runs over a record set in one ``detect_batch`` call, which
-  returns one ``Detections`` batch holding the images' ids and row
-  offsets.  Per image it does only what that image's own generator
-  forces (the emitted GTs' normals and the false-positive loop); the
-  IoUs, scores, feature placement, CT filter and greedy NMS run once over
-  the whole batch, and each image's rows equal those of a one-image call
-  bit for bit.  ``detect`` is that one-image call.
+  returns one ``Detections`` batch: a ``geom.ColumnBatch`` that adds the
+  feature vectors and the images' ids and row offsets.  Per image it does
+  only what that image's own generator forces (the emitted GTs' normals
+  and the false-positive loop); the IoUs, scores, feature placement, CT
+  filter and greedy NMS run once over the whole batch, and each image's
+  rows equal those of a one-image call bit for bit.  ``detect`` is that
+  one-image call.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from hashlib import blake2s
 from typing import Iterator, Mapping, Sequence
@@ -191,39 +192,22 @@ class Detection:
 
 
 @dataclass(frozen=True, eq=False)
-class Detections:
-    """Detections on a set of images as columns, row i being one detection:
-    ``boxes[n, 4]`` corners (x1, y1, x2, y2), ``scores[n]``, integer
-    ``labels[n]`` and ``features[n, FEATURE_DIM]``.  Image k's rows are
-    ``offsets[k]:offsets[k + 1]`` of ``image_ids[k]``.  Batches compare by
-    value, field by field."""
+class Detections(ColumnBatch):
+    """Detections on a set of images: the ``ColumnBatch`` columns plus
+    ``features[n, FEATURE_DIM]``.  Image k's rows are
+    ``offsets[k]:offsets[k + 1]`` of ``image_ids[k]``."""
 
-    boxes: np.ndarray
-    scores: np.ndarray
-    labels: np.ndarray
     features: np.ndarray
     image_ids: tuple[str, ...]
     offsets: np.ndarray
 
     COLUMNS = ("boxes", "scores", "labels", "features")  # the per-row fields
 
-    def __len__(self) -> int:
-        return len(self.scores)
-
     def __iter__(self) -> Iterator[Detection]:
         """The rows as ``Detection`` objects, built on demand."""
         rows = zip(self.boxes.tolist(), self.scores.tolist(), self.labels.tolist())
         for (box, score, label), feats in zip(rows, self.features.tolist()):
             yield Detection(ScoredBox(Box(*box), score, label), tuple(feats))
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
-        return all(
-            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
-            for a, b in pairs
-        )
 
     def image_index(self) -> np.ndarray:
         """Each row's image, as its position in ``image_ids``."""

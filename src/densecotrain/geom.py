@@ -5,6 +5,9 @@ Conventions (fixed so every metric and filter above this layer is exact):
 * Boxes are continuous corner coordinates ``(x1, y1, x2, y2)`` with the
   origin at the top-left, ``x1 < x2`` and ``y1 < y2``.  Area is
   ``(x2 - x1) * (y2 - y1)`` with no pixel correction.
+* Detections have one column form, ``ColumnBatch``, which
+  ``detectors.Detections`` extends and the predictions file is read into;
+  ``columns`` reads it as it is and is the one converter from objects.
 * ``iou_pairs`` is the kernel every batch of boxes goes through (NMS,
   matching, occlusion levels, a detector's jittered boxes against their
   sources): pairs of corner rows, broadcast.  It runs the same float
@@ -23,9 +26,9 @@ Conventions (fixed so every metric and filter above this layer is exact):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -114,19 +117,34 @@ def corners(boxes: Sequence[Box]) -> np.ndarray:
     ).reshape(-1, 4)
 
 
-class ColumnBatch(Protocol):
-    """One image's detections as columns, e.g. a one-image ``detectors.Detections``."""
+@dataclass(frozen=True, eq=False)
+class ColumnBatch:
+    """Detections as columns, row i being one detection: ``boxes[n, 4]``
+    corners (x1, y1, x2, y2), ``scores[n]`` and int64 ``labels[n]``.
+    Batches compare by value, field by field."""
 
     boxes: np.ndarray
     scores: np.ndarray
     labels: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.scores)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in pairs
+        )
 
 
 def columns(
     dets: ColumnBatch | Sequence[ScoredBox],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A column batch's corner, score and label columns, or scored boxes'."""
-    if not isinstance(dets, Sequence):
+    if isinstance(dets, ColumnBatch):
         return dets.boxes, dets.scores, dets.labels
     return (
         corners([d.box for d in dets]),

@@ -396,11 +396,8 @@ def optimize(
     """Maximize the objective over the gene space within config.budget
     fresh evaluations; deterministic given (objective, config).  The
     search ends when its budget is spent, whether or not it asks for
-    another vector."""
-    if config.algorithm == "ga" and config.budget < config.population:
-        raise ValueError(
-            f"ga needs budget >= population, got {config.budget} < {config.population}"
-        )
+    another vector, so a GA whose budget is below its population stops
+    inside its first generation."""
     tracker = _ScoreTracker(objective, config.budget)
     search = _optimize_ga if config.algorithm == "ga" else _optimize_sa
     try:
@@ -546,10 +543,7 @@ def tune_pipeline(
         except Exception as exc:
             raise ObjectiveError(v, exc) from exc
 
-    cfg = tuner_config
-    if cfg.algorithm == "ga" and cfg.population > cfg.budget:
-        cfg = replace(cfg, population=cfg.budget)
-    return optimize(objective, cfg)
+    return optimize(objective, tuner_config)
 
 
 def write_trace_csv(report: TuneReport, path: str | Path) -> None:

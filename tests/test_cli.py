@@ -1,15 +1,21 @@
 """CLI behavior: exit-code contract, file artifacts, determinism."""
 
 import json
+import math
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from densecotrain.cli import load_predictions, load_vector, main, save_predictions
+from densecotrain.cli import (
+    UsageError, load_predictions, load_vector, main, save_predictions,
+)
 from densecotrain.cotrain import CHECKPOINT_FILENAME
 from densecotrain.data import ImageRecord, load_annotations
-from densecotrain.geom import Box, GroundTruth, ScoredBox
+from densecotrain.geom import Box, ColumnBatch, GroundTruth, ScoredBox, columns
 from densecotrain.tuner import DEFAULT_VECTOR, GENE_NAMES, vector_values
 
 
@@ -453,6 +459,270 @@ def test_evaluate_non_string_image_id_exit_2(
     assert f"predictions line 2: image_id must be a string, got {shown}" in err
 
 
+_MISSING = object()
+
+
+def _det(**changes):
+    """A detection's JSON text: the good one with ``changes``, where the
+    value ``_MISSING`` drops the key."""
+    d = {"x1": 1, "y1": 1, "x2": 5, "y2": 5, "score": 0.5, "label": 0, **changes}
+    return json.dumps({k: v for k, v in d.items() if v is not _MISSING})
+
+
+@pytest.mark.parametrize(
+    "detections, message",
+    [
+        (f"[{_det(x2=1)}]",
+         "detection 0: degenerate box: need x2 > x1 and y2 > y1, got (1.0, 1.0, 1.0, 5.0)"),
+        (f"[{_det()}, {_det(y2=0.5)}]",
+         "detection 1: degenerate box: need x2 > x1 and y2 > y1, got (1.0, 1.0, 5.0, 0.5)"),
+        (f"[{_det(x1=math.nan)}]", "detection 0: box coordinate x1 is not finite: nan"),
+        (f"[{_det(y2=math.inf)}]", "detection 0: box coordinate y2 is not finite: inf"),
+        (f"[{_det(x1=-math.inf)}]", "detection 0: box coordinate x1 is not finite: -inf"),
+        (f"[{_det(score=1.5)}]", "detection 0: score must be in [0, 1], got 1.5"),
+        (f"[{_det(score=-0.1)}]", "detection 0: score must be in [0, 1], got -0.1"),
+        (f"[{_det(score=math.nan)}]", "detection 0: score must be in [0, 1], got nan"),
+        (f"[{_det()}, {_det(x2=_MISSING)}]", "detection 1: 'x2'"),
+        # the first bad detection is named, whatever check the next one fails
+        (f'[{_det(x2=1)}, {_det(x1="1")}]',
+         "detection 0: degenerate box: need x2 > x1 and y2 > y1, got (1.0, 1.0, 1.0, 5.0)"),
+        # within a detection the box comes before the label, the label
+        # before the score
+        (f"[{_det(x2=1, label=1.5)}]",
+         "detection 0: degenerate box: need x2 > x1 and y2 > y1, got (1.0, 1.0, 1.0, 5.0)"),
+        (f"[{_det(score=2, label=1.5)}]", "detection 0: label must be an integer, got 1.5"),
+        # a JSON integer beyond float range; float() raised OverflowError,
+        # which exited 4 as an unexpected failure
+        (f'[{_det()}, {{"x1": 1, "y1": 1, "x2": 1{"0" * 400}, "y2": 5, "score": 0.5}}]',
+         "detection 1: int too large to convert to float"),
+        (f'[{{"x1": 1, "y1": 1, "x2": 5, "y2": 5, "score": -1{"0" * 400}}}]',
+         "detection 0: int too large to convert to float"),
+    ],
+    ids=["degenerate-x", "degenerate-y", "nan", "inf", "minus-inf", "score-1.5",
+         "score-minus-0.1", "score-nan", "missing-x2", "degenerate-before-string",
+         "box-before-label", "label-before-score", "huge-x2", "huge-score"],
+)
+def test_evaluate_bad_detection_value_exit_2(
+    dataset_dir, tmp_path, capsys, detections, message
+):
+    """Every value error in a predictions file exits 2, naming the line,
+    the detection and the check that failed (``geom``'s own message)."""
+    records = load_annotations(dataset_dir / "annotations.csv")
+    pred_path = tmp_path / "p.jsonl"
+    pred_path.write_text(
+        f'{{"image_id": "{records[0].image_id}", "detections": [{_det()}]}}\n'
+        f'{{"image_id": "{records[1].image_id}", "detections": {detections}}}\n',
+        encoding="utf-8",
+    )
+    code = run_cli(
+        ["evaluate", "--predictions", pred_path,
+         "--annotations", dataset_dir / "annotations.csv"]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: predictions line 2, {message}\n" in err
+    assert "unexpected failure" not in err
+
+
+def _reference_load_predictions(path):
+    """The object loader that ``load_predictions`` replaced: a ``Box`` and
+    a ``ScoredBox`` per detection, whose checks refuse bad values.  Only
+    the ``OverflowError`` of a JSON integer beyond float range is added to
+    the errors it turns into a ``UsageError``."""
+    out = {}
+    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"predictions line {line_no}: invalid JSON ({exc})")
+        if not isinstance(obj, dict) or "image_id" not in obj:
+            raise UsageError(f"predictions line {line_no}: missing image_id")
+        dets_field = obj.get("detections")
+        if not isinstance(dets_field, list):
+            raise UsageError(f"predictions line {line_no}: missing detections list")
+        image_id = obj["image_id"]
+        if not isinstance(image_id, str):
+            raise UsageError(
+                f"predictions line {line_no}: image_id must be a string, "
+                f"got {image_id!r}"
+            )
+        if image_id in out:
+            raise UsageError(
+                f"predictions line {line_no}: duplicate image_id {image_id!r}"
+            )
+        dets = []
+        for j, d in enumerate(dets_field):
+            try:
+                vals = (d["x1"], d["y1"], d["x2"], d["y2"], d["score"])
+                for key, v in zip(("x1", "y1", "x2", "y2", "score"), vals):
+                    if type(v) not in (int, float):
+                        raise ValueError(f"{key} must be a number, got {v!r}")
+                x1, y1, x2, y2, score = map(float, vals)
+                box = Box(x1, y1, x2, y2)
+                label = d.get("label", 0)
+                if isinstance(label, bool) or not isinstance(label, int):
+                    raise ValueError(f"label must be an integer, got {label!r}")
+                if not -(2**63) <= label < 2**63:
+                    raise ValueError(f"label {label} is beyond int64")
+                dets.append(ScoredBox(box, score, label))
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise UsageError(
+                    f"predictions line {line_no}, detection {j}: {exc}"
+                ) from exc
+        out[image_id] = dets
+    return out
+
+
+_BAD_VALUES = st.sampled_from([
+    math.nan, math.inf, -math.inf, 1.5, -0.1, 1.0, 0.0, -0.0, 2.5,
+    10**400, -(10**400), 2**63, -(2**63) - 1, 2**63 - 1, -(2**63),
+    True, None, "1", [1],
+]) | st.floats(-200.0, 200.0)
+_KEYS = ("x1", "y1", "x2", "y2", "score", "label")
+_BAD_LINES = (
+    "not json", "[1]", '{"image_id": 1, "detections": []}', '{"image_id": "a"}',
+    '{"detections": []}', '{"image_id": "img0", "detections": []}',
+    '{"image_id": "a", "detections": [1]}', '{"image_id": "a", "detections": [null]}',
+)
+
+
+@st.composite
+def _detection(draw):
+    """A well-formed detection's JSON object."""
+    x1, y1 = draw(st.floats(-100, 100)), draw(st.floats(-100, 100))
+    d = {
+        "x1": x1, "y1": y1,
+        "x2": x1 + draw(st.floats(0.5, 50)), "y2": y1 + draw(st.floats(0.5, 50)),
+        "score": draw(st.floats(0.0, 1.0) | st.sampled_from([0, 1])),
+        "label": draw(st.integers(-(2**63), 2**63 - 1)),
+    }
+    if draw(st.booleans()):
+        del d["label"]
+    return d
+
+
+@st.composite
+def _predictions_text(draw, well_formed):
+    """A predictions file; a malformed one has one or two faults: a bad
+    line, or a detection with up to three fields dropped, set to a bad
+    value or set to a coordinate's value (x2 = x1 is degenerate)."""
+    lines = [
+        {"image_id": f"img{i}",
+         "detections": draw(st.lists(_detection(), min_size=1 - well_formed, max_size=5))}
+        for i in range(draw(st.integers(1 - well_formed, 4)))
+    ]
+    texts = [json.dumps(line) for line in lines]
+    for _ in range(0 if well_formed else draw(st.integers(1, 2))):
+        i = draw(st.integers(0, len(lines) - 1))
+        dets = lines[i]["detections"]
+        if draw(st.integers(0, 4)) == 4:
+            texts[i] = draw(st.sampled_from(_BAD_LINES))
+            continue
+        d = dets[draw(st.integers(0, len(dets) - 1))]
+        for key in draw(st.lists(st.sampled_from(_KEYS), min_size=1, max_size=3)):
+            how = draw(st.sampled_from(["value", "copy", "drop"]))
+            if how == "value":
+                d[key] = draw(_BAD_VALUES)
+            elif how == "copy":
+                d[key] = d.get(draw(st.sampled_from(_KEYS[:4])))
+            else:
+                d.pop(key, None)
+        texts[i] = json.dumps(lines[i])
+    return "\n".join(texts) + "\n"
+
+
+def _bits(batch):
+    return [(c.dtype, c.shape, c.tobytes()) for c in columns(batch)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(well_formed=st.booleans(), data=st.data())
+def test_load_predictions_matches_reference_loader(tmp_path_factory, well_formed, data):
+    """The column loader equals the object loader: on a well-formed file
+    each image's columns are ``geom.columns`` of the objects' list bit for
+    bit, and on a malformed one both raise the same ``UsageError``."""
+    text = data.draw(_predictions_text(well_formed))
+    path = tmp_path_factory.getbasetemp() / "reference.jsonl"
+    path.write_text(text, encoding="utf-8")
+    try:
+        want = _reference_load_predictions(path)
+    except UsageError as exc:
+        with pytest.raises(UsageError) as got:
+            load_predictions(path)
+        assert str(got.value) == str(exc)
+        return
+    got = load_predictions(path)
+    assert list(got) == list(want)
+    for image_id, dets in want.items():
+        assert isinstance(got[image_id], ColumnBatch)
+        assert _bits(got[image_id]) == _bits(dets)
+
+
+def test_load_predictions_matches_reference_on_every_pair_of_faults(tmp_path):
+    """Every pair of faults from a fixed list in one detection, and pairs in
+    two detections: the first failing check decides the message, so the
+    checks must run in the object loader's order."""
+    base = {"x1": 1, "y1": 2, "x2": 5, "y2": 6, "score": 0.5, "label": 3}
+    values = [math.nan, -math.inf, 1.5, -0.1, 10**400, 2**63, 2.5, True, "1", _MISSING]
+    faults = [(key, v) for key in _KEYS for v in values] + [
+        (key, base[other]) for key in _KEYS[:4] for other in _KEYS[:4] if key != other
+    ]
+    path = tmp_path / "p.jsonl"
+
+    def same(dets):
+        path.write_text(json.dumps({"image_id": "a", "detections": dets}) + "\n",
+                        encoding="utf-8")
+        try:
+            want = _reference_load_predictions(path)
+        except UsageError as exc:
+            with pytest.raises(UsageError) as got:
+                load_predictions(path)
+            return str(got.value) == str(exc)
+        return _bits(load_predictions(path)["a"]) == _bits(want["a"])
+
+    def faulty(*changes):
+        d = {**base, **dict(changes)}
+        return {k: v for k, v in d.items() if v is not _MISSING}
+
+    for a in faults:
+        for b in faults:
+            assert same([faulty(a, b)]), (a, b)
+        for b in faults[::7]:
+            assert same([faulty(a), faulty(b)]), (a, b)
+
+
+def test_evaluate_builds_no_scored_box(tmp_path, capsys, monkeypatch):
+    """``evaluate`` reads a well-formed predictions file as columns and
+    scores them as columns: not one ``ScoredBox`` is made."""
+    from densecotrain.data import save_annotations
+
+    rec = ImageRecord(
+        "a", 100, 100,
+        (GroundTruth(Box(0, 0, 2, 2)), GroundTruth(Box(10, 10, 12, 12))),
+    )
+    gt_path, pred_path = tmp_path / "gt.csv", tmp_path / "p.jsonl"
+    save_annotations([rec], gt_path)
+    save_predictions(
+        {"a": [ScoredBox(Box(0, 0, 2, 2), 0.9), ScoredBox(Box(50, 50, 52, 52), 0.8)]},
+        pred_path,
+    )
+    made = []
+    post_init = ScoredBox.__post_init__
+
+    def counted(self):
+        made.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ScoredBox, "__post_init__", counted)
+    ScoredBox(Box(0, 0, 1, 1), 0.5)
+    assert len(made) == 1  # the wrapper sees every ScoredBox
+    assert run_cli(["evaluate", "--predictions", pred_path, "--annotations", gt_path]) == 0
+    assert json.loads(capsys.readouterr().out)["map_coco"] > 0
+    assert len(made) == 1
+
+
 def test_load_predictions_keeps_integer_labels(tmp_path):
     path = tmp_path / "p.jsonl"
     path.write_text(
@@ -461,9 +731,9 @@ def test_load_predictions_keeps_integer_labels(tmp_path):
         '{"x1": 1, "y1": 1, "x2": 5, "y2": 5, "score": 0.5}]}\n',
         encoding="utf-8",
     )
-    labels = [d.label for d in load_predictions(path)["a"]]
-    assert labels == [2, 0]
-    assert all(type(v) is int for v in labels)
+    labels = load_predictions(path)["a"].labels
+    assert labels.tolist() == [2, 0]
+    assert labels.dtype == np.int64
 
 
 def test_evaluate_unknown_image_id_exit_2(dataset_dir, tmp_path):
@@ -494,7 +764,24 @@ def test_predictions_roundtrip(tmp_path):
     path = tmp_path / "p.jsonl"
     save_predictions(preds, path)
     loaded = load_predictions(path)
-    assert loaded == {"a": [], "b": preds["b"]}
+    assert loaded == {
+        "a": ColumnBatch(*columns([])), "b": ColumnBatch(*columns(preds["b"]))
+    }
+
+
+def test_predictions_save_load_save_byte_identical(tmp_path):
+    """Saving what was loaded rewrites the file byte for byte, from column
+    batches and from scored boxes alike."""
+    preds = {
+        "b": [ScoredBox(Box(1.25, 2.5, 3.75, 4.125), 0.625, 3),
+              ScoredBox(Box(0.1, 0.2, 0.30000000000000004, 1e300), 1.0, -(2**63))],
+        "a": [],
+        "c": [ScoredBox(Box(-5e-324, -1.5, 0.0, 2.0), 0.0)],
+    }
+    first, second = tmp_path / "1.jsonl", tmp_path / "2.jsonl"
+    save_predictions(preds, first)
+    save_predictions(load_predictions(first), second)
+    assert second.read_bytes() == first.read_bytes()
 
 
 # ------------------------------------------------------------------ cotrain
@@ -672,6 +959,22 @@ def test_cotrain_config_bad_value_exit_2_before_running(
 
 
 @pytest.mark.parametrize(
+    "section, key", [("dataset", "box_w"), ("cotrain", "epsilon")]
+)
+def test_cotrain_float_key_beyond_float_range_exit_2_before_making_dir(
+    tmp_path, capsys, section, key
+):
+    """A JSON integer too large for a float: box_w exited 4 from SceneSpec,
+    and epsilon ran to the end and was echoed with its 401 digits."""
+    doc = {"seed": 0, "output_dir": str(tmp_path / "run"), section: {key: 10**400}}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli(["cotrain", "--config", cfg_path]) == 2
+    assert f"config.{section}.{key} must be float" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
     "section, key, value",
     [("dataset", "n_labeled", 40.5), (None, "seed", True)],
 )
@@ -795,6 +1098,19 @@ def test_tune_budget_one_trace(tmp_path, capsys):
     assert payload["n_evaluations"] == 1
     rows = (out / "tune_trace.csv").read_text().splitlines()
     assert len(rows) == 2  # header + exactly one data row
+
+
+def test_tune_ga_population_above_budget_writes_the_clamped_search(tmp_path):
+    """A GA population above the budget is cut off by the budget inside its
+    first generation; the files equal those of a population of the budget's
+    size, as when the population was clamped."""
+    cfg_path = tiny_config(tmp_path)
+    outs = [tmp_path / "p4", tmp_path / "p2"]
+    for out, population in zip(outs, (4, 2)):
+        assert run_cli(["tune", "--config", cfg_path, "--budget", 2,
+                        "--population", population, "--out", out]) == 0
+    for name in ("tune_trace.csv", "best_vector.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_tune_vector_reloads_and_feeds_cotrain(tmp_path):

@@ -243,6 +243,11 @@ def test_nested_params_merge_into_stock_values():
         ({"seed": 1, "dataset": {"row_range": [0, 2]}}, "dataset.row_range"),
         ({"seed": 1, "dataset": {"col_range": [2, 1]}}, "dataset.col_range"),
         ({"seed": 1, "dataset": {"col_range": [-1, 4]}}, "dataset.col_range"),
+        # a float key takes no JSON integer beyond float range: box_w failed
+        # in SceneSpec with OverflowError, and epsilon ran and was echoed
+        ({"seed": 0, "dataset": {"box_w": 10**400}}, "config.dataset.box_w must be float"),
+        ({"seed": 0, "cotrain": {"epsilon": -(10**400)}},
+         "config.cotrain.epsilon must be float"),
     ],
 )
 def test_bad_documents_raise_config_error(doc, where):

@@ -386,6 +386,18 @@ def test_dataset_n_images_validation():
         generate_synthetic_dataset(2, SceneSpec(2, 2), seed=-1)
 
 
+@pytest.mark.parametrize(
+    "ranges, name",
+    [({"row_range": (5, 3)}, "row_range"), ({"col_range": (0, 2)}, "col_range"),
+     ({"row_range": (2, 3), "col_range": (-1, 4)}, "col_range")],
+)
+def test_dataset_grid_range_validation(ranges, name):
+    """A range is checked before any scene is drawn: (5, 3) failed with
+    numpy's bare "low >= high", and a 0 only when a scene drew it."""
+    with pytest.raises(ValueError, match=rf"^{name} must be \(lo, hi\) with 1 <= lo <= hi"):
+        generate_synthetic_dataset(2, SceneSpec(3, 3), seed=0, **ranges)
+
+
 def test_mean_neighbor_iou_monotone_in_overlap():
     # statistical: mean occlusion level, averaged over seeds at each overlap
     levels = [0.0, 0.2, 0.4, 0.6]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -14,6 +13,7 @@ from hypothesis import strategies as st
 from densecotrain import geom
 from densecotrain.geom import (
     Box,
+    ColumnBatch,
     GroundTruth,
     ScoredBox,
     area,
@@ -382,8 +382,17 @@ def test_columns_rows_in_input_order():
     empty = columns([])
     assert [c.shape for c in empty] == [(0, 4), (0,), (0,)]
     # a column batch is read as it is
-    batch = SimpleNamespace(boxes=boxes, scores=scores, labels=labels)
+    batch = ColumnBatch(boxes, scores, labels)
     assert all(a is b for a, b in zip(columns(batch), (boxes, scores, labels)))
+    assert len(batch) == 2
+
+
+def test_column_batch_compares_by_value():
+    boxes, scores, labels = columns([ScoredBox(Box(1, 2, 3, 4), 0.25, 2)])
+    batch = ColumnBatch(boxes, scores, labels)
+    assert batch == ColumnBatch(boxes.copy(), scores.copy(), labels.copy())
+    assert batch != ColumnBatch(boxes, scores, labels + 1)
+    assert batch != ColumnBatch(boxes + 0.5, scores, labels)
 
 
 def test_nms_suppressed_box_suppresses_nothing():

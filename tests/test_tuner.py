@@ -225,7 +225,7 @@ def test_optimize_ga_population_one_injects_into_the_elite_slot():
 @given(
     algorithm=st.sampled_from(ALGORITHMS),
     budget_and_population=st.integers(1, 12).flatmap(
-        lambda b: st.tuples(st.just(b), st.integers(1, b))
+        lambda b: st.tuples(st.just(b), st.integers(1, b + 5))
     ),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -242,9 +242,25 @@ def test_optimize_spends_exactly_its_budget(algorithm, budget_and_population, se
     assert optimize(planted_objective(target), cfg) == rep
 
 
-def test_optimize_ga_budget_below_population_errors():
-    with pytest.raises(ValueError):
-        optimize(lambda v: 0.5, TunerConfig(algorithm="ga", budget=3, population=8))
+@settings(max_examples=40, deadline=None)
+@given(
+    budget=st.integers(1, 7), extra=st.integers(1, 5), seed=st.integers(0, 2**32 - 1)
+)
+def test_optimize_ga_budget_below_population_is_the_clamped_search(budget, extra, seed):
+    """A GA whose budget is below its population stops inside its first
+    generation, which draws its vectors in the order a population of the
+    budget's size draws them: the report equals that search's."""
+    target = random_vector(seed)
+    cut = optimize(
+        planted_objective(target),
+        TunerConfig(algorithm="ga", budget=budget, population=budget + extra, seed=seed),
+    )
+    clamped = optimize(
+        planted_objective(target),
+        TunerConfig(algorithm="ga", budget=budget, population=budget, seed=seed),
+    )
+    assert cut == clamped
+    assert cut.n_evaluations == budget
 
 
 def test_optimize_rejects_invalid_scores():

@@ -163,7 +163,7 @@ def load_predictions(path: str | Path) -> dict[str, ColumnBatch]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer beyond the digit limit
             raise UsageError(f"predictions line {line_no}: invalid JSON ({exc})")
         if not isinstance(obj, dict) or "image_id" not in obj:
             raise UsageError(f"predictions line {line_no}: missing image_id")
@@ -356,7 +356,7 @@ def cmd_split(args) -> int:
 def cmd_evaluate(args) -> int:
     records = _load_gt_csv(args.annotations)
     predictions = load_predictions(args.predictions)
-    gts = {r.image_id: list(r.gts) for r in records}
+    gts = {r.image_id: r.gts for r in records}
     unknown = sorted(set(predictions) - set(gts))
     if unknown:
         raise UsageError(

@@ -123,7 +123,7 @@ def load_config(path: str | Path) -> RunConfig:
     text = Path(path).read_text(encoding="utf-8")
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer beyond the digit limit
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return config_from_dict(doc)
 

@@ -272,7 +272,7 @@ def _reports(
     merge_nms_iou: float,
 ) -> tuple[EvalReport, EvalReport, EvalReport]:
     """Reports of both views' verified detections and of their merge."""
-    gts = {r.image_id: list(r.gts) for r in records}
+    gts = {r.image_id: r.gts for r in records}
     dc = merge_views(dets_a, dets_b, merge_nms_iou)
     return tuple(mean_average_precision(d.by_image(), gts) for d in (dets_a, dets_b, dc))
 
@@ -350,7 +350,7 @@ def round_zero_data(
     dets = [detect(rec, skill, params, profile, seed) for rec in train_records]
     _, (matched,) = greedy_match_groups(
         [(d.boxes, d.scores, d.labels) for d in dets],
-        [(r.gt_boxes, r.gt_labels) for r in train_records],
+        [(r.gts.boxes, r.gts.labels) for r in train_records],
         (0.5,),
     )
     if not len(matched):
@@ -614,7 +614,7 @@ def load_checkpoint(
     entry, was written by another run and is refused after."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer beyond the digit limit, or not UTF-8
         raise ValueError(f"{path}: not JSON ({exc}); cannot resume") from exc
     version = doc.get("checkpoint_version") if isinstance(doc, dict) else None
     if version != CHECKPOINT_VERSION:

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geom import Box, GroundTruth, corners, iou_pairs
+from .geom import GroundTruths, gt_columns, iou_pairs
 
 LABEL_NAMES: dict[int, str] = {0: "object"}
 CSV_COLUMNS: tuple[str, ...] = (
@@ -43,22 +43,22 @@ class AnnotationError(ValueError):
 class ImageRecord:
     """One image's annotations.
 
-    The record computes its GTs' corners ``gt_boxes[n, 4]`` and integer
-    ``gt_labels[n]`` once, as read-only arrays left out of equality and
-    hashing, and from the corners the per-GT tuple ``occlusion``
-    (``occlusion_levels``: max IoU with any other box).  Whether a record
-    is labeled or pool is decided by the ``DatasetSplit`` it falls in;
-    pool records keep their GTs only for audits.
+    ``gts`` may be given as ``GroundTruth`` objects or as a
+    ``GroundTruths`` batch and is held as the batch; each GT must be a
+    finite box with ``x2 > x1`` and ``y2 > y1`` inside the image.  The
+    per-GT ``occlusion`` (``occlusion_levels``: max IoU with any other box)
+    is a read-only array computed from the boxes, so it is left out of
+    equality and hashing.  Whether a record is labeled or pool is decided
+    by the ``DatasetSplit`` it falls in; pool records keep their GTs only
+    for audits.
     """
 
     image_id: str
     width: int
     height: int
-    gts: tuple[GroundTruth, ...]
+    gts: GroundTruths
     labeled: bool = True
-    occlusion: tuple[float, ...] = field(init=False)
-    gt_boxes: np.ndarray = field(init=False, compare=False, repr=False)
-    gt_labels: np.ndarray = field(init=False, compare=False, repr=False)
+    occlusion: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.width <= 0 or self.height <= 0:
@@ -66,19 +66,29 @@ class ImageRecord:
                 f"{self.image_id}: image dims must be positive, "
                 f"got {self.width}x{self.height}"
             )
-        for g in self.gts:
-            b = g.box
-            if b.x1 < 0 or b.y1 < 0 or b.x2 > self.width or b.y2 > self.height:
-                raise ValueError(
-                    f"{self.image_id}: GT box {b.as_tuple()} outside "
-                    f"[0,{self.width}]x[0,{self.height}]"
-                )
-        boxes = corners([g.box for g in self.gts])
-        labels = np.array([g.label for g in self.gts], dtype=np.int64)
-        boxes.flags.writeable = labels.flags.writeable = False
-        object.__setattr__(self, "gt_boxes", boxes)
-        object.__setattr__(self, "gt_labels", labels)
-        object.__setattr__(self, "occlusion", occlusion_levels(boxes))
+        gts = gt_columns(self.gts)
+        b = gts.boxes
+        if b.ndim != 2 or b.shape[1] != 4 or gts.labels.shape != (len(b),):
+            raise ValueError(
+                f"{self.image_id}: GT columns must be boxes (n, 4) and labels (n,), "
+                f"got {b.shape} and {gts.labels.shape}"
+            )
+        # a NaN fails every comparison, and an inf one of the bounds
+        x1, y1, x2, y2 = b.T
+        ok = (x1 >= 0) & (y1 >= 0) & (x2 <= self.width) & (y2 <= self.height)
+        ok &= (x2 > x1) & (y2 > y1)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            box = tuple(b[i].tolist())
+            why = (
+                "is not finite" if not np.isfinite(b[i]).all()
+                else "is degenerate: need x2 > x1 and y2 > y1"
+                if not (box[2] > box[0] and box[3] > box[1])
+                else f"outside [0,{self.width}]x[0,{self.height}]"
+            )
+            raise ValueError(f"{self.image_id}: GT {i} box {box} {why}")
+        object.__setattr__(self, "gts", gts)
+        object.__setattr__(self, "occlusion", occlusion_levels(b))
 
 
 @dataclass(frozen=True)
@@ -121,20 +131,19 @@ class SceneSpec:
             )
 
 
-def occlusion_levels(c: np.ndarray) -> tuple[float, ...]:
+def occlusion_levels(c: np.ndarray) -> np.ndarray:
     """Per-box max IoU with any other box (0.0 for a lone box), of the
-    boxes with corners ``c[n, 4]``."""
-    n = len(c)
-    if n <= 1:
-        return (0.0,) * n
+    boxes with corners ``c[n, 4]``, as a read-only array."""
     m = iou_pairs(c[:, None, :], c[None, :, :])
     np.fill_diagonal(m, 0.0)
-    return tuple(float(v) for v in m.max(axis=1))
+    out = m.max(axis=1, initial=0.0)
+    out.flags.writeable = False
+    return out
 
 
 def _parse_row(
     row: list[str], line_no: int
-) -> tuple[str, Box, str, int, int] | None:
+) -> tuple[str, tuple[float, float, float, float], str, int, int] | None:
     if len(row) != 8:
         raise AnnotationError(
             f"line {line_no}: expected 8 fields "
@@ -186,7 +195,7 @@ def _parse_row(
             f"({cx1},{cy1},{cx2},{cy2}); row rejected"
         )
         return None
-    return name, Box(cx1, cy1, cx2, cy2), cls, w, h
+    return name, (cx1, cy1, cx2, cy2), cls, w, h
 
 
 def _label_id(name: str, label_ids: dict[str, int], line_no: int) -> int:
@@ -243,20 +252,19 @@ def load_annotations(path: str | Path) -> list[ImageRecord]:
             name, box, cls, w, h = parsed
             label = _label_id(cls, label_ids, line_no)
             entry = by_image.setdefault(
-                name, {"width": w, "height": h, "gts": []}
+                name, {"width": w, "height": h, "boxes": [], "labels": []}
             )
             if entry["width"] != w or entry["height"] != h:
                 raise AnnotationError(
                     f"line {line_no}: image {name} has conflicting dims "
                     f"{w}x{h} vs {entry['width']}x{entry['height']}"
                 )
-            entry["gts"].append(GroundTruth(box, label))
-    records = []
-    for name, entry in by_image.items():
-        records.append(
-            ImageRecord(name, entry["width"], entry["height"], tuple(entry["gts"]))
-        )
-    return records
+            entry["boxes"].append(box)
+            entry["labels"].append(label)
+    return [
+        ImageRecord(name, e["width"], e["height"], GroundTruths(e["boxes"], e["labels"]))
+        for name, e in by_image.items()
+    ]
 
 
 def save_annotations(records: Iterable[ImageRecord], path: str | Path) -> None:
@@ -265,12 +273,10 @@ def save_annotations(records: Iterable[ImageRecord], path: str | Path) -> None:
         w = csv.writer(fh)
         w.writerow(CSV_COLUMNS)
         for rec in records:
-            for g in rec.gts:
+            for box, label in zip(rec.gts.boxes.tolist(), rec.gts.labels.tolist()):
                 w.writerow(
-                    [rec.image_id, repr(g.box.x1), repr(g.box.y1),
-                     repr(g.box.x2), repr(g.box.y2),
-                     LABEL_NAMES.get(g.label, f"class_{g.label}"),
-                     rec.width, rec.height]
+                    [rec.image_id, *map(repr, box),
+                     LABEL_NAMES.get(label, f"class_{label}"), rec.width, rec.height]
                 )
 
 
@@ -341,22 +347,17 @@ def generate_synthetic_scene(
     width = int(math.ceil(2 * margin_x + pitch_x * (spec.grid_cols - 1) + spec.box_w))
     height = int(math.ceil(2 * margin_y + pitch_y * (spec.grid_rows - 1) + spec.box_h))
     rng = np.random.default_rng(spec.seed)
-    boxes: list[GroundTruth] = []
-    for r in range(spec.grid_rows):
-        for c in range(spec.grid_cols):
-            x = margin_x + c * pitch_x
-            y = margin_y + r * pitch_y
-            if spec.jitter > 0:
-                x += rng.normal(0.0, spec.jitter)
-                y += rng.normal(0.0, spec.jitter)
-            x = min(max(x, 0.0), width - spec.box_w)
-            y = min(max(y, 0.0), height - spec.box_h)
-            boxes.append(GroundTruth(Box(x, y, x + spec.box_w, y + spec.box_h)))
+    r, c = np.divmod(np.arange(spec.grid_rows * spec.grid_cols), spec.grid_cols)
+    xy = np.stack([margin_x + c * pitch_x, margin_y + r * pitch_y], axis=1)
+    if spec.jitter > 0:  # each box's x then y draw, boxes row by row
+        xy += rng.normal(0.0, spec.jitter, xy.shape)
+    xy = np.minimum(np.maximum(xy, 0.0), [width - spec.box_w, height - spec.box_h])
+    boxes = np.concatenate([xy, xy + [spec.box_w, spec.box_h]], axis=1)
     return ImageRecord(
         image_id=image_id or f"synth-{spec.seed:08x}",
         width=width,
         height=height,
-        gts=tuple(boxes),
+        gts=GroundTruths(boxes, np.zeros(len(boxes), dtype=np.int64)),
     )
 
 

@@ -237,10 +237,9 @@ def training_effort(params: DetectorParams, profile: DetectorProfile) -> float:
 
 def size_regime(records: Sequence[ImageRecord]) -> str:
     """Scene box-size regime from the median GT box geometric mean size."""
-    sizes = [
-        math.sqrt(g.box.width * g.box.height) for r in records for g in r.gts
-    ]
-    if not sizes:
+    b = np.concatenate([np.empty((0, 4)), *(r.gts.boxes for r in records)])
+    sizes = np.sqrt((b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1]))
+    if not len(sizes):
         return "medium"
     med = float(np.median(sizes))
     if med < 40.0:
@@ -421,8 +420,8 @@ def detect_batch(
         rng = np.random.default_rng(
             derive_seed("detect", profile.name, seed, record.image_id)
         )
-        gt_boxes = record.gt_boxes
-        eff = skill.effective_recall(np.asarray(record.occlusion, dtype=float))
+        gt_boxes = record.gts.boxes
+        eff = skill.effective_recall(record.occlusion)
         hashes = _difficulty(profile.name, record.image_id, len(gt_boxes))
         idx, b, d = _emitted_rows(
             record, gt_boxes, np.flatnonzero(hashes < eff), skill.jitter_sigma, rng
@@ -430,7 +429,7 @@ def detect_batch(
         boxes.append(b)
         sources.append(gt_boxes[idx])
         draws.append(d)
-        labels.append(record.gt_labels[idx])
+        labels.append(record.gts.labels[idx])
         groups += [k] * len(idx)
         if skill.fp_rate > 0:
             if len(gt_boxes):  # np.mean's sum over the count, bit for bit, at less cost
@@ -535,10 +534,10 @@ def audit_pseudo_labels(
     recs = [records_by_id[img] for img in ids]
     cols = [columns(pseudo_by_image[img]) for img in ids]
     _, (matched,) = greedy_match_groups(
-        cols, [(r.gt_boxes, r.gt_labels) for r in recs], (AUDIT_MATCH_IOU,)
+        cols, [(r.gts.boxes, r.gts.labels) for r in recs], (AUDIT_MATCH_IOU,)
     )
     # per GT row, plus one padding entry that unmatched labels (-1) read
-    occ = np.concatenate([*(np.asarray(r.occlusion, dtype=float) for r in recs), [0.0]])
+    occ = np.concatenate([*(r.occlusion for r in recs), [0.0]])
     missed = np.concatenate([  # the GTs the receiver's own detector misses
         *(_difficulty(receiver_profile.name, r.image_id, len(r.occlusion)) for r in recs),
         [0.0],
@@ -548,7 +547,7 @@ def audit_pseudo_labels(
     precise = correct.copy()
     precise[correct] = iou_pairs(
         np.concatenate([c[0] for c in cols])[correct],
-        np.concatenate([r.gt_boxes for r in recs])[matched[correct]],
+        np.concatenate([r.gts.boxes for r in recs])[matched[correct]],
     ) >= AUDIT_PRECISE_IOU
     flags = np.stack([
         correct, novel, novel & (occ[matched] >= AUDIT_OCCLUSION_MIN), precise
@@ -632,4 +631,4 @@ def retrain(
 
 def count_occluded(records: Sequence[ImageRecord]) -> int:
     """GT boxes whose recorded occlusion is at least ``AUDIT_OCCLUSION_MIN``."""
-    return sum(1 for r in records for v in r.occlusion if v >= AUDIT_OCCLUSION_MIN)
+    return sum(int(np.count_nonzero(r.occlusion >= AUDIT_OCCLUSION_MIN)) for r in records)

@@ -8,6 +8,8 @@ Conventions (fixed so every metric and filter above this layer is exact):
 * Detections have one column form, ``ColumnBatch``, which
   ``detectors.Detections`` extends and the predictions file is read into;
   ``columns`` reads it as it is and is the one converter from objects.
+  Ground truth has one, ``GroundTruths``, which every ``ImageRecord``
+  holds; ``gt_columns`` is its converter from objects.
 * ``iou_pairs`` is the kernel every batch of boxes goes through (NMS,
   matching, occlusion levels, a detector's jittered boxes against their
   sources): pairs of corner rows, broadcast.  It runs the same float
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -151,6 +153,43 @@ def columns(
         np.array([d.score for d in dets], dtype=float),
         np.array([d.label for d in dets], dtype=np.int64),
     )
+
+
+@dataclass(frozen=True, eq=False)
+class GroundTruths:
+    """Ground truths as columns, row i being one: read-only ``boxes[n, 4]``
+    corners (x1, y1, x2, y2) and int64 ``labels[n]``.  Batches compare by
+    value, as ``ColumnBatch`` does, and hash by value."""
+
+    boxes: np.ndarray
+    labels: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name, dtype in (("boxes", float), ("labels", np.int64)):
+            a = np.asarray(getattr(self, name), dtype=dtype)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+
+    __eq__ = ColumnBatch.__eq__
+
+    def __hash__(self) -> int:
+        # hash(-0.0) == hash(0.0), as array_equal has it
+        return hash((tuple(self.boxes.ravel().tolist()), tuple(self.labels.tolist())))
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __iter__(self) -> Iterator[GroundTruth]:
+        """The rows as ``GroundTruth`` objects, built on demand."""
+        for box, label in zip(self.boxes.tolist(), self.labels.tolist()):
+            yield GroundTruth(Box(*box), label)
+
+
+def gt_columns(gts: GroundTruths | Sequence[GroundTruth]) -> GroundTruths:
+    """A column batch of ground truths as it is, or ground truths' columns."""
+    if isinstance(gts, GroundTruths):
+        return gts
+    return GroundTruths(corners([g.box for g in gts]), [g.label for g in gts])
 
 
 def _areas(c: np.ndarray) -> np.ndarray:

@@ -34,7 +34,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .geom import (
-    ColumnBatch, GroundTruth, ScoredBox, columns, corners, iou_pairs, padded, size_blocks,
+    ColumnBatch, GroundTruth, GroundTruths, ScoredBox, columns, gt_columns, iou_pairs, padded,
+    size_blocks,
 )
 
 COCO_THRESHOLDS: tuple[float, ...] = tuple(i / 100 for i in range(50, 100, 5))
@@ -185,13 +186,9 @@ def _greedy_walk(
     return matched
 
 
-def _gt_columns(gts: Sequence[GroundTruth]) -> tuple[np.ndarray, np.ndarray]:
-    return corners([g.box for g in gts]), np.array([g.label for g in gts], dtype=np.int64)
-
-
 def match_detections(
     dets: ColumnBatch | Sequence[ScoredBox],
-    gts: Sequence[GroundTruth],
+    gts: GroundTruths | Sequence[GroundTruth],
     t: float,
 ) -> MatchResult:
     """Greedy per-image matching at IoU threshold ``t``: one group of
@@ -204,11 +201,11 @@ def match_detections(
     """
     if not (0.0 < t <= 1.0):
         raise ValueError(f"IoU threshold must be in (0, 1], got {t!r}")
-    cols, gt_cols = columns(dets), _gt_columns(gts)
-    _, (matched,) = greedy_match_groups([cols], [gt_cols], (t,))
+    cols, gts = columns(dets), gt_columns(gts)
+    _, (matched,) = greedy_match_groups([cols], [(gts.boxes, gts.labels)], (t,))
     hit = matched >= 0
     ious = np.zeros(len(matched))
-    ious[hit] = iou_pairs(cols[0][hit], gt_cols[0][matched[hit]])
+    ious[hit] = iou_pairs(cols[0][hit], gts.boxes[matched[hit]])
     gt_matched = np.zeros(len(gts), dtype=bool)
     gt_matched[matched[hit]] = True
     return MatchResult(
@@ -221,7 +218,7 @@ def match_detections(
 
 def _dataset_passes(
     dets_by_image: Mapping[str, ColumnBatch | Sequence[ScoredBox]],
-    gts_by_image: Mapping[str, Sequence[GroundTruth]],
+    gts_by_image: Mapping[str, GroundTruths | Sequence[GroundTruth]],
     thresholds: Sequence[float],
     k: int,
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -234,8 +231,8 @@ def _dataset_passes(
     top-k detections.  Images without detections match nothing.
     """
     cols = [columns(d) for d in dets_by_image.values()]
-    gts = [_gt_columns(gts_by_image.get(img, ())) for img in dets_by_image]
-    rank, matched = greedy_match_groups(cols, gts, thresholds)
+    gts = [gt_columns(gts_by_image.get(img, ())) for img in dets_by_image]
+    rank, matched = greedy_match_groups(cols, [(g.boxes, g.labels) for g in gts], thresholds)
     tp = matched >= 0
     scores = np.concatenate([np.empty(0), *(c[1] for c in cols)])
     return scores, tp, np.count_nonzero(tp & (rank < k), axis=1).tolist()
@@ -274,7 +271,7 @@ def _zero_gt_outcome(n_det: int, what: str) -> float | None:
     return None
 
 
-def _n_gt(gts_by_image: Mapping[str, Sequence[GroundTruth]]) -> int:
+def _n_gt(gts_by_image: Mapping[str, GroundTruths | Sequence[GroundTruth]]) -> int:
     return sum(len(v) for v in gts_by_image.values())
 
 
@@ -291,7 +288,7 @@ def _ranked(scores: np.ndarray, tp: np.ndarray) -> np.ndarray:
 
 def average_precision(
     dets_by_image: Mapping[str, ColumnBatch | Sequence[ScoredBox]],
-    gts_by_image: Mapping[str, Sequence[GroundTruth]],
+    gts_by_image: Mapping[str, GroundTruths | Sequence[GroundTruth]],
     t: float,
 ) -> float | None:
     """101-point interpolated AP at one IoU threshold over a dataset.
@@ -312,7 +309,7 @@ def average_precision(
 
 def mean_average_precision(
     dets_by_image: Mapping[str, ColumnBatch | Sequence[ScoredBox]],
-    gts_by_image: Mapping[str, Sequence[GroundTruth]],
+    gts_by_image: Mapping[str, GroundTruths | Sequence[GroundTruth]],
 ) -> EvalReport:
     """Full COCO-style report: per-threshold AP, their mean, AP.75, AR@300.
 
@@ -344,7 +341,7 @@ def mean_average_precision(
 
 def average_recall_at(
     dets_by_image: Mapping[str, ColumnBatch | Sequence[ScoredBox]],
-    gts_by_image: Mapping[str, Sequence[GroundTruth]],
+    gts_by_image: Mapping[str, GroundTruths | Sequence[GroundTruth]],
     k: int = AR_MAX_DETS,
 ) -> float | None:
     """AR@k: match each image's top-k detections by score, then average
@@ -362,7 +359,7 @@ def average_recall_at(
 
 def brute_force_ap_oracle(
     dets_by_image: Mapping[str, Sequence[ScoredBox]],
-    gts_by_image: Mapping[str, Sequence[GroundTruth]],
+    gts_by_image: Mapping[str, GroundTruths | Sequence[GroundTruth]],
     t: float,
 ) -> float | None:
     """Independent AP computation for tests: explicit loops, no shared code.

@@ -52,7 +52,7 @@ def load_run_report(run_dir: str | Path) -> dict:
     path = Path(run_dir) / REPORT_FILENAME
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer beyond the digit limit, or not UTF-8
         raise ValueError(f"{path}: not JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: a report is a JSON object, got {type(doc).__name__}")

@@ -499,7 +499,7 @@ def make_supervised_objective(
     data_memo, verified_memo = {}, {}
     for name, profile, _ in view_specs(base_config):
         data_memo[name], verified_memo[name] = view_memos(name, profile)
-    val_gts = {i: list(records_by_id[i].gts) for i in split.val}
+    val_gts = {i: records_by_id[i].gts for i in split.val}
 
     def objective(v: HyperVector) -> float:
         ens, loc, ctx = vector_to_params(v)

@@ -723,6 +723,32 @@ def test_evaluate_builds_no_scored_box(tmp_path, capsys, monkeypatch):
     assert len(made) == 1
 
 
+def test_cotrain_and_evaluate_build_no_ground_truth_objects(tmp_path, capsys, monkeypatch):
+    """Ground truth stays columns from the source to the metrics: scene
+    generation, a ``cotrain`` run, the annotation file and ``evaluate``
+    build no ``GroundTruth``."""
+    pred_path = tmp_path / "p.jsonl"
+    save_predictions({"synth-00000": [ScoredBox(Box(10, 10, 58, 74), 0.9)]}, pred_path)
+    built = []
+    init = GroundTruth.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GroundTruth, "__init__", counting)
+    GroundTruth(Box(0, 0, 1, 1))
+    assert built == [1]  # the wrapper sees every GroundTruth
+    assert run_cli(["cotrain", "--config", tiny_config(tmp_path)]) == 0
+    assert run_cli(["synth-gen", "--images", 3, "--rows", 3, "--cols", 4,
+                    "--seed", 7, "--out", tmp_path / "ds"]) == 0
+    capsys.readouterr()
+    assert run_cli(["evaluate", "--predictions", pred_path,
+                    "--annotations", tmp_path / "ds" / "annotations.csv"]) == 0
+    assert json.loads(capsys.readouterr().out)["map_coco"] >= 0
+    assert built == [1]
+
+
 def test_load_predictions_keeps_integer_labels(tmp_path):
     path = tmp_path / "p.jsonl"
     path.write_text(
@@ -999,6 +1025,35 @@ def test_cotrain_config_invalid_json_exit_2(tmp_path):
     assert run_cli(["cotrain", "--config", path]) == 2
 
 
+@pytest.mark.parametrize("reader", ["predictions", "config"])
+def test_integer_beyond_json_digit_limit_exit_2_naming_where(
+    dataset_dir, tmp_path, capsys, reader
+):
+    """json refuses an integer of more than 4,300 digits with a plain
+    ``ValueError``, not a ``JSONDecodeError``: the error still names the
+    predictions line or the config file."""
+    huge = "9" * 5001
+    path = tmp_path / "input"
+    if reader == "predictions":
+        path.write_text(
+            '{"image_id": "synth-00000", "detections": []}\n'
+            f'{{"image_id": "synth-00001", "detections": [{{"x1": 0, "y1": 0, "x2": {huge}, '
+            '"y2": 5, "score": 0.5}]}\n',
+            encoding="utf-8",
+        )
+        argv = ["evaluate", "--predictions", path,
+                "--annotations", dataset_dir / "annotations.csv"]
+        named = "predictions line 2: invalid JSON"
+    else:
+        path.write_text(f'{{"seed": 0, "dataset": {{"box_w": {huge}}}}}', encoding="utf-8")
+        argv = ["cotrain", "--config", path]
+        named = f"config {path} is not valid JSON"
+    capsys.readouterr()
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert named in err and "4300" in err
+
+
 def test_cotrain_missing_config_file_exit_3(tmp_path):
     assert run_cli(["cotrain", "--config", tmp_path / "absent.json"]) == 3
 
@@ -1227,10 +1282,11 @@ _REPORT = {
          "report_b must be an object whose map_coco"),
         (json.dumps(_REPORT)[:40], "not JSON"),
         ({**_REPORT, "history": []}, "history is empty"),
+        ('{"artifact_version": ' + "9" * 5001 + "}", "not JSON"),
     ],
     ids=["list", "version-only", "no-combined", "section-not-an-object",
          "history-entry-not-an-object", "metric-not-a-number", "truncated",
-         "empty-history"],
+         "empty-history", "integer-beyond-digit-limit"],
 )
 def test_report_malformed_exit_2(tmp_path, capsys, doc, named):
     # an AttributeError, a KeyError and a TypeError once made these exit 4;

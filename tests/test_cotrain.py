@@ -792,10 +792,13 @@ def test_resume_continues_the_last_run_into_a_reused_run_dir(small_data, tmp_pat
         lambda doc: {**doc, "skills": [[1, 2], *doc["skills"][1:]]},
         lambda doc: {**doc, "skills": [doc["skills"][0][:1], *doc["skills"][1:]]},
         lambda doc: {**doc, "history": [1, *doc["history"][1:]]},
+        # json refuses an integer past its digit limit with a plain ValueError
+        lambda doc: '{"checkpoint_version": ' + "9" * 5001 + "}",
     ],
     ids=[
         "history", "skills", "no-round", "skills-not-a-list", "version-only", "list",
         "truncated", "skill-not-an-object", "one-skill", "history-entry-not-an-object",
+        "integer-beyond-digit-limit",
     ],
 )
 def test_checkpoint_rejects_inconsistent_lengths(

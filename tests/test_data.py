@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import warnings
 from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from densecotrain.data import (
     AnnotationError,
@@ -23,7 +27,7 @@ from densecotrain.data import (
     write_manifest,
 )
 from densecotrain.codec import from_dict
-from densecotrain.geom import Box, GroundTruth, corners, iou
+from densecotrain.geom import Box, GroundTruth, GroundTruths, corners, iou
 
 
 def _write(tmp_path, text, name="ann.csv"):
@@ -40,8 +44,9 @@ def test_load_single_row(tmp_path):
     assert r.image_id == "img_001.jpg"
     assert r.width == 1000 and r.height == 1000
     assert len(r.gts) == 1
-    assert r.gts[0].box.as_tuple() == (10.0, 20.0, 110.0, 220.0)
-    assert r.gts[0].label == 0
+    (g,) = r.gts
+    assert g.box.as_tuple() == (10.0, 20.0, 110.0, 220.0)
+    assert g.label == 0
     assert r.labeled
 
 
@@ -108,7 +113,7 @@ def test_load_clamps_with_warning(tmp_path):
     p = _write(tmp_path, "a.jpg,-5,0,7,12,object,10,10\n")
     with pytest.warns(UserWarning, match="clamped"):
         recs = load_annotations(p)
-    assert recs[0].gts[0].box.as_tuple() == (0.0, 0.0, 7.0, 10.0)
+    assert recs[0].gts.boxes.tolist() == [[0.0, 0.0, 7.0, 10.0]]
 
 
 def test_load_clamped_coordinates_stay_floats(tmp_path):
@@ -116,7 +121,7 @@ def test_load_clamped_coordinates_stay_floats(tmp_path):
     p = _write(tmp_path, "b,10,10,200,30,object,100,100\n")
     with pytest.warns(UserWarning, match="clamped"):
         recs = load_annotations(p)
-    box = recs[0].gts[0].box
+    (box,) = (g.box for g in recs[0].gts)
     assert box.as_tuple() == (10.0, 10.0, 100.0, 30.0)
     assert all(type(v) is float for v in box.as_tuple())
 
@@ -304,8 +309,9 @@ def test_scene_grid_count():
 
 def test_scene_disjoint_when_no_overlap():
     rec = generate_synthetic_scene(SceneSpec(4, 5, jitter=0.0, overlap_factor=0.0, seed=1))
-    for i, a in enumerate(rec.gts):
-        for b in rec.gts[i + 1:]:
+    gts = list(rec.gts)
+    for i, a in enumerate(gts):
+        for b in gts[i + 1:]:
             assert iou(a.box, b.box) == 0.0
     assert all(o == 0.0 for o in rec.occlusion)
 
@@ -314,7 +320,7 @@ def test_scene_overlap_factor_induces_overlap():
     rec = generate_synthetic_scene(SceneSpec(3, 3, jitter=0.0, overlap_factor=0.4, seed=1))
     assert min(rec.occlusion) > 0.0
     # horizontal neighbors share 0.4*w, IoU = 0.4/(2-0.4)
-    a, b = rec.gts[0].box, rec.gts[1].box
+    a, b = (g.box for g in list(rec.gts)[:2])
     assert iou(a, b) == pytest.approx(0.4 / 1.6, abs=1e-9)
 
 
@@ -417,7 +423,8 @@ def test_mean_neighbor_iou_monotone_in_overlap():
 
 
 def test_occlusion_levels_lone_box():
-    assert occlusion_levels(corners([Box(0, 0, 1, 1)])) == (0.0,)
+    assert occlusion_levels(corners([Box(0, 0, 1, 1)])).tolist() == [0.0]
+    assert occlusion_levels(np.empty((0, 4))).shape == (0,)
 
 
 def test_record_built_without_occlusion_carries_its_levels():
@@ -427,31 +434,36 @@ def test_record_built_without_occlusion_carries_its_levels():
         GroundTruth(Box(40, 40, 50, 50)),
     )
     rec = ImageRecord("x", 60, 60, gts)
-    assert rec.occlusion == occlusion_levels(corners([g.box for g in gts]))
+    assert np.array_equal(rec.occlusion, occlusion_levels(corners([g.box for g in gts])))
     assert rec.occlusion[0] == pytest.approx(1 / 3) and rec.occlusion[2] == 0.0
-    assert ImageRecord("empty", 10, 10, ()).occlusion == ()
+    assert ImageRecord("empty", 10, 10, ()).occlusion.shape == (0,)
 
 
 def test_record_gt_arrays_are_read_only_and_outside_equality():
     gts = (GroundTruth(Box(0, 0, 10, 10)), GroundTruth(Box(5, 0, 15, 10.5), 2))
     rec = ImageRecord("x", 60, 60, gts)
-    assert rec.gt_boxes.tolist() == [[0, 0, 10, 10], [5, 0, 15, 10.5]]
-    assert rec.gt_boxes.dtype == float and rec.gt_labels.dtype == np.int64
-    assert rec.gt_labels.tolist() == [0, 2]
-    for a in (rec.gt_boxes, rec.gt_labels):
+    assert isinstance(rec.gts, GroundTruths) and list(rec.gts) == list(gts)
+    assert rec.gts.boxes.tolist() == [[0, 0, 10, 10], [5, 0, 15, 10.5]]
+    assert rec.gts.boxes.dtype == float and rec.gts.labels.dtype == np.int64
+    assert rec.gts.labels.tolist() == [0, 2]
+    for a in (rec.gts.boxes, rec.gts.labels, rec.occlusion):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1
     empty = ImageRecord("e", 10, 10, ())
-    assert empty.gt_boxes.shape == (0, 4) and empty.gt_labels.shape == (0,)
-    # equality and hashing read the same fields as before the arrays
-    key = (rec.image_id, rec.width, rec.height, rec.gts, rec.labeled, rec.occlusion)
+    assert empty.gts.boxes.shape == (0, 4) and empty.gts.labels.shape == (0,)
+    # equality and hashing read the GT columns by value; the occlusion
+    # levels are a function of the boxes, so they are left out
+    key = (rec.image_id, rec.width, rec.height, rec.gts, rec.labeled)
     assert hash(rec) == hash(key)
     assert [f.name for f in fields(rec) if f.compare] == [
-        "image_id", "width", "height", "gts", "labeled", "occlusion"
+        "image_id", "width", "height", "gts", "labeled"
     ]
     twin = ImageRecord("x", 60, 60, tuple(gts))
-    assert twin == rec and hash(twin) == hash(rec) and twin.gt_boxes is not rec.gt_boxes
+    assert twin == rec and hash(twin) == hash(rec) and twin.gts.boxes is not rec.gts.boxes
+    assert np.array_equal(twin.occlusion, rec.occlusion)
     assert ImageRecord("x", 60, 60, gts[:1]) != rec
+    assert ImageRecord("x", 60, 60, (gts[0], GroundTruth(gts[1].box, 1))) != rec
+    assert ImageRecord("x", 60, 60, rec.gts).gts is rec.gts  # a batch is held as it is
 
 
 def test_image_record_validates_bounds():
@@ -459,6 +471,118 @@ def test_image_record_validates_bounds():
         ImageRecord("x", 10, 10, (GroundTruth(Box(5, 5, 15, 9)),))
     with pytest.raises(ValueError, match="positive"):
         ImageRecord("x", 0, 10, ())
+
+
+_OK = [1.0, 1.0, 5.0, 5.0]
+
+
+@pytest.mark.parametrize(
+    "boxes, labels, message",
+    [
+        ([_OK, [math.nan, 1, 5, 5]], [0, 0], "GT 1 box (nan, 1.0, 5.0, 5.0) is not finite"),
+        ([[1, 1, 5, math.nan]], [0], "GT 0 box (1.0, 1.0, 5.0, nan) is not finite"),
+        ([[1, 1, math.inf, 5]], [0], "GT 0 box (1.0, 1.0, inf, 5.0) is not finite"),
+        ([[-math.inf, 1, 5, 5]], [0], "GT 0 box (-inf, 1.0, 5.0, 5.0) is not finite"),
+        ([_OK, [5, 1, 5, 5]], [0, 0], "GT 1 box (5.0, 1.0, 5.0, 5.0) is degenerate"),
+        ([[1, 5, 5, 4]], [0], "GT 0 box (1.0, 5.0, 5.0, 4.0) is degenerate"),
+        ([_OK, _OK, [1, 1, 12, 5], [1, 1, 0, 5]], [0] * 4,
+         "GT 2 box (1.0, 1.0, 12.0, 5.0) outside [0,10]x[0,10]"),
+        ([[-1, 1, 5, 5]], [0], "GT 0 box (-1.0, 1.0, 5.0, 5.0) outside [0,10]x[0,10]"),
+        ([[1, 1, 5, 10.5]], [0], "GT 0 box (1.0, 1.0, 5.0, 10.5) outside [0,10]x[0,10]"),
+        (_OK, [0], "GT columns must be boxes (n, 4) and labels (n,), got (4,) and (1,)"),
+        ([[1, 1, 5]], [0], "GT columns must be boxes (n, 4) and labels (n,), got (1, 3)"),
+        ([_OK], [0, 0], "GT columns must be boxes (n, 4) and labels (n,), got (1, 4) and (2,)"),
+        ([_OK], [[0]], "GT columns must be boxes (n, 4) and labels (n,), got (1, 4) and (1, 1)"),
+    ],
+    ids=["nan-x1", "nan-y2", "inf-x2", "minus-inf-x1", "x2-equals-x1", "y2-below-y1",
+         "first-of-two-outside", "x1-negative", "y2-beyond-height", "flat-boxes",
+         "three-corners", "labels-too-long", "labels-2d"],
+)
+def test_image_record_refuses_bad_gt_columns(boxes, labels, message):
+    """A ``GroundTruths`` given to a record skips ``Box``'s checks, so the
+    record's own check refuses each bad GT, naming the image and the first."""
+    gts = GroundTruths(np.array(boxes, dtype=float), np.array(labels))
+    with pytest.raises(ValueError, match="^" + re.escape(f"im: {message}")):
+        ImageRecord("im", 10, 10, gts)
+
+
+def _reference_scene(spec: SceneSpec, image_id: str) -> ImageRecord:
+    """The scalar scene loop: each GT's two normal draws, its clamp and its
+    ``Box`` and ``GroundTruth``, the record built from the objects."""
+    pitch_x = spec.box_w * (1.0 - spec.overlap_factor)
+    pitch_y = spec.box_h * (1.0 - spec.overlap_factor)
+    margin_x = spec.box_w * 0.5 + 4.0 * spec.jitter
+    margin_y = spec.box_h * 0.5 + 4.0 * spec.jitter
+    width = int(math.ceil(2 * margin_x + pitch_x * (spec.grid_cols - 1) + spec.box_w))
+    height = int(math.ceil(2 * margin_y + pitch_y * (spec.grid_rows - 1) + spec.box_h))
+    rng = np.random.default_rng(spec.seed)
+    gts = []
+    for r in range(spec.grid_rows):
+        for c in range(spec.grid_cols):
+            x = margin_x + c * pitch_x
+            y = margin_y + r * pitch_y
+            if spec.jitter > 0:
+                x += rng.normal(0.0, spec.jitter)
+                y += rng.normal(0.0, spec.jitter)
+            x = min(max(x, 0.0), width - spec.box_w)
+            y = min(max(y, 0.0), height - spec.box_h)
+            gts.append(GroundTruth(Box(x, y, x + spec.box_w, y + spec.box_h)))
+    return ImageRecord(image_id, width, height, tuple(gts))
+
+
+def _same_bits(a: ImageRecord, b: ImageRecord) -> bool:
+    arrays = ((a.gts.boxes, b.gts.boxes), (a.gts.labels, b.gts.labels),
+              (a.occlusion, b.occlusion))
+    return (a == b and hash(a) == hash(b)
+            and all(x.dtype == y.dtype and x.tobytes() == y.tobytes() for x, y in arrays))
+
+
+def _check_scene_against_references(spec: SceneSpec, tmp) -> None:
+    rec = generate_synthetic_scene(spec, "s")
+    assert _same_bits(rec, _reference_scene(spec, "s"))
+    first, second = tmp / "first.csv", tmp / "second.csv"
+    save_annotations([rec], first)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # nothing is clamped or dropped
+        (loaded,) = load_annotations(first)
+    assert _same_bits(loaded, rec)
+    rebuilt = ImageRecord(loaded.image_id, loaded.width, loaded.height, tuple(loaded.gts))
+    assert _same_bits(rebuilt, loaded)
+    save_annotations([loaded], second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+_SCENE_SPECS = st.builds(
+    SceneSpec,
+    grid_rows=st.integers(1, 7),
+    grid_cols=st.integers(1, 7),
+    box_w=st.floats(0.5, 120.0),
+    box_h=st.floats(0.5, 120.0),
+    jitter=st.one_of(st.just(0.0), st.floats(0.0, 40.0)),
+    overlap_factor=st.one_of(
+        st.just(0.0), st.floats(0.0, 0.999), st.just(math.nextafter(1.0, 0.0))
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SCENE_SPECS)
+def test_scene_matches_scalar_reference_and_round_trips(tmp_path_factory, spec):
+    """Generated records equal the scalar loop's bit for bit, with equal
+    hashes; so do loaded records and records rebuilt from their
+    ``GroundTruth`` objects, and save, load, save writes the same bytes."""
+    _check_scene_against_references(spec, tmp_path_factory.mktemp("scene"))
+
+
+@pytest.mark.parametrize("seed, edge", [(30, "low"), (232, "high")])
+def test_scene_clamped_at_an_edge_matches_scalar_reference(tmp_path, seed, edge):
+    # seeds whose jitter passes the 4-sigma margin and is clamped to the image
+    spec = SceneSpec(30, 30, box_w=2.0, box_h=2.0, jitter=5.0, overlap_factor=0.99, seed=seed)
+    rec = generate_synthetic_scene(spec)
+    limit = [0.0, 0.0] if edge == "low" else [rec.width - 2.0, rec.height - 2.0]
+    assert (rec.gts.boxes[:, :2] == limit).any()
+    _check_scene_against_references(spec, tmp_path)
 
 
 def test_manifest_written(tmp_path):

@@ -682,7 +682,7 @@ def test_profile_contract_dense_vs_sparse():
 def _audit_fixture():
     rec = _scene(50, overlap=0.4)
     skill = SkillModel(0.6, 0.5, 1.0, 0.0)
-    labels = [ScoredBox(g.box, 0.9, g.label) for g in rec.gts[:8]]
+    labels = [ScoredBox(g.box, 0.9, g.label) for g in list(rec.gts)[:8]]
     labels.append(ScoredBox(Box(0.5, 0.5, 3.5, 3.5), 0.85))  # matches nothing
     return rec, skill, labels
 

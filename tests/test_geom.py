@@ -15,10 +15,12 @@ from densecotrain.geom import (
     Box,
     ColumnBatch,
     GroundTruth,
+    GroundTruths,
     ScoredBox,
     area,
     columns,
     corners,
+    gt_columns,
     iou,
     iou_pairs,
     nms,
@@ -393,6 +395,27 @@ def test_column_batch_compares_by_value():
     assert batch == ColumnBatch(boxes.copy(), scores.copy(), labels.copy())
     assert batch != ColumnBatch(boxes, scores, labels + 1)
     assert batch != ColumnBatch(boxes + 0.5, scores, labels)
+
+
+def test_ground_truths_compare_and_hash_by_value():
+    objs = [GroundTruth(Box(1, 2, 3, 4), 2), GroundTruth(Box(0, 0, 5.5, 1))]
+    gts = gt_columns(objs)
+    assert gt_columns(gts) is gts  # a batch is read as it is
+    assert gts.boxes.tolist() == [[1, 2, 3, 4], [0, 0, 5.5, 1]]
+    assert gts.boxes.dtype == float and gts.labels.dtype == np.int64
+    assert list(gts) == objs and len(gts) == 2
+    twin = GroundTruths(gts.boxes.copy(), gts.labels.copy())
+    assert twin == gts and hash(twin) == hash(gts)
+    negative_zeros, zeros = (GroundTruths(s * gts.boxes, gts.labels) for s in (-0.0, 0.0))
+    assert negative_zeros == zeros and hash(negative_zeros) == hash(zeros)
+    assert gts != GroundTruths(gts.boxes, gts.labels + 1)
+    assert gts != GroundTruths(gts.boxes + 0.5, gts.labels)
+    assert gts != ColumnBatch(gts.boxes, np.ones(2), gts.labels)
+    for a in (gts.boxes, gts.labels):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
+    empty = gt_columns([])
+    assert empty.boxes.shape == (0, 4) and empty.labels.shape == (0,) and list(empty) == []
 
 
 def test_nms_suppressed_box_suppresses_nothing():

@@ -66,7 +66,10 @@ class ImageRecord:
                 f"{self.image_id}: image dims must be positive, "
                 f"got {self.width}x{self.height}"
             )
-        gts = gt_columns(self.gts)
+        try:
+            gts = gt_columns(self.gts)
+        except ValueError as e:  # a label the int64 cast would change
+            raise ValueError(f"{self.image_id}: {e}") from None
         b = gts.boxes
         if b.ndim != 2 or b.shape[1] != 4 or gts.labels.shape != (len(b),):
             raise ValueError(
@@ -119,8 +122,15 @@ class SceneSpec:
         if self.seed < 0:  # numpy's generators refuse it without naming it
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("box_w", "box_h", "jitter"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+            v = getattr(self, name)
+            try:
+                finite = math.isfinite(v)
+            except OverflowError:  # an int beyond float range
+                raise ValueError(
+                    f"{name} must be finite, got an int beyond float range"
+                ) from None
+            if not finite:
+                raise ValueError(f"{name} must be finite, got {v!r}")
         if self.box_w <= 0 or self.box_h <= 0:
             raise ValueError("box dims must be positive")
         if self.jitter < 0:

@@ -509,7 +509,12 @@ class KernelSvm:
 
 
 def train_svm(data, params: SvmParams, seed: int = 0) -> KernelSvm:
-    """Kernelized Pegasos on hinge loss with lambda = 1/(c*n)."""
+    """Kernelized Pegasos on hinge loss with lambda = 1/(c*n).
+
+    Pegasos reads kernel column i only when a pick of row i violates the
+    margin, so training computes just those columns, the first time each
+    is read, and keeps them for the row's later violations: memory is the
+    distinct violating rows times n, never the n x n kernel."""
     X, y01 = _as_xy(data)
     pos = int(y01.sum())
     if pos == 0 or pos == len(y01):
@@ -517,7 +522,7 @@ def train_svm(data, params: SvmParams, seed: int = 0) -> KernelSvm:
     y = 2.0 * y01 - 1.0
     n = len(X)
     lam = 1.0 / (params.c * n)
-    K = _kernel_matrix(params.kernel, X, X, params.gamma)
+    columns: dict[int, np.ndarray] = {}  # row -> its kernel column
     alpha = np.zeros(n)
     s = np.zeros(n)  # K @ (alpha * y), updated incrementally
     rng = np.random.default_rng(seed)
@@ -525,7 +530,10 @@ def train_svm(data, params: SvmParams, seed: int = 0) -> KernelSvm:
     for t, i in enumerate(picks, start=1):
         if y[i] * s[i] / (lam * t) < 1.0:
             alpha[i] += 1.0
-            s += y[i] * K[:, i]
+            if i not in columns:
+                row = X[i:i + 1]
+                columns[i] = _kernel_matrix(params.kernel, X, row, params.gamma)[:, 0]
+            s += y[i] * columns[i]
     scale = 1.0 / (lam * SVM_ITERATION_BUDGET)
     decision_train = scale * s
     a, b = _fit_platt(decision_train, y01)

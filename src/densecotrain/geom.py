@@ -47,7 +47,11 @@ class Box:
     def __post_init__(self) -> None:
         for name in ("x1", "y1", "x2", "y2"):
             v = getattr(self, name)
-            if not math.isfinite(v):
+            try:
+                finite = math.isfinite(v)
+            except OverflowError:  # an int beyond float range
+                raise ValueError(f"box coordinate {name} is beyond float range") from None
+            if not finite:
                 raise ValueError(f"box coordinate {name} is not finite: {v!r}")
         if not (self.x2 > self.x1 and self.y2 > self.y1):
             raise ValueError(
@@ -155,18 +159,37 @@ def columns(
     )
 
 
+def _int64_labels(values) -> np.ndarray:
+    """``values`` as an int64 array, refusing a label that the cast would
+    change (1.5, nan, "1", 2**63) and naming the first; an integer array
+    that casts safely, the form every source makes, is not scanned."""
+    a = np.asarray(values)
+    if not np.can_cast(a.dtype, np.int64):
+        for i, v in enumerate(a.ravel().tolist()):
+            try:
+                integral = int(v) == v
+            except (TypeError, ValueError, OverflowError):  # None, nan, inf
+                integral = False
+            if not integral:
+                raise ValueError(f"GT {i} label {v!r} is not an integer")
+            if not -(2**63) <= v < 2**63:
+                raise ValueError(f"GT {i} label is beyond int64")
+    return a.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True, eq=False)
 class GroundTruths:
     """Ground truths as columns, row i being one: read-only ``boxes[n, 4]``
-    corners (x1, y1, x2, y2) and int64 ``labels[n]``.  Batches compare by
-    value, as ``ColumnBatch`` does, and hash by value."""
+    corners (x1, y1, x2, y2) and int64 ``labels[n]``, where a label that
+    the cast would change fails.  Batches compare by value, as
+    ``ColumnBatch`` does, and hash by value."""
 
     boxes: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        for name, dtype in (("boxes", float), ("labels", np.int64)):
-            a = np.asarray(getattr(self, name), dtype=dtype)
+        for name, a in (("boxes", np.asarray(self.boxes, dtype=float)),
+                        ("labels", _int64_labels(self.labels))):
             a.flags.writeable = False
             object.__setattr__(self, name, a)
 

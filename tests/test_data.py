@@ -352,6 +352,9 @@ def test_scene_spec_validation():
         for value in (float("inf"), float("-inf"), float("nan")):
             with pytest.raises(ValueError, match=f"{field} must be finite"):
                 SceneSpec(3, 3, **{field: value})
+    # math.isfinite raises OverflowError on an int beyond float range
+    with pytest.raises(ValueError, match="box_w must be finite, got an int beyond float"):
+        SceneSpec(3, 3, box_w=10**400)
 
 
 def test_dataset_count_and_ids():
@@ -471,6 +474,15 @@ def test_image_record_validates_bounds():
         ImageRecord("x", 10, 10, (GroundTruth(Box(5, 5, 15, 9)),))
     with pytest.raises(ValueError, match="positive"):
         ImageRecord("x", 0, 10, ())
+
+
+def test_image_record_refuses_a_gt_label_the_int64_cast_would_change():
+    # an unchecked int64 cast would truncate 1.5 to 1
+    gts = (GroundTruth(Box(1, 1, 2, 2), 0), GroundTruth(Box(1, 1, 2, 2), 1.5))
+    with pytest.raises(ValueError, match=r"^im: GT 1 label 1\.5 is not an integer$"):
+        ImageRecord("im", 10, 10, gts)
+    with pytest.raises(ValueError, match=r"^GT 0 label 1\.5 is not an integer$"):
+        ImageRecord("im", 10, 10, GroundTruths([[1, 1, 2, 2]], [1.5]))
 
 
 _OK = [1.0, 1.0, 5.0, 5.0]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -44,6 +45,9 @@ def test_box_validation():
         Box(0, 0, math.nan, 1)
     with pytest.raises(ValueError):
         Box(0, 0, math.inf, 1)
+    # math.isfinite raises OverflowError on an int beyond float range
+    with pytest.raises(ValueError, match="box coordinate x2 is beyond float range"):
+        Box(0, 0, 10**400, 1)
 
 
 def test_scoredbox_validation():
@@ -416,6 +420,39 @@ def test_ground_truths_compare_and_hash_by_value():
             a[0] = 1
     empty = gt_columns([])
     assert empty.boxes.shape == (0, 4) and empty.labels.shape == (0,) and list(empty) == []
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        ([1.5], "GT 0 label 1.5 is not an integer"),
+        ([0.0, -0.25], "GT 1 label -0.25 is not an integer"),
+        ([0.0, math.nan], "GT 1 label nan is not an integer"),
+        ([math.inf, 0.0], "GT 0 label inf is not an integer"),
+        (["1", "0"], "GT 0 label '1' is not an integer"),
+        ([None, 1], "GT 0 label None is not an integer"),
+        ([0, 1, 2**63], "GT 2 label is beyond int64"),
+        ([0.0, 2.0**63], "GT 1 label is beyond int64"),
+        (np.array([0, 2**63], dtype=np.uint64), "GT 1 label is beyond int64"),
+    ],
+    ids=["fraction", "second-negative-fraction", "nan", "inf", "strings", "none",
+         "int-beyond-int64", "float-beyond-int64", "uint64-beyond-int64"],
+)
+def test_ground_truths_refuse_a_label_the_int64_cast_would_change(labels, message):
+    boxes = [[1.0, 1.0, 2.0, 2.0]] * len(labels)
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        GroundTruths(boxes, labels)
+
+
+def test_ground_truths_take_integral_labels():
+    boxes = [[1.0, 1.0, 2.0, 2.0]] * 3
+    for labels in ([0.0, 3.0, -1.0], [True, False, True], np.array([0, 3, 7], np.uint8),
+                   [0, 1, 2**63 - 1]):
+        gts = GroundTruths(boxes, labels)
+        assert gts.labels.dtype == np.int64
+        assert gts.labels.tolist() == [int(v) for v in labels]
+    labels = np.array([0, 2, 1])
+    assert GroundTruths(boxes, labels).labels is labels  # int64 is held as it is
 
 
 def test_nms_suppressed_box_suppresses_nothing():

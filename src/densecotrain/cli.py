@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .codec import from_dict
+from .codec import from_dict, read_json, write_json, write_text
 from .config import (
     ConfigError,
     RunConfig,
@@ -55,7 +55,7 @@ from .report import (
     trace_series,
     write_history_csv,
 )
-from .svgplot import line_plot, pr_curve_plot, save_svg
+from .svgplot import line_plot, pr_curve_plot
 from .tuner import (
     HyperVector,
     ObjectiveError,
@@ -106,20 +106,6 @@ def _ensure_dir(path: Path) -> Path:
     return path
 
 
-def _write_text(path: Path, text: str) -> None:
-    try:
-        path.write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise IOFailure(f"cannot write {path}: {exc}") from exc
-
-
-def _read_text(path: Path, what: str) -> str:
-    try:
-        return path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise IOFailure(f"cannot read {what} {path}: {exc}") from exc
-
-
 def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
@@ -156,7 +142,7 @@ def _detection(d: dict) -> tuple[tuple[float, ...], float, int]:
 def load_predictions(path: str | Path) -> dict[str, ColumnBatch]:
     """JSON lines, one object per image, each read into one column batch:
     {"image_id": ..., "detections": [{x1, y1, x2, y2, score, label}]}."""
-    text = _read_text(Path(path), "predictions file")
+    text = Path(path).read_text(encoding="utf-8")
     out: dict[str, ColumnBatch] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -210,7 +196,7 @@ def save_predictions(
                 for (x1, y1, x2, y2), score, label in zip(boxes, scores, labels)
             ],
         }))
-    _write_text(Path(path), "\n".join(lines) + ("\n" if lines else ""))
+    write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 # -------------------------------------------------------------- vector I/O
@@ -223,13 +209,13 @@ class VectorFile:
 
 
 def save_vector(v: HyperVector, path: Path) -> None:
-    _write_text(path, json.dumps(asdict(VectorFile(v)), indent=2) + "\n")
+    write_json(path, asdict(VectorFile(v)))
 
 
 def load_vector(path: str | Path) -> HyperVector:
-    text = _read_text(Path(path), "hyper-vector file")
-    try:  # JSON, codec and gene-range errors alike name the file
-        v = from_dict(VectorFile, json.loads(text), where="vector").genes
+    doc = read_json(path)
+    try:  # codec and gene-range errors alike name the file
+        v = from_dict(VectorFile, doc, where="vector").genes
         validate_vector(v)
     except ValueError as exc:
         raise UsageError(f"vector file {path}: {exc}") from exc
@@ -344,7 +330,7 @@ def cmd_split(args) -> int:
         "fractions": list(fractions),
         "split": asdict(split),
     }
-    _write_text(out_dir / "split.json", json.dumps(payload, indent=2) + "\n")
+    write_json(out_dir / "split.json", payload)
     _print_json({
         "train": len(split.train), "val": len(split.val),
         "test": len(split.test), "unlabeled_pool": len(split.unlabeled_pool),
@@ -369,9 +355,7 @@ def cmd_evaluate(args) -> int:
         logger.info(line)
     if args.out:
         out_dir = _ensure_dir(Path(args.out))
-        _write_text(
-            out_dir / "evaluation.json", json.dumps(payload, indent=2) + "\n"
-        )
+        write_json(out_dir / "evaluation.json", payload)
     if args.pr_svg:
         svg_dir = _ensure_dir(Path(args.pr_svg))
         for t, (recalls, precisions) in rep.pr_curves.items():
@@ -381,7 +365,7 @@ def cmd_evaluate(args) -> int:
                 [(f"IoU {t:.2f}", recalls, precisions)],
                 f"precision-recall at IoU {t:.2f}",
             )
-            save_svg(svg, svg_dir / f"pr_{int(round(t * 100)):03d}.svg")
+            write_text(svg_dir / f"pr_{int(round(t * 100)):03d}.svg", svg)
     _print_json(payload)
     return EXIT_OK
 
@@ -459,7 +443,7 @@ def cmd_tune(args) -> int:
         "vector_file": str(out_dir / VECTOR_FILENAME),
         "trace_file": str(out_dir / TRACE_FILENAME),
     }
-    _write_text(out_dir / "tune_report.json", json.dumps(payload, indent=2) + "\n")
+    write_json(out_dir / "tune_report.json", payload)
     _print_json(payload)
     return EXIT_OK
 
@@ -481,16 +465,14 @@ def cmd_report(args) -> int:
         except ValueError as exc:
             raise UsageError(f"unreadable tuning trace: {exc}") from exc
     print(render_summary_table(report))
-    save_svg(
-        line_plot(
-            history_series(report), "validation mAP by round", "round", "mAP",
-        ),
+    write_text(
         run_dir / "val_map.svg",
+        line_plot(history_series(report), "validation mAP by round", "round", "mAP"),
     )
     if trace is not None:
-        save_svg(
-            line_plot(trace, "tuning progress", "evaluation", "objective"),
+        write_text(
             run_dir / "tune_trace.svg",
+            line_plot(trace, "tuning progress", "evaluation", "objective"),
         )
     else:
         logger.info("no tuning trace in %s; skipping that plot", run_dir)

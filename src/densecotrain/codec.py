@@ -1,4 +1,5 @@
-"""One dict codec for every document the package reads back.
+"""One dict codec for every document the package reads back, and the one
+file layer for every whole file it writes.
 
 Run configs, detector and ensemble params, skills, round records, the
 hyper-vector file (``cli.load_vector``) and the checkpoint
@@ -18,18 +19,72 @@ error names the path to the failing value (``config.dataset.row_range[1]``):
   read as its own type, and a variadic ``tuple[X, ...]`` a list of any
   length, every entry read as an ``X``; both become tuples.
 
-Every other check is the class's own ``__post_init__``.
+Every other check is the class's own ``__post_init__``; ``finite`` and
+``require_finite`` are the number checks those share.
+
+``read_json`` reads a document and names the file when its text is not
+UTF-8 JSON.  ``write_text`` replaces a file atomically (a ``.tmp`` sibling,
+then ``os.replace``), so a write cut short leaves the previous file in
+place, never a truncated one; ``write_json`` writes a document through it,
+indented.  Every JSON and text artifact goes through these two; only the
+streaming CSV writers open their files themselves.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import os
 import typing
 from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 
 
 class ConfigError(ValueError):
     """Invalid configuration or saved-state content."""
+
+
+def read_json(path: str | Path):
+    """The JSON document in the file ``path``, or a ConfigError naming the
+    file when its text is not UTF-8 JSON (an integer beyond the digit
+    limit included); an OSError passes through."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and the digit limit too
+        raise ConfigError(f"{path}: not JSON ({exc})") from exc
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Replace the file ``path`` with ``text`` in UTF-8: write a ``.tmp``
+    sibling, then rename it over ``path``."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)
+
+
+def write_json(path: str | Path, doc) -> None:
+    write_text(path, json.dumps(doc, indent=2) + "\n")
+
+
+def finite(value) -> bool:
+    """Whether ``value`` is a finite number.  An int beyond float range is
+    not (``math.isfinite`` raises OverflowError on it), and it is the only
+    int that is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def require_finite(obj, *names: str) -> None:
+    """Refuse, with a ValueError naming the field, each field of ``obj`` in
+    ``names`` that is not a finite number."""
+    for name in names:
+        value = getattr(obj, name)
+        if not finite(value):
+            got = "an int beyond float range" if isinstance(value, int) else repr(value)
+            raise ValueError(f"{name} must be finite, got {got}")
 
 
 def _decode(tp, value, base, where: str, shown=None):
@@ -51,11 +106,8 @@ def _decode(tp, value, base, where: str, shown=None):
                 for i, (a, v) in enumerate(zip(args, value))
             )
     elif tp is float:  # bool is no JSON number, nor are NaN and Infinity
-        try:  # math.isfinite raises OverflowError on an int beyond float range
-            if type(value) in (int, float) and math.isfinite(value):
-                return value
-        except OverflowError:
-            pass
+        if type(value) in (int, float) and finite(value):
+            return value
     elif type(value) is tp:  # an int or str field takes only its own type
         return value
     shown = shown.__name__ if isinstance(shown, type) else shown

@@ -6,11 +6,10 @@ The seed is mandatory; nothing in the pipeline draws implicit entropy.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
-from .codec import ConfigError, from_dict
+from .codec import ConfigError, from_dict, read_json, write_json
 from .cotrain import CoTrainConfig
 from .data import SceneSpec
 from .tuner import TunerConfig
@@ -120,15 +119,8 @@ def config_from_dict(doc: dict) -> RunConfig:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # also an integer beyond the digit limit
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return config_from_dict(doc)
+    return config_from_dict(read_json(path))
 
 
 def save_config(cfg: RunConfig, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(config_to_dict(cfg), indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(path, config_to_dict(cfg))

@@ -44,14 +44,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import KW_ONLY, asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .codec import from_dict
+from .codec import from_dict, read_json, write_json
 from .data import DatasetSplit, ImageRecord
 from .detectors import (
     CONTEXTUAL,
@@ -298,17 +297,6 @@ def _maps(reports: Iterable[EvalReport]) -> tuple[float, ...]:
     return tuple(float(rep.map_coco) for rep in reports)
 
 
-def _validation_maps(
-    state: CoTrainState,
-    records_by_id: Mapping[str, ImageRecord],
-    split: DatasetSplit,
-) -> tuple[float, float, float]:
-    """Validation mAPs of an exchange round's state (round 0 scores the
-    validation detections it made while fitting its ensembles)."""
-    val_records = [records_by_id[i] for i in split.val]
-    return _maps(_evaluate(state, state.skills[-1], val_records, "val"))
-
-
 def view_specs(
     config: CoTrainConfig,
 ) -> tuple[tuple[str, DetectorProfile, DetectorParams], ...]:
@@ -391,7 +379,7 @@ def fit_round_zero(
     of ``config`` only the seed and the ensemble params."""
     ensemble = EnsembleClassifier.train(
         data.train_set, config.ensemble_params,
-        seed=derive_seed(config.seed, "ensemble", name) & 0xFFFFFFFF,
+        seed=derive_seed(config.seed, "ensemble", name),
     )
     view = ViewState(name, profile, params, ensemble)
     return view, _verified(ensemble, data.val)
@@ -551,10 +539,9 @@ def exchange_round(
         state, skills=[*state.skills, tuple(skills)],
         accepted_for_a=accepted[0], accepted_for_b=accepted[1],
     )
-    record = RoundRecord(
-        state.round + 1, *_validation_maps(retrained, records_by_id, split),
-        *_sizes(accepted), *precision,
-    )
+    val_records = [records_by_id[i] for i in split.val]
+    val = _evaluate(retrained, tuple(skills), val_records, "val")
+    record = RoundRecord(state.round + 1, *_maps(val), *_sizes(accepted), *precision)
     return replace(retrained, history=[*state.history, record])
 
 
@@ -587,12 +574,9 @@ def save_checkpoint(state: CoTrainState, path: str | Path) -> None:
         CHECKPOINT_VERSION, _fingerprint(state.config),
         tuple(state.skills), tuple(state.history),
     )
-    # write beside the target, then rename: a write cut short leaves the
-    # previous round's checkpoint in place, never a truncated one
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(asdict(ck)), encoding="utf-8")
-    os.replace(tmp, path)
+    # replaced atomically: a write cut short leaves the previous round's
+    # checkpoint in place, never a truncated one
+    write_json(path, asdict(ck))
 
 
 def load_checkpoint(
@@ -612,10 +596,7 @@ def load_checkpoint(
     one (round 0's validation mAPs, which move with the records and split),
     or a round whose replayed accepted sets differ in size from its history
     entry, was written by another run and is refused after."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # also an integer beyond the digit limit, or not UTF-8
-        raise ValueError(f"{path}: not JSON ({exc}); cannot resume") from exc
+    doc = read_json(path)
     version = doc.get("checkpoint_version") if isinstance(doc, dict) else None
     if version != CHECKPOINT_VERSION:
         raise ValueError(

@@ -18,7 +18,6 @@ IoU with any other box in the scene.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import warnings
 from dataclasses import asdict, dataclass, field, replace
@@ -27,6 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .codec import require_finite, write_json
 from .geom import GroundTruths, gt_columns, iou_pairs
 
 LABEL_NAMES: dict[int, str] = {0: "object"}
@@ -121,16 +121,7 @@ class SceneSpec:
             raise ValueError("grid dims must be positive")
         if self.seed < 0:  # numpy's generators refuse it without naming it
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        for name in ("box_w", "box_h", "jitter"):
-            v = getattr(self, name)
-            try:
-                finite = math.isfinite(v)
-            except OverflowError:  # an int beyond float range
-                raise ValueError(
-                    f"{name} must be finite, got an int beyond float range"
-                ) from None
-            if not finite:
-                raise ValueError(f"{name} must be finite, got {v!r}")
+        require_finite(self, "box_w", "box_h", "jitter")
         if self.box_w <= 0 or self.box_h <= 0:
             raise ValueError("box dims must be positive")
         if self.jitter < 0:
@@ -417,4 +408,4 @@ def write_manifest(
     scene_spec = asdict(spec_template)
     del scene_spec["seed"]
     payload = {"n_images": n_images, "seed": seed, "scene_spec": scene_spec}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_json(path, payload)

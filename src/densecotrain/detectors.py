@@ -43,6 +43,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .codec import require_finite
 from .data import ImageRecord
 from .geom import Box, ColumnBatch, ScoredBox, columns, iou_pairs, nms_keep_groups
 from .metrics import greedy_match_groups
@@ -90,7 +91,8 @@ class DetectorParams:
             raise ValueError(
                 f"batch_size must be one of {BATCH_MENU}, got {self.batch_size!r}"
             )
-        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+        require_finite(self, "learning_rate")
+        if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate!r}")
         if self.anchor_scales is not None and self.anchor_scales not in ANCHOR_MENU:
             raise ValueError(

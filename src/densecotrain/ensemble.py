@@ -16,6 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .codec import require_finite
+
 MEMBER_NAMES = ("gbt", "rf", "svm")
 SVM_KERNELS = ("linear", "rbf", "poly")
 SVM_ITERATION_BUDGET = 2000
@@ -38,6 +40,7 @@ class XgbParams:
 
     def __post_init__(self) -> None:
         _require_ints(self, "max_depth", "n_trees")
+        require_finite(self, "learning_rate", "l2_reg")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         if self.max_depth < 1:
@@ -68,6 +71,7 @@ class SvmParams:
     gamma: float = 1.0 / 16.0
 
     def __post_init__(self) -> None:
+        require_finite(self, "c", "gamma")
         if self.c <= 0:
             raise ValueError("c must be > 0")
         if self.kernel not in SVM_KERNELS:

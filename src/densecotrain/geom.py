@@ -20,19 +20,20 @@ Conventions (fixed so every metric and filter above this layer is exact):
   suppressed (strict ``< threshold`` keeps).  One kernel applies the rule
   by rank position to many groups of rows at once, each padded to the
   block's largest group; ``nms_keep_groups`` runs it on every image of a
-  batch, ``nms_keep`` is its one-group call on column arrays, and ``nms``
-  on scored boxes goes through that.  ``size_blocks`` and ``padded``
+  batch, and ``nms`` on scored boxes is its one-group call.  ``size_blocks``
+  and ``padded``
   partition and pad the groups, for NMS and for batched matching alike.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
+
+from .codec import finite
 
 
 @dataclass(frozen=True)
@@ -47,12 +48,9 @@ class Box:
     def __post_init__(self) -> None:
         for name in ("x1", "y1", "x2", "y2"):
             v = getattr(self, name)
-            try:
-                finite = math.isfinite(v)
-            except OverflowError:  # an int beyond float range
-                raise ValueError(f"box coordinate {name} is beyond float range") from None
-            if not finite:
-                raise ValueError(f"box coordinate {name} is not finite: {v!r}")
+            if not finite(v):
+                why = "beyond float range" if isinstance(v, int) else f"not finite: {v!r}"
+                raise ValueError(f"box coordinate {name} is {why}")
         if not (self.x2 > self.x1 and self.y2 > self.y1):
             raise ValueError(
                 f"degenerate box: need x2 > x1 and y2 > y1, "
@@ -308,22 +306,18 @@ def _above(n: int) -> np.ndarray:
 
 
 def _greedy_removed(
-    ranked: np.ndarray,
-    labels: np.ndarray,
-    iou_threshold: float,
-    valid: np.ndarray | None = None,
+    ranked: np.ndarray, labels: np.ndarray, iou_threshold: float, valid: np.ndarray
 ) -> np.ndarray:
     """The greedy rule on ``c`` groups at once: ``ranked[c, n, 4]`` corners
     and ``labels[c, n]``, each group's rows in rank order.  Row j of a
     group is removed iff a row ranked above it that is not removed has its
     label and IoU at least ``iou_threshold`` with it.  ``valid[c, n]``
-    marks the real rows when groups are padded at their ends; a padding row
+    marks the real rows of groups padded at their ends; a padding row
     ranks below every real one, so masking it as a candidate is enough.
     Returns the ``(c, n)`` removed mask."""
     suppresses = iou_pairs(ranked[:, :, None, :], ranked[:, None, :, :]) >= iou_threshold
     suppresses &= labels[:, :, None] == labels[:, None, :]
-    if valid is not None:
-        suppresses &= valid[:, None, :]
+    suppresses &= valid[:, None, :]
     # a row is removed iff a kept row ranked above it suppresses it, so only
     # ranks that some higher row overlaps need the sequential check
     removed = np.zeros(labels.shape, dtype=bool)
@@ -333,23 +327,6 @@ def _greedy_removed(
     return removed
 
 
-def nms_keep(
-    boxes: np.ndarray, scores: np.ndarray, labels: np.ndarray, iou_threshold: float
-) -> np.ndarray:
-    """Greedy non-maximum suppression on columns: ``boxes[n, 4]`` corners,
-    ``scores[n]`` and ``labels[n]``.
-
-    Rows are visited in descending score order (ties keep row order); a
-    row survives iff its IoU with every already-kept row of the same label
-    is strictly below ``iou_threshold``.  Returns the kept row indices in
-    kept order.
-    """
-    _check_threshold(iou_threshold)
-    order = np.argsort(-scores, kind="stable")
-    removed = _greedy_removed(boxes[order][None], labels[order][None], iou_threshold)
-    return order[~removed[0]]
-
-
 def nms_keep_groups(
     boxes: np.ndarray,
     scores: np.ndarray,
@@ -357,18 +334,20 @@ def nms_keep_groups(
     groups: np.ndarray,
     iou_threshold: float,
 ) -> np.ndarray:
-    """``nms_keep`` on each group of rows on its own, all groups at once:
-    ``groups[n]`` holds each row's group id (an integer >= 0), and rows of
-    a group need not be adjacent; ties keep row order.  Returns the kept
+    """Greedy non-maximum suppression on columns, each group of rows on its
+    own, all groups at once: ``boxes[n, 4]`` corners, ``scores[n]``,
+    ``labels[n]`` and ``groups[n]``, each row's group id (an integer >= 0);
+    rows of a group need not be adjacent.
+
+    A group's rows are visited in descending score order (ties keep row
+    order); a row survives iff its IoU with every already-kept row of its
+    group and label is strictly below ``iou_threshold``.  Returns the kept
     row indices by ascending group id, each group's in kept order.
 
     Each group's rows are ranked, then blocks of groups of similar size are
     padded to ``(groups, n, n)`` of at most ``NMS_BLOCK`` entries (or one
-    group) and go through the greedy rule together; one group is
-    ``nms_keep``'s call."""
+    group) and go through the greedy rule together."""
     _check_threshold(iou_threshold)
-    if not len(groups) or groups.min() == groups.max():
-        return nms_keep(boxes, scores, labels, iou_threshold)
     order = np.lexsort((-scores, groups))
     sizes = np.bincount(groups)
     starts = np.cumsum(sizes) - sizes
@@ -386,8 +365,12 @@ def nms_keep_groups(
 
 
 def nms(dets: Sequence[ScoredBox], iou_threshold: float) -> list[ScoredBox]:
-    """Greedy non-maximum suppression of scored boxes (``nms_keep``'s rule).
+    """Greedy non-maximum suppression of scored boxes: ``nms_keep_groups``
+    on one group.
 
     The result is a subset of the input (the same objects), in kept order.
     """
-    return [dets[i] for i in nms_keep(*columns(dets), iou_threshold).tolist()]
+    boxes, scores, labels = columns(dets)
+    groups = np.zeros(len(scores), np.int64)
+    keep = nms_keep_groups(boxes, scores, labels, groups, iou_threshold)
+    return [dets[i] for i in keep.tolist()]

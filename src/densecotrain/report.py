@@ -7,12 +7,11 @@ echo is ``config.json`` beside it."""
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import fields
 from pathlib import Path
 
-from .codec import from_dict
+from .codec import from_dict, read_json, write_json
 from .config import ARTIFACT_VERSION
 from .cotrain import CoTrainResult, RoundRecord, result_to_dict
 from .metrics import COCO_THRESHOLDS
@@ -39,7 +38,7 @@ def build_run_report(result: CoTrainResult, timings: dict[str, float]) -> dict:
 
 def save_run_report(report: dict, run_dir: str | Path) -> Path:
     path = Path(run_dir) / REPORT_FILENAME
-    path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    write_json(path, report)
     return path
 
 
@@ -50,10 +49,7 @@ def load_run_report(run_dir: str | Path) -> dict:
     list of round records (a run always holds round 0) and each section an
     object whose headline metrics are numbers or null."""
     path = Path(run_dir) / REPORT_FILENAME
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # also an integer beyond the digit limit, or not UTF-8
-        raise ValueError(f"{path}: not JSON ({exc})") from exc
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: a report is a JSON object, got {type(doc).__name__}")
     if doc.get("artifact_version") != ARTIFACT_VERSION:

@@ -4,7 +4,6 @@ byte-identical files."""
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Sequence
 from xml.sax.saxutils import escape
 
@@ -142,7 +141,3 @@ def pr_curve_plot(
         for name, recall, precision in curves
     ]
     return line_plot(series, title, "recall", "precision", y_range=(0.0, 1.05))
-
-
-def save_svg(text: str, path: str | Path) -> None:
-    Path(path).write_text(text, encoding="utf-8")

@@ -2,7 +2,9 @@
 
 import json
 import math
+import os
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,11 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from densecotrain.cli import (
-    UsageError, load_predictions, load_vector, main, save_predictions,
+    UsageError, load_predictions, load_vector, main, save_predictions, save_vector,
 )
+from densecotrain.config import default_synthetic, save_config
 from densecotrain.cotrain import CHECKPOINT_FILENAME
-from densecotrain.data import ImageRecord, load_annotations
+from densecotrain.data import ImageRecord, SceneSpec, load_annotations, write_manifest
 from densecotrain.geom import Box, ColumnBatch, GroundTruth, ScoredBox, columns
+from densecotrain.report import save_run_report
 from densecotrain.tuner import DEFAULT_VECTOR, GENE_NAMES, vector_values
 
 
@@ -1047,11 +1051,44 @@ def test_integer_beyond_json_digit_limit_exit_2_naming_where(
     else:
         path.write_text(f'{{"seed": 0, "dataset": {{"box_w": {huge}}}}}', encoding="utf-8")
         argv = ["cotrain", "--config", path]
-        named = f"config {path} is not valid JSON"
+        named = f"{path}: not JSON"
     capsys.readouterr()
     assert run_cli(argv) == 2
     err = capsys.readouterr().err
     assert named in err and "4300" in err
+
+
+@pytest.mark.parametrize(
+    "write, name",
+    [
+        (lambda path, k: save_config(default_synthetic(k), path), "config.json"),
+        (lambda path, k: save_run_report({"round": k}, path.parent), "report.json"),
+        (lambda path, k: save_vector(replace(DEFAULT_VECTOR, d_rf=k + 2), path),
+         "best_vector.json"),
+        (lambda path, k: write_manifest(path, 10 + k, SceneSpec(3, 4), k), "manifest.json"),
+    ],
+    ids=["save_config", "save_run_report", "save_vector", "write_manifest"],
+)
+def test_write_cut_short_keeps_previous_file(tmp_path, monkeypatch, write, name):
+    """Every document writer replaces its file atomically, as
+    ``save_checkpoint`` does: a write cut short between the temp file and
+    the rename leaves the previous file byte for byte."""
+    path = tmp_path / name
+    write(path, 0)
+    previous = path.read_bytes()
+
+    def cut_short(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", cut_short)
+    with pytest.raises(OSError, match="disk full"):
+        write(path, 1)
+    monkeypatch.undo()
+    assert path.read_bytes() == previous
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name, f"{name}.tmp"]
+    write(path, 1)  # the next write replaces both
+    assert path.read_bytes() != previous
+    assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
 def test_cotrain_missing_config_file_exit_3(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from densecotrain.codec import read_json
 from densecotrain.config import (
     ConfigError,
     DatasetConfig,
@@ -268,3 +269,20 @@ def test_echo_has_one_seed():
     doc = config_to_dict(default_synthetic(9))
     assert doc["seed"] == 9
     assert "seed" not in doc["cotrain"] and "seed" not in doc["tuner"]
+
+
+@pytest.mark.parametrize(
+    "data, named",
+    [
+        (b'{"seed": 0, "dataset": {', "Expecting"),
+        (b'{"seed": "\xff"}', "utf-8"),
+        (b'{"seed": ' + b"9" * 5001 + b"}", "4300"),
+    ],
+    ids=["truncated", "not-utf-8", "integer-beyond-digit-limit"],
+)
+def test_read_json_names_the_file(tmp_path, data, named):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: not JSON \(") as info:
+        read_json(path)
+    assert named in str(info.value)

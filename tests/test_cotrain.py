@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from densecotrain.codec import from_dict
+from densecotrain.codec import from_dict, write_json
 from densecotrain.cotrain import (
     CHECKPOINT_FILENAME,
     CHECKPOINT_VERSION,
@@ -45,7 +45,7 @@ from densecotrain.detectors import (
     RetrainCoefficients,
     detect,
 )
-from densecotrain.geom import Box, ScoredBox, nms, nms_keep
+from densecotrain.geom import Box, ScoredBox, nms, nms_keep_groups
 from densecotrain.metrics import match_detections
 
 
@@ -257,11 +257,15 @@ def test_second_nms_at_or_above_detect_iou_only_sorts(seed, detect_iou, step):
     xy = rng.uniform(0, 40, (n, 2))
     boxes = np.concatenate([xy, xy + rng.uniform(4, 20, (n, 2))], axis=1)
     labels = rng.integers(0, 2, n)
-    kept = nms_keep(boxes, rng.uniform(0, 1, n), labels, detect_iou)
+    kept = nms_keep_groups(
+        boxes, rng.uniform(0, 1, n), labels, np.zeros(n, np.int64), detect_iou
+    )
     sub = kept[rng.random(len(kept)) < 0.7]
     conf = rng.choice([0.8, 0.9, 0.95, 1.0], len(sub))  # many ties
     second = min(detect_iou + step, 0.95)
-    order = nms_keep(boxes[sub], conf, labels[sub], second)
+    order = nms_keep_groups(
+        boxes[sub], conf, labels[sub], np.zeros(len(sub), np.int64), second
+    )
     assert order.tolist() == np.argsort(-conf, kind="stable").tolist()
 
 
@@ -279,7 +283,8 @@ def _generate_reference(view, skill, records, tau_conf, nms_iou, round_no, seed)
         start, end = end, end + len(d)
         c = conf[start:end]
         cand = np.flatnonzero((is_object[start:end] == 1) & (c >= tau_conf))
-        keep = cand[nms_keep(d.boxes[cand], c[cand], d.labels[cand], nms_iou)]
+        one = np.zeros(len(cand), np.int64)
+        keep = cand[nms_keep_groups(d.boxes[cand], c[cand], d.labels[cand], one, nms_iou)]
         out += [
             PseudoLabel(
                 Box(*box), score, label, image_id=img, source_view=view.name,
@@ -709,7 +714,7 @@ def test_checkpoint_write_cut_short_keeps_previous_latest(
 ):
     _, _, _, result, run_dir = cotrain_run
     path = tmp_path / CHECKPOINT_FILENAME
-    path.write_text(json.dumps(_checkpoint(run_dir, 1)), "utf-8")
+    write_json(path, _checkpoint(run_dir, 1))  # as save_checkpoint writes it
     round_1 = path.read_bytes()
     state = _load(path, cotrain_run)
     save_checkpoint(state, path)
@@ -869,10 +874,17 @@ def test_resume_restores_an_earlier_best_round_from_the_latest_checkpoint(
     # from the checkpoint
     import densecotrain.cotrain as ct
 
-    monkeypatch.setattr(
-        ct, "_validation_maps",
-        lambda state, records, split: (0.5 - 0.1 * state.round,) * 3,
-    )
+    evaluate = ct._evaluate
+
+    def falling(state, skills, records, namespace):
+        # an exchange round's validation pass: ``state`` is the retrained
+        # state, whose history ends at the round before
+        reports = evaluate(state, skills, records, namespace)
+        if namespace != "val":
+            return reports
+        return tuple(replace(rep, map_coco=0.5 - 0.1 * state.round) for rep in reports)
+
+    monkeypatch.setattr(ct, "_evaluate", falling)
     records, split = small_data
     cfg = CoTrainConfig(mode="cotrain", max_rounds=2, patience=9, seed=11)
     first = run_cotraining(records, split, cfg, run_dir=tmp_path)
@@ -978,15 +990,15 @@ def test_failed_round1_validation_keeps_round0_checkpoint(
     import densecotrain.cotrain as ct
 
     calls = []
-    validation_maps = ct._validation_maps
+    evaluate = ct._evaluate
 
     def fail_second(*args, **kwargs):
         calls.append(1)
         if len(calls) == 1:  # round 1's; round 0 scores its own validation pass
             raise RuntimeError("injected validation failure")
-        return validation_maps(*args, **kwargs)
+        return evaluate(*args, **kwargs)
 
-    monkeypatch.setattr(ct, "_validation_maps", fail_second)
+    monkeypatch.setattr(ct, "_evaluate", fail_second)
     records, split = small_data
     cfg = CoTrainConfig(mode="cotrain", max_rounds=2, seed=11)
     with pytest.raises(RuntimeError, match="injected validation failure"):

@@ -69,6 +69,14 @@ def test_params_validation():
     DetectorParams(anchor_scales="mixed")
 
 
+def test_params_refuse_a_learning_rate_beyond_float_range():
+    # math.isfinite raised a bare OverflowError on it
+    with pytest.raises(
+        ValueError, match="^learning_rate must be finite, got an int beyond float range$"
+    ):
+        DetectorParams(learning_rate=10**400)
+
+
 def test_skill_reaches_ceiling_at_max_effort():
     for profile in (LOCALIZER, CONTEXTUAL):
         for bs in BATCH_MENU:

@@ -50,6 +50,20 @@ def _blobs(rng, n_per_class, separation, dim=16):
     return X[perm], y[perm]
 
 
+@pytest.mark.parametrize(
+    "cls, field, value",
+    [
+        (XgbParams, "learning_rate", math.nan),
+        (XgbParams, "l2_reg", math.nan),
+        (SvmParams, "c", math.nan),
+        (SvmParams, "gamma", math.inf),
+    ],
+)
+def test_params_refuse_a_non_finite_number(cls, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value!r}$"):
+        cls(**{field: value})
+
+
 def test_param_validation():
     with pytest.raises(ValueError):
         XgbParams(learning_rate=0)

@@ -25,7 +25,6 @@ from densecotrain.geom import (
     iou,
     iou_pairs,
     nms,
-    nms_keep,
     nms_keep_groups,
 )
 
@@ -317,10 +316,11 @@ def test_iou_pairs_matches_scalar_bitwise(pairs):
     0.6,
 )
 def test_nms_keep_matches_nms_and_scalar_reference(dets, thr):
-    keep = nms_keep(
+    keep = nms_keep_groups(
         _corner_array([d.box for d in dets]),
         np.array([d.score for d in dets], dtype=float),
         np.array([d.label for d in dets], dtype=np.int64),
+        np.zeros(len(dets), np.int64),
         thr,
     )
     assert keep.dtype.kind == "i"
@@ -469,7 +469,9 @@ def test_nms_keep_threshold_validation():
     empty = np.empty((0, 4))
     for thr in (0.0, 1.0):
         with pytest.raises(ValueError):
-            nms_keep(empty, empty[:, 0], empty[:, 0], thr)
+            nms_keep_groups(
+                empty, empty[:, 0], empty[:, 0], np.zeros(0, np.int64), thr
+            )
 
 
 def test_groundtruth_defaults():

@@ -179,3 +179,28 @@ def test_every_defaulted_parameter_is_passed():
     assert not never, f"defaulted but never passed in src/: {never}"
     # an allowlisted parameter that is gone must leave the list too
     assert PARAMETERS_SET_OUTSIDE_SRC <= {(f, p) for _, _, f, p, _ in defaulted}
+
+
+# whole-file writes, and renames into place
+_FILE_WRITES = {"write_text", "write_bytes"}
+_RENAMES = {"replace", "rename"}
+
+
+def _whole_file_writes(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            owner = node.value.id if isinstance(node.value, ast.Name) else None
+            if node.attr in _FILE_WRITES or (owner == "os" and node.attr in _RENAMES):
+                yield node
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_codec_writes_whole_files(path):
+    """``codec.write_text`` is the one whole-file writer, so every file is
+    replaced atomically; the streaming CSV writers ``open`` their files and
+    are not counted."""
+    if path.name == "codec.py":
+        return
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = [f"line {n.lineno}: {ast.unparse(n)}" for n in _whole_file_writes(tree)]
+    assert not found, f"{path.name} writes a whole file outside codec: {found}"

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .codec import from_dict, read_json, write_json, write_text
+from .codec import from_dict, read_json, read_text, write_json, write_text
 from .config import (
     ConfigError,
     RunConfig,
@@ -142,7 +142,7 @@ def _detection(d: dict) -> tuple[tuple[float, ...], float, int]:
 def load_predictions(path: str | Path) -> dict[str, ColumnBatch]:
     """JSON lines, one object per image, each read into one column batch:
     {"image_id": ..., "detections": [{x1, y1, x2, y2, score, label}]}."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     out: dict[str, ColumnBatch] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():

@@ -10,38 +10,49 @@ added to a dataclass is written and read back with no further code.
 ``from_dict`` checks each value against its field's annotation, and each
 error names the path to the failing value (``config.dataset.row_range[1]``):
 
-* an ``int`` field takes only a JSON integer, a ``float`` field any finite
-  JSON number but a bool (not the ``NaN`` and ``Infinity`` that Python's
-  ``json`` reads, nor an integer beyond float range), and a ``str`` field
-  a string;
+* an ``int``, ``float`` or ``str`` field takes what ``fits`` its type;
 * ``X | None`` takes null or an ``X``, and a dataclass field an object;
 * a fixed ``tuple[A, B]`` takes a list of exactly that many entries, each
   read as its own type, and a variadic ``tuple[X, ...]`` a list of any
   length, every entry read as an ``X``; both become tuples.
 
-Every other check is the class's own ``__post_init__``; ``finite`` and
-``require_finite`` are the number checks those share.
+A parameter or config class subclasses ``Checked`` and declares each
+field's rule once, with ``rule``: a menu, or bounds open or closed.  On
+construction ``check_fields`` refuses, with a ``FieldError``
+``<field> must be <rule>, got <value>``, each ``int``, ``float`` or ``str``
+field whose value ``fits`` refuses for its annotated type (an ``int``
+takes any integral, a ``float`` any finite real, neither a bool) or that
+breaks its rule; ``from_dict`` names the path to it.  Only checks across
+fields or on arrays are written out, in a class's own ``__post_init__``.
 
 ``read_json`` reads a document and names the file when its text is not
-UTF-8 JSON.  ``write_text`` replaces a file atomically (a ``.tmp`` sibling,
+UTF-8 JSON, and ``read_text`` names the file and line of a byte that is
+not UTF-8.  ``write_text`` replaces a file atomically (a ``.tmp`` sibling,
 then ``os.replace``), so a write cut short leaves the previous file in
 place, never a truncated one; ``write_json`` writes a document through it,
-indented.  Every JSON and text artifact goes through these two; only the
-streaming CSV writers open their files themselves.
+indented.  Every file the package reads or writes whole goes through these.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import numbers
+import operator
 import os
 import typing
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import MISSING, field, fields, is_dataclass, replace
 from pathlib import Path
 
 
 class ConfigError(ValueError):
     """Invalid configuration or saved-state content."""
+
+
+class FieldError(ValueError):
+    """A field that breaks its declared rule; the message starts with the
+    field's name."""
 
 
 def read_json(path: str | Path):
@@ -52,6 +63,17 @@ def read_json(path: str | Path):
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # UnicodeDecodeError and the digit limit too
         raise ConfigError(f"{path}: not JSON ({exc})") from exc
+
+
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of the file ``path``, or a ConfigError naming the file
+    and the 1-based line of the first byte that is not UTF-8."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}, line {line}: not UTF-8 ({exc.reason})") from None
 
 
 def write_text(path: str | Path, text: str) -> None:
@@ -68,23 +90,80 @@ def write_json(path: str | Path, doc) -> None:
 
 
 def finite(value) -> bool:
-    """Whether ``value`` is a finite number.  An int beyond float range is
-    not (``math.isfinite`` raises OverflowError on it), and it is the only
-    int that is not."""
-    try:
+    try:  # math.isfinite raises OverflowError on an int beyond float range
         return math.isfinite(value)
     except OverflowError:
         return False
 
 
-def require_finite(obj, *names: str) -> None:
-    """Refuse, with a ValueError naming the field, each field of ``obj`` in
-    ``names`` that is not a finite number."""
-    for name in names:
+def fits(tp, value) -> bool:
+    """Whether ``value`` is a ``tp``: an int any integral, a float any finite real."""
+    if tp is int or tp is float:
+        real = isinstance(value, numbers.Integral if tp is int else numbers.Real)
+        return real and not isinstance(value, bool) and (tp is int or finite(value))
+    return isinstance(value, tp)
+
+
+# what a value of the type must be, and each bound's bracket, sign and test
+_TYPE_RULES = {int: "an integer", float: "finite", str: "a string"}
+_BOUNDS = {"gt": ("(", ">", operator.gt), "ge": ("[", ">=", operator.ge),
+           "lt": (")", "<", operator.lt), "le": ("]", "<=", operator.le)}
+
+
+def rule(default=MISSING, **spec):
+    """A dataclass field whose value must be one of ``menu``, or meet the
+    bounds ``gt``, ``ge``, ``lt`` and ``le`` given, the lower one first."""
+    return field(default=default, metadata=spec)
+
+
+def rule_of(cls, name: str) -> typing.Mapping:
+    """The rule of the field ``name`` of ``cls``, for a field that shares it."""
+    return next(f.metadata for f in fields(cls) if f.name == name)
+
+
+class Checked:
+    """Base of a dataclass whose fields ``check_fields`` checks when made."""
+
+    def __post_init__(self) -> None:
+        check_fields(self)
+
+
+@functools.cache
+def _rules(cls) -> tuple:
+    """(name, type, None-able, rule) of each ``int``, ``float`` or ``str`` field."""
+    hints, out = typing.get_type_hints(cls), []
+    for f in fields(cls):
+        for tp in _TYPE_RULES:
+            if hints[f.name] in (tp, tp | None):
+                out.append((f.name, tp, hints[f.name] is not tp, f.metadata))
+    return tuple(out)
+
+
+def _fault(tp, spec, value) -> str | None:
+    """What ``value`` must be and is not, or None."""
+    if not fits(tp, value):
+        return _TYPE_RULES[tp]
+    if "menu" in spec:
+        return None if value in spec["menu"] else f"one of {spec['menu']}"
+    if all(_BOUNDS[k][2](value, bound) for k, bound in spec.items()):
+        return None
+    (k, lo), *upper = spec.items()
+    if not upper:
+        return f"{_BOUNDS[k][1]} {lo}"
+    ((k_hi, hi),) = upper
+    return f"in {_BOUNDS[k][0]}{lo}, {hi}{_BOUNDS[k_hi][0]}"
+
+
+def check_fields(obj) -> None:
+    """Refuse, with a FieldError naming it, the first scalar field of the
+    dataclass ``obj`` that breaks its type or rule."""
+    for name, tp, nullable, spec in _rules(type(obj)):
         value = getattr(obj, name)
-        if not finite(value):
-            got = "an int beyond float range" if isinstance(value, int) else repr(value)
-            raise ValueError(f"{name} must be finite, got {got}")
+        want = None if value is None and nullable else _fault(tp, spec, value)
+        if want:
+            too_big = isinstance(value, int) and not finite(value)
+            got = "an int beyond float range" if too_big else repr(value)
+            raise FieldError(f"{name} must be {want}, got {got}")
 
 
 def _decode(tp, value, base, where: str, shown=None):
@@ -105,10 +184,7 @@ def _decode(tp, value, base, where: str, shown=None):
                 _decode(a, v, None, f"{where}[{i}]")
                 for i, (a, v) in enumerate(zip(args, value))
             )
-    elif tp is float:  # bool is no JSON number, nor are NaN and Infinity
-        if type(value) in (int, float) and finite(value):
-            return value
-    elif type(value) is tp:  # an int or str field takes only its own type
+    elif fits(tp, value):  # bool is no JSON number, nor are NaN and Infinity
         return value
     shown = shown.__name__ if isinstance(shown, type) else shown
     raise ConfigError(f"{where} must be {shown}, got {value!r}")
@@ -132,5 +208,7 @@ def from_dict(cls, doc, base=None, where: str | None = None):
     }
     try:
         return cls(**values) if base is None else replace(base, **values)
+    except FieldError as exc:
+        raise ConfigError(f"{where}.{exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {where}: {exc}") from exc

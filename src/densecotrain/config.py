@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
-from .codec import ConfigError, from_dict, read_json, write_json
+from .codec import Checked, ConfigError, from_dict, read_json, rule, rule_of, write_json
 from .cotrain import CoTrainConfig
 from .data import SceneSpec
 from .tuner import TunerConfig
@@ -19,65 +19,55 @@ SEEDED_SECTIONS = ("cotrain", "tuner")
 
 
 @dataclass(frozen=True)
-class DatasetConfig:
-    source: str = "synthetic"  # synthetic | csv
+class DatasetConfig(Checked):
+    source: str = rule("synthetic", menu=("synthetic", "csv"))
     csv_path: str | None = None
-    n_labeled: int = 200
-    n_unlabeled: int = 800
+    n_labeled: int = rule(200, ge=1)
+    n_unlabeled: int = rule(800, ge=0)
     fractions: tuple[float, float, float] = (0.7, 0.1, 0.2)
-    grid_rows: int = 4
-    grid_cols: int = 5
+    grid_rows: int = rule(4, **rule_of(SceneSpec, "grid_rows"))
+    grid_cols: int = rule(5, **rule_of(SceneSpec, "grid_cols"))
     row_range: tuple[int, int] | None = (3, 5)
     col_range: tuple[int, int] | None = (4, 6)
-    box_w: float = 48.0
-    box_h: float = 64.0
-    jitter: float = 2.0
-    overlap_factor: float = 0.4
+    box_w: float = rule(48.0, **rule_of(SceneSpec, "box_w"))
+    box_h: float = rule(64.0, **rule_of(SceneSpec, "box_h"))
+    jitter: float = rule(2.0, **rule_of(SceneSpec, "jitter"))
+    overlap_factor: float = rule(0.4, **rule_of(SceneSpec, "overlap_factor"))
 
     def __post_init__(self) -> None:
-        if self.source not in ("synthetic", "csv"):
-            raise ConfigError(f"dataset.source must be synthetic or csv, got {self.source!r}")
+        super().__post_init__()
         if self.source == "csv" and not self.csv_path:
             raise ConfigError("dataset.source csv requires dataset.csv_path")
         if len(self.fractions) != 3:
             raise ConfigError("fractions must have three entries")
         if abs(sum(self.fractions) - 1.0) > 1e-9:
-            raise ConfigError(
-                f"fractions must sum to 1 within 1e-9, got {self.fractions}"
-            )
-        if self.n_labeled <= 0 or self.n_unlabeled < 0:
-            raise ConfigError("n_labeled must be positive and n_unlabeled >= 0")
+            raise ConfigError(f"fractions must sum to 1 within 1e-9, got {self.fractions}")
         for key in ("row_range", "col_range"):
             r = getattr(self, key)
             # each scene draws its grid dims from [lo, hi]; checked here, so a
             # bad range fails before any work whatever the seed draws
             if r is not None and not 1 <= r[0] <= r[1]:
-                raise ConfigError(
-                    f"dataset.{key} must be [lo, hi] with 1 <= lo <= hi, "
-                    f"got {list(r)}"
-                )
+                raise ConfigError(f"dataset.{key} must be [lo, hi] with 1 <= lo <= hi, "
+                                  f"got {list(r)}")
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Checked):
     """One run; the defaults are the stock experiment: 200 labeled plus
     800 unlabeled dense scenes at overlap 0.4, two co-training rounds at
     tau 0.8.  ``seed`` is the one seed of the run: the nested sections
     carry copies of it."""
 
-    seed: int
+    seed: int = rule(ge=0)
     dataset: DatasetConfig = DatasetConfig()
     cotrain: CoTrainConfig = CoTrainConfig(max_rounds=2)
     tuner: TunerConfig = TunerConfig()
     output_dir: str = "runs/default"
 
     def __post_init__(self) -> None:
-        if self.seed < 0:  # numpy's generators refuse it without naming it
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        super().__post_init__()
         for section in SEEDED_SECTIONS:
-            object.__setattr__(
-                self, section, replace(getattr(self, section), seed=self.seed)
-            )
+            object.__setattr__(self, section, replace(getattr(self, section), seed=self.seed))
 
     def scene_spec(self) -> SceneSpec:
         d = self.dataset

@@ -50,7 +50,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .codec import from_dict, read_json, write_json
+from .codec import Checked, from_dict, read_json, rule, write_json
 from .data import DatasetSplit, ImageRecord
 from .detectors import (
     CONTEXTUAL,
@@ -119,40 +119,24 @@ class PseudoLabels(Detections):
 
 
 @dataclass(frozen=True)
-class CoTrainConfig:
+class CoTrainConfig(Checked):
     """Knobs of one run; everything downstream derives from these plus
     the seed."""
 
     loc_params: DetectorParams = DEFAULT_LOCALIZER_PARAMS
     ctx_params: DetectorParams = DEFAULT_CONTEXTUAL_PARAMS
     ensemble_params: EnsembleParams = EnsembleParams()
-    tau_conf: float = 0.8
-    max_rounds: int = 5
-    epsilon: float = 0.005
-    patience: int = 2
-    pseudo_nms_iou: float = 0.5
-    merge_nms_iou: float = 0.5
-    mode: str = "cotrain"
-    seed: int = 0
-    unlabeled_subsample: int | None = None
-    ensemble_train_cap: int = 2500
+    tau_conf: float = rule(0.8, gt=0, le=1)
+    max_rounds: int = rule(5, ge=0)
+    epsilon: float = rule(0.005, ge=0)
+    patience: int = rule(2, ge=1)
+    pseudo_nms_iou: float = rule(0.5, gt=0, lt=1)
+    merge_nms_iou: float = rule(0.5, gt=0, lt=1)
+    mode: str = rule("cotrain", menu=MODES)
+    seed: int = rule(0, ge=0)
+    unlabeled_subsample: int | None = rule(None, ge=0)
+    ensemble_train_cap: int = rule(2500, ge=2)  # a smaller cap holds one class at most
     retrain_coeff: RetrainCoefficients = RetrainCoefficients()
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.tau_conf <= 1.0):
-            raise ValueError(f"tau_conf must be in (0, 1], got {self.tau_conf!r}")
-        if self.max_rounds < 0:
-            raise ValueError("max_rounds must be >= 0")
-        if self.epsilon < 0 or self.patience < 1:
-            raise ValueError("epsilon must be >= 0 and patience >= 1")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not (0.0 < self.pseudo_nms_iou < 1.0 and 0.0 < self.merge_nms_iou < 1.0):
-            raise ValueError("nms thresholds must be in (0, 1)")
-        if self.unlabeled_subsample is not None and self.unlabeled_subsample < 0:
-            raise ValueError("unlabeled_subsample must be >= 0")
-        if self.ensemble_train_cap < 2:  # a smaller cap holds one class at most
-            raise ValueError("ensemble_train_cap must be >= 2")
 
 
 @dataclass(frozen=True)

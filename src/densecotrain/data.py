@@ -18,6 +18,7 @@ IoU with any other box in the scene.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 from dataclasses import asdict, dataclass, field, replace
@@ -26,7 +27,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .codec import require_finite, write_json
+from .codec import Checked, read_text, rule, write_json, write_text
 from .geom import GroundTruths, gt_columns, iou_pairs
 
 LABEL_NAMES: dict[int, str] = {0: "object"}
@@ -105,31 +106,16 @@ class DatasetSplit:
 
 
 @dataclass(frozen=True)
-class SceneSpec:
+class SceneSpec(Checked):
     """Parameters for one synthetic dense scene."""
 
-    grid_rows: int
-    grid_cols: int
-    box_w: float = 48.0
-    box_h: float = 64.0
-    jitter: float = 2.0
-    overlap_factor: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.grid_rows < 1 or self.grid_cols < 1:
-            raise ValueError("grid dims must be positive")
-        if self.seed < 0:  # numpy's generators refuse it without naming it
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        require_finite(self, "box_w", "box_h", "jitter")
-        if self.box_w <= 0 or self.box_h <= 0:
-            raise ValueError("box dims must be positive")
-        if self.jitter < 0:
-            raise ValueError("jitter must be >= 0")
-        if not (0.0 <= self.overlap_factor < 1.0):
-            raise ValueError(
-                f"overlap_factor must be in [0, 1), got {self.overlap_factor!r}"
-            )
+    grid_rows: int = rule(ge=1)
+    grid_cols: int = rule(ge=1)
+    box_w: float = rule(48.0, gt=0)
+    box_h: float = rule(64.0, gt=0)
+    jitter: float = rule(2.0, ge=0)
+    overlap_factor: float = rule(0.0, ge=0, lt=1)
+    seed: int = rule(0, ge=0)  # numpy's generators refuse a negative one, naming no field
 
 
 def occlusion_levels(c: np.ndarray) -> np.ndarray:
@@ -229,39 +215,37 @@ def _label_id(name: str, label_ids: dict[str, int], line_no: int) -> int:
 
 def load_annotations(path: str | Path) -> list[ImageRecord]:
     """Read the annotation CSV into per-image records (row order kept)."""
-    path = Path(path)
     label_ids: dict[str, int] = {}
     by_image: dict[str, dict] = {}
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        for line_no, row in enumerate(reader, start=1):
-            if not row or all(not c.strip() for c in row):
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    for line_no, row in enumerate(reader, start=1):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if line_no == 1 and len(row) >= 2:
+            try:
+                float(row[1])
+            except ValueError:
+                if tuple(c.strip() for c in row) != CSV_COLUMNS:
+                    raise AnnotationError(
+                        f"line 1: header must be {','.join(CSV_COLUMNS)}, "
+                        f"got {','.join(row)}"
+                    ) from None
                 continue
-            if line_no == 1 and len(row) >= 2:
-                try:
-                    float(row[1])
-                except ValueError:
-                    if tuple(c.strip() for c in row) != CSV_COLUMNS:
-                        raise AnnotationError(
-                            f"line 1: header must be {','.join(CSV_COLUMNS)}, "
-                            f"got {','.join(row)}"
-                        ) from None
-                    continue
-            parsed = _parse_row(row, line_no)
-            if parsed is None:
-                continue
-            name, box, cls, w, h = parsed
-            label = _label_id(cls, label_ids, line_no)
-            entry = by_image.setdefault(
-                name, {"width": w, "height": h, "boxes": [], "labels": []}
+        parsed = _parse_row(row, line_no)
+        if parsed is None:
+            continue
+        name, box, cls, w, h = parsed
+        label = _label_id(cls, label_ids, line_no)
+        entry = by_image.setdefault(
+            name, {"width": w, "height": h, "boxes": [], "labels": []}
+        )
+        if entry["width"] != w or entry["height"] != h:
+            raise AnnotationError(
+                f"line {line_no}: image {name} has conflicting dims "
+                f"{w}x{h} vs {entry['width']}x{entry['height']}"
             )
-            if entry["width"] != w or entry["height"] != h:
-                raise AnnotationError(
-                    f"line {line_no}: image {name} has conflicting dims "
-                    f"{w}x{h} vs {entry['width']}x{entry['height']}"
-                )
-            entry["boxes"].append(box)
-            entry["labels"].append(label)
+        entry["boxes"].append(box)
+        entry["labels"].append(label)
     return [
         ImageRecord(name, e["width"], e["height"], GroundTruths(e["boxes"], e["labels"]))
         for name, e in by_image.items()
@@ -270,15 +254,16 @@ def load_annotations(path: str | Path) -> list[ImageRecord]:
 
 def save_annotations(records: Iterable[ImageRecord], path: str | Path) -> None:
     """Write records back to the CSV schema, header included."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(CSV_COLUMNS)
-        for rec in records:
-            for box, label in zip(rec.gts.boxes.tolist(), rec.gts.labels.tolist()):
-                w.writerow(
-                    [rec.image_id, *map(repr, box),
-                     LABEL_NAMES.get(label, f"class_{label}"), rec.width, rec.height]
-                )
+    text = io.StringIO()
+    w = csv.writer(text)
+    w.writerow(CSV_COLUMNS)
+    for rec in records:
+        for box, label in zip(rec.gts.boxes.tolist(), rec.gts.labels.tolist()):
+            w.writerow(
+                [rec.image_id, *map(repr, box),
+                 LABEL_NAMES.get(label, f"class_{label}"), rec.width, rec.height]
+            )
+    write_text(path, text.getvalue())
 
 
 def _floor_share(fraction: float, n: int) -> int:

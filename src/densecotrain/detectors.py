@@ -43,7 +43,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .codec import require_finite
+from .codec import Checked, rule
 from .data import ImageRecord
 from .geom import Box, ColumnBatch, ScoredBox, columns, iou_pairs, nms_keep_groups
 from .metrics import greedy_match_groups
@@ -65,40 +65,17 @@ FP_SCORE_BETA = 5.0
 
 
 @dataclass(frozen=True)
-class DetectorParams:
+class DetectorParams(Checked):
     """One view's hyperparameter block (EP, CT, IOU, BS, LR, and AS for
-    the anchor-aware profile)."""
+    the anchor-aware profile).  CT's lower edge is closed, so CT=0 can
+    express "no filtering"."""
 
-    epochs: int = 20
-    confidence_threshold: float = 0.25
-    nms_iou: float = 0.5
-    batch_size: int = 16
-    learning_rate: float = 1e-3
-    anchor_scales: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        # the lower edge is closed so CT=0 can express "no filtering"
-        if not (0.0 <= self.confidence_threshold < 1.0):
-            raise ValueError(
-                f"confidence_threshold must be in [0, 1), "
-                f"got {self.confidence_threshold!r}"
-            )
-        if not (0.0 < self.nms_iou < 1.0):
-            raise ValueError(f"nms_iou must be in (0, 1), got {self.nms_iou!r}")
-        if self.batch_size not in BATCH_MENU:
-            raise ValueError(
-                f"batch_size must be one of {BATCH_MENU}, got {self.batch_size!r}"
-            )
-        require_finite(self, "learning_rate")
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate!r}")
-        if self.anchor_scales is not None and self.anchor_scales not in ANCHOR_MENU:
-            raise ValueError(
-                f"anchor_scales must be one of {ANCHOR_MENU} or None, "
-                f"got {self.anchor_scales!r}"
-            )
+    epochs: int = rule(20, ge=1)
+    confidence_threshold: float = rule(0.25, ge=0, lt=1)
+    nms_iou: float = rule(0.5, gt=0, lt=1)
+    batch_size: int = rule(16, menu=BATCH_MENU)
+    learning_rate: float = rule(1e-3, gt=0)
+    anchor_scales: str | None = rule(None, menu=ANCHOR_MENU)
 
 
 @dataclass(frozen=True)
@@ -154,19 +131,13 @@ DEFAULT_CONTEXTUAL_PARAMS = DetectorParams(
 
 
 @dataclass(frozen=True)
-class SkillModel:
+class SkillModel(Checked):
     """What a trained view can do, independent of any single image."""
 
-    base_recall: float
-    occlusion_penalty: float
-    jitter_sigma: float
-    fp_rate: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.base_recall <= 1.0):
-            raise ValueError(f"base_recall must be in [0,1], got {self.base_recall!r}")
-        if self.occlusion_penalty < 0 or self.jitter_sigma < 0 or self.fp_rate < 0:
-            raise ValueError("occlusion_penalty, jitter_sigma, fp_rate must be >= 0")
+    base_recall: float = rule(ge=0, le=1)
+    occlusion_penalty: float = rule(ge=0)
+    jitter_sigma: float = rule(ge=0)
+    fp_rate: float = rule(ge=0)
 
     def effective_recall(self, occlusion: float | np.ndarray) -> float | np.ndarray:
         """Recall on a box of the given occlusion level (or on each of an
@@ -331,7 +302,7 @@ def _place_features(
 
 def _fp_box(
     rng: np.random.Generator, record: ImageRecord, mean_w: float, mean_h: float
-) -> Box | None:
+) -> tuple[float, float, float, float] | None:
     w = mean_w * rng.uniform(0.7, 1.3)
     h = mean_h * rng.uniform(0.7, 1.3)
     w = min(w, record.width * 0.9)
@@ -340,7 +311,7 @@ def _fp_box(
         return None
     x1 = rng.uniform(0.0, record.width - w)
     y1 = rng.uniform(0.0, record.height - h)
-    return Box(x1, y1, x1 + w, y1 + h)
+    return (x1, y1, x1 + w, y1 + h)
 
 
 def _emitted_rows(
@@ -444,7 +415,7 @@ def detect_batch(
                 fb = _fp_box(rng, record, mean_w, mean_h)
                 if fb is None:
                     continue
-                fp_boxes.append(fb.as_tuple())
+                fp_boxes.append(fb)
                 fp_scores.append(float(rng.beta(FP_SCORE_ALPHA, FP_SCORE_BETA)))
                 fp_normals.append(rng.standard_normal((1, FEATURE_DIM)))
                 fp_groups.append(k)
@@ -563,16 +534,18 @@ def audit_pseudo_labels(
 
 
 @dataclass(frozen=True)
-class RetrainCoefficients:
-    """Strengths of the synthetic training-effect rule."""
+class RetrainCoefficients(Checked):
+    """Strengths of the synthetic training-effect rule.  The two shrink
+    coefficients stay in [0, 1], so the shrunk occlusion penalty and
+    jitter stay >= 0."""
 
-    recall_transfer: float = 0.55   # novel-coverage recall gain
-    occlusion_transfer: float = 0.50  # occlusion-penalty shrink from novel occluded labels
-    precision_transfer: float = 0.40  # jitter shrink from precise labels
-    reinforcement: float = 0.06     # small gain from any correct labels
-    noise_recall: float = 0.60      # recall penalty per unit wrong-label exposure
-    noise_jitter: float = 1.00      # jitter inflation per unit wrong-label exposure
-    min_jitter: float = 0.05
+    recall_transfer: float = rule(0.55, ge=0)  # novel-coverage recall gain
+    occlusion_transfer: float = rule(0.50, ge=0, le=1)  # shrink from novel occluded labels
+    precision_transfer: float = rule(0.40, ge=0, le=1)  # jitter shrink from precise labels
+    reinforcement: float = rule(0.06, ge=0)  # small gain from any correct labels
+    noise_recall: float = rule(0.60, ge=0)  # recall penalty per unit wrong-label share
+    noise_jitter: float = rule(1.00, ge=0)  # jitter inflation per unit wrong-label share
+    min_jitter: float = rule(0.05, ge=0)
 
 
 def retrain(

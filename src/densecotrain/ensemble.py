@@ -10,74 +10,37 @@ Everything is deterministic given (data, params, seed).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .codec import require_finite
+from .codec import Checked, rule
 
 MEMBER_NAMES = ("gbt", "rf", "svm")
 SVM_KERNELS = ("linear", "rbf", "poly")
 SVM_ITERATION_BUDGET = 2000
 
 
-def _require_ints(params, *names: str) -> None:
-    # bool is an Integral too, but True is no tree count or depth
-    for name in names:
-        value = getattr(params, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+@dataclass(frozen=True)
+class XgbParams(Checked):
+    learning_rate: float = rule(0.15, gt=0)
+    max_depth: int = rule(3, ge=1)
+    l2_reg: float = rule(1.0, ge=0)
+    n_trees: int = rule(30, ge=0)
 
 
 @dataclass(frozen=True)
-class XgbParams:
-    learning_rate: float = 0.15
-    max_depth: int = 3
-    l2_reg: float = 1.0
-    n_trees: int = 30
-
-    def __post_init__(self) -> None:
-        _require_ints(self, "max_depth", "n_trees")
-        require_finite(self, "learning_rate", "l2_reg")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
-        if self.l2_reg < 0:
-            raise ValueError("l2_reg must be >= 0")
-        if self.n_trees < 0:
-            raise ValueError("n_trees must be >= 0")
+class RfParams(Checked):
+    max_depth: int = rule(8, ge=0)
+    n_trees: int = rule(25, ge=1)
 
 
 @dataclass(frozen=True)
-class RfParams:
-    max_depth: int = 8
-    n_trees: int = 25
-
-    def __post_init__(self) -> None:
-        _require_ints(self, "max_depth", "n_trees")
-        if self.max_depth < 0:
-            raise ValueError("max_depth must be >= 0")
-        if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
-
-
-@dataclass(frozen=True)
-class SvmParams:
-    c: float = 1.0
-    kernel: str = "rbf"
-    gamma: float = 1.0 / 16.0
-
-    def __post_init__(self) -> None:
-        require_finite(self, "c", "gamma")
-        if self.c <= 0:
-            raise ValueError("c must be > 0")
-        if self.kernel not in SVM_KERNELS:
-            raise ValueError(f"kernel must be one of {SVM_KERNELS}, got {self.kernel!r}")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be > 0")
+class SvmParams(Checked):
+    c: float = rule(1.0, gt=0)
+    kernel: str = rule("rbf", menu=SVM_KERNELS)
+    gamma: float = rule(1.0 / 16.0, gt=0)
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,12 @@ echo is ``config.json`` beside it."""
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import fields
 from pathlib import Path
 
-from .codec import from_dict, read_json, write_json
+from .codec import from_dict, read_json, read_text, write_json, write_text
 from .config import ARTIFACT_VERSION
 from .cotrain import CoTrainResult, RoundRecord, result_to_dict
 from .metrics import COCO_THRESHOLDS
@@ -80,13 +81,12 @@ def load_run_report(run_dir: str | Path) -> dict:
 
 def write_history_csv(report: dict, run_dir: str | Path) -> Path:
     path = Path(run_dir) / HISTORY_FILENAME
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_HISTORY_COLUMNS)
-        for row in report["history"]:
-            writer.writerow(
-                ["" if row[c] is None else row[c] for c in _HISTORY_COLUMNS]
-            )
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(_HISTORY_COLUMNS)
+    for row in report["history"]:
+        writer.writerow(["" if row[c] is None else row[c] for c in _HISTORY_COLUMNS])
+    write_text(path, text.getvalue())
     return path
 
 
@@ -133,24 +133,23 @@ def trace_series(trace_path: str | Path) -> list[tuple[str, list[tuple[float, fl
     finite number."""
     best: list[tuple[float, float]] = []
     score: list[tuple[float, float]] = []
-    with open(trace_path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in _TRACE_COLUMNS if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ValueError(f"{trace_path}: no {', '.join(missing)} column")
-        for row in reader:
-            values = [row[c] for c in _TRACE_COLUMNS]
-            try:
-                idx, s, b = map(float, values)
-            except (TypeError, ValueError):  # a short row reads None
-                idx = s = b = math.nan
-            if not all(map(math.isfinite, (idx, s, b))):
-                raise ValueError(
-                    f"{trace_path}, line {reader.line_num}: "
-                    f"{', '.join(_TRACE_COLUMNS)} must be finite numbers, got {values}"
-                )
-            score.append((idx, s))
-            best.append((idx, b))
+    reader = csv.DictReader(io.StringIO(read_text(trace_path), newline=""))
+    missing = [c for c in _TRACE_COLUMNS if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ValueError(f"{trace_path}: no {', '.join(missing)} column")
+    for row in reader:
+        values = [row[c] for c in _TRACE_COLUMNS]
+        try:
+            idx, s, b = map(float, values)
+        except (TypeError, ValueError):  # a short row reads None
+            idx = s = b = math.nan
+        if not all(map(math.isfinite, (idx, s, b))):
+            raise ValueError(
+                f"{trace_path}, line {reader.line_num}: "
+                f"{', '.join(_TRACE_COLUMNS)} must be finite numbers, got {values}"
+            )
+        score.append((idx, s))
+        best.append((idx, b))
     if not score:
         raise ValueError(f"{trace_path}: no evaluations, only a header")
     return [("best so far", best), ("evaluation", score)]

@@ -26,6 +26,7 @@ base config and split, so the memo keys are the only inputs that vary.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
@@ -34,6 +35,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from .codec import Checked, rule, write_text
 from .cotrain import (
     CoTrainConfig,
     InfeasibleViewError,
@@ -59,26 +61,24 @@ VIEW_MEMO_SIZE = 4
 
 
 @dataclass(frozen=True)
-class GeneSpec:
+class GeneSpec(Checked):
     """Bounds or menu for one gene of the search space."""
 
     name: str
-    kind: str  # continuous | log | integer | categorical
+    kind: str = rule(menu=("continuous", "log", "integer", "categorical"))
     low: float | None = None
     high: float | None = None
     menu: tuple = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in ("continuous", "log", "integer", "categorical"):
-            raise ValueError(f"gene {self.name}: unknown kind {self.kind!r}")
+        super().__post_init__()
         if self.kind == "categorical":
             if not self.menu:
                 raise ValueError(f"gene {self.name}: categorical menu is empty")
-        else:
-            if self.low is None or self.high is None or not (self.low < self.high):
-                raise ValueError(f"gene {self.name}: needs low < high bounds")
-            if self.kind == "log" and self.low <= 0:
-                raise ValueError(f"gene {self.name}: log bounds must be positive")
+        elif self.low is None or self.high is None or not (self.low < self.high):
+            raise ValueError(f"gene {self.name}: needs low < high bounds")
+        elif self.kind == "log" and self.low <= 0:
+            raise ValueError(f"gene {self.name}: log bounds must be positive")
 
 
 @dataclass(frozen=True)
@@ -148,27 +148,15 @@ DEFAULT_VECTOR = HyperVector(
 
 
 @dataclass(frozen=True)
-class TunerConfig:
-    algorithm: str = "ga"
-    budget: int = 16
-    population: int = 8
-    mutation_rate: float = 0.1
-    crossover_rate: float = 0.9
-    initial_temperature: float = 0.05
-    cooling_rate: float = 0.97
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"algorithm must be one of {ALGORITHMS}")
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
-        if not (0.0 <= self.mutation_rate <= 1.0 and 0.0 <= self.crossover_rate <= 1.0):
-            raise ValueError("rates must be in [0, 1]")
-        if self.population < 1:
-            raise ValueError("population must be >= 1")
-        if self.initial_temperature < 0 or not (0.0 < self.cooling_rate <= 1.0):
-            raise ValueError("bad annealing schedule")
+class TunerConfig(Checked):
+    algorithm: str = rule("ga", menu=ALGORITHMS)
+    budget: int = rule(16, ge=1)
+    population: int = rule(8, ge=1)
+    mutation_rate: float = rule(0.1, ge=0, le=1)
+    crossover_rate: float = rule(0.9, ge=0, le=1)
+    initial_temperature: float = rule(0.05, ge=0)
+    cooling_rate: float = rule(0.97, gt=0, le=1)
+    seed: int = rule(0, ge=0)
 
 
 @dataclass(frozen=True)
@@ -547,11 +535,11 @@ def tune_pipeline(
 
 
 def write_trace_csv(report: TuneReport, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["evaluation", "score", "best_so_far", *GENE_NAMES])
-        for entry in report.trace:
-            writer.writerow(
-                [entry.index, entry.score, entry.best_so_far,
-                 *vector_values(entry.vector)]
-            )
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["evaluation", "score", "best_so_far", *GENE_NAMES])
+    for entry in report.trace:
+        writer.writerow(
+            [entry.index, entry.score, entry.best_so_far, *vector_values(entry.vector)]
+        )
+    write_text(path, text.getvalue())

@@ -988,6 +988,19 @@ def test_cotrain_config_bad_value_exit_2_before_running(
     assert not (tmp_path / "run" / CHECKPOINT_FILENAME).exists()
 
 
+def test_cotrain_retrain_coefficient_out_of_range_exit_2_before_making_dir(tmp_path, capsys):
+    """An occlusion transfer above 1 makes the shrunk occlusion penalty
+    negative: the run exited 4 after round 0, leaving config.json and
+    checkpoint.json, with a message naming no config key."""
+    cfg_path = tiny_config(tmp_path, retrain_coeff={"occlusion_transfer": 5.0})
+    assert run_cli(["cotrain", "--config", cfg_path]) == 2
+    assert (
+        "config.cotrain.retrain_coeff.occlusion_transfer must be in [0, 1], got 5.0"
+        in capsys.readouterr().err
+    )
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize(
     "section, key", [("dataset", "box_w"), ("cotrain", "epsilon")]
 )
@@ -1337,6 +1350,30 @@ def test_report_malformed_exit_2(tmp_path, capsys, doc, named):
     assert "unreadable report" in err and named in err
     assert str(run_dir / "report.json") in err
     assert out == "" and not (run_dir / "val_map.svg").exists()
+
+
+@pytest.mark.parametrize("kind", ["predictions", "annotations", "trace"])
+def test_input_not_utf8_exit_2_naming_file_and_line(dataset_dir, tmp_path, capsys, kind):
+    """A byte 0xff on line 2 of a predictions file, an annotations CSV or
+    a tuning trace: the first two printed only the codec's message."""
+    annotations = dataset_dir / "annotations.csv"
+    predictions = tmp_path / "preds.jsonl"
+    predictions.write_text("", encoding="utf-8")
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    (run_dir / "report.json").write_text(json.dumps(_REPORT), encoding="utf-8")
+    lines = {
+        "predictions": (predictions, b'{"image_id": "synth-00000", "detections": []}'),
+        "annotations": (annotations, annotations.read_bytes().splitlines()[0]),
+        "trace": (run_dir / "tune_trace.csv", b"evaluation,score,best_so_far"),
+    }
+    path, first = lines[kind]
+    path.write_bytes(first + b'\n{"image_id": "synth-\xff"}\n')
+    argv = (["report", "--run", run_dir] if kind == "trace" else
+            ["evaluate", "--predictions", predictions, "--annotations", annotations])
+    capsys.readouterr()
+    assert run_cli(argv) == 2
+    assert f"{path}, line 2: not UTF-8" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

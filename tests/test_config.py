@@ -2,9 +2,12 @@
 documents fail loudly."""
 
 import json
+import math
 import re
+import typing
 from dataclasses import fields
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,11 +22,13 @@ from densecotrain.config import (
     default_synthetic,
 )
 from densecotrain.cotrain import MODES, CoTrainConfig
+from densecotrain.data import SceneSpec
 from densecotrain.detectors import (
     ANCHOR_MENU,
     BATCH_MENU,
     DetectorParams,
     RetrainCoefficients,
+    SkillModel,
 )
 from densecotrain.ensemble import (
     SVM_KERNELS,
@@ -32,12 +37,13 @@ from densecotrain.ensemble import (
     SvmParams,
     XgbParams,
 )
-from densecotrain.tuner import ALGORITHMS, TunerConfig
+from densecotrain.tuner import ALGORITHMS, GeneSpec, TunerConfig
 
-finite = st.floats(allow_nan=False, allow_infinity=False)
+nonnegative = st.floats(min_value=0.0, allow_infinity=False)
 positive = st.floats(min_value=1e-6, max_value=1e6)
 unit_open = st.floats(min_value=1e-6, max_value=1 - 1e-6)
 unit_closed = st.floats(min_value=0.0, max_value=1.0)
+unit_half_open = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
 small_int = st.integers(min_value=0, max_value=10**6)
 seeds = st.integers(min_value=0, max_value=2**63 - 1)
 
@@ -71,7 +77,13 @@ ensemble_params = every_field(
 )
 retrain_coeff = every_field(
     RetrainCoefficients,
-    **{f.name: finite for f in fields(RetrainCoefficients)},
+    recall_transfer=nonnegative,
+    occlusion_transfer=unit_closed,
+    precision_transfer=unit_closed,
+    reinforcement=nonnegative,
+    noise_recall=nonnegative,
+    noise_jitter=nonnegative,
+    min_jitter=nonnegative,
 )
 cotrain_config = every_field(
     CoTrainConfig,
@@ -128,8 +140,8 @@ dataset_config = st.one_of(
         col_range=ranges,
         box_w=positive,
         box_h=positive,
-        jitter=finite,
-        overlap_factor=unit_closed,
+        jitter=nonnegative,
+        overlap_factor=unit_half_open,
     ),
     st.builds(DatasetConfig, source=st.just("csv"),
               csv_path=st.text(min_size=1, max_size=12)),
@@ -286,3 +298,109 @@ def test_read_json_names_the_file(tmp_path, data, named):
     with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: not JSON \(") as info:
         read_json(path)
     assert named in str(info.value)
+
+
+# each class whose scalar fields declare their rules, with the arguments it
+# needs besides its defaults
+RULED_CLASSES = {
+    DetectorParams: {},
+    SkillModel: dict(base_recall=0.5, occlusion_penalty=0.1, jitter_sigma=1.0, fp_rate=0.5),
+    RetrainCoefficients: {},
+    XgbParams: {},
+    RfParams: {},
+    SvmParams: {},
+    CoTrainConfig: {},
+    SceneSpec: dict(grid_rows=4, grid_cols=5),
+    DatasetConfig: {},
+    RunConfig: dict(seed=0),
+    TunerConfig: {},
+    GeneSpec: dict(name="g", kind="continuous", low=0.0, high=1.0),
+}
+
+# values once accepted, or refused by a bare TypeError or by a message that
+# named no field: (class, where the class sits in a run config, field, value)
+PROBED = [
+    (DetectorParams, "cotrain.loc_params", "epochs", 2.5),
+    (DetectorParams, "cotrain.loc_params", "epochs", True),
+    (DetectorParams, "cotrain.loc_params", "confidence_threshold", "0.3"),
+    (TunerConfig, "tuner", "budget", 2.5),
+    (TunerConfig, "tuner", "budget", True),
+    (TunerConfig, "tuner", "initial_temperature", math.inf),
+    (SvmParams, "cotrain.ensemble_params.svm", "c", True),
+    (CoTrainConfig, "cotrain", "max_rounds", 1.5),
+    (CoTrainConfig, "cotrain", "epsilon", math.nan),
+    (CoTrainConfig, "cotrain", "ensemble_train_cap", 2.5),
+    (SceneSpec, "dataset", "grid_rows", 2.5),
+    (DatasetConfig, "dataset", "grid_rows", 0),
+    (DatasetConfig, "dataset", "box_w", -1.0),
+    (DatasetConfig, "dataset", "overlap_factor", 1.5),
+    (RunConfig, "", "seed", True),
+    (RetrainCoefficients, "cotrain.retrain_coeff", "occlusion_transfer", 5.0),
+    (RetrainCoefficients, "cotrain.retrain_coeff", "noise_jitter", -0.5),
+]
+
+
+def _probe_id(case):
+    cls, _, name, value = case
+    return f"{cls.__name__}.{name}={value!r}"
+
+
+@pytest.mark.parametrize("cls, section, name, value", PROBED, ids=map(_probe_id, PROBED))
+def test_constructor_refuses_a_probed_value_naming_the_field(cls, section, name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be "):
+        cls(**{**RULED_CLASSES[cls], name: value})
+
+
+@pytest.mark.parametrize("cls, section, name, value", PROBED, ids=map(_probe_id, PROBED))
+def test_config_document_refuses_a_probed_value_naming_the_path(cls, section, name, value):
+    doc = {"seed": 0}
+    inner = doc
+    for key in filter(None, section.split(".")):
+        inner = inner.setdefault(key, {})
+    inner[name] = value
+    where = ".".join(filter(None, ("config", section, name)))
+    with pytest.raises(ConfigError, match=rf"^{re.escape(where)} must be "):
+        config_from_dict(doc)
+
+
+def _scalar_fields(cls):
+    """(name, type) of each int, float and str field, ``X | None`` as X."""
+    for f in fields(cls):
+        tp = typing.get_type_hints(cls)[f.name]
+        args = [a for a in typing.get_args(tp) or (tp,) if a is not type(None)]
+        if len(args) == 1 and args[0] in (int, float, str):
+            yield f.name, args[0]
+
+
+@pytest.mark.parametrize("cls", RULED_CLASSES, ids=lambda c: c.__name__)
+def test_every_scalar_field_refuses_a_bool_and_a_wrong_type_by_name(cls):
+    wrong = {int: (2.5, "1"), float: ("1.0", 1j), str: (1, b"x")}
+    cls(**RULED_CLASSES[cls])  # the base arguments are valid
+    scalars = list(_scalar_fields(cls))
+    assert scalars
+    for name, tp in scalars:
+        for value in (True, False, *wrong[tp]):
+            with pytest.raises(ValueError, match=rf"^{name} must be "):
+                cls(**{**RULED_CLASSES[cls], name: value})
+
+
+def test_rules_accept_numpy_scalars():
+    """The program passes numpy ints and floats, so an int field takes any
+    integral and a float field any real, but a bool is neither."""
+    assert DetectorParams(epochs=np.int64(3), learning_rate=np.float64(1e-3)).epochs == 3
+    assert XgbParams(max_depth=np.int32(2), n_trees=np.uint8(5)).n_trees == 5
+    assert SceneSpec(np.int64(3), 4, box_w=np.float32(10.0)).grid_rows == 3
+    with pytest.raises(ValueError, match="^max_depth must be an integer, got "):
+        RfParams(max_depth=np.bool_(True))
+
+
+def test_dataset_config_shares_the_scene_rules():
+    """``DatasetConfig``'s scene fields hold what ``RunConfig.scene_spec``
+    passes to ``SceneSpec``, so each refuses what a scene would."""
+    for name, value in [("grid_cols", 0), ("box_h", 0.0), ("jitter", -1.0),
+                        ("overlap_factor", -0.1)]:
+        with pytest.raises(ValueError) as scene:
+            SceneSpec(**{"grid_rows": 4, "grid_cols": 5, name: value})
+        with pytest.raises(ValueError) as dataset:
+            DatasetConfig(**{name: value})
+        assert str(dataset.value) == str(scene.value)

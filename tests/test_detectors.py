@@ -355,7 +355,7 @@ def _detect_reference(record, skill, params, profile, seed, dropped=None):
                 continue
             score = float(rng.beta(FP_SCORE_ALPHA, FP_SCORE_BETA))
             feats = _emit_features_reference(profile, rng, 0.0)
-            raw.append(Detection(ScoredBox(fb, score, 0), feats))
+            raw.append(Detection(ScoredBox(Box(*fb), score, 0), feats))
     kept_scored = _nms_reference(
         [d.scored for d in raw if d.scored.score >= params.confidence_threshold],
         params.nms_iou,

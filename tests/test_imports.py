@@ -181,26 +181,30 @@ def test_every_defaulted_parameter_is_passed():
     assert PARAMETERS_SET_OUTSIDE_SRC <= {(f, p) for _, _, f, p, _ in defaulted}
 
 
-# whole-file writes, and renames into place
-_FILE_WRITES = {"write_text", "write_bytes"}
+# whole-file writes and reads, opened files, and renames into place
+_FILE_ACCESS = {"write_text", "write_bytes", "read_text", "read_bytes", "open"}
 _RENAMES = {"replace", "rename"}
 
 
-def _whole_file_writes(tree: ast.Module):
+def _file_access(tree: ast.Module):
     for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "open":
+            yield node
         if isinstance(node, ast.Attribute):
             owner = node.value.id if isinstance(node.value, ast.Name) else None
-            if node.attr in _FILE_WRITES or (owner == "os" and node.attr in _RENAMES):
+            if node.attr in _FILE_ACCESS or (owner == "os" and node.attr in _RENAMES):
                 yield node
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_only_codec_writes_whole_files(path):
-    """``codec.write_text`` is the one whole-file writer, so every file is
-    replaced atomically; the streaming CSV writers ``open`` their files and
-    are not counted."""
+    """``codec`` is the one file layer: ``write_text`` replaces every file
+    atomically, and ``read_text`` and ``read_json`` name a file whose text
+    is not UTF-8.  No other module opens a file (``open``, ``.open``),
+    reads one whole (``.read_text``, ``.read_bytes``), writes one (``.write_text``,
+    ``.write_bytes``) or renames one into place."""
     if path.name == "codec.py":
         return
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    found = [f"line {n.lineno}: {ast.unparse(n)}" for n in _whole_file_writes(tree)]
-    assert not found, f"{path.name} writes a whole file outside codec: {found}"
+    found = [f"line {n.lineno}: {ast.unparse(n)}" for n in _file_access(tree)]
+    assert not found, f"{path.name} opens, reads or writes a file outside codec: {found}"

@@ -274,19 +274,13 @@ def _load_run_config(args) -> RunConfig:
 # ------------------------------------------------------------------ commands
 
 def cmd_synth_gen(args) -> int:
-    if args.images < 1:
-        raise UsageError("--images must be >= 1")
-    if args.rows < 1 or args.cols < 1:
-        raise UsageError("--rows and --cols must be >= 1")
-    if not (0.0 <= args.overlap < 1.0):
-        raise UsageError("--overlap must be in [0, 1)")
     spec = SceneSpec(
         grid_rows=args.rows, grid_cols=args.cols, box_w=args.box_w,
         box_h=args.box_h, jitter=args.jitter, overlap_factor=args.overlap,
         seed=args.seed,
     )
-    out_dir = _ensure_dir(Path(args.out))
     records = generate_synthetic_dataset(args.images, spec, seed=args.seed)
+    out_dir = _ensure_dir(Path(args.out))
     csv_path = out_dir / "annotations.csv"
     manifest_path = out_dir / "manifest.json"
     try:
@@ -303,21 +297,12 @@ def cmd_synth_gen(args) -> int:
     return EXIT_OK
 
 
-def _parse_fractions(text: str) -> tuple[float, float, float]:
-    try:
-        parts = tuple(float(p) for p in text.split(","))
-    except ValueError as exc:
-        raise UsageError(f"--fractions must be three comma-separated floats: {exc}")
-    if len(parts) != 3:
-        raise UsageError("--fractions must have exactly three entries")
-    if abs(sum(parts) - 1.0) > 1e-9:
-        raise UsageError(f"--fractions must sum to 1 within 1e-9, got {parts}")
-    return parts
-
-
 def cmd_split(args) -> int:
     records = _load_gt_csv(args.annotations)
-    fractions = _parse_fractions(args.fractions)
+    try:  # select_and_split checks them
+        fractions = tuple(float(p) for p in args.fractions.split(","))
+    except ValueError as exc:
+        raise UsageError(f"--fractions must be comma-separated floats: {exc}")
     split = select_and_split(
         records, n_labeled=args.n_labeled, n_unlabeled=args.n_unlabeled,
         fractions=fractions, seed=args.seed,

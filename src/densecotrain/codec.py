@@ -25,6 +25,10 @@ takes any integral, a ``float`` any finite real, neither a bool) or that
 breaks its rule; ``from_dict`` names the path to it.  Only checks across
 fields or on arrays are written out, in a class's own ``__post_init__``.
 
+A function argument is checked in one line by ``check``, with the same
+message; one that a class field also holds takes the field's rule through
+``rule_of``, so the two refuse the same values.
+
 ``read_json`` reads a document and names the file when its text is not
 UTF-8 JSON, and ``read_text`` names the file and line of a byte that is
 not UTF-8.  ``write_text`` replaces a file atomically (a ``.tmp`` sibling,
@@ -154,16 +158,24 @@ def _fault(tp, spec, value) -> str | None:
     return f"in {_BOUNDS[k][0]}{lo}, {hi}{_BOUNDS[k_hi][0]}"
 
 
+def check(name: str, value, tp, **spec) -> None:
+    """Refuse, with a FieldError ``<name> must be <rule>, got <value>``, a
+    ``value`` that ``fits`` no ``tp`` or breaks the ``rule`` ``spec``."""
+    want = _fault(tp, spec, value)
+    if want:
+        too_big = isinstance(value, int) and not finite(value)
+        got = "an int beyond float range" if too_big else repr(value)
+        raise FieldError(f"{name} must be {want}, got {got}")
+
+
 def check_fields(obj) -> None:
     """Refuse, with a FieldError naming it, the first scalar field of the
     dataclass ``obj`` that breaks its type or rule."""
     for name, tp, nullable, spec in _rules(type(obj)):
         value = getattr(obj, name)
-        want = None if value is None and nullable else _fault(tp, spec, value)
-        if want:
-            too_big = isinstance(value, int) and not finite(value)
-            got = "an int beyond float range" if too_big else repr(value)
-            raise FieldError(f"{name} must be {want}, got {got}")
+        # only a failing value pays for check's keyword call: a SceneSpec is built per scene
+        if (value is not None or not nullable) and _fault(tp, spec, value):
+            check(name, value, tp, **spec)
 
 
 def _decode(tp, value, base, where: str, shown=None):

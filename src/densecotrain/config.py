@@ -11,7 +11,7 @@ from pathlib import Path
 
 from .codec import Checked, ConfigError, from_dict, read_json, rule, rule_of, write_json
 from .cotrain import CoTrainConfig
-from .data import SceneSpec
+from .data import SceneSpec, check_grid_ranges, check_split
 from .tuner import TunerConfig
 
 ARTIFACT_VERSION = 1
@@ -22,8 +22,8 @@ SEEDED_SECTIONS = ("cotrain", "tuner")
 class DatasetConfig(Checked):
     source: str = rule("synthetic", menu=("synthetic", "csv"))
     csv_path: str | None = None
-    n_labeled: int = rule(200, ge=1)
-    n_unlabeled: int = rule(800, ge=0)
+    n_labeled: int = 200
+    n_unlabeled: int = 800
     fractions: tuple[float, float, float] = (0.7, 0.1, 0.2)
     grid_rows: int = rule(4, **rule_of(SceneSpec, "grid_rows"))
     grid_cols: int = rule(5, **rule_of(SceneSpec, "grid_cols"))
@@ -38,17 +38,8 @@ class DatasetConfig(Checked):
         super().__post_init__()
         if self.source == "csv" and not self.csv_path:
             raise ConfigError("dataset.source csv requires dataset.csv_path")
-        if len(self.fractions) != 3:
-            raise ConfigError("fractions must have three entries")
-        if abs(sum(self.fractions) - 1.0) > 1e-9:
-            raise ConfigError(f"fractions must sum to 1 within 1e-9, got {self.fractions}")
-        for key in ("row_range", "col_range"):
-            r = getattr(self, key)
-            # each scene draws its grid dims from [lo, hi]; checked here, so a
-            # bad range fails before any work whatever the seed draws
-            if r is not None and not 1 <= r[0] <= r[1]:
-                raise ConfigError(f"dataset.{key} must be [lo, hi] with 1 <= lo <= hi, "
-                                  f"got {list(r)}")
+        check_split(self.n_labeled, self.n_unlabeled, self.fractions)
+        check_grid_ranges(self.row_range, self.col_range)
 
 
 @dataclass(frozen=True)
@@ -58,7 +49,7 @@ class RunConfig(Checked):
     tau 0.8.  ``seed`` is the one seed of the run: the nested sections
     carry copies of it."""
 
-    seed: int = rule(ge=0)
+    seed: int = rule(**rule_of(SceneSpec, "seed"))
     dataset: DatasetConfig = DatasetConfig()
     cotrain: CoTrainConfig = CoTrainConfig(max_rounds=2)
     tuner: TunerConfig = TunerConfig()

@@ -50,7 +50,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .codec import Checked, from_dict, read_json, rule, write_json
+from .codec import Checked, check, from_dict, read_json, rule, rule_of, write_json
 from .data import DatasetSplit, ImageRecord
 from .detectors import (
     CONTEXTUAL,
@@ -73,7 +73,7 @@ from .detectors import (
     skill_from_params,
 )
 from .ensemble import EnsembleClassifier, EnsembleParams
-from .geom import Box, ScoredBox, nms_keep_groups
+from .geom import NMS_IOU, Box, ScoredBox, nms_keep_groups
 from .metrics import EvalReport, greedy_match_groups, mean_average_precision
 
 MODES = ("cotrain", "selftrain", "supervised")
@@ -130,8 +130,8 @@ class CoTrainConfig(Checked):
     max_rounds: int = rule(5, ge=0)
     epsilon: float = rule(0.005, ge=0)
     patience: int = rule(2, ge=1)
-    pseudo_nms_iou: float = rule(0.5, gt=0, lt=1)
-    merge_nms_iou: float = rule(0.5, gt=0, lt=1)
+    pseudo_nms_iou: float = rule(0.5, **NMS_IOU)
+    merge_nms_iou: float = rule(0.5, **NMS_IOU)
     mode: str = rule("cotrain", menu=MODES)
     seed: int = rule(0, ge=0)
     unlabeled_subsample: int | None = rule(None, ge=0)
@@ -408,10 +408,8 @@ def generate_pseudo_labels(
     NMS-deduplicated per image; the whole pool is one ``predict`` batch and
     one NMS.  The accepted rows of the pool's detection columns, image by
     image in sorted id order (images without labels left out)."""
-    if not (0.0 < tau_conf <= 1.0):
-        raise ValueError(f"tau_conf must be in (0, 1], got {tau_conf!r}")
-    if not (0.0 < nms_iou < 1.0):
-        raise ValueError(f"nms_iou must be in (0, 1), got {nms_iou!r}")
+    check("tau_conf", tau_conf, float, **rule_of(CoTrainConfig, "tau_conf"))
+    check("nms_iou", nms_iou, float, **rule_of(CoTrainConfig, "pseudo_nms_iou"))
     pool = _detect_view(view.profile, view.params, skill, unlabeled_records, seed)
     X = pool.features
     is_object, conf = view.ensemble.predict(X) if len(X) else (np.empty(0), np.empty(0))

@@ -18,16 +18,19 @@ IoU with any other box in the scene.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .codec import Checked, read_text, rule, write_json, write_text
+from .codec import (
+    Checked, FieldError, check, fits, read_text, rule, rule_of, write_json, write_text,
+)
 from .geom import GroundTruths, gt_columns, iou_pairs
 
 LABEL_NAMES: dict[int, str] = {0: "object"}
@@ -47,8 +50,7 @@ class ImageRecord:
     ``gts`` may be given as ``GroundTruth`` objects or as a
     ``GroundTruths`` batch and is held as the batch; each GT must be a
     finite box with ``x2 > x1`` and ``y2 > y1`` inside the image.  The
-    per-GT ``occlusion`` (``occlusion_levels``: max IoU with any other box)
-    is a read-only array computed from the boxes, so it is left out of
+    per-GT ``occlusion`` is a property, not a field, so it is left out of
     equality and hashing.  Whether a record is labeled or pool is decided
     by the ``DatasetSplit`` it falls in; pool records keep their GTs only
     for audits.
@@ -59,7 +61,6 @@ class ImageRecord:
     height: int
     gts: GroundTruths
     labeled: bool = True
-    occlusion: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.width <= 0 or self.height <= 0:
@@ -92,7 +93,12 @@ class ImageRecord:
             )
             raise ValueError(f"{self.image_id}: GT {i} box {box} {why}")
         object.__setattr__(self, "gts", gts)
-        object.__setattr__(self, "occlusion", occlusion_levels(b))
+
+    @functools.cached_property
+    def occlusion(self) -> np.ndarray:
+        """``occlusion_levels`` of the GT boxes (max IoU with any other
+        box), a read-only array computed on first read."""
+        return occlusion_levels(self.gts.boxes)
 
 
 @dataclass(frozen=True)
@@ -116,6 +122,30 @@ class SceneSpec(Checked):
     jitter: float = rule(2.0, ge=0)
     overlap_factor: float = rule(0.0, ge=0, lt=1)
     seed: int = rule(0, ge=0)  # numpy's generators refuse a negative one, naming no field
+
+
+def check_split(n_labeled: int, n_unlabeled: int, fractions: Sequence[float]) -> None:
+    """Refuse, with a FieldError naming it, a count or a train/val/test
+    share list that ``select_and_split`` cannot split by."""
+    check("n_labeled", n_labeled, int, ge=1)
+    check("n_unlabeled", n_unlabeled, int, ge=0)
+    shares = len(fractions) == 3 and all(fits(float, f) and f >= 0 for f in fractions)
+    if not shares or abs(sum(fractions) - 1.0) > 1e-9:
+        raise FieldError(f"fractions must be three finite shares >= 0 that sum to 1 "
+                         f"within 1e-9, got {fractions!r}")
+
+
+def check_grid_ranges(row_range: tuple[int, int] | None,
+                      col_range: tuple[int, int] | None) -> None:
+    """Refuse, with a FieldError naming it, a grid range other than None or
+    integers ``[lo, hi]`` with ``1 <= lo <= hi``: each scene draws its grid
+    dims from it, so a bad one fails before any scene, whatever it draws."""
+    for name, r in (("row_range", row_range), ("col_range", col_range)):
+        if r is not None and not (
+            len(r) == 2 and all(fits(int, v) for v in r) and 1 <= r[0] <= r[1]
+        ):
+            raise FieldError(f"{name} must be [lo, hi] with 1 <= lo <= hi, both "
+                             f"integers, got {r!r}")
 
 
 def occlusion_levels(c: np.ndarray) -> np.ndarray:
@@ -282,17 +312,8 @@ def select_and_split(
     """Seeded uniform selection of labeled/unlabeled sets, then the
     train/val/test split: floor shares for train and val, remainder to
     test."""
-    if n_labeled <= 0:
-        raise ValueError(f"n_labeled must be positive, got {n_labeled}")
-    if n_unlabeled < 0:
-        raise ValueError(f"n_unlabeled must be >= 0, got {n_unlabeled}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    # NaN fails every comparison, so it must fail this one to be refused
-    if len(fractions) != 3 or not all(0 <= f < math.inf for f in fractions):
-        raise ValueError(f"need three finite nonnegative fractions, got {fractions!r}")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must sum to 1, got {fractions!r}")
+    check_split(n_labeled, n_unlabeled, fractions)
+    check("seed", seed, int, **rule_of(SceneSpec, "seed"))
     need = n_labeled + n_unlabeled
     if need > len(records):
         raise ValueError(
@@ -360,13 +381,9 @@ def generate_synthetic_dataset(
 ) -> list[ImageRecord]:
     """n_images scenes with per-image derived seeds; optional density
     variation draws grid dims uniformly from the given inclusive ranges."""
-    if n_images < 1:
-        raise ValueError(f"n_images must be >= 1, got {n_images}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    for name, r in (("row_range", row_range), ("col_range", col_range)):
-        if r and not 1 <= r[0] <= r[1]:
-            raise ValueError(f"{name} must be (lo, hi) with 1 <= lo <= hi, got {r}")
+    check("n_images", n_images, int, ge=1)
+    check("seed", seed, int, **rule_of(SceneSpec, "seed"))
+    check_grid_ranges(row_range, col_range)
     records = []
     for i in range(n_images):
         s = _child_seed(seed, i)

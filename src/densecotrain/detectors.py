@@ -43,9 +43,9 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .codec import Checked, rule
+from .codec import Checked, check, rule
 from .data import ImageRecord
-from .geom import Box, ColumnBatch, ScoredBox, columns, iou_pairs, nms_keep_groups
+from .geom import NMS_IOU, Box, ColumnBatch, ScoredBox, columns, iou_pairs, nms_keep_groups
 from .metrics import greedy_match_groups
 
 BATCH_MENU: tuple[int, ...] = (4, 8, 16, 32)
@@ -72,7 +72,7 @@ class DetectorParams(Checked):
 
     epochs: int = rule(20, ge=1)
     confidence_threshold: float = rule(0.25, ge=0, lt=1)
-    nms_iou: float = rule(0.5, gt=0, lt=1)
+    nms_iou: float = rule(0.5, **NMS_IOU)
     batch_size: int = rule(16, menu=BATCH_MENU)
     learning_rate: float = rule(1e-3, gt=0)
     anchor_scales: str | None = rule(None, menu=ANCHOR_MENU)
@@ -565,8 +565,7 @@ def retrain(
     and the wrong-label fraction degrades recall and inflates jitter.
     Zero pseudo-labels return the base skill unchanged.
     """
-    if n_base_annotations <= 0:
-        raise ValueError("retrain requires a nonempty labeled training set")
+    check("n_base_annotations", n_base_annotations, int, ge=1)
     if audit.n_pseudo == 0:
         return base
     nb = float(n_base_annotations)

@@ -33,7 +33,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .codec import finite
+from .codec import check, finite
 
 
 @dataclass(frozen=True)
@@ -292,9 +292,7 @@ def padded(
     return out, out_labels, valid, (slot, rank, at)
 
 
-def _check_threshold(iou_threshold: float) -> None:
-    if not (0.0 < iou_threshold < 1.0):
-        raise ValueError(f"iou_threshold must be in (0, 1), got {iou_threshold!r}")
+NMS_IOU = {"gt": 0, "lt": 1}  # the rule of an NMS IoU threshold, for every field that holds one
 
 
 @lru_cache(maxsize=256)
@@ -347,7 +345,7 @@ def nms_keep_groups(
     Each group's rows are ranked, then blocks of groups of similar size are
     padded to ``(groups, n, n)`` of at most ``NMS_BLOCK`` entries (or one
     group) and go through the greedy rule together."""
-    _check_threshold(iou_threshold)
+    check("iou_threshold", iou_threshold, float, **NMS_IOU)
     order = np.lexsort((-scores, groups))
     sizes = np.bincount(groups)
     starts = np.cumsum(sizes) - sizes

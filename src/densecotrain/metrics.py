@@ -33,6 +33,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .codec import check
 from .geom import (
     ColumnBatch, GroundTruth, GroundTruths, ScoredBox, columns, gt_columns, iou_pairs, padded,
     size_blocks,
@@ -42,6 +43,7 @@ COCO_THRESHOLDS: tuple[float, ...] = tuple(i / 100 for i in range(50, 100, 5))
 RECALL_LEVELS: tuple[float, ...] = tuple(i / 100 for i in range(101))
 _RECALL_LEVELS = np.array(RECALL_LEVELS)
 AR_MAX_DETS = 300
+_T_RULE = {"gt": 0, "le": 1}  # an IoU threshold: a match needs IoU >= t, so 1 is exact
 
 
 @dataclass(frozen=True)
@@ -199,8 +201,7 @@ def match_detections(
     a TP iff that IoU >= t.  A ground truth is consumed by at most one
     detection.
     """
-    if not (0.0 < t <= 1.0):
-        raise ValueError(f"IoU threshold must be in (0, 1], got {t!r}")
+    check("t", t, float, **_T_RULE)
     cols, gts = columns(dets), gt_columns(gts)
     _, (matched,) = greedy_match_groups([cols], [(gts.boxes, gts.labels)], (t,))
     hit = matched >= 0
@@ -260,7 +261,9 @@ def _interpolated_ap(recalls: np.ndarray, precisions: np.ndarray) -> float:
     return total / len(RECALL_LEVELS)
 
 
-def _zero_gt_outcome(n_det: int, what: str) -> float | None:
+def _zero_gt_outcome(dets_by_image: Mapping, what: str) -> float | None:
+    """``what`` without ground truths: 0.0 with detections, else None; warns."""
+    n_det = sum(len(v) for v in dets_by_image.values())
     if n_det > 0:
         warnings.warn(
             f"{what}: no ground truths but {n_det} detections; defined as 0.0",
@@ -297,12 +300,10 @@ def average_precision(
     detections; 0.0 with a warning when detections exist without any
     ground truth.
     """
-    if not (0.0 < t <= 1.0):
-        raise ValueError(f"IoU threshold must be in (0, 1], got {t!r}")
+    check("t", t, float, **_T_RULE)
     n_gt = _n_gt(gts_by_image)
     if n_gt == 0:
-        n_det = sum(len(v) for v in dets_by_image.values())
-        return _zero_gt_outcome(n_det, "average_precision")
+        return _zero_gt_outcome(dets_by_image, "average_precision")
     scores, tp, _ = _dataset_passes(dets_by_image, gts_by_image, (t,), 0)
     return _interpolated_ap(*_pr_curve(_ranked(scores, tp)[0], n_gt))
 
@@ -320,8 +321,7 @@ def mean_average_precision(
     pr_curves: dict[float, tuple[np.ndarray, np.ndarray]] = {}
     n_gt = _n_gt(gts_by_image)
     if n_gt == 0:
-        n_det = sum(len(v) for v in dets_by_image.values())
-        val = _zero_gt_outcome(n_det, "mean_average_precision")
+        val = _zero_gt_outcome(dets_by_image, "mean_average_precision")
         notes.append("no ground truths")
         for t in COCO_THRESHOLDS:
             ap_per_t[t] = val
@@ -347,12 +347,10 @@ def average_recall_at(
     """AR@k: match each image's top-k detections by score, then average
     recall over the COCO thresholds (the first k steps of each image's
     greedy pass)."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k!r}")
+    check("k", k, int, ge=1)
     n_gt = _n_gt(gts_by_image)
     if n_gt == 0:
-        n_det = sum(len(v) for v in dets_by_image.values())
-        return _zero_gt_outcome(n_det, "average_recall_at")
+        return _zero_gt_outcome(dets_by_image, "average_recall_at")
     _, _, matched = _dataset_passes(dets_by_image, gts_by_image, COCO_THRESHOLDS, k)
     return _mean_recall(matched, n_gt)
 
@@ -389,7 +387,7 @@ def brute_force_ap_oracle(
     for v in gts_by_image.values():
         n_gt += len(v)
     if n_gt == 0:
-        return _zero_gt_outcome(n_det_total, "brute_force_ap_oracle")
+        return _zero_gt_outcome(dets_by_image, "brute_force_ap_oracle")
 
     # per-image greedy matching, recording TP flags keyed by (score, arrival)
     ranked: list[tuple[float, int, bool]] = []

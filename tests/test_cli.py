@@ -105,24 +105,27 @@ def test_synth_gen_missing_seed_exits_2(tmp_path, capsys):
 
 
 def test_synth_gen_invalid_flags_exit_2(tmp_path, capsys):
-    base = ["synth-gen", "--seed", 1, "--out", tmp_path / "x"]
-    assert run_cli(base + ["--images", 0, "--rows", 2, "--cols", 2]) == 2
-    assert run_cli(base + ["--images", 2, "--rows", 2, "--cols", 2,
-                           "--overlap", 1.5]) == 2
-    # a non-finite size once exited 4 (inf: OverflowError) or failed on an
-    # int cast (nan); it is refused by name before the output dir is made
-    for flag, value in (("--jitter", "inf"), ("--box-h", "inf"),
-                        ("--box-w", "nan"), ("--jitter", "nan")):
+    """Each bad flag is refused by the name of the field it sets, before the
+    output dir is made: a non-finite size once exited 4 (inf:
+    OverflowError) or failed on an int cast (nan), and numpy refused a
+    negative seed without naming it, after the dir was made."""
+    base = ["synth-gen", "--seed", 1, "--out", tmp_path / "x",
+            "--images", 2, "--rows", 2, "--cols", 2]
+    for flag, value, message in (
+        ("--images", 0, "n_images must be >= 1, got 0"),
+        ("--rows", 0, "grid_rows must be >= 1, got 0"),
+        ("--cols", -1, "grid_cols must be >= 1, got -1"),
+        ("--overlap", 1.5, "overlap_factor must be in [0, 1), got 1.5"),
+        ("--jitter", "inf", "jitter must be finite"),
+        ("--box-h", "inf", "box_h must be finite"),
+        ("--box-w", "nan", "box_w must be finite"),
+        ("--jitter", "nan", "jitter must be finite"),
+        ("--seed", -3, "seed must be >= 0, got -3"),
+    ):
         capsys.readouterr()
-        assert run_cli(base + ["--images", 2, "--rows", 2, "--cols", 2,
-                               flag, value]) == 2
-        assert f"{flag[2:].replace('-', '_')} must be finite" in capsys.readouterr().err
-    # numpy refuses a negative seed without naming it, after the dir was made
-    capsys.readouterr()
-    assert run_cli(["synth-gen", "--seed", -3, "--out", tmp_path / "x",
-                    "--images", 2, "--rows", 2, "--cols", 2]) == 2
-    assert "seed must be >= 0, got -3" in capsys.readouterr().err
-    assert not (tmp_path / "x").exists()
+        assert run_cli(base + [flag, value]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
 
 def test_synth_gen_unwritable_out_exits_3(tmp_path):
@@ -183,7 +186,7 @@ def test_split_non_finite_fractions_exit_2(dataset_dir, tmp_path, capsys, fracti
          "--seed", 1, "--out", tmp_path / "x"]
     )
     assert code == 2
-    assert "finite nonnegative fractions" in capsys.readouterr().err
+    assert "fractions must be three finite shares >= 0" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()
 
 
@@ -891,13 +894,24 @@ def test_cotrain_config_missing_seed_exit_2(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
-def test_cotrain_config_bad_fractions_exit_2(tmp_path):
-    path = tmp_path / "badfrac.json"
-    path.write_text(
-        json.dumps({"seed": 1, "dataset": {"fractions": [0.5, 0.4, 0.2]}}),
-        encoding="utf-8",
+def test_cotrain_config_bad_fractions_exit_2(tmp_path, capsys, monkeypatch):
+    """Shares that sum to 1 but are not all >= 0 once passed the load and
+    were refused, naming no key, after every scene was built."""
+    import densecotrain.cli as cli_module
+
+    built = []
+    monkeypatch.setattr(
+        cli_module, "generate_synthetic_dataset", lambda *a, **k: built.append(a)
     )
-    assert run_cli(["cotrain", "--config", path]) == 2
+    path = tmp_path / "badfrac.json"
+    for fractions in ([0.5, 0.4, 0.2], [1.5, -0.5, 0.0]):
+        path.write_text(json.dumps({
+            "seed": 1, "output_dir": str(tmp_path / "run"),
+            "dataset": {"fractions": fractions},
+        }), encoding="utf-8")
+        assert run_cli(["cotrain", "--config", path]) == 2
+        assert "error: config.dataset.fractions must be " in capsys.readouterr().err
+    assert not built and not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("command", ["cotrain", "tune"])

@@ -22,7 +22,7 @@ from densecotrain.config import (
     default_synthetic,
 )
 from densecotrain.cotrain import MODES, CoTrainConfig
-from densecotrain.data import SceneSpec
+from densecotrain.data import ImageRecord, SceneSpec, select_and_split
 from densecotrain.detectors import (
     ANCHOR_MENU,
     BATCH_MENU,
@@ -252,7 +252,7 @@ def test_nested_params_merge_into_stock_values():
         # a scene draws its grid dims from [lo, hi]: a reversed range failed
         # with numpy's "low >= high", and a 0 only when a scene drew it
         ({"seed": 1, "dataset": {"row_range": [5, 3]}},
-         "dataset.row_range must be [lo, hi] with 1 <= lo <= hi, got [5, 3]"),
+         "dataset.row_range must be [lo, hi] with 1 <= lo <= hi, both integers, got (5, 3)"),
         ({"seed": 1, "dataset": {"row_range": [0, 2]}}, "dataset.row_range"),
         ({"seed": 1, "dataset": {"col_range": [2, 1]}}, "dataset.col_range"),
         ({"seed": 1, "dataset": {"col_range": [-1, 4]}}, "dataset.col_range"),
@@ -334,6 +334,8 @@ PROBED = [
     (DatasetConfig, "dataset", "grid_rows", 0),
     (DatasetConfig, "dataset", "box_w", -1.0),
     (DatasetConfig, "dataset", "overlap_factor", 1.5),
+    (DatasetConfig, "dataset", "row_range", (1.5, 3)),
+    (DatasetConfig, "dataset", "col_range", (2, True)),
     (RunConfig, "", "seed", True),
     (RetrainCoefficients, "cotrain.retrain_coeff", "occlusion_transfer", 5.0),
     (RetrainCoefficients, "cotrain.retrain_coeff", "noise_jitter", -0.5),
@@ -404,3 +406,43 @@ def test_dataset_config_shares_the_scene_rules():
         with pytest.raises(ValueError) as dataset:
             DatasetConfig(**{name: value})
         assert str(dataset.value) == str(scene.value)
+
+
+# ten records serve every split the counts below ask for
+SPLIT_RECORDS = [ImageRecord(f"im{i}", 10, 10, ()) for i in range(10)]
+odd_share = st.sampled_from([-0.5, -1e-12, math.nan, math.inf, -math.inf])
+split_fractions = st.one_of(
+    fractions(),
+    # a sum off by 2e-9, and a share below 0 in a sum of 1
+    st.tuples(fractions(), st.sampled_from([2e-9, -2e-9])).map(
+        lambda p: (p[0][0] + p[1], *p[0][1:])
+    ),
+    fractions().map(lambda f: (f[0] + 0.5, f[1], f[2] - 0.5)),
+    st.tuples(odd_share, unit_closed, unit_closed),
+    st.lists(unit_closed | odd_share, min_size=2, max_size=4).map(tuple),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-2, 6), st.integers(-2, 4), split_fractions)
+def test_dataset_config_and_select_and_split_refuse_the_same_splits(
+    n_labeled, n_unlabeled, fractions
+):
+    """A config once took NaN and negative shares that ``select_and_split``
+    refused after every scene was built, and each side worded its own
+    refusals: now both refuse the same splits with the same message."""
+
+    def refusal(make):
+        try:
+            make()
+        except ValueError as exc:
+            return str(exc)
+        return None
+
+    by_config = refusal(lambda: DatasetConfig(
+        n_labeled=n_labeled, n_unlabeled=n_unlabeled, fractions=fractions
+    ))
+    by_split = refusal(lambda: select_and_split(
+        SPLIT_RECORDS, n_labeled, n_unlabeled, fractions
+    ))
+    assert by_config == by_split

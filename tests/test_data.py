@@ -273,7 +273,7 @@ def test_split_bad_fractions():
 def test_split_refuses_non_finite_fractions(fractions):
     # NaN fails every comparison, so it passed the sum check and left a
     # 0-image test set (or, first, failed on converting NaN to an integer)
-    with pytest.raises(ValueError, match="finite nonnegative fractions"):
+    with pytest.raises(ValueError, match="^fractions must be three finite shares >= 0"):
         select_and_split(_records(10), 5, 0, fractions=fractions)
 
 
@@ -398,12 +398,14 @@ def test_dataset_n_images_validation():
 @pytest.mark.parametrize(
     "ranges, name",
     [({"row_range": (5, 3)}, "row_range"), ({"col_range": (0, 2)}, "col_range"),
-     ({"row_range": (2, 3), "col_range": (-1, 4)}, "col_range")],
+     ({"row_range": (2, 3), "col_range": (-1, 4)}, "col_range"),
+     ({"row_range": (1.5, 3)}, "row_range"), ({"col_range": (2, True)}, "col_range")],
 )
 def test_dataset_grid_range_validation(ranges, name):
     """A range is checked before any scene is drawn: (5, 3) failed with
-    numpy's bare "low >= high", and a 0 only when a scene drew it."""
-    with pytest.raises(ValueError, match=rf"^{name} must be \(lo, hi\) with 1 <= lo <= hi"):
+    numpy's bare "low >= high", a 0 only when a scene drew it, and a bound
+    that is no integer drew grid sizes from integers(1.5, 4)."""
+    with pytest.raises(ValueError, match=rf"^{name} must be \[lo, hi\] with 1 <= lo <= hi"):
         generate_synthetic_dataset(2, SceneSpec(3, 3), seed=0, **ranges)
 
 
@@ -437,7 +439,11 @@ def test_record_built_without_occlusion_carries_its_levels():
         GroundTruth(Box(40, 40, 50, 50)),
     )
     rec = ImageRecord("x", 60, 60, gts)
+    assert "occlusion" not in vars(rec)  # computed on first read, then kept
     assert np.array_equal(rec.occlusion, occlusion_levels(corners([g.box for g in gts])))
+    assert rec.occlusion is rec.occlusion
+    with pytest.raises(TypeError):
+        ImageRecord("x", 60, 60, gts, occlusion=np.zeros(3))
     assert rec.occlusion[0] == pytest.approx(1 / 3) and rec.occlusion[2] == 0.0
     assert ImageRecord("empty", 10, 10, ()).occlusion.shape == (0,)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 import time
@@ -39,6 +38,7 @@ from .data import (
     load_annotations,
     save_annotations,
     select_and_split,
+    split_sizes,
     write_manifest,
 )
 from .geom import Box, ColumnBatch, ScoredBox, columns
@@ -116,27 +116,49 @@ def _print_json(payload: dict) -> None:
 _JSON_NUMBER_TYPES = frozenset((int, float))
 
 
-def _detection(d: dict) -> tuple[tuple[float, ...], float, int]:
-    """One detection's corners, score and label, checked by plain
-    comparisons in ``ScoredBox(Box(...), score, label)``'s order; only a
-    failing detection builds the object whose check gives the message."""
+def _check_detection(d: dict) -> None:
+    """Refuse a detection with the message of the first check it fails, in
+    ``ScoredBox(Box(...), score, label)``'s order."""
     vals = (d["x1"], d["y1"], d["x2"], d["y2"], d["score"])
-    if not _JSON_NUMBER_TYPES.issuperset(map(type, vals)):  # float() takes "1"
-        for key, v in zip(("x1", "y1", "x2", "y2", "score"), vals):
-            if type(v) not in _JSON_NUMBER_TYPES:
-                raise ValueError(f"{key} must be a number, got {v!r}")
+    for key, v in zip(("x1", "y1", "x2", "y2", "score"), vals):
+        if type(v) not in _JSON_NUMBER_TYPES:  # float() takes "1"
+            raise ValueError(f"{key} must be a number, got {v!r}")
     x1, y1, x2, y2, score = map(float, vals)  # OverflowError beyond float range
-    if not (-math.inf < x1 < x2 < math.inf and -math.inf < y1 < y2 < math.inf):
-        Box(x1, y1, x2, y2)  # raises: not finite, or degenerate
+    box = Box(x1, y1, x2, y2)  # not finite, or degenerate
     label = d.get("label", 0)
     # a JSON integer only: int() would take 1.7 as 1 and true as 1
     if isinstance(label, bool) or not isinstance(label, int):
         raise ValueError(f"label must be an integer, got {label!r}")
     if not -(2**63) <= label < 2**63:  # the metrics' int64 labels
         raise ValueError(f"label {label} is beyond int64")
-    if not 0.0 <= score <= 1.0:
-        ScoredBox(Box(x1, y1, x2, y2), score)  # raises
-    return (x1, y1, x2, y2), score, label
+    ScoredBox(box, score)  # a score outside [0, 1]
+
+
+def _detection_columns(dets: list) -> ColumnBatch | None:
+    """The detections' columns, each checked once for its value types and
+    by array comparisons for ``_check_detection``'s value rules, or None
+    when a check fails and ``_check_detection`` must name the first failing
+    detection."""
+    try:
+        vals = [[d[key] for d in dets] for key in ("x1", "y1", "x2", "y2", "score")]
+        labels = [d.get("label", 0) for d in dets]
+    except (KeyError, TypeError):  # not a dict, or a key missing
+        return None
+    if not (all(_JSON_NUMBER_TYPES.issuperset(map(type, col)) for col in vals)
+            and {int}.issuperset(map(type, labels))):
+        return None
+    if labels and not (-(2**63) <= min(labels) and max(labels) < 2**63):
+        return None
+    try:
+        a = np.array(vals, dtype=float)
+    except OverflowError:
+        return None
+    x1, y1, x2, y2, score = a
+    ok = np.isfinite(a[:4]).all(axis=0) & (x1 < x2) & (y1 < y2)
+    if not (ok & (0.0 <= score) & (score <= 1.0)).all():
+        return None
+    return ColumnBatch(np.ascontiguousarray(a[:4].T), score.copy(),
+                       np.array(labels, dtype=np.int64))
 
 
 def load_predictions(path: str | Path) -> dict[str, ColumnBatch]:
@@ -166,20 +188,16 @@ def load_predictions(path: str | Path) -> dict[str, ColumnBatch]:
             raise UsageError(
                 f"predictions line {line_no}: duplicate image_id {image_id!r}"
             )
-        dets = []
-        for j, d in enumerate(dets_field):
-            try:
-                dets.append(_detection(d))
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise UsageError(
-                    f"predictions line {line_no}, detection {j}: {exc}"
-                ) from exc
-        boxes, scores, labels = zip(*dets) if dets else ((), (), ())
-        out[image_id] = ColumnBatch(
-            np.array(boxes, dtype=float).reshape(-1, 4),
-            np.array(scores, dtype=float),
-            np.array(labels, dtype=np.int64),
-        )
+        batch = _detection_columns(dets_field)
+        if batch is None:
+            for j, d in enumerate(dets_field):
+                try:
+                    _check_detection(d)
+                except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                    raise UsageError(
+                        f"predictions line {line_no}, detection {j}: {exc}"
+                    ) from exc
+        out[image_id] = batch
     return out
 
 
@@ -233,26 +251,31 @@ def _load_gt_csv(path: str | Path):
         raise UsageError(f"annotations schema: {exc}") from exc
 
 
-def build_dataset(cfg: RunConfig):
+def build_dataset(cfg: RunConfig, needs_test: bool = False):
+    """The records and split of ``cfg``'s dataset.  A split that leaves no
+    train or validation image, or no test image when ``needs_test``, is
+    refused after a CSV's own faults and before any scene is made: its
+    counts depend only on ``n_labeled`` and ``fractions``."""
     d = cfg.dataset
-    if d.source == "synthetic":
-        n = d.n_labeled + d.n_unlabeled
+    records = _load_gt_csv(d.csv_path) if d.source == "csv" else None
+    n_train, n_val, n_test = split_sizes(d.n_labeled, d.fractions)
+    if not (n_train and n_val and (n_test or not needs_test)):
+        given = (f"dataset.fractions {list(d.fractions)} of dataset.n_labeled "
+                 f"{d.n_labeled} give {n_train} train")
+        if n_train and n_val:
+            raise UsageError(f"{given}, {n_val} validation and 0 test images; a "
+                             "co-training run needs at least one test image")
+        raise UsageError(f"{given} and {n_val} validation images; a run needs at "
+                         "least one of each")
+    if records is None:
         records = generate_synthetic_dataset(
-            n, cfg.scene_spec(), seed=cfg.seed,
+            d.n_labeled + d.n_unlabeled, cfg.scene_spec(), seed=cfg.seed,
             row_range=d.row_range, col_range=d.col_range,
         )
-    else:
-        records = _load_gt_csv(d.csv_path)
     split = select_and_split(
         records, n_labeled=d.n_labeled, n_unlabeled=d.n_unlabeled,
         fractions=d.fractions, seed=cfg.seed,
     )
-    if not (split.train and split.val):
-        raise UsageError(
-            f"dataset.fractions {list(d.fractions)} of dataset.n_labeled "
-            f"{d.n_labeled} give {len(split.train)} train and {len(split.val)} "
-            "validation images; a run needs at least one of each"
-        )
     return records_index(records), split
 
 
@@ -373,15 +396,8 @@ def cmd_cotrain(args) -> int:
     if overrides:
         cfg = replace(cfg, cotrain=replace(cfg.cotrain, **overrides))
 
-    records, split = build_dataset(cfg)
-    if not split.test:  # tune needs no test set; a co-training run reports on it
-        d = cfg.dataset
-        raise UsageError(
-            f"dataset.fractions {list(d.fractions)} of dataset.n_labeled "
-            f"{d.n_labeled} give {len(split.train)} train, {len(split.val)} "
-            "validation and 0 test images; a co-training run needs at least "
-            "one test image"
-        )
+    # tune needs no test set; a co-training run reports on it
+    records, split = build_dataset(cfg, needs_test=True)
     run_dir = _ensure_dir(Path(cfg.output_dir))
     save_config(cfg, run_dir / "config.json")
     t0 = time.perf_counter()

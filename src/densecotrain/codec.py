@@ -29,9 +29,10 @@ A function argument is checked in one line by ``check``, with the same
 message; one that a class field also holds takes the field's rule through
 ``rule_of``, so the two refuse the same values.
 
-``read_json`` reads a document and names the file when its text is not
-UTF-8 JSON, and ``read_text`` names the file and line of a byte that is
-not UTF-8.  ``write_text`` replaces a file atomically (a ``.tmp`` sibling,
+``read_text`` reads a file's UTF-8 text, drops one leading byte order
+mark and names the file and line of a byte that is not UTF-8;
+``read_json`` reads a document through it and names the file when its
+text is not JSON.  ``write_text`` replaces a file atomically (a ``.tmp`` sibling,
 then ``os.replace``), so a write cut short leaves the previous file in
 place, never a truncated one; ``write_json`` writes a document through it,
 indented.  Every file the package reads or writes whole goes through these.
@@ -60,21 +61,23 @@ class FieldError(ValueError):
 
 
 def read_json(path: str | Path):
-    """The JSON document in the file ``path``, or a ConfigError naming the
-    file when its text is not UTF-8 JSON (an integer beyond the digit
-    limit included); an OSError passes through."""
+    """The JSON document in the file ``path``, read by ``read_text``, or a
+    ConfigError naming the file when its text is not JSON (an integer
+    beyond the digit limit included); an OSError passes through."""
+    text = read_text(path)
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError and the digit limit too
+        return json.loads(text)
+    except ValueError as exc:  # the digit limit too
         raise ConfigError(f"{path}: not JSON ({exc})") from exc
 
 
 def read_text(path: str | Path) -> str:
-    """The UTF-8 text of the file ``path``, or a ConfigError naming the file
-    and the 1-based line of the first byte that is not UTF-8."""
+    """The UTF-8 text of the file ``path`` without one leading byte order
+    mark, or a ConfigError naming the file and the 1-based line of the
+    first byte that is not UTF-8."""
     data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ConfigError(f"{path}, line {line}: not UTF-8 ({exc.reason})") from None

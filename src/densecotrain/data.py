@@ -3,11 +3,14 @@ synthetic dense-scene generation.
 
 CSV schema (matches the public dense-retail distribution):
 ``image_name,x1,y1,x2,y2,class,image_width,image_height``; the header is
-optional.  A first row whose second column is not numeric is a header and
-must name exactly these columns (spaces around names are ignored); any
-other header is an ``AnnotationError``.  Boxes are clamped into image
-bounds with a warning; rows that are degenerate after clamping are
-rejected loudly, never silently.
+optional.  The first non-blank row, when its second column is not
+numeric, is a header and must name exactly these columns (spaces around
+names are ignored); any other header is an ``AnnotationError``.  Messages
+name the physical line a row ends on, so a quoted newline counts.  Boxes
+are clamped into image bounds with a warning; rows that are degenerate
+after clamping are rejected loudly, never silently.  Rows are read as
+columns, a block at a time; only a row that warns or fails takes the
+per-row parser, which gives every message.
 
 Synthetic scenes place a jittered grid of boxes whose pitch is shrunk by
 ``overlap_factor``, which induces neighbor overlap (the stand-in for
@@ -20,7 +23,9 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import math
+import operator
 import warnings
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -37,6 +42,8 @@ LABEL_NAMES: dict[int, str] = {0: "object"}
 CSV_COLUMNS: tuple[str, ...] = (
     "image_name", "x1", "y1", "x2", "y2", "class", "image_width", "image_height"
 )
+# rows parsed as columns at once: a whole file's columns would all be held
+_BLOCK_ROWS = 1024
 
 
 class AnnotationError(ValueError):
@@ -243,41 +250,150 @@ def _label_id(name: str, label_ids: dict[str, int], line_no: int) -> int:
     return label_ids[name]
 
 
-def load_annotations(path: str | Path) -> list[ImageRecord]:
-    """Read the annotation CSV into per-image records (row order kept)."""
-    label_ids: dict[str, int] = {}
-    by_image: dict[str, dict] = {}
-    reader = csv.reader(io.StringIO(read_text(path), newline=""))
-    for line_no, row in enumerate(reader, start=1):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if line_no == 1 and len(row) >= 2:
-            try:
-                float(row[1])
-            except ValueError:
-                if tuple(c.strip() for c in row) != CSV_COLUMNS:
-                    raise AnnotationError(
-                        f"line 1: header must be {','.join(CSV_COLUMNS)}, "
-                        f"got {','.join(row)}"
-                    ) from None
-                continue
-        parsed = _parse_row(row, line_no)
-        if parsed is None:
-            continue
+def _blank(row: list[str]) -> bool:
+    return all(not c.strip() for c in row)
+
+
+def _header(row: list[str], line_no: int) -> bool:
+    """Whether the first non-blank row is the header: its second field is
+    not numeric, and then it must name exactly ``CSV_COLUMNS``."""
+    if len(row) < 2:
+        return False
+    try:
+        float(row[1])
+        return False
+    except ValueError:
+        if tuple(c.strip() for c in row) != CSV_COLUMNS:
+            raise AnnotationError(
+                f"line {line_no}: header must be {','.join(CSV_COLUMNS)}, "
+                f"got {','.join(row)}"
+            ) from None
+        return True
+
+
+def _add_run(by_image: dict, name: str, w: int, h: int, boxes, labels, line_no: int) -> None:
+    """Append rows of one image, all of dims ``w`` x ``h``, to its entry."""
+    entry = by_image.setdefault(name, {"width": w, "height": h, "boxes": [], "labels": []})
+    if entry["width"] != w or entry["height"] != h:
+        raise AnnotationError(
+            f"line {line_no}: image {name} has conflicting dims "
+            f"{w}x{h} vs {entry['width']}x{entry['height']}"
+        )
+    entry["boxes"].append(boxes)
+    entry["labels"].append(labels)
+
+
+def _add_row(row: list[str], line_no: int, label_ids: dict, by_image: dict) -> None:
+    """The per-row path: skip a blank row, else parse, label and group it."""
+    if _blank(row):
+        return
+    parsed = _parse_row(row, line_no)
+    if parsed is not None:
         name, box, cls, w, h = parsed
         label = _label_id(cls, label_ids, line_no)
-        entry = by_image.setdefault(
-            name, {"width": w, "height": h, "boxes": [], "labels": []}
-        )
-        if entry["width"] != w or entry["height"] != h:
-            raise AnnotationError(
-                f"line {line_no}: image {name} has conflicting dims "
-                f"{w}x{h} vs {entry['width']}x{entry['height']}"
-            )
-        entry["boxes"].append(box)
-        entry["labels"].append(label)
+        _add_run(by_image, name, w, h, [box], [label], line_no)
+
+
+def _block_columns(rows: Sequence[list[str]]):
+    """The name, corner ``[4, n]``, class and dims columns of a block of
+    rows, or None when a row fails or is blank: not 8 fields, an empty name,
+    a value ``float()`` or ``int()`` refuses, or dims outside [1, 2**53]
+    (where ``float(w)`` is exact)."""
+    if any(len(r) != 8 for r in rows):
+        return None
+    name, *xy, cls, w, h = zip(*rows)
+    names = list(map(str.strip, name))
+    try:
+        c = np.array([list(map(float, col)) for col in xy])
+        w, h = list(map(int, w)), list(map(int, h))
+    except ValueError:
+        return None
+    if not all(names) or min(w + h) < 1 or max(w + h) > 2**53:
+        return None
+    return names, c, list(map(str.strip, cls)), np.array(w), np.array(h)
+
+
+def _add_clean(cols: Sequence, label_ids: dict, by_image: dict) -> None:
+    """Label and group rows that ``_parse_row`` keeps as they are: new class
+    names in order of first use, then runs of one image and dims.  An error
+    is raised at the row where the per-row path raises it."""
+    names, boxes, cls, w, h, lines = cols
+    for c in dict.fromkeys(cls):
+        if c not in label_ids:
+            j = cls.index(c)
+            try:
+                _label_id(c, label_ids, lines[j])
+            except AnnotationError:
+                _add_clean([col[:j] for col in cols], label_ids, by_image)
+                raise
+    if not names:
+        return
+    labels = np.array([label_ids[c] for c in cls], dtype=np.int64)
+    # names compared as str: a numpy string array drops trailing NULs
+    new_run = np.array(list(map(operator.ne, names[1:], names[:-1])), dtype=bool)
+    new_run |= (w[1:] != w[:-1]) | (h[1:] != h[:-1])
+    starts = [0, *(np.flatnonzero(new_run) + 1).tolist()]
+    for s, e in zip(starts, [*starts[1:], len(names)]):
+        _add_run(by_image, names[s], int(w[s]), int(h[s]), boxes[s:e], labels[s:e], lines[s])
+
+
+def _add_block(block: Sequence[tuple[int, list[str]]], label_ids: dict, by_image: dict) -> None:
+    """Add numbered rows as columns: clamp, finiteness and degeneracy are
+    array tests, and only a row that warns or fails, or a block with a row
+    that fails, takes the per-row path, in line order."""
+    lines, rows = zip(*block)
+    cols = _block_columns(rows)
+    if cols is None:
+        for line_no, row in block:
+            _add_row(row, line_no, label_ids, by_image)
+        return
+    names, c, cls, w, h = cols
+    # _parse_row's max(0.0, min(x, bound)), NaN and -0.0 included
+    bound = np.array([w, h, w, h], dtype=float)
+    clamped = np.where(bound < c, bound, c)
+    clamped = np.where(clamped > 0.0, clamped, 0.0)
+    special = (clamped != c).any(axis=0)
+    special |= (clamped[2] <= clamped[0]) | (clamped[3] <= clamped[1])
+    cols = (names, np.ascontiguousarray(clamped.T), cls, w, h, lines)
+    start = 0
+    for k in [*np.flatnonzero(special).tolist(), len(rows)]:
+        _add_clean([col[start:k] for col in cols], label_ids, by_image)
+        if k < len(rows):
+            _add_row(rows[k], lines[k], label_ids, by_image)
+        start = k + 1
+
+
+def _numbered(reader, fault: list):
+    """The reader's non-empty rows with the physical line each ends on; a
+    csv.Error ends them and is kept in ``fault``."""
+    try:
+        for row in reader:
+            if row:
+                yield reader.line_num, row
+    except csv.Error as exc:
+        fault.append(exc)
+
+
+def load_annotations(path: str | Path) -> list[ImageRecord]:
+    """Read the annotation CSV into per-image records (row order kept), in
+    blocks of ``_BLOCK_ROWS`` rows; the header is the first non-blank row
+    whose second field is not numeric."""
+    label_ids: dict[str, int] = {}
+    by_image: dict[str, dict] = {}
+    fault: list[csv.Error] = []
+    rows = _numbered(csv.reader(io.StringIO(read_text(path), newline="")), fault)
+    for line_no, row in rows:
+        if not _blank(row):
+            if not _header(row, line_no):
+                rows = itertools.chain([(line_no, row)], rows)
+            break
+    while block := list(itertools.islice(rows, _BLOCK_ROWS)):
+        _add_block(block, label_ids, by_image)
+    if fault:  # raised after the rows before it, as a row-by-row read does
+        raise fault[0]
     return [
-        ImageRecord(name, e["width"], e["height"], GroundTruths(e["boxes"], e["labels"]))
+        ImageRecord(name, e["width"], e["height"],
+                    GroundTruths(np.concatenate(e["boxes"]), np.concatenate(e["labels"])))
         for name, e in by_image.items()
     ]
 
@@ -302,6 +418,16 @@ def _floor_share(fraction: float, n: int) -> int:
     return int(math.floor(fraction * n + 1e-6))
 
 
+def split_sizes(n_labeled: int, fractions: Sequence[float]) -> tuple[int, int, int]:
+    """The train, validation and test counts of ``n_labeled`` labeled
+    images: floor shares for train and val, the remainder to test."""
+    n_train = _floor_share(fractions[0], n_labeled)
+    n_val = _floor_share(fractions[1], n_labeled)
+    if n_train + n_val > n_labeled:
+        raise ValueError("fractions leave a negative test share")
+    return n_train, n_val, n_labeled - n_train - n_val
+
+
 def select_and_split(
     records: Sequence[ImageRecord],
     n_labeled: int = 2000,
@@ -310,8 +436,7 @@ def select_and_split(
     seed: int = 0,
 ) -> DatasetSplit:
     """Seeded uniform selection of labeled/unlabeled sets, then the
-    train/val/test split: floor shares for train and val, remainder to
-    test."""
+    train/val/test split of ``split_sizes``."""
     check_split(n_labeled, n_unlabeled, fractions)
     check("seed", seed, int, **rule_of(SceneSpec, "seed"))
     need = n_labeled + n_unlabeled
@@ -328,11 +453,7 @@ def select_and_split(
     chosen = [ids[i] for i in perm[:need]]
     labeled = chosen[:n_labeled]
     pool = tuple(chosen[n_labeled:need])
-    n_train = _floor_share(fractions[0], n_labeled)
-    n_val = _floor_share(fractions[1], n_labeled)
-    n_test = n_labeled - n_train - n_val
-    if n_test < 0:
-        raise ValueError("fractions leave a negative test share")
+    n_train, n_val, _ = split_sizes(n_labeled, fractions)
     return DatasetSplit(
         train=tuple(labeled[:n_train]),
         val=tuple(labeled[n_train : n_train + n_val]),

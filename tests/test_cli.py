@@ -914,6 +914,26 @@ def test_cotrain_config_bad_fractions_exit_2(tmp_path, capsys, monkeypatch):
     assert not built and not (tmp_path / "run").exists()
 
 
+def test_cotrain_empty_share_exit_2_before_any_scene(tmp_path, capsys, monkeypatch):
+    """The train, val and test counts depend only on n_labeled and the
+    shares, so an empty one is refused before the scenes are made; all
+    1,000 were once made first."""
+    import densecotrain.cli as cli_module
+
+    built = []
+    monkeypatch.setattr(
+        cli_module, "generate_synthetic_dataset", lambda *a, **k: built.append(a)
+    )
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"seed": 0, "output_dir": str(tmp_path / "run"),
+                                "dataset": {"fractions": [1.0, 0.0, 0.0]}}),
+                    encoding="utf-8")
+    assert run_cli(["cotrain", "--config", path]) == 2
+    assert ("give 200 train and 0 validation images; a run needs at least one of each"
+            in capsys.readouterr().err)
+    assert not built and not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("command", ["cotrain", "tune"])
 @pytest.mark.parametrize(
     "fractions, counts",

@@ -20,6 +20,7 @@ from densecotrain.config import (
     config_from_dict,
     config_to_dict,
     default_synthetic,
+    load_config,
 )
 from densecotrain.cotrain import MODES, CoTrainConfig
 from densecotrain.data import ImageRecord, SceneSpec, select_and_split
@@ -284,20 +285,29 @@ def test_echo_has_one_seed():
 
 
 @pytest.mark.parametrize(
-    "data, named",
+    "data, message",
     [
-        (b'{"seed": 0, "dataset": {', "Expecting"),
-        (b'{"seed": "\xff"}', "utf-8"),
-        (b'{"seed": ' + b"9" * 5001 + b"}", "4300"),
+        (b'{"seed": 0, "dataset": {', ": not JSON (Expecting"),
+        # read by read_text, which names the line; it once read
+        # "not JSON ('utf-8' codec can't decode byte 0xff in position 19...)"
+        (b'{"seed": 0,\n "x": "\xff"}', ", line 2: not UTF-8 (invalid start byte)"),
+        (b'{"seed": ' + b"9" * 5001 + b"}", ": not JSON (Exceeds the limit (4300 digits)"),
     ],
     ids=["truncated", "not-utf-8", "integer-beyond-digit-limit"],
 )
-def test_read_json_names_the_file(tmp_path, data, named):
+def test_read_json_names_the_file(tmp_path, data, message):
     path = tmp_path / "doc.json"
     path.write_bytes(data)
-    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: not JSON \(") as info:
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path) + message)}"):
         read_json(path)
-    assert named in str(info.value)
+
+
+def test_read_json_drops_a_byte_order_mark(tmp_path):
+    # it once failed with "Unexpected UTF-8 BOM"
+    path = tmp_path / "config.json"
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps({"seed": 3}).encode())
+    assert read_json(path) == {"seed": 3}
+    assert load_config(path).seed == 3
 
 
 # each class whose scalar fields declare their rules, with the arguments it

@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import re
 import warnings
 from dataclasses import asdict, fields
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import densecotrain.data as data_module
 from densecotrain.data import (
+    CSV_COLUMNS,
     AnnotationError,
     DatasetSplit,
     ImageRecord,
@@ -24,9 +29,11 @@ from densecotrain.data import (
     occlusion_levels,
     save_annotations,
     select_and_split,
+    _label_id,
+    _parse_row,
     write_manifest,
 )
-from densecotrain.codec import from_dict
+from densecotrain.codec import from_dict, read_text
 from densecotrain.geom import Box, GroundTruth, GroundTruths, corners, iou
 
 
@@ -229,6 +236,207 @@ def test_load_rejects_two_class_names_of_one_id(tmp_path):
     p = _write(tmp_path, "a,1,1,3,3,cat,10,10\na,1,1,3,3,class_1,10,10\n")
     with pytest.raises(AnnotationError, match="line 2: class 'class_1'.*'cat'"):
         load_annotations(p)
+
+
+def test_load_names_the_physical_line_after_a_quoted_newline(tmp_path):
+    # a row read after one that spans lines 1-2 was reported as line 2
+    p = _write(tmp_path, '"two\nlines",1,1,5,5,object,10,10\nb,1,1,x,5,object,10,10\n')
+    with pytest.raises(AnnotationError, match=r"^line 3: field x2 is not numeric: 'x'$"):
+        load_annotations(p)
+
+
+def test_load_header_after_blank_lines(tmp_path):
+    # the header on line 2 was read as a row: "line 2: field x1 is not numeric"
+    p = _write(tmp_path, "\n  \nimage_name,x1,y1,x2,y2,class,image_width,image_height\n"
+                         "a.jpg,1,2,3,4,object,10,10\n")
+    assert [r.image_id for r in load_annotations(p)] == ["a.jpg"]
+    p = _write(tmp_path, "\nimage,x1,y1,x2,y2,class,image_width,image_height\n", "bad.csv")
+    with pytest.raises(AnnotationError, match="^line 2: header must be "):
+        load_annotations(p)
+
+
+def test_load_header_after_a_byte_order_mark(tmp_path):
+    # the mark was part of the first header name, which then did not match
+    p = tmp_path / "bom.csv"
+    p.write_bytes(b"\xef\xbb\xbfimage_name,x1,y1,x2,y2,class,image_width,image_height\n"
+                  b"a.jpg,1,2,3,4,object,10,10\n")
+    assert [r.image_id for r in load_annotations(p)] == ["a.jpg"]
+
+
+def _reference_load_annotations(path):
+    """The row-by-row loader that ``load_annotations`` replaced, with the
+    two fixes the column loader shares: a message names the physical line
+    the row ends on (``reader.line_num``, not the row count), and the
+    header candidate is the first non-blank row, not the row of line 1."""
+    label_ids: dict[str, int] = {}
+    by_image: dict[str, dict] = {}
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    first = True
+    for row in reader:
+        line_no = reader.line_num
+        if not row or all(not c.strip() for c in row):
+            continue
+        if first and len(row) >= 2:
+            try:
+                float(row[1])
+            except ValueError:
+                if tuple(c.strip() for c in row) != CSV_COLUMNS:
+                    raise AnnotationError(
+                        f"line {line_no}: header must be {','.join(CSV_COLUMNS)}, "
+                        f"got {','.join(row)}"
+                    ) from None
+                first = False
+                continue
+        first = False
+        parsed = _parse_row(row, line_no)
+        if parsed is None:
+            continue
+        name, box, cls, w, h = parsed
+        label = _label_id(cls, label_ids, line_no)
+        entry = by_image.setdefault(
+            name, {"width": w, "height": h, "boxes": [], "labels": []}
+        )
+        if entry["width"] != w or entry["height"] != h:
+            raise AnnotationError(
+                f"line {line_no}: image {name} has conflicting dims "
+                f"{w}x{h} vs {entry['width']}x{entry['height']}"
+            )
+        entry["boxes"].append(box)
+        entry["labels"].append(label)
+    return [
+        ImageRecord(name, e["width"], e["height"], GroundTruths(e["boxes"], e["labels"]))
+        for name, e in by_image.items()
+    ]
+
+
+def _outcome(load, path):
+    """What ``load`` does on ``path``: its warnings' texts in order, then
+    its records' bits, or the type and text of the error it raises."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            recs = load(path)
+        except Exception as exc:  # csv.Error too
+            result = (type(exc), str(exc))
+        else:
+            result = [
+                (r.image_id, r.width, r.height,
+                 [(a.dtype, a.shape, a.tobytes()) for a in (r.gts.boxes, r.gts.labels)])
+                for r in recs
+            ]
+    return [(w.category, str(w.message)) for w in caught], result
+
+
+_COORDS = ["nan", "-inf", "inf", "Infinity", "x", "", "1_000", " 5 ", "-0.0", "1e1",
+           "-3", "25", "0", "10"]
+_DIMS = ["10", "10", "10", "20", " 10 ", "1_0", "0", "-3", "x", "1e1", str(2**53 + 1), "9" * 30]
+_CLASSES = ["object", "object", "class_1", "class_2", " dog ", "cat", "",
+            "class_9223372036854775807", "class_" + "1" * 20]
+_NAMES = ["a", "a", "b", " a ", "c,d", 'q"x', "two\nlines", "a\x00", "", " "]
+_RAW_LINES = ["", "", "  ", ",,,,,,,", "a,1,1,5", "a,1,1,5,5,object,10,10,9",
+              ",".join(CSV_COLUMNS), "image_name,x1,y1,x2,y2"]
+
+
+@st.composite
+def _annotation_text(draw):
+    """An annotation CSV of well-formed rows, most of them, and rows with
+    faults: blank and raw lines, headers, clamped, degenerate and non-finite
+    boxes, strings ``float()`` or ``int()`` refuses or takes oddly, dims of
+    0 or beyond 2**53, conflicting dims, clashing class names and quoted
+    newlines; lines end in LF or CRLF."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    end = writer.dialect.lineterminator
+    if draw(st.booleans()):
+        out.write(draw(st.sampled_from(_RAW_LINES[:3])) + end)
+    if draw(st.booleans()):
+        out.write(draw(st.sampled_from(_RAW_LINES[-2:] + [" image_name , x1,y1,x2,y2,"
+                                                           "class,image_width,image_height "])) + end)
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            out.write(draw(st.sampled_from(_RAW_LINES)) + end)
+            continue
+        x1, y1 = draw(st.floats(-2, 11)), draw(st.floats(-2, 11))
+        box = [x1, y1, x1 + draw(st.floats(-1, 8)), y1 + draw(st.floats(-1, 8))]
+        row = [draw(st.sampled_from(_NAMES[:3])), *map(repr, box),
+               draw(st.sampled_from(_CLASSES[:3])), "10", "10"]
+        if kind <= 3:  # one field out of the menus
+            i = draw(st.integers(0, 7))
+            menu = (_NAMES if i == 0 else _CLASSES if i == 5 else
+                    _DIMS if i > 5 else _COORDS)
+            row[i] = draw(st.sampled_from(menu))
+        writer.writerow(row)
+    return out.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_annotation_text(), block=st.sampled_from([1, 2, 3, 1024]))
+def test_load_annotations_matches_reference_loader(tmp_path_factory, text, block):
+    """The column loader equals the row-by-row loader on any text and any
+    block size: the same warning texts in the same order, then records
+    and GT arrays equal bit for bit, or the same first error."""
+    path = tmp_path_factory.getbasetemp() / "reference.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    want = _outcome(_reference_load_annotations, path)
+    with mock.patch.object(data_module, "_BLOCK_ROWS", block):
+        assert _outcome(load_annotations, path) == want
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # names that differ only by a trailing NUL, which a numpy string drops
+        "a,1,1,5,5,object,10,10\na\x00,1,1,5,5,object,10,10\n",
+        # conflicting dims before a class clash, with and without a clamped row
+        "a,1,1,5,5,cat,10,10\na,1,1,5,5,object,20,20\nb,1,1,5,5,class_1,10,10\n",
+        "a,-1,1,5,5,cat,10,10\na,1,1,5,5,object,20,20\nb,1,1,5,5,class_1,10,10\n",
+        # a clash after a clean row of a new image, and on a clamped row
+        "a,1,1,5,5,cat,10,10\nb,1,1,5,5,object,20,20\nb,1,1,5,5,class_1,20,20\n",
+        "a,1,1,5,5,cat,10,10\nb,1,1,5,5,object,20,20\nb,1,1,25,5,class_1,20,20\n",
+        # a degenerate row's class gets no label
+        "a,1,1,1,5,cat,10,10\na,1,1,5,5,dog,10,10\na,1,1,5,5,class_1,10,10\n",
+        # -0.0 is kept as its clamp, 0.0
+        "a,-0.0,1,5,5,object,10,10\na,1,-0.0,5,5,object,10,10\n",
+        # dims beyond float range fail in the clamp, after the warning before
+        f"a,-1,1,5,5,object,10,10\nb,1,1,5,5,object,{'9' * 400},10\n",
+    ],
+    ids=["nul-name", "dims-before-clash", "dims-before-clash-clamped", "clash-new-image",
+         "clash-clamped", "degenerate-class", "minus-zero", "dims-beyond-float"],
+)
+def test_load_annotations_matches_reference_on_fixed_cases(tmp_path, text):
+    path = _write(tmp_path, text)
+    for block in (1, 2, 1024):
+        with mock.patch.object(data_module, "_BLOCK_ROWS", block):
+            assert _outcome(load_annotations, path) == _outcome(
+                _reference_load_annotations, path
+            )
+
+
+def test_load_annotations_matches_reference_across_full_blocks(tmp_path):
+    """Clamped and degenerate rows on either side of the 1,024-row block
+    edges, then conflicting dims, a class clash or a field beyond the csv
+    module's limit: an error comes only after every row before it is
+    checked."""
+    spec = SceneSpec(grid_rows=10, grid_cols=15, overlap_factor=0.4, seed=3)
+    recs = generate_synthetic_dataset(17, spec, seed=3)
+    path = tmp_path / "dense.csv"
+    save_annotations(recs, path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for i in (1023, 1024, 1025, 1026, 2049):
+        name, *_, w, h = lines[i].split(",")
+        lines[i] = f"{name},{3 if i == 1026 else -1},2,3,6,object,{w},{h}"
+    clean = "\n".join(lines) + "\n"
+    dims, clash = list(lines), list(lines)
+    dims[1500] = dims[1500].split(",")[0] + ",1,1,5,5,object,10,10"
+    clash[1600] = clash[1600].replace(",object,", ",class_0,")
+    huge = "z," + "9" * 140_000 + "\n"  # beyond csv's field limit
+    cases = [clean, "\n".join(dims) + "\n", "\n".join(clash) + "\n", clean + huge]
+    for text in cases:
+        path.write_text(text, encoding="utf-8")
+        want = _outcome(_reference_load_annotations, path)
+        assert _outcome(load_annotations, path) == want
+    assert want[1][0] is csv.Error and len(want[0]) == 5
 
 
 def _records(n):

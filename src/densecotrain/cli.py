@@ -60,7 +60,6 @@ from .tuner import (
     HyperVector,
     ObjectiveError,
     tune_pipeline,
-    validate_vector,
     vector_to_params,
     write_trace_csv,
 )
@@ -171,23 +170,21 @@ def load_predictions(path: str | Path) -> dict[str, ColumnBatch]:
             continue
         try:
             obj = json.loads(line)
-        except ValueError as exc:  # also an integer beyond the digit limit
-            raise UsageError(f"predictions line {line_no}: invalid JSON ({exc})")
+        except (ValueError, RecursionError) as exc:  # the digit limit, deep nesting
+            raise UsageError(f"{path}, line {line_no}: invalid JSON ({exc})")
         if not isinstance(obj, dict) or "image_id" not in obj:
-            raise UsageError(f"predictions line {line_no}: missing image_id")
+            raise UsageError(f"{path}, line {line_no}: missing image_id")
         dets_field = obj.get("detections")
         if not isinstance(dets_field, list):
-            raise UsageError(f"predictions line {line_no}: missing detections list")
+            raise UsageError(f"{path}, line {line_no}: missing detections list")
         image_id = obj["image_id"]
         if not isinstance(image_id, str):  # str() would make 1 the image "1"
             raise UsageError(
-                f"predictions line {line_no}: image_id must be a string, "
+                f"{path}, line {line_no}: image_id must be a string, "
                 f"got {image_id!r}"
             )
         if image_id in out:
-            raise UsageError(
-                f"predictions line {line_no}: duplicate image_id {image_id!r}"
-            )
+            raise UsageError(f"{path}, line {line_no}: duplicate image_id {image_id!r}")
         batch = _detection_columns(dets_field)
         if batch is None:
             for j, d in enumerate(dets_field):
@@ -195,7 +192,7 @@ def load_predictions(path: str | Path) -> dict[str, ColumnBatch]:
                     _check_detection(d)
                 except (KeyError, TypeError, ValueError, OverflowError) as exc:
                     raise UsageError(
-                        f"predictions line {line_no}, detection {j}: {exc}"
+                        f"{path}, line {line_no}, detection {j}: {exc}"
                     ) from exc
         out[image_id] = batch
     return out
@@ -232,12 +229,10 @@ def save_vector(v: HyperVector, path: Path) -> None:
 
 def load_vector(path: str | Path) -> HyperVector:
     doc = read_json(path)
-    try:  # codec and gene-range errors alike name the file
-        v = from_dict(VectorFile, doc, where="vector").genes
-        validate_vector(v)
+    try:  # a gene out of its range is refused when the vector is built
+        return from_dict(VectorFile, doc, where="vector").genes
     except ValueError as exc:
         raise UsageError(f"vector file {path}: {exc}") from exc
-    return v
 
 
 # ------------------------------------------------------------ dataset build
@@ -248,7 +243,7 @@ def _load_gt_csv(path: str | Path):
     except FileNotFoundError as exc:
         raise IOFailure(f"annotations file not found: {path}") from exc
     except AnnotationError as exc:
-        raise UsageError(f"annotations schema: {exc}") from exc
+        raise UsageError(f"annotations schema: {path}, {exc}") from exc
 
 
 def build_dataset(cfg: RunConfig, needs_test: bool = False):

@@ -63,11 +63,12 @@ class FieldError(ValueError):
 def read_json(path: str | Path):
     """The JSON document in the file ``path``, read by ``read_text``, or a
     ConfigError naming the file when its text is not JSON (an integer
-    beyond the digit limit included); an OSError passes through."""
+    beyond the digit limit or nesting beyond the recursion limit
+    included); an OSError passes through."""
     text = read_text(path)
     try:
         return json.loads(text)
-    except ValueError as exc:  # the digit limit too
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: not JSON ({exc})") from exc
 
 
@@ -119,13 +120,14 @@ _BOUNDS = {"gt": ("(", ">", operator.gt), "ge": ("[", ">=", operator.ge),
 
 def rule(default=MISSING, **spec):
     """A dataclass field whose value must be one of ``menu``, or meet the
-    bounds ``gt``, ``ge``, ``lt`` and ``le`` given, the lower one first."""
+    bounds ``gt``, ``ge``, ``lt`` and ``le`` given, the lower one first;
+    any other key is metadata for the field's class to read."""
     return field(default=default, metadata=spec)
 
 
-def rule_of(cls, name: str) -> typing.Mapping:
+def rule_of(cls, name: str) -> dict:
     """The rule of the field ``name`` of ``cls``, for a field that shares it."""
-    return next(f.metadata for f in fields(cls) if f.name == name)
+    return next(spec for field_name, *_, spec in _rules(cls) if field_name == name)
 
 
 class Checked:
@@ -137,12 +139,14 @@ class Checked:
 
 @functools.cache
 def _rules(cls) -> tuple:
-    """(name, type, None-able, rule) of each ``int``, ``float`` or ``str`` field."""
+    """(name, type, None-able, rule) of each ``int``, ``float`` or ``str``
+    field; the rule is the metadata's ``menu`` and bound keys alone."""
     hints, out = typing.get_type_hints(cls), []
     for f in fields(cls):
+        spec = {k: v for k, v in f.metadata.items() if k == "menu" or k in _BOUNDS}
         for tp in _TYPE_RULES:
             if hints[f.name] in (tp, tp | None):
-                out.append((f.name, tp, hints[f.name] is not tp, f.metadata))
+                out.append((f.name, tp, hints[f.name] is not tp, spec))
     return tuple(out)
 
 

@@ -195,6 +195,8 @@ def _parse_row(
             ) from None
         if v <= 0:
             raise AnnotationError(f"line {line_no}: field {fname} must be positive")
+        if v > 2**53:  # where float(v), the clamp's bound, stops being exact
+            raise AnnotationError(f"line {line_no}: field {fname} must be <= 2**53")
         dims.append(v)
     x1, y1, x2, y2 = vals
     w, h = dims
@@ -365,13 +367,14 @@ def _add_block(block: Sequence[tuple[int, list[str]]], label_ids: dict, by_image
 
 def _numbered(reader, fault: list):
     """The reader's non-empty rows with the physical line each ends on; a
-    csv.Error ends them and is kept in ``fault``."""
+    csv.Error ends them and is kept in ``fault`` as an AnnotationError
+    naming its line."""
     try:
         for row in reader:
             if row:
                 yield reader.line_num, row
     except csv.Error as exc:
-        fault.append(exc)
+        fault.append(AnnotationError(f"line {reader.line_num}: {exc}"))
 
 
 def load_annotations(path: str | Path) -> list[ImageRecord]:
@@ -380,7 +383,7 @@ def load_annotations(path: str | Path) -> list[ImageRecord]:
     whose second field is not numeric."""
     label_ids: dict[str, int] = {}
     by_image: dict[str, dict] = {}
-    fault: list[csv.Error] = []
+    fault: list[AnnotationError] = []
     rows = _numbered(csv.reader(io.StringIO(read_text(path), newline="")), fault)
     for line_no, row in rows:
         if not _blank(row):

@@ -130,14 +130,19 @@ def trace_series(trace_path: str | Path) -> list[tuple[str, list[tuple[float, fl
     """The tuning trace's best-so-far and score series, refused
     (``ValueError``, naming the file) unless it has the evaluation, score
     and best_so_far columns and at least one row, each of those values a
-    finite number."""
+    finite number, and a line the csv module refuses is named."""
     best: list[tuple[float, float]] = []
     score: list[tuple[float, float]] = []
     reader = csv.DictReader(io.StringIO(read_text(trace_path), newline=""))
+    try:
+        rows = [(reader.line_num, row) for row in reader]
+    except csv.Error as exc:  # a field beyond the csv module's limit
+        # the DictReader's line_num is set after a row is read; its reader's before
+        raise ValueError(f"{trace_path}, line {reader.reader.line_num}: {exc}") from None
     missing = [c for c in _TRACE_COLUMNS if c not in (reader.fieldnames or ())]
     if missing:
         raise ValueError(f"{trace_path}: no {', '.join(missing)} column")
-    for row in reader:
+    for line_num, row in rows:
         values = [row[c] for c in _TRACE_COLUMNS]
         try:
             idx, s, b = map(float, values)
@@ -145,7 +150,7 @@ def trace_series(trace_path: str | Path) -> list[tuple[str, list[tuple[float, fl
             idx = s = b = math.nan
         if not all(map(math.isfinite, (idx, s, b))):
             raise ValueError(
-                f"{trace_path}, line {reader.line_num}: "
+                f"{trace_path}, line {line_num}: "
                 f"{', '.join(_TRACE_COLUMNS)} must be finite numbers, got {values}"
             )
         score.append((idx, s))

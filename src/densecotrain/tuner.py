@@ -1,6 +1,15 @@
 """Metaheuristic search over the 20-gene hyperparameter vector that
 configures both detector views and the three verification classifiers.
 
+Each gene is declared once, on its ``HyperVector`` field, by ``gene``: its
+kind, its bounds or menu, and the ``CoTrainConfig`` field it sets, as a
+path such as ``ensemble_params.xgb.max_depth``.  The bounds or menu are
+the field's ``codec.rule``, so a vector out of range is refused when it
+is built (``d_xgb must be in [1, 12], got 13``; a vector file names the
+path, ``vector.genes.d_xgb``).  ``GENE_SPECS`` is read from the fields,
+``DEFAULT_VECTOR`` from ``CoTrainConfig()`` along the paths, and
+``vector_to_params`` routes each gene along its path.
+
 Two optimizers ship behind one interface: a genetic algorithm
 (tournament selection, elitism, uniform crossover) and simulated
 annealing (single-gene moves, Metropolis acceptance, geometric cooling).
@@ -29,9 +38,9 @@ import csv
 import io
 import math
 from dataclasses import dataclass, fields, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Mapping, get_type_hints
 
 import numpy as np
 
@@ -47,7 +56,7 @@ from .cotrain import (
 )
 from .data import DatasetSplit, ImageRecord
 from .detectors import ANCHOR_MENU, BATCH_MENU, DetectorParams, derive_seed
-from .ensemble import SVM_KERNELS, EnsembleParams, RfParams, SvmParams, XgbParams
+from .ensemble import SVM_KERNELS, EnsembleParams
 from .metrics import mean_average_precision
 
 ALGORITHMS = ("ga", "sa")
@@ -62,10 +71,12 @@ VIEW_MEMO_SIZE = 4
 
 @dataclass(frozen=True)
 class GeneSpec(Checked):
-    """Bounds or menu for one gene of the search space."""
+    """One gene of the search space: its kind, its bounds or menu, and the
+    ``CoTrainConfig`` field it sets, as a dotted path."""
 
     name: str
     kind: str = rule(menu=("continuous", "log", "integer", "categorical"))
+    path: str
     low: float | None = None
     high: float | None = None
     menu: tuple = ()
@@ -81,70 +92,71 @@ class GeneSpec(Checked):
             raise ValueError(f"gene {self.name}: log bounds must be positive")
 
 
+def gene(kind: str, path: str, low=None, high=None, menu=()):
+    """A ``HyperVector`` field: a gene of ``kind`` in [``low``, ``high``] or
+    one of ``menu``, which sets the ``CoTrainConfig`` field at ``path``.
+    The range is the field's rule, so a vector is checked when built."""
+    bounds = dict(menu=menu) if kind == "categorical" else dict(ge=low, le=high)
+    return rule(**bounds, kind=kind, path=path)
+
+
 @dataclass(frozen=True)
-class HyperVector:
+class HyperVector(Checked):
     """The 20 tunable cells: boosted-trees, random-forest, and SVM blocks,
-    then the single-stage and anchor-based detector blocks."""
+    then the single-stage and anchor-based detector blocks.  Each field is
+    one gene, declared once with ``gene``."""
 
-    lr_xgb: float
-    d_xgb: int
-    rc_xgb: float
-    nt_xgb: int
-    d_rf: int
-    nt_rf: int
-    c_svm: float
-    k_svm: str
-    g_svm: float
-    ep_yolo: int
-    ct_yolo: float
-    iou_yolo: float
-    bs_yolo: int
-    lr_yolo: float
-    ep_rcnn: int
-    ct_rcnn: float
-    iou_rcnn: float
-    bs_rcnn: int
-    lr_rcnn: float
-    as_rcnn: str
+    lr_xgb: float = gene("continuous", "ensemble_params.xgb.learning_rate", 0.01, 0.5)
+    d_xgb: int = gene("integer", "ensemble_params.xgb.max_depth", 1, 12)
+    rc_xgb: float = gene("continuous", "ensemble_params.xgb.l2_reg", 0.0, 10.0)
+    nt_xgb: int = gene("integer", "ensemble_params.xgb.n_trees", 10, 300)
+    d_rf: int = gene("integer", "ensemble_params.rf.max_depth", 1, 20)
+    nt_rf: int = gene("integer", "ensemble_params.rf.n_trees", 10, 300)
+    c_svm: float = gene("log", "ensemble_params.svm.c", 0.01, 100.0)
+    k_svm: str = gene("categorical", "ensemble_params.svm.kernel", menu=SVM_KERNELS)
+    g_svm: float = gene("log", "ensemble_params.svm.gamma", 1e-4, 10.0)
+    ep_yolo: int = gene("integer", "ctx_params.epochs", 1, 60)
+    ct_yolo: float = gene("continuous", "ctx_params.confidence_threshold", 0.05, 0.95)
+    iou_yolo: float = gene("continuous", "ctx_params.nms_iou", 0.3, 0.9)
+    bs_yolo: int = gene("categorical", "ctx_params.batch_size", menu=BATCH_MENU)
+    lr_yolo: float = gene("log", "ctx_params.learning_rate", 1e-5, 1e-2)
+    ep_rcnn: int = gene("integer", "loc_params.epochs", 1, 60)
+    ct_rcnn: float = gene("continuous", "loc_params.confidence_threshold", 0.05, 0.95)
+    iou_rcnn: float = gene("continuous", "loc_params.nms_iou", 0.3, 0.9)
+    bs_rcnn: int = gene("categorical", "loc_params.batch_size", menu=BATCH_MENU)
+    lr_rcnn: float = gene("log", "loc_params.learning_rate", 1e-5, 1e-2)
+    as_rcnn: str = gene("categorical", "loc_params.anchor_scales", menu=ANCHOR_MENU)
 
 
-GENE_NAMES = tuple(f.name for f in fields(HyperVector))
-
-GENE_SPECS: tuple[GeneSpec, ...] = (
-    GeneSpec("lr_xgb", "continuous", 0.01, 0.5),
-    GeneSpec("d_xgb", "integer", 1, 12),
-    GeneSpec("rc_xgb", "continuous", 0.0, 10.0),
-    GeneSpec("nt_xgb", "integer", 10, 300),
-    GeneSpec("d_rf", "integer", 1, 20),
-    GeneSpec("nt_rf", "integer", 10, 300),
-    GeneSpec("c_svm", "log", 0.01, 100.0),
-    GeneSpec("k_svm", "categorical", menu=SVM_KERNELS),
-    GeneSpec("g_svm", "log", 1e-4, 10.0),
-    GeneSpec("ep_yolo", "integer", 1, 60),
-    GeneSpec("ct_yolo", "continuous", 0.05, 0.95),
-    GeneSpec("iou_yolo", "continuous", 0.3, 0.9),
-    GeneSpec("bs_yolo", "categorical", menu=BATCH_MENU),
-    GeneSpec("lr_yolo", "log", 1e-5, 1e-2),
-    GeneSpec("ep_rcnn", "integer", 1, 60),
-    GeneSpec("ct_rcnn", "continuous", 0.05, 0.95),
-    GeneSpec("iou_rcnn", "continuous", 0.3, 0.9),
-    GeneSpec("bs_rcnn", "categorical", menu=BATCH_MENU),
-    GeneSpec("lr_rcnn", "log", 1e-5, 1e-2),
-    GeneSpec("as_rcnn", "categorical", menu=ANCHOR_MENU),
+GENE_SPECS = tuple(
+    GeneSpec(f.name, f.metadata["kind"], f.metadata["path"], f.metadata.get("ge"),
+             f.metadata.get("le"), f.metadata.get("menu", ())) for f in fields(HyperVector)
 )
+GENE_NAMES = tuple(s.name for s in GENE_SPECS)
+SPEC_BY_NAME = {s.name: s for s in GENE_SPECS}
 
-SPEC_BY_NAME: dict[str, GeneSpec] = {s.name: s for s in GENE_SPECS}
+# the shipped defaults, read from the config fields the genes set; injected
+# into every search so the tuned result can only match or beat them
+_BASE = CoTrainConfig()
+DEFAULT_VECTOR = HyperVector(**{
+    s.name: reduce(getattr, s.path.split("."), _BASE) for s in GENE_SPECS
+})
 
-# the shipped default configuration, expressed as a vector; injected into
-# every search so the tuned result can only match or beat it
-DEFAULT_VECTOR = HyperVector(
-    lr_xgb=0.15, d_xgb=3, rc_xgb=1.0, nt_xgb=30,
-    d_rf=8, nt_rf=25,
-    c_svm=1.0, k_svm="rbf", g_svm=1.0 / 16.0,
-    ep_yolo=20, ct_yolo=0.25, iou_yolo=0.5, bs_yolo=16, lr_yolo=2e-3,
-    ep_rcnn=20, ct_rcnn=0.25, iou_rcnn=0.5, bs_rcnn=16, lr_rcnn=1e-3,
-    as_rcnn="medium",
-)
+
+def _routes() -> dict:
+    """The genes as a tree of their paths: an inner dict per params block,
+    and per field a leaf of the gene that sets it and the gene's type."""
+    types, tree = get_type_hints(HyperVector), {}
+    for s in GENE_SPECS:
+        *blocks, leaf = s.path.split(".")
+        node = tree
+        for block in blocks:
+            node = node.setdefault(block, {})
+        node[leaf] = (s.name, types[s.name])
+    return tree
+
+
+_ROUTES = _routes()
 
 
 @dataclass(frozen=True)
@@ -178,22 +190,6 @@ class TuneReport:
 
 def vector_values(v: HyperVector) -> tuple:
     return tuple(getattr(v, name) for name in GENE_NAMES)
-
-
-def validate_vector(v: HyperVector) -> None:
-    for name in GENE_NAMES:
-        spec = SPEC_BY_NAME[name]
-        val = getattr(v, name)
-        if spec.kind == "categorical":
-            # an entry of the entry's own type: 16.0 == 16, but it is no batch size
-            if not any(type(val) is type(m) and val == m for m in spec.menu):
-                raise ValueError(f"gene {name}: {val!r} not in menu {spec.menu}")
-        elif type(val) not in ((int,) if spec.kind == "integer" else (int, float)):
-            # type(), not isinstance(): a bool is an int to isinstance
-            kind = "an integer" if spec.kind == "integer" else "a number"
-            raise ValueError(f"gene {name}: {val!r} is not {kind}")
-        elif not (spec.low <= val <= spec.high):
-            raise ValueError(f"gene {name}: {val!r} outside [{spec.low}, {spec.high}]")
 
 
 def _sample_gene(spec: GeneSpec, rng: np.random.Generator):
@@ -420,31 +416,25 @@ def planted_objective(target: HyperVector) -> Callable[[HyperVector], float]:
     return f
 
 
+def _set(block, routes: dict, v: HyperVector):
+    """``block`` with each field ``routes`` names set from ``v``: a gene
+    cast to its type, a nested block built the same way; built once."""
+    return replace(block, **{
+        key: _set(getattr(block, key), r, v) if isinstance(r, dict) else r[1](getattr(v, r[0]))
+        for key, r in routes.items()
+    })
+
+
 def vector_to_params(
     v: HyperVector,
 ) -> tuple[EnsembleParams, DetectorParams, DetectorParams]:
-    """Route genes to parameter blocks: the anchor-bearing detector genes
-    drive the anchor-aware precise view, the anchor-free genes drive the
-    context view, and the rest configure the verification ensemble."""
-    ens = EnsembleParams(
-        xgb=XgbParams(
-            learning_rate=float(v.lr_xgb), max_depth=int(v.d_xgb),
-            l2_reg=float(v.rc_xgb), n_trees=int(v.nt_xgb),
-        ),
-        rf=RfParams(max_depth=int(v.d_rf), n_trees=int(v.nt_rf)),
-        svm=SvmParams(c=float(v.c_svm), kernel=str(v.k_svm), gamma=float(v.g_svm)),
-    )
-    loc = DetectorParams(
-        epochs=int(v.ep_rcnn), confidence_threshold=float(v.ct_rcnn),
-        nms_iou=float(v.iou_rcnn), batch_size=int(v.bs_rcnn),
-        learning_rate=float(v.lr_rcnn), anchor_scales=str(v.as_rcnn),
-    )
-    ctx = DetectorParams(
-        epochs=int(v.ep_yolo), confidence_threshold=float(v.ct_yolo),
-        nms_iou=float(v.iou_yolo), batch_size=int(v.bs_yolo),
-        learning_rate=float(v.lr_yolo), anchor_scales=None,
-    )
-    return ens, loc, ctx
+    """Route each gene to the field its path names: the anchor-bearing
+    detector genes drive the anchor-aware precise view, the anchor-free
+    genes the context view (whose ``anchor_scales`` stays None), and the
+    rest the verification ensemble.  A field no gene sets keeps its
+    ``CoTrainConfig`` default."""
+    blocks = ("ensemble_params", "loc_params", "ctx_params")
+    return tuple(_set(getattr(_BASE, b), _ROUTES[b], v) for b in blocks)
 
 
 def make_supervised_objective(

@@ -280,6 +280,23 @@ def test_misspelled_annotation_header_exit_2(tmp_path, capsys, command):
     assert "image_name,x1,y1,x2,y2,class,image_width,image_height" in err
 
 
+@pytest.mark.parametrize(
+    "row, named",
+    [("z," + "9" * 140_000, "line 3: field larger than field limit"),
+     ("b,1,1,5,5,object," + "9" * 400 + ",10", "line 3: field image_width must be <= 2**53")],
+    ids=["field-beyond-csv-limit", "width-beyond-float-range"],
+)
+def test_evaluate_annotation_field_beyond_its_limit_exit_2(tmp_path, capsys, row, named):
+    """A csv.Error and an OverflowError in the clamp once exited 4,
+    naming no line."""
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"a,1,1,5,5,object,10,10\n\n{row}\n", encoding="utf-8")
+    preds = tmp_path / "preds.jsonl"
+    preds.write_text("", encoding="utf-8")
+    assert run_cli(["evaluate", "--predictions", preds, "--annotations", bad]) == 2
+    assert f"{bad}, {named}" in capsys.readouterr().err
+
+
 def test_split_too_few_records_exit_2(dataset_dir, tmp_path):
     code = run_cli(
         ["split", "--annotations", dataset_dir / "annotations.csv",
@@ -463,7 +480,7 @@ def test_evaluate_non_string_image_id_exit_2(
     )
     assert code == 2
     err = capsys.readouterr().err
-    assert f"predictions line 2: image_id must be a string, got {shown}" in err
+    assert f"{pred_path}, line 2: image_id must be a string, got {shown}" in err
 
 
 _MISSING = object()
@@ -527,7 +544,7 @@ def test_evaluate_bad_detection_value_exit_2(
     )
     assert code == 2
     err = capsys.readouterr().err
-    assert f"error: predictions line 2, {message}\n" in err
+    assert f"error: {pred_path}, line 2, {message}\n" in err
     assert "unexpected failure" not in err
 
 
@@ -543,21 +560,21 @@ def _reference_load_predictions(path):
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise UsageError(f"predictions line {line_no}: invalid JSON ({exc})")
+            raise UsageError(f"{path}, line {line_no}: invalid JSON ({exc})")
         if not isinstance(obj, dict) or "image_id" not in obj:
-            raise UsageError(f"predictions line {line_no}: missing image_id")
+            raise UsageError(f"{path}, line {line_no}: missing image_id")
         dets_field = obj.get("detections")
         if not isinstance(dets_field, list):
-            raise UsageError(f"predictions line {line_no}: missing detections list")
+            raise UsageError(f"{path}, line {line_no}: missing detections list")
         image_id = obj["image_id"]
         if not isinstance(image_id, str):
             raise UsageError(
-                f"predictions line {line_no}: image_id must be a string, "
+                f"{path}, line {line_no}: image_id must be a string, "
                 f"got {image_id!r}"
             )
         if image_id in out:
             raise UsageError(
-                f"predictions line {line_no}: duplicate image_id {image_id!r}"
+                f"{path}, line {line_no}: duplicate image_id {image_id!r}"
             )
         dets = []
         for j, d in enumerate(dets_field):
@@ -576,7 +593,7 @@ def _reference_load_predictions(path):
                 dets.append(ScoredBox(box, score, label))
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise UsageError(
-                    f"predictions line {line_no}, detection {j}: {exc}"
+                    f"{path}, line {line_no}, detection {j}: {exc}"
                 ) from exc
         out[image_id] = dets
     return out
@@ -1094,7 +1111,7 @@ def test_integer_beyond_json_digit_limit_exit_2_naming_where(
         )
         argv = ["evaluate", "--predictions", path,
                 "--annotations", dataset_dir / "annotations.csv"]
-        named = "predictions line 2: invalid JSON"
+        named = f"{path}, line 2: invalid JSON"
     else:
         path.write_text(f'{{"seed": 0, "dataset": {{"box_w": {huge}}}}}', encoding="utf-8")
         argv = ["cotrain", "--config", path]
@@ -1103,6 +1120,32 @@ def test_integer_beyond_json_digit_limit_exit_2_naming_where(
     assert run_cli(argv) == 2
     err = capsys.readouterr().err
     assert named in err and "4300" in err
+
+
+@pytest.mark.parametrize("reader", ["predictions", "config", "hyper"])
+def test_json_nested_beyond_the_recursion_limit_exit_2_naming_where(
+    dataset_dir, tmp_path, capsys, reader
+):
+    """json.loads raises RecursionError, not ValueError, on a document
+    nested 100,000 levels deep; each reader once exited 4 on it."""
+    deep = "[" * 100_000
+    path = tmp_path / "input"
+    if reader == "predictions":
+        path.write_text(f'{{"image_id": "synth-00000", "detections": []}}\n{deep}\n',
+                        encoding="utf-8")
+        argv = ["evaluate", "--predictions", path,
+                "--annotations", dataset_dir / "annotations.csv"]
+        named = f"{path}, line 2: invalid JSON"
+    else:
+        path.write_text(deep, encoding="utf-8")
+        argv = (["cotrain", "--config", path] if reader == "config" else
+                ["cotrain", "--config", tiny_config(tmp_path), "--hyper", path])
+        named = f"{path}: not JSON"
+    capsys.readouterr()
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert named in err and "recursion" in err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize(
@@ -1188,6 +1231,25 @@ def test_cotrain_invalid_hyper_vector_exit_2(tmp_path):
     bad = tmp_path / "vec.json"
     bad.write_text(json.dumps({"genes": {"lr_xgb": 99}}), encoding="utf-8")
     assert run_cli(["cotrain", "--config", cfg_path, "--hyper", bad]) == 2
+
+
+@pytest.mark.parametrize(
+    "gene, value, rule",
+    [("d_xgb", 13, "in [1, 12], got 13"),
+     ("k_svm", "sigmoid", "one of ('linear', 'rbf', 'poly'), got 'sigmoid'")],
+    ids=["d_xgb", "k_svm"],
+)
+def test_cotrain_hyper_vector_gene_out_of_range_exit_2(tmp_path, capsys, gene, value, rule):
+    """A complete vector with one gene outside its range or menu fails
+    naming the file and the gene's path, before any run directory."""
+    cfg_path = tiny_config(tmp_path)
+    genes = dict(zip(GENE_NAMES, vector_values(DEFAULT_VECTOR)))
+    bad = tmp_path / "vec.json"
+    bad.write_text(json.dumps({"genes": {**genes, gene: value}}), encoding="utf-8")
+    assert run_cli(["cotrain", "--config", cfg_path, "--hyper", bad]) == 2
+    err = capsys.readouterr().err
+    assert f"vector file {bad}: vector.genes.{gene} must be {rule}" in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_cotrain_hyper_vector_unknown_keys_exit_2(tmp_path, capsys):
@@ -1419,9 +1481,12 @@ def test_input_not_utf8_exit_2_naming_file_and_line(dataset_dir, tmp_path, capsy
         ("evaluation,score,best_so_far\n0,0.5,0.5\n1,x,0.5\n", "line 3"),
         ("evaluation,score,best_so_far\n0,0.5\n", "line 2"),
         ("evaluation,score,best_so_far\n0,nan,0.5\n", "line 2"),
+        # a csv.Error once exited 4
+        ("evaluation,score,best_so_far\n0,0.5,0.5\n1," + "9" * 140_000 + ",0.5\n",
+         "line 3: field larger than field limit"),
     ],
     ids=["no-best-so-far", "empty", "header-only", "score-not-a-number",
-         "short-row", "score-nan"],
+         "short-row", "score-nan", "field-beyond-csv-limit"],
 )
 def test_report_malformed_trace_exit_2(tmp_path, capsys, text, named):
     # a KeyError once made the first exit 4, and the others exited 2

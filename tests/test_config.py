@@ -292,8 +292,10 @@ def test_echo_has_one_seed():
         # "not JSON ('utf-8' codec can't decode byte 0xff in position 19...)"
         (b'{"seed": 0,\n "x": "\xff"}', ", line 2: not UTF-8 (invalid start byte)"),
         (b'{"seed": ' + b"9" * 5001 + b"}", ": not JSON (Exceeds the limit (4300 digits)"),
+        # json.loads raises RecursionError, which once exited 4
+        (b'{"seed": ' + b"[" * 100_000, ": not JSON (maximum recursion depth exceeded"),
     ],
-    ids=["truncated", "not-utf-8", "integer-beyond-digit-limit"],
+    ids=["truncated", "not-utf-8", "integer-beyond-digit-limit", "nested-beyond-recursion-limit"],
 )
 def test_read_json_names_the_file(tmp_path, data, message):
     path = tmp_path / "doc.json"
@@ -324,7 +326,7 @@ RULED_CLASSES = {
     DatasetConfig: {},
     RunConfig: dict(seed=0),
     TunerConfig: {},
-    GeneSpec: dict(name="g", kind="continuous", low=0.0, high=1.0),
+    GeneSpec: dict(name="g", kind="continuous", path="tau_conf", low=0.0, high=1.0),
 }
 
 # values once accepted, or refused by a bare TypeError or by a message that

@@ -265,12 +265,20 @@ def test_load_header_after_a_byte_order_mark(tmp_path):
 
 def _reference_load_annotations(path):
     """The row-by-row loader that ``load_annotations`` replaced, with the
-    two fixes the column loader shares: a message names the physical line
-    the row ends on (``reader.line_num``, not the row count), and the
-    header candidate is the first non-blank row, not the row of line 1."""
+    three fixes the column loader shares: a message names the physical line
+    the row ends on (``reader.line_num``, not the row count), the header
+    candidate is the first non-blank row, not the row of line 1, and a
+    ``csv.Error`` is an ``AnnotationError`` naming its line."""
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        return _reference_rows(reader)
+    except csv.Error as exc:
+        raise AnnotationError(f"line {reader.line_num}: {exc}") from None
+
+
+def _reference_rows(reader):
     label_ids: dict[str, int] = {}
     by_image: dict[str, dict] = {}
-    reader = csv.reader(io.StringIO(read_text(path), newline=""))
     first = True
     for row in reader:
         line_no = reader.line_num
@@ -436,7 +444,23 @@ def test_load_annotations_matches_reference_across_full_blocks(tmp_path):
         path.write_text(text, encoding="utf-8")
         want = _outcome(_reference_load_annotations, path)
         assert _outcome(load_annotations, path) == want
-    assert want[1][0] is csv.Error and len(want[0]) == 5
+    assert want[1][0] is AnnotationError and len(want[0]) == 5
+    assert want[1][1] == f"line {len(lines) + 1}: field larger than field limit (131072)"
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [("z," + "9" * 140_000, "line 3: field larger than field limit (131072)"),
+     ("b,1,1,5,5,object," + "9" * 400 + ",10", "line 3: field image_width must be <= 2**53"),
+     (f"b,1,1,5,5,object,10,{2**53 + 1}", "line 3: field image_height must be <= 2**53")],
+    ids=["field-beyond-csv-limit", "width-beyond-float-range", "height-beyond-2**53"],
+)
+def test_load_refuses_a_field_beyond_its_limit_naming_the_line(tmp_path, row, message):
+    """A field the csv module refuses raised its bare csv.Error, and dims
+    beyond float range an OverflowError in the clamp: both exited 4."""
+    path = _write(tmp_path, f"a,1,1,5,5,object,10,10\n\n{row}\n")
+    with pytest.raises(AnnotationError, match=f"^{re.escape(message)}$"):
+        load_annotations(path)
 
 
 def _records(n):

@@ -2,7 +2,9 @@
 
 import csv
 import math
+import re
 from dataclasses import replace
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -33,7 +35,6 @@ from densecotrain.tuner import (
     planted_objective,
     random_vector,
     tune_pipeline,
-    validate_vector,
     vector_to_params,
     vector_values,
     write_trace_csv,
@@ -44,8 +45,16 @@ from densecotrain.detectors import (
     DEFAULT_CONTEXTUAL_PARAMS,
     DEFAULT_LOCALIZER_PARAMS,
     LOCALIZER,
+    DetectorParams,
 )
-from densecotrain.ensemble import EnsembleClassifier, EnsembleParams
+from densecotrain.codec import check_fields
+from densecotrain.ensemble import (
+    EnsembleClassifier,
+    EnsembleParams,
+    RfParams,
+    SvmParams,
+    XgbParams,
+)
 
 SPEC_BY_NAME = {s.name: s for s in GENE_SPECS}
 
@@ -66,7 +75,7 @@ def build_dataset(seed, n_labeled, n_unlabeled):
 
 
 def test_default_vector_is_valid():
-    validate_vector(DEFAULT_VECTOR)
+    check_fields(DEFAULT_VECTOR)
 
 
 @pytest.mark.parametrize(
@@ -74,8 +83,21 @@ def test_default_vector_is_valid():
     [("bs_yolo", 16.0), ("bs_rcnn", 8.0), ("bs_yolo", True), ("k_svm", 1)],
 )
 def test_validate_vector_categorical_takes_only_a_menu_entry_of_its_type(gene, value):
-    with pytest.raises(ValueError, match=f"gene {gene}:"):
-        validate_vector(replace(DEFAULT_VECTOR, **{gene: value}))
+    # the vector is checked when built: 16.0 == 16, but it is no batch size
+    with pytest.raises(ValueError, match=f"^{gene} must be "):
+        replace(DEFAULT_VECTOR, **{gene: value})
+
+
+@pytest.mark.parametrize(
+    "gene, value, message",
+    [("d_xgb", 13, "must be in [1, 12], got 13"),
+     ("lr_yolo", 0.1, "must be in [1e-05, 0.01], got 0.1"),
+     ("as_rcnn", "huge", "must be one of ('small', 'medium', 'large', 'mixed'), got 'huge'")],
+    ids=["d_xgb", "lr_yolo", "as_rcnn"],
+)
+def test_vector_out_of_its_range_is_refused_when_built(gene, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{gene} {message}')}$"):
+        replace(DEFAULT_VECTOR, **{gene: value})
 
 
 def test_gene_specs_cover_all_fields():
@@ -84,14 +106,35 @@ def test_gene_specs_cover_all_fields():
 
 
 def test_gene_spec_validation_errors():
-    with pytest.raises(ValueError):
-        GeneSpec("x", "continuous", 1.0, 1.0)
-    with pytest.raises(ValueError):
-        GeneSpec("x", "categorical", menu=())
-    with pytest.raises(ValueError):
-        GeneSpec("x", "log", 0.0, 1.0)
-    with pytest.raises(ValueError):
-        GeneSpec("x", "mystery", 0.0, 1.0)
+    with pytest.raises(ValueError, match="needs low < high"):
+        GeneSpec("x", "continuous", "tau_conf", 1.0, 1.0)
+    with pytest.raises(ValueError, match="menu is empty"):
+        GeneSpec("x", "categorical", "mode", menu=())
+    with pytest.raises(ValueError, match="log bounds must be positive"):
+        GeneSpec("x", "log", "tau_conf", 0.0, 1.0)
+    with pytest.raises(ValueError, match="^kind must be one of"):
+        GeneSpec("x", "mystery", "tau_conf", 0.0, 1.0)
+
+
+def test_default_vector_holds_the_shipped_defaults():
+    """DEFAULT_VECTOR is read from the config fields the genes' paths name;
+    these are the values, and their types, it was once written out with."""
+    assert _typed(vector_values(DEFAULT_VECTOR)) == _typed((
+        0.15, 3, 1.0, 30,
+        8, 25,
+        1.0, "rbf", 1.0 / 16.0,
+        20, 0.25, 0.5, 16, 2e-3,
+        20, 0.25, 0.5, 16, 1e-3,
+        "medium",
+    ))
+
+
+def assert_plain_genes(v):
+    """Each gene holds a value of exactly its field's type, as ``json.dumps``
+    writes it: the field's rule would also take a numpy scalar."""
+    check_fields(v)
+    for name, tp in get_type_hints(HyperVector).items():
+        assert type(getattr(v, name)) is tp, (name, getattr(v, name))
 
 
 # --------------------------------------------------------- random_vector
@@ -113,7 +156,7 @@ def test_random_vector_deterministic():
 
 def test_random_vector_all_valid():
     for i in range(200):
-        validate_vector(random_vector(seed=i))
+        assert_plain_genes(random_vector(seed=i))
 
 
 def test_random_vector_log_gene_spans_decades():
@@ -145,7 +188,7 @@ def test_mutate_outputs_valid():
     v = DEFAULT_VECTOR
     for i in range(200):
         v = mutate(v, rate=0.5, seed=i)
-        validate_vector(v)
+        assert_plain_genes(v)
 
 
 def test_mutate_deterministic():
@@ -275,7 +318,7 @@ def test_optimize_evaluated_vectors_always_valid():
     evaluated = []
 
     def obj(v):
-        validate_vector(v)
+        assert_plain_genes(v)
         evaluated.append(v)
         return normalized_distance(v, DEFAULT_VECTOR)
 
@@ -399,6 +442,64 @@ def test_vector_to_params_valid_for_random_vectors():
     for i in range(50):
         ens, loc, ctx = vector_to_params(random_vector(seed=i))
         assert ctx.anchor_scales is None
+
+
+def reference_vector_to_params(v):
+    """The routing as it was written by hand, one route per gene, before
+    each gene declared the config path it sets."""
+    ens = EnsembleParams(
+        xgb=XgbParams(
+            learning_rate=float(v.lr_xgb), max_depth=int(v.d_xgb),
+            l2_reg=float(v.rc_xgb), n_trees=int(v.nt_xgb),
+        ),
+        rf=RfParams(max_depth=int(v.d_rf), n_trees=int(v.nt_rf)),
+        svm=SvmParams(c=float(v.c_svm), kernel=str(v.k_svm), gamma=float(v.g_svm)),
+    )
+    loc = DetectorParams(
+        epochs=int(v.ep_rcnn), confidence_threshold=float(v.ct_rcnn),
+        nms_iou=float(v.iou_rcnn), batch_size=int(v.bs_rcnn),
+        learning_rate=float(v.lr_rcnn), anchor_scales=str(v.as_rcnn),
+    )
+    ctx = DetectorParams(
+        epochs=int(v.ep_yolo), confidence_threshold=float(v.ct_yolo),
+        nms_iou=float(v.iou_yolo), batch_size=int(v.bs_yolo),
+        learning_rate=float(v.lr_yolo), anchor_scales=None,
+    )
+    return ens, loc, ctx
+
+
+def _typed(obj):
+    """Every leaf of a params block tree with its type, so an int where a
+    float was, 1 for 1.0, counts as a difference."""
+    if isinstance(obj, tuple) or hasattr(obj, "__dataclass_fields__"):
+        items = enumerate(obj) if isinstance(obj, tuple) else (
+            (name, getattr(obj, name)) for name in obj.__dataclass_fields__
+        )
+        return [(key, _typed(value)) for key, value in items]
+    return type(obj), obj
+
+
+def _corner(end: int) -> HyperVector:
+    """Every gene at one end of its range: the low bound and first menu
+    entry (``end`` 0), or the high bound and last entry (``end`` -1)."""
+    return HyperVector(**{
+        s.name: s.menu[end] if s.kind == "categorical" else (s.low, s.high)[end]
+        for s in GENE_SPECS
+    })
+
+
+def test_vector_to_params_matches_the_hand_routing():
+    """The path routing builds what the hand routing built, value types
+    included, on random vectors and on the two corners of the space, where
+    each gene sits at an edge of its range."""
+    corners = [_corner(0), _corner(-1)]
+    assert corners[0].d_xgb == 1 and corners[1].k_svm == "poly"
+    # a numeric gene may hold an int, as a vector file may give it
+    ints = replace(corners[1], rc_xgb=10, c_svm=100)
+    for v in [*corners, ints, *(random_vector(seed=i) for i in range(200))]:
+        got, want = vector_to_params(v), reference_vector_to_params(v)
+        assert got == want
+        assert _typed(got) == _typed(want)
 
 
 @pytest.fixture(scope="module")

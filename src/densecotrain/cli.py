@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .codec import from_dict, read_json, read_text, write_json, write_text
+from .codec import echo, from_dict, read_json, read_text, write_json, write_text
 from .config import (
     ConfigError,
     RunConfig,
@@ -121,13 +121,13 @@ def _check_detection(d: dict) -> None:
     vals = (d["x1"], d["y1"], d["x2"], d["y2"], d["score"])
     for key, v in zip(("x1", "y1", "x2", "y2", "score"), vals):
         if type(v) not in _JSON_NUMBER_TYPES:  # float() takes "1"
-            raise ValueError(f"{key} must be a number, got {v!r}")
+            raise ValueError(f"{key} must be a number, got {echo(v)}")
     x1, y1, x2, y2, score = map(float, vals)  # OverflowError beyond float range
     box = Box(x1, y1, x2, y2)  # not finite, or degenerate
     label = d.get("label", 0)
     # a JSON integer only: int() would take 1.7 as 1 and true as 1
     if isinstance(label, bool) or not isinstance(label, int):
-        raise ValueError(f"label must be an integer, got {label!r}")
+        raise ValueError(f"label must be an integer, got {echo(label)}")
     if not -(2**63) <= label < 2**63:  # the metrics' int64 labels
         raise ValueError(f"label {label} is beyond int64")
     ScoredBox(box, score)  # a score outside [0, 1]
@@ -181,10 +181,10 @@ def load_predictions(path: str | Path) -> dict[str, ColumnBatch]:
         if not isinstance(image_id, str):  # str() would make 1 the image "1"
             raise UsageError(
                 f"{path}, line {line_no}: image_id must be a string, "
-                f"got {image_id!r}"
+                f"got {echo(image_id)}"
             )
         if image_id in out:
-            raise UsageError(f"{path}, line {line_no}: duplicate image_id {image_id!r}")
+            raise UsageError(f"{path}, line {line_no}: duplicate image_id {echo(image_id)}")
         batch = _detection_columns(dets_field)
         if batch is None:
             for j, d in enumerate(dets_field):

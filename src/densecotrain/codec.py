@@ -27,7 +27,9 @@ fields or on arrays are written out, in a class's own ``__post_init__``.
 
 A function argument is checked in one line by ``check``, with the same
 message; one that a class field also holds takes the field's rule through
-``rule_of``, so the two refuse the same values.
+``rule_of``, so the two refuse the same values.  Every message shows the
+failing value through ``echo``, cut to ``ECHO_CHARS``, so a value nested
+hundreds of levels deep or megabytes long cannot flood a message.
 
 ``read_text`` reads a file's UTF-8 text, drops one leading byte order
 mark and names the file and line of a byte that is not UTF-8;
@@ -46,6 +48,7 @@ import math
 import numbers
 import operator
 import os
+import reprlib
 import typing
 from dataclasses import MISSING, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -95,6 +98,20 @@ def write_text(path: str | Path, text: str) -> None:
 
 def write_json(path: str | Path, doc) -> None:
     write_text(path, json.dumps(doc, indent=2) + "\n")
+
+
+# the most characters of a value an error message shows
+ECHO_CHARS = 80
+_ECHO = reprlib.Repr()  # its depth and per-container limits; scalars up to the cut
+_ECHO.maxstring = _ECHO.maxlong = _ECHO.maxother = ECHO_CHARS
+
+
+def echo(value) -> str:
+    """The repr of ``value`` for an error message: at most ``ECHO_CHARS``
+    characters, ending in ``...`` where it is cut, and at most
+    ``reprlib``'s few levels deep."""
+    text = _ECHO.repr(value)
+    return text if len(text) <= ECHO_CHARS else text[:ECHO_CHARS - 3] + "..."
 
 
 def finite(value) -> bool:
@@ -171,7 +188,7 @@ def check(name: str, value, tp, **spec) -> None:
     want = _fault(tp, spec, value)
     if want:
         too_big = isinstance(value, int) and not finite(value)
-        got = "an int beyond float range" if too_big else repr(value)
+        got = "an int beyond float range" if too_big else echo(value)
         raise FieldError(f"{name} must be {want}, got {got}")
 
 
@@ -206,7 +223,7 @@ def _decode(tp, value, base, where: str, shown=None):
     elif fits(tp, value):  # bool is no JSON number, nor are NaN and Infinity
         return value
     shown = shown.__name__ if isinstance(shown, type) else shown
-    raise ConfigError(f"{where} must be {shown}, got {value!r}")
+    raise ConfigError(f"{where} must be {shown}, got {echo(value)}")
 
 
 def from_dict(cls, doc, base=None, where: str | None = None):
@@ -216,7 +233,7 @@ def from_dict(cls, doc, base=None, where: str | None = None):
     tuples, and every ``__post_init__`` check still runs."""
     where = where or cls.__name__
     if not isinstance(doc, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {doc!r}")
+        raise ConfigError(f"{where} must be a JSON object, got {echo(doc)}")
     unknown = sorted(set(doc) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"unknown keys: {', '.join(f'{where}.{k}' for k in unknown)}")

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
-from .codec import Checked, ConfigError, from_dict, read_json, rule, rule_of, write_json
+from .codec import Checked, ConfigError, echo, from_dict, read_json, rule, rule_of, write_json
 from .cotrain import CoTrainConfig
 from .data import SceneSpec, check_grid_ranges, check_split
 from .tuner import TunerConfig
@@ -89,7 +89,7 @@ def config_from_dict(doc: dict) -> RunConfig:
     doc = dict(doc)
     version = doc.pop("artifact_version", ARTIFACT_VERSION)
     if version != ARTIFACT_VERSION:
-        raise ConfigError(f"unsupported artifact_version {version!r}")
+        raise ConfigError(f"unsupported artifact_version {echo(version)}")
     if "seed" not in doc:
         raise ConfigError("config requires an explicit seed (no implicit entropy)")
     for section in SEEDED_SECTIONS:

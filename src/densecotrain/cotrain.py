@@ -50,7 +50,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .codec import Checked, check, from_dict, read_json, rule, rule_of, write_json
+from .codec import Checked, check, echo, from_dict, read_json, rule, rule_of, write_json
 from .data import DatasetSplit, ImageRecord
 from .detectors import (
     CONTEXTUAL,
@@ -213,11 +213,18 @@ def _detect_view(
     return detect_batch(ordered, skill, params, profile, seed)
 
 
-def _verified(ensemble: EnsembleClassifier, batch: Detections) -> Detections:
-    """The scoring half of ``predict_verified``: each detection of ``batch``
-    rescored by the rule."""
-    p_obj = ensemble.positive_probability(batch.features) if len(batch) else np.empty(0)
+def rescore(batch: Detections, p_obj: np.ndarray) -> Detections:
+    """The verification rule: each detection of ``batch`` scored by its
+    detector score times its object probability ``p_obj``, clipped to
+    [0, 1]."""
     return replace(batch, scores=np.clip(batch.scores * p_obj, 0.0, 1.0))
+
+
+def _verified(ensemble: EnsembleClassifier, batch: Detections) -> Detections:
+    """The scoring half of ``predict_verified``: ``batch`` rescored by the
+    ensemble's soft vote."""
+    p_obj = ensemble.positive_probability(batch.features) if len(batch) else np.empty(0)
+    return rescore(batch, p_obj)
 
 
 def predict_verified(
@@ -293,11 +300,12 @@ def view_specs(
 class RoundZeroData:
     """A view's detector-side work of round 0: its supervised skill, the
     training set of its verification ensemble and its raw validation
-    detections."""
+    detections, and the seed the ensemble trains with."""
 
     skill: SkillModel
     train_set: tuple[np.ndarray, np.ndarray]
     val: Detections
+    ensemble_seed: int
 
 
 def round_zero_data(
@@ -348,25 +356,7 @@ def round_zero_data(
         profile, params, skill, [records_by_id[i] for i in split.val],
         derive_seed(config.seed, "val", name),
     )
-    return RoundZeroData(skill, (X, y), val)
-
-
-def fit_round_zero(
-    name: str,
-    profile: DetectorProfile,
-    params: DetectorParams,
-    data: RoundZeroData,
-    config: CoTrainConfig,
-) -> tuple[ViewState, Detections]:
-    """Step 2 of a view's round 0: fit the verification ensemble on
-    ``data``'s training set and score its validation detections.  Reads
-    of ``config`` only the seed and the ensemble params."""
-    ensemble = EnsembleClassifier.train(
-        data.train_set, config.ensemble_params,
-        seed=derive_seed(config.seed, "ensemble", name),
-    )
-    view = ViewState(name, profile, params, ensemble)
-    return view, _verified(ensemble, data.val)
+    return RoundZeroData(skill, (X, y), val, derive_seed(config.seed, "ensemble", name))
 
 
 def initial_supervised_phase(
@@ -375,14 +365,18 @@ def initial_supervised_phase(
     config: CoTrainConfig,
 ) -> CoTrainState:
     """Round 0: both views trained on labeled train data only; the first
-    validation entry is recorded and both accepted sets are empty."""
+    validation entry is recorded and both accepted sets are empty.  A
+    view's round 0 is ``round_zero_data``, then its verification ensemble
+    fit on that training set, which scores its validation detections."""
     views, skills, verified = [], [], []
     for name, profile, params in view_specs(config):
         data = round_zero_data(name, profile, params, records_by_id, split, config)
-        view, dets = fit_round_zero(name, profile, params, data, config)
-        views.append(view)
+        ensemble = EnsembleClassifier.train(
+            data.train_set, config.ensemble_params, data.ensemble_seed
+        )
+        views.append(ViewState(name, profile, params, ensemble))
         skills.append(data.skill)
-        verified.append(dets)
+        verified.append(_verified(ensemble, data.val))
     train_records = [records_by_id[i] for i in split.train]
     val_records = [records_by_id[i] for i in split.val]
     maps = _maps(_reports(*verified, val_records, config.merge_nms_iou))
@@ -582,7 +576,7 @@ def load_checkpoint(
     version = doc.get("checkpoint_version") if isinstance(doc, dict) else None
     if version != CHECKPOINT_VERSION:
         raise ValueError(
-            f"{path}: unsupported checkpoint_version {version!r} "
+            f"{path}: unsupported checkpoint_version {echo(version)} "
             f"(this version reads {CHECKPOINT_VERSION})"
         )
     ck = from_dict(Checkpoint, doc, where=str(path))

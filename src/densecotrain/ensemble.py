@@ -257,9 +257,11 @@ class GradientBoostedTrees:
         return (self.predict_proba(X) >= 0.5).astype(int)
 
 
-def train_gbt(data, params: XgbParams, seed: int = 0) -> GradientBoostedTrees:
+def train_gbt(data, params: XgbParams, seed: int) -> GradientBoostedTrees:
     """Second-order boosting on logistic loss; loss_curve records the
-    training loss after the base score and after every round."""
+    training loss after the base score and after every round.  Boosting
+    draws nothing: ``seed`` is taken so that every member trains through
+    one signature."""
     X, y = _as_xy(data)
     pos = int(y.sum())
     if pos == 0 or pos == len(y):
@@ -374,7 +376,7 @@ class RandomForest:
         return (self.predict_proba(X) >= 0.5).astype(int)
 
 
-def train_rf(data, params: RfParams, seed: int = 0) -> RandomForest:
+def train_rf(data, params: RfParams, seed: int) -> RandomForest:
     """Standard bagging: each tree grows on a bootstrap sample and picks
     each split among sqrt(d) random features."""
     X, y = _as_xy(data)
@@ -475,7 +477,7 @@ class KernelSvm:
         return (self.predict_proba(X) >= 0.5).astype(int)
 
 
-def train_svm(data, params: SvmParams, seed: int = 0) -> KernelSvm:
+def train_svm(data, params: SvmParams, seed: int) -> KernelSvm:
     """Kernelized Pegasos on hinge loss with lambda = 1/(c*n).
 
     Pegasos reads kernel column i only when a pick of row i violates the
@@ -561,6 +563,25 @@ class EnsembleParams:
     svm: SvmParams = SvmParams()
 
 
+# each member's trainer by the EnsembleParams field that configures it, in
+# gbt, rf, svm order
+MEMBER_TRAINERS = {"xgb": train_gbt, "rf": train_rf, "svm": train_svm}
+
+
+def member_seeds(seed: int) -> tuple[int, ...]:
+    """The training seed of each member, in ``MEMBER_TRAINERS`` order, derived
+    from the ensemble's ``seed`` alone, so a member is a function of its
+    data and its own params block."""
+    ss = np.random.SeedSequence([seed & 0xFFFFFFFF, 0x0E5E])
+    return tuple(int(v) for v in ss.generate_state(len(MEMBER_TRAINERS)))
+
+
+def soft_vote(member_probs: np.ndarray) -> np.ndarray:
+    """Soft-vote mass for class 1 from the (n, 3) matrix of the members'
+    P(class 1) columns, in [0, 1]."""
+    return member_probs.mean(axis=1)
+
+
 class EnsembleClassifier:
     """The three members trained on the same data with derived seeds."""
 
@@ -571,13 +592,10 @@ class EnsembleClassifier:
 
     @classmethod
     def train(cls, data, params: EnsembleParams, seed: int = 0) -> "EnsembleClassifier":
-        ss = np.random.SeedSequence([seed & 0xFFFFFFFF, 0x0E5E])
-        s_gbt, s_rf, s_svm = (int(v) for v in ss.generate_state(3))
-        return cls(
-            train_gbt(data, params.xgb, s_gbt),
-            train_rf(data, params.rf, s_rf),
-            train_svm(data, params.svm, s_svm),
-        )
+        return cls(*(
+            train(data, getattr(params, name), s)
+            for (name, train), s in zip(MEMBER_TRAINERS.items(), member_seeds(seed))
+        ))
 
     def member_probs(self, X) -> np.ndarray:
         """(n, 3) matrix of P(class 1) per member, in gbt/rf/svm order."""
@@ -589,7 +607,7 @@ class EnsembleClassifier:
 
     def positive_probability(self, X) -> np.ndarray:
         """Soft-vote mass for class 1, in [0, 1]."""
-        return self.member_probs(X).mean(axis=1)
+        return soft_vote(self.member_probs(X))
 
     def predict(self, X) -> tuple[np.ndarray, np.ndarray]:
         """Soft-vote labels and confidences of all rows: ``fuse``'s rule,

@@ -12,7 +12,7 @@ import math
 from dataclasses import fields
 from pathlib import Path
 
-from .codec import from_dict, read_json, read_text, write_json, write_text
+from .codec import echo, from_dict, read_json, read_text, write_json, write_text
 from .config import ARTIFACT_VERSION
 from .cotrain import CoTrainResult, RoundRecord, result_to_dict
 from .metrics import COCO_THRESHOLDS
@@ -55,13 +55,13 @@ def load_run_report(run_dir: str | Path) -> dict:
         raise ValueError(f"{path}: a report is a JSON object, got {type(doc).__name__}")
     if doc.get("artifact_version") != ARTIFACT_VERSION:
         raise ValueError(
-            f"{path}: unsupported artifact_version {doc.get('artifact_version')!r}"
+            f"{path}: unsupported artifact_version {echo(doc.get('artifact_version'))}"
         )
     missing = [key for key in _READ_KEYS if key not in doc]
     if missing:
         raise ValueError(f"{path}: no {', '.join(missing)}")
     if not isinstance(doc["history"], list):
-        raise ValueError(f"{path}: history must be a list, got {doc['history']!r}")
+        raise ValueError(f"{path}: history must be a list, got {echo(doc['history'])}")
     if not doc["history"]:
         raise ValueError(f"{path}: history is empty (a run always holds round 0)")
     for i, row in enumerate(doc["history"]):
@@ -74,7 +74,7 @@ def load_run_report(run_dir: str | Path) -> dict:
         ):
             raise ValueError(
                 f"{path}: {key} must be an object whose {', '.join(_METRICS)} "
-                f"are numbers or null, got {section!r}"
+                f"are numbers or null, got {echo(section)}"
             )
     return doc
 

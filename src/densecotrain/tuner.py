@@ -20,16 +20,15 @@ the budget is spent ends the search wherever it stands, and the report
 holds every evaluation made.
 
 The pipeline objective (``make_supervised_objective``) scores a vector by
-round 0 of co-training under it, and reuses each view's share of that work
-when the view's inputs repeat.  View A reads only the ``*_rcnn`` genes and
-view B only the ``*_yolo`` genes, and the nine ensemble genes touch no
-detector, so an SA move, which changes one gene, leaves most of the
-previous evaluation valid.  Two ``functools.lru_cache`` memos per view,
-each of ``VIEW_MEMO_SIZE`` entries, hold it: the detector-side data by
-``DetectorParams`` and the verified validation detections by
-``DetectorParams`` and ``EnsembleParams``.  The reuse is exact, because
-the seed, the ensemble training cap and the records come from the fixed
-base config and split, so the memo keys are the only inputs that vary.
+round 0 of co-training under it, and reuses each view's and each ensemble
+member's share of that work when its inputs repeat.  View A reads only
+the ``*_rcnn`` genes, view B only the ``*_yolo`` genes, and each of the
+nine ensemble genes only its member's params block, so an SA move, which
+changes one gene, leaves most of the previous evaluation valid.  The
+reuse is exact, because the seed, the ensemble training cap and the
+records come from the fixed base config and split, and each member's seed
+from the view's seed alone, so the memo keys are the only inputs that
+vary.
 """
 
 from __future__ import annotations
@@ -49,14 +48,20 @@ from .cotrain import (
     CoTrainConfig,
     InfeasibleViewError,
     RoundZeroData,
-    fit_round_zero,
     merge_views,
+    rescore,
     round_zero_data,
     view_specs,
 )
 from .data import DatasetSplit, ImageRecord
 from .detectors import ANCHOR_MENU, BATCH_MENU, DetectorParams, derive_seed
-from .ensemble import SVM_KERNELS, EnsembleParams
+from .ensemble import (
+    MEMBER_TRAINERS,
+    SVM_KERNELS,
+    EnsembleParams,
+    member_seeds,
+    soft_vote,
+)
 from .metrics import mean_average_precision
 
 ALGORITHMS = ("ga", "sa")
@@ -446,16 +451,16 @@ def make_supervised_objective(
     supervised phase under the candidate's parameters, or 0.0 when a view
     cannot fit its verification ensemble.
 
-    Each view's round 0 is the two steps of ``initial_supervised_phase``,
-    each behind its own ``lru_cache(VIEW_MEMO_SIZE)``: the detector-side
-    data keyed by ``DetectorParams`` (None for an infeasible view) and the
-    verified validation detections keyed by ``DetectorParams`` and
-    ``EnsembleParams``.  A move on one view's detector genes reuses the
-    other view whole, and a move on an ensemble gene only refits and
-    rescores the two ensembles.  The reuse is exact: the seed, the cap and
-    the records come from ``base_config`` and ``split``, which are fixed,
-    so the memo keys are the only inputs that vary, and a memoized value
-    is never changed."""
+    Each view's round 0 is ``round_zero_data``, memoized by
+    ``DetectorParams`` (None for an infeasible view), then each ensemble
+    member trained on it alone, whose P(class 1) column on the validation
+    detections is memoized by ``DetectorParams`` and the member's params
+    block; every memo is an ``lru_cache(VIEW_MEMO_SIZE)``.  The view's
+    verified detections are rescored from the three columns by the rule
+    ``initial_supervised_phase`` applies, so a move on one view's detector
+    genes reuses the other view whole, and a move on an ensemble gene
+    retrains only that gene's member, once per view.  A memoized value is
+    never changed."""
 
     def view_memos(name: str, profile):
         @lru_cache(VIEW_MEMO_SIZE)
@@ -467,16 +472,21 @@ def make_supervised_objective(
             except InfeasibleViewError:
                 return None
 
-        @lru_cache(VIEW_MEMO_SIZE)
-        def verified(params: DetectorParams, ens: EnsembleParams):
-            cfg = replace(base_config, ensemble_params=ens)
-            return fit_round_zero(name, profile, params, data(params), cfg)[1]
+        def member_memo(field: str, index: int):
+            @lru_cache(VIEW_MEMO_SIZE)
+            def column(params: DetectorParams, member_params) -> np.ndarray:
+                d = data(params)
+                seed = member_seeds(d.ensemble_seed)[index]
+                member = MEMBER_TRAINERS[field](d.train_set, member_params, seed)
+                return member.predict_proba(d.val.features)
 
-        return data, verified
+            return column
 
-    data_memo, verified_memo = {}, {}
+        return data, {f: member_memo(f, i) for i, f in enumerate(MEMBER_TRAINERS)}
+
+    data_memo, column_memos = {}, {}
     for name, profile, _ in view_specs(base_config):
-        data_memo[name], verified_memo[name] = view_memos(name, profile)
+        data_memo[name], column_memos[name] = view_memos(name, profile)
     val_gts = {i: records_by_id[i].gts for i in split.val}
 
     def objective(v: HyperVector) -> float:
@@ -487,7 +497,13 @@ def make_supervised_objective(
         # worst instead of killing the whole search
         if any(data_memo[name](params) is None for name, _, params in views):
             return 0.0
-        verified = [verified_memo[name](params, ens) for name, _, params in views]
+        verified = [
+            rescore(data_memo[name](params).val, soft_vote(np.column_stack([
+                column(params, getattr(ens, field))
+                for field, column in column_memos[name].items()
+            ])))
+            for name, _, params in views
+        ]
         merged = merge_views(*verified, base_config.merge_nms_iou)
         return float(mean_average_precision(merged.by_image(), val_gts).map_coco)
 

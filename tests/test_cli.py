@@ -1122,6 +1122,22 @@ def test_integer_beyond_json_digit_limit_exit_2_naming_where(
     assert named in err and "4300" in err
 
 
+@pytest.mark.parametrize("value", ["[" * 900 + "]" * 900, '"' + "x" * 5000 + '"'])
+def test_config_value_nested_or_long_exit_2_with_a_bounded_message(tmp_path, capsys, value):
+    """A config's seed nested 900 levels deep once came back whole in the
+    message, 1,800 brackets on one line; the message names the field and
+    shows a bounded repr of the value."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(f'{{"seed": {value}, "output_dir": "{tmp_path / "run"}"}}',
+                   encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli(["cotrain", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "config.seed must be int, got " in err
+    assert max(len(line) for line in err.splitlines()) <= 120
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("reader", ["predictions", "config", "hyper"])
 def test_json_nested_beyond_the_recursion_limit_exit_2_naming_where(
     dataset_dir, tmp_path, capsys, reader

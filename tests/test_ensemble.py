@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import densecotrain
 from densecotrain.ensemble import (
+    MEMBER_TRAINERS,
     SVM_ITERATION_BUDGET,
     SVM_KERNELS,
     EnsembleClassifier,
@@ -34,6 +35,8 @@ from densecotrain.ensemble import (
     _sigmoid,
     _sorted_columns,
     fuse,
+    member_seeds,
+    soft_vote,
     train_gbt,
     train_rf,
     train_svm,
@@ -369,6 +372,30 @@ def test_ensemble_predict_on_trained_members():
     labels, conf = ens.predict(Xte)
     assert (labels == yte).mean() >= 0.95
     assert ((conf >= 0.5) & (conf <= 1.0)).all()
+
+
+def test_ensemble_train_is_its_members_trained_one_at_a_time():
+    """The classifier's members are the three trainers run alone on the same
+    data with the shared seed helper's seeds, bit for bit, and the helper
+    derives them from the ensemble's seed as it always has."""
+    rng = np.random.default_rng(5)
+    Xtr, ytr = _blobs(rng, 60, 1.5)
+    Xte, _ = _blobs(rng, 40, 1.5)
+    params = EnsembleParams(XgbParams(n_trees=8), RfParams(n_trees=6), SvmParams(kernel="poly"))
+    assert list(MEMBER_TRAINERS) == ["xgb", "rf", "svm"]
+    for seed in (0, 7, 2**40 + 3):
+        ss = np.random.SeedSequence([seed & 0xFFFFFFFF, 0x0E5E])
+        seeds = member_seeds(seed)
+        assert seeds == tuple(int(v) for v in ss.generate_state(3))
+        ens = EnsembleClassifier.train((Xtr, ytr), params, seed=seed)
+        members = (
+            train_gbt((Xtr, ytr), params.xgb, seeds[0]),
+            train_rf((Xtr, ytr), params.rf, seeds[1]),
+            train_svm((Xtr, ytr), params.svm, seeds[2]),
+        )
+        alone = np.column_stack([m.predict_proba(Xte) for m in members])
+        assert ens.member_probs(Xte).tobytes() == alone.tobytes()
+        assert ens.positive_probability(Xte).tobytes() == soft_vote(alone).tobytes()
 
 
 def test_empty_data_rejected():

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import densecotrain.cotrain as cotrain
+import densecotrain.ensemble as ensemble
 import densecotrain.tuner as tuner
 from densecotrain.cotrain import (
     CoTrainConfig,
@@ -42,6 +43,7 @@ from densecotrain.tuner import (
 from densecotrain.cotrain import records_index
 from densecotrain.data import SceneSpec, generate_synthetic_dataset, select_and_split
 from densecotrain.detectors import (
+    CONTEXTUAL,
     DEFAULT_CONTEXTUAL_PARAMS,
     DEFAULT_LOCALIZER_PARAMS,
     LOCALIZER,
@@ -49,7 +51,6 @@ from densecotrain.detectors import (
 )
 from densecotrain.codec import check_fields
 from densecotrain.ensemble import (
-    EnsembleClassifier,
     EnsembleParams,
     RfParams,
     SvmParams,
@@ -572,14 +573,18 @@ def test_supervised_objective_matches_reference_in_both_orders(tiny_data):
 
 
 def test_supervised_objective_redoes_only_the_moved_view(tiny_data, monkeypatch):
+    """A detector move retrains its own view's three members, and a move on
+    an ensemble gene retrains only that gene's member, once per view."""
     records, split = tiny_data
-    trained, detected = [], []  # one profile per image a view detects on
-    train = EnsembleClassifier.train
+    trained, detected = [], []  # a member per training, a profile per image detected
     detect, detect_batch = cotrain.detect, cotrain.detect_batch
 
-    def counting_train(cls, *args, **kwargs):
-        trained.append(1)
-        return train(*args, **kwargs)
+    def counting(member, train):
+        def counted(*args, **kwargs):
+            trained.append(member)
+            return train(*args, **kwargs)
+
+        return counted
 
     def counting_detect(record, skill, params, profile, seed):
         detected.append(profile)
@@ -589,57 +594,64 @@ def test_supervised_objective_redoes_only_the_moved_view(tiny_data, monkeypatch)
         detected.extend([profile] * len(records))
         return detect_batch(records, skill, params, profile, seed)
 
-    monkeypatch.setattr(EnsembleClassifier, "train", classmethod(counting_train))
+    for member, train in list(ensemble.MEMBER_TRAINERS.items()):
+        monkeypatch.setitem(ensemble.MEMBER_TRAINERS, member, counting(member, train))
     # the names round 0 calls: detect on the train set, the batch on validation
     monkeypatch.setattr(cotrain, "detect", counting_detect)
     monkeypatch.setattr(cotrain, "detect_batch", counting_batch)
     objective = make_supervised_objective(records, split, CoTrainConfig(seed=19))
-    objective(DEFAULT_VECTOR)
-    assert len(trained) == 2
-    assert len(detected) == 2 * (len(split.train) + len(split.val))
-
-    trained.clear()
-    detected.clear()
-    objective(replace(DEFAULT_VECTOR, lr_rcnn=3e-3))
-    assert len(trained) == 1
-    assert detected == [LOCALIZER] * (len(split.train) + len(split.val))
-
-    trained.clear()
-    detected.clear()
-    objective(replace(DEFAULT_VECTOR, lr_rcnn=3e-3, lr_xgb=0.3))
-    assert len(trained) == 2
-    assert detected == []
+    per_view = len(split.train) + len(split.val)
+    v = DEFAULT_VECTOR
+    moves = [
+        ({}, ["xgb", "rf", "svm"] * 2, [LOCALIZER, CONTEXTUAL]),
+        (dict(lr_rcnn=3e-3), ["xgb", "rf", "svm"], [LOCALIZER]),
+        (dict(ct_yolo=0.4), ["xgb", "rf", "svm"], [CONTEXTUAL]),
+        (dict(lr_xgb=0.3), ["xgb"] * 2, []),
+        (dict(nt_rf=40), ["rf"] * 2, []),
+        (dict(k_svm="linear"), ["svm"] * 2, []),
+    ]
+    for move, members, profiles in moves:
+        trained.clear()
+        detected.clear()
+        v = replace(v, **move)
+        objective(v)
+        assert trained == members, move
+        assert detected == [p for p in profiles for _ in range(per_view)], move
 
 
 def test_supervised_objective_memo_bound(tiny_data, monkeypatch):
+    """With one entry per memo, GA and SA searches still take the traces of
+    the memo-free reference objective."""
     records, split = tiny_data
     base = CoTrainConfig(seed=19)
-    cfg = TunerConfig(algorithm="ga", budget=6, population=3, seed=1)
-    expected = optimize(reference_objective(records, split, base), cfg)
-    sizes, memos = [], []
     lru_cache = tuner.lru_cache
-
-    def recording_lru_cache(maxsize):
-        def wrap(fn):
-            memo = lru_cache(maxsize)(fn)
-            memos.append(memo)
-
-            def recorded(*args):
-                out = memo(*args)
-                sizes.append(memo.cache_info().currsize)
-                return out
-
-            return recorded
-
-        return wrap
-
     monkeypatch.setattr(tuner, "VIEW_MEMO_SIZE", 1)
-    monkeypatch.setattr(tuner, "lru_cache", recording_lru_cache)
-    got = optimize(make_supervised_objective(records, split, base), cfg)
-    assert got.trace == expected.trace
-    assert len(memos) == 4  # two per view
-    assert all(m.cache_info().maxsize == 1 for m in memos)
-    assert sizes and max(sizes) == 1
+    for algorithm in ALGORITHMS:
+        cfg = TunerConfig(algorithm=algorithm, budget=6, population=3, seed=1)
+        expected = optimize(reference_objective(records, split, base), cfg)
+        sizes, memos = [], []
+
+        def recording_lru_cache(maxsize):
+            def wrap(fn):
+                memo = lru_cache(maxsize)(fn)
+                memos.append(memo)
+
+                def recorded(*args):
+                    out = memo(*args)
+                    sizes.append(memo.cache_info().currsize)
+                    return out
+
+                return recorded
+
+            return wrap
+
+        monkeypatch.setattr(tuner, "lru_cache", recording_lru_cache)
+        got = optimize(make_supervised_objective(records, split, base), cfg)
+        monkeypatch.setattr(tuner, "lru_cache", lru_cache)
+        assert got.trace == expected.trace, algorithm
+        assert len(memos) == 8  # per view, the data and one per member
+        assert all(m.cache_info().maxsize == 1 for m in memos)
+        assert sizes and max(sizes) == 1
 
 
 def test_write_trace_csv(tmp_path):

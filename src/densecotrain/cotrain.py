@@ -66,7 +66,6 @@ from .detectors import (
     audit_pseudo_labels,
     count_occluded,
     derive_seed,
-    detect,
     detect_batch,
     retrain,
     size_regime,
@@ -327,9 +326,11 @@ def round_zero_data(
     train_records = [records_by_id[i] for i in split.train]
     skill = skill_from_params(params, profile, size_regime(train_records))
     seed = derive_seed(config.seed, "ens-train", name)
-    dets = [detect(rec, skill, params, profile, seed) for rec in train_records]
+    batch = detect_batch(train_records, skill, params, profile, seed)
+    bounds = batch.offsets.tolist()
     _, (matched,) = greedy_match_groups(
-        [(d.boxes, d.scores, d.labels) for d in dets],
+        [(batch.boxes[a:b], batch.scores[a:b], batch.labels[a:b])
+         for a, b in zip(bounds, bounds[1:])],
         [(r.gts.boxes, r.gts.labels) for r in train_records],
         (0.5,),
     )
@@ -346,7 +347,7 @@ def round_zero_data(
                 "correct" if y[0] else "incorrect"
             )
         )
-    X = np.concatenate([d.features for d in dets])
+    X = batch.features
     if len(X) > config.ensemble_train_cap:
         rng = np.random.default_rng(derive_seed(config.seed, "cap", name))
         keep = rng.choice(len(X), config.ensemble_train_cap, replace=False)

@@ -21,7 +21,6 @@ IoU with any other box in the scene.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import itertools
 import math
@@ -101,11 +100,16 @@ class ImageRecord:
             raise ValueError(f"{self.image_id}: GT {i} box {box} {why}")
         object.__setattr__(self, "gts", gts)
 
-    @functools.cached_property
+    @property
     def occlusion(self) -> np.ndarray:
         """``occlusion_levels`` of the GT boxes (max IoU with any other
-        box), a read-only array computed on first read."""
-        return occlusion_levels(self.gts.boxes)
+        box), a read-only array computed on first read and kept in the
+        instance dict (``functools.cached_property`` takes a lock on every
+        first read on Python 3.11)."""
+        levels = self.__dict__.get("occlusion")
+        if levels is None:
+            levels = self.__dict__["occlusion"] = occlusion_levels(self.gts.boxes)
+        return levels
 
 
 @dataclass(frozen=True)

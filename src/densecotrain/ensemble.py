@@ -142,8 +142,8 @@ def _sorted_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return XT, np.argsort(XT, axis=1, kind="stable")
 
 
-# node-block cells a boosting node scores per pass: 64 KiB per float
-# temporary, so that the pass works in cache
+# cells one array pass works on, a boosting node's scored block or a block
+# of kernel rows: 64 KiB per float temporary, so that the pass works in cache
 _CHUNK_CELLS = 8192
 
 
@@ -406,17 +406,36 @@ def train_rf(data, params: RfParams, seed: int) -> RandomForest:
 
 def _kernel_matrix(kind: str, A: np.ndarray, B: np.ndarray, gamma: float) -> np.ndarray:
     """Kernel values between the rows of A and B (linear / rbf / poly,
-    degree 3)."""
-    if kind == "linear":
-        return A @ B.T
-    if kind == "poly":
-        return (gamma * (A @ B.T) + 1.0) ** 3
+    degree 3).
+
+    One BLAS product ``A @ B.T``, finished in place a cache-sized block of
+    rows at a time, so the kernel is the one matrix held: each entry goes
+    through the same operations on the same operands as
+    ``exp(-gamma * max(|a|^2 + |b|^2 - 2 a.b, 0))`` and
+    ``(gamma * a.b + 1)^3``. The product itself is not blocked: OpenBLAS
+    picks its kernel by shape, so a block of rows would change its bytes."""
+    if kind not in SVM_KERNELS:
+        raise ValueError(f"unknown kernel {kind!r}")
     if kind == "rbf":
         aa = (A * A).sum(axis=1)[:, None]
         bb = (B * B).sum(axis=1)[None, :]
-        sq = np.maximum(aa + bb - 2.0 * (A @ B.T), 0.0)
-        return np.exp(-gamma * sq)
-    raise ValueError(f"unknown kernel {kind!r}")
+    K = A @ B.T
+    if kind == "linear":
+        return K
+    step = max(1, _CHUNK_CELLS // max(1, K.shape[1]))
+    for lo in range(0, len(K), step):
+        k = K[lo:lo + step]
+        if kind == "poly":
+            k *= gamma
+            k += 1.0
+            np.power(k, 3, out=k)
+        else:
+            k *= 2.0
+            np.subtract(aa[lo:lo + step] + bb, k, out=k)
+            np.maximum(k, 0.0, out=k)
+            k *= -gamma
+            np.exp(k, out=k)
+    return K
 
 
 def _fit_platt(decision: np.ndarray, y: np.ndarray) -> tuple[float, float]:

@@ -28,9 +28,11 @@ from densecotrain.cotrain import (
     merge_views,
     records_index,
     result_to_dict,
+    round_zero_data,
     run_cotraining,
     save_checkpoint,
     stagnant_rounds,
+    view_specs,
 )
 from densecotrain.data import (
     DatasetSplit,
@@ -43,10 +45,13 @@ from densecotrain.detectors import (
     DetectorParams,
     Detections,
     RetrainCoefficients,
+    derive_seed,
     detect,
+    size_regime,
+    skill_from_params,
 )
 from densecotrain.geom import Box, ScoredBox, nms, nms_keep_groups
-from densecotrain.metrics import match_detections
+from densecotrain.metrics import greedy_match_groups, match_detections
 
 
 def build_dataset(seed, n_labeled=60, n_unlabeled=150, overlap=0.4):
@@ -95,6 +100,43 @@ def test_initial_phase_round0_structure(small_data):
         state.view_a.ensemble = None
     with pytest.raises(FrozenInstanceError):  # and a history entry is a value
         state.history[0].val_map_a = 0.0
+
+
+def _round_zero_train_set_reference(name, profile, params, records_by_id, split, config):
+    """Round 0's ensemble training set before the train set was detected in
+    one batch: one ``detect`` per train image."""
+    train_records = [records_by_id[i] for i in split.train]
+    skill = skill_from_params(params, profile, size_regime(train_records))
+    seed = derive_seed(config.seed, "ens-train", name)
+    dets = [detect(rec, skill, params, profile, seed) for rec in train_records]
+    _, (matched,) = greedy_match_groups(
+        [(d.boxes, d.scores, d.labels) for d in dets],
+        [(r.gts.boxes, r.gts.labels) for r in train_records],
+        (0.5,),
+    )
+    y = (matched >= 0).astype(int)
+    X = np.concatenate([d.features for d in dets])
+    if len(X) > config.ensemble_train_cap:
+        rng = np.random.default_rng(derive_seed(config.seed, "cap", name))
+        keep = rng.choice(len(X), config.ensemble_train_cap, replace=False)
+        keep.sort()
+        X, y = X[keep], y[keep]
+    return X, y
+
+
+@pytest.mark.parametrize("cap", [2500, 40])
+def test_round_zero_train_set_equals_per_image_reference(small_data, cap):
+    records, split = small_data
+    config = CoTrainConfig(seed=11, ensemble_train_cap=cap)
+    for name, profile, params in view_specs(config):
+        X, y = round_zero_data(name, profile, params, records, split, config).train_set
+        ref_X, ref_y = _round_zero_train_set_reference(
+            name, profile, params, records, split, config
+        )
+        assert (len(X) == cap) == (cap == 40)  # the subsample is taken only at 40
+        for got, ref in ((X, ref_X), (y, ref_y)):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert got.tobytes() == ref.tobytes()
 
 
 def test_initial_phase_val_map_above_floor(small_data):

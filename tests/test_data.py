@@ -680,6 +680,26 @@ def test_record_built_without_occlusion_carries_its_levels():
     assert ImageRecord("empty", 10, 10, ()).occlusion.shape == (0,)
 
 
+def test_record_occlusion_is_computed_once_without_a_lock(monkeypatch):
+    calls = []
+
+    def counted(boxes):
+        calls.append(len(boxes))
+        return occlusion_levels(boxes)
+
+    monkeypatch.setattr(data_module, "occlusion_levels", counted)
+    # a plain property: functools.cached_property locks on a first read
+    assert type(vars(ImageRecord)["occlusion"]) is property
+    gts = (GroundTruth(Box(0, 0, 10, 10)), GroundTruth(Box(5, 0, 15, 10)))
+    rec = ImageRecord("x", 60, 60, gts)
+    first = rec.occlusion
+    assert rec.occlusion is first
+    assert calls == [2]
+    assert not first.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        first[0] = 1.0
+
+
 def test_record_gt_arrays_are_read_only_and_outside_equality():
     gts = (GroundTruth(Box(0, 0, 10, 10)), GroundTruth(Box(5, 0, 15, 10.5), 2))
     rec = ImageRecord("x", 60, 60, gts)

@@ -27,6 +27,7 @@ from densecotrain.ensemble import (
     RfParams,
     SvmParams,
     XgbParams,
+    _CHUNK_CELLS,
     _fit_platt,
     _grow_cart,
     _grow_gbt_tree,
@@ -201,6 +202,57 @@ def test_rf_deterministic():
     assert np.array_equal(a, b)
     c = train_rf((X, y), RfParams(), seed=10).predict_proba(Xt)
     assert not np.array_equal(a, c)
+
+
+def _ref_kernel_matrix(kind, A, B, gamma):
+    """``_kernel_matrix`` as it was before it finished the kernel in place:
+    each step a new n x m array."""
+    if kind == "linear":
+        return A @ B.T
+    if kind == "poly":
+        return (gamma * (A @ B.T) + 1.0) ** 3
+    if kind == "rbf":
+        aa = (A * A).sum(axis=1)[:, None]
+        bb = (B * B).sum(axis=1)[None, :]
+        sq = np.maximum(aa + bb - 2.0 * (A @ B.T), 0.0)
+        return np.exp(-gamma * sq)
+    raise ValueError(f"unknown kernel {kind!r}")
+
+
+_ONE_CHUNK = _CHUNK_CELLS // 134  # rows of 134 columns in one in-place block
+
+
+@pytest.mark.parametrize("kind", SVM_KERNELS)
+@pytest.mark.parametrize("gamma", [1.0 / 16.0, 0.05, 3.0])
+@pytest.mark.parametrize("n, m", [
+    (1, 134), (_ONE_CHUNK, 134), (_ONE_CHUNK + 1, 134), (12_625, 134),
+    (_CHUNK_CELLS, 1), (_CHUNK_CELLS + 1, 1),  # training's one-column calls
+])
+def test_kernel_matrix_bytes_equal_reference(kind, gamma, n, m):
+    rng = np.random.default_rng(n * 7 + m)
+    A = rng.standard_normal((n, 16))
+    B = 1.3 * rng.standard_normal((m, 16))
+    # a support row among the rows: rbf's clamp at 0 and exp(-0.0) are met
+    A[0] = B[0]
+    got = _kernel_matrix(kind, A, B, gamma)
+    assert got.shape == (n, m) and got.dtype == float
+    assert got.tobytes() == _ref_kernel_matrix(kind, A, B, gamma).tobytes()
+
+
+@pytest.mark.parametrize("kind", SVM_KERNELS)
+def test_svm_decision_holds_one_kernel_matrix(kind):
+    rng = np.random.default_rng(12)
+    n, m = 4_000, 300
+    X = rng.standard_normal((n, 16))
+    svm = KernelSvm(SvmParams(kernel=kind, gamma=0.05), rng.standard_normal((m, 16)),
+                    rng.standard_normal(m), 1.0, 0.0)
+    tracemalloc.start()
+    try:
+        svm.decision(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * n * m * np.dtype(float).itemsize
 
 
 def test_svm_kernel_values():
@@ -725,7 +777,7 @@ def _ref_train_svm(X, y01, params, seed):
     y = 2.0 * y01 - 1.0
     n = len(X)
     lam = 1.0 / (params.c * n)
-    K = _kernel_matrix(params.kernel, X, X, params.gamma)
+    K = _ref_kernel_matrix(params.kernel, X, X, params.gamma)
     alpha = np.zeros(n)
     s = np.zeros(n)
     picks = np.random.default_rng(seed).integers(0, n, SVM_ITERATION_BUDGET)

@@ -16,6 +16,7 @@ ENTRY_POINTS_OUTSIDE_SRC = {
     "average_precision",      # metrics: imported by the acceptance gates
     "average_recall_at",      # metrics: spanned by the benchmark's tracer
     "brute_force_ap_oracle",  # metrics: the AP oracle of the acceptance gates
+    "detect",                 # detectors: detect_batch's one-image call; spanned by the benchmark's tracer
     "fuse",                   # ensemble: the scalar vote of the acceptance gates; tests/test_ensemble.py's reference for EnsembleClassifier.predict
     "iou",                    # geom: the scalar reference the kernels match; counted by the benchmark's tracer
     "match_detections",       # metrics: the matching kernel's one-image call; spanned by the benchmark's tracer

@@ -85,4 +85,8 @@ def test_tracer_installs_over_the_package_and_restores(spans):
     (span,) = [s for s in tracer.spans if s.name == "cotrain.generate_pseudo_labels"]
     assert labels and all(isinstance(p, PseudoLabel) for p in labels)
     assert span.counts == {"labels": len(labels)}
-    assert any(s.name == "detectors.detect" and s.parent >= 0 for s in tracer.spans)
+    # spans nest: round 0 trains each view's ensemble inside the phase
+    (phase,) = [i for i, s in enumerate(tracer.spans)
+                if s.name == "cotrain.initial_supervised_phase"]
+    trains = [s for s in tracer.spans if s.name == "ensemble.train"]
+    assert len(trains) == 2 and all(s.parent == phase for s in trains)

@@ -577,7 +577,7 @@ def test_supervised_objective_redoes_only_the_moved_view(tiny_data, monkeypatch)
     an ensemble gene retrains only that gene's member, once per view."""
     records, split = tiny_data
     trained, detected = [], []  # a member per training, a profile per image detected
-    detect, detect_batch = cotrain.detect, cotrain.detect_batch
+    detect_batch = cotrain.detect_batch
 
     def counting(member, train):
         def counted(*args, **kwargs):
@@ -586,18 +586,13 @@ def test_supervised_objective_redoes_only_the_moved_view(tiny_data, monkeypatch)
 
         return counted
 
-    def counting_detect(record, skill, params, profile, seed):
-        detected.append(profile)
-        return detect(record, skill, params, profile, seed)
-
     def counting_batch(records, skill, params, profile, seed):
         detected.extend([profile] * len(records))
         return detect_batch(records, skill, params, profile, seed)
 
     for member, train in list(ensemble.MEMBER_TRAINERS.items()):
         monkeypatch.setitem(ensemble.MEMBER_TRAINERS, member, counting(member, train))
-    # the names round 0 calls: detect on the train set, the batch on validation
-    monkeypatch.setattr(cotrain, "detect", counting_detect)
+    # round 0 detects on the train set, then on validation, a batch each
     monkeypatch.setattr(cotrain, "detect_batch", counting_batch)
     objective = make_supervised_objective(records, split, CoTrainConfig(seed=19))
     per_view = len(split.train) + len(split.val)

@@ -96,131 +96,147 @@ class _Tree:
 
 
 class _TreeBuilder:
-    """A tree's node columns, filled in depth-first preorder."""
+    """A tree's nodes, ``[feature, threshold, left, right, value]`` each,
+    filled in depth-first preorder."""
+
+    LEFT, RIGHT = 2, 3  # a node's child slots
 
     def __init__(self) -> None:
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.value: list[float] = []
+        self.nodes: list[list] = []
 
     def add(self, link, feature: int, threshold: float, value: float) -> int:
         """Append a node (feature -1 for a leaf) and point its parent at it:
-        ``link`` is ``(self.left or self.right, parent)``, None for the root."""
-        node = len(self.feature)
-        self.feature.append(int(feature))
-        self.threshold.append(float(threshold))
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(float(value))
+        ``link`` is ``(LEFT or RIGHT, parent)``, None for the root."""
+        self.nodes.append([int(feature), float(threshold), -1, -1, float(value)])
         if link is not None:
             side, parent = link
-            side[parent] = node
-        return node
+            self.nodes[parent][side] = len(self.nodes) - 1
+        return len(self.nodes) - 1
 
     def build(self) -> _Tree:
-        return _Tree(
-            np.array(self.feature), np.array(self.threshold), np.array(self.left),
-            np.array(self.right), np.array(self.value),
-        )
+        return _Tree(*(np.array(column) for column in zip(*self.nodes)))
 
 
-def _sorted_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort every feature once: ``(XT, rows)``, both (d, n), ``XT`` the
-    features by row and ``rows[f]`` the row ids in the stable order of
-    feature f.
+def _rank_keys(X: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each feature's rank keys, ``(keys, shift)``: ``keys[f, row]`` is
+    ``rank << shift | row``, where ``rank`` is the dense rank of
+    ``X[row, f]`` among the distinct values of feature f and ``shift`` is
+    ``n.bit_length()``. Rank and row are both below ``2**shift``, so the
+    keys of any n < 2**31 rows fit int64.
 
-    The trees grow on blocks of such rows. A node's block holds, for each
-    feature, the node's rows in that feature's order, and its children
-    filter it by the split mask, so no node sorts. Node row sets are
-    increasing subsets of ``arange(n)``, so ties stay ordered by row id,
-    exactly as a stable argsort of the node's own rows orders them (exact
-    greedy search on presorted column blocks: Chen & Guestrin, "XGBoost: A
-    Scalable Tree Boosting System", KDD 2016, section 4.1)."""
+    Sorting a set of rows' keys puts the rows in the stable order of the
+    feature's values, ties by row id, and ``key >> shift`` is equal
+    exactly where the values are: a node's order and its equal-value cuts
+    come from integers (exact greedy search on presorted columns: Chen &
+    Guestrin, "XGBoost: A Scalable Tree Boosting System", KDD 2016, 4.1)."""
+    shift = len(X).bit_length()
     XT = np.ascontiguousarray(X.T)
-    return XT, np.argsort(XT, axis=1, kind="stable")
+    order = np.argsort(XT, axis=1)
+    vals = np.take_along_axis(XT, order, axis=1)
+    rank = np.zeros_like(order)
+    np.cumsum(vals[:, 1:] != vals[:, :-1], axis=1, out=rank[:, 1:])
+    keys = np.empty_like(order)
+    np.put_along_axis(keys, order, rank << shift | order, axis=1)
+    return keys, shift
 
 
-# cells one array pass works on, a boosting node's scored block or a block
-# of kernel rows: 64 KiB per float temporary, so that the pass works in cache
+# cells one array pass works on, a chunk of a node's candidate columns or a
+# block of kernel rows: 64 KiB per float temporary (128 KiB for the complex
+# prefix sums), so that the pass works in cache
 _CHUNK_CELLS = 8192
 
 
-def _filter_block(rows: np.ndarray, sel: np.ndarray, m: int) -> np.ndarray:
-    """The m entries per feature of a block that the flat mask ``sel``
-    keeps; each feature's order is kept."""
-    return np.compress(sel, rows).reshape(len(rows), m)
+def _best_cut(keys: np.ndarray, shift: int, stat: np.ndarray, score, floor: float):
+    """A node's best cut, or None: ``(j, rows, k, score)``, the cut
+    between positions k and k + 1 of ``rows``, candidate j's rows in
+    sorted order.
+
+    ``keys`` holds a row of the node's sorted keys per candidate feature,
+    and ``stat`` the two statistics each row adds, as one complex number:
+    complex addition is two independent IEEE additions, so one prefix sum
+    carries both, bit for bit as two would. ``score(a, b)`` turns the
+    prefix sums into each cut's score, to maximize; a cut between equal
+    values has none. In candidate order, a later column must beat the best
+    so far, starting from ``floor``, by more than 1e-12."""
+    low = (1 << shift) - 1
+    ks: list[int] = []
+    tops: list[float] = []
+    # a cache-sized chunk of candidates at a time
+    step = max(1, _CHUNK_CELLS // keys.shape[1])
+    for lo in range(0, len(keys), step):
+        block = keys[lo:lo + step]
+        sums = np.cumsum(stat[block[:, :-1] & low], axis=1)
+        gain = score(sums.real, sums.imag)
+        rank = block >> shift
+        np.putmask(gain, rank[:, 1:] == rank[:, :-1], -np.inf)
+        k = gain.argmax(axis=1)
+        ks += k.tolist()
+        tops += gain[np.arange(len(block)), k].tolist()
+    best = None
+    for j, top in enumerate(tops):
+        if top > floor + 1e-12:
+            floor, best = top, j
+    if best is None:
+        return None
+    return best, keys[best] & low, ks[best], floor
 
 
 def _grow_gbt_tree(
-    columns: tuple[np.ndarray, np.ndarray], g: np.ndarray, h: np.ndarray,
+    X: np.ndarray, root: tuple[np.ndarray, int], g: np.ndarray, h: np.ndarray,
     max_depth: int, lam: float,
 ) -> tuple[_Tree, np.ndarray]:
-    """Grow one boosting tree on ``_sorted_columns`` output.
+    """Grow one boosting tree from ``root``, the ``_rank_keys`` of X with
+    each feature's keys sorted.
 
     Returns the tree and, per row, the value of the leaf the row reached,
     which equals ``tree.apply(X)``."""
-    XT, rows0 = columns
-    d, n = rows0.shape
+    keys0, shift = root
+    d, n = keys0.shape
+    low = (1 << shift) - 1
+    gh = np.column_stack((g, h)).view(complex).ravel()  # g + h i, bit for bit
     tree = _TreeBuilder()
     reached = np.zeros(n)
     go_left = np.zeros(n, dtype=bool)
     # pending nodes, left on top: (link, the node's rows in increasing
-    # order, its block or None where the depth makes it a leaf, depth). A
-    # stack, not a recursive nested function: that would hold itself, and
-    # the arrays it sees, in a reference cycle until a garbage collection.
-    stack = [(None, np.arange(n), rows0, 0)]
+    # order, its sorted keys or None where the depth makes it a leaf,
+    # depth). A stack, not a recursive nested function: that would hold
+    # itself, and the arrays it sees, in a reference cycle until a garbage
+    # collection.
+    stack = [(None, np.arange(n), keys0, 0)]
     while stack:
-        link, idx, rows, depth = stack.pop()
+        link, idx, keys, depth = stack.pop()
+        # pairwise sums, which depend on the order: idx stays increasing
         G, H = g[idx].sum(), h[idx].sum()
-        best = None
+        cut = None
         if depth < max_depth and len(idx) >= 2:
             parent = G * G / (H + lam + 1e-12)
-            # the features a cache-sized chunk at a time, all of a chunk's
-            # columns at once: prefix sums along each sorted column, every
-            # cut's gain, each column's best cut
-            ks: list[int] = []
-            tops: list[float] = []
-            step = max(1, _CHUNK_CELLS // len(idx))
-            for lo in range(0, d, step):
-                block = rows[lo:lo + step]
-                vals = np.take_along_axis(XT[lo:lo + step], block, axis=1)
-                gv = np.cumsum(g[block[:, :-1]], axis=1)
-                hv = np.cumsum(h[block[:, :-1]], axis=1)
+
+            def gain(gv, hv):
                 gl = gv * gv / (hv + lam + 1e-12)
                 gr = (G - gv) ** 2 / (H - hv + lam + 1e-12)
-                gain = 0.5 * (gl + gr - parent)
-                gain[vals[:, 1:] == vals[:, :-1]] = -np.inf
-                k = gain.argmax(axis=1)
-                ks += k.tolist()
-                tops += gain[np.arange(len(block)), k].tolist()
-            # in feature order, a later feature must beat the best by 1e-12;
+                return 0.5 * (gl + gr - parent)
+
             # a constant column has no valid cut, so its best gain is -inf
-            best_gain = 0.0
-            for f, top in enumerate(tops):
-                if top > best_gain + 1e-12:
-                    best_gain = top
-                    best = f
-        if best is None:
+            cut = _best_cut(keys, shift, gh, gain, 0.0)
+        if cut is None:
             w = -G / (H + lam + 1e-12)
             reached[idx] = w
             tree.add(link, -1, 0.0, w)
             continue
-        k = ks[best]
-        vals = XT[best, rows[best]]
+        f, rows, k, _ = cut
+        vals = X[rows, f]
         thr = (vals[k] + vals[k + 1]) / 2.0
-        node = tree.add(link, best, thr, 0.0)
-        go_left[rows[best]] = vals <= thr
+        node = tree.add(link, f, thr, 0.0)
+        go_left[rows] = vals <= thr
         mask = go_left[idx]
         left, right = idx[mask], idx[~mask]
-        lrows = rrows = None
+        lkeys = rkeys = None
         if depth + 1 < max_depth:
-            sel = go_left[rows].ravel()
-            lrows = _filter_block(rows, sel, len(left))
-            rrows = _filter_block(rows, ~sel, len(right))
-        stack.append(((tree.right, node), right, rrows, depth + 1))
-        stack.append(((tree.left, node), left, lrows, depth + 1))
+            sel = go_left[keys & low].ravel()
+            lkeys = np.compress(sel, keys).reshape(d, len(left))
+            rkeys = np.compress(~sel, keys).reshape(d, len(right))
+        stack.append(((tree.RIGHT, node), right, rkeys, depth + 1))
+        stack.append(((tree.LEFT, node), left, lkeys, depth + 1))
     return tree.build(), reached
 
 
@@ -270,13 +286,14 @@ def train_gbt(data, params: XgbParams, seed: int) -> GradientBoostedTrees:
     base = math.log(p0 / (1.0 - p0))
     margins = np.full(len(y), base)
     loss_curve = [_logistic_loss(margins, y)]
-    columns = _sorted_columns(X)
+    keys, shift = _rank_keys(X)
+    root = (np.sort(keys, axis=1), shift)
     trees: list[_Tree] = []
     for _ in range(params.n_trees):
         p = _sigmoid(margins)
         g = p - y
         h = p * (1.0 - p)
-        tree, reached = _grow_gbt_tree(columns, g, h, params.max_depth, params.l2_reg)
+        tree, reached = _grow_gbt_tree(X, root, g, h, params.max_depth, params.l2_reg)
         trees.append(tree)
         margins = margins + params.learning_rate * reached
         loss_curve.append(_logistic_loss(margins, y))
@@ -284,76 +301,62 @@ def train_gbt(data, params: XgbParams, seed: int) -> GradientBoostedTrees:
 
 
 def _grow_cart(
-    columns: tuple[np.ndarray, np.ndarray], y: np.ndarray, max_depth: int,
-    rng: np.random.Generator, n_sub_features: int,
+    X: np.ndarray, rank_keys: tuple[np.ndarray, int], y: np.ndarray, w: np.ndarray,
+    max_depth: int, rng: np.random.Generator, n_sub_features: int,
 ) -> _Tree:
-    """Grow one Gini tree on ``_sorted_columns`` output, drawing each
-    split's feature subset in depth-first preorder."""
-    XT, rows0 = columns
-    d, n = rows0.shape
+    """Grow one Gini tree on the sample that holds row i of X ``w[i]``
+    times, given X's ``_rank_keys``, drawing each split's feature subset
+    in depth-first preorder.
+
+    A node holds its distinct rows and counts the sample's: the prefix
+    sums of ``w`` and ``y * w`` are whole numbers, exact in floats, so each
+    cut between distinct values scores as on the sample's own rows."""
+    keys, shift = rank_keys
+    d = len(keys)
     tree = _TreeBuilder()
-    go_left = np.zeros(n, dtype=bool)
-    # counts as floats: the same values, without an int-to-float cast in
-    # every impurity operation
-    y_float = y.astype(float)
-
-    def stops(m: int, ones: int, depth: int) -> bool:
-        return depth >= max_depth or m < 2 or ones == 0 or ones == m
-
-    # pending nodes, left on top: (link, block, positives, depth); a node
-    # the stopping rule makes a leaf is only counted, so one column of its
-    # rows stands in for its block
-    stack = [(None, rows0, int(y.sum()), 0)]
+    yw = y * w
+    stat = np.column_stack((w, yw)).astype(float).view(complex).ravel()
+    # pending nodes, left on top: (link, distinct rows, sample rows,
+    # positives, depth)
+    stack = [(None, np.flatnonzero(w), int(w.sum()), int(yw.sum()), 0)]
     while stack:
-        link, rows, ones, depth = stack.pop()
-        m = rows.shape[1]
-        best = None  # (impurity, position in feats)
-        if not stops(m, ones, depth):
+        link, rows, m, ones, depth = stack.pop()
+        cut = None
+        if not (depth >= max_depth or m < 2 or ones == 0 or ones == m):
             if n_sub_features < d:
                 feats = np.sort(rng.choice(d, n_sub_features, replace=False))
             else:
                 feats = np.arange(d)
             p1 = ones / m
             parent_imp = 2 * p1 * (1 - p1)
-            # the drawn features at once: prefix counts along each sorted
-            # column, every cut's impurity, each column's best cut
-            frows = rows[feats]
-            fvals = XT[feats[:, None], frows]
-            left_ones = np.cumsum(y_float[frows[:, :-1]], axis=1)
-            nl = np.arange(1.0, m)
-            nr = m - nl
-            pl = left_ones / nl
-            pr = (ones - left_ones) / nr
-            imp = (nl * (2 * pl * (1 - pl)) + nr * (2 * pr * (1 - pr))) / m
-            imp[fvals[:, 1:] == fvals[:, :-1]] = np.inf
-            ks = imp.argmin(axis=1)
-            # in feature order, a later feature must beat the best by 1e-12;
-            # a constant column has no valid cut, so its best impurity is inf
-            for j, top in enumerate(imp[np.arange(len(feats)), ks].tolist()):
-                if not math.isinf(top) and (best is None or top < best[0] - 1e-12):
-                    best = (top, j)
-            if best is not None and best[0] >= parent_imp - 1e-12:
-                best = None
-        if best is None:
+            block = keys[feats[:, None], rows]
+            block.sort(axis=1)
+
+            def neg_gini(nl, left_ones):
+                # negated, which is exact, so that the best cut is the largest
+                nr = m - nl
+                pl = left_ones / nl
+                pr = (ones - left_ones) / nr
+                return (nl * (2 * pl * (1 - pl)) + nr * (2 * pr * (1 - pr))) / -m
+
+            # the first valid cut is kept whatever its impurity; a constant
+            # column has no valid cut
+            cut = _best_cut(block, shift, stat, neg_gini, -math.inf)
+            if cut is not None and -cut[3] >= parent_imp - 1e-12:
+                cut = None
+        if cut is None:
             tree.add(link, -1, 0.0, 1 if ones > m - ones else 0)
             continue
-        j = best[1]
-        k = ks[j]
-        thr = (fvals[j, k] + fvals[j, k + 1]) / 2.0
+        j, rows, k, _ = cut
+        vals = X[rows, feats[j]]
+        thr = (vals[k] + vals[k + 1]) / 2.0
         node = tree.add(link, feats[j], thr, 0.0)
-        go = fvals[j] <= thr
-        go_left[frows[j]] = go
-        sel = go_left[rows].ravel()
-        children = []
-        for side, child, keep in ((tree.left, frows[j][go], sel),
-                                  (tree.right, frows[j][~go], ~sel)):
-            child_ones = int(y[child].sum())
-            if stops(len(child), child_ones, depth + 1):
-                block = child[None, :]
-            else:
-                block = _filter_block(rows, keep, len(child))
-            children.append(((side, node), block, child_ones, depth + 1))
-        stack += reversed(children)
+        # the children's counts follow the rows the threshold sends, not the
+        # cut: a midpoint can round onto the upper value
+        go = vals <= thr
+        for side, child in ((tree.RIGHT, rows[~go]), (tree.LEFT, rows[go])):
+            stack.append(((side, node), child, int(w[child].sum()),
+                          int(yw[child].sum()), depth + 1))
     return tree.build()
 
 
@@ -378,27 +381,18 @@ class RandomForest:
 
 def train_rf(data, params: RfParams, seed: int) -> RandomForest:
     """Standard bagging: each tree grows on a bootstrap sample and picks
-    each split among sqrt(d) random features."""
+    each split among sqrt(d) random features. A tree grows on the sample's
+    draw counts, each training row weighted by how often it was drawn, as
+    scikit-learn's forests weight theirs."""
     X, y = _as_xy(data)
     rng = np.random.default_rng(seed)
     n = len(X)
     n_sub = max(1, int(math.sqrt(X.shape[1])))
-    XT, rows = _sorted_columns(X)
-    # each value's rank among the distinct values of its feature: a sample
-    # sorts by the unique integer key (rank, position in the sample), which
-    # is its stable sort, with no float sort per tree
-    sorted_vals = np.take_along_axis(XT, rows, axis=1)
-    sorted_rank = np.zeros_like(rows)
-    np.cumsum(sorted_vals[:, 1:] != sorted_vals[:, :-1], axis=1, out=sorted_rank[:, 1:])
-    rank = np.empty_like(rows)
-    np.put_along_axis(rank, rows, sorted_rank, axis=1)
+    rank_keys = _rank_keys(X)
     trees = []
     for _ in range(params.n_trees):
-        idx = rng.integers(0, n, n)
-        key = rank[:, idx] * n + np.arange(n)
-        key.sort(axis=1)
-        columns = (XT[:, idx], key % n)
-        trees.append(_grow_cart(columns, y[idx], params.max_depth, rng, n_sub))
+        w = np.bincount(rng.integers(0, n, n), minlength=n)
+        trees.append(_grow_cart(X, rank_keys, y, w, params.max_depth, rng, n_sub))
     return RandomForest(trees)
 
 
@@ -617,8 +611,14 @@ class EnsembleClassifier:
         ))
 
     def member_probs(self, X) -> np.ndarray:
-        """(n, 3) matrix of P(class 1) per member, in gbt/rf/svm order."""
+        """(n, 3) matrix of P(class 1) per member, in gbt/rf/svm order, for
+        an (n, d) matrix of finite features, d as in training."""
         X = np.asarray(X, dtype=float)
+        d = self.svm.sv.shape[1]
+        if X.ndim != 2 or X.shape[1] != d:
+            raise ValueError(f"rows must be an (n, {d}) matrix, got shape {X.shape}")
+        if not np.isfinite(X).all():
+            raise ValueError("rows must hold finite features only")
         return np.column_stack(
             [self.gbt.predict_proba(X), self.rf.predict_proba(X),
              self.svm.predict_proba(X)]

@@ -28,13 +28,14 @@ from densecotrain.ensemble import (
     SvmParams,
     XgbParams,
     _CHUNK_CELLS,
+    _TreeBuilder,
     _fit_platt,
     _grow_cart,
     _grow_gbt_tree,
     _kernel_matrix,
     _logistic_loss,
+    _rank_keys,
     _sigmoid,
-    _sorted_columns,
     fuse,
     member_seeds,
     soft_vote,
@@ -52,6 +53,12 @@ def _blobs(rng, n_per_class, separation, dim=16):
     y = np.array([0] * n_per_class + [1] * n_per_class)
     perm = rng.permutation(len(y))
     return X[perm], y[perm]
+
+
+def _sorted_keys(X):
+    """The booster's root: X's rank keys, each feature's sorted."""
+    keys, shift = _rank_keys(X)
+    return np.sort(keys, axis=1), shift
 
 
 @pytest.mark.parametrize(
@@ -100,14 +107,14 @@ def test_gbt_leaf_weight_example():
     # leaves grown by the booster hold -G / (H + l2_reg) of their rows
     X = np.zeros((2, 1))
     g, h = np.array([1.0, 1.0]), np.array([2.0, 2.0])
-    leaf, reached = _grow_gbt_tree(_sorted_columns(X), g, h, 0, 1.0)
+    leaf, reached = _grow_gbt_tree(X, _sorted_keys(X), g, h, 0, 1.0)
     assert leaf.apply(X) == pytest.approx([-0.4, -0.4])
     assert reached.tolist() == leaf.apply(X).tolist()
     # the best stump splits at 1.5: -(-2) / (2 + 1) left, -2 / (2 + 1) right
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     g = np.array([-1.0, -1.0, 1.0, 1.0])
     h = np.array([0.5, 1.5, 1.0, 1.0])
-    tree, reached = _grow_gbt_tree(_sorted_columns(X), g, h, 1, 1.0)
+    tree, reached = _grow_gbt_tree(X, _sorted_keys(X), g, h, 1, 1.0)
     assert (tree.feature[0], tree.threshold[0]) == (0, 1.5)
     assert tree.apply(X) == pytest.approx([2 / 3, 2 / 3, -2 / 3, -2 / 3])
     assert reached.tolist() == tree.apply(X).tolist()
@@ -173,8 +180,8 @@ def test_grow_cart_hand_computed_gini_split():
     # the root splits feature 0 at the midpoint 1.5 into leaves 0 and 1
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0, 0, 1, 1])
-    columns = _sorted_columns(X)
-    tree = _grow_cart(columns, y, 3, np.random.default_rng(0), n_sub_features=1)
+    tree = _grow_cart(X, _rank_keys(X), y, np.ones(4, dtype=int), 3,
+                      np.random.default_rng(0), n_sub_features=1)
     assert tree.feature.tolist() == [0, -1, -1]
     assert tree.threshold.tolist() == [1.5, 0.0, 0.0]
     assert (tree.left.tolist(), tree.right.tolist()) == ([1, -1, -1], [2, -1, -1])
@@ -390,6 +397,7 @@ class _FixedMember:
 
     def __init__(self, p):
         self.p = np.asarray(p, dtype=float)
+        self.sv = np.zeros((1, 1))  # trained on one feature, as the SVM records it
 
     def predict_proba(self, X):
         return self.p
@@ -424,6 +432,27 @@ def test_ensemble_predict_on_trained_members():
     labels, conf = ens.predict(Xte)
     assert (labels == yte).mean() >= 0.95
     assert ((conf >= 0.5) & (conf <= 1.0)).all()
+
+
+@pytest.mark.parametrize("rows, fault", [
+    ([], r"rows must be an \(n, 16\) matrix, got shape \(0,\)"),
+    (np.zeros(16), r"rows must be an \(n, 16\) matrix, got shape \(16,\)"),
+    (np.zeros((2, 1, 16)), r"rows must be an \(n, 16\) matrix, got shape \(2, 1, 16\)"),
+    (np.zeros((3, 15)), r"rows must be an \(n, 16\) matrix, got shape \(3, 15\)"),
+    (np.full((2, 16), np.nan), "rows must hold finite features only"),
+    (np.where(np.eye(2, 16) > 0, np.inf, 0.0), "rows must hold finite features only"),
+])
+def test_ensemble_refuses_rows_it_cannot_score(rows, fault):
+    """Rows of the wrong shape or width, or with a non-finite feature, are
+    refused by name, not scored as label 0 with NaN confidence or failed
+    deep in a tree walk."""
+    rng = np.random.default_rng(2)
+    ens = EnsembleClassifier.train(_blobs(rng, 30, 3.0), EnsembleParams(
+        XgbParams(n_trees=2), RfParams(n_trees=2), SvmParams()), seed=0)
+    for score in (ens.member_probs, ens.positive_probability, ens.predict):
+        with pytest.raises(ValueError, match=f"^{fault}$"):
+            score(rows)
+    assert ens.member_probs(np.zeros((0, 16))).shape == (0, 3)
 
 
 def test_ensemble_train_is_its_members_trained_one_at_a_time():
@@ -489,8 +518,8 @@ def test_gbt_handles_constant_features():
 
 # ------------------------------------------------ reference tree growers
 # The growers as they were before growth ran on presorted column blocks:
-# every node argsorts its own rows, one feature at a time. The presorted
-# growers must build the same trees, bit for bit.
+# every node argsorts its own rows, one feature at a time. The growers on
+# rank keys must build the same trees, bit for bit.
 
 @dataclass
 class _RefTree:
@@ -673,6 +702,174 @@ def _ref_train_rf(X, y, params, seed):
     return trees
 
 
+# The growers as they were on presorted float blocks, before they grew on
+# rank keys: each node holds a block of its rows in every feature's order,
+# children filter it, and the forest grows on the bootstrap sample's rows.
+# They are fast enough to check the rank-key growers at training scale.
+
+def _sorted_columns(X):
+    XT = np.ascontiguousarray(X.T)
+    return XT, np.argsort(XT, axis=1, kind="stable")
+
+
+def _filter_block(rows, sel, m):
+    return np.compress(sel, rows).reshape(len(rows), m)
+
+
+def _presorted_grow_gbt_tree(columns, g, h, max_depth, lam):
+    XT, rows0 = columns
+    d, n = rows0.shape
+    tree = _TreeBuilder()
+    reached = np.zeros(n)
+    go_left = np.zeros(n, dtype=bool)
+    stack = [(None, np.arange(n), rows0, 0)]
+    while stack:
+        link, idx, rows, depth = stack.pop()
+        G, H = g[idx].sum(), h[idx].sum()
+        best = None
+        if depth < max_depth and len(idx) >= 2:
+            parent = G * G / (H + lam + 1e-12)
+            ks: list[int] = []
+            tops: list[float] = []
+            step = max(1, _CHUNK_CELLS // len(idx))
+            for lo in range(0, d, step):
+                block = rows[lo:lo + step]
+                vals = np.take_along_axis(XT[lo:lo + step], block, axis=1)
+                gv = np.cumsum(g[block[:, :-1]], axis=1)
+                hv = np.cumsum(h[block[:, :-1]], axis=1)
+                gl = gv * gv / (hv + lam + 1e-12)
+                gr = (G - gv) ** 2 / (H - hv + lam + 1e-12)
+                gain = 0.5 * (gl + gr - parent)
+                gain[vals[:, 1:] == vals[:, :-1]] = -np.inf
+                k = gain.argmax(axis=1)
+                ks += k.tolist()
+                tops += gain[np.arange(len(block)), k].tolist()
+            best_gain = 0.0
+            for f, top in enumerate(tops):
+                if top > best_gain + 1e-12:
+                    best_gain = top
+                    best = f
+        if best is None:
+            w = -G / (H + lam + 1e-12)
+            reached[idx] = w
+            tree.add(link, -1, 0.0, w)
+            continue
+        k = ks[best]
+        vals = XT[best, rows[best]]
+        thr = (vals[k] + vals[k + 1]) / 2.0
+        node = tree.add(link, best, thr, 0.0)
+        go_left[rows[best]] = vals <= thr
+        mask = go_left[idx]
+        left, right = idx[mask], idx[~mask]
+        lrows = rrows = None
+        if depth + 1 < max_depth:
+            sel = go_left[rows].ravel()
+            lrows = _filter_block(rows, sel, len(left))
+            rrows = _filter_block(rows, ~sel, len(right))
+        stack.append(((tree.RIGHT, node), right, rrows, depth + 1))
+        stack.append(((tree.LEFT, node), left, lrows, depth + 1))
+    return tree.build(), reached
+
+
+def _presorted_grow_cart(columns, y, max_depth, rng, n_sub_features):
+    XT, rows0 = columns
+    d, n = rows0.shape
+    tree = _TreeBuilder()
+    go_left = np.zeros(n, dtype=bool)
+    y_float = y.astype(float)
+
+    def stops(m, ones, depth):
+        return depth >= max_depth or m < 2 or ones == 0 or ones == m
+
+    stack = [(None, rows0, int(y.sum()), 0)]
+    while stack:
+        link, rows, ones, depth = stack.pop()
+        m = rows.shape[1]
+        best = None
+        if not stops(m, ones, depth):
+            if n_sub_features < d:
+                feats = np.sort(rng.choice(d, n_sub_features, replace=False))
+            else:
+                feats = np.arange(d)
+            p1 = ones / m
+            parent_imp = 2 * p1 * (1 - p1)
+            frows = rows[feats]
+            fvals = XT[feats[:, None], frows]
+            left_ones = np.cumsum(y_float[frows[:, :-1]], axis=1)
+            nl = np.arange(1.0, m)
+            nr = m - nl
+            pl = left_ones / nl
+            pr = (ones - left_ones) / nr
+            imp = (nl * (2 * pl * (1 - pl)) + nr * (2 * pr * (1 - pr))) / m
+            imp[fvals[:, 1:] == fvals[:, :-1]] = np.inf
+            ks = imp.argmin(axis=1)
+            for j, top in enumerate(imp[np.arange(len(feats)), ks].tolist()):
+                if not math.isinf(top) and (best is None or top < best[0] - 1e-12):
+                    best = (top, j)
+            if best is not None and best[0] >= parent_imp - 1e-12:
+                best = None
+        if best is None:
+            tree.add(link, -1, 0.0, 1 if ones > m - ones else 0)
+            continue
+        j = best[1]
+        k = ks[j]
+        thr = (fvals[j, k] + fvals[j, k + 1]) / 2.0
+        node = tree.add(link, feats[j], thr, 0.0)
+        go = fvals[j] <= thr
+        go_left[frows[j]] = go
+        sel = go_left[rows].ravel()
+        children = []
+        for side, child, keep in ((tree.LEFT, frows[j][go], sel),
+                                  (tree.RIGHT, frows[j][~go], ~sel)):
+            child_ones = int(y[child].sum())
+            if stops(len(child), child_ones, depth + 1):
+                block = child[None, :]
+            else:
+                block = _filter_block(rows, keep, len(child))
+            children.append(((side, node), block, child_ones, depth + 1))
+        stack += reversed(children)
+    return tree.build()
+
+
+def _presorted_train_rf(X, y, params, seed):
+    """train_rf's bagging loop on the presorted grower: one sort of each
+    feature, then each sample's rows ordered by integer (rank, position)."""
+    rng = np.random.default_rng(seed)
+    n = len(X)
+    n_sub = max(1, int(math.sqrt(X.shape[1])))
+    XT, rows = _sorted_columns(X)
+    sorted_vals = np.take_along_axis(XT, rows, axis=1)
+    sorted_rank = np.zeros_like(rows)
+    np.cumsum(sorted_vals[:, 1:] != sorted_vals[:, :-1], axis=1, out=sorted_rank[:, 1:])
+    rank = np.empty_like(rows)
+    np.put_along_axis(rank, rows, sorted_rank, axis=1)
+    trees = []
+    for _ in range(params.n_trees):
+        idx = rng.integers(0, n, n)
+        key = rank[:, idx] * n + np.arange(n)
+        key.sort(axis=1)
+        columns = (XT[:, idx], key % n)
+        trees.append(_presorted_grow_cart(columns, y[idx], params.max_depth, rng, n_sub))
+    return trees
+
+
+def _presorted_train_gbt(X, y, params):
+    """train_gbt's boosting loop on the presorted grower."""
+    p0 = int(y.sum()) / len(y)
+    margins = np.full(len(y), math.log(p0 / (1.0 - p0)))
+    loss_curve = [_logistic_loss(margins, y)]
+    columns = _sorted_columns(X)
+    trees = []
+    for _ in range(params.n_trees):
+        p = _sigmoid(margins)
+        tree, reached = _presorted_grow_gbt_tree(
+            columns, p - y, p * (1.0 - p), params.max_depth, params.l2_reg)
+        trees.append(tree)
+        margins = margins + params.learning_rate * reached
+        loss_curve.append(_logistic_loss(margins, y))
+    return trees, loss_curve
+
+
 def _same_tree(ref, tree):
     for name in ("feature", "threshold", "left", "right", "value"):
         assert getattr(ref, name) == getattr(tree, name).tolist(), name
@@ -712,30 +909,100 @@ def tree_data(draw):
     return X, y
 
 
+@st.composite
+def counted_tree_data(draw):
+    """tree_data with a bootstrap count per row, 0 for rows not drawn."""
+    X, y = draw(tree_data())
+    w = draw(st.lists(st.integers(0, 3), min_size=len(X), max_size=len(X)))
+    return X, y, np.array(w, dtype=int)
+
+
+def _counted(X, y, w):
+    return X, np.array(y), np.array(w)
+
+
 @settings(max_examples=200, deadline=None)
-@example((np.array([[1.0, 2.0]]), np.array([1])), 3, 1.0, 0)
-@example((np.array([[1.0], [1.0 + 2.0**-52]]), np.array([0, 1])), 0, 1.0, 0)
-@example((np.array([[1.0, 5.0], [0.0, 5.0]]), np.array([0, 1])), 3, 0.0, 0)
+@example(_counted(np.array([[1.0, 2.0]]), [1], [1]), 3, 1.0, 0)
+@example(_counted(np.array([[1.0], [1.0 + 2.0**-52]]), [0, 1], [1, 1]), 0, 1.0, 0)
+@example(_counted(np.array([[1.0, 5.0], [0.0, 5.0]]), [0, 1], [1, 1]), 3, 0.0, 0)
+# the cut between 1 + 2**-52 (drawn twice) and 1 + 2**-51 rounds onto the
+# upper value and sends all three sample rows left, so the left child holds
+# the node's counts, not the cut's
+@example(_counted(np.array([[1.0 + 2.0**-52], [1.0 + 2.0**-51]]), [0, 1], [2, 1]), 3, 1.0, 0)
+@example(_counted(np.array([[1.0], [2.0]]), [0, 1], [0, 0]), 3, 1.0, 0)
 @given(
-    tree_data(), st.sampled_from((0, 1, 2, 3, 8)), st.sampled_from((0.0, 1.0)),
+    counted_tree_data(), st.sampled_from((0, 1, 2, 3, 8)), st.sampled_from((0.0, 1.0)),
     st.integers(0, 2**32 - 1),
 )
 def test_presorted_growers_match_reference(data, max_depth, lam, seed):
-    X, y = data
-    columns = _sorted_columns(X)
+    """The booster grows the reference's tree on X; the forest, grown on
+    draw counts ``w``, grows the reference's tree on the sample that
+    repeats each row of X its count of times."""
+    X, y, w = data
+    keys, shift = _rank_keys(X)
     for f in range(X.shape[1]):
-        assert columns[1][f].tolist() == np.argsort(X[:, f], kind="stable").tolist()
+        rows = np.sort(keys[f]) & ((1 << shift) - 1)
+        assert rows.tolist() == np.argsort(X[:, f], kind="stable").tolist()
     rng = np.random.default_rng(seed)
     g = rng.standard_normal(len(X))
     h = rng.uniform(0.01, 0.25, len(X))
-    tree, reached = _grow_gbt_tree(columns, g, h, max_depth, lam)
+    tree, reached = _grow_gbt_tree(X, _sorted_keys(X), g, h, max_depth, lam)
     ref = _ref_grow_gbt_tree(X, g, h, max_depth, lam)
     _same_tree(ref, tree)
     assert reached.tolist() == ref.apply(X).tolist() == tree.apply(X).tolist()
+    sample = np.repeat(np.arange(len(X)), w)
     for n_sub in {1, X.shape[1]}:
-        tree = _grow_cart(columns, y, max_depth, np.random.default_rng(seed), n_sub)
-        ref = _ref_grow_cart(X, y, max_depth, np.random.default_rng(seed), n_sub)
+        tree = _grow_cart(X, (keys, shift), y, w, max_depth, np.random.default_rng(seed), n_sub)
+        ref = _ref_grow_cart(X[sample], y[sample], max_depth, np.random.default_rng(seed), n_sub)
         _same_tree(ref, tree)
+
+
+def _same_bytes(a, b):
+    for name in ("feature", "threshold", "left", "right", "value"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
+def test_growers_match_presorted_growers_at_training_scale():
+    """25 depth-8 forest trees and 30 depth-3 boosting trees on 2,000 rows
+    of 16 features, with duplicated rows and tied values, are the presorted
+    growers' trees, byte for byte."""
+    rng = np.random.default_rng(11)
+    X, y = _blobs(rng, 800, 1.0)
+    X[:, :4] = np.round(X[:, :4], 1)  # ties within a feature
+    dup = rng.integers(0, len(X), 400)
+    X, y = np.vstack([X, X[dup]]), np.concatenate([y, y[dup]])
+    assert X.shape == (2000, 16)
+    rf = RfParams(max_depth=8, n_trees=25)
+    trees = train_rf((X, y), rf, 3).trees
+    assert len(trees) == 25
+    for ref, tree in zip(_presorted_train_rf(X, y, rf, 3), trees):
+        _same_bytes(ref, tree)
+    xgb = XgbParams(max_depth=3, n_trees=30)
+    model = train_gbt((X, y), xgb, 3)
+    ref_trees, ref_curve = _presorted_train_gbt(X, y, xgb)
+    assert model.loss_curve == ref_curve
+    for ref, tree in zip(ref_trees, model.trees, strict=True):
+        _same_bytes(ref, tree)
+
+
+SIGNED = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0, 2.0**-1074, -(2.0**-1074))),
+                   st.floats(-1e300, 1e300))
+
+
+@settings(max_examples=200, deadline=None)
+@example([(-0.0, -0.0), (-0.0, 0.0), (0.0, -0.0), (-1.0, 1.0), (1.0, -1.0), (-0.0, -0.0)])
+@given(st.lists(st.tuples(SIGNED, SIGNED), min_size=1, max_size=30))
+def test_complex_prefix_sum_is_two_float_prefix_sums(rows):
+    """The growers' one prefix sum over ``a + b i``, a block of rows at a
+    time, has real and imaginary parts equal to two float prefix sums, bit
+    for bit, signed zeros and rounding included."""
+    a, b = np.array(rows).T.copy()
+    pairs = np.column_stack((a, b)).view(complex).ravel()
+    assert pairs.real.tobytes() == a.tobytes() and pairs.imag.tobytes() == b.tobytes()
+    block = np.array([np.arange(len(a)), np.arange(len(a))[::-1]])
+    sums = np.cumsum(pairs[block], axis=1)
+    assert sums.real.tobytes() == np.cumsum(a[block], axis=1).tobytes()
+    assert sums.imag.tobytes() == np.cumsum(b[block], axis=1).tobytes()
 
 
 def test_grow_cart_keeps_the_earlier_feature_on_a_rounding_tie():
@@ -746,7 +1013,8 @@ def test_grow_cart_keeps_the_earlier_feature_on_a_rounding_tie():
     X = np.array([[0, 2], [3, 3], [0, 0], [1, 3], [0, 1],
                   [3, 1], [2, 0], [2, 3], [3, 0], [2, 3]], dtype=float)
     y = np.array([1, 0, 0, 1, 0, 0, 1, 1, 1, 0])
-    tree = _grow_cart(_sorted_columns(X), y, 8, np.random.default_rng(1), 2)
+    tree = _grow_cart(X, _rank_keys(X), y, np.ones(10, dtype=int), 8,
+                      np.random.default_rng(1), 2)
     assert (tree.feature[0], tree.threshold[0]) == (0, 0.5)
     _same_tree(_ref_grow_cart(X, y, 8, np.random.default_rng(1), 2), tree)
 
